@@ -48,21 +48,26 @@ def _precision_cap(precision: Optional[int]) -> Optional[int]:
 
 
 class _Output:
+    """JSON-lines sink: each record is written and flushed as it is
+    emitted, to the --output file or to stdout.  An --output file with
+    no records holds a single newline."""
+
     def __init__(self, path: Optional[str]):
-        self.path = path
-        self.records: List[dict] = []
+        self.fh = open(path, "w") if path else None
+        self.emitted = False
 
     def emit(self, record: dict):
         record.setdefault("schema", 1)
-        self.records.append(record)
+        fh = self.fh or sys.stdout
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.flush()
+        self.emitted = True
 
     def close(self):
-        text = "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
-        if self.path:
-            with open(self.path, "w") as fh:
-                fh.write(text + "\n")
-        elif text:
-            print(text)
+        if self.fh is not None:
+            if not self.emitted:
+                self.fh.write("\n")
+            self.fh.close()
 
 
 def _sample_ts(seed: int, count: int, lo: int, hi: int) -> List[int]:
@@ -289,10 +294,11 @@ def _cmd_search(args, out: _Output) -> int:
 
 
 def _cmd_verify_theorem(args, out: _Output) -> int:
-    ok = search.verify_theorem(args.t, args.y_bound, _env_workers(args.workers))
     found = search.thue_solutions_bruteforce(forms.family_form(3, args.t),
                                              args.y_bound,
                                              _env_workers(args.workers))
+    expected = tuple(sorted(forms.known_solutions(args.t).restricted(args.y_bound)))
+    ok = found.solutions == expected
     out.emit({"t": args.t, "y_bound": args.y_bound, "count": found.count,
               "solutions": [list(s) for s in found.solutions], "pass": ok})
     print("t=%d: %d solutions, %s" %

@@ -261,26 +261,6 @@ def enclose_rational(r: Rational, precision: int = DEFAULT_PRECISION) -> Certifi
     return CertifiedReal.from_rational(r, precision)
 
 
-def arith(a: CertifiedReal, b: CertifiedReal, op: str) -> CertifiedReal:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise ValueError("unknown operator %r" % op)
-
-
-def power(a: CertifiedReal, k: int) -> CertifiedReal:
-    return a ** k
-
-
-def log_certified(a: CertifiedReal) -> CertifiedReal:
-    return a.log()
-
-
 @dataclass(frozen=True)
 class Convergent:
     p: int

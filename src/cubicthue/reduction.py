@@ -148,7 +148,9 @@ class ReductionOutcome:
 def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
                   precision: Optional[int] = None) -> ReductionOutcome:
     """One t with automatic precision escalation (doubling, capped) and
-    a single Q escalation on convergent failure."""
+    a single Q escalation on convergent failure.  A success verdict is
+    accepted only after its exact re-verification; one that fails it
+    moves on to the next attempt."""
     base_prec = precision if precision is not None else reduction_precision(Q)
     attempts: List[Tuple[int, int]] = [
         (base_prec * 2 ** i, Q) for i in range(MAX_PRECISION_ESCALATIONS + 1)
@@ -163,7 +165,7 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
         except (PrecisionInsufficientError, IndeterminateSignError) as exc:
             last_exc = exc
             continue
-        if verdict.success:
+        if verdict.success and reverify_verdict(inst, verdict):
             return ReductionOutcome(
                 t, which, "success", prec, q_used, verdict.q,
                 float(verdict.q_norm_lower), verdict.lambda_lower_ln,

@@ -1,11 +1,13 @@
 """Certified real roots of P(x) = F_{3,t}(x,1) and certification of the
 sixteen kappa-interval claims underpinning the asymptotic analysis.
 
-Root enclosures come from exact-rational sign bisection: every bracket
-endpoint is a dyadic rational at which P is evaluated exactly, so the
-sign changes are unconditional.  For t >= 10 the series expansions of
-the roots hand us isolating windows for free; smaller t falls back to
-critical-point splitting of the full range.
+Root enclosures are the brackets that exact-rational sign bisection of
+an isolating window ends in, found in exact integer arithmetic: Newton's
+method locates the bracket on the bisection grid and two exact sign
+evaluations of P at its endpoints certify it, so the sign changes are
+unconditional.  For t >= 10 the series expansions of the roots hand us
+isolating windows for free; smaller t falls back to critical-point
+splitting of the full range.
 """
 
 from __future__ import annotations
@@ -54,30 +56,147 @@ def cubic_coeffs(t: int) -> Tuple[int, int, int]:
     return (-(t ** 4 - t), t ** 5 - 2 * t * t, 1)
 
 
-def _eval_monic_cubic(B: int, C: int, D: int, x: Fraction) -> Fraction:
-    return ((x + B) * x + C) * x + D
+# Newton's method locates the root on a coarse grid first, then doubles
+# the grid resolution per level; the guard bits beyond the bracket grid
+# keep rounding in the last step away from the cell boundaries.
+NEWTON_START_BITS = 64
+NEWTON_GUARD_BITS = 16
+
+
+def _scaled_coeffs(B: int, C: int, D: int, S: int) -> Tuple[int, int, int]:
+    """(b, c, d) with N^3 + b N^2 + c N + d = S^3 * P(N/S)."""
+    return B * S, C * S * S, D * S * S * S
+
+
+def _scaled_cubic(B: int, C: int, D: int, N: int, S: int) -> int:
+    """S^3 * P(N/S) as an exact integer; for S > 0 it has the sign of
+    P(N/S) and vanishes exactly when P(N/S) does."""
+    b, c, d = _scaled_coeffs(B, C, D, S)
+    return ((N + b) * N + c) * N + d
+
+
+def _halvings(p: int, q: int) -> int:
+    """Smallest k >= 0 with p <= q * 2^k (q > 0)."""
+    k = max(0, p.bit_length() - q.bit_length())
+    return k + 1 if (q << k) < p else k
+
+
+def _strictly_monotone(B: int, C: int, A: int, H: int, S: int) -> bool:
+    """True when P' has no zero on [A/S, H/S]: P' is a convex parabola,
+    so it suffices to look at its endpoint values and at its vertex."""
+    b, c = B * S, C * S * S
+    dlo = (3 * A + 2 * b) * A + c
+    dhi = (3 * H + 2 * b) * H + c
+    if dlo < 0 and dhi < 0:
+        return True
+    vertex_inside = 3 * A < -b < 3 * H
+    return dlo > 0 and dhi > 0 and (B * B < 3 * C or not vertex_inside)
+
+
+def _newton_index(B: int, C: int, D: int, A: int, delta: int, S: int,
+                  neg: bool, k_final: int) -> int:
+    """Estimate of 2^k_final * u for the root A/S + u * delta/S of P
+    (P(A/S) < 0 iff neg).  Level k runs safeguarded Newton on the grid
+    of spacing 2^-k in u, keeping a sign-change bracket and bisecting it
+    whenever a step would leave it; the next level starts from the
+    previous estimate at twice the resolution."""
+    k = min(NEWTON_START_BITS, k_final)
+    a, z = 0, 1 << k
+    m = z >> 1                       # the window midpoint
+    while True:
+        b, c, d = _scaled_coeffs(B, C, D, S << k)
+        base = A << k
+        for _ in range(2 * k + 8):
+            N = base + m * delta
+            f = ((N + b) * N + c) * N + d
+            if f == 0:
+                break
+            if (f < 0) == neg:
+                a = m
+            else:
+                z = m
+            if z - a <= 1:
+                m = a
+                break
+            df = ((3 * N + 2 * b) * N + c) * delta
+            if df:
+                step = f // df
+                if -1 <= step <= 0:
+                    # the root is within a unit of m, on the side the
+                    # sign of f shows: round down to the grid point below
+                    if m == z:
+                        m -= 1
+                    break
+                m -= step
+            if not a < m < z:
+                m = (a + z) >> 1
+        if k == k_final:
+            return m
+        j = min(k, k_final - k)
+        a, z, m, k = a << j, z << j, m << j, k + j
 
 
 def _bisect(B: int, C: int, D: int, lo: Fraction, hi: Fraction,
             width: Fraction) -> Tuple[Fraction, Fraction]:
-    flo = _eval_monic_cubic(B, C, D, lo)
-    fhi = _eval_monic_cubic(B, C, D, hi)
+    """The bracket that halving [lo, hi] until it is at most `width`
+    wide ends in, keeping a sign change of P = x^3 + B x^2 + C x + D
+    (or (r - width/4, r + width/4) when P vanishes at an evaluated point
+    r), computed in exact integers.
+
+    After K halvings the bracket is a cell [x_n, x_(n+1)] of the grid
+    x_n = lo + n (hi - lo) / 2^K.  When P is strictly monotone on
+    [lo, hi] (every call site in this module hands over a window holding
+    exactly one simple root: the series windows for t >= 10, the
+    monotone pieces of the critical-point splitting below t = 10), the
+    only cell with a strict sign change is the one bisection ends in, so
+    Newton's method finds n and two exact sign evaluations certify the
+    cell.  Otherwise, or when the certificate fails or an evaluation is
+    exactly zero, an integer bisection over the same grid replays the
+    midpoint sequence of halving.  Raises PrecisionInsufficientError
+    when P does not change sign over [lo, hi]."""
+    S = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
+    A = lo.numerator * (S // lo.denominator)
+    delta = hi.numerator * (S // hi.denominator) - A
+    flo = _scaled_cubic(B, C, D, A, S)
+    fhi = _scaled_cubic(B, C, D, A + delta, S)
     if flo == 0:
         return (lo - width / 4, lo + width / 4)
     if fhi == 0:
         return (hi - width / 4, hi + width / 4)
     if (flo < 0) == (fhi < 0):
         raise PrecisionInsufficientError("no sign change over bracket")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = _eval_monic_cubic(B, C, D, mid)
+    K = _halvings(delta * width.denominator, S * width.numerator)
+    if K == 0:
+        return lo, hi
+    neg = flo < 0
+    SK = S << K
+    b, c, d = _scaled_coeffs(B, C, D, SK)
+    base = A << K
+
+    def at(n: int) -> int:           # SK^3 * P(x_n)
+        N = base + n * delta
+        return ((N + b) * N + c) * N + d
+
+    def cell(n: int) -> Tuple[Fraction, Fraction]:
+        return (Fraction(base + n * delta, SK),
+                Fraction(base + (n + 1) * delta, SK))
+
+    if _strictly_monotone(B, C, A, A + delta, S):
+        k_final = K + NEWTON_GUARD_BITS
+        n = _newton_index(B, C, D, A, delta, S, neg, k_final) >> NEWTON_GUARD_BITS
+        f0, f1 = at(n), at(n + 1)
+        if f0 != 0 and f1 != 0 and (f0 < 0) == neg and (f1 < 0) != neg:
+            return cell(n)
+    n, span = 0, 1 << K
+    while span > 1:
+        span >>= 1
+        fm = at(n + span)
         if fm == 0:
+            mid = Fraction(base + (n + span) * delta, SK)
             return (mid - width / 4, mid + width / 4)
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return lo, hi
+        if (fm < 0) == neg:
+            n += span
+    return cell(n)
 
 
 def isolate_real_roots_monic_cubic(B: int, C: int, D: int,
@@ -100,8 +219,8 @@ def isolate_real_roots_monic_cubic(B: int, C: int, D: int,
     cut_points.append(hi)
     out = []
     for a, b in zip(cut_points, cut_points[1:]):
-        fa = _eval_monic_cubic(B, C, D, a)
-        fb = _eval_monic_cubic(B, C, D, b)
+        fa = _scaled_cubic(B, C, D, a.numerator, a.denominator)
+        fb = _scaled_cubic(B, C, D, b.numerator, b.denominator)
         if fa == 0:
             if not any(br[0] <= a <= br[1] for br in out):
                 out.append((a - width / 4, a + width / 4))
@@ -109,7 +228,7 @@ def isolate_real_roots_monic_cubic(B: int, C: int, D: int,
         if fb != 0 and (fa < 0) != (fb < 0):
             out.append(_bisect(B, C, D, a, b, width))
     # trailing exact-root endpoint
-    fb = _eval_monic_cubic(B, C, D, hi)
+    fb = _scaled_cubic(B, C, D, hi.numerator, hi.denominator)
     if fb == 0 and not any(br[0] <= hi <= br[1] for br in out):
         out.append((hi - width / 4, hi + width / 4))
     return out

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
 
-from cubicthue import cli
+import pytest
+
+from cubicthue import cli, search
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv):
@@ -111,3 +116,47 @@ def test_seeded_samples_deterministic():
     s2 = cli._sample_ts(cli.DEFAULT_SEED, 100, 2001, 576241)
     assert s1 == s2 and len(set(s1)) == 100
     assert all(2001 <= t <= 576241 for t in s1)
+
+
+def test_verify_theorem_searches_once(monkeypatch, capsys):
+    calls = []
+    bruteforce = search.thue_solutions_bruteforce
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return bruteforce(*args, **kwargs)
+
+    monkeypatch.setattr(search, "thue_solutions_bruteforce", counting)
+    assert run(["verify-theorem", "--t", "-1", "--y-bound", "100"]) == 0
+    assert len(calls) == 1
+    assert "matches published list" in capsys.readouterr().out
+
+
+def test_output_streams_each_record(tmp_path):
+    path = tmp_path / "out.jsonl"
+    out = cli._Output(str(path))
+    out.emit({"t": 10})
+    assert path.read_text() == '{"schema": 1, "t": 10}\n'
+    out.emit({"t": 11})
+    out.close()
+    assert path.read_text().splitlines()[1] == '{"schema": 1, "t": 11}'
+
+
+def test_output_without_records_is_one_newline(tmp_path):
+    path = tmp_path / "out.jsonl"
+    out = cli._Output(str(path))
+    out.close()
+    assert path.read_bytes() == b"\n"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["sweep", "--t-lo", "10", "--t-hi", "14"], "sweep_10_14.jsonl"),
+    (["kappas", "--t-lo", "10", "--t-hi", "11"], "kappas_10_11.jsonl"),
+    (["roots", "--t", "2"], "roots_t2.jsonl"),
+    (["roots", "--t", "576241"], "roots_t576241.jsonl"),
+])
+def test_output_bytes_match_golden(argv, golden, tmp_path):
+    # the golden files were written by the Fraction-bisection engine
+    path = tmp_path / golden
+    assert run(argv + ["--output", str(path)]) == 0
+    assert path.read_bytes() == (DATA / golden).read_bytes()

@@ -201,3 +201,10 @@ def test_reverify_rejects_tampered_verdict():
     assert not reverify_verdict(inst, bad)
     assert not reverify_verdict(inst, reduction.Verdict(False, None, None, None,
                                                         None, None, 0))
+
+
+def test_reduce_single_rejects_success_that_fails_reverification(monkeypatch):
+    monkeypatch.setattr(reduction, "reverify_verdict", lambda inst, verdict: False)
+    out = reduce_single(2, 10)
+    assert out.status != "success"
+    assert out.escalations == reduction.MAX_PRECISION_ESCALATIONS + 1

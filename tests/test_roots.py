@@ -9,6 +9,37 @@ from cubicthue.roots import (KAPPA_TARGETS, cubic_coeffs,
                              kappa_t_only, verify_kappas)
 
 
+def _reference_bisect(B, C, D, lo, hi, width):
+    """Plain-Fraction bisection as the package did it before the integer
+    Newton bracket: halve until at most `width` wide, centring a
+    width/2 bracket on any exact zero met on the way."""
+    f = lambda x: ((x + B) * x + C) * x + D
+    flo, fhi = f(lo), f(hi)
+    if flo == 0:
+        return (lo - width / 4, lo + width / 4)
+    if fhi == 0:
+        return (hi - width / 4, hi + width / 4)
+    if (flo < 0) == (fhi < 0):
+        raise PrecisionInsufficientError("no sign change over bracket")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = f(mid)
+        if fm == 0:
+            return (mid - width / 4, mid + width / 4)
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    return lo, hi
+
+
+def _width(precision):
+    return Fraction(1, 2 ** max(precision - 8, 32))
+
+
+BRACKET_PRECISIONS = (180, 270, 540, 1080)
+
+
 def _oracle_bisect(t, lo, hi, steps=320):
     """Independent plain-Fraction bisection, no package machinery."""
     B, C, D = cubic_coeffs(t)
@@ -158,3 +189,70 @@ def test_generic_isolation_small_t():
         B, C, D = cubic_coeffs(t)
         for th in tr.thetas:
             assert (((th + B) * th + C) * th + D).contains_zero()
+
+
+@pytest.mark.parametrize("t", (10, 11, 137, 2000, 576241, 10 ** 7))
+def test_bisect_matches_reference_on_series_windows(t):
+    B, C, D = cubic_coeffs(t)
+    t5, t8 = Fraction(t) ** 5, Fraction(t) ** 8
+    windows = [(-2 / t5, Fraction(0)), (Fraction(t), t + 2 / t5),
+               (t ** 4 - 2 * t - 2 / t8, Fraction(t ** 4 - 2 * t))]
+    for precision in BRACKET_PRECISIONS:
+        width = _width(precision)
+        for lo, hi in windows:
+            assert roots._bisect(B, C, D, lo, hi, width) == \
+                _reference_bisect(B, C, D, lo, hi, width), (t, precision, lo)
+
+
+def test_bisect_matches_reference_on_generic_windows(monkeypatch):
+    calls = []
+    fast = roots._bisect
+
+    def spy(*args):
+        out = fast(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(roots, "_bisect", spy)
+    for t in (2, 3, 7, 9, -1, -5):
+        for precision in BRACKET_PRECISIONS:
+            isolate_roots(t, precision)
+    assert len(calls) == 6 * len(BRACKET_PRECISIONS) * 3
+    for args, out in calls:
+        assert out == _reference_bisect(*args), args
+
+
+def test_bisect_exact_root_at_grid_midpoint():
+    # (x - 1)(x^2 + x + 1) = x^3 - 1 vanishes at the first midpoint of [0, 2]
+    w = Fraction(1, 2 ** 40)
+    got = roots._bisect(0, 0, -1, Fraction(0), Fraction(2), w)
+    assert got == (1 - w / 4, 1 + w / 4)
+    assert got == _reference_bisect(0, 0, -1, Fraction(0), Fraction(2), w)
+    # (x - 3)(x^2 + 1) vanishes at the second-level midpoint of [0, 4]
+    got = roots._bisect(-3, 1, -3, Fraction(0), Fraction(4), w)
+    assert got == (3 - w / 4, 3 + w / 4)
+
+
+def test_bisect_window_with_three_roots_replays_bisection():
+    # not monotone on the window, so the integer bisection decides
+    B, C, D = cubic_coeffs(2)
+    lo, hi = Fraction(-1000), Fraction(1001, 3)
+    for precision in (100, 540):
+        width = _width(precision)
+        assert roots._bisect(B, C, D, lo, hi, width) == \
+            _reference_bisect(B, C, D, lo, hi, width)
+
+
+def test_bisect_falls_back_when_newton_misses(monkeypatch):
+    monkeypatch.setattr(roots, "_newton_index", lambda *args: 0)
+    B, C, D = cubic_coeffs(137)
+    lo, hi = Fraction(137), 137 + 2 / Fraction(137) ** 5
+    width = _width(270)
+    assert roots._bisect(B, C, D, lo, hi, width) == \
+        _reference_bisect(B, C, D, lo, hi, width)
+
+
+def test_bisect_short_window_is_returned_as_is():
+    B, C, D = cubic_coeffs(10)
+    lo, hi = -Fraction(2, 10 ** 5), Fraction(0)
+    assert roots._bisect(B, C, D, lo, hi, Fraction(1)) == (lo, hi)
