@@ -14,7 +14,7 @@ import sys
 from decimal import Decimal
 from typing import List, Optional
 
-from . import bounds, exponents, forms, reduction, roots, search
+from . import bounds, exponents, forms, realnum, reduction, roots, search
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -40,11 +40,14 @@ def _env_workers(requested: Optional[int]) -> int:
     return int(os.environ.get("CUBICTHUE_WORKERS", "1"))
 
 
-def _precision_cap(precision: Optional[int]) -> Optional[int]:
+def _precision_cap(precision: Optional[int], default: int) -> Optional[int]:
+    """--precision, or else the command's default precision, capped by
+    CUBICTHUE_PRECISION_CAP; without a cap an omitted --precision stays
+    None, so the engine picks its own default."""
     cap = os.environ.get("CUBICTHUE_PRECISION_CAP")
-    if cap is not None and precision is not None:
-        return min(precision, int(cap))
-    return precision
+    if cap is None:
+        return precision
+    return min(default if precision is None else precision, int(cap))
 
 
 class _Output:
@@ -155,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_roots(args, out: _Output) -> int:
-    triple = roots.isolate_roots(args.t, _precision_cap(args.precision))
+    triple = roots.isolate_roots(
+        args.t, _precision_cap(args.precision, roots.default_precision(args.t)))
     for i, th in enumerate(triple.thetas, start=1):
         out.emit({"t": args.t, "root": i,
                   "enclosure": th.as_decimal_string(40),
@@ -169,8 +173,8 @@ def _cmd_kappas(args, out: _Output) -> int:
     ts = list(range(args.t_lo, args.t_hi + 1)) + list(args.extra_t)
     workers = _env_workers(args.workers)
     failures = 0
-    reports = _map_parallel(_kappa_report_row, [(t, _precision_cap(args.precision))
-                                                for t in ts], workers)
+    jobs = [(t, _precision_cap(args.precision, roots.default_precision(t))) for t in ts]
+    reports = _map_parallel(_kappa_report_row, jobs, workers)
     for rep_rows, t, all_pass in reports:
         for row in rep_rows:
             out.emit(row)
@@ -211,8 +215,9 @@ def _cmd_exponents(args, out: _Output) -> int:
 
 
 def _cmd_matveev(args, out: _Output) -> int:
-    res = bounds.matveev_for_family(2, max(args.t, 10),
-                                    precision=_precision_cap(args.precision))
+    t = max(args.t, 10)
+    res = bounds.matveev_for_family(
+        2, t, precision=_precision_cap(args.precision, roots.default_precision(t)))
     ok = 8.30e15 <= res.coefficient <= 8.40e15
     out.emit({"which": 2, "coefficient": res.coefficient,
               "height_checks": list(res.height_checks),
@@ -231,8 +236,9 @@ def _cmd_tmax(args, out: _Output) -> int:
 
 
 def _cmd_reduce(args, out: _Output) -> int:
-    outcome = reduction.reduce_single(args.which, args.t, args.A, args.Q,
-                                      _precision_cap(args.precision))
+    outcome = reduction.reduce_single(
+        args.which, args.t, args.A, args.Q,
+        _precision_cap(args.precision, realnum.reduction_precision(args.Q)))
     out.emit(outcome.to_json())
     if outcome.status == "success" and outcome.contradiction:
         print("t=%d: reduction success, q=%s, margin %.4g" %
@@ -262,7 +268,8 @@ def _cmd_sweep(args, out: _Output) -> int:
     report = reduction.verify_range(args.which, args.t_lo, t_hi,
                                     args.A, args.Q, workers=workers,
                                     extra_ts=extra,
-                                    precision=_precision_cap(args.precision),
+                                    precision=_precision_cap(
+                                        args.precision, realnum.reduction_precision(args.Q)),
                                     checkpoint_path=args.checkpoint)
     for o in report.outcomes:
         out.emit(o.to_json())

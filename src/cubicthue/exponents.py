@@ -18,7 +18,7 @@ from .errors import (IndeterminateSignError, PrecisionInsufficientError,
                      VerificationFailedError)
 from .forms import evaluate, family_form
 from .realnum import CertifiedReal
-from .roots import RootTriple, isolate_roots
+from .roots import RootTriple, isolate_roots, solution_interval
 
 ROUNDING_TOLERANCE = Fraction(1, 100)
 
@@ -31,19 +31,6 @@ class SolutionType(enum.Enum):
     NONE = "None"
 
 
-def _interval_endpoints(which: int, t: int, y_abs: int) -> Tuple[Fraction, Fraction]:
-    c113 = Fraction(113, 100)
-    cy = 1 - Fraction(1, y_abs ** 3)
-    if which == 1:
-        t5 = Fraction(t) ** 5
-        return (-c113 / t5, -cy / t5)
-    if which == 2:
-        t5 = Fraction(t) ** 5
-        return (t + cy / t5, t + c113 / t5)
-    t8 = Fraction(t) ** 8
-    return (t ** 4 - 2 * t - c113 / t8, t ** 4 - 2 * t - cy / t8)
-
-
 def classify(t: int, x: int, y: int) -> SolutionType:
     """Membership of x/y in I_1/I_2/I_3 (endpoints depend on |y|),
     decided by exact rational comparison; |y| <= 1 is Small."""
@@ -54,7 +41,7 @@ def classify(t: int, x: int, y: int) -> SolutionType:
     r = Fraction(x, y)
     for which, tag in ((1, SolutionType.TYPE_I), (2, SolutionType.TYPE_II),
                        (3, SolutionType.TYPE_III)):
-        lo, hi = _interval_endpoints(which, t, abs(y))
+        lo, hi = solution_interval(which, t, abs(y))
         if lo < r < hi:
             return tag
     return SolutionType.NONE

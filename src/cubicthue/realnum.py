@@ -1,11 +1,14 @@
 """Certified midpoint-radius real arithmetic.
 
 Every analytic quantity in the engine (roots, logarithms, linear forms,
-reduction ratios) flows through :class:`CertifiedReal`, a thin wrapper
-around mpmath's outward-rounded interval type that keeps exact dyadic
-endpoints accessible as :class:`fractions.Fraction` values.  Operations
-never guess: whenever an enclosure straddles a forbidden region the
-operation raises and the caller escalates precision.
+reduction ratios) flows through :class:`CertifiedReal`, an enclosure
+held as a raw mpmath interval (a pair of mpf endpoints).  Each operation
+calls mpmath's outward-rounded interval kernels (``mpmath.libmp.mpi_*``)
+at an explicit precision, so no global precision state is read or
+written, and the exact dyadic endpoints are accessible as
+:class:`fractions.Fraction` values.  Operations never guess: whenever an
+enclosure straddles a forbidden region the operation raises and the
+caller escalates precision.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Union
+from typing import Iterable, List, Tuple, Union
 
-from mpmath import iv
-from mpmath.libmp import to_rational
+from mpmath.libmp import (from_int, mpf_lt, mpf_sign, mpi_abs, mpi_add, mpi_div,
+                          mpi_log, mpi_mul, mpi_neg, mpi_pow_int, mpi_sub,
+                          round_ceiling, round_floor, to_rational)
 
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 
@@ -37,70 +41,70 @@ def _mpf_to_fraction(x) -> Fraction:
     return Fraction(int(p), int(q))
 
 
-def _fraction_to_iv(r: Rational):
-    r = Fraction(r)
-    return iv.mpf(int(r.numerator)) / iv.mpf(int(r.denominator))
+def _rational_mpi(r: Rational, prec: int):
+    """The enclosure iv.mpf(num) / iv.mpf(den) gives r at prec bits:
+    both integers rounded outward, then divided (a division by 1 is
+    exact and skipped)."""
+    num, den = r.numerator, r.denominator
+    x = (from_int(num, prec, round_floor), from_int(num, prec, round_ceiling))
+    if den == 1:
+        return x
+    return mpi_div(x, (from_int(den, prec, round_floor),
+                       from_int(den, prec, round_ceiling)), prec)
+
+
+def _straddles_zero(ival) -> bool:
+    return mpf_sign(ival[0]) <= 0 <= mpf_sign(ival[1])
 
 
 class CertifiedReal:
     """An enclosure [lower, upper] of an exact real number, tagged with
-    the working precision (bits) used to produce it."""
+    the working precision (bits) used to produce it.  `ival` is a raw
+    mpmath interval (a pair of mpf endpoints) or an ``iv.mpf``."""
 
-    __slots__ = ("_ival", "precision")
+    __slots__ = ("_mpi", "precision")
 
     def __init__(self, ival, precision: int):
-        self._ival = ival
+        self._mpi = ival if isinstance(ival, tuple) else ival._mpi_
         self.precision = precision
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def from_rational(cls, r: Rational, precision: int = DEFAULT_PRECISION) -> "CertifiedReal":
-        old = iv.prec
-        try:
-            iv.prec = precision
-            return cls(_fraction_to_iv(r), precision)
-        finally:
-            iv.prec = old
+        return cls(_rational_mpi(r, precision), precision)
 
     @classmethod
     def from_endpoints(cls, lo: Rational, hi: Rational,
                        precision: int = DEFAULT_PRECISION) -> "CertifiedReal":
-        if not Fraction(lo) <= Fraction(hi):
+        if not lo <= hi:
             raise ValueError("lower endpoint exceeds upper endpoint")
-        old = iv.prec
-        try:
-            iv.prec = precision
-            a = _fraction_to_iv(lo)
-            b = _fraction_to_iv(hi)
-            return cls(iv.mpf([a.a, b.b]), precision)
-        finally:
-            iv.prec = old
+        return cls((_rational_mpi(lo, precision)[0], _rational_mpi(hi, precision)[1]),
+                   precision)
 
     @classmethod
     def hull(cls, values: Iterable["CertifiedReal"]) -> "CertifiedReal":
         vals = list(values)
         if not vals:
             raise ValueError("empty hull")
-        prec = max(v.precision for v in vals)
-        old = iv.prec
-        try:
-            iv.prec = prec
-            lo = min((v._ival.a for v in vals))
-            hi = max((v._ival.b for v in vals))
-            return cls(iv.mpf([lo, hi]), prec)
-        finally:
-            iv.prec = old
+        lo, hi = vals[0]._mpi
+        for v in vals[1:]:
+            a, b = v._mpi
+            if mpf_lt(a, lo):
+                lo = a
+            if mpf_lt(hi, b):
+                hi = b
+        return cls((lo, hi), max(v.precision for v in vals))
 
     # -- exact endpoint access ----------------------------------------
 
     @property
     def lower(self) -> Fraction:
-        return _mpf_to_fraction(self._ival._mpi_[0])
+        return _mpf_to_fraction(self._mpi[0])
 
     @property
     def upper(self) -> Fraction:
-        return _mpf_to_fraction(self._ival._mpi_[1])
+        return _mpf_to_fraction(self._mpi[1])
 
     @property
     def midpoint(self) -> Fraction:
@@ -122,16 +126,16 @@ class CertifiedReal:
         return self.lower <= Fraction(r) <= self.upper
 
     def contains_zero(self) -> bool:
-        return self.contains(0)
+        return _straddles_zero(self._mpi)
 
     def overlaps(self, other: "CertifiedReal") -> bool:
         return self.lower <= other.upper and other.lower <= self.upper
 
     def is_positive(self) -> bool:
-        return self.lower > 0
+        return mpf_sign(self._mpi[0]) > 0
 
     def is_negative(self) -> bool:
-        return self.upper < 0
+        return mpf_sign(self._mpi[1]) < 0
 
     def sign(self) -> int:
         if self.is_positive():
@@ -144,61 +148,52 @@ class CertifiedReal:
             "enclosure [%s, %s] straddles zero" % (self.lower, self.upper))
 
     # -- arithmetic ---------------------------------------------------
+    # Each operation runs one libmp interval kernel at the larger of the
+    # operands' precisions; an int or Fraction operand is enclosed at
+    # the precision of the CertifiedReal it meets.
 
-    def _binop(self, other, op):
+    def _operand(self, other) -> Tuple[tuple, int]:
         if isinstance(other, (int, Fraction)):
-            other = CertifiedReal.from_rational(other, self.precision)
-        prec = max(self.precision, other.precision)
-        old = iv.prec
-        try:
-            iv.prec = prec
-            return CertifiedReal(op(self._ival, other._ival), prec)
-        finally:
-            iv.prec = old
+            return _rational_mpi(other, self.precision), self.precision
+        return other._mpi, max(self.precision, other.precision)
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        b, prec = self._operand(other)
+        return CertifiedReal(mpi_add(self._mpi, b, prec), prec)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        b, prec = self._operand(other)
+        return CertifiedReal(mpi_sub(self._mpi, b, prec), prec)
 
     def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
+        b, prec = self._operand(other)
+        return CertifiedReal(mpi_sub(b, self._mpi, prec), prec)
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
+        b, prec = self._operand(other)
+        return CertifiedReal(mpi_mul(self._mpi, b, prec), prec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CertifiedReal.from_rational(other, self.precision)
-        if other.contains_zero():
+        b, prec = self._operand(other)
+        if _straddles_zero(b):
             raise IndeterminateSignError("division by enclosure containing zero")
-        return self._binop(other, lambda a, b: a / b)
+        return CertifiedReal(mpi_div(self._mpi, b, prec), prec)
 
     def __rtruediv__(self, other):
         if self.contains_zero():
             raise IndeterminateSignError("division by enclosure containing zero")
-        return self._binop(other, lambda a, b: b / a)
+        b, prec = self._operand(other)
+        return CertifiedReal(mpi_div(b, self._mpi, prec), prec)
 
     def __neg__(self):
-        old = iv.prec
-        try:
-            iv.prec = self.precision
-            return CertifiedReal(-self._ival, self.precision)
-        finally:
-            iv.prec = old
+        return CertifiedReal(mpi_neg(self._mpi, self.precision), self.precision)
 
     def __abs__(self):
-        old = iv.prec
-        try:
-            iv.prec = self.precision
-            return CertifiedReal(abs(self._ival), self.precision)
-        finally:
-            iv.prec = old
+        return CertifiedReal(mpi_abs(self._mpi, self.precision), self.precision)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -207,24 +202,14 @@ class CertifiedReal:
             if self.contains_zero():
                 raise IndeterminateSignError("negative power of enclosure containing zero")
             return 1 / self.__pow__(-k)
-        old = iv.prec
-        try:
-            iv.prec = self.precision
-            return CertifiedReal(self._ival ** k, self.precision)
-        finally:
-            iv.prec = old
+        return CertifiedReal(mpi_pow_int(self._mpi, k, self.precision), self.precision)
 
     def log(self) -> "CertifiedReal":
         if not self.is_positive():
             raise IndeterminateSignError(
                 "log requires an enclosure strictly above zero, got [%s, %s]"
                 % (self.lower, self.upper))
-        old = iv.prec
-        try:
-            iv.prec = self.precision
-            return CertifiedReal(iv.log(self._ival), self.precision)
-        finally:
-            iv.prec = old
+        return CertifiedReal(mpi_log(self._mpi, self.precision), self.precision)
 
     # -- serialization ------------------------------------------------
 
@@ -295,21 +280,22 @@ def continued_fraction_convergents(x: CertifiedReal, Q: int) -> List[Convergent]
     """Convergents p/q (q <= Q) of the exact real enclosed by x.
 
     With a zero-radius input the expansion is the exact Euclidean one.
-    Otherwise both endpoints are expanded in lockstep; a disagreement in
+    Otherwise both endpoints are expanded in lockstep, each as an
+    unreduced integer pair (num, den) with den > 0; a disagreement in
     any partial quotient before the denominator exceeds Q means the
     enclosure is too wide to pin down the expansion.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    lo, hi = x.lower, x.upper
-    if lo == hi:
-        return _convergents_of_fraction(lo, Q)
+    (a, b), (c, d) = to_rational(x._mpi[0]), to_rational(x._mpi[1])
+    if a * d == c * b:
+        return _convergents_of_fraction(Fraction(a, b), Q)
     out: List[Convergent] = []
     pm1, qm1, pm2, qm2 = 1, 0, 0, 1
     idx = 0
     while True:
-        fa = lo.numerator // lo.denominator
-        fb = hi.numerator // hi.denominator
+        fa, ra = divmod(a, b)
+        fb, rc = divmod(c, d)
         if fa != fb:
             raise PrecisionInsufficientError(
                 "endpoints disagree on partial quotient %d (denominator %d <= Q=%d)"
@@ -321,13 +307,13 @@ def continued_fraction_convergents(x: CertifiedReal, Q: int) -> List[Convergent]
         out.append(Convergent(p, q, idx))
         idx += 1
         pm2, qm2, pm1, qm1 = pm1, qm1, p, q
-        frac_lo, frac_hi = lo - fa, hi - fa
-        if frac_lo == 0 or frac_hi == 0:
+        if ra == 0 or rc == 0:
             # an endpoint terminated; the true expansion beyond this
             # point is not determined by the enclosure
             raise PrecisionInsufficientError(
                 "endpoint expansion terminated at denominator %d <= Q=%d" % (qm1, Q))
-        lo, hi = 1 / frac_hi, 1 / frac_lo
+        # [a/b, c/d] - fa inverts to [d/rc, b/ra]
+        a, b, c, d = d, rc, b, ra
 
 
 def _dist_to_nearest_int(r: Fraction) -> Fraction:

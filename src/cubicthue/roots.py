@@ -323,20 +323,21 @@ def kappa_t_only(j: int, t: int, roots: Optional[RootTriple] = None,
     return _kappa_t_only_expr(j, t, roots)
 
 
-def _solution_ratio_hull(which: int, t: int) -> Tuple[Fraction, Fraction]:
-    """The x/y range swept by |y| in [2, inf) for the given solution
-    type: the hull of I_1, I_2 or I_3."""
+def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fraction]:
+    """The open interval I_which (1, 2 or 3) that x/y of a type-I/II/III
+    solution with the given |y| lies in.  The endpoint 1 - 1/|y|^3 is
+    smallest at |y| = 2, so the default is the hull over all |y| >= 2."""
     c113 = Fraction(113, 100)
-    c875 = Fraction(7, 8)  # 1 - 1/|y|^3 at its extreme |y|=2
+    cy = 1 - Fraction(1, y_abs ** 3)
     if which == 1:
         t5 = Fraction(t) ** 5
-        return (-c113 / t5, -c875 / t5)
+        return (-c113 / t5, -cy / t5)
     if which == 2:
         t5 = Fraction(t) ** 5
-        return (t + c875 / t5, t + c113 / t5)
+        return (t + cy / t5, t + c113 / t5)
     if which == 3:
         t8 = Fraction(t) ** 8
-        return (t ** 4 - 2 * t - c113 / t8, t ** 4 - 2 * t - c875 / t8)
+        return (t ** 4 - 2 * t - c113 / t8, t ** 4 - 2 * t - cy / t8)
     raise ValueError(which)
 
 
@@ -364,25 +365,30 @@ def kappa_envelope(j: int, t: int, roots: Optional[RootTriple] = None,
     th1, th2, th3 = roots.thetas
     prec = roots.precision
     T = CertifiedReal.from_rational(t, prec)
-    lnt = T.log()
+    # the parts of each integrand that do not depend on r, computed once
+    # with the same operations (and so the same roundings) per piece
+    T3 = T ** 3
     if j in (4, 7):
-        lo, hi = _solution_ratio_hull(1, t)
+        lo, hi = solution_interval(1, t)
         if j == 4:
-            f = lambda r: T ** 3 * (T ** 3 - 2 - (r - th3) / (r - th2))
+            c = T3 - 2
+            f = lambda r: T3 * (c - (r - th3) / (r - th2))
         else:
-            f = lambda r: T ** 6 * (3 * lnt - 2 / T ** 3 - ((r - th3) / (r - th2)).log())
+            T6, c = T ** 6, 3 * T.log() - 2 / T3
+            f = lambda r: T6 * (c - ((r - th3) / (r - th2)).log())
     elif j in (8, 11):
-        lo, hi = _solution_ratio_hull(2, t)
+        lo, hi = solution_interval(2, t)
         if j == 8:
-            f = lambda r: T ** 3 * (T ** 3 - 3 - (th3 - r) / (r - th1))
+            c = T3 - 3
+            f = lambda r: T3 * (c - (th3 - r) / (r - th1))
         else:
-            f = lambda r: T ** 6 * (3 * lnt - 3 / T ** 3 - ((th3 - r) / (r - th1)).log())
+            T6, c = T ** 6, 3 * T.log() - 3 / T3
+            f = lambda r: T6 * (c - ((th3 - r) / (r - th1)).log())
     else:
-        lo, hi = _solution_ratio_hull(3, t)
-        five_halves = Fraction(5, 2)
-        c259 = Fraction(25, 3)
-        f = lambda r: T ** 12 * (((r - th1) / (r - th2)).log()
-                                 - 1 / T ** 3 - five_halves / T ** 6 - c259 / T ** 9)
+        lo, hi = solution_interval(3, t)
+        T12, c1, c2, c3 = (T ** 12, 1 / T3, Fraction(5, 2) / T ** 6,
+                           Fraction(25, 3) / T ** 9)
+        f = lambda r: T12 * (((r - th1) / (r - th2)).log() - c1 - c2 - c3)
     return _envelope(lo, hi, prec, pieces, f)
 
 
@@ -438,11 +444,6 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
 
 def intervals_disjoint(t: int, y_abs: int = 2) -> bool:
     """sup I1 < inf I2 < sup I2 < inf I3 at the given |y|."""
-    c113 = Fraction(113, 100)
-    cy = 1 - Fraction(1, y_abs ** 3)
-    t5 = Fraction(t) ** 5
-    t8 = Fraction(t) ** 8
-    sup1 = -cy / t5
-    inf2, sup2 = t + cy / t5, t + c113 / t5
-    inf3 = t ** 4 - 2 * t - c113 / t8
+    (_, sup1), (inf2, sup2), (inf3, _) = (solution_interval(w, t, y_abs)
+                                          for w in (1, 2, 3))
     return sup1 < inf2 < sup2 < inf3

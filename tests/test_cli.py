@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicthue import cli, search
+from cubicthue import cli, realnum, reduction, roots, search
 
 DATA = Path(__file__).parent / "data"
 
@@ -103,6 +103,32 @@ def test_workers_env_override(monkeypatch, tmp_path):
     assert run(["kappas", "--t-lo", "10", "--t-hi", "11",
                 "--output", str(a)]) == 0
     assert a.read_text().strip()
+
+
+def test_precision_cap_applies_to_default_precision(monkeypatch, capsys):
+    monkeypatch.setenv("CUBICTHUE_PRECISION_CAP", "200")
+    assert run(["roots", "--t", "10"]) == 0
+    assert "at 200 bits" in capsys.readouterr().out
+    seen = []
+    verify_kappas = roots.verify_kappas
+    monkeypatch.setattr(roots, "verify_kappas",
+                        lambda t, p: seen.append(p) or verify_kappas(t, p))
+    run(["kappas", "--t-lo", "10", "--t-hi", "11"])
+    assert seen == [200, 200]
+    reduce_single = reduction.reduce_single
+    monkeypatch.setattr(reduction, "reduce_single",
+                        lambda w, t, A, Q, p: seen.append(p) or reduce_single(w, t, A, Q, p))
+    run(["reduce", "--t", "10"])
+    assert seen[-1] == 200
+    # a cap above the default leaves it alone; --precision is capped too
+    monkeypatch.setenv("CUBICTHUE_PRECISION_CAP", "1000")
+    run(["reduce", "--t", "10"])
+    assert seen[-1] == realnum.reduction_precision(reduction.DEFAULT_Q)
+    run(["reduce", "--t", "10", "--precision", "2000"])
+    assert seen[-1] == 1000
+    monkeypatch.delenv("CUBICTHUE_PRECISION_CAP")
+    run(["reduce", "--t", "10"])
+    assert seen[-1] is None
 
 
 def test_sci_notation_parsing():

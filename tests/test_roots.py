@@ -172,6 +172,32 @@ def test_intervals_disjoint_sampled():
         assert intervals_disjoint(t, y_abs=5)
 
 
+def _reference_intervals(t, y_abs):
+    """I_1, I_2, I_3 as the package wrote them out before they had one
+    definition (the kappa hulls took 1 - 1/|y|^3 = 7/8)."""
+    c113 = Fraction(113, 100)
+    cy = 1 - Fraction(1, y_abs ** 3)
+    t5, t8 = Fraction(t) ** 5, Fraction(t) ** 8
+    return ((-c113 / t5, -cy / t5), (t + cy / t5, t + c113 / t5),
+            (t ** 4 - 2 * t - c113 / t8, t ** 4 - 2 * t - cy / t8))
+
+
+def test_solution_interval_is_the_one_definition():
+    for t in (10, 11, 100, 2000, 576241, 10 ** 7):
+        for y_abs in (2, 3, 5, 10 ** 4):
+            want = _reference_intervals(t, y_abs)
+            got = tuple(roots.solution_interval(w, t, y_abs) for w in (1, 2, 3))
+            assert got == want
+            assert all(type(e) is Fraction for iv in got for e in iv)
+            (_, sup1), (inf2, sup2), (inf3, _) = want
+            assert intervals_disjoint(t, y_abs) == (sup1 < inf2 < sup2 < inf3)
+        hull = tuple(roots.solution_interval(w, t) for w in (1, 2, 3))
+        assert hull == _reference_intervals(t, 2)
+        assert hull[0][1] == -Fraction(7, 8) / Fraction(t) ** 5
+    with pytest.raises(ValueError):
+        roots.solution_interval(4, 10)
+
+
 def test_kappa_targets_cover_all_sixteen():
     assert set(KAPPA_TARGETS) == set(range(1, 17))
     assert set(roots.T_ONLY_KAPPAS) | set(roots.ENVELOPE_KAPPAS) == set(range(1, 17))
