@@ -3,7 +3,7 @@ Thue equation family F_{3,t}(x,y)=1: exact form arithmetic, enclosure
 numerics, root/kappa certification, unit-exponent recovery, linear-form
 bounds, Baker-Davenport reduction, and bounded solution search."""
 
-from .forms import BinaryCubicForm, FamilyId, SolutionSet, family_form, known_solutions
+from .forms import BinaryCubicForm, SolutionSet, family_form, known_solutions
 from .realnum import CertifiedReal, Convergent
 from .roots import RootTriple, isolate_roots, verify_kappas
 from .exponents import ExponentPair, SolutionType, classify, recover_exponents
@@ -13,7 +13,7 @@ from .search import SearchReport, thue_solutions_bruteforce, verify_theorem
 __version__ = "1.0.0"
 
 __all__ = [
-    "BinaryCubicForm", "FamilyId", "SolutionSet", "family_form", "known_solutions",
+    "BinaryCubicForm", "SolutionSet", "family_form", "known_solutions",
     "CertifiedReal", "Convergent",
     "RootTriple", "isolate_roots", "verify_kappas",
     "ExponentPair", "SolutionType", "classify", "recover_exponents",

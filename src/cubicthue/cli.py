@@ -15,6 +15,7 @@ from decimal import Decimal
 from typing import List, Optional
 
 from . import bounds, exponents, forms, realnum, reduction, roots, search
+from .parallel import parallel_map
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -174,8 +175,7 @@ def _cmd_kappas(args, out: _Output) -> int:
     workers = _env_workers(args.workers)
     failures = 0
     jobs = [(t, _precision_cap(args.precision, roots.default_precision(t))) for t in ts]
-    reports = _map_parallel(_kappa_report_row, jobs, workers)
-    for rep_rows, t, all_pass in reports:
+    for rep_rows, t, all_pass in parallel_map(_kappa_report_row, jobs, workers):
         for row in rep_rows:
             out.emit(row)
         if not all_pass:
@@ -192,17 +192,8 @@ def _kappa_report_row(job):
     return [r.to_json(t) for r in rep.rows], t, rep.all_pass
 
 
-def _map_parallel(fn, jobs, workers):
-    if workers <= 1:
-        return [fn(j) for j in jobs]
-    import multiprocessing as mp_pool
-    with mp_pool.Pool(workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=16))
-
-
 def _cmd_exponents(args, out: _Output) -> int:
     t = args.t
-    ok = True
     for (x, y) in forms.known_solutions(t).solutions:
         pair = exponents.recover_exponents(t, x, y)
         sol_type = (exponents.classify(t, x, y).value if t >= 10 else "n/a")
@@ -211,7 +202,7 @@ def _cmd_exponents(args, out: _Output) -> int:
                   "residual_upper": float(pair.residual.upper)})
     print("t=%d: exponents recovered for all %d known solutions"
           % (t, len(forms.known_solutions(t))))
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return EXIT_OK
 
 
 def _cmd_matveev(args, out: _Output) -> int:
@@ -326,27 +317,17 @@ def _cmd_verify_tables(args, out: _Output) -> int:
 def _cmd_certify_all(args, out: _Output) -> int:
     """Chains the proof order: kappa certification, Matveev constant,
     absolute bound, reduction sweep slice, bounded search."""
-    workers = _env_workers(args.workers)
-    rc = EXIT_OK
+    def stage(cmd, **overrides) -> int:
+        return cmd(argparse.Namespace(**{**vars(args), **overrides}), out)
 
-    args_k = argparse.Namespace(t_lo=args.t_lo, t_hi=min(args.t_hi, 2000),
-                                extra_t=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 576241],
-                                precision=args.precision, workers=workers,
-                                seed=args.seed)
-    rc = max(rc, _cmd_kappas(args_k, out))
-
-    args_m = argparse.Namespace(t=10, precision=args.precision)
-    rc = max(rc, _cmd_matveev(args_m, out))
+    rc = stage(_cmd_kappas, t_hi=min(args.t_hi, 2000),
+               extra_t=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 576241])
+    rc = max(rc, stage(_cmd_matveev, t=10))
     rc = max(rc, _cmd_tmax(args, out))
+    rc = max(rc, stage(_cmd_sweep, which=2, csv=None,
+                       samples=0 if args.full else SWEEP_SAMPLE_COUNT))
 
-    args_s = argparse.Namespace(t_lo=args.t_lo, t_hi=args.t_hi, which=2,
-                                A=args.A, Q=args.Q, workers=workers,
-                                seed=args.seed, full=args.full,
-                                samples=0 if args.full else SWEEP_SAMPLE_COUNT,
-                                precision=args.precision,
-                                checkpoint=args.checkpoint, csv=None)
-    rc = max(rc, _cmd_sweep(args_s, out))
-
+    workers = _env_workers(args.workers)
     fails = 0
     for t in range(-30, 31):
         if t in (0, 1):
@@ -360,9 +341,7 @@ def _cmd_certify_all(args, out: _Output) -> int:
     if fails:
         rc = max(rc, EXIT_VERIFICATION_FAILED)
 
-    args_t = argparse.Namespace(y_bound=10 ** 4, workers=workers)
-    rc = max(rc, _cmd_verify_tables(args_t, out))
-    return rc
+    return max(rc, stage(_cmd_verify_tables, y_bound=10 ** 4))
 
 
 _COMMANDS = {
@@ -389,6 +368,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     out = _Output(getattr(args, "output", None))
     try:
         rc = _COMMANDS[args.command](args, out)
+    except ValueError as exc:
+        # the engine rejects parameters outside its range with ValueError
+        print("cubicthue %s: error: %s" % (args.command, exc), file=sys.stderr)
+        rc = EXIT_USAGE
     finally:
         out.close()
     return rc

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -44,16 +44,6 @@ class BinaryCubicForm:
 
 
 @dataclass(frozen=True)
-class FamilyId:
-    index: int
-    t: int
-
-    def __post_init__(self):
-        if self.index not in (1, 2, 3, 4):
-            raise ValueError("family index must be 1..4")
-
-
-@dataclass(frozen=True)
 class SolutionSet:
     t: int
     solutions: Tuple[Tuple[int, int], ...]
@@ -72,15 +62,18 @@ def evaluate(F: BinaryCubicForm, x: int, y: int) -> int:
     return ((F.a * x + F.b * y) * x + F.c * y * y) * x + F.d * y ** 3
 
 
+def monic_cubic(b: int, c: int, d: int, x: int) -> int:
+    """x^3 + b x^2 + c x + d, exactly."""
+    return ((x + b) * x + c) * x + d
+
+
 def discriminant(F: BinaryCubicForm) -> int:
     a, b, c, d = F.coefficients
     return (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
             - 4 * a * c ** 3 - 27 * a * a * d * d)
 
 
-def family_form(index, t: Optional[int] = None) -> BinaryCubicForm:
-    if isinstance(index, FamilyId):
-        index, t = index.index, index.t
+def family_form(index: int, t: Optional[int] = None) -> BinaryCubicForm:
     if t is None:
         raise TypeError("parameter t required")
     if index == 1:
@@ -121,15 +114,6 @@ def known_solutions(t: int) -> SolutionSet:
 
 def _det(M: Matrix) -> int:
     return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-
-
-def matrix_to_json(M: Matrix) -> Tuple[int, int, int, int]:
-    return (M[0][0], M[0][1], M[1][0], M[1][1])
-
-
-def matrix_from_json(row_major: Sequence[int]) -> Matrix:
-    m11, m12, m21, m22 = row_major
-    return ((m11, m12), (m21, m22))
 
 
 def matmul(M: Matrix, N: Matrix) -> Matrix:

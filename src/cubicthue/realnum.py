@@ -128,9 +128,6 @@ class CertifiedReal:
     def contains_zero(self) -> bool:
         return _straddles_zero(self._mpi)
 
-    def overlaps(self, other: "CertifiedReal") -> bool:
-        return self.lower <= other.upper and other.lower <= self.upper
-
     def is_positive(self) -> bool:
         return mpf_sign(self._mpi[0]) > 0
 
@@ -321,12 +318,12 @@ def _dist_to_nearest_int(r: Fraction) -> Fraction:
     return min(r - fl, fl + 1 - r)
 
 
-def nearest_integer_distance(x: CertifiedReal) -> CertifiedReal:
-    """Enclosure of the distance from the enclosed real to the nearest
-    integer; always a subset of [0, 1/2]."""
+def nearest_integer_distance(x: CertifiedReal) -> Tuple[Fraction, Fraction]:
+    """Exact bounds (lo, hi) on the distance from the enclosed real to
+    the nearest integer, with 0 <= lo <= hi <= 1/2."""
     lo, hi = x.lower, x.upper
     if hi - lo >= 1:
-        return CertifiedReal.from_endpoints(0, Fraction(1, 2), x.precision)
+        return Fraction(0), Fraction(1, 2)
     dlo, dhi = _dist_to_nearest_int(lo), _dist_to_nearest_int(hi)
     out_lo = min(dlo, dhi)
     out_hi = max(dlo, dhi)
@@ -337,4 +334,4 @@ def nearest_integer_distance(x: CertifiedReal) -> CertifiedReal:
     s, t = lo - Fraction(1, 2), hi - Fraction(1, 2)
     if math.ceil(s) <= math.floor(t):
         out_hi = Fraction(1, 2)
-    return CertifiedReal.from_endpoints(out_lo, out_hi, x.precision)
+    return out_lo, out_hi

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .bounds import contradiction_threshold, lambda_log_arguments
 from .errors import IndeterminateSignError, PrecisionInsufficientError
+from .parallel import parallel_map
 from .realnum import (CertifiedReal, continued_fraction_convergents,
                       nearest_integer_distance, reduction_precision)
 from .roots import isolate_roots
@@ -37,9 +38,7 @@ CHECKPOINT_INTERVAL = 10 ** 4
 class ReductionInstance:
     which: int
     t: int
-    alpha: CertifiedReal
     beta: CertifiedReal
-    delta: CertifiedReal
     A: int
     Q: int
     gamma1: CertifiedReal
@@ -77,8 +76,7 @@ def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
     if not gamma2.width < Fraction(1, Q * Q):
         raise PrecisionInsufficientError(
             "gamma2 width %.3g exceeds 1/Q^2" % float(gamma2.width))
-    return ReductionInstance(which, t, alpha, beta, delta, A, Q,
-                             gamma1, gamma2, precision)
+    return ReductionInstance(which, t, beta, A, Q, gamma1, gamma2, precision)
 
 
 def baker_davenport(inst: ReductionInstance) -> Verdict:
@@ -93,8 +91,7 @@ def baker_davenport(inst: ReductionInstance) -> Verdict:
         # q*||.|| <= q/2, so small q cannot pass
         if conv.q < 2 * threshold:
             continue
-        dist = nearest_integer_distance(inst.gamma2 * conv.q)
-        q_norm_lower = conv.q * dist.lower
+        q_norm_lower = conv.q * nearest_integer_distance(inst.gamma2 * conv.q)[0]
         if q_norm_lower >= threshold:
             beta_abs_lower = abs(inst.beta).lower
             lam_ln = (math.log(beta_abs_lower.numerator)
@@ -248,30 +245,11 @@ def verify_range(which: int, t_lo: int, t_hi: int,
     if ckpt is not None:
         ts = [t for t in ts if t > ckpt["last_t"]]
     jobs = [(which, t, A, Q, precision) for t in ts]
-    if workers <= 1:
-        done = 0
-        for job in jobs:
-            report.outcomes.append(_reduce_star(job))
-            done += 1
-            if checkpoint_path and done % CHECKPOINT_INTERVAL == 0:
-                _write_checkpoint(checkpoint_path, which, A, Q,
-                                  report.outcomes[-1].t, report.cumulative_hash())
-    else:
-        import multiprocessing as mp_pool
-        chunks = [jobs[i:i + CHECKPOINT_INTERVAL]
-                  for i in range(0, len(jobs), CHECKPOINT_INTERVAL)]
-        with mp_pool.Pool(workers) as pool:
-            for chunk in chunks:
-                results = list(pool.imap_unordered(_reduce_star, chunk, chunksize=8))
-                results.sort(key=lambda o: o.t)
-                report.outcomes.extend(results)
-                if checkpoint_path:
-                    _write_checkpoint(checkpoint_path, which, A, Q,
-                                      report.outcomes[-1].t, report.cumulative_hash())
-    report.outcomes.sort(key=lambda o: o.t)
-    if checkpoint_path and report.outcomes:
-        _write_checkpoint(checkpoint_path, which, A, Q,
-                          report.outcomes[-1].t, report.cumulative_hash())
+    for done, outcome in enumerate(parallel_map(_reduce_star, jobs, workers), 1):
+        report.outcomes.append(outcome)
+        if checkpoint_path and (done % CHECKPOINT_INTERVAL == 0 or done == len(jobs)):
+            _write_checkpoint(checkpoint_path, which, A, Q,
+                              outcome.t, report.cumulative_hash())
     return report
 
 
@@ -285,8 +263,7 @@ def reverify_verdict(inst: ReductionInstance, verdict: Verdict) -> bool:
     if not (1 <= q <= inst.Q and math.gcd(p, q) == 1):
         return False
     threshold = Fraction(101 * inst.A, 100) + 2
-    dist = nearest_integer_distance(inst.gamma2 * q)
-    if q * dist.lower < threshold:
+    if q * nearest_integer_distance(inst.gamma2 * q)[0] < threshold:
         return False
     pq = Fraction(p, q)
     err = max(abs(inst.gamma1.lower - pq), abs(inst.gamma1.upper - pq))

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import PrecisionInsufficientError
+from .forms import monic_cubic
 from .realnum import CertifiedReal
 
 # published target interval for each kappa index
@@ -64,15 +65,9 @@ NEWTON_GUARD_BITS = 16
 
 
 def _scaled_coeffs(B: int, C: int, D: int, S: int) -> Tuple[int, int, int]:
-    """(b, c, d) with N^3 + b N^2 + c N + d = S^3 * P(N/S)."""
+    """(b, c, d) with monic_cubic(b, c, d, N) = S^3 * P(N/S); for S > 0
+    it has the sign of P(N/S) and vanishes exactly when P(N/S) does."""
     return B * S, C * S * S, D * S * S * S
-
-
-def _scaled_cubic(B: int, C: int, D: int, N: int, S: int) -> int:
-    """S^3 * P(N/S) as an exact integer; for S > 0 it has the sign of
-    P(N/S) and vanishes exactly when P(N/S) does."""
-    b, c, d = _scaled_coeffs(B, C, D, S)
-    return ((N + b) * N + c) * N + d
 
 
 def _halvings(p: int, q: int) -> int:
@@ -108,7 +103,7 @@ def _newton_index(B: int, C: int, D: int, A: int, delta: int, S: int,
         base = A << k
         for _ in range(2 * k + 8):
             N = base + m * delta
-            f = ((N + b) * N + c) * N + d
+            f = monic_cubic(b, c, d, N)
             if f == 0:
                 break
             if (f < 0) == neg:
@@ -157,8 +152,9 @@ def _bisect(B: int, C: int, D: int, lo: Fraction, hi: Fraction,
     S = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
     A = lo.numerator * (S // lo.denominator)
     delta = hi.numerator * (S // hi.denominator) - A
-    flo = _scaled_cubic(B, C, D, A, S)
-    fhi = _scaled_cubic(B, C, D, A + delta, S)
+    scaled = _scaled_coeffs(B, C, D, S)
+    flo = monic_cubic(*scaled, A)
+    fhi = monic_cubic(*scaled, A + delta)
     if flo == 0:
         return (lo - width / 4, lo + width / 4)
     if fhi == 0:
@@ -174,8 +170,7 @@ def _bisect(B: int, C: int, D: int, lo: Fraction, hi: Fraction,
     base = A << K
 
     def at(n: int) -> int:           # SK^3 * P(x_n)
-        N = base + n * delta
-        return ((N + b) * N + c) * N + d
+        return monic_cubic(b, c, d, base + n * delta)
 
     def cell(n: int) -> Tuple[Fraction, Fraction]:
         return (Fraction(base + n * delta, SK),
@@ -219,8 +214,8 @@ def isolate_real_roots_monic_cubic(B: int, C: int, D: int,
     cut_points.append(hi)
     out = []
     for a, b in zip(cut_points, cut_points[1:]):
-        fa = _scaled_cubic(B, C, D, a.numerator, a.denominator)
-        fb = _scaled_cubic(B, C, D, b.numerator, b.denominator)
+        fa = monic_cubic(*_scaled_coeffs(B, C, D, a.denominator), a.numerator)
+        fb = monic_cubic(*_scaled_coeffs(B, C, D, b.denominator), b.numerator)
         if fa == 0:
             if not any(br[0] <= a <= br[1] for br in out):
                 out.append((a - width / 4, a + width / 4))
@@ -228,7 +223,7 @@ def isolate_real_roots_monic_cubic(B: int, C: int, D: int,
         if fb != 0 and (fa < 0) != (fb < 0):
             out.append(_bisect(B, C, D, a, b, width))
     # trailing exact-root endpoint
-    fb = _scaled_cubic(B, C, D, hi.numerator, hi.denominator)
+    fb = monic_cubic(*_scaled_coeffs(B, C, D, hi.denominator), hi.numerator)
     if fb == 0 and not any(br[0] <= hi <= br[1] for br in out):
         out.append((hi - width / 4, hi + width / 4))
     return out

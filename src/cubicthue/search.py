@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .forms import BinaryCubicForm, family_form, known_solutions
+from .forms import BinaryCubicForm, family_form, known_solutions, monic_cubic
+from .parallel import parallel_map
 
 # (form, discriminant, published solution count) for the positive-
 # discriminant sporadic classes with N_F >= 6
@@ -51,18 +52,14 @@ DELONE_NAGELL_TABLE: Tuple[Tuple[BinaryCubicForm, int, int], ...] = (
 )
 
 
-def _eval_cubic(B: int, C: int, D: int, x: int) -> int:
-    return ((x + B) * x + C) * x + D
-
-
 def _monotone_zero(B: int, C: int, D: int, lo: int, hi: int,
                    increasing: bool) -> Optional[int]:
     """The unique integer zero of a cubic monotone on [lo, hi], if any.
     Exact integer bisection; never misses a zero on the piece."""
     if lo > hi:
         return None
-    flo = _eval_cubic(B, C, D, lo)
-    fhi = _eval_cubic(B, C, D, hi)
+    flo = monic_cubic(B, C, D, lo)
+    fhi = monic_cubic(B, C, D, hi)
     if flo == 0:
         return lo
     if fhi == 0:
@@ -75,7 +72,7 @@ def _monotone_zero(B: int, C: int, D: int, lo: int, hi: int,
     a, b = lo, hi
     while b - a > 1:
         mid = (a + b) // 2
-        fm = _eval_cubic(B, C, D, mid)
+        fm = monic_cubic(B, C, D, mid)
         if fm == 0:
             return mid
         rising = fm < 0 if increasing else fm > 0
@@ -111,10 +108,10 @@ def integer_roots_monic_cubic(B: int, C: int, D: int) -> List[int]:
             roots.append(z)
     # the few integers inside the critical-point uncertainty zones
     for z in range(left_hi + 1, mid_lo):
-        if z not in roots and _eval_cubic(B, C, D, z) == 0:
+        if z not in roots and monic_cubic(B, C, D, z) == 0:
             roots.append(z)
     for z in range(mid_hi + 1, right_lo):
-        if z not in roots and _eval_cubic(B, C, D, z) == 0:
+        if z not in roots and monic_cubic(B, C, D, z) == 0:
             roots.append(z)
     return sorted(roots)
 
@@ -175,19 +172,10 @@ def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int,
         raise ValueError("search requires leading coefficient 1")
     if y_bound < 0:
         raise ValueError("y_bound must be >= 0")
-    if workers <= 1:
-        sols = _solutions_for_y_range(F, -y_bound, y_bound)
-    else:
-        import multiprocessing as mp_pool
-        stripe = max(1, (2 * y_bound + 1) // (workers * 8))
-        jobs = []
-        y = -y_bound
-        while y <= y_bound:
-            jobs.append((F, y, min(y + stripe - 1, y_bound)))
-            y += stripe
-        with mp_pool.Pool(workers) as pool:
-            chunks = pool.map(_stripe_star, jobs)
-        sols = [s for chunk in chunks for s in chunk]
+    stripe = max(1, (2 * y_bound + 1) // (max(workers, 1) * 8))
+    jobs = [(F, y, min(y + stripe - 1, y_bound))
+            for y in range(-y_bound, y_bound + 1, stripe)]
+    sols = [s for chunk in parallel_map(_stripe_star, jobs, workers) for s in chunk]
     return SearchReport(F, y_bound, tuple(sorted(set(sols))))
 
 

@@ -168,7 +168,7 @@ def _bd_oracle_suite():
         beta = CertifiedReal.from_rational(Fraction(3, 2), prec)
         alpha = CertifiedReal.from_rational(g1 * Fraction(3, 2), prec)
         delta = CertifiedReal.from_rational(g2 * Fraction(3, 2), prec)
-        inst = reduction.ReductionInstance(2, 10, alpha, beta, delta, A, Q,
+        inst = reduction.ReductionInstance(2, 10, beta, A, Q,
                                            alpha / beta, delta / beta, prec)
         verdict = reduction.baker_davenport(inst)
         thr = Fraction(101 * A, 100) + 2

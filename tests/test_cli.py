@@ -76,6 +76,23 @@ def test_usage_error_exit_code():
     assert run([]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "--t", "0"],
+    ["exponents", "--t", "1"],
+    ["reduce", "--t", "5"],
+    ["kappas", "--t-lo", "5", "--t-hi", "6"],
+    ["kappas", "--t-lo", "5", "--t-hi", "6", "--workers", "2"],
+    ["sweep", "--t-lo", "5", "--t-hi", "6"],
+    ["search", "--coeffs", "2", "0", "0", "1"],
+    ["verify-theorem", "--t", "3", "--y-bound", "-1"],
+])
+def test_out_of_range_input_is_a_usage_error(argv, capsys):
+    assert run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("cubicthue %s: error: " % argv[0])
+    assert len(err.splitlines()) == 1
+
+
 def test_sweep_small_range(capsys, tmp_path):
     out_path = tmp_path / "sweep.jsonl"
     csv_path = tmp_path / "sweep.csv"
@@ -186,3 +203,13 @@ def test_output_bytes_match_golden(argv, golden, tmp_path):
     path = tmp_path / golden
     assert run(argv + ["--output", str(path)]) == 0
     assert path.read_bytes() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_certify_all_bytes_match_golden(workers, tmp_path):
+    # written by the engine whose stages were hand-wired, each with its
+    # own process-pool code
+    path = tmp_path / "certify.jsonl"
+    assert run(["certify-all", "--t-lo", "10", "--t-hi", "12", "--y-bound", "50",
+                "--workers", workers, "--output", str(path)]) == 0
+    assert path.read_bytes() == (DATA / "certify_all_10_12.jsonl").read_bytes()

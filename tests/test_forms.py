@@ -2,11 +2,9 @@ import random
 
 import pytest
 
-from cubicthue import forms
 from cubicthue.forms import (BinaryCubicForm, IDENTITY, apply_gl2, discriminant,
                              evaluate, family_discriminant_poly, family_form,
-                             gl2_equivalent_search, known_solutions, matmul,
-                             matrix_from_json, matrix_to_json)
+                             gl2_equivalent_search, known_solutions, matmul)
 
 SWAP = ((0, 1), (1, 0))
 
@@ -150,13 +148,6 @@ def test_gl2_search_none_found():
 def test_form_json_roundtrip():
     F = BinaryCubicForm(1, 9, -12, -21)
     assert BinaryCubicForm.from_json(F.to_json()) == F
-    M = ((1, -3), (0, 1))
-    assert matrix_from_json(matrix_to_json(M)) == M
-
-
-def test_family_id_validation():
-    with pytest.raises(ValueError):
-        forms.FamilyId(7, 1)
 
 
 def test_solution_set_restriction():

@@ -206,25 +206,25 @@ def test_convergents_wide_enclosure_raises():
 
 
 def test_nearest_integer_distance_values():
-    d = nearest_integer_distance(enclose_rational(Fraction(37, 10), 128))
-    assert d.contains(Fraction(3, 10)) and d.width < Fraction(1, 10 ** 9)
-    d = nearest_integer_distance(enclose_rational(Fraction(5, 2), 128))
-    assert d.contains(Fraction(1, 2))
-    d = nearest_integer_distance(enclose_rational(12, 128))
-    assert d.lower == 0 and d.upper == 0
+    lo, hi = nearest_integer_distance(enclose_rational(Fraction(37, 10), 128))
+    assert lo <= Fraction(3, 10) <= hi and hi - lo < Fraction(1, 10 ** 9)
+    lo, hi = nearest_integer_distance(enclose_rational(Fraction(5, 2), 128))
+    assert lo <= Fraction(1, 2) <= hi
+    lo, hi = nearest_integer_distance(enclose_rational(12, 128))
+    assert lo == 0 and hi == 0
 
 
 def test_nearest_integer_distance_wide_input():
     wide = CertifiedReal.from_endpoints(0, 10, 64)
-    d = nearest_integer_distance(wide)
-    assert d.lower == 0 and d.upper == Fraction(1, 2)
+    lo, hi = nearest_integer_distance(wide)
+    assert lo == 0 and hi == Fraction(1, 2)
 
 
 def test_nearest_integer_distance_straddles_integer():
     enc = CertifiedReal.from_endpoints(Fraction(19, 10), Fraction(21, 10), 64)
-    d = nearest_integer_distance(enc)
-    assert d.lower == 0
-    assert d.upper <= Fraction(1, 2)
+    lo, hi = nearest_integer_distance(enc)
+    assert lo == 0
+    assert hi <= Fraction(1, 2)
 
 
 def test_decimal_serialization_mentions_precision():

@@ -67,8 +67,7 @@ def _exact_instance(g1, g2, A, Q, prec=420):
     beta = CertifiedReal.from_rational(Fraction(3, 2), prec)
     alpha = CertifiedReal.from_rational(g1 * Fraction(3, 2), prec)
     delta = CertifiedReal.from_rational(g2 * Fraction(3, 2), prec)
-    return ReductionInstance(2, 10, alpha, beta, delta, A, Q,
-                             alpha / beta, delta / beta, prec)
+    return ReductionInstance(2, 10, beta, A, Q, alpha / beta, delta / beta, prec)
 
 
 def _oracle_first_convergent(g1, g2, A, Q):
@@ -102,8 +101,7 @@ def test_synthetic_log_instance_matches_oracle():
     finally:
         mpmath.iv.prec = old
     A, Q = 10 ** 3, 10 ** 10
-    inst = ReductionInstance(2, 10, alpha, beta, delta, A, Q,
-                             alpha / beta, delta / beta, prec)
+    inst = ReductionInstance(2, 10, beta, A, Q, alpha / beta, delta / beta, prec)
     verdict = baker_davenport(inst)
     # oracle on high-precision rational stand-ins for the gamma values
     g1 = inst.gamma1.midpoint
@@ -176,6 +174,34 @@ def test_verify_range_checkpoint_resume(tmp_path):
     # checkpoint for different parameters is ignored
     other = verify_range(2, 10, 12, A=10 ** 6, checkpoint_path=ck)
     assert [o.t for o in other.outcomes] == [10, 11, 12]
+
+
+def test_verify_range_checkpoints_every_interval(monkeypatch, tmp_path):
+    monkeypatch.setattr(reduction, "CHECKPOINT_INTERVAL", 4)
+    write = reduction._write_checkpoint
+    runs = {}
+    for workers in (1, 2):
+        ck = tmp_path / ("ck%d.json" % workers)
+        states = []
+
+        def recording(*args):
+            write(*args)
+            states.append(ck.read_bytes())
+
+        monkeypatch.setattr(reduction, "_write_checkpoint", recording)
+        report = verify_range(2, 10, 20, workers=workers, checkpoint_path=str(ck))
+        runs[workers] = (report.to_jsonl(), states)
+    assert runs[1] == runs[2]
+    outcomes = runs[1][0]
+    states = [json.loads(b) for b in runs[1][1]]
+    # every fourth outcome, then the last
+    assert [s["last_t"] for s in states] == [13, 17, 20]
+    report = verify_range(2, 10, 20)
+    assert report.to_jsonl() == outcomes
+    for state, n in zip(states, (4, 8, 11)):
+        prefix = reduction.RangeReport(2, reduction.DEFAULT_A, reduction.DEFAULT_Q,
+                                       report.outcomes[:n])
+        assert state["hash"] == prefix.cumulative_hash()
 
 
 def test_csv_summary_shape():
