@@ -7,6 +7,9 @@ Exit codes: 0 all checks pass, 1 a verification failed, 2 inconclusive
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import functools
 import json
 import os
 import random
@@ -86,10 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "family F_3,t(x,y)=1.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, t=False, trange=False):
-        p.add_argument("--precision", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    flags = {"precision": dict(type=int, default=None),
+             "workers": dict(type=int, default=None),
+             "seed": dict(type=int, default=DEFAULT_SEED)}
+
+    def common(p, *read, t=False, trange=False):
+        # --output, and of the flags above only those the command reads
+        for name in read:
+            p.add_argument("--" + name, **flags[name])
         p.add_argument("--output", default=None)
         if t:
             p.add_argument("--t", type=int, required=True)
@@ -98,30 +105,30 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t-hi", type=int, default=SWEEP_SLICE_HI)
 
     p = sub.add_parser("roots", help="certified root enclosures")
-    common(p, t=True)
+    common(p, "precision", t=True)
 
     p = sub.add_parser("kappas", help="kappa-interval certification")
-    common(p, trange=True)
+    common(p, "precision", "workers", trange=True)
     p.add_argument("--extra-t", type=int, nargs="*", default=[])
 
     p = sub.add_parser("exponents", help="unit-exponent recovery for known solutions")
     common(p, t=True)
 
     p = sub.add_parser("matveev", help="Matveev constant reproduction")
-    common(p)
+    common(p, "precision")
     p.add_argument("--t", type=int, default=10)
 
     p = sub.add_parser("tmax", help="absolute bound on t")
     common(p)
 
     p = sub.add_parser("reduce", help="Baker-Davenport reduction at one t")
-    common(p, t=True)
+    common(p, "precision", t=True)
     p.add_argument("--which", type=int, default=2, choices=(1, 2, 3))
     p.add_argument("--Q", type=_int_from_sci, default=reduction.DEFAULT_Q)
     p.add_argument("--A", type=_int_from_sci, default=reduction.DEFAULT_A)
 
     p = sub.add_parser("sweep", help="reduction sweep over a t range")
-    common(p, trange=True)
+    common(p, "precision", "workers", "seed", trange=True)
     p.add_argument("--which", type=int, default=2, choices=(1, 2, 3))
     p.add_argument("--Q", type=_int_from_sci, default=reduction.DEFAULT_Q)
     p.add_argument("--A", type=_int_from_sci, default=reduction.DEFAULT_A)
@@ -133,22 +140,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
 
     p = sub.add_parser("search", help="bounded brute-force search for one form")
-    common(p)
+    common(p, "workers")
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--coeffs", type=int, nargs=4, default=None,
                    metavar=("A", "B", "C", "D"))
     p.add_argument("--y-bound", type=int, default=1000)
 
     p = sub.add_parser("verify-theorem", help="bounded verification of the solution list")
-    common(p, t=True)
+    common(p, "workers", t=True)
     p.add_argument("--y-bound", type=int, default=5000)
 
     p = sub.add_parser("verify-tables", help="sporadic table verification")
-    common(p)
+    common(p, "workers")
     p.add_argument("--y-bound", type=int, default=10 ** 4)
 
     p = sub.add_parser("certify-all", help="full desk-scale certification chain")
-    common(p, trange=True)
+    common(p, "precision", "workers", "seed", trange=True)
     p.add_argument("--Q", type=_int_from_sci, default=reduction.DEFAULT_Q)
     p.add_argument("--A", type=_int_from_sci, default=reduction.DEFAULT_A)
     p.add_argument("--y-bound", type=int, default=5000)
@@ -242,38 +249,37 @@ def _cmd_reduce(args, out: _Output) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _sweep_extra(args, t_max: int) -> List[int]:
-    if args.samples:
-        return _sample_ts(args.seed, args.samples, SWEEP_SLICE_HI + 1, t_max)
-    return []
-
-
 def _cmd_sweep(args, out: _Output) -> int:
-    workers = _env_workers(args.workers)
-    t_hi = args.t_hi
-    extra: List[int] = []
-    if args.full:
-        t_hi = bounds.derive_t_max()[0]
-    else:
-        extra = _sweep_extra(args, bounds.derive_t_max()[0])
-    report = reduction.verify_range(args.which, args.t_lo, t_hi,
-                                    args.A, args.Q, workers=workers,
-                                    extra_ts=extra,
-                                    precision=_precision_cap(
-                                        args.precision, realnum.reduction_precision(args.Q)),
-                                    checkpoint_path=args.checkpoint)
-    for o in report.outcomes:
-        out.emit(o.to_json())
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.to_csv_summary())
-    n_ok = sum(1 for o in report.outcomes
-               if o.status == "success" and o.contradiction)
-    print("sweep which=%d: %d/%d success+contradiction" %
-          (args.which, n_ok, len(report.outcomes)))
-    if n_ok == len(report.outcomes):
+    t_max = bounds.derive_t_max()[0]
+    extra = (_sample_ts(args.seed, args.samples, SWEEP_SLICE_HI + 1, t_max)
+             if args.samples and not args.full else [])
+    n = n_ok = n_failed = 0
+    with contextlib.ExitStack() as stack:
+        # closed on every exit, so a failed write stops the workers at once
+        outcomes = stack.enter_context(contextlib.closing(reduction.verify_range(
+            args.which, args.t_lo, t_max if args.full else args.t_hi, args.A, args.Q,
+            workers=_env_workers(args.workers), extra_ts=extra,
+            precision=_precision_cap(args.precision, realnum.reduction_precision(args.Q)),
+            checkpoint_path=args.checkpoint)))
+        rows = None
+        if args.csv:
+            # line-buffered: each row reaches the file as it is written
+            fh = stack.enter_context(open(args.csv, "w", newline="", buffering=1))
+            rows = csv.writer(fh)
+            rows.writerow(["t", "status", "precision", "q", "lambda_lower_ln",
+                           "margin", "contradiction"])
+        for o in outcomes:
+            out.emit(o.to_json())
+            if rows is not None:
+                rows.writerow([o.t, o.status, o.precision, o.q, o.lambda_lower_ln,
+                               o.margin, o.contradiction])
+            n += 1
+            n_ok += o.status == "success" and o.contradiction
+            n_failed += o.status == "failed"
+    print("sweep which=%d: %d/%d success+contradiction" % (args.which, n_ok, n))
+    if n_ok == n:
         return EXIT_OK
-    if any(o.status == "failed" for o in report.outcomes):
+    if n_failed:
         return EXIT_INCONCLUSIVE
     return EXIT_VERIFICATION_FAILED
 
@@ -327,12 +333,12 @@ def _cmd_certify_all(args, out: _Output) -> int:
     rc = max(rc, stage(_cmd_sweep, which=2, csv=None,
                        samples=0 if args.full else SWEEP_SAMPLE_COUNT))
 
-    workers = _env_workers(args.workers)
+    # one pool over t, each bounded search serial inside it
+    ts = [t for t in range(-30, 31) if t not in (0, 1)]
+    holds = functools.partial(search.verify_theorem, y_bound=args.y_bound)
     fails = 0
-    for t in range(-30, 31):
-        if t in (0, 1):
-            continue
-        if not search.verify_theorem(t, args.y_bound, workers):
+    for t, ok in zip(ts, parallel_map(holds, ts, _env_workers(args.workers))):
+        if not ok:
             fails += 1
             print("theorem verification FAILED at t=%d" % t)
     out.emit({"stage": "theorem-range", "t_range": [-30, 30],

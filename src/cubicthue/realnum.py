@@ -83,6 +83,17 @@ class CertifiedReal:
                    precision)
 
     @classmethod
+    def subdivide(cls, lo: Rational, hi: Rational, pieces: int,
+                  precision: int = DEFAULT_PRECISION) -> List["CertifiedReal"]:
+        """[lo, hi] cut into `pieces` equal parts enclosed as by
+        from_endpoints, each cut point rounded once for both its parts."""
+        if not lo <= hi:
+            raise ValueError("lower endpoint exceeds upper endpoint")
+        step = Fraction(hi - lo) / pieces
+        cuts = [_rational_mpi(lo + i * step, precision) for i in range(pieces + 1)]
+        return [cls((a[0], b[1]), precision) for a, b in zip(cuts, cuts[1:])]
+
+    @classmethod
     def hull(cls, values: Iterable["CertifiedReal"]) -> "CertifiedReal":
         vals = list(values)
         if not vals:

@@ -10,15 +10,14 @@ and 1/Q^2 so that the continued-fraction extraction is trustworthy.
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import hashlib
-import io
 import json
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .bounds import contradiction_threshold, lambda_log_arguments
 from .errors import IndeterminateSignError, PrecisionInsufficientError
@@ -173,37 +172,6 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
                             len(attempts) - 1)
 
 
-@dataclass
-class RangeReport:
-    which: int
-    A: int
-    Q: int
-    outcomes: List[ReductionOutcome]
-
-    @property
-    def all_success(self) -> bool:
-        return all(o.status == "success" and o.contradiction for o in self.outcomes)
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(o.to_json()) for o in self.outcomes)
-
-    def to_csv_summary(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["t", "status", "precision", "q", "lambda_lower_ln", "margin",
-                    "contradiction"])
-        for o in self.outcomes:
-            w.writerow([o.t, o.status, o.precision, o.q, o.lambda_lower_ln,
-                        o.margin, o.contradiction])
-        return buf.getvalue()
-
-    def cumulative_hash(self) -> str:
-        h = hashlib.sha256()
-        for o in self.outcomes:
-            h.update(json.dumps(o.to_json(), sort_keys=True).encode())
-        return h.hexdigest()
-
-
 def _reduce_star(args) -> ReductionOutcome:
     which, t, A, Q, precision = args
     return reduce_single(which, t, A, Q, precision)
@@ -233,24 +201,35 @@ def verify_range(which: int, t_lo: int, t_hi: int,
                  workers: int = 1,
                  extra_ts: Sequence[int] = (),
                  precision: Optional[int] = None,
-                 checkpoint_path: Optional[str] = None) -> RangeReport:
-    """Per-t verdicts over [t_lo, t_hi] plus any extra sampled ts; the
-    aggregate report is deterministic regardless of worker count and
-    resumable through the checkpoint file."""
+                 checkpoint_path: Optional[str] = None) -> Iterator[ReductionOutcome]:
+    """Per-t outcomes over [t_lo, t_hi] plus any extra sampled ts, yielded
+    in t order whatever the worker count, and resumable through the
+    checkpoint file.  The arguments are checked at the call; the work
+    runs as the outcomes are taken.  A checkpoint is written only once
+    the caller has taken every outcome it counts, so close the iterator
+    when stopping early: that also shuts the worker pool down."""
     if t_lo <= t_hi and t_lo < 10:
         raise ValueError("sweep range starts at t >= 10")
     ts = sorted(set(list(range(t_lo, t_hi + 1)) + [int(t) for t in extra_ts]))
-    report = RangeReport(which, A, Q, [])
     ckpt = _load_checkpoint(checkpoint_path, which, A, Q) if checkpoint_path else None
     if ckpt is not None:
         ts = [t for t in ts if t > ckpt["last_t"]]
+    return _sweep(which, ts, A, Q, workers, precision, checkpoint_path)
+
+
+def _sweep(which: int, ts: List[int], A: int, Q: int, workers: int,
+           precision: Optional[int],
+           checkpoint_path: Optional[str]) -> Iterator[ReductionOutcome]:
+    # one running digest over the records, each serialized once
+    digest = hashlib.sha256()
     jobs = [(which, t, A, Q, precision) for t in ts]
-    for done, outcome in enumerate(parallel_map(_reduce_star, jobs, workers), 1):
-        report.outcomes.append(outcome)
-        if checkpoint_path and (done % CHECKPOINT_INTERVAL == 0 or done == len(jobs)):
-            _write_checkpoint(checkpoint_path, which, A, Q,
-                              outcome.t, report.cumulative_hash())
-    return report
+    with contextlib.closing(parallel_map(_reduce_star, jobs, workers)) as outcomes:
+        for done, outcome in enumerate(outcomes, 1):
+            yield outcome
+            digest.update(json.dumps(outcome.to_json(), sort_keys=True).encode())
+            if checkpoint_path and (done % CHECKPOINT_INTERVAL == 0 or done == len(ts)):
+                _write_checkpoint(checkpoint_path, which, A, Q,
+                                  outcome.t, digest.hexdigest())
 
 
 def reverify_verdict(inst: ReductionInstance, verdict: Verdict) -> bool:

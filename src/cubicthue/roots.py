@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import PrecisionInsufficientError
 from .forms import monic_cubic
@@ -336,16 +336,6 @@ def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fra
     raise ValueError(which)
 
 
-def _envelope(lo: Fraction, hi: Fraction, prec: int, pieces: int,
-              f: Callable[[CertifiedReal], CertifiedReal]) -> CertifiedReal:
-    step = (hi - lo) / pieces
-    vals = []
-    for i in range(pieces):
-        r = CertifiedReal.from_endpoints(lo + i * step, lo + (i + 1) * step, prec)
-        vals.append(f(r))
-    return CertifiedReal.hull(vals)
-
-
 def kappa_envelope(j: int, t: int, roots: Optional[RootTriple] = None,
                    precision: Optional[int] = None, pieces: int = 16) -> CertifiedReal:
     """Enclosure of the solution-dependent kappa_j with the entire
@@ -384,7 +374,7 @@ def kappa_envelope(j: int, t: int, roots: Optional[RootTriple] = None,
         T12, c1, c2, c3 = (T ** 12, 1 / T3, Fraction(5, 2) / T ** 6,
                            Fraction(25, 3) / T ** 9)
         f = lambda r: T12 * (((r - th1) / (r - th2)).log() - c1 - c2 - c3)
-    return _envelope(lo, hi, prec, pieces, f)
+    return CertifiedReal.hull(f(r) for r in CertifiedReal.subdivide(lo, hi, pieces, prec))
 
 
 @dataclass(frozen=True)

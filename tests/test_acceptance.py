@@ -45,14 +45,14 @@ def test_criterion_3_kappa_certification():
 
 def test_criterion_4_reduction_sweep_slice():
     samples = cli._sample_ts(cli.DEFAULT_SEED, 100, 2001, 576241)
-    report = reduction.verify_range(2, 10, 2000, workers=WORKERS,
-                                    extra_ts=samples)
+    outcomes = list(reduction.verify_range(2, 10, 2000, workers=WORKERS,
+                                           extra_ts=samples))
     floor_ln = -120 * math.log(10)     # ln(1e-120 * min(1, |beta|)), |beta| > 1
-    ok = (len(report.outcomes) == 1991 + 100
+    ok = (len(outcomes) == 1991 + 100
           and all(o.status == "success" and o.contradiction
                   and o.margin > 100
                   and o.lambda_lower_ln > floor_ln
-                  for o in report.outcomes))
+                  for o in outcomes))
     _verdict("4 reduction-sweep", ok)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,35 @@ def test_out_of_range_input_is_a_usage_error(argv, capsys):
     assert len(err.splitlines()) == 1
 
 
+# per command, a cheap valid argv and the flags it does not read
+_ARGV = {"roots": ["--t", "10"], "kappas": ["--t-lo", "10", "--t-hi", "10"],
+         "exponents": ["--t", "5"], "matveev": [], "tmax": [], "reduce": ["--t", "10"],
+         "search": ["--t", "2", "--y-bound", "10"],
+         "verify-theorem": ["--t", "2", "--y-bound", "10"],
+         "verify-tables": ["--y-bound", "10"]}
+_UNREAD = ([(c, "--precision") for c in ("exponents", "tmax", "search",
+                                         "verify-theorem", "verify-tables")]
+           + [(c, "--workers") for c in ("roots", "exponents", "matveev", "tmax", "reduce")]
+           + [(c, "--seed") for c in _ARGV])
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD)
+def test_unread_flag_is_a_usage_error(command, flag, capsys):
+    assert run([command] + _ARGV[command] + [flag, "2"]) == cli.EXIT_USAGE
+    assert "unrecognized arguments: %s 2" % flag in capsys.readouterr().err
+
+
+def test_sweep_and_certify_all_keep_the_flags_they_read():
+    ap = cli.build_parser()
+    args = ap.parse_args(["sweep", "--t-lo", "10", "--t-hi", "12", "--samples", "3",
+                          "--seed", "7", "--workers", "2", "--precision", "600",
+                          "--checkpoint", "ck.json", "--output", "out.jsonl"])
+    assert (args.seed, args.workers, args.precision) == (7, 2, 600)
+    args = ap.parse_args(["certify-all", "--seed", "7", "--workers", "2",
+                          "--precision", "600"])
+    assert (args.seed, args.workers, args.precision) == (7, 2, 600)
+
+
 def test_sweep_small_range(capsys, tmp_path):
     out_path = tmp_path / "sweep.jsonl"
     csv_path = tmp_path / "sweep.csv"
@@ -103,6 +134,74 @@ def test_sweep_small_range(capsys, tmp_path):
     assert [r["t"] for r in recs] == [10, 11, 12, 13, 14]
     assert all(r["contradiction"] for r in recs)
     assert csv_path.read_text().startswith("t,status")
+
+
+def test_sweep_csv_summary_shape(tmp_path):
+    csv_path = tmp_path / "sweep.csv"
+    assert run(["sweep", "--t-lo", "10", "--t-hi", "12", "--output",
+                str(tmp_path / "sweep.jsonl"), "--csv", str(csv_path)]) == 0
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0].startswith("t,status,precision")
+    assert len(lines) == 4
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_checkpoint_never_passes_the_written_output(workers, monkeypatch, tmp_path):
+    monkeypatch.setattr(reduction, "CHECKPOINT_INTERVAL", 4)
+    emit = cli._Output.emit
+    emitted = []
+
+    def failing(self, record):
+        emitted.append(record["t"])
+        if len(emitted) == 6:
+            raise OSError("disk full")
+        emit(self, record)
+
+    monkeypatch.setattr(cli._Output, "emit", failing)
+    ck, out, csv_path = tmp_path / "ck.json", tmp_path / "out.jsonl", tmp_path / "out.csv"
+    try:
+        run(["sweep", "--t-lo", "10", "--t-hi", "20", "--workers", workers,
+             "--checkpoint", str(ck), "--output", str(out), "--csv", str(csv_path)])
+    except OSError as exc:
+        assert str(exc) == "disk full"
+        # the pool is down before the error leaves the sweep, not only
+        # once the traceback that holds its iterator is freed
+        assert multiprocessing.active_children() == []
+    else:
+        pytest.fail("the sweep went on after a failed write")
+    lines = out.read_text().splitlines()
+    written = [json.loads(line)["t"] for line in lines]
+    assert written == [10, 11, 12, 13, 14]
+    assert [int(row.split(",")[0]) for row in csv_path.read_text().splitlines()[1:]] \
+        == written
+    state = json.loads(ck.read_text())
+    assert state["last_t"] <= written[-1]
+    # the checkpoint hash is the digest of the written records it counts
+    counted = written.index(state["last_t"]) + 1
+    assert state["hash"] == hashlib.sha256(
+        "".join(lines[:counted]).encode()).hexdigest()
+
+
+def test_certify_all_theorem_range_starts_at_most_one_pool(monkeypatch, capsys, tmp_path):
+    for name in ("_cmd_kappas", "_cmd_matveev", "_cmd_tmax", "_cmd_sweep",
+                 "_cmd_verify_tables"):
+        monkeypatch.setattr(cli, name, lambda args, out: cli.EXIT_OK)
+    pools = []
+    Pool = multiprocessing.Pool
+
+    def counting(*args, **kwargs):
+        pools.append(args)
+        return Pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting)
+    path = tmp_path / "theorem.jsonl"
+    assert run(["certify-all", "--y-bound", "50", "--workers", "2",
+                "--output", str(path)]) == 0
+    assert len(pools) <= 1
+    assert json.loads(path.read_text()) == {
+        "schema": 1, "stage": "theorem-range", "t_range": [-30, 30],
+        "y_bound": 50, "failures": 0}
+    assert "theorem range [-30,30]: 0 failures" in capsys.readouterr().out
 
 
 def test_byte_identical_output_for_identical_config(tmp_path):

@@ -142,6 +142,21 @@ def test_hull():
     assert h.contains(Fraction(1, 3)) and h.contains(Fraction(2, 3))
 
 
+def test_subdivide_matches_from_endpoints_per_piece():
+    rng = random.Random(91)
+    for _ in range(50):
+        lo, width = _rand_fraction(rng), abs(_rand_fraction(rng))
+        hi, pieces, prec = lo + width, rng.randrange(1, 20), rng.choice((53, 180, 540))
+        step = (hi - lo) / pieces
+        want = [CertifiedReal.from_endpoints(lo + i * step, lo + (i + 1) * step, prec)
+                for i in range(pieces)]
+        got = CertifiedReal.subdivide(lo, hi, pieces, prec)
+        assert [(g._mpi, g.precision) for g in got] == [(w._mpi, w.precision) for w in want]
+    assert len(CertifiedReal.subdivide(2, 2, 3, 64)) == 3
+    with pytest.raises(ValueError):
+        CertifiedReal.subdivide(Fraction(1, 2), Fraction(1, 3), 4, 64)
+
+
 def test_reduction_precision_policy():
     # ceil(3.33 * (2*61 + 40)) at Q = 10^60
     assert reduction_precision(10 ** 60) == 540

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -6,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from cubicthue import reduction
-from cubicthue.realnum import CertifiedReal, _convergents_of_fraction
+from cubicthue.realnum import (CertifiedReal, _convergents_of_fraction,
+                               nearest_integer_distance)
 from cubicthue.reduction import (ReductionInstance, baker_davenport,
                                  build_instance, contradiction_check,
                                  reduce_single, reverify_verdict, verify_range)
@@ -138,42 +140,66 @@ def test_reduce_single_outcome_record():
     assert json.dumps(rec)
 
 
+def _jsonl(outcomes):
+    return "\n".join(json.dumps(o.to_json()) for o in outcomes)
+
+
+def _digest(outcomes):
+    """The checkpoint hash of these records, recomputed in full."""
+    h = hashlib.sha256()
+    for o in outcomes:
+        h.update(json.dumps(o.to_json(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _all_success(outcomes):
+    return all(o.status == "success" and o.contradiction for o in outcomes)
+
+
 def test_verify_range_empty():
-    report = verify_range(2, 30, 20)
-    assert report.outcomes == []
-    assert report.all_success
+    outcomes = verify_range(2, 30, 20)
+    assert iter(outcomes) is outcomes
+    outcomes = list(outcomes)
+    assert outcomes == []
+    assert _all_success(outcomes)
 
 
 def test_verify_range_rejects_low_start():
+    # at the call, before any outcome is taken
     with pytest.raises(ValueError):
         verify_range(2, 5, 20)
 
 
 def test_verify_range_deterministic_across_workers():
-    r1 = verify_range(2, 10, 30)
-    r4 = verify_range(2, 10, 30, workers=4)
-    assert r1.to_jsonl() == r4.to_jsonl()
-    assert r1.cumulative_hash() == r4.cumulative_hash()
-    assert r1.all_success
+    r1 = list(verify_range(2, 10, 30))
+    r4 = list(verify_range(2, 10, 30, workers=4))
+    assert _jsonl(r1) == _jsonl(r4)
+    assert _digest(r1) == _digest(r4)
+    assert _all_success(r1)
 
 
 def test_verify_range_extra_ts_sorted_dedup():
-    report = verify_range(2, 10, 12, extra_ts=[11, 500])
-    assert [o.t for o in report.outcomes] == [10, 11, 12, 500]
+    outcomes = verify_range(2, 10, 12, extra_ts=[11, 500])
+    assert [o.t for o in outcomes] == [10, 11, 12, 500]
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def test_verify_range_checkpoint_resume(tmp_path):
     ck = str(tmp_path / "ck.json")
-    full = verify_range(2, 10, 20, checkpoint_path=ck)
-    state = json.load(open(ck))
+    full = list(verify_range(2, 10, 20, checkpoint_path=ck))
+    state = _read_json(ck)
     assert state["last_t"] == 20
-    assert state["hash"] == full.cumulative_hash()
+    assert state["hash"] == _digest(full)
     # resuming with a complete checkpoint does no further work
-    again = verify_range(2, 10, 20, checkpoint_path=ck)
-    assert again.outcomes == []
+    again = list(verify_range(2, 10, 20, checkpoint_path=ck))
+    assert again == []
     # checkpoint for different parameters is ignored
     other = verify_range(2, 10, 12, A=10 ** 6, checkpoint_path=ck)
-    assert [o.t for o in other.outcomes] == [10, 11, 12]
+    assert [o.t for o in other] == [10, 11, 12]
 
 
 def test_verify_range_checkpoints_every_interval(monkeypatch, tmp_path):
@@ -189,26 +215,55 @@ def test_verify_range_checkpoints_every_interval(monkeypatch, tmp_path):
             states.append(ck.read_bytes())
 
         monkeypatch.setattr(reduction, "_write_checkpoint", recording)
-        report = verify_range(2, 10, 20, workers=workers, checkpoint_path=str(ck))
-        runs[workers] = (report.to_jsonl(), states)
+        outcomes = verify_range(2, 10, 20, workers=workers, checkpoint_path=str(ck))
+        runs[workers] = (_jsonl(outcomes), states)
     assert runs[1] == runs[2]
-    outcomes = runs[1][0]
+    jsonl = runs[1][0]
     states = [json.loads(b) for b in runs[1][1]]
     # every fourth outcome, then the last
     assert [s["last_t"] for s in states] == [13, 17, 20]
-    report = verify_range(2, 10, 20)
-    assert report.to_jsonl() == outcomes
+    outcomes = list(verify_range(2, 10, 20))
+    assert _jsonl(outcomes) == jsonl
     for state, n in zip(states, (4, 8, 11)):
-        prefix = reduction.RangeReport(2, reduction.DEFAULT_A, reduction.DEFAULT_Q,
-                                       report.outcomes[:n])
-        assert state["hash"] == prefix.cumulative_hash()
+        assert state["hash"] == _digest(outcomes[:n])
 
 
-def test_csv_summary_shape():
-    report = verify_range(2, 10, 12)
-    lines = report.to_csv_summary().strip().splitlines()
-    assert lines[0].startswith("t,status,precision")
-    assert len(lines) == 4
+def test_verify_range_checkpoints_only_taken_outcomes(monkeypatch, tmp_path):
+    monkeypatch.setattr(reduction, "CHECKPOINT_INTERVAL", 4)
+    ck = tmp_path / "ck.json"
+    outcomes = verify_range(2, 10, 20, workers=2, checkpoint_path=str(ck))
+    taken = [next(outcomes) for _ in range(4)]
+    # the fourth outcome is out, but the caller has not asked past it
+    assert not ck.exists()
+    taken.append(next(outcomes))
+    assert _read_json(ck) == {"which": 2, "A": str(reduction.DEFAULT_A),
+                              "Q": str(reduction.DEFAULT_Q), "last_t": 13,
+                              "hash": _digest(taken[:4])}
+    outcomes.close()
+    assert _read_json(ck)["last_t"] == 13
+
+
+def _stub_outcome(args):
+    which, t, A, Q, precision = args
+    return reduction.ReductionOutcome(t, which, "success", 540, Q, 7, 1.5, -270.0,
+                                      300.0, True, 0)
+
+
+def test_verify_range_serializes_each_record_once(monkeypatch, tmp_path):
+    monkeypatch.setattr(reduction, "_reduce_star", _stub_outcome)
+    monkeypatch.setattr(reduction, "CHECKPOINT_INTERVAL", 4)
+    calls = []
+    to_json = reduction.ReductionOutcome.to_json
+    monkeypatch.setattr(reduction.ReductionOutcome, "to_json",
+                        lambda self: calls.append(self.t) or to_json(self))
+    ck = tmp_path / "ck.json"
+    n = sum(1 for _ in verify_range(2, 10, 409, checkpoint_path=str(ck)))
+    assert n == 400 and calls == list(range(10, 410))
+    state = _read_json(ck)
+    assert state["last_t"] == 409
+    monkeypatch.setattr(reduction.ReductionOutcome, "to_json", to_json)
+    jobs = [(2, t, reduction.DEFAULT_A, reduction.DEFAULT_Q, None) for t in range(10, 410)]
+    assert state["hash"] == _digest(map(_stub_outcome, jobs))
 
 
 def test_escalation_soundness():
@@ -227,6 +282,30 @@ def test_reverify_rejects_tampered_verdict():
     assert not reverify_verdict(inst, bad)
     assert not reverify_verdict(inst, reduction.Verdict(False, None, None, None,
                                                         None, None, 0))
+
+
+def test_norm_check_reads_the_lower_bound():
+    """At the first convergent past 2*threshold, q*gamma2 is enclosed so
+    that q * ||q*gamma2|| is below the threshold at the enclosure's lower
+    bound and above it at the upper: only the lower bound is certified,
+    so neither the scan nor the re-verification may accept it."""
+    A, prec = 100, 420
+    threshold = Fraction(101 * A, 100) + 2
+    g1 = Fraction(random.Random(73).getrandbits(300), 2 ** 299)
+    conv = next(c for c in _convergents_of_fraction(g1, 10 ** 9) if c.q > 2 * threshold)
+    p, q = conv.p, conv.q
+    # q*gamma2 spans [7 + d_lo, 7 + d_hi] with q*d_lo < threshold < q*d_hi <= q/2
+    d_lo, d_hi = threshold / (2 * q), (threshold / q + Fraction(1, 2)) / 2
+    gamma2 = CertifiedReal.from_endpoints((7 + d_lo) / q, (7 + d_hi) / q, prec)
+    beta = CertifiedReal.from_rational(Fraction(3, 2), prec)
+    gamma1 = CertifiedReal.from_rational(g1 * Fraction(3, 2), prec) / beta
+    inst = ReductionInstance(2, 10, beta, A, q, gamma1, gamma2, prec)
+    lo, hi = nearest_integer_distance(gamma2 * q)
+    assert q * lo < threshold <= q * hi
+    assert [c.q for c in reduction.continued_fraction_convergents(gamma1, q)
+            if c.q >= 2 * threshold] == [q]
+    assert not baker_davenport(inst).success
+    assert not reverify_verdict(inst, reduction.Verdict(True, p, q, None, None, None, 1))
 
 
 def test_reduce_single_rejects_success_that_fails_reverification(monkeypatch):
