@@ -2,7 +2,9 @@
 bounds, Matveev's explicit lower bound, and the absolute bound on t.
 
 Constants are carried as exact rationals where the source analysis gives
-them exactly (7.7, 7.9, 8.9, 3.5, 8.6, 9.8, 27.65, 1.07e15).
+them exactly (7.7, 7.9, 8.9, 3.5, 8.6, 9.8, 1.07e15); the contradiction
+coefficients 7.7 * 8.6, 27.65 = 7.9 * 3.5 and 8.9 * 9.8 are derived
+from them.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ LAMBDA_DECAY = {1: Fraction(77, 10), 2: Fraction(79, 10), 3: Fraction(89, 10)}
 # n/log(35n) cap per unit of log^2 t, derived from the Matveev constant
 EXPONENT_CAP = 107 * 10 ** 13
 
-CONTRADICTION_COEFF = {
-    1: (Fraction(77, 10) * Fraction(86, 10), 6),   # decay * growth, t^6
-    2: (Fraction(2765, 100), 3),
-    3: (Fraction(89, 10) * Fraction(98, 10), 3),
-}
+# (c, p) of the forced exponent growth max(|m|, |n|) >= c * t^p * ln t
+# of a type I/II/III solution
+GROWTH = {1: (Fraction(86, 10), 6), 2: (Fraction(35, 10), 3), 3: (Fraction(98, 10), 3)}
+
+# decay * growth, on t^p
+CONTRADICTION_COEFF = {which: (LAMBDA_DECAY[which] * c, p)
+                       for which, (c, p) in GROWTH.items()}
 
 
 def siegel_residual(t: int, x: int, y: int,
@@ -195,9 +199,11 @@ def matveev_for_family(which: int, t: int,
 def _growth_feasible(t, dps: int = 60) -> bool:
     """Can the forced growth n >= 3.5 t^3 ln t coexist with the Matveev
     cap n / ln(35 n) < 1.07e15 ln^2 t?"""
+    c, p = GROWTH[2]
     with mp.workdps(dps):
         tt = mp.mpf(t)
-        g = mp.mpf("3.5") * tt ** 3 * mp.log(tt)
+        # 3.5 = 7/2 is exact in binary
+        g = mp.mpf(c.numerator) / c.denominator * tt ** p * mp.log(tt)
         return g / mp.log(35 * g) < mp.mpf(EXPONENT_CAP) * mp.log(tt) ** 2
 
 

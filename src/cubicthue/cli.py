@@ -140,18 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
 
     p = sub.add_parser("search", help="bounded brute-force search for one form")
-    common(p, "workers")
+    common(p)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--coeffs", type=int, nargs=4, default=None,
                    metavar=("A", "B", "C", "D"))
     p.add_argument("--y-bound", type=int, default=1000)
 
     p = sub.add_parser("verify-theorem", help="bounded verification of the solution list")
-    common(p, "workers", t=True)
+    common(p, t=True)
     p.add_argument("--y-bound", type=int, default=5000)
 
     p = sub.add_parser("verify-tables", help="sporadic table verification")
-    common(p, "workers")
+    common(p)
     p.add_argument("--y-bound", type=int, default=10 ** 4)
 
     p = sub.add_parser("certify-all", help="full desk-scale certification chain")
@@ -290,8 +290,7 @@ def _cmd_search(args, out: _Output) -> int:
         return EXIT_USAGE
     F = forms.family_form(3, args.t) if args.t is not None \
         else forms.BinaryCubicForm(*args.coeffs)
-    rep = search.thue_solutions_bruteforce(F, args.y_bound,
-                                           _env_workers(args.workers))
+    rep = search.thue_solutions_bruteforce(F, args.y_bound)
     out.emit(rep.to_json())
     print("%s: %d solutions with |y| <= %d" % (F, rep.count, args.y_bound))
     return EXIT_OK
@@ -299,8 +298,7 @@ def _cmd_search(args, out: _Output) -> int:
 
 def _cmd_verify_theorem(args, out: _Output) -> int:
     found = search.thue_solutions_bruteforce(forms.family_form(3, args.t),
-                                             args.y_bound,
-                                             _env_workers(args.workers))
+                                             args.y_bound)
     expected = tuple(sorted(forms.known_solutions(args.t).restricted(args.y_bound)))
     ok = found.solutions == expected
     out.emit({"t": args.t, "y_bound": args.y_bound, "count": found.count,
@@ -311,7 +309,7 @@ def _cmd_verify_theorem(args, out: _Output) -> int:
 
 
 def _cmd_verify_tables(args, out: _Output) -> int:
-    reports = search.verify_sporadic_tables(args.y_bound, _env_workers(args.workers))
+    reports = search.verify_sporadic_tables(args.y_bound)
     ok = all(r.matches_expected for r in reports)
     for r in reports:
         out.emit(r.to_json())

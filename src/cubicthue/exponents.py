@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
+from .bounds import GROWTH
 from .errors import (IndeterminateSignError, PrecisionInsufficientError,
                      VerificationFailedError)
 from .forms import evaluate, family_form
@@ -31,6 +32,10 @@ class SolutionType(enum.Enum):
     NONE = "None"
 
 
+# the linear form Lambda_which of each solution type
+_WHICH = {SolutionType.TYPE_I: 1, SolutionType.TYPE_II: 2, SolutionType.TYPE_III: 3}
+
+
 def classify(t: int, x: int, y: int) -> SolutionType:
     """Membership of x/y in I_1/I_2/I_3 (endpoints depend on |y|),
     decided by exact rational comparison; |y| <= 1 is Small."""
@@ -39,8 +44,7 @@ def classify(t: int, x: int, y: int) -> SolutionType:
     if abs(y) <= 1:
         return SolutionType.SMALL
     r = Fraction(x, y)
-    for which, tag in ((1, SolutionType.TYPE_I), (2, SolutionType.TYPE_II),
-                       (3, SolutionType.TYPE_III)):
+    for tag, which in _WHICH.items():
         lo, hi = solution_interval(which, t, abs(y))
         if lo < r < hi:
             return tag
@@ -149,13 +153,6 @@ class GrowthBound:
     bound: CertifiedReal
 
 
-_GROWTH = {
-    SolutionType.TYPE_I: (Fraction(86, 10), 6),
-    SolutionType.TYPE_II: (Fraction(35, 10), 3),
-    SolutionType.TYPE_III: (Fraction(98, 10), 3),
-}
-
-
 def growth_lower_bound(sol_type: SolutionType, t: int,
                        precision: int = 128) -> GrowthBound:
     """Lower bound on max{|m|, |n|} for a hypothetical non-special
@@ -163,7 +160,7 @@ def growth_lower_bound(sol_type: SolutionType, t: int,
     if t < 10:
         raise ValueError("growth bounds hold for t >= 10")
     try:
-        coef, p = _GROWTH[sol_type]
+        coef, p = GROWTH[_WHICH[sol_type]]
     except KeyError:
         raise ValueError("growth bound defined for types I/II/III only")
     T = CertifiedReal.from_rational(t, precision)

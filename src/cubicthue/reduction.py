@@ -178,12 +178,16 @@ def _reduce_star(args) -> ReductionOutcome:
 
 
 def _load_checkpoint(path: str, which: int, A: int, Q: int):
+    """The checkpoint at `path`, or None when there is none; one written
+    for another which/A/Q is refused with ValueError and left alone."""
     if not path or not os.path.exists(path):
         return None
     with open(path) as fh:
         rec = json.load(fh)
-    if rec.get("which") != which or rec.get("A") != str(A) or rec.get("Q") != str(Q):
-        return None
+    got = (rec.get("which"), rec.get("A"), rec.get("Q"))
+    if got != (which, str(A), str(Q)):
+        raise ValueError("checkpoint %s was written for which=%s, A=%s, Q=%s, not "
+                         "which=%d, A=%d, Q=%d" % ((path,) + got + (which, A, Q)))
     return rec
 
 
@@ -211,7 +215,7 @@ def verify_range(which: int, t_lo: int, t_hi: int,
     if t_lo <= t_hi and t_lo < 10:
         raise ValueError("sweep range starts at t >= 10")
     ts = sorted(set(list(range(t_lo, t_hi + 1)) + [int(t) for t in extra_ts]))
-    ckpt = _load_checkpoint(checkpoint_path, which, A, Q) if checkpoint_path else None
+    ckpt = _load_checkpoint(checkpoint_path, which, A, Q)
     if ckpt is not None:
         ts = [t for t in ts if t > ckpt["last_t"]]
     return _sweep(which, ts, A, Q, workers, precision, checkpoint_path)

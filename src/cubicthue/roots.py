@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PrecisionInsufficientError
-from .forms import monic_cubic
+from .forms import BinaryCubicForm, discriminant, monic_cubic
 from .realnum import CertifiedReal
 
 # published target interval for each kappa index
@@ -140,9 +140,8 @@ def _bisect(B: int, C: int, D: int, lo: Fraction, hi: Fraction,
 
     After K halvings the bracket is a cell [x_n, x_(n+1)] of the grid
     x_n = lo + n (hi - lo) / 2^K.  When P is strictly monotone on
-    [lo, hi] (every call site in this module hands over a window holding
-    exactly one simple root: the series windows for t >= 10, the
-    monotone pieces of the critical-point splitting below t = 10), the
+    [lo, hi] (as on the series windows for t >= 10 and on the pieces of
+    the critical-point splitting that hold no critical point), the
     only cell with a strict sign change is the one bisection ends in, so
     Newton's method finds n and two exact sign evaluations certify the
     cell.  Otherwise, or when the certificate fails or an evaluation is
@@ -196,36 +195,45 @@ def _bisect(B: int, C: int, D: int, lo: Fraction, hi: Fraction,
 
 def isolate_real_roots_monic_cubic(B: int, C: int, D: int,
                                    width: Fraction) -> List[Tuple[Fraction, Fraction]]:
-    """Certified brackets (width-limited, sign-change validated) of all
-    simple real roots of x^3 + B x^2 + C x + D, via critical-point
-    splitting into monotone pieces."""
+    """Certified brackets, at most `width` wide, of every distinct real
+    root of x^3 + B x^2 + C x + D: sign-change validated, or centred on
+    a root that an evaluation hit exactly.  The real line is cut at
+    rational bounds on the critical points, and each piece with a sign
+    change is bisected; with a positive discriminant (three distinct
+    real roots) the bounds are tightened until the cut separates all
+    three.  A double root is an integer critical point, and so a cut
+    point at which P vanishes."""
+    three_real = discriminant(BinaryCubicForm(1, B, C, D)) > 0
+    k = 0
+    while True:
+        out = _split_and_bisect(B, C, D, width, k)
+        if len(out) == 3 or not three_real:
+            return out
+        k += 1
+
+
+def _split_and_bisect(B: int, C: int, D: int, width: Fraction,
+                      k: int) -> List[Tuple[Fraction, Fraction]]:
+    """Brackets of the roots at a cut point or with a sign change between
+    two.  The cuts are -M and M, which bound every root strictly
+    (Cauchy), and between them the bounds on the critical points on the
+    grid 1/(3 * 2^k)."""
     M = 1 + max(abs(B), abs(C), abs(D))
-    lo, hi = Fraction(-M), Fraction(M)
     disc4 = B * B - 3 * C
-    cut_points: List[Fraction] = [lo]
+    cuts = [Fraction(-M)]
     if disc4 > 0:
-        s0 = math.isqrt(disc4)
         # critical points (-B -+ sqrt(disc4))/3, bracketed by isqrt
-        c1_lo, c1_hi = Fraction(-B - s0 - 1, 3), Fraction(-B - s0, 3)
-        c2_lo, c2_hi = Fraction(-B + s0, 3), Fraction(-B + s0 + 1, 3)
-        for c in (c1_lo, c1_hi, c2_lo, c2_hi):
-            if lo < c < hi:
-                cut_points.append(c)
-    cut_points.append(hi)
+        s, nb = math.isqrt(disc4 << 2 * k), -B << k
+        cuts += [Fraction(n, 3 << k) for n in (nb - s - 1, nb - s, nb + s, nb + s + 1)]
+    cuts.append(Fraction(M))
+    vals = [monic_cubic(*_scaled_coeffs(B, C, D, c.denominator), c.numerator)
+            for c in cuts]
     out = []
-    for a, b in zip(cut_points, cut_points[1:]):
-        fa = monic_cubic(*_scaled_coeffs(B, C, D, a.denominator), a.numerator)
-        fb = monic_cubic(*_scaled_coeffs(B, C, D, b.denominator), b.numerator)
+    for a, b, fa, fb in zip(cuts, cuts[1:], vals, vals[1:]):
         if fa == 0:
-            if not any(br[0] <= a <= br[1] for br in out):
-                out.append((a - width / 4, a + width / 4))
-            continue
-        if fb != 0 and (fa < 0) != (fb < 0):
+            out.append((a - width / 4, a + width / 4))
+        elif fb != 0 and (fa < 0) != (fb < 0):
             out.append(_bisect(B, C, D, a, b, width))
-    # trailing exact-root endpoint
-    fb = monic_cubic(*_scaled_coeffs(B, C, D, hi.denominator), hi.numerator)
-    if fb == 0 and not any(br[0] <= hi <= br[1] for br in out):
-        out.append((hi - width / 4, hi + width / 4))
     return out
 
 

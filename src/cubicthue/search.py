@@ -2,23 +2,27 @@
 F(x,y)=1, verification of the family theorem at small t, and the
 sporadic tables.
 
-Per y the equation is a monic integer cubic in x.  Integer roots are
-extracted by splitting the real line at certified critical-point bounds
-into monotone pieces and running exact integer bisection on each; the
-accept/reject decision is always an exact integer evaluation, never a
-floating-point comparison.  Completeness beyond |y| <= y_bound is NOT
-claimed; reports carry an explicit bounded-verification caveat.
+F(x,y) = (x - theta_1 y)(x - theta_2 y)(x - theta_3 y), so F(x,y) = 1
+forces some factor to have modulus at most 1: |x - theta y| <= 1 for a
+real root theta, and |x - Re(theta) y| <= 1 for a complex one.  Per y
+the search therefore tests the few integers x within 1 of theta y on
+each root line, with theta taken from certified rational brackets of
+the roots of F(x,1) and of the real part of a complex pair.  The
+window is found with integer floor and ceiling, and the accept/reject
+decision is always an exact integer evaluation, never a floating-point
+comparison.  Completeness beyond |y| <= y_bound is NOT claimed; reports
+carry an explicit bounded-verification caveat.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .forms import BinaryCubicForm, family_form, known_solutions, monic_cubic
-from .parallel import parallel_map
+from .roots import isolate_real_roots_monic_cubic
 
 # (form, discriminant, published solution count) for the positive-
 # discriminant sporadic classes with N_F >= 6
@@ -50,70 +54,6 @@ DELONE_NAGELL_TABLE: Tuple[Tuple[BinaryCubicForm, int, int], ...] = (
     (BinaryCubicForm(1, 0, 1, 1), -31, 4),
     (BinaryCubicForm(1, -1, 1, 1), -44, 4),
 )
-
-
-def _monotone_zero(B: int, C: int, D: int, lo: int, hi: int,
-                   increasing: bool) -> Optional[int]:
-    """The unique integer zero of a cubic monotone on [lo, hi], if any.
-    Exact integer bisection; never misses a zero on the piece."""
-    if lo > hi:
-        return None
-    flo = monic_cubic(B, C, D, lo)
-    fhi = monic_cubic(B, C, D, hi)
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    if not increasing:
-        flo, fhi = fhi, flo
-        # mirror so the bisection below always sees an increasing sweep
-    if flo > 0 or fhi < 0:
-        return None
-    a, b = lo, hi
-    while b - a > 1:
-        mid = (a + b) // 2
-        fm = monic_cubic(B, C, D, mid)
-        if fm == 0:
-            return mid
-        rising = fm < 0 if increasing else fm > 0
-        if rising:
-            a = mid
-        else:
-            b = mid
-    return None
-
-
-def integer_roots_monic_cubic(B: int, C: int, D: int) -> List[int]:
-    """All integer roots of x^3 + B x^2 + C x + D, exactly."""
-    M = 1 + max(abs(B), abs(C), abs(D))
-    disc4 = B * B - 3 * C
-    roots: List[int] = []
-    if disc4 <= 0:
-        z = _monotone_zero(B, C, D, -M, M, True)
-        return [z] if z is not None else []
-    s0 = math.isqrt(disc4)
-    # critical points (-B -+ sqrt(disc4))/3 with sqrt in [s0, s0+1];
-    # integers outside the bracketing bounds lie on a certified
-    # monotone piece, the few inside are tested individually
-    left_hi = (-B - s0 - 1) // 3
-    mid_lo = -((B + s0) // 3)          # ceil((-B - s0)/3)
-    mid_hi = (-B + s0) // 3
-    right_lo = -((B - s0 - 1) // 3)    # ceil((-B + s0 + 1)/3)
-    for z in (
-        _monotone_zero(B, C, D, -M, left_hi, True),
-        _monotone_zero(B, C, D, mid_lo, mid_hi, False),
-        _monotone_zero(B, C, D, right_lo, M, True),
-    ):
-        if z is not None and z not in roots:
-            roots.append(z)
-    # the few integers inside the critical-point uncertainty zones
-    for z in range(left_hi + 1, mid_lo):
-        if z not in roots and monic_cubic(B, C, D, z) == 0:
-            roots.append(z)
-    for z in range(mid_hi + 1, right_lo):
-        if z not in roots and monic_cubic(B, C, D, z) == 0:
-            roots.append(z)
-    return sorted(roots)
 
 
 @dataclass(frozen=True)
@@ -150,46 +90,51 @@ class SearchReport:
         }
 
 
-def _solutions_for_y_range(F: BinaryCubicForm, y_from: int, y_to: int
-                           ) -> List[Tuple[int, int]]:
+def _root_lines(F: BinaryCubicForm, y_bound: int) -> Tuple[List[Tuple[int, int]], int]:
+    """([(lo, hi), ...], q): certified brackets [lo/q, hi/q], each at most
+    1/(2 y_bound + 2) wide, of every real root of F(x, 1) and, when the
+    other two roots are complex, of their common real part."""
     _, b, c, d = F.coefficients
-    out: List[Tuple[int, int]] = []
-    for y in range(y_from, y_to + 1):
-        for x in integer_roots_monic_cubic(b * y, c * y * y, d * y ** 3 - 1):
-            out.append((x, y))
-    return out
+    brackets = isolate_real_roots_monic_cubic(b, c, d, Fraction(1, 2 * y_bound + 2))
+    if F.discriminant() < 0:
+        # the real parts of the pair sum with the real root to -b
+        (lo, hi), = brackets
+        brackets.append(((-b - hi) / 2, (-b - lo) / 2))
+    q = math.lcm(*(e.denominator for br in brackets for e in br))
+    return [(int(lo * q), int(hi * q)) for lo, hi in brackets], q
 
 
-def _stripe_star(args):
-    return _solutions_for_y_range(*args)
-
-
-def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int,
-                              workers: int = 1) -> SearchReport:
+def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
     """All integer solutions of F(x,y)=1 with |y| <= y_bound; the form
     must be monic in x."""
     if F.a != 1:
         raise ValueError("search requires leading coefficient 1")
     if y_bound < 0:
         raise ValueError("y_bound must be >= 0")
-    stripe = max(1, (2 * y_bound + 1) // (max(workers, 1) * 8))
-    jobs = [(F, y, min(y + stripe - 1, y_bound))
-            for y in range(-y_bound, y_bound + 1, stripe)]
-    sols = [s for chunk in parallel_map(_stripe_star, jobs, workers) for s in chunk]
-    return SearchReport(F, y_bound, tuple(sorted(set(sols))))
+    _, b, c, d = F.coefficients
+    lines, q = _root_lines(F, y_bound)
+    sols = set()
+    for y in range(-y_bound, y_bound + 1):
+        by, cy, dy = b * y, c * y * y, d * y ** 3
+        for lo, hi in lines:
+            # theta*y lies in [u/q, v/q], and x within 1 of it
+            u, v = (lo * y, hi * y) if y >= 0 else (hi * y, lo * y)
+            for x in range(-(-u // q) - 1, v // q + 2):
+                if monic_cubic(by, cy, dy, x) == 1:
+                    sols.add((x, y))
+    return SearchReport(F, y_bound, tuple(sorted(sols)))
 
 
-def verify_theorem(t: int, y_bound: int, workers: int = 1) -> bool:
+def verify_theorem(t: int, y_bound: int) -> bool:
     """True iff the bounded search finds exactly the published solution
     set of F_{3,t}(x,y)=1 restricted to |y| <= y_bound."""
     F = family_form(3, t)
-    found = thue_solutions_bruteforce(F, y_bound, workers).solutions
+    found = thue_solutions_bruteforce(F, y_bound).solutions
     expected = tuple(sorted(known_solutions(t).restricted(y_bound)))
     return found == expected
 
 
-def verify_sporadic_tables(y_bound: int = 10 ** 4,
-                           workers: int = 1) -> List[SearchReport]:
+def verify_sporadic_tables(y_bound: int = 10 ** 4) -> List[SearchReport]:
     """One report per listed sporadic form, asserting at least the
     published N_F solutions are found within the bound."""
     reports = []
@@ -199,7 +144,7 @@ def verify_sporadic_tables(y_bound: int = 10 ** 4,
             continue
         seen.add(F.coefficients)
         assert F.discriminant() == disc, (F, disc)
-        rep = thue_solutions_bruteforce(F, y_bound, workers)
+        rep = thue_solutions_bruteforce(F, y_bound)
         reports.append(SearchReport(F, y_bound, rep.solutions,
                                     expected_min_count=n_f))
     return reports

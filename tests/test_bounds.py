@@ -147,6 +147,14 @@ def test_contradiction_threshold_values():
         -7.7 * 8.6 * 10 ** 6 * math.log(10) ** 2)
     assert contradiction_threshold(3, 10) == pytest.approx(
         -8.9 * 9.8 * 10 ** 3 * math.log(10) ** 2)
+    # decay * growth, exactly; the floats the sweep margins are taken against
+    assert bounds.CONTRADICTION_COEFF == {1: (Fraction(3311, 50), 6),
+                                          2: (Fraction(553, 20), 3),
+                                          3: (Fraction(4361, 50), 3)}
+    assert [contradiction_threshold(w, t) for w in (1, 2, 3) for t in (10, 576241)] == [
+        -351091692.8758796, -4.265614000345206e+38,
+        -146597.48275472774, -9.308400183732682e+20,
+        -462431.553195926, -2.9362700326407394e+21]
 
 
 def test_lambda_coefficients_recorded():

@@ -1,12 +1,15 @@
+import argparse
 import hashlib
 import json
 import multiprocessing
+import re
 from pathlib import Path
 
 import pytest
 
 from cubicthue import cli, realnum, reduction, roots, search
 
+ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 
 
@@ -103,7 +106,8 @@ _ARGV = {"roots": ["--t", "10"], "kappas": ["--t-lo", "10", "--t-hi", "10"],
          "verify-tables": ["--y-bound", "10"]}
 _UNREAD = ([(c, "--precision") for c in ("exponents", "tmax", "search",
                                          "verify-theorem", "verify-tables")]
-           + [(c, "--workers") for c in ("roots", "exponents", "matveev", "tmax", "reduce")]
+           + [(c, "--workers") for c in ("roots", "exponents", "matveev", "tmax", "reduce",
+                                         "search", "verify-theorem", "verify-tables")]
            + [(c, "--seed") for c in _ARGV])
 
 
@@ -122,6 +126,38 @@ def test_sweep_and_certify_all_keep_the_flags_they_read():
     args = ap.parse_args(["certify-all", "--seed", "7", "--workers", "2",
                           "--precision", "600"])
     assert (args.seed, args.workers, args.precision) == (7, 2, 600)
+
+
+def _commands_reading(flag):
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return {name for name, p in sub.choices.items()
+            if any(flag in a.option_strings for a in p._actions)}
+
+
+@pytest.mark.parametrize("flag", ["--precision", "--workers", "--seed"])
+def test_readme_flag_table_matches_parser(flag):
+    # the row of the README's flag table lists exactly the commands that
+    # accept the flag
+    rows = [line for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("| `%s`" % flag)]
+    assert len(rows) == 1, rows
+    listed = set(re.findall(r"`([a-z-]+)`", rows[0].split("|")[2]))
+    assert listed == _commands_reading(flag)
+
+
+def test_sweep_refuses_a_checkpoint_for_other_parameters(capsys, tmp_path):
+    ck = tmp_path / "ck.json"
+    argv = ["sweep", "--t-lo", "10", "--t-hi", "11", "--checkpoint", str(ck),
+            "--output", str(tmp_path / "out.jsonl")]
+    assert run(argv) == 0
+    before = ck.read_bytes()
+    capsys.readouterr()
+    assert run(argv + ["--A", "1e6"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("cubicthue sweep: error: checkpoint ")
+    assert len(err.splitlines()) == 1
+    assert ck.read_bytes() == before
 
 
 def test_sweep_small_range(capsys, tmp_path):

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -197,9 +198,11 @@ def test_verify_range_checkpoint_resume(tmp_path):
     # resuming with a complete checkpoint does no further work
     again = list(verify_range(2, 10, 20, checkpoint_path=ck))
     assert again == []
-    # checkpoint for different parameters is ignored
-    other = verify_range(2, 10, 12, A=10 ** 6, checkpoint_path=ck)
-    assert [o.t for o in other] == [10, 11, 12]
+    # a checkpoint for different parameters is refused and left alone
+    before = Path(ck).read_bytes()
+    with pytest.raises(ValueError, match="checkpoint"):
+        verify_range(2, 10, 12, A=10 ** 6, checkpoint_path=ck)
+    assert Path(ck).read_bytes() == before
 
 
 def test_verify_range_checkpoints_every_interval(monkeypatch, tmp_path):

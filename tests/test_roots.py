@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from cubicthue import roots
+from cubicthue.forms import BinaryCubicForm, discriminant
 from cubicthue.errors import PrecisionInsufficientError
 from cubicthue.roots import (KAPPA_TARGETS, cubic_coeffs,
-                             intervals_disjoint, isolate_roots, kappa_envelope,
-                             kappa_t_only, verify_kappas)
+                             intervals_disjoint, isolate_real_roots_monic_cubic,
+                             isolate_roots, kappa_envelope, kappa_t_only,
+                             verify_kappas)
 
 
 def _reference_bisect(B, C, D, lo, hi, width):
@@ -215,6 +218,42 @@ def test_generic_isolation_small_t():
         B, C, D = cubic_coeffs(t)
         for th in tr.thetas:
             assert (((th + B) * th + C) * th + D).contains_zero()
+
+
+def _assert_isolates_all(B, C, D, width, expected):
+    brackets = sorted(isolate_real_roots_monic_cubic(B, C, D, width))
+    assert len(brackets) == expected, (B, C, D, brackets)
+    f = lambda x: ((x + B) * x + C) * x + D
+    for (lo, hi), (nxt, _) in zip(brackets, brackets[1:] + [(None, None)]):
+        assert hi - lo <= width
+        assert f(lo) * f(hi) < 0 or f((lo + hi) / 2) == 0
+        assert nxt is None or hi < nxt
+
+
+def test_isolation_separates_two_roots_in_one_critical_zone():
+    # roots ~ -0.616 and -0.462 both lie in the isqrt bracket [-2/3, -1/3]
+    # of the critical point ~ -0.53, where P keeps one sign
+    _assert_isolates_all(-27, -30, -8, Fraction(1, 2 ** 20), 3)
+
+
+def test_isolation_finds_every_distinct_real_root():
+    rng = random.Random(7)
+    for _ in range(400):
+        if rng.random() < 0.5:
+            # close roots: a product of linear factors, shifted slightly
+            r = [rng.randrange(-40, 41) for _ in range(3)]
+            B, C, D = (-sum(r), r[0] * r[1] + r[0] * r[2] + r[1] * r[2],
+                       -r[0] * r[1] * r[2] + rng.randrange(-3, 4))
+        else:
+            B, C, D = (rng.randrange(-60, 61) for _ in range(3))
+        disc = discriminant(BinaryCubicForm(1, B, C, D))
+        if disc < 0:
+            expected = 1
+        elif disc > 0:
+            expected = 3
+        else:
+            expected = len({x for x in range(-200, 201) if ((x + B) * x + C) * x + D == 0})
+        _assert_isolates_all(B, C, D, Fraction(1, 2 ** 30), expected)
 
 
 @pytest.mark.parametrize("t", (10, 11, 137, 2000, 576241, 10 ** 7))

@@ -6,38 +6,8 @@ import pytest
 from cubicthue import search
 from cubicthue.forms import BinaryCubicForm, evaluate, family_form
 from cubicthue.search import (DELONE_NAGELL_TABLE, MANY_SOLUTIONS_TABLE,
-                              integer_roots_monic_cubic,
                               thue_solutions_bruteforce, verify_sporadic_tables,
                               verify_theorem)
-
-
-def test_integer_roots_exact():
-    # (x-2)(x+3)(x-7) = x^3 - 6x^2 - 13x + 42
-    assert integer_roots_monic_cubic(-6, -13, 42) == [-3, 2, 7]
-    assert integer_roots_monic_cubic(0, 0, -27) == [3]
-    assert integer_roots_monic_cubic(0, 0, 5) == []
-    assert integer_roots_monic_cubic(0, -1, 0) == [-1, 0, 1]
-    assert integer_roots_monic_cubic(3, 3, 1) == [-1]  # triple root
-
-
-def test_integer_roots_random_cross_check():
-    rng = random.Random(91)
-    for _ in range(2000):
-        r1 = rng.randrange(-50, 51)
-        r2 = rng.randrange(-50, 51)
-        r3 = rng.randrange(-50, 51)
-        B = -(r1 + r2 + r3)
-        C = r1 * r2 + r1 * r3 + r2 * r3
-        D = -r1 * r2 * r3
-        assert integer_roots_monic_cubic(B, C, D) == sorted({r1, r2, r3})
-    for _ in range(2000):
-        B = rng.randrange(-100, 101)
-        C = rng.randrange(-100, 101)
-        D = rng.randrange(-100, 101)
-        got = integer_roots_monic_cubic(B, C, D)
-        want = [x for x in range(-202, 203)
-                if ((x + B) * x + C) * x + D == 0]
-        assert got == want
 
 
 def test_bruteforce_delone_nagell_example():
@@ -64,13 +34,6 @@ def test_bruteforce_rejects_non_monic():
         thue_solutions_bruteforce(family_form(3, 2), -1)
 
 
-def test_bruteforce_worker_determinism():
-    F = family_form(3, -3)
-    serial = thue_solutions_bruteforce(F, 500)
-    parallel = thue_solutions_bruteforce(F, 500, workers=4)
-    assert serial.solutions == parallel.solutions
-
-
 def test_counts_monotone_in_y_bound():
     F = BinaryCubicForm(1, -1, -2, 1)
     counts = [thue_solutions_bruteforce(F, yb).count for yb in (1, 5, 50, 500)]
@@ -93,7 +56,7 @@ def test_verify_theorem_small_range():
 
 
 def test_two_dimensional_scan_cross_check():
-    # completeness of the per-y root extraction against a full scan
+    # completeness of the bounded search against a full scan
     xs = np.arange(-10 ** 6, 10 ** 6 + 1, dtype=np.int64)
     x3 = xs * xs * xs
     x2 = xs * xs
@@ -106,6 +69,50 @@ def test_two_dimensional_scan_cross_check():
         rep = thue_solutions_bruteforce(F, 50)
         narrowed = [(x, y) for (x, y) in rep.solutions if abs(x) <= 10 ** 6]
         assert sorted(found) == sorted(narrowed)
+
+
+def _scan(F, y_bound):
+    """Every solution of F(x,y)=1 with |y| <= y_bound, by scanning every
+    x up to |y| times the Cauchy bound M of z^3 + b z^2 + c z + d - 1/y^3,
+    which z = x/y solves."""
+    _, b, c, d = F.coefficients
+    M = 2 + max(abs(b), abs(c), abs(d))
+    assert (M * max(y_bound, 1)) ** 3 < 2 ** 62      # no int64 overflow
+    found = []
+    for y in range(-y_bound, y_bound + 1):
+        xs = np.arange(-M * max(abs(y), 1), M * max(abs(y), 1) + 1, dtype=np.int64)
+        vals = ((xs + b * y) * xs + c * y * y) * xs + d * y ** 3
+        found += [(int(x), y) for x in xs[vals == 1]]
+    return tuple(sorted(found))
+
+
+def _oracle_forms():
+    rng = random.Random(2014)
+    forms = [BinaryCubicForm(1, -27, -30, -8),      # two roots in one critical zone
+             BinaryCubicForm(1, 3, 3, 1),           # (x + y)^3
+             BinaryCubicForm(1, 0, -3, 2),          # (x - y)^2 (x + 2y)
+             BinaryCubicForm(1, -5, 8, -4),         # (x - y)(x - 2y)^2
+             BinaryCubicForm(1, 0, 0, 0),           # x^3
+             BinaryCubicForm(1, 0, 0, -1)]          # a single integer root line
+    forms += [F for F, _, _ in DELONE_NAGELL_TABLE]
+    for _ in range(100):
+        # shifted products of linear factors: roots at or near integers
+        r1, r2, r3 = (rng.randrange(-6, 7) for _ in range(3))
+        forms.append(BinaryCubicForm(1, -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3,
+                                     -r1 * r2 * r3 + rng.randrange(-2, 3)))
+    for _ in range(100):
+        forms.append(BinaryCubicForm(1, *(rng.randrange(-20, 21) for _ in range(3))))
+    return forms
+
+
+def test_bruteforce_matches_exhaustive_scan():
+    forms = _oracle_forms()
+    discs = [F.discriminant() for F in forms]
+    assert sum(d < 0 for d in discs) >= 20 and sum(d == 0 for d in discs) >= 5
+    for F in forms:
+        assert thue_solutions_bruteforce(F, 15).solutions == _scan(F, 15), F
+    # a solution at every y
+    assert thue_solutions_bruteforce(BinaryCubicForm(1, 3, 3, 1), 15).count == 31
 
 
 def test_sporadic_tables_reports():
