@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import json
 import os
 import random
@@ -56,24 +55,30 @@ def _precision_cap(precision: Optional[int], default: int) -> Optional[int]:
 
 class _Output:
     """JSON-lines sink: each record is written and flushed as it is
-    emitted, to the --output file or to stdout.  An --output file with
-    no records holds a single newline."""
+    emitted, to the --output file or to stdout.  The file is opened at
+    the first record, so a run that ends before one leaves it as it was;
+    a finished run with no records writes a single newline."""
 
     def __init__(self, path: Optional[str]):
-        self.fh = open(path, "w") if path else None
-        self.emitted = False
+        self.path = path
+        self.fh = None
 
     def emit(self, record: dict):
         record.setdefault("schema", 1)
-        fh = self.fh or sys.stdout
+        if self.path is None:
+            fh = sys.stdout
+        else:
+            if self.fh is None:
+                self.fh = open(self.path, "w")
+            fh = self.fh
         fh.write(json.dumps(record, sort_keys=True) + "\n")
         fh.flush()
-        self.emitted = True
 
-    def close(self):
+    def close(self, finished: bool = True):
+        if self.fh is None and self.path is not None and finished:
+            self.fh = open(self.path, "w")
+            self.fh.write("\n")
         if self.fh is not None:
-            if not self.emitted:
-                self.fh.write("\n")
             self.fh.close()
 
 
@@ -179,6 +184,9 @@ def _cmd_roots(args, out: _Output) -> int:
 
 def _cmd_kappas(args, out: _Output) -> int:
     ts = list(range(args.t_lo, args.t_hi + 1)) + list(args.extra_t)
+    if any(t < 10 for t in ts):
+        # refused before the first record, not at the first t below 10
+        raise ValueError("kappa claims are certified for t >= 10 only")
     workers = _env_workers(args.workers)
     failures = 0
     jobs = [(t, _precision_cap(args.precision, roots.default_precision(t))) for t in ts]
@@ -331,12 +339,10 @@ def _cmd_certify_all(args, out: _Output) -> int:
     rc = max(rc, stage(_cmd_sweep, which=2, csv=None,
                        samples=0 if args.full else SWEEP_SAMPLE_COUNT))
 
-    # one pool over t, each bounded search serial inside it
-    ts = [t for t in range(-30, 31) if t not in (0, 1)]
-    holds = functools.partial(search.verify_theorem, y_bound=args.y_bound)
+    # serial: a bounded search costs well under a millisecond per t
     fails = 0
-    for t, ok in zip(ts, parallel_map(holds, ts, _env_workers(args.workers))):
-        if not ok:
+    for t in range(-30, 31):
+        if t not in (0, 1) and not search.verify_theorem(t, args.y_bound):
             fails += 1
             print("theorem verification FAILED at t=%d" % t)
     out.emit({"stage": "theorem-range", "t_range": [-30, 30],
@@ -370,6 +376,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     out = _Output(getattr(args, "output", None))
+    rc = None
     try:
         rc = _COMMANDS[args.command](args, out)
     except ValueError as exc:
@@ -377,7 +384,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("cubicthue %s: error: %s" % (args.command, exc), file=sys.stderr)
         rc = EXIT_USAGE
     finally:
-        out.close()
+        # a refused run (exit 3) or an error before the first record
+        # leaves an existing --output file untouched
+        out.close(finished=rc not in (None, EXIT_USAGE))
     return rc
 
 

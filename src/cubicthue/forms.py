@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Tuple
 
+from .errors import VerificationFailedError
+
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
 IDENTITY: Matrix = ((1, 0), (0, 1))
@@ -108,7 +110,9 @@ def known_solutions(t: int) -> SolutionSet:
     F = family_form(3, t)
     uniq = sorted(set(sols))
     for (x, y) in uniq:
-        assert evaluate(F, x, y) == 1, (t, x, y)
+        if evaluate(F, x, y) != 1:
+            raise VerificationFailedError(
+                "(%d, %d) is not a solution at t=%d" % (x, y, t))
     return SolutionSet(t, tuple(uniq))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from mpmath.libmp import (from_int, mpf_lt, mpf_sign, mpi_abs, mpi_add, mpi_div,
                           mpi_log, mpi_mul, mpi_neg, mpi_pow_int, mpi_sub,
@@ -284,44 +284,65 @@ def _convergents_of_fraction(x: Fraction, Q: int) -> List[Convergent]:
     return out
 
 
+def lockstep_convergents(a: int, b: int, c: int, d: int,
+                         Q: int) -> Tuple[List[Convergent], Optional[int]]:
+    """The convergents p/q with q <= Q that every real in [a/b, c/d]
+    shares (a/b < c/d, b > 0, d > 0).
+
+    Both endpoints are expanded in lockstep, each as an unreduced integer
+    pair (num, den) with den > 0.  The reals in the interval share every
+    partial quotient on which the endpoints agree: the reals whose
+    expansion starts with given quotients form an interval.  Returns
+    (convergents, None) once the next shared convergent has q > Q.  When
+    the endpoints disagree on a partial quotient, every real in the
+    interval has a quotient there at least the lower endpoint's, f;
+    returns (convergents so far, f * q_(n-1) + q_(n-2)), the least
+    denominator the next convergent of any of them can have.  Raises
+    PrecisionInsufficientError when an endpoint's expansion terminates
+    before q passes Q: the expansion of the reals inside is then not
+    determined by the interval.
+    """
+    out: List[Convergent] = []
+    pm1, qm1, pm2, qm2 = 1, 0, 0, 1
+    while True:
+        fa, ra = divmod(a, b)
+        fb, rc = divmod(c, d)
+        if fa != fb:
+            # the lower endpoint's quotient is the smaller one
+            return out, fa * qm1 + qm2
+        p = fa * pm1 + pm2
+        q = fa * qm1 + qm2
+        if q > Q:
+            return out, None
+        out.append(Convergent(p, q, len(out)))
+        pm2, qm2, pm1, qm1 = pm1, qm1, p, q
+        if ra == 0 or rc == 0:
+            raise PrecisionInsufficientError(
+                "endpoint expansion terminated at denominator %d <= Q=%d" % (qm1, Q))
+        # [a/b, c/d] - fa inverts to [d/rc, b/ra]
+        a, b, c, d = d, rc, b, ra
+
+
 def continued_fraction_convergents(x: CertifiedReal, Q: int) -> List[Convergent]:
     """Convergents p/q (q <= Q) of the exact real enclosed by x.
 
     With a zero-radius input the expansion is the exact Euclidean one.
-    Otherwise both endpoints are expanded in lockstep, each as an
-    unreduced integer pair (num, den) with den > 0; a disagreement in
-    any partial quotient before the denominator exceeds Q means the
-    enclosure is too wide to pin down the expansion.
+    Otherwise they are the convergents every real in the enclosure
+    shares (`lockstep_convergents`); a disagreement in any partial
+    quotient before the denominator exceeds Q means the enclosure is too
+    wide to pin down the expansion, and raises.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
     (a, b), (c, d) = to_rational(x._mpi[0]), to_rational(x._mpi[1])
     if a * d == c * b:
         return _convergents_of_fraction(Fraction(a, b), Q)
-    out: List[Convergent] = []
-    pm1, qm1, pm2, qm2 = 1, 0, 0, 1
-    idx = 0
-    while True:
-        fa, ra = divmod(a, b)
-        fb, rc = divmod(c, d)
-        if fa != fb:
-            raise PrecisionInsufficientError(
-                "endpoints disagree on partial quotient %d (denominator %d <= Q=%d)"
-                % (idx, qm1, Q))
-        p = fa * pm1 + pm2
-        q = fa * qm1 + qm2
-        if q > Q:
-            return out
-        out.append(Convergent(p, q, idx))
-        idx += 1
-        pm2, qm2, pm1, qm1 = pm1, qm1, p, q
-        if ra == 0 or rc == 0:
-            # an endpoint terminated; the true expansion beyond this
-            # point is not determined by the enclosure
-            raise PrecisionInsufficientError(
-                "endpoint expansion terminated at denominator %d <= Q=%d" % (qm1, Q))
-        # [a/b, c/d] - fa inverts to [d/rc, b/ra]
-        a, b, c, d = d, rc, b, ra
+    out, next_q = lockstep_convergents(a, b, c, d, Q)
+    if next_q is not None:
+        raise PrecisionInsufficientError(
+            "endpoints disagree on partial quotient %d (denominator %d <= Q=%d)"
+            % (len(out), out[-1].q if out else 0, Q))
+    return out
 
 
 def _dist_to_nearest_int(r: Fraction) -> Fraction:

@@ -1,17 +1,30 @@
-"""Exhaustive bounded solution search for monic cubic Thue equations
-F(x,y)=1, verification of the family theorem at small t, and the
-sporadic tables.
+"""Bounded solution search for monic cubic Thue equations F(x,y)=1,
+verification of the family theorem at small t, and the sporadic tables.
 
-F(x,y) = (x - theta_1 y)(x - theta_2 y)(x - theta_3 y), so F(x,y) = 1
-forces some factor to have modulus at most 1: |x - theta y| <= 1 for a
-real root theta, and |x - Re(theta) y| <= 1 for a complex one.  Per y
-the search therefore tests the few integers x within 1 of theta y on
-each root line, with theta taken from certified rational brackets of
-the roots of F(x,1) and of the real part of a complex pair.  The
-window is found with integer floor and ceiling, and the accept/reject
-decision is always an exact integer evaluation, never a floating-point
-comparison.  Completeness beyond |y| <= y_bound is NOT claimed; reports
-carry an explicit bounded-verification caveat.
+F(x,y) = (x - theta_1 y)(x - theta_2 y)(x - theta_3 y) over the roots of
+F(x,1).  The search covers |y| <= Y in two ranges of y, split at a
+threshold y0 that depends on the form:
+
+- |y| < y0, the root-line scan.  F(x,y) = 1 forces some factor to have
+  modulus at most 1: |x - theta y| <= 1 for a real root theta, and
+  |x - Re(theta) y| <= 1 for a complex one.  Per y the scan tests the
+  few integers x within 1 of theta y on each root line, found with
+  integer floor and ceiling.
+- y0 <= |y| <= Y, the convergents.  There a solution has
+  |theta - x/y| < 1/(2 y^2) for a real root theta, so by Legendre's
+  theorem x/y is a continued-fraction convergent p/q of theta.  A
+  common divisor of x and y divides F(x,y) = 1, so (x, y) = +-(p, q)
+  exactly; the search tests F(p, q) = +-1 for each convergent with
+  y0 <= q <= Y.  This is the small-solution step of Thue solving
+  (Tzanakis & de Weger 1989; Bilu & Hanrot 1996), and its cost is
+  logarithmic in Y.
+
+Both ranges read the same certified rational brackets of the real roots,
+found once per form.  y0 comes from exact rational bounds on those
+brackets (see `_threshold`), every accepted (x, y) from an exact integer
+evaluation of F; no decision rests on floating point.  Completeness
+beyond |y| <= Y is NOT claimed; reports carry an explicit
+bounded-verification caveat.
 """
 
 from __future__ import annotations
@@ -19,10 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
+from .errors import PrecisionInsufficientError, VerificationFailedError
 from .forms import BinaryCubicForm, family_form, known_solutions, monic_cubic
-from .roots import isolate_real_roots_monic_cubic
+from .realnum import Convergent, lockstep_convergents
+from .roots import _bisect, isolate_real_roots_monic_cubic
 
 # (form, discriminant, published solution count) for the positive-
 # discriminant sporadic classes with N_F >= 6
@@ -90,31 +105,83 @@ class SearchReport:
         }
 
 
-def _root_lines(F: BinaryCubicForm, y_bound: int) -> Tuple[List[Tuple[int, int]], int]:
-    """([(lo, hi), ...], q): certified brackets [lo/q, hi/q], each at most
-    1/(2 y_bound + 2) wide, of every real root of F(x, 1) and, when the
-    other two roots are complex, of their common real part."""
+def _brackets(F: BinaryCubicForm, y_bound: int) -> List[Tuple[Fraction, Fraction]]:
+    """Certified brackets, each at most 1/(2 y_bound^2 + 2) wide and in
+    increasing order, of the real roots of F(x, 1)."""
     _, b, c, d = F.coefficients
-    brackets = isolate_real_roots_monic_cubic(b, c, d, Fraction(1, 2 * y_bound + 2))
+    return isolate_real_roots_monic_cubic(b, c, d, Fraction(1, 2 * y_bound ** 2 + 2))
+
+
+def _threshold(F: BinaryCubicForm, brackets: List[Tuple[Fraction, Fraction]],
+               y_bound: int) -> int:
+    """y0 <= y_bound + 1 such that every solution of F(x,y) = 1 with
+    |y| >= y0 has |theta - x/y| < 1/(2 y^2) for a real root theta.
+
+    Three real roots: let g > 0 bound the gaps between the roots from
+    below.  Take theta_i nearest x/y; each other factor of F(x,y) has
+    |x - theta_j y| >= g|y| - 1, so |x - theta_i y| <= 1/(g|y| - 1)^2
+    and |theta_i - x/y| < 1/(2 y^2) once (g|y| - 1)^2 > 2|y| with
+    g|y| > 1.  The least such y solves it for every larger y too: there
+    g (g y - 1) > 2, so (g y - 1)^2 - 2y increases.
+
+    One real root r: the complex pair theta', conj(theta') has
+    |x - theta' y| >= |Im theta'| |y|, so |r - x/y| <= 1/(Im^2 theta' |y|^3),
+    below 1/(2 y^2) once |y| > 2/Im^2 theta'.  By Vieta,
+    Im^2 theta' = (3r^2 + 2br + 4c - b^2)/4, a convex parabola in r whose
+    least value m over r's bracket gives y0 = floor(2/m) + 1.
+
+    A repeated root, an integer root, or a bound that is not positive
+    leaves y0 = y_bound + 1: the root-line scan then covers every y."""
+    _, b, c, d = F.coefficients
+    disc = F.discriminant()
+    if disc == 0 or any(monic_cubic(b, c, d, n) == 0 for lo, hi in brackets
+                        for n in range(math.ceil(lo), math.floor(hi) + 1)):
+        return y_bound + 1
+    if disc > 0:
+        g = min(lo - hi for (_, hi), (lo, _) in zip(brackets, brackets[1:]))
+        if g <= 0:
+            return y_bound + 1
+
+        def holds(y: int) -> bool:
+            return g * y > 1 and (g * y - 1) ** 2 > 2 * y
+
+        # y > ((g + 1) + sqrt(2g + 1)) / g^2, from below in integers
+        n, m = g.numerator, g.denominator
+        y0 = max(1, m * (n + m + math.isqrt(m * (2 * n + m))) // (n * n))
+        while not holds(y0):
+            y0 += 1
+        while y0 > 1 and holds(y0 - 1):
+            y0 -= 1
+    else:
+        (lo, hi), = brackets
+
+        def im2(r: Fraction) -> Fraction:
+            return (3 * r * r + 2 * b * r + 4 * c - b * b) / 4
+
+        vertex = Fraction(-b, 3)
+        m = im2(vertex) if lo <= vertex <= hi else min(im2(lo), im2(hi))
+        if m <= 0:
+            return y_bound + 1
+        y0 = math.floor(2 / m) + 1
+    return min(y0, y_bound + 1)
+
+
+def _scan(F: BinaryCubicForm, brackets: List[Tuple[Fraction, Fraction]],
+          y_max: int) -> Set[Tuple[int, int]]:
+    """Solutions with |y| <= y_max, from the integers within 1 of each
+    root line: the real roots in `brackets` (each at most
+    1/(2 y_max + 2) wide) and, when the other two roots are complex,
+    their common real part."""
+    _, b, c, d = F.coefficients
+    lines = list(brackets)
     if F.discriminant() < 0:
         # the real parts of the pair sum with the real root to -b
         (lo, hi), = brackets
-        brackets.append(((-b - hi) / 2, (-b - lo) / 2))
-    q = math.lcm(*(e.denominator for br in brackets for e in br))
-    return [(int(lo * q), int(hi * q)) for lo, hi in brackets], q
-
-
-def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
-    """All integer solutions of F(x,y)=1 with |y| <= y_bound; the form
-    must be monic in x."""
-    if F.a != 1:
-        raise ValueError("search requires leading coefficient 1")
-    if y_bound < 0:
-        raise ValueError("y_bound must be >= 0")
-    _, b, c, d = F.coefficients
-    lines, q = _root_lines(F, y_bound)
+        lines.append(((-b - hi) / 2, (-b - lo) / 2))
+    q = math.lcm(*(e.denominator for br in lines for e in br))
+    lines = [(int(lo * q), int(hi * q)) for lo, hi in lines]
     sols = set()
-    for y in range(-y_bound, y_bound + 1):
+    for y in range(-y_max, y_max + 1):
         by, cy, dy = b * y, c * y * y, d * y ** 3
         for lo, hi in lines:
             # theta*y lies in [u/q, v/q], and x within 1 of it
@@ -122,6 +189,49 @@ def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
             for x in range(-(-u // q) - 1, v // q + 2):
                 if monic_cubic(by, cy, dy, x) == 1:
                     sols.add((x, y))
+    return sols
+
+
+def _root_convergents(F: BinaryCubicForm, lo: Fraction, hi: Fraction,
+                      y_bound: int) -> List[Convergent]:
+    """The convergents p/q, q <= y_bound, of the irrational root of F(x, 1)
+    in the sign-change bracket [lo, hi].  They are the convergents that
+    every real in the bracket shares, which stop cleanly when the
+    endpoints disagree on a quotient whose smaller value already takes q
+    past y_bound.  Any other disagreement, or an endpoint whose
+    expansion ends, refines the bracket to the square of its width."""
+    _, b, c, d = F.coefficients
+    while True:
+        try:
+            convergents, next_q = lockstep_convergents(
+                lo.numerator, lo.denominator, hi.numerator, hi.denominator, y_bound)
+            if next_q is None or next_q > y_bound:
+                return convergents
+        except PrecisionInsufficientError:
+            pass
+        width = hi - lo
+        lo, hi = _bisect(b, c, d, lo, hi, width * width)
+
+
+def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
+    """All integer solutions of F(x,y)=1 with |y| <= y_bound; the form
+    must be monic in x.  The root-line scan covers |y| < y0, and the
+    convergents of each real root cover y0 <= |y| <= y_bound."""
+    if F.a != 1:
+        raise ValueError("search requires leading coefficient 1")
+    if y_bound < 0:
+        raise ValueError("y_bound must be >= 0")
+    brackets = _brackets(F, y_bound)
+    y0 = _threshold(F, brackets, y_bound)
+    sols = _scan(F, brackets, y0 - 1)
+    if y0 <= y_bound:
+        for lo, hi in brackets:
+            for cv in _root_convergents(F, lo, hi, y_bound):
+                if cv.q >= y0:
+                    # F(-p, -q) = -F(p, q)
+                    value = F(cv.p, cv.q)
+                    if value in (1, -1):
+                        sols.add((value * cv.p, value * cv.q))
     return SearchReport(F, y_bound, tuple(sorted(sols)))
 
 
@@ -143,7 +253,10 @@ def verify_sporadic_tables(y_bound: int = 10 ** 4) -> List[SearchReport]:
         if F.coefficients in seen:
             continue
         seen.add(F.coefficients)
-        assert F.discriminant() == disc, (F, disc)
+        if F.discriminant() != disc:
+            raise VerificationFailedError(
+                "table row %s lists discriminant %d, the form has %d"
+                % (F, disc, F.discriminant()))
         rep = thue_solutions_bruteforce(F, y_bound)
         reports.append(SearchReport(F, y_bound, rep.solutions,
                                     expected_min_count=n_f))

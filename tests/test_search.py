@@ -1,13 +1,18 @@
 import random
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from cubicthue import search
+from cubicthue import forms, roots, search
+from cubicthue.errors import PrecisionInsufficientError, VerificationFailedError
 from cubicthue.forms import BinaryCubicForm, evaluate, family_form
+from cubicthue.realnum import (CertifiedReal, continued_fraction_convergents,
+                               lockstep_convergents)
 from cubicthue.search import (DELONE_NAGELL_TABLE, MANY_SOLUTIONS_TABLE,
-                              thue_solutions_bruteforce, verify_sporadic_tables,
-                              verify_theorem)
+                              SPORADIC_CLASSES_TABLE, thue_solutions_bruteforce,
+                              verify_sporadic_tables, verify_theorem)
 
 
 def test_bruteforce_delone_nagell_example():
@@ -56,19 +61,10 @@ def test_verify_theorem_small_range():
 
 
 def test_two_dimensional_scan_cross_check():
-    # completeness of the bounded search against a full scan
-    xs = np.arange(-10 ** 6, 10 ** 6 + 1, dtype=np.int64)
-    x3 = xs * xs * xs
-    x2 = xs * xs
+    # completeness of the bounded search against a full scan: every x
+    # up to the Cauchy bound, so the whole solution set with |y| <= 50
     for F, _, _ in MANY_SOLUTIONS_TABLE:
-        found = []
-        for y in range(-50, 51):
-            vals = x3 + F.b * y * x2 + F.c * y * y * xs + F.d * y ** 3
-            for x in xs[vals == 1]:
-                found.append((int(x), y))
-        rep = thue_solutions_bruteforce(F, 50)
-        narrowed = [(x, y) for (x, y) in rep.solutions if abs(x) <= 10 ** 6]
-        assert sorted(found) == sorted(narrowed)
+        assert thue_solutions_bruteforce(F, 50).solutions == _scan(F, 50), F
 
 
 def _scan(F, y_bound):
@@ -113,6 +109,128 @@ def test_bruteforce_matches_exhaustive_scan():
         assert thue_solutions_bruteforce(F, 15).solutions == _scan(F, 15), F
     # a solution at every y
     assert thue_solutions_bruteforce(BinaryCubicForm(1, 3, 3, 1), 15).count == 31
+
+
+def test_search_past_the_threshold_matches_exhaustive_scan():
+    # at y <= 200 most forms have y0 <= 200, so the convergents of the
+    # real roots carry the search beyond y0
+    Y = 200
+    oracle = _oracle_forms()
+    below = beyond = 0
+    past = {-1: 0, 1: 0}
+    for F in oracle:
+        found = thue_solutions_bruteforce(F, Y).solutions
+        assert found == _scan(F, Y), F
+        y0 = search._threshold(F, search._brackets(F, Y), Y)
+        if y0 <= Y:
+            past[1 if F.discriminant() > 0 else -1] += 1
+        beyond += sum(abs(y) >= y0 for _, y in found)
+        below += sum(abs(y) < y0 for _, y in found)
+    # 209 forms: 74 of the 77 with one real root and 97 of the 122 with
+    # three go past y0, and 80 of 1221 solutions lie beyond it
+    assert len(oracle) == 209
+    assert past[-1] >= 50 and past[1] >= 80
+    assert below >= 1000 and beyond >= 50
+
+
+def test_threshold_is_the_least_y_the_true_roots_allow():
+    # y0 against the roots to 50 digits: from y0 on the premise of
+    # Legendre's bound holds, and one below y0 it fails even with the
+    # true bound lowered by what brackets of width w can lose
+    Y = 200
+    w = mpmath.mpf(1) / (2 * Y * Y + 2)
+    checked = 0
+    for F in _oracle_forms():
+        y0 = search._threshold(F, search._brackets(F, Y), Y)
+        if y0 > Y:
+            continue
+        _, b, c, _ = F.coefficients
+        with mpmath.workdps(50):
+            zs = mpmath.polyroots(F.coefficients, maxsteps=200, extraprec=200)
+            reals = sorted(z.real for z in zs if abs(z.imag) < mpmath.mpf(10) ** -30)
+            if len(reals) == 3:
+                gap = min(v - u for u, v in zip(reals, reals[1:]))
+
+                def premise(y, g):
+                    return g * y > 1 and (g * y - 1) ** 2 > 2 * y
+                bound, lowered = gap, gap - 2 * w
+            else:
+                def premise(y, m):
+                    return m * y > 2
+                r, = reals
+                bound = max(z.imag for z in zs) ** 2
+                lowered = min((3 * x * x + 2 * b * x + 4 * c - b * b) / 4
+                              for x in (r - w, r + w))
+            assert premise(y0, bound), F
+            assert y0 == 1 or not premise(y0 - 1, lowered), F
+        checked += 1
+    assert checked >= 150
+
+
+def test_convergents_stop_cleanly_past_the_bound(monkeypatch):
+    # [7; N, 2] and [7; N - 1, 2] disagree at index 1, on N - 1 against N
+    N = 10 ** 6
+    lo, hi = 7 + 1 / Fraction(2 * N + 1, 2), 7 + 1 / Fraction(2 * N - 1, 2)
+    convergents, next_q = lockstep_convergents(
+        lo.numerator, lo.denominator, hi.numerator, hi.denominator, 5000)
+    assert [(c.p, c.q) for c in convergents] == [(7, 1)] and next_q == N - 1
+    # the reduction still refuses the same enclosure
+    with pytest.raises(PrecisionInsufficientError, match="partial quotient 1 "):
+        continued_fraction_convergents(CertifiedReal.from_endpoints(lo, hi, 128), 5000)
+    # theta3 = t^4 - 2t - ~t^-8 at t = 30 stops on a quotient ~t^8 at q = 1
+    stops = []
+
+    def recording(*args):
+        out = lockstep_convergents(*args)
+        stops.append(out[1])
+        return out
+
+    monkeypatch.setattr(search, "lockstep_convergents", recording)
+    F = family_form(3, 30)
+    lo, hi = search._brackets(F, 5000)[2]
+    got = search._root_convergents(F, lo, hi, 5000)
+    assert [(c.p, c.q) for c in got] == [(809939, 1), (809940, 1)]
+    assert stops[-1] > 30 ** 7
+
+
+def test_convergents_refine_the_bracket(monkeypatch):
+    # the bracket of theta3 at t = 2 leaves a quotient in dispute that
+    # could still give q <= 5000, so it is refined before the expansion
+    refined = []
+    bisect = search._bisect
+    monkeypatch.setattr(search, "_bisect",
+                        lambda *args: refined.append(args) or bisect(*args))
+    F = family_form(3, 2)
+    lo, hi = search._brackets(F, 5000)[2]
+    got = search._root_convergents(F, lo, hi, 5000)
+    assert len(refined) == 1
+    want = continued_fraction_convergents(roots.isolate_roots(2, 400).theta3, 5000)
+    assert [(c.p, c.q) for c in got] == [(c.p, c.q) for c in want]
+
+
+def test_deep_bounds_return_the_published_lists():
+    # y_bound = 10^30 holds every published solution (|y| <= t^8 ~ 6.6e11)
+    for t in range(-30, 31):
+        if t not in (0, 1):
+            assert verify_theorem(t, 10 ** 30), t
+    counts = {r.form.coefficients: r.count for r in verify_sporadic_tables(10 ** 30)}
+    for F, _, n_f in MANY_SOLUTIONS_TABLE + SPORADIC_CLASSES_TABLE + DELONE_NAGELL_TABLE:
+        assert counts[F.coefficients] == n_f, F
+    assert [counts[F.coefficients] for F, _, _ in MANY_SOLUTIONS_TABLE] == [9, 6, 6, 6, 6]
+    assert [counts[F.coefficients] for F, _, _ in DELONE_NAGELL_TABLE] == [5, 4, 4]
+
+
+def test_wrong_table_row_raises(monkeypatch):
+    F, disc, n_f = DELONE_NAGELL_TABLE[0]
+    monkeypatch.setattr(search, "DELONE_NAGELL_TABLE", ((F, disc + 1, n_f),))
+    with pytest.raises(VerificationFailedError, match="discriminant -22"):
+        verify_sporadic_tables(10)
+
+
+def test_wrong_known_solution_raises(monkeypatch):
+    monkeypatch.setattr(forms, "family_form", lambda i, t: BinaryCubicForm(1, 0, 0, 2))
+    with pytest.raises(VerificationFailedError, match="not a solution at t=2"):
+        forms.known_solutions(2)
 
 
 def test_sporadic_tables_reports():
