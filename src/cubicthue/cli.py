@@ -17,6 +17,7 @@ from decimal import Decimal
 from typing import List, Optional
 
 from . import bounds, exponents, forms, realnum, reduction, roots, search
+from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .parallel import parallel_map
 
 EXIT_OK = 0
@@ -190,21 +191,33 @@ def _cmd_kappas(args, out: _Output) -> int:
     workers = _env_workers(args.workers)
     failures = 0
     jobs = [(t, _precision_cap(args.precision, roots.default_precision(t))) for t in ts]
-    for rep_rows, t, all_pass in parallel_map(_kappa_report_row, jobs, workers):
+    inconclusive = 0
+    for rep_rows, t, all_pass, error in parallel_map(_kappa_report_row, jobs, workers):
+        if error is not None:
+            inconclusive += 1
+            print("kappas: t=%d inconclusive: %s" % (t, error), file=sys.stderr)
+            continue
         for row in rep_rows:
             out.emit(row)
         if not all_pass:
             failures += 1
             print("kappa FAILURE at t=%d" % t)
     print("kappas: %d/%d parameter values fully certified" %
-          (len(ts) - failures, len(ts)))
-    return EXIT_OK if failures == 0 else EXIT_VERIFICATION_FAILED
+          (len(ts) - failures - inconclusive, len(ts)))
+    if failures:
+        return EXIT_VERIFICATION_FAILED
+    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
 def _kappa_report_row(job):
+    """The rows of one t, or the reason its enclosures could not be
+    formed at the given precision."""
     t, precision = job
-    rep = roots.verify_kappas(t, precision)
-    return [r.to_json(t) for r in rep.rows], t, rep.all_pass
+    try:
+        rep = roots.verify_kappas(t, precision)
+    except (IndeterminateSignError, PrecisionInsufficientError) as exc:
+        return [], t, False, str(exc)
+    return [r.to_json(t) for r in rep.rows], t, rep.all_pass, None
 
 
 def _cmd_exponents(args, out: _Output) -> int:
@@ -378,6 +391,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     out = _Output(getattr(args, "output", None))
     rc = None
     try:
+        if hasattr(args, "Q"):
+            # refused before the command runs, so no record is written
+            reduction.check_bounds(args.A, args.Q)
         rc = _COMMANDS[args.command](args, out)
     except ValueError as exc:
         # the engine rejects parameters outside its range with ValueError

@@ -10,6 +10,7 @@ in all three real embeddings simultaneously.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -88,12 +89,20 @@ def recover_exponents(t: int, x: int, y: int,
         % (t, x, y, last_err))
 
 
-def _recover_at_precision(t: int, x: int, y: int, prec: int) -> ExponentPair:
+@functools.lru_cache(maxsize=16)
+def _unit_logs(t: int, prec: int):
+    """The roots at prec bits and the six logs that depend on t alone,
+    ln|t - theta_i| and ln|theta_i|: the solutions of one t recovered at
+    one precision share a single root isolation."""
     roots = isolate_roots(t, prec)
+    return (roots, tuple(abs(t - th).log() for th in roots.thetas),
+            tuple(abs(th).log() for th in roots.thetas))
+
+
+def _recover_at_precision(t: int, x: int, y: int, prec: int) -> ExponentPair:
+    roots, logs_te, logs_th = _unit_logs(t, prec)
     units = _linear_units(t, x, y, roots)
     logs_u = [abs(u).log() for u in units]
-    logs_te = [abs(t - th).log() for th in roots.thetas]
-    logs_th = [abs(th).log() for th in roots.thetas]
     # 2x2 solve on embeddings 1 and 2:  l_i = n*u_i - m*v_i
     u1, u2 = logs_te[0], logs_te[1]
     v1, v2 = logs_th[0], logs_th[1]

@@ -56,12 +56,22 @@ class Verdict:
     convergents_scanned: int = 0
 
 
+def check_bounds(A: int, Q: int):
+    """Q is the convergent bound and A the bound on the exponents; below
+    1 the threshold 1.01 A + 2 or the width 1/(100 Q^2) means nothing."""
+    if Q < 1:
+        raise ValueError("Q must be >= 1, got %d" % Q)
+    if A < 1:
+        raise ValueError("A must be >= 1, got %d" % A)
+
+
 def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
                    precision: Optional[int] = None) -> ReductionInstance:
     """alpha, beta, delta per the Lambda_which decomposition, with
     gamma enclosure widths meeting the lemma's hypotheses."""
     if t < 10:
         raise ValueError("reduction applies for t >= 10")
+    check_bounds(A, Q)
     if precision is None:
         precision = reduction_precision(Q)
     roots = isolate_roots(t, precision)
@@ -214,6 +224,7 @@ def verify_range(which: int, t_lo: int, t_hi: int,
     when stopping early: that also shuts the worker pool down."""
     if t_lo <= t_hi and t_lo < 10:
         raise ValueError("sweep range starts at t >= 10")
+    check_bounds(A, Q)
     ts = sorted(set(list(range(t_lo, t_hi + 1)) + [int(t) for t in extra_ts]))
     ckpt = _load_checkpoint(checkpoint_path, which, A, Q)
     if ckpt is not None:

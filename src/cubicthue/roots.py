@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PrecisionInsufficientError
@@ -43,7 +44,10 @@ KAPPA_TARGETS: Dict[int, Tuple[Fraction, Fraction]] = {
 }
 
 T_ONLY_KAPPAS = (1, 2, 3, 5, 6, 9, 10, 12, 13, 15, 16)
-ENVELOPE_KAPPAS = (4, 7, 8, 11, 14)
+# each solution-dependent kappa and the interval I_which it ranges over
+ENVELOPE_KAPPAS = {4: 1, 7: 1, 8: 2, 11: 2, 14: 3}
+# the equal pieces each solution interval is cut into for the envelopes
+KAPPA_PIECES = 16
 
 
 def default_precision(t: int) -> int:
@@ -283,33 +287,81 @@ def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
     return RootTriple(enc[0], enc[1], enc[2], t, precision)
 
 
-def _kappa_t_only_expr(j: int, t: int, roots: RootTriple) -> CertifiedReal:
-    th1, th2, th3 = roots.thetas
-    prec = roots.precision
-    T = CertifiedReal.from_rational(t, prec)
-    lnt = T.log()
+class _KappaTerms:
+    """The parts of the kappa expressions that depend on t alone, each
+    computed at most once per RootTriple, by the same operations (and so
+    with the same roundings) wherever an expression uses it."""
+
+    def __init__(self, t: int, roots: RootTriple):
+        self.t, self.prec = t, roots.precision
+        self.th1, self.th2, self.th3 = roots.thetas
+        self.T = CertifiedReal.from_rational(t, self.prec)
+
+    @cached_property
+    def lnt(self) -> CertifiedReal:
+        return self.T.log()
+
+    @cached_property
+    def T3(self) -> CertifiedReal:
+        return self.T ** 3
+
+    @cached_property
+    def T6(self) -> CertifiedReal:
+        return self.T ** 6
+
+    @cached_property
+    def T9(self) -> CertifiedReal:
+        return self.T ** 9
+
+    @cached_property
+    def T11(self) -> CertifiedReal:
+        return self.T ** 11
+
+    @cached_property
+    def th2_T(self) -> CertifiedReal:       # theta2 - T
+        return self.th2 - self.T
+
+    @cached_property
+    def th3_T(self) -> CertifiedReal:       # theta3 - T
+        return self.th3 - self.T
+
+    @cached_property
+    def T_th1(self) -> CertifiedReal:       # T - theta1
+        return self.T - self.th1
+
+    @cached_property
+    def abs_th1(self) -> CertifiedReal:
+        return abs(self.th1)
+
+    @cached_property
+    def ratio31(self) -> CertifiedReal:     # (theta3 - T) / (T - theta1)
+        return self.th3_T / self.T_th1
+
+
+def _kappa_t_only_expr(j: int, k: _KappaTerms) -> CertifiedReal:
+    T, T3, T6, lnt = k.T, k.T3, k.T6, k.lnt
     if j == 1:
-        return -(th1 * T ** 11) - T ** 6 - 2 * T ** 3
+        return -(k.th1 * k.T11) - T6 - 2 * T3
     if j == 2:
-        return (th2 - T) * T ** 11 - T ** 6 - 3 * T ** 3
+        return k.th2_T * k.T11 - T6 - 3 * T3
     if j == 3:
-        return (T ** 4 - 2 * T - th3) * T ** 11 - T ** 3
+        return (T ** 4 - 2 * T - k.th3) * k.T11 - T3
     if j == 5:
-        return T ** 6 * (9 * lnt - 6 / T ** 3 - ((th3 - T) / (th2 - T)).log())
+        return T6 * (9 * lnt - 6 / T3 - (k.th3_T / k.th2_T).log())
     if j == 6:
-        return T ** 6 * (3 * lnt - 2 / T ** 3 - (th3 / th2).log())
+        return T6 * (3 * lnt - 2 / T3 - (k.th3 / k.th2).log())
     if j == 9:
-        return T ** 3 * (T ** 3 - 3 - (th3 - T) / (T - th1))
+        return T3 * (T3 - 3 - k.ratio31)
     if j == 10:
-        return (th3 / abs(th1) - T ** 9 + 4 * T ** 6) / T ** 3
+        return (k.th3 / k.abs_th1 - k.T9 + 4 * T6) / T3
     if j == 12:
-        return T ** 6 * (3 * lnt - 3 / T ** 3 - ((th3 - T) / (T - th1)).log())
+        return T6 * (3 * lnt - 3 / T3 - k.ratio31.log())
     if j == 13:
-        return T ** 6 * (9 * lnt - 4 / T ** 3 - (th3 / abs(th1)).log())
+        return T6 * (9 * lnt - 4 / T3 - (k.th3 / k.abs_th1).log())
     if j == 15:
-        return T ** 3 * (6 * lnt - ((T - th1) / (th2 - T)).log())
+        return T3 * (6 * lnt - (k.T_th1 / k.th2_T).log())
     if j == 16:
-        return T ** 6 * (6 * lnt - 2 / T ** 3 - (th2 / abs(th1)).log())
+        return T6 * (6 * lnt - 2 / T3 - (k.th2 / k.abs_th1).log())
     raise ValueError("kappa_%d is not determined by t alone" % j)
 
 
@@ -323,7 +375,7 @@ def kappa_t_only(j: int, t: int, roots: Optional[RootTriple] = None,
         raise ValueError("kappa claims are certified for t >= 10 only")
     if roots is None:
         roots = isolate_roots(t, precision)
-    return _kappa_t_only_expr(j, t, roots)
+    return _kappa_t_only_expr(j, _KappaTerms(t, roots))
 
 
 def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fraction]:
@@ -344,8 +396,43 @@ def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fra
     raise ValueError(which)
 
 
+def _piece_ratios(which: int, k: _KappaTerms, pieces: int) -> List[CertifiedReal]:
+    """The ratio of root differences through which a piece r of I_which
+    enters its kappas, for each of `pieces` equal pieces of I_which."""
+    lo, hi = solution_interval(which, k.t)
+    rs = CertifiedReal.subdivide(lo, hi, pieces, k.prec)
+    if which == 1:
+        return [(r - k.th3) / (r - k.th2) for r in rs]
+    if which == 2:
+        return [(k.th3 - r) / (r - k.th1) for r in rs]
+    return [(r - k.th1) / (r - k.th2) for r in rs]
+
+
+def _envelope(j: int, k: _KappaTerms, ratios: List[CertifiedReal]) -> CertifiedReal:
+    """The hull of kappa_j over the pieces with the given ratios; the
+    parts that do not depend on the piece are computed once."""
+    if j == 4:
+        c = k.T3 - 2
+        f = lambda q: k.T3 * (c - q)
+    elif j == 7:
+        c = 3 * k.lnt - 2 / k.T3
+        f = lambda q: k.T6 * (c - q.log())
+    elif j == 8:
+        c = k.T3 - 3
+        f = lambda q: k.T3 * (c - q)
+    elif j == 11:
+        c = 3 * k.lnt - 3 / k.T3
+        f = lambda q: k.T6 * (c - q.log())
+    else:
+        T12, c1, c2, c3 = (k.T ** 12, 1 / k.T3, Fraction(5, 2) / k.T6,
+                           Fraction(25, 3) / k.T9)
+        f = lambda q: T12 * (q.log() - c1 - c2 - c3)
+    return CertifiedReal.hull(f(q) for q in ratios)
+
+
 def kappa_envelope(j: int, t: int, roots: Optional[RootTriple] = None,
-                   precision: Optional[int] = None, pieces: int = 16) -> CertifiedReal:
+                   precision: Optional[int] = None,
+                   pieces: int = KAPPA_PIECES) -> CertifiedReal:
     """Enclosure of the solution-dependent kappa_j with the entire
     admissible x/y interval substituted as an interval operand
     (subdivided to control dependency widening)."""
@@ -355,34 +442,8 @@ def kappa_envelope(j: int, t: int, roots: Optional[RootTriple] = None,
         raise ValueError("kappa claims are certified for t >= 10 only")
     if roots is None:
         roots = isolate_roots(t, precision)
-    th1, th2, th3 = roots.thetas
-    prec = roots.precision
-    T = CertifiedReal.from_rational(t, prec)
-    # the parts of each integrand that do not depend on r, computed once
-    # with the same operations (and so the same roundings) per piece
-    T3 = T ** 3
-    if j in (4, 7):
-        lo, hi = solution_interval(1, t)
-        if j == 4:
-            c = T3 - 2
-            f = lambda r: T3 * (c - (r - th3) / (r - th2))
-        else:
-            T6, c = T ** 6, 3 * T.log() - 2 / T3
-            f = lambda r: T6 * (c - ((r - th3) / (r - th2)).log())
-    elif j in (8, 11):
-        lo, hi = solution_interval(2, t)
-        if j == 8:
-            c = T3 - 3
-            f = lambda r: T3 * (c - (th3 - r) / (r - th1))
-        else:
-            T6, c = T ** 6, 3 * T.log() - 3 / T3
-            f = lambda r: T6 * (c - ((th3 - r) / (r - th1)).log())
-    else:
-        lo, hi = solution_interval(3, t)
-        T12, c1, c2, c3 = (T ** 12, 1 / T3, Fraction(5, 2) / T ** 6,
-                           Fraction(25, 3) / T ** 9)
-        f = lambda r: T12 * (((r - th1) / (r - th2)).log() - c1 - c2 - c3)
-    return CertifiedReal.hull(f(r) for r in CertifiedReal.subdivide(lo, hi, pieces, prec))
+    k = _KappaTerms(t, roots)
+    return _envelope(j, k, _piece_ratios(ENVELOPE_KAPPAS[j], k, pieces))
 
 
 @dataclass(frozen=True)
@@ -419,19 +480,33 @@ class KappaReport:
 
 def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     """All sixteen kappa enclosures checked against the claimed target
-    intervals; failures are recorded, never raised."""
+    intervals.  A claim whose enclosure misses its target is recorded as
+    a failed row; an enclosure that cannot be formed at this precision
+    (roots not separated, a division or logarithm of an enclosure that
+    touches zero) raises IndeterminateSignError or
+    PrecisionInsufficientError.
+
+    Each row has the bits `kappa_t_only` or `kappa_envelope` gives on the
+    same RootTriple: the t-only terms are shared through one
+    `_KappaTerms`, each solution interval is subdivided once, and the two
+    kappas of I_1 (of I_2) read the same per-piece ratios.  Every shared
+    value is the result of the same libmp kernel on the same operands at
+    the same precision as in the per-kappa functions, so sharing it
+    changes no bit."""
     if t < 10:
         raise ValueError("kappa claims are certified for t >= 10 only")
-    roots = isolate_roots(t, precision)
+    k = _KappaTerms(t, isolate_roots(t, precision))
+    encs = {j: _kappa_t_only_expr(j, k) for j in T_ONLY_KAPPAS}
+    for which in (1, 2, 3):
+        ratios = _piece_ratios(which, k, KAPPA_PIECES)
+        for j, w in ENVELOPE_KAPPAS.items():
+            if w == which:
+                encs[j] = _envelope(j, k, ratios)
     rows = []
     for j in range(1, 17):
-        if j in T_ONLY_KAPPAS:
-            enc = kappa_t_only(j, t, roots)
-        else:
-            enc = kappa_envelope(j, t, roots)
         lo, hi = KAPPA_TARGETS[j]
-        passed = lo < enc.lower and enc.upper < hi
-        rows.append(KappaRow(j, enc, (lo, hi), passed))
+        enc = encs[j]
+        rows.append(KappaRow(j, enc, (lo, hi), lo < enc.lower and enc.upper < hi))
     return KappaReport(t, tuple(rows))
 
 

@@ -90,12 +90,38 @@ def test_usage_error_exit_code():
     ["sweep", "--t-lo", "5", "--t-hi", "6"],
     ["search", "--coeffs", "2", "0", "0", "1"],
     ["verify-theorem", "--t", "3", "--y-bound", "-1"],
+    ["reduce", "--t", "10", "--Q", "0"],
+    ["reduce", "--t", "10", "--A", "-5"],
+    ["sweep", "--t-lo", "10", "--t-hi", "11", "--Q", "0"],
+    ["certify-all", "--Q", "0"],
+    ["certify-all", "--A", "0"],
 ])
 def test_out_of_range_input_is_a_usage_error(argv, capsys):
     assert run(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("cubicthue %s: error: " % argv[0])
     assert len(err.splitlines()) == 1
+
+
+
+def test_bad_bound_is_refused_before_the_first_record(tmp_path, capsys):
+    out = tmp_path / "o.jsonl"
+    assert run(["certify-all", "--Q", "0", "--output", str(out)]) == cli.EXIT_USAGE
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_kappas_below_the_needed_precision_is_inconclusive(workers, capsys):
+    argv = ["kappas", "--t-lo", "1990", "--t-hi", "1991", "--extra-t", "10",
+            "--precision", "64", "--workers", workers]
+    assert run(argv) == cli.EXIT_INCONCLUSIVE
+    cap = capsys.readouterr()
+    err = cap.err.splitlines()
+    assert [line.split(":")[1] for line in err] == [" t=1990 inconclusive", " t=1991 inconclusive"]
+    recs = [json.loads(line) for line in cap.out.splitlines() if line.startswith("{")]
+    assert {r["t"] for r in recs} == {10} and len(recs) == 16
+    assert "kappas: 1/3 parameter values fully certified" in cap.out
 
 
 # per command, a cheap valid argv and the flags it does not read

@@ -147,3 +147,42 @@ def test_parity_relations():
 def test_exponent_pair_tuple():
     pair = recover_exponents(5, 5, 1)
     assert pair.as_tuple() == (0, 1, 0)
+
+
+def _count_isolations(monkeypatch):
+    calls = []
+
+    def counting(t, precision=None):
+        calls.append((t, precision))
+        return isolate_roots(t, precision)
+
+    exponents._unit_logs.cache_clear()
+    monkeypatch.setattr(exponents, "isolate_roots", counting)
+    return calls
+
+
+def test_known_solutions_of_one_t_share_one_root_isolation(monkeypatch):
+    calls = _count_isolations(monkeypatch)
+    sols = known_solutions(57).solutions
+    assert len(sols) == 5
+    for x, y in sols:
+        recover_exponents(57, x, y)
+    assert calls == [(57, 320)]
+    # at 96 bits the first solution escalates to 192 bits; each
+    # precision is isolated once and stays in the memo
+    calls.clear()
+    exponents._unit_logs.cache_clear()
+    pairs = [recover_exponents(57, x, y, precision=96) for x, y in sols]
+    assert calls == [(57, 96), (57, 192)]
+    assert exponents._unit_logs.cache_info().currsize == 2
+    assert [p.as_tuple() for p in pairs] == [recover_exponents(57, x, y).as_tuple()
+                                             for x, y in sols]
+
+
+def test_unit_log_memo_is_bounded(monkeypatch):
+    _count_isolations(monkeypatch)
+    for t in range(10, 110):
+        exponents._unit_logs(t, 64)
+    info = exponents._unit_logs.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize < 100

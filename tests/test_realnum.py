@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from mpmath.libmp import to_rational
 
-from cubicthue import exponents, forms, roots
+from cubicthue import exponents, forms, realnum, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
                                _convergents_of_fraction, enclose_rational,
@@ -142,16 +142,40 @@ def test_hull():
     assert h.contains(Fraction(1, 3)) and h.contains(Fraction(2, 3))
 
 
-def test_subdivide_matches_from_endpoints_per_piece():
+def test_subdivide_matches_from_endpoints_per_piece(monkeypatch):
+    cuts = []
+    cut = realnum._cut_mpi
+    monkeypatch.setattr(realnum, "_cut_mpi", lambda n, d, p: cuts.append(n) or cut(n, d, p))
+
+    def by_divmod(lo, hi, pieces, prec):
+        """Checks subdivide against from_endpoints per piece; True when
+        it rounded the cut points by integer divmod."""
+        step = Fraction(hi - lo) / pieces
+        want = [CertifiedReal.from_endpoints(lo + i * step, lo + (i + 1) * step, prec)
+                for i in range(pieces)]
+        before = len(cuts)
+        got = CertifiedReal.subdivide(lo, hi, pieces, prec)
+        assert [(g._mpi, g.precision) for g in got] == [(w._mpi, w.precision) for w in want]
+        return len(cuts) > before
+
     rng = random.Random(91)
+    paths = set()
     for _ in range(50):
         lo, width = _rand_fraction(rng), abs(_rand_fraction(rng))
         hi, pieces, prec = lo + width, rng.randrange(1, 20), rng.choice((53, 180, 540))
-        step = (hi - lo) / pieces
-        want = [CertifiedReal.from_endpoints(lo + i * step, lo + (i + 1) * step, prec)
-                for i in range(pieces)]
-        got = CertifiedReal.subdivide(lo, hi, pieces, prec)
-        assert [(g._mpi, g.precision) for g in got] == [(w._mpi, w.precision) for w in want]
+        paths.add(by_divmod(lo, hi, pieces, prec))
+    # numerators and denominators past the precision: rounded outward
+    # before the division, as from_endpoints does
+    for _ in range(50):
+        lo, width = _rand_fraction(rng, 60), abs(_rand_fraction(rng, 60))
+        assert not by_divmod(lo, lo + width, rng.randrange(1, 20), 53)
+        paths.add(by_divmod(lo, lo + width, rng.randrange(1, 20), 180))
+    # integer cut points, zero among them
+    assert by_divmod(-3, 5, 8, 64) and by_divmod(Fraction(-1, 3), Fraction(2, 3), 3, 64)
+    for t in (10, 11, 1999, 576241, 10 ** 7):
+        for w in (1, 2, 3):
+            assert by_divmod(*roots.solution_interval(w, t), 16, roots.default_precision(t))
+    assert paths == {True, False}
     assert len(CertifiedReal.subdivide(2, 2, 3, 64)) == 3
     with pytest.raises(ValueError):
         CertifiedReal.subdivide(Fraction(1, 2), Fraction(1, 3), 4, 64)

@@ -171,6 +171,17 @@ def test_verify_range_rejects_low_start():
         verify_range(2, 5, 20)
 
 
+@pytest.mark.parametrize("A, Q", [(3 * 10 ** 18, 0), (3 * 10 ** 18, -1), (0, 10 ** 60),
+                                  (-5, 10 ** 60)])
+def test_bounds_below_one_are_refused(A, Q):
+    with pytest.raises(ValueError):
+        build_instance(2, 10, A, Q)
+    with pytest.raises(ValueError):
+        verify_range(2, 10, 12, A, Q)
+    with pytest.raises(ValueError):
+        reduce_single(2, 10, A, Q)
+
+
 def test_verify_range_deterministic_across_workers():
     r1 = list(verify_range(2, 10, 30))
     r4 = list(verify_range(2, 10, 30, workers=4))

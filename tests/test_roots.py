@@ -321,3 +321,71 @@ def test_bisect_short_window_is_returned_as_is():
     B, C, D = cubic_coeffs(10)
     lo, hi = -Fraction(2, 10 ** 5), Fraction(0)
     assert roots._bisect(B, C, D, lo, hi, Fraction(1)) == (lo, hi)
+
+
+def _cut_paths(monkeypatch):
+    """Per CertifiedReal.subdivide call, True when it rounded its cut
+    points by integer divmod (`realnum._cut_mpi`), False when it took the
+    reduced-Fraction path."""
+    from cubicthue import realnum
+    paths, cuts = [], []
+    cut, subdivide = realnum._cut_mpi, realnum.CertifiedReal.subdivide
+
+    def counting_cut(num, den, prec):
+        cuts.append(num)
+        return cut(num, den, prec)
+
+    def recording_subdivide(cls, lo, hi, pieces, precision=realnum.DEFAULT_PRECISION):
+        before = len(cuts)
+        out = subdivide(lo, hi, pieces, precision)
+        paths.append(len(cuts) > before)
+        return out
+
+    monkeypatch.setattr(realnum, "_cut_mpi", counting_cut)
+    monkeypatch.setattr(realnum.CertifiedReal, "subdivide", classmethod(recording_subdivide))
+    return paths
+
+
+@pytest.mark.parametrize("t, precision", [(10, None), (11, None), (1999, None),
+                                          (576241, None), (10 ** 7, None), (1991, 100)])
+def test_verify_kappas_rows_match_the_per_kappa_functions(t, precision, monkeypatch):
+    paths = _cut_paths(monkeypatch)
+    rep = verify_kappas(t, precision)
+    # the default precision cuts by divmod; 100 bits at t = 1991 cannot
+    # hold the common denominators and takes the Fraction path
+    assert paths == [precision is None] * 3
+    tr = isolate_roots(t, precision)
+    for row in rep.rows:
+        if row.j in roots.T_ONLY_KAPPAS:
+            want = kappa_t_only(row.j, t, tr)
+        else:
+            want = kappa_envelope(row.j, t, tr)
+        assert (row.enclosure._mpi, row.enclosure.precision) == (want._mpi, want.precision)
+
+
+def test_verify_kappas_shares_roots_pieces_and_ln_t(monkeypatch):
+    from cubicthue.realnum import CertifiedReal
+    t = 1500
+    isolations, subdivisions, logs = [], [], []
+    isolate, subdivide, log = roots.isolate_roots, CertifiedReal.subdivide, CertifiedReal.log
+
+    def counting_isolate(*args):
+        isolations.append(args)
+        return isolate(*args)
+
+    def counting_subdivide(cls, lo, hi, pieces, precision):
+        subdivisions.append((lo, hi))
+        return subdivide(lo, hi, pieces, precision)
+
+    def counting_log(self):
+        logs.append(self._mpi)
+        return log(self)
+
+    monkeypatch.setattr(roots, "isolate_roots", counting_isolate)
+    monkeypatch.setattr(CertifiedReal, "subdivide", classmethod(counting_subdivide))
+    monkeypatch.setattr(CertifiedReal, "log", counting_log)
+    assert verify_kappas(t).all_pass
+    assert len(isolations) == 1
+    assert subdivisions == [roots.solution_interval(w, t) for w in (1, 2, 3)]
+    T = CertifiedReal.from_rational(t, roots.default_precision(t))
+    assert logs.count(T._mpi) == 1
