@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from mpmath import mp
 
-from .errors import HeightBoundViolatedError
+from .errors import HeightBoundViolatedError, IndeterminateSignError
 from .realnum import CertifiedReal
-from .roots import RootTriple, isolate_roots
+from .roots import RootTriple
 
 # decay rates of |Lambda_which| in the exponent size
 LAMBDA_DECAY = {1: Fraction(77, 10), 2: Fraction(79, 10), 3: Fraction(89, 10)}
@@ -34,15 +34,14 @@ GROWTH = {1: (Fraction(86, 10), 6), 2: (Fraction(35, 10), 3), 3: (Fraction(98, 1
 CONTRADICTION_COEFF = {which: (LAMBDA_DECAY[which] * c, p)
                        for which, (c, p) in GROWTH.items()}
 
+# decimal digits of the (non-interval) mpmath work in derive_t_max
+TMAX_DPS = 60
 
-def siegel_residual(t: int, x: int, y: int,
-                    roots: Optional[RootTriple] = None,
-                    precision: Optional[int] = None) -> CertifiedReal:
+
+def siegel_residual(x: int, y: int, roots: RootTriple) -> CertifiedReal:
     """(th2-th3)(x-y*th1) + (th3-th1)(x-y*th2) + (th1-th2)(x-y*th3);
     an algebraic identity, so the enclosure must contain 0 for any
     integers x, y."""
-    if roots is None:
-        roots = isolate_roots(t, precision)
     th1, th2, th3 = roots.thetas
     return ((th2 - th3) * (x - th1 * y)
             + (th3 - th1) * (x - th2 * y)
@@ -72,15 +71,11 @@ def lambda_log_arguments(which: int, roots: RootTriple
     raise ValueError("which must be 1, 2 or 3")
 
 
-def lambda_value(which: int, t: int, n: int, m: int,
-                 roots: Optional[RootTriple] = None,
-                 precision: Optional[int] = None) -> LogLinearForm:
+def lambda_value(which: int, n: int, m: int, roots: RootTriple) -> LogLinearForm:
     """Certified enclosure of Lambda_which at integer exponents (n, m)."""
-    if roots is None:
-        roots = isolate_roots(t, precision)
     a1, a2, a3 = lambda_log_arguments(which, roots)
     value = m * a1.log() + n * a2.log() + a3.log()
-    return LogLinearForm(which, t, (m, n, 1), (a1, a2, a3), value)
+    return LogLinearForm(which, roots.t, (m, n, 1), (a1, a2, a3), value)
 
 
 def lambda_upper_bound(which: int, t: int, exponent_size: int) -> float:
@@ -160,33 +155,42 @@ class FamilyMatveevResult:
         return "ln|Lambda_%d| > -%.6g * ln(t)^3 * ln(35*n)" % (self.which, self.coefficient)
 
 
+def _certified_below(h: CertifiedReal, bound: CertifiedReal, name: str) -> bool:
+    """h < bound for every value of both enclosures (True), h >= bound
+    for every value (False); enclosures that overlap decide neither."""
+    if h.upper < bound.lower:
+        return True
+    if h.lower >= bound.upper:
+        return False
+    raise IndeterminateSignError(
+        "height inequality %s undecided at %d bits: [%.6g, %.6g] against [%.6g, %.6g]"
+        % (name, h.precision, h.lower, h.upper, bound.lower, bound.upper))
+
+
 def check_height_bounds(roots: RootTriple) -> Tuple[bool, bool, bool]:
     """Certified checks of the three displayed height inequalities
-    against 6 ln t and 3 ln t."""
+    against 6 ln t and 3 ln t.  Raises IndeterminateSignError when the
+    enclosures at this precision decide one of them neither way."""
     th1, th2, th3 = roots.thetas
-    t = roots.t
-    T = CertifiedReal.from_rational(t, roots.precision)
+    T = CertifiedReal.from_rational(roots.t, roots.precision)
     lnt = T.log()
     h_diff = Fraction(2, 3) * ((th3 - th2) * (th3 - th1) * (th2 - th1)).log()
     h_ratio = Fraction(1, 6) * ((th3 / th1) ** 2).log()
     h_unit = Fraction(1, 6) * (((T - th3) / (T - th2)) ** 2).log()
     return (
-        h_diff.upper < (6 * lnt).lower,
-        h_ratio.upper < (3 * lnt).lower,
-        h_unit.upper < (3 * lnt).lower,
+        _certified_below(h_diff, 6 * lnt, "h_diff < 6 ln t"),
+        _certified_below(h_ratio, 3 * lnt, "h_ratio < 3 ln t"),
+        _certified_below(h_unit, 3 * lnt, "h_unit < 3 ln t"),
     )
 
 
-def matveev_for_family(which: int, t: int,
-                       roots: Optional[RootTriple] = None,
-                       precision: Optional[int] = None) -> FamilyMatveevResult:
-    """Instantiate Matveev's bound for the family at this t: verify the
-    height bounds numerically and return the (t-independent) coefficient
-    of ln^3 t * ln(35 n)."""
+def matveev_for_family(which: int, roots: RootTriple) -> FamilyMatveevResult:
+    """Instantiate Matveev's bound for the family at t = roots.t: verify
+    the height bounds numerically and return the (t-independent)
+    coefficient of ln^3 t * ln(35 n)."""
+    t = roots.t
     if t < 10:
         raise ValueError("family parameterization assumes t >= 10")
-    if roots is None:
-        roots = isolate_roots(t, precision)
     checks = check_height_bounds(roots)
     if not all(checks):
         raise HeightBoundViolatedError(
@@ -196,11 +200,11 @@ def matveev_for_family(which: int, t: int,
     return FamilyMatveevResult(which, t, matveev_family_coefficient(), checks)
 
 
-def _growth_feasible(t, dps: int = 60) -> bool:
+def _growth_feasible(t) -> bool:
     """Can the forced growth n >= 3.5 t^3 ln t coexist with the Matveev
     cap n / ln(35 n) < 1.07e15 ln^2 t?"""
     c, p = GROWTH[2]
-    with mp.workdps(dps):
+    with mp.workdps(TMAX_DPS):
         tt = mp.mpf(t)
         # 3.5 = 7/2 is exact in binary
         g = mp.mpf(c.numerator) / c.denominator * tt ** p * mp.log(tt)
@@ -221,7 +225,7 @@ def derive_t_max(which: int = 2) -> Tuple[int, float]:
             lo = mid
         else:
             hi = mid
-    with mp.workdps(60):
+    with mp.workdps(TMAX_DPS):
         tt = mp.mpf(lo)
         n = mp.mpf("1e18")
         for _ in range(200):

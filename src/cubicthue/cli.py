@@ -1,7 +1,8 @@
 """Command-line orchestration for the verification pipeline.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 inconclusive
-(precision/Q exhausted), 3 usage error.
+(precision/Q exhausted, or a certified comparison the enclosures do not
+decide), 3 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from decimal import Decimal
 from typing import List, Optional
 
 from . import bounds, exponents, forms, realnum, reduction, roots, search
-from .errors import IndeterminateSignError, PrecisionInsufficientError
+from .errors import (IndeterminateSignError, PrecisionInsufficientError,
+                     VerificationFailedError)
 from .parallel import parallel_map
 
 EXIT_OK = 0
@@ -184,7 +186,9 @@ def _cmd_roots(args, out: _Output) -> int:
 
 
 def _cmd_kappas(args, out: _Output) -> int:
-    ts = list(range(args.t_lo, args.t_hi + 1)) + list(args.extra_t)
+    # each t once, in first-seen order: sorting would move certify-all's
+    # 576241 ahead of 10^6 and change its output
+    ts = list(dict.fromkeys([*range(args.t_lo, args.t_hi + 1), *args.extra_t]))
     if any(t < 10 for t in ts):
         # refused before the first record, not at the first t below 10
         raise ValueError("kappa claims are certified for t >= 10 only")
@@ -234,9 +238,9 @@ def _cmd_exponents(args, out: _Output) -> int:
 
 
 def _cmd_matveev(args, out: _Output) -> int:
-    t = max(args.t, 10)
-    res = bounds.matveev_for_family(
-        2, t, precision=_precision_cap(args.precision, roots.default_precision(t)))
+    triple = roots.isolate_roots(
+        args.t, _precision_cap(args.precision, roots.default_precision(args.t)))
+    res = bounds.matveev_for_family(2, triple)
     ok = 8.30e15 <= res.coefficient <= 8.40e15
     out.emit({"which": 2, "coefficient": res.coefficient,
               "height_checks": list(res.height_checks),
@@ -389,20 +393,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     out = _Output(getattr(args, "output", None))
-    rc = None
+    finished = False
     try:
         if hasattr(args, "Q"):
             # refused before the command runs, so no record is written
             reduction.check_bounds(args.A, args.Q)
         rc = _COMMANDS[args.command](args, out)
+        finished = rc != EXIT_USAGE
     except ValueError as exc:
         # the engine rejects parameters outside its range with ValueError
         print("cubicthue %s: error: %s" % (args.command, exc), file=sys.stderr)
         rc = EXIT_USAGE
+    except (IndeterminateSignError, PrecisionInsufficientError) as exc:
+        print("cubicthue %s: inconclusive: %s" % (args.command, exc), file=sys.stderr)
+        rc = EXIT_INCONCLUSIVE
+    except VerificationFailedError as exc:
+        print("cubicthue %s: verification failed: %s" % (args.command, exc),
+              file=sys.stderr)
+        rc = EXIT_VERIFICATION_FAILED
     finally:
-        # a refused run (exit 3) or an error before the first record
-        # leaves an existing --output file untouched
-        out.close(finished=rc not in (None, EXIT_USAGE))
+        # a refused run (exit 3), or one stopped by an error before its
+        # first record, leaves an existing --output file untouched
+        out.close(finished=finished)
     return rc
 
 

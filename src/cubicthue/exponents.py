@@ -23,6 +23,11 @@ from .realnum import CertifiedReal
 from .roots import RootTriple, isolate_roots, solution_interval
 
 ROUNDING_TOLERANCE = Fraction(1, 100)
+# recovery starts at RECOVERY_PRECISION bits and doubles them at most
+# RECOVERY_ESCALATIONS times
+RECOVERY_PRECISION = 320
+RECOVERY_ESCALATIONS = 6
+GROWTH_PRECISION = 128
 
 
 class SolutionType(enum.Enum):
@@ -68,9 +73,7 @@ def _linear_units(t: int, x: int, y: int, roots: RootTriple):
     return tuple(x - th * y for th in roots.thetas)
 
 
-def recover_exponents(t: int, x: int, y: int,
-                      precision: int = 320,
-                      max_escalations: int = 6) -> ExponentPair:
+def recover_exponents(t: int, x: int, y: int) -> ExponentPair:
     """Solve the log-linear system for (n, m), round, fix delta by sign
     and certify the unit representation in all three embeddings."""
     if t < 2:
@@ -78,8 +81,8 @@ def recover_exponents(t: int, x: int, y: int,
     if evaluate(family_form(3, t), x, y) != 1:
         raise ValueError("(%d, %d) is not a solution at t=%d" % (x, y, t))
     last_err: Exception = PrecisionInsufficientError("not attempted")
-    for attempt in range(max_escalations + 1):
-        prec = precision * 2 ** attempt
+    for attempt in range(RECOVERY_ESCALATIONS + 1):
+        prec = RECOVERY_PRECISION * 2 ** attempt
         try:
             return _recover_at_precision(t, x, y, prec)
         except (IndeterminateSignError, PrecisionInsufficientError) as err:
@@ -162,8 +165,7 @@ class GrowthBound:
     bound: CertifiedReal
 
 
-def growth_lower_bound(sol_type: SolutionType, t: int,
-                       precision: int = 128) -> GrowthBound:
+def growth_lower_bound(sol_type: SolutionType, t: int) -> GrowthBound:
     """Lower bound on max{|m|, |n|} for a hypothetical non-special
     solution of the given type: c * t^p * ln t."""
     if t < 10:
@@ -172,7 +174,7 @@ def growth_lower_bound(sol_type: SolutionType, t: int,
         coef, p = GROWTH[_WHICH[sol_type]]
     except KeyError:
         raise ValueError("growth bound defined for types I/II/III only")
-    T = CertifiedReal.from_rational(t, precision)
+    T = CertifiedReal.from_rational(t, GROWTH_PRECISION)
     return GrowthBound(sol_type, t, coef * T ** p * T.log())
 
 

@@ -75,9 +75,7 @@ def discriminant(F: BinaryCubicForm) -> int:
             - 4 * a * c ** 3 - 27 * a * a * d * d)
 
 
-def family_form(index: int, t: Optional[int] = None) -> BinaryCubicForm:
-    if t is None:
-        raise TypeError("parameter t required")
+def family_form(index: int, t: int) -> BinaryCubicForm:
     if index == 1:
         return BinaryCubicForm(1, -(t + 1), t, 1)
     if index == 2:

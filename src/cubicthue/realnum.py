@@ -26,8 +26,6 @@ from .errors import IndeterminateSignError, PrecisionInsufficientError
 
 Rational = Union[int, Fraction]
 
-DEFAULT_PRECISION = 256
-
 
 def reduction_precision(Q: int) -> int:
     """Working bits for Baker-Davenport work at denominator bound Q:
@@ -72,23 +70,22 @@ def _straddles_zero(ival) -> bool:
 class CertifiedReal:
     """An enclosure [lower, upper] of an exact real number, tagged with
     the working precision (bits) used to produce it.  `ival` is a raw
-    mpmath interval (a pair of mpf endpoints) or an ``iv.mpf``."""
+    mpmath interval, a pair of mpf endpoints (``iv.mpf(...)._mpi_``)."""
 
     __slots__ = ("_mpi", "precision")
 
-    def __init__(self, ival, precision: int):
-        self._mpi = ival if isinstance(ival, tuple) else ival._mpi_
+    def __init__(self, ival: tuple, precision: int):
+        self._mpi = ival
         self.precision = precision
 
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_rational(cls, r: Rational, precision: int = DEFAULT_PRECISION) -> "CertifiedReal":
+    def from_rational(cls, r: Rational, precision: int) -> "CertifiedReal":
         return cls(_rational_mpi(r, precision), precision)
 
     @classmethod
-    def from_endpoints(cls, lo: Rational, hi: Rational,
-                       precision: int = DEFAULT_PRECISION) -> "CertifiedReal":
+    def from_endpoints(cls, lo: Rational, hi: Rational, precision: int) -> "CertifiedReal":
         if not lo <= hi:
             raise ValueError("lower endpoint exceeds upper endpoint")
         return cls((_rational_mpi(lo, precision)[0], _rational_mpi(hi, precision)[1]),
@@ -96,7 +93,7 @@ class CertifiedReal:
 
     @classmethod
     def subdivide(cls, lo: Rational, hi: Rational, pieces: int,
-                  precision: int = DEFAULT_PRECISION) -> List["CertifiedReal"]:
+                  precision: int) -> List["CertifiedReal"]:
         """[lo, hi] cut into `pieces` equal parts enclosed as by
         from_endpoints, each cut point rounded once for both its parts.
 
@@ -275,13 +272,6 @@ def _decimal(r: Fraction, digits: int) -> str:
     return "%s%s.%se%+d" % (sign, s[0], s[1:] or "0", e)
 
 
-# -- module-level operation surface ------------------------------------
-
-
-def enclose_rational(r: Rational, precision: int = DEFAULT_PRECISION) -> CertifiedReal:
-    return CertifiedReal.from_rational(r, precision)
-
-
 @dataclass(frozen=True)
 class Convergent:
     p: int
@@ -315,7 +305,7 @@ def _convergents_of_fraction(x: Fraction, Q: int) -> List[Convergent]:
 def lockstep_convergents(a: int, b: int, c: int, d: int,
                          Q: int) -> Tuple[List[Convergent], Optional[int]]:
     """The convergents p/q with q <= Q that every real in [a/b, c/d]
-    shares (a/b < c/d, b > 0, d > 0).
+    shares (a/b <= c/d, b > 0, d > 0).
 
     Both endpoints are expanded in lockstep, each as an unreduced integer
     pair (num, den) with den > 0.  The reals in the interval share every
@@ -325,10 +315,12 @@ def lockstep_convergents(a: int, b: int, c: int, d: int,
     the endpoints disagree on a partial quotient, every real in the
     interval has a quotient there at least the lower endpoint's, f;
     returns (convergents so far, f * q_(n-1) + q_(n-2)), the least
-    denominator the next convergent of any of them can have.  Raises
-    PrecisionInsufficientError when an endpoint's expansion terminates
-    before q passes Q: the expansion of the reals inside is then not
-    determined by the interval.
+    denominator the next convergent of any of them can have.  When both
+    expansions terminate at the same step, the endpoints are equal and
+    the convergents are all of theirs: returns (convergents, None).
+    Raises PrecisionInsufficientError when one endpoint's expansion
+    terminates alone before q passes Q: the expansion of the reals
+    inside is then not determined by the interval.
     """
     out: List[Convergent] = []
     pm1, qm1, pm2, qm2 = 1, 0, 0, 1
@@ -344,6 +336,8 @@ def lockstep_convergents(a: int, b: int, c: int, d: int,
             return out, None
         out.append(Convergent(p, q, len(out)))
         pm2, qm2, pm1, qm1 = pm1, qm1, p, q
+        if ra == 0 and rc == 0:
+            return out, None
         if ra == 0 or rc == 0:
             raise PrecisionInsufficientError(
                 "endpoint expansion terminated at denominator %d <= Q=%d" % (qm1, Q))
@@ -352,19 +346,16 @@ def lockstep_convergents(a: int, b: int, c: int, d: int,
 
 
 def continued_fraction_convergents(x: CertifiedReal, Q: int) -> List[Convergent]:
-    """Convergents p/q (q <= Q) of the exact real enclosed by x.
-
-    With a zero-radius input the expansion is the exact Euclidean one.
-    Otherwise they are the convergents every real in the enclosure
-    shares (`lockstep_convergents`); a disagreement in any partial
-    quotient before the denominator exceeds Q means the enclosure is too
-    wide to pin down the expansion, and raises.
+    """Convergents p/q (q <= Q) of the exact real enclosed by x: those
+    every real in the enclosure shares (`lockstep_convergents`), which
+    for a zero-radius input are the exact Euclidean ones.  A
+    disagreement in any partial quotient before the denominator exceeds
+    Q means the enclosure is too wide to pin down the expansion, and
+    raises.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
     (a, b), (c, d) = to_rational(x._mpi[0]), to_rational(x._mpi[1])
-    if a * d == c * b:
-        return _convergents_of_fraction(Fraction(a, b), Q)
     out, next_q = lockstep_convergents(a, b, c, d, Q)
     if next_q is not None:
         raise PrecisionInsufficientError(

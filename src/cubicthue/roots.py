@@ -12,7 +12,6 @@ splitting of the full range.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PrecisionInsufficientError
-from .forms import BinaryCubicForm, discriminant, monic_cubic
+from .forms import BinaryCubicForm, discriminant, family_form, monic_cubic
 from .realnum import CertifiedReal
 
 # published target interval for each kappa index
@@ -54,11 +53,6 @@ def default_precision(t: int) -> int:
     """Scales with t so that kappa extraction (which multiplies root
     errors by up to t^12) keeps ~60 certified bits."""
     return 14 * abs(t).bit_length() + 200
-
-
-def cubic_coeffs(t: int) -> Tuple[int, int, int]:
-    """(B, C, D) of P(x) = x^3 + B x^2 + C x + D for F_{3,t}."""
-    return (-(t ** 4 - t), t ** 5 - 2 * t * t, 1)
 
 
 # Newton's method locates the root on a coarse grid first, then doubles
@@ -261,7 +255,7 @@ def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
         raise ValueError("discriminant is non-positive for t in {0,1}")
     if precision is None:
         precision = default_precision(t)
-    B, C, D = cubic_coeffs(t)
+    _, B, C, D = family_form(3, t).coefficients
     # kappa extraction multiplies root errors by up to t^12 ~ 2^(12 lg t),
     # and the enclosures must separate values ~t^-3 from the interval
     # endpoints, so nearly the full working precision goes into the bracket
@@ -365,16 +359,13 @@ def _kappa_t_only_expr(j: int, k: _KappaTerms) -> CertifiedReal:
     raise ValueError("kappa_%d is not determined by t alone" % j)
 
 
-def kappa_t_only(j: int, t: int, roots: Optional[RootTriple] = None,
-                 precision: Optional[int] = None) -> CertifiedReal:
+def kappa_t_only(j: int, t: int, roots: RootTriple) -> CertifiedReal:
     """Enclosure of kappa_j for the indices fixed by t alone, obtained
     by inverting the defining series identity."""
     if j not in T_ONLY_KAPPAS:
         raise ValueError("kappa_%d depends on the solution interval" % j)
     if t < 10:
         raise ValueError("kappa claims are certified for t >= 10 only")
-    if roots is None:
-        roots = isolate_roots(t, precision)
     return _kappa_t_only_expr(j, _KappaTerms(t, roots))
 
 
@@ -396,11 +387,12 @@ def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fra
     raise ValueError(which)
 
 
-def _piece_ratios(which: int, k: _KappaTerms, pieces: int) -> List[CertifiedReal]:
+def _piece_ratios(which: int, k: _KappaTerms) -> List[CertifiedReal]:
     """The ratio of root differences through which a piece r of I_which
-    enters its kappas, for each of `pieces` equal pieces of I_which."""
+    enters its kappas, for each of the KAPPA_PIECES equal pieces of
+    I_which."""
     lo, hi = solution_interval(which, k.t)
-    rs = CertifiedReal.subdivide(lo, hi, pieces, k.prec)
+    rs = CertifiedReal.subdivide(lo, hi, KAPPA_PIECES, k.prec)
     if which == 1:
         return [(r - k.th3) / (r - k.th2) for r in rs]
     if which == 2:
@@ -430,9 +422,7 @@ def _envelope(j: int, k: _KappaTerms, ratios: List[CertifiedReal]) -> CertifiedR
     return CertifiedReal.hull(f(q) for q in ratios)
 
 
-def kappa_envelope(j: int, t: int, roots: Optional[RootTriple] = None,
-                   precision: Optional[int] = None,
-                   pieces: int = KAPPA_PIECES) -> CertifiedReal:
+def kappa_envelope(j: int, t: int, roots: RootTriple) -> CertifiedReal:
     """Enclosure of the solution-dependent kappa_j with the entire
     admissible x/y interval substituted as an interval operand
     (subdivided to control dependency widening)."""
@@ -440,10 +430,8 @@ def kappa_envelope(j: int, t: int, roots: Optional[RootTriple] = None,
         raise ValueError("kappa_%d is determined by t alone" % j)
     if t < 10:
         raise ValueError("kappa claims are certified for t >= 10 only")
-    if roots is None:
-        roots = isolate_roots(t, precision)
     k = _KappaTerms(t, roots)
-    return _envelope(j, k, _piece_ratios(ENVELOPE_KAPPAS[j], k, pieces))
+    return _envelope(j, k, _piece_ratios(ENVELOPE_KAPPAS[j], k))
 
 
 @dataclass(frozen=True)
@@ -474,9 +462,6 @@ class KappaReport:
     def all_pass(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(r.to_json(self.t)) for r in self.rows)
-
 
 def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     """All sixteen kappa enclosures checked against the claimed target
@@ -498,7 +483,7 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     k = _KappaTerms(t, isolate_roots(t, precision))
     encs = {j: _kappa_t_only_expr(j, k) for j in T_ONLY_KAPPAS}
     for which in (1, 2, 3):
-        ratios = _piece_ratios(which, k, KAPPA_PIECES)
+        ratios = _piece_ratios(which, k)
         for j, w in ENVELOPE_KAPPAS.items():
             if w == which:
                 encs[j] = _envelope(j, k, ratios)

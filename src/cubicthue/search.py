@@ -77,7 +77,6 @@ class SearchReport:
     y_bound: int
     solutions: Tuple[Tuple[int, int], ...]
     expected_min_count: Optional[int] = None
-    expected_set: Optional[Tuple[Tuple[int, int], ...]] = None
     bounded_verification: bool = True
 
     @property
@@ -86,11 +85,7 @@ class SearchReport:
 
     @property
     def matches_expected(self) -> bool:
-        if self.expected_set is not None:
-            return self.solutions == self.expected_set
-        if self.expected_min_count is not None:
-            return self.count >= self.expected_min_count
-        return True
+        return self.expected_min_count is None or self.count >= self.expected_min_count
 
     def to_json(self) -> dict:
         return {

@@ -9,8 +9,7 @@ from fractions import Fraction
 
 from cubicthue import bounds, cli, exponents, forms, reduction, roots, search
 from cubicthue.realnum import (CertifiedReal, _convergents_of_fraction,
-                               continued_fraction_convergents,
-                               enclose_rational)
+                               continued_fraction_convergents)
 
 WORKERS = 4
 
@@ -22,7 +21,7 @@ def _verdict(name, ok):
 
 
 def test_criterion_1_matveev_constant():
-    res = bounds.matveev_for_family(2, 10)
+    res = bounds.matveev_for_family(2, roots.isolate_roots(10))
     ok = 8.30e15 <= res.coefficient <= 8.40e15 and all(res.height_checks)
     _verdict("1 matveev-constant", ok)
 
@@ -123,7 +122,7 @@ def _siegel_suite():
             cache[t] = roots.isolate_roots(t)
         x = rng.randrange(-10 ** 6, 10 ** 6)
         y = rng.randrange(-10 ** 6, 10 ** 6)
-        if not bounds.siegel_residual(t, x, y, cache[t]).contains_zero():
+        if not bounds.siegel_residual(x, y, cache[t]).contains_zero():
             return False
     return True
 
@@ -133,7 +132,7 @@ def _isotonicity_suite():
     for _ in range(10 ** 4):
         a = Fraction(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 9))
         b = Fraction(rng.randrange(-10 ** 9, 10 ** 9), rng.randrange(1, 10 ** 9))
-        x, y = enclose_rational(a, 64), enclose_rational(b, 64)
+        x, y = CertifiedReal.from_rational(a, 64), CertifiedReal.from_rational(b, 64)
         op = rng.randrange(4)
         if op == 0 and not (x + y).contains(a + b):
             return False
@@ -151,7 +150,7 @@ def _cf_oracle_suite():
     rng = random.Random(20140215)
     for _ in range(1000):
         x = Fraction(rng.randrange(1, 10 ** 40), rng.randrange(1, 10 ** 40))
-        got = continued_fraction_convergents(enclose_rational(x, 256), 10 ** 6)
+        got = continued_fraction_convergents(CertifiedReal.from_rational(x, 256), 10 ** 6)
         want = _convergents_of_fraction(x, 10 ** 6)
         if [(c.p, c.q) for c in got] != [(c.p, c.q) for c in want]:
             return False

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,16 +12,18 @@ from cubicthue.bounds import (MatveevInput, check_height_bounds,
                               matveev_C, matveev_C0, matveev_bound,
                               matveev_family_coefficient, matveev_for_family,
                               siegel_residual, w0_prefactor)
+from cubicthue.errors import HeightBoundViolatedError, IndeterminateSignError
+from cubicthue.realnum import CertifiedReal
 from cubicthue.roots import isolate_roots
 
 
 def test_siegel_residual_examples():
     r10 = isolate_roots(10)
-    res = siegel_residual(10, 10, 1, r10)
+    res = siegel_residual(10, 1, r10)
     assert res.contains_zero()
     assert res.width < Fraction(1, 10 ** 20)
-    assert siegel_residual(50, 0, 1).contains_zero()
-    assert siegel_residual(10, -999, 99700300, r10).contains_zero()
+    assert siegel_residual(0, 1, isolate_roots(50)).contains_zero()
+    assert siegel_residual(-999, 99700300, r10).contains_zero()
 
 
 def test_siegel_residual_arbitrary_pairs():
@@ -30,23 +33,23 @@ def test_siegel_residual_arbitrary_pairs():
         for _ in range(50):
             x = rng.randrange(-10 ** 6, 10 ** 6)
             y = rng.randrange(-10 ** 6, 10 ** 6)
-            assert siegel_residual(t, x, y, roots).contains_zero()
+            assert siegel_residual(x, y, roots).contains_zero()
 
 
 def test_lambda_values_at_special_solutions():
     roots = isolate_roots(10, 500)
     # type II special (t,1): Lambda_2 at (n,m)=(1,0) is tiny
-    L2 = lambda_value(2, 10, 1, 0, roots)
+    L2 = lambda_value(2, 1, 0, roots)
     hi = max(abs(L2.value.lower), abs(L2.value.upper))
     assert hi < Fraction(1, 10 ** 5)
     # type I special at (n,m)=(-1,-4): the pre-exclusion bound chain gives
     # |Lambda_1| < 2 (t^3-3)^(1-n) (t^9-4t^6)^m
-    L1 = lambda_value(1, 10, -1, -4, roots)
+    L1 = lambda_value(1, -1, -4, roots)
     hi = max(abs(L1.value.lower), abs(L1.value.upper))
     cap = 2 * Fraction(997) ** 2 * Fraction(10 ** 9 - 4 * 10 ** 6) ** -4
     assert hi < cap
     # type III special at (n,m)=(-1,1) obeys the displayed decay bound
-    L3 = lambda_value(3, 10, -1, 1, roots)
+    L3 = lambda_value(3, -1, 1, roots)
     hi = max(abs(L3.value.lower), abs(L3.value.upper))
     assert float(hi) < 2 * 10 ** -8.9
 
@@ -58,7 +61,7 @@ def test_lambda_log_of_one_plus_tau():
         th1, th2, th3 = roots.thetas
         x, y = t, 1
         tau2 = ((th3 - th1) * (x - y * th2)) / ((th2 - th1) * (x - y * th3))
-        L2 = lambda_value(2, t, 1, 0, roots)
+        L2 = lambda_value(2, 1, 0, roots)
         lam_hi = max(abs(L2.value.lower), abs(L2.value.upper))
         assert abs(tau2).upper < Fraction(1, 2)
         assert lam_hi <= 2 * abs(tau2).upper
@@ -107,20 +110,42 @@ def test_w0_prefactor_below_35():
 
 
 def test_matveev_for_family():
-    res10 = matveev_for_family(2, 10)
+    res10 = matveev_for_family(2, isolate_roots(10))
     assert all(res10.height_checks)
     assert res10.coefficient == matveev_family_coefficient()
-    res_big = matveev_for_family(2, 576241)
+    res_big = matveev_for_family(2, isolate_roots(576241))
     assert res_big.coefficient == res10.coefficient
     assert res_big.bound_ln(576241, 10 ** 18) < 0
     assert "Lambda_2" in res_big.describe()
     with pytest.raises(ValueError):
-        matveev_for_family(2, 9)
+        matveev_for_family(2, isolate_roots(9))
 
 
 def test_height_checks_sampled():
     for t in (10, 100, 10 ** 5):
         assert check_height_bounds(isolate_roots(t)) == (True, True, True)
+
+
+def test_height_checks_decide_three_ways():
+    # at 24 bits h_unit's enclosure [6.86, 6.92] contains 3 ln 10 = 6.9078:
+    # undecided, which must not read as failed
+    with pytest.raises(IndeterminateSignError, match="h_unit"):
+        check_height_bounds(isolate_roots(10, 24))
+    with pytest.raises(IndeterminateSignError):
+        matveev_for_family(2, isolate_roots(10, 24))
+    # the roots of t = 11 measured against ln 10 break the inequalities
+    # outright: certified false, and reported as a failed check
+    wrong = dataclasses.replace(isolate_roots(11), t=10)
+    assert check_height_bounds(wrong) == (False, False, True)
+    with pytest.raises(HeightBoundViolatedError):
+        matveev_for_family(2, wrong)
+    # h < bound is certified only by disjoint enclosures, either way round
+    enc = lambda lo, hi: CertifiedReal.from_endpoints(lo, hi, 64)
+    assert bounds._certified_below(enc(1, 2), enc(3, 4), "h") is True
+    assert bounds._certified_below(enc(3, 4), enc(1, 3), "h") is False
+    for h, bound in ((enc(2, 4), enc(1, 3)), (enc(1, 3), enc(2, 4)), (enc(1, 4), enc(2, 3))):
+        with pytest.raises(IndeterminateSignError, match="undecided"):
+            bounds._certified_below(h, bound, "h")
 
 
 def test_derive_t_max():
@@ -159,7 +184,7 @@ def test_contradiction_threshold_values():
 
 def test_lambda_coefficients_recorded():
     roots = isolate_roots(10)
-    L = lambda_value(2, 10, 5, 3, roots)
+    L = lambda_value(2, 5, 3, roots)
     assert L.coefficients == (3, 5, 1)
     assert L.which == 2 and L.t == 10
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicthue import cli, realnum, reduction, roots, search
+from cubicthue import bounds, cli, exponents, realnum, reduction, roots, search
 
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
@@ -95,6 +95,7 @@ def test_usage_error_exit_code():
     ["sweep", "--t-lo", "10", "--t-hi", "11", "--Q", "0"],
     ["certify-all", "--Q", "0"],
     ["certify-all", "--A", "0"],
+    ["matveev", "--t", "5"],
 ])
 def test_out_of_range_input_is_a_usage_error(argv, capsys):
     assert run(argv) == cli.EXIT_USAGE
@@ -102,6 +103,63 @@ def test_out_of_range_input_is_a_usage_error(argv, capsys):
     assert err.startswith("cubicthue %s: error: " % argv[0])
     assert len(err.splitlines()) == 1
 
+
+def test_kappas_certifies_an_extra_t_inside_the_range_once(capsys):
+    assert run(["kappas", "--t-lo", "999", "--t-hi", "1001", "--extra-t", "1000"]) == 0
+    out = capsys.readouterr().out
+    recs = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
+    assert len(recs) == 48
+    assert [r["t"] for r in recs[::16]] == [999, 1000, 1001]
+    assert "kappas: 3/3 parameter values fully certified" in out
+
+
+MATVEEV_RECORD = (
+    b'{"coefficient": 8343947451864177.0, "height_checks": [true, true, true], '
+    b'"in_target_window": true, "schema": 1, "w0_prefactor": 34.1495506558399, '
+    b'"which": 2}\n')
+
+
+def test_matveev_record_at_the_default_precision(tmp_path):
+    out = tmp_path / "o.jsonl"
+    assert run(["matveev", "--output", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == MATVEEV_RECORD
+
+
+@pytest.mark.parametrize("precision", ["20", "24", "28"])
+def test_matveev_below_the_needed_precision_is_inconclusive(precision, tmp_path, capsys):
+    # at 24 and 28 bits the h_unit enclosure contains 3 ln 10: undecided,
+    # not failed; at 20 bits a root difference is not even separated from 0
+    out = tmp_path / "o.jsonl"
+    out.write_text("earlier run\n")
+    assert run(["matveev", "--precision", precision, "--output", str(out)]) \
+        == cli.EXIT_INCONCLUSIVE
+    err = capsys.readouterr().err
+    assert err.startswith("cubicthue matveev: inconclusive: ")
+    assert len(err.splitlines()) == 1
+    assert out.read_text() == "earlier run\n"
+
+
+def test_failed_check_is_one_stderr_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bounds, "check_height_bounds", lambda roots: (True, True, False))
+    out = tmp_path / "o.jsonl"
+    assert run(["matveev", "--output", str(out)]) == cli.EXIT_VERIFICATION_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("cubicthue matveev: verification failed: height inequality")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_exponents_below_the_needed_precision_is_inconclusive(monkeypatch, capsys):
+    monkeypatch.setattr(exponents, "RECOVERY_PRECISION", 8)
+    monkeypatch.setattr(exponents, "RECOVERY_ESCALATIONS", 0)
+    exponents._unit_logs.cache_clear()
+    try:
+        assert run(["exponents", "--t", "57"]) == cli.EXIT_INCONCLUSIVE
+    finally:
+        exponents._unit_logs.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("cubicthue exponents: inconclusive: exponent recovery")
+    assert len(err.splitlines()) == 1
 
 
 def test_bad_bound_is_refused_before_the_first_record(tmp_path, capsys):

@@ -172,9 +172,12 @@ def test_known_solutions_of_one_t_share_one_root_isolation(monkeypatch):
     # precision is isolated once and stays in the memo
     calls.clear()
     exponents._unit_logs.cache_clear()
-    pairs = [recover_exponents(57, x, y, precision=96) for x, y in sols]
+    default = exponents.RECOVERY_PRECISION
+    monkeypatch.setattr(exponents, "RECOVERY_PRECISION", 96)
+    pairs = [recover_exponents(57, x, y) for x, y in sols]
     assert calls == [(57, 96), (57, 192)]
     assert exponents._unit_logs.cache_info().currsize == 2
+    monkeypatch.setattr(exponents, "RECOVERY_PRECISION", default)
     assert [p.as_tuple() for p in pairs] == [recover_exponents(57, x, y).as_tuple()
                                              for x, y in sols]
 

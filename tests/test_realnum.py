@@ -10,7 +10,7 @@ from mpmath.libmp import to_rational
 from cubicthue import exponents, forms, realnum, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
-                               _convergents_of_fraction, enclose_rational,
+                               _convergents_of_fraction, lockstep_convergents,
                                nearest_integer_distance, reduction_precision)
 
 
@@ -21,25 +21,25 @@ def _rand_fraction(rng, digits=9):
 
 
 def test_enclose_rational_one_third():
-    x = enclose_rational(Fraction(1, 3), 64)
+    x = CertifiedReal.from_rational(Fraction(1, 3), 64)
     assert x.contains(Fraction(1, 3))
     assert x.radius <= Fraction(1, 2 ** 62)
 
 
 def test_enclose_zero_exact():
-    x = enclose_rational(0, 64)
+    x = CertifiedReal.from_rational(0, 64)
     assert x.radius == 0
     assert x.lower == x.upper == 0
 
 
 def test_enclose_tiny_rational_narrow():
-    x = enclose_rational(Fraction(1, 10 ** 120), 512)
+    x = CertifiedReal.from_rational(Fraction(1, 10 ** 120), 512)
     assert x.contains(Fraction(1, 10 ** 120))
     assert x.width < Fraction(1, 10 ** 150)
 
 
 def test_log_of_one_contains_zero():
-    one = enclose_rational(1, 128)
+    one = CertifiedReal.from_rational(1, 128)
     assert one.log().contains(0)
 
 
@@ -48,7 +48,7 @@ def test_log_of_e_contains_one():
     try:
         mpmath.iv.prec = 128
         e_iv = mpmath.iv.exp(mpmath.iv.mpf(1))
-        e = CertifiedReal(e_iv, 128)
+        e = CertifiedReal(e_iv._mpi_, 128)
     finally:
         mpmath.iv.prec = old
     assert e.log().contains(1)
@@ -58,8 +58,8 @@ def test_add_sub_roundtrip_contains():
     rng = random.Random(11)
     for _ in range(500):
         a, b = _rand_fraction(rng), _rand_fraction(rng)
-        x = enclose_rational(a, 64)
-        y = enclose_rational(b, 64)
+        x = CertifiedReal.from_rational(a, 64)
+        y = CertifiedReal.from_rational(b, 64)
         assert ((x + y) - y).contains(a)
 
 
@@ -67,8 +67,8 @@ def test_inclusion_isotonicity_per_operator():
     rng = random.Random(12)
     for _ in range(2500):
         a, b = _rand_fraction(rng), _rand_fraction(rng)
-        x = enclose_rational(a, 64)
-        y = enclose_rational(b, 64)
+        x = CertifiedReal.from_rational(a, 64)
+        y = CertifiedReal.from_rational(b, 64)
         assert (x + y).contains(a + b)
         assert (x - y).contains(a - b)
         assert (x * y).contains(a * b)
@@ -80,7 +80,7 @@ def test_power_isotonicity():
     rng = random.Random(13)
     for _ in range(500):
         a = _rand_fraction(rng, 4)
-        x = enclose_rational(a, 128)
+        x = CertifiedReal.from_rational(a, 128)
         for k in (0, 1, 2, 3, 7):
             assert (x ** k).contains(a ** k)
         if a != 0:
@@ -91,7 +91,7 @@ def test_log_against_high_precision_reference():
     rng = random.Random(14)
     for _ in range(100):
         a = abs(_rand_fraction(rng, 6)) + 1
-        enc = enclose_rational(a, 64).log()
+        enc = CertifiedReal.from_rational(a, 64).log()
         with mpmath.workdps(60):
             ref = mpmath.log(mpmath.mpf(a.numerator) / mpmath.mpf(a.denominator))
             lo = mpmath.mpf(enc.lower.numerator) / mpmath.mpf(enc.lower.denominator)
@@ -101,9 +101,9 @@ def test_log_against_high_precision_reference():
 
 def test_precision_monotonicity():
     def expr(prec):
-        x = enclose_rational(Fraction(1, 3), prec)
-        y = enclose_rational(Fraction(1, 7), prec)
-        z = enclose_rational(Fraction(22, 5), prec)
+        x = CertifiedReal.from_rational(Fraction(1, 3), prec)
+        y = CertifiedReal.from_rational(Fraction(1, 7), prec)
+        z = CertifiedReal.from_rational(Fraction(22, 5), prec)
         return ((x + y) * z).log() / (z - y)
 
     radii = [expr(p).radius for p in (64, 128, 256, 512)]
@@ -112,7 +112,7 @@ def test_precision_monotonicity():
 
 
 def test_division_by_straddling_zero_raises():
-    x = enclose_rational(1, 64)
+    x = CertifiedReal.from_rational(1, 64)
     y = CertifiedReal.from_endpoints(Fraction(-1, 10), Fraction(1, 10), 64)
     with pytest.raises(IndeterminateSignError):
         x / y
@@ -127,17 +127,17 @@ def test_log_of_straddling_raises():
 
 
 def test_sign_determinations():
-    assert enclose_rational(Fraction(3, 7), 64).sign() == 1
-    assert enclose_rational(Fraction(-3, 7), 64).sign() == -1
-    assert enclose_rational(0, 64).sign() == 0
+    assert CertifiedReal.from_rational(Fraction(3, 7), 64).sign() == 1
+    assert CertifiedReal.from_rational(Fraction(-3, 7), 64).sign() == -1
+    assert CertifiedReal.from_rational(0, 64).sign() == 0
     wide = CertifiedReal.from_endpoints(-1, 1, 64)
     with pytest.raises(IndeterminateSignError):
         wide.sign()
 
 
 def test_hull():
-    a = enclose_rational(Fraction(1, 3), 64)
-    b = enclose_rational(Fraction(2, 3), 64)
+    a = CertifiedReal.from_rational(Fraction(1, 3), 64)
+    b = CertifiedReal.from_rational(Fraction(2, 3), 64)
     h = CertifiedReal.hull([a, b])
     assert h.contains(Fraction(1, 3)) and h.contains(Fraction(2, 3))
 
@@ -188,7 +188,7 @@ def test_reduction_precision_policy():
 
 
 def test_convergents_terminating_rational():
-    x = enclose_rational(Fraction(45, 16), 128)
+    x = CertifiedReal.from_rational(Fraction(45, 16), 128)
     convs = continued_fraction_convergents(x, 100)
     assert [(c.p, c.q) for c in convs] == [(2, 1), (3, 1), (14, 5), (45, 16)]
 
@@ -198,7 +198,7 @@ def test_convergents_golden_ratio_fibonacci():
     try:
         mpmath.iv.prec = 256
         phi = (1 + mpmath.iv.sqrt(5)) / 2
-        x = CertifiedReal(phi, 256)
+        x = CertifiedReal(phi._mpi_, 256)
     finally:
         mpmath.iv.prec = old
     convs = continued_fraction_convergents(x, 100)
@@ -228,7 +228,7 @@ def test_convergent_denominators_increase_and_coprime():
     old = mpmath.iv.prec
     try:
         mpmath.iv.prec = 256
-        x = CertifiedReal(mpmath.iv.sqrt(2), 256)
+        x = CertifiedReal(mpmath.iv.sqrt(2)._mpi_, 256)
     finally:
         mpmath.iv.prec = old
     convs = continued_fraction_convergents(x, 10 ** 4)
@@ -245,11 +245,11 @@ def test_convergents_wide_enclosure_raises():
 
 
 def test_nearest_integer_distance_values():
-    lo, hi = nearest_integer_distance(enclose_rational(Fraction(37, 10), 128))
+    lo, hi = nearest_integer_distance(CertifiedReal.from_rational(Fraction(37, 10), 128))
     assert lo <= Fraction(3, 10) <= hi and hi - lo < Fraction(1, 10 ** 9)
-    lo, hi = nearest_integer_distance(enclose_rational(Fraction(5, 2), 128))
+    lo, hi = nearest_integer_distance(CertifiedReal.from_rational(Fraction(5, 2), 128))
     assert lo <= Fraction(1, 2) <= hi
-    lo, hi = nearest_integer_distance(enclose_rational(12, 128))
+    lo, hi = nearest_integer_distance(CertifiedReal.from_rational(12, 128))
     assert lo == 0 and hi == 0
 
 
@@ -267,7 +267,7 @@ def test_nearest_integer_distance_straddles_integer():
 
 
 def test_decimal_serialization_mentions_precision():
-    s = enclose_rational(Fraction(1, 3), 96).as_decimal_string()
+    s = CertifiedReal.from_rational(Fraction(1, 3), 96).as_decimal_string()
     assert "96 bits" in s and "±" in s
 
 
@@ -306,7 +306,7 @@ def _rand_operand(rng, prec):
     digits = rng.choice((3, 12, 40, 200))
     a = _rand_fraction(rng, digits)
     if rng.random() < 0.4:
-        return enclose_rational(a, prec), _at(prec, lambda: _iv_rational(a))
+        return CertifiedReal.from_rational(a, prec), _at(prec, lambda: _iv_rational(a))
     b = a + abs(_rand_fraction(rng, rng.choice((3, 12))))
     ref = _at(prec, lambda: mpmath.iv.mpf([_iv_rational(a).a, _iv_rational(b).b]))
     return CertifiedReal.from_endpoints(a, b, prec), ref
@@ -352,7 +352,7 @@ def test_operations_match_mpmath_iv_bit_for_bit():
 
 def test_arithmetic_ignores_and_keeps_global_iv_prec():
     def values():
-        x = enclose_rational(Fraction(1, 3), 200)
+        x = CertifiedReal.from_rational(Fraction(1, 3), 200)
         y = CertifiedReal.from_endpoints(Fraction(1, 7), Fraction(2, 7), 200)
         z = ((x + y) * x - 2 / y) ** 3
         return [z, abs(-z).log(), x ** -2, CertifiedReal.hull([x, y])]
@@ -437,7 +437,7 @@ def _outcome(fn, x, Q):
 def test_convergents_match_fraction_expansion():
     rng = random.Random(17)
     cases = [
-        enclose_rational(Fraction(45, 16), 128),                  # exact point
+        CertifiedReal.from_rational(Fraction(45, 16), 128),                  # exact point
         # an exact dyadic endpoint whose expansion ends before Q is reached
         CertifiedReal.from_endpoints(Fraction(45, 16) - Fraction(1, 2 ** 90),
                                      Fraction(45, 16), 128),
@@ -459,3 +459,19 @@ def test_convergents_match_fraction_expansion():
             # "endpoints disagree ..." or "endpoint expansion terminated ..."
             kinds.add(want[1].split()[1] if isinstance(want, tuple) else "convergents")
     assert kinds == {"convergents", "disagree", "expansion"}
+
+
+def test_lockstep_of_equal_endpoints_is_the_euclidean_expansion():
+    # an exact point given as two unreduced pairs: both expansions end at
+    # the same step, and the convergents are exactly Euclid's
+    rng = random.Random(18)
+    for _ in range(2000):
+        x = _rand_fraction(rng, rng.choice((3, 12, 40)))
+        j, k = rng.randrange(1, 50), rng.randrange(1, 50)
+        for Q in (10, 10 ** 6, 10 ** 40):
+            got = lockstep_convergents(x.numerator * j, x.denominator * j,
+                                       x.numerator * k, x.denominator * k, Q)
+            assert got == (_convergents_of_fraction(x, Q), None)
+    # an expansion that ends alone leaves the reals inside undetermined
+    with pytest.raises(PrecisionInsufficientError, match="terminated"):
+        lockstep_convergents(45 * 2 ** 86 - 1, 2 ** 90, 45, 16, 10 ** 6)

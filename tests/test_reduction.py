@@ -98,9 +98,9 @@ def test_synthetic_log_instance_matches_oracle():
     old = mpmath.iv.prec
     try:
         mpmath.iv.prec = prec
-        alpha = CertifiedReal(mpmath.iv.log(2), prec)
-        beta = CertifiedReal(mpmath.iv.log(3), prec)
-        delta = CertifiedReal(mpmath.iv.log(mpmath.iv.mpf(5) / 4), prec)
+        alpha = CertifiedReal(mpmath.iv.log(2)._mpi_, prec)
+        beta = CertifiedReal(mpmath.iv.log(3)._mpi_, prec)
+        delta = CertifiedReal(mpmath.iv.log(mpmath.iv.mpf(5) / 4)._mpi_, prec)
     finally:
         mpmath.iv.prec = old
     A, Q = 10 ** 3, 10 ** 10

@@ -1,12 +1,13 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from cubicthue import roots
-from cubicthue.forms import BinaryCubicForm, discriminant
+from cubicthue.forms import BinaryCubicForm, discriminant, family_form
 from cubicthue.errors import PrecisionInsufficientError
-from cubicthue.roots import (KAPPA_TARGETS, cubic_coeffs,
+from cubicthue.roots import (KAPPA_TARGETS,
                              intervals_disjoint, isolate_real_roots_monic_cubic,
                              isolate_roots, kappa_envelope, kappa_t_only,
                              verify_kappas)
@@ -45,7 +46,7 @@ BRACKET_PRECISIONS = (180, 270, 540, 1080)
 
 def _oracle_bisect(t, lo, hi, steps=320):
     """Independent plain-Fraction bisection, no package machinery."""
-    B, C, D = cubic_coeffs(t)
+    _, B, C, D = family_form(3, t).coefficients
     f = lambda x: ((x + B) * x + C) * x + D
     flo = f(lo)
     assert flo != 0 and f(hi) != 0 and (flo < 0) != (f(hi) < 0)
@@ -96,7 +97,7 @@ def test_roots_window_claims():
 
 def test_roots_resubstitute_contains_zero():
     for t in (2, 5, 10, 137):
-        B, C, D = cubic_coeffs(t)
+        _, B, C, D = family_form(3, t).coefficients
         for th in isolate_roots(t).thetas:
             val = ((th + B) * th + C) * th + D
             assert val.contains_zero()
@@ -114,7 +115,7 @@ def test_kappa_examples_t_only():
     assert Fraction(3) < k6.lower and k6.upper < Fraction(301, 100)
     k10 = kappa_t_only(10, 10, tr10)
     assert Fraction(49, 10) < k10.lower and k10.upper < 5
-    k16 = kappa_t_only(16, 100)
+    k16 = kappa_t_only(16, 100, isolate_roots(100))
     assert Fraction(-1, 10) < k16.lower and k16.upper < Fraction(1, 10)
 
 
@@ -122,19 +123,20 @@ def test_kappa_examples_envelope():
     tr10 = isolate_roots(10)
     k4 = kappa_envelope(4, 10, tr10)
     assert Fraction(18, 10) < k4.lower and k4.upper < Fraction(22, 10)
-    k8 = kappa_envelope(8, 50)
+    k8 = kappa_envelope(8, 50, isolate_roots(50))
     assert 0 < k8.lower and k8.upper < Fraction(31, 10)
     k14 = kappa_envelope(14, 10, tr10)
     assert Fraction(259, 10) < k14.lower and k14.upper < Fraction(266, 10)
 
 
 def test_kappa_index_routing():
+    tr10 = isolate_roots(10)
     with pytest.raises(ValueError):
-        kappa_t_only(4, 10)
+        kappa_t_only(4, 10, tr10)
     with pytest.raises(ValueError):
-        kappa_envelope(6, 10)
+        kappa_envelope(6, 10, tr10)
     with pytest.raises(ValueError):
-        kappa_t_only(6, 9)
+        kappa_t_only(6, 9, isolate_roots(9))
 
 
 def test_verify_kappas_small_and_extreme():
@@ -154,7 +156,7 @@ def test_kappa_asymptotic_midpoints():
     for j, limit in limits.items():
         gaps = []
         for t in (10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6):
-            enc = kappa_t_only(j, t)
+            enc = kappa_t_only(j, t, isolate_roots(t))
             gaps.append(abs(enc.midpoint - limit))
         for wide, narrow in zip(gaps, gaps[1:]):
             assert narrow < wide
@@ -162,9 +164,8 @@ def test_kappa_asymptotic_midpoints():
 
 def test_kappa_report_serialization():
     rep = verify_kappas(10)
-    lines = rep.to_jsonl().splitlines()
+    lines = [json.dumps(r.to_json(rep.t)) for r in rep.rows]
     assert len(lines) == 16
-    import json
     rec = json.loads(lines[0])
     assert rec["schema"] == 1 and rec["t"] == 10 and rec["pass"] is True
 
@@ -215,7 +216,7 @@ def test_generic_isolation_small_t():
     # 2 <= t < 10 goes through full-range critical-point splitting
     for t in (2, 3, 7, 9, -1, -5):
         tr = isolate_roots(t)
-        B, C, D = cubic_coeffs(t)
+        _, B, C, D = family_form(3, t).coefficients
         for th in tr.thetas:
             assert (((th + B) * th + C) * th + D).contains_zero()
 
@@ -258,7 +259,7 @@ def test_isolation_finds_every_distinct_real_root():
 
 @pytest.mark.parametrize("t", (10, 11, 137, 2000, 576241, 10 ** 7))
 def test_bisect_matches_reference_on_series_windows(t):
-    B, C, D = cubic_coeffs(t)
+    _, B, C, D = family_form(3, t).coefficients
     t5, t8 = Fraction(t) ** 5, Fraction(t) ** 8
     windows = [(-2 / t5, Fraction(0)), (Fraction(t), t + 2 / t5),
                (t ** 4 - 2 * t - 2 / t8, Fraction(t ** 4 - 2 * t))]
@@ -300,7 +301,7 @@ def test_bisect_exact_root_at_grid_midpoint():
 
 def test_bisect_window_with_three_roots_replays_bisection():
     # not monotone on the window, so the integer bisection decides
-    B, C, D = cubic_coeffs(2)
+    _, B, C, D = family_form(3, 2).coefficients
     lo, hi = Fraction(-1000), Fraction(1001, 3)
     for precision in (100, 540):
         width = _width(precision)
@@ -310,7 +311,7 @@ def test_bisect_window_with_three_roots_replays_bisection():
 
 def test_bisect_falls_back_when_newton_misses(monkeypatch):
     monkeypatch.setattr(roots, "_newton_index", lambda *args: 0)
-    B, C, D = cubic_coeffs(137)
+    _, B, C, D = family_form(3, 137).coefficients
     lo, hi = Fraction(137), 137 + 2 / Fraction(137) ** 5
     width = _width(270)
     assert roots._bisect(B, C, D, lo, hi, width) == \
@@ -318,7 +319,7 @@ def test_bisect_falls_back_when_newton_misses(monkeypatch):
 
 
 def test_bisect_short_window_is_returned_as_is():
-    B, C, D = cubic_coeffs(10)
+    _, B, C, D = family_form(3, 10).coefficients
     lo, hi = -Fraction(2, 10 ** 5), Fraction(0)
     assert roots._bisect(B, C, D, lo, hi, Fraction(1)) == (lo, hi)
 
@@ -335,7 +336,7 @@ def _cut_paths(monkeypatch):
         cuts.append(num)
         return cut(num, den, prec)
 
-    def recording_subdivide(cls, lo, hi, pieces, precision=realnum.DEFAULT_PRECISION):
+    def recording_subdivide(cls, lo, hi, pieces, precision):
         before = len(cuts)
         out = subdivide(lo, hi, pieces, precision)
         paths.append(len(cuts) > before)
