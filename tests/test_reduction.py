@@ -327,3 +327,17 @@ def test_reduce_single_rejects_success_that_fails_reverification(monkeypatch):
     out = reduce_single(2, 10)
     assert out.status != "success"
     assert out.escalations == reduction.MAX_PRECISION_ESCALATIONS + 1
+
+
+DIGESTS = Path(__file__).parent / "data" / "reduce_digest.json"
+
+
+def test_reduce_records_match_the_byte_golden():
+    """Seeded t in [2001, 576241] at the default precision, and seeded t
+    started at 270 and 180 bits, which climb the escalation ladder."""
+    cases = _read_json(DIGESTS)["cases"]
+    assert len(cases) == 140
+    got = [[t, prec, hashlib.sha256(json.dumps(reduce_single(2, t, precision=prec).to_json(),
+                                               sort_keys=True).encode()).hexdigest()]
+           for t, prec, _ in cases]
+    assert got == cases
