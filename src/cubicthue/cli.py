@@ -242,7 +242,7 @@ def _cmd_matveev(args, out: _Output) -> int:
         args.t, _precision_cap(args.precision, roots.default_precision(args.t)))
     res = bounds.matveev_for_family(2, triple)
     ok = 8.30e15 <= res.coefficient <= 8.40e15
-    out.emit({"which": 2, "coefficient": res.coefficient,
+    out.emit({"which": 2, "t": res.t, "coefficient": res.coefficient,
               "height_checks": list(res.height_checks),
               "w0_prefactor": bounds.w0_prefactor(),
               "in_target_window": ok})

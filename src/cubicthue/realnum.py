@@ -14,11 +14,10 @@ caller escalates precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from mpmath.libmp import (from_int, from_man_exp, mpf_lt, mpf_sign, mpi_abs,
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_lt, mpf_sign, mpi_abs,
                           mpi_add, mpi_div, mpi_log, mpi_mul, mpi_neg, mpi_pow_int,
                           mpi_sub, round_ceiling, round_floor, to_rational)
 
@@ -49,6 +48,21 @@ def _rational_mpi(r: Rational, prec: int):
         return x
     return mpi_div(x, (from_int(den, prec, round_floor),
                        from_int(den, prec, round_ceiling)), prec)
+
+
+def _rational_side(r: Rational, prec: int, upper: bool):
+    """_rational_mpi(r, prec)[upper], computed alone.  With den > 0,
+    mpi_div divides the numerator's endpoint on that side by the
+    denominator's upper endpoint when the side points toward zero (the
+    lower side of a positive quotient, the upper of a negative one) and
+    by its lower endpoint otherwise; a zero numerator has den 1."""
+    num, den = r.numerator, r.denominator
+    rnd = round_ceiling if upper else round_floor
+    x = from_int(num, prec, rnd)
+    if den == 1:
+        return x
+    den_rnd = round_floor if (num > 0) == upper else round_ceiling
+    return mpf_div(x, from_int(den, prec, den_rnd), prec, rnd)
 
 
 def _cut_mpi(num: int, den: int, prec: int):
@@ -88,8 +102,8 @@ class CertifiedReal:
     def from_endpoints(cls, lo: Rational, hi: Rational, precision: int) -> "CertifiedReal":
         if not lo <= hi:
             raise ValueError("lower endpoint exceeds upper endpoint")
-        return cls((_rational_mpi(lo, precision)[0], _rational_mpi(hi, precision)[1]),
-                   precision)
+        return cls((_rational_side(lo, precision, False),
+                    _rational_side(hi, precision, True)), precision)
 
     @classmethod
     def subdivide(cls, lo: Rational, hi: Rational, pieces: int,
@@ -272,8 +286,7 @@ def _decimal(r: Fraction, digits: int) -> str:
     return "%s%s.%se%+d" % (sign, s[0], s[1:] or "0", e)
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     p: int
     q: int
     index: int
@@ -364,25 +377,41 @@ def continued_fraction_convergents(x: CertifiedReal, Q: int) -> List[Convergent]
     return out
 
 
-def _dist_to_nearest_int(r: Fraction) -> Fraction:
-    fl = r.numerator // r.denominator
-    return min(r - fl, fl + 1 - r)
+def nearest_integer_distance_num(ival) -> Tuple[int, int, int]:
+    """Exact bounds on the distance from every real in the raw interval
+    `ival` to its nearest integer, as (lo, hi, k) for the bounds lo/2^k
+    and hi/2^k, with 0 <= lo <= hi <= 2^(k-1).
+
+    Both endpoints go over one denominator 2^k (k >= 1, so 1/2 is
+    2^(k-1)); a shift then splits each into its floor and its remainder.
+    The bounds are the endpoints' own distances, except that an integer
+    in the interval pulls the lower to 0 and a half-integer the upper to
+    1/2."""
+    (a, da), (b, db) = to_rational(ival[0]), to_rational(ival[1])
+    k = max(da.bit_length(), db.bit_length(), 2) - 1
+    a <<= k + 1 - da.bit_length()
+    b <<= k + 1 - db.bit_length()
+    one, half = 1 << k, 1 << (k - 1)
+    if b - a >= one:
+        return 0, half, k
+    fa, ra = a >> k, a & (one - 1)
+    fb, rb = b >> k, b & (one - 1)
+    lo, hi = sorted((min(ra, one - ra), min(rb, one - rb)))
+    if fa < fb or ra == 0:
+        lo = 0
+    if fa == fb:
+        has_half = ra <= half <= rb
+    else:
+        # fb = fa + 1: the half-integer of a's unit is below b, and the
+        # one of b's unit above a
+        has_half = ra <= half or half <= rb
+    if has_half:
+        hi = half
+    return lo, hi, k
 
 
 def nearest_integer_distance(x: CertifiedReal) -> Tuple[Fraction, Fraction]:
     """Exact bounds (lo, hi) on the distance from the enclosed real to
     the nearest integer, with 0 <= lo <= hi <= 1/2."""
-    lo, hi = x.lower, x.upper
-    if hi - lo >= 1:
-        return Fraction(0), Fraction(1, 2)
-    dlo, dhi = _dist_to_nearest_int(lo), _dist_to_nearest_int(hi)
-    out_lo = min(dlo, dhi)
-    out_hi = max(dlo, dhi)
-    # an integer inside the interval pulls the minimum to 0
-    if lo.numerator // lo.denominator < hi.numerator // hi.denominator or lo.denominator == 1:
-        out_lo = Fraction(0)
-    # a half-integer inside pulls the maximum to 1/2
-    s, t = lo - Fraction(1, 2), hi - Fraction(1, 2)
-    if math.ceil(s) <= math.floor(t):
-        out_hi = Fraction(1, 2)
-    return out_lo, out_hi
+    lo, hi, k = nearest_integer_distance_num(x._mpi)
+    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)

@@ -23,7 +23,7 @@ from .bounds import contradiction_threshold, lambda_log_arguments
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .parallel import parallel_map
 from .realnum import (CertifiedReal, continued_fraction_convergents,
-                      nearest_integer_distance, reduction_precision)
+                      nearest_integer_distance_num, reduction_precision)
 from .roots import isolate_roots
 
 DEFAULT_A = 3 * 10 ** 18
@@ -88,20 +88,31 @@ def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
     return ReductionInstance(which, t, beta, A, Q, gamma1, gamma2, precision)
 
 
+def _certified_norm(inst: ReductionInstance, q: int) -> Optional[Fraction]:
+    """The certified lower bound of q*||q*gamma2|| when it reaches
+    1.01*A + 2 = (101 A + 200) / 100, else None; compared in integers
+    over the bound's denominator 2^k."""
+    lo, _, k = nearest_integer_distance_num((inst.gamma2 * q)._mpi)
+    n = q * lo
+    if 100 * n < (101 * inst.A + 200) << k:
+        return None
+    return Fraction(n, 1 << k)
+
+
 def baker_davenport(inst: ReductionInstance) -> Verdict:
     """Scan the convergents of gamma1 upward in q for the first with a
     certified q*||q*gamma2|| >= 1.01*A + 2; success yields the lower
     bound |Lambda| > |beta|/Q^2."""
-    threshold = Fraction(101 * inst.A, 100) + 2
+    threshold_100 = 101 * inst.A + 200
     convergents = continued_fraction_convergents(inst.gamma1, inst.Q)
     scanned = 0
     for conv in convergents:
         scanned += 1
         # q*||.|| <= q/2, so small q cannot pass
-        if conv.q < 2 * threshold:
+        if 50 * conv.q < threshold_100:
             continue
-        q_norm_lower = conv.q * nearest_integer_distance(inst.gamma2 * conv.q)[0]
-        if q_norm_lower >= threshold:
+        q_norm_lower = _certified_norm(inst, conv.q)
+        if q_norm_lower is not None:
             beta_abs_lower = abs(inst.beta).lower
             lam_ln = (math.log(beta_abs_lower.numerator)
                       - math.log(beta_abs_lower.denominator)
@@ -133,9 +144,10 @@ class ReductionOutcome:
     margin: Optional[float]
     contradiction: bool
     escalations: int
+    reason: Optional[str] = None  # why the last attempt failed; failed records only
 
     def to_json(self) -> dict:
-        return {
+        rec = {
             "schema": 1,
             "t": self.t,
             "which": self.which,
@@ -149,6 +161,9 @@ class ReductionOutcome:
             "contradiction": self.contradiction,
             "escalations": self.escalations,
         }
+        if self.status == "failed":
+            rec["reason"] = self.reason
+        return rec
 
 
 def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
@@ -156,30 +171,36 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
     """One t with automatic precision escalation (doubling, capped) and
     a single Q escalation on convergent failure.  A success verdict is
     accepted only after its exact re-verification; one that fails it
-    moves on to the next attempt."""
+    moves on to the next attempt.  A failed outcome carries the reason
+    the last attempt failed."""
     base_prec = precision if precision is not None else reduction_precision(Q)
     attempts: List[Tuple[int, int]] = [
         (base_prec * 2 ** i, Q) for i in range(MAX_PRECISION_ESCALATIONS + 1)
     ]
     big_q = Q * Q_ESCALATION_FACTOR
     attempts.append((reduction_precision(big_q) * 2 ** MAX_PRECISION_ESCALATIONS, big_q))
-    last_exc = None
+    reason = None
     for idx, (prec, q_used) in enumerate(attempts):
         try:
             inst = build_instance(which, t, A, q_used, prec)
             verdict = baker_davenport(inst)
         except (PrecisionInsufficientError, IndeterminateSignError) as exc:
-            last_exc = exc
+            reason = str(exc)
             continue
-        if verdict.success and reverify_verdict(inst, verdict):
+        if not verdict.success:
+            reason = ("no convergent with q <= Q reaches q*||q*gamma2|| >= 1.01*A + 2 "
+                      "(%d scanned)" % verdict.convergents_scanned)
+        elif reverify_verdict(inst, verdict):
             return ReductionOutcome(
                 t, which, "success", prec, q_used, verdict.q,
                 float(verdict.q_norm_lower), verdict.lambda_lower_ln,
                 verdict.margin, contradiction_check(which, t, verdict), idx)
+        else:
+            reason = "re-verification failed"
     return ReductionOutcome(t, which, "failed",
                             attempts[-1][0], attempts[-1][1],
                             None, None, None, None, False,
-                            len(attempts) - 1)
+                            len(attempts) - 1, reason)
 
 
 def _reduce_star(args) -> ReductionOutcome:
@@ -256,8 +277,7 @@ def reverify_verdict(inst: ReductionInstance, verdict: Verdict) -> bool:
     p, q = verdict.p, verdict.q
     if not (1 <= q <= inst.Q and math.gcd(p, q) == 1):
         return False
-    threshold = Fraction(101 * inst.A, 100) + 2
-    if q * nearest_integer_distance(inst.gamma2 * q)[0] < threshold:
+    if _certified_norm(inst, q) is None:
         return False
     pq = Fraction(p, q)
     err = max(abs(inst.gamma1.lower - pq), abs(inst.gamma1.upper - pq))

@@ -115,7 +115,7 @@ def test_kappas_certifies_an_extra_t_inside_the_range_once(capsys):
 
 MATVEEV_RECORD = (
     b'{"coefficient": 8343947451864177.0, "height_checks": [true, true, true], '
-    b'"in_target_window": true, "schema": 1, "w0_prefactor": 34.1495506558399, '
+    b'"in_target_window": true, "schema": 1, "t": 10, "w0_prefactor": 34.1495506558399, '
     b'"which": 2}\n')
 
 
@@ -123,6 +123,12 @@ def test_matveev_record_at_the_default_precision(tmp_path):
     out = tmp_path / "o.jsonl"
     assert run(["matveev", "--output", str(out)]) == cli.EXIT_OK
     assert out.read_bytes() == MATVEEV_RECORD
+
+
+def test_matveev_record_names_its_t(tmp_path):
+    out = tmp_path / "o.jsonl"
+    assert run(["matveev", "--t", "20", "--output", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == MATVEEV_RECORD.replace(b'"t": 10', b'"t": 20')
 
 
 @pytest.mark.parametrize("precision", ["20", "24", "28"])

@@ -1,17 +1,19 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_man_exp, to_rational
 
 from cubicthue import exponents, forms, realnum, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
-                               _convergents_of_fraction, lockstep_convergents,
-                               nearest_integer_distance, reduction_precision)
+                               _convergents_of_fraction, _rational_mpi, _rational_side,
+                               lockstep_convergents, nearest_integer_distance,
+                               nearest_integer_distance_num, reduction_precision)
 
 
 def _rand_fraction(rng, digits=9):
@@ -264,6 +266,96 @@ def test_nearest_integer_distance_straddles_integer():
     lo, hi = nearest_integer_distance(enc)
     assert lo == 0
     assert hi <= Fraction(1, 2)
+
+
+def _dist_to_nearest_int(r):
+    fl = r.numerator // r.denominator
+    return min(r - fl, fl + 1 - r)
+
+
+def _reference_distance(lo, hi):
+    """nearest_integer_distance on the exact endpoints in Fraction
+    arithmetic, as the package computed it before the integer helper."""
+    if hi - lo >= 1:
+        return Fraction(0), Fraction(1, 2)
+    dlo, dhi = _dist_to_nearest_int(lo), _dist_to_nearest_int(hi)
+    out_lo, out_hi = min(dlo, dhi), max(dlo, dhi)
+    if lo.numerator // lo.denominator < hi.numerator // hi.denominator or lo.denominator == 1:
+        out_lo = Fraction(0)
+    s, t = lo - Fraction(1, 2), hi - Fraction(1, 2)
+    if -(-s.numerator // s.denominator) <= t.numerator // t.denominator:
+        out_hi = Fraction(1, 2)
+    return out_lo, out_hi
+
+
+def _dyadic_interval(rng):
+    """A raw interval with dyadic endpoints of assorted signs, scales and
+    widths; a and b are numerators over 2^k."""
+    k = rng.choice((0, 1, 2, 5, 30, 64, 200, 540))
+    unit = 1 << k
+    base = rng.randrange(-50, 50) * unit
+    shape = rng.randrange(7)
+    if shape == 0:                      # an integer endpoint
+        a = base
+    elif shape == 1:                    # a half-integer endpoint
+        a = base + unit // 2
+    elif shape == 2:                    # zero
+        a = 0
+    else:
+        a = base + rng.randrange(unit)
+    width = rng.choice((0, 1, rng.randrange(unit + 1), unit - 1, unit, unit + 1,
+                        rng.randrange(10 * unit + 1)))
+    b = a + max(width, 0)
+    if rng.random() < 0.5:
+        a, b = -b, -a
+    # the two endpoints may come over different powers of two
+    ka, kb = k + rng.choice((0, 0, 3)), k + rng.choice((0, 0, 7))
+    return (from_man_exp(a << (ka - k), -ka), from_man_exp(b << (kb - k), -kb))
+
+
+def test_integer_distance_matches_the_fraction_reference():
+    rng = random.Random(19)
+    kinds = set()
+    for _ in range(12000):
+        ival = _dyadic_interval(rng)
+        lo, hi = (Fraction(*to_rational(e)) for e in ival)
+        want = _reference_distance(lo, hi)
+        n_lo, n_hi, k = nearest_integer_distance_num(ival)
+        assert 0 <= n_lo <= n_hi <= 1 << (k - 1)
+        assert (Fraction(n_lo, 1 << k), Fraction(n_hi, 1 << k)) == want
+        assert nearest_integer_distance(CertifiedReal(ival, 64)) == want
+        kinds.add("negative" if lo < 0 else "nonnegative")
+        kinds.add("zero" if 0 in (lo, hi) else "nonzero")
+        kinds.add("wide" if hi - lo >= 1 else "narrow")
+        kinds.add("integer endpoint" if lo.denominator == 1 or hi.denominator == 1
+                  else "inner endpoints")
+        if hi - lo < 1:
+            # the least integer and the least half-integer above lo
+            n = lo.numerator // lo.denominator + 1
+            h = math.floor(lo + Fraction(1, 2)) + Fraction(1, 2)
+            kinds.add("integer inside" if n < hi else "no integer inside")
+            kinds.add("half inside" if h < hi else "no half inside")
+    assert kinds == {"negative", "nonnegative", "zero", "nonzero", "wide", "narrow",
+                     "integer endpoint", "inner endpoints", "integer inside",
+                     "no integer inside", "half inside", "no half inside"}
+
+
+def test_one_sided_endpoints_match_the_two_sided_enclosure():
+    rng = random.Random(20)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 1), Fraction(-7, 3)]
+    for _ in range(300):
+        digits = rng.choice((3, 20, 200, 700))
+        den = rng.choice((1, rng.randrange(1, 10 ** digits)))
+        values.append(Fraction(rng.randrange(-10 ** digits, 10 ** digits), den))
+    for prec in (64, 65, 100, 128, 540, 720, 1080, 2160):
+        for r in values:
+            both = _rational_mpi(r, prec)
+            assert (_rational_side(r, prec, False), _rational_side(r, prec, True)) == both
+            assert CertifiedReal.from_endpoints(r, r, prec)._mpi == both
+    for lo, hi in zip(values, values[1:]):
+        lo, hi = min(lo, hi), max(lo, hi)
+        assert CertifiedReal.from_endpoints(lo, hi, 200)._mpi == \
+            (_rational_mpi(lo, 200)[0], _rational_mpi(hi, 200)[1])
 
 
 def test_decimal_serialization_mentions_precision():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cubicthue import reduction
+from cubicthue.errors import PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, _convergents_of_fraction,
                                nearest_integer_distance)
 from cubicthue.reduction import (ReductionInstance, baker_davenport,
@@ -138,6 +139,8 @@ def test_reduce_single_outcome_record():
     assert outcome.status == "success" and outcome.escalations == 0
     rec = outcome.to_json()
     assert rec["schema"] == 1 and rec["t"] == 11
+    # only failed records carry a reason
+    assert "reason" not in rec
     assert json.dumps(rec)
 
 
@@ -302,24 +305,51 @@ def test_norm_check_reads_the_lower_bound():
     """At the first convergent past 2*threshold, q*gamma2 is enclosed so
     that q * ||q*gamma2|| is below the threshold at the enclosure's lower
     bound and above it at the upper: only the lower bound is certified,
-    so neither the scan nor the re-verification may accept it."""
+    so neither the scan nor the re-verification may accept it.  The
+    enclosure sits just above an integer, where the lower bound is the
+    distance of its lower endpoint, and mirrored just below one, where it
+    is the distance of its upper endpoint."""
     A, prec = 100, 420
     threshold = Fraction(101 * A, 100) + 2
     g1 = Fraction(random.Random(73).getrandbits(300), 2 ** 299)
     conv = next(c for c in _convergents_of_fraction(g1, 10 ** 9) if c.q > 2 * threshold)
     p, q = conv.p, conv.q
-    # q*gamma2 spans [7 + d_lo, 7 + d_hi] with q*d_lo < threshold < q*d_hi <= q/2
+    # distances d_lo < d_hi from the integer with q*d_lo < threshold < q*d_hi <= q/2
     d_lo, d_hi = threshold / (2 * q), (threshold / q + Fraction(1, 2)) / 2
-    gamma2 = CertifiedReal.from_endpoints((7 + d_lo) / q, (7 + d_hi) / q, prec)
     beta = CertifiedReal.from_rational(Fraction(3, 2), prec)
     gamma1 = CertifiedReal.from_rational(g1 * Fraction(3, 2), prec) / beta
-    inst = ReductionInstance(2, 10, beta, A, q, gamma1, gamma2, prec)
-    lo, hi = nearest_integer_distance(gamma2 * q)
-    assert q * lo < threshold <= q * hi
     assert [c.q for c in reduction.continued_fraction_convergents(gamma1, q)
             if c.q >= 2 * threshold] == [q]
-    assert not baker_davenport(inst).success
-    assert not reverify_verdict(inst, reduction.Verdict(True, p, q, None, None, None, 1))
+    # q*gamma2 spans [7 + d_lo, 7 + d_hi], then [8 - d_hi, 8 - d_lo]
+    for lo_end, hi_end in ((7 + d_lo, 7 + d_hi), (8 - d_hi, 8 - d_lo)):
+        gamma2 = CertifiedReal.from_endpoints(lo_end / q, hi_end / q, prec)
+        inst = ReductionInstance(2, 10, beta, A, q, gamma1, gamma2, prec)
+        lo, hi = nearest_integer_distance(gamma2 * q)
+        assert q * lo < threshold <= q * hi
+        assert not baker_davenport(inst).success
+        assert not reverify_verdict(inst, reduction.Verdict(True, p, q, None, None, None, 1))
+
+
+def test_norm_check_meets_the_threshold_exactly():
+    """With A = 100 the threshold 1.01*A + 2 is 103.  gamma1 = 1/512 has
+    the one convergent 1/512 past 2*threshold, and q*gamma2 is the exact
+    dyadic 7 + 103/512 or 8 - 103/512, so q*||q*gamma2|| is exactly the
+    threshold and passes; 2^-300 nearer the integer it does not."""
+    A, q, prec = 100, 512, 420
+    beta = CertifiedReal.from_rational(Fraction(3, 2), prec)
+    gamma1 = CertifiedReal.from_rational(Fraction(1, q), prec)
+    eps = Fraction(1, 2 ** 300)
+    for n, sign in ((7, 1), (8, -1)):
+        for d, passes in ((Fraction(103, q), True), (Fraction(103, q) - eps, False)):
+            gamma2 = CertifiedReal.from_rational((n + sign * d) / q, prec)
+            assert gamma2.width == 0
+            inst = ReductionInstance(2, 10, beta, A, q, gamma1, gamma2, prec)
+            verdict = baker_davenport(inst)
+            assert verdict.success == passes
+            assert reverify_verdict(inst, reduction.Verdict(True, 1, q, None, None,
+                                                            None, 1)) == passes
+            if passes:
+                assert (verdict.p, verdict.q, verdict.q_norm_lower) == (1, q, 103)
 
 
 def test_reduce_single_rejects_success_that_fails_reverification(monkeypatch):
@@ -327,6 +357,21 @@ def test_reduce_single_rejects_success_that_fails_reverification(monkeypatch):
     out = reduce_single(2, 10)
     assert out.status != "success"
     assert out.escalations == reduction.MAX_PRECISION_ESCALATIONS + 1
+    assert out.to_json()["reason"] == "re-verification failed"
+
+
+def test_failed_record_says_why_the_last_attempt_failed(monkeypatch):
+    def no_precision(which, t, A, Q, precision):
+        raise PrecisionInsufficientError("too coarse at %d bits" % precision)
+
+    attempts = reduction.MAX_PRECISION_ESCALATIONS + 2
+    # 1.01*A + 2 exceeds q/2 for every q <= 10^5 * Q, so no convergent can pass
+    rec = reduce_single(2, 10, A=10 ** 14, Q=10 ** 6).to_json()
+    assert rec["status"] == "failed" and rec["escalations"] == attempts - 1
+    assert rec["reason"].startswith("no convergent with q <= Q reaches")
+    monkeypatch.setattr(reduction, "build_instance", no_precision)
+    rec = reduce_single(2, 10).to_json()
+    assert rec["reason"] == "too coarse at %d bits" % rec["precision"]
 
 
 DIGESTS = Path(__file__).parent / "data" / "reduce_digest.json"
