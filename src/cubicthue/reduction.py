@@ -103,7 +103,7 @@ def baker_davenport(inst: ReductionInstance) -> Verdict:
     """Scan the convergents of gamma1 upward in q for the first with a
     certified q*||q*gamma2|| >= 1.01*A + 2; success yields the lower
     bound |Lambda| > |beta|/Q^2."""
-    threshold_100 = 101 * inst.A + 200
+    threshold_100 = 101 * inst.A + 200      # 100 * (1.01*A + 2)
     convergents = continued_fraction_convergents(inst.gamma1, inst.Q)
     scanned = 0
     for conv in convergents:

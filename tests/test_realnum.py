@@ -274,8 +274,9 @@ def _dist_to_nearest_int(r):
 
 
 def _reference_distance(lo, hi):
-    """nearest_integer_distance on the exact endpoints in Fraction
-    arithmetic, as the package computed it before the integer helper."""
+    """Bounds on the distance to the nearest integer over [lo, hi],
+    computed in Fraction arithmetic: the reference for the integer
+    helper."""
     if hi - lo >= 1:
         return Fraction(0), Fraction(1, 2)
     dlo, dhi = _dist_to_nearest_int(lo), _dist_to_nearest_int(hi)
@@ -283,7 +284,7 @@ def _reference_distance(lo, hi):
     if lo.numerator // lo.denominator < hi.numerator // hi.denominator or lo.denominator == 1:
         out_lo = Fraction(0)
     s, t = lo - Fraction(1, 2), hi - Fraction(1, 2)
-    if -(-s.numerator // s.denominator) <= t.numerator // t.denominator:
+    if math.ceil(s) <= math.floor(t):
         out_hi = Fraction(1, 2)
     return out_lo, out_hi
 
@@ -305,7 +306,7 @@ def _dyadic_interval(rng):
         a = base + rng.randrange(unit)
     width = rng.choice((0, 1, rng.randrange(unit + 1), unit - 1, unit, unit + 1,
                         rng.randrange(10 * unit + 1)))
-    b = a + max(width, 0)
+    b = a + width
     if rng.random() < 0.5:
         a, b = -b, -a
     # the two endpoints may come over different powers of two
