@@ -292,12 +292,13 @@ def _cmd_sweep(args, out: _Output) -> int:
             fh = stack.enter_context(open(args.csv, "w", newline="", buffering=1))
             rows = csv.writer(fh)
             rows.writerow(["t", "status", "precision", "q", "lambda_lower_ln",
-                           "margin", "contradiction"])
+                           "margin", "contradiction", "reason"])
         for o in outcomes:
             out.emit(o.to_json())
             if rows is not None:
+                # csv writes the reason None of a success row as empty
                 rows.writerow([o.t, o.status, o.precision, o.q, o.lambda_lower_ln,
-                               o.margin, o.contradiction])
+                               o.margin, o.contradiction, o.reason])
             n += 1
             n_ok += o.status == "success" and o.contradiction
             n_failed += o.status == "failed"

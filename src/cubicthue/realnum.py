@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_lt, mpf_sign, mpi_abs,
+from mpmath.libmp import (from_int, mpf_div, mpf_lt, mpf_sign, mpi_abs,
                           mpi_add, mpi_div, mpi_log, mpi_mul, mpi_neg, mpi_pow_int,
                           mpi_sub, round_ceiling, round_floor, to_rational)
 
@@ -65,18 +65,6 @@ def _rational_side(r: Rational, prec: int, upper: bool):
     return mpf_div(x, from_int(den, prec, den_rnd), prec, rnd)
 
 
-def _cut_mpi(num: int, den: int, prec: int):
-    """The floor and the ceiling of num/den (den > 0) at prec bits, for
-    |num| and den below 2^prec.  The shift makes |q| >= 2^prec, so q is
-    the floor of num/den on a grid finer than every prec-bit number near
-    it; rounding q down to prec bits is then the floor of num/den, and
-    rounding q + 1 up, when the division leaves a remainder, its ceiling."""
-    s = prec + 1 + den.bit_length() - abs(num).bit_length()
-    q, r = divmod(num << s, den)
-    return (from_man_exp(q, -s, prec, round_floor),
-            from_man_exp(q + (r != 0), -s, prec, round_ceiling))
-
-
 def _straddles_zero(ival) -> bool:
     return mpf_sign(ival[0]) <= 0 <= mpf_sign(ival[1])
 
@@ -104,33 +92,6 @@ class CertifiedReal:
             raise ValueError("lower endpoint exceeds upper endpoint")
         return cls((_rational_side(lo, precision, False),
                     _rational_side(hi, precision, True)), precision)
-
-    @classmethod
-    def subdivide(cls, lo: Rational, hi: Rational, pieces: int,
-                  precision: int) -> List["CertifiedReal"]:
-        """[lo, hi] cut into `pieces` equal parts enclosed as by
-        from_endpoints, each cut point rounded once for both its parts.
-
-        The cut points are N_i / D over one common denominator
-        D = b * d * pieces (lo = a/b, hi = c/d), not reduced.  When every
-        N_i and D fit in `precision` bits, so do the reduced numerator
-        and denominator of each cut point: `_rational_mpi` then encloses
-        both exactly, and its `mpi_div` returns the floor and the ceiling
-        of the quotient at `precision` bits, the same two mpf values
-        `_cut_mpi` gets from one integer divmod.  Otherwise each cut point
-        goes through `_rational_mpi`, whose outward rounding of the
-        numerator and denominator before the division can be wider."""
-        if not lo <= hi:
-            raise ValueError("lower endpoint exceeds upper endpoint")
-        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        D = b * d * pieces
-        N0, dN = a * d * pieces, c * b - a * d
-        if max(abs(N0), abs(N0 + pieces * dN), D).bit_length() <= precision:
-            cuts = [_cut_mpi(N0 + i * dN, D, precision) for i in range(pieces + 1)]
-        else:
-            step = Fraction(hi - lo) / pieces
-            cuts = [_rational_mpi(lo + i * step, precision) for i in range(pieces + 1)]
-        return [cls((u[0], v[1]), precision) for u, v in zip(cuts, cuts[1:])]
 
     @classmethod
     def hull(cls, values: Iterable["CertifiedReal"]) -> "CertifiedReal":
@@ -409,9 +370,3 @@ def nearest_integer_distance_num(ival) -> Tuple[int, int, int]:
         hi = half
     return lo, hi, k
 
-
-def nearest_integer_distance(x: CertifiedReal) -> Tuple[Fraction, Fraction]:
-    """Exact bounds (lo, hi) on the distance from the enclosed real to
-    the nearest integer, with 0 <= lo <= hi <= 1/2."""
-    lo, hi, k = nearest_integer_distance_num(x._mpi)
-    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)

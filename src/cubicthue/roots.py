@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .errors import PrecisionInsufficientError
+from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .forms import BinaryCubicForm, discriminant, family_form, monic_cubic
 from .realnum import CertifiedReal
 
@@ -45,8 +45,6 @@ KAPPA_TARGETS: Dict[int, Tuple[Fraction, Fraction]] = {
 T_ONLY_KAPPAS = (1, 2, 3, 5, 6, 9, 10, 12, 13, 15, 16)
 # each solution-dependent kappa and the interval I_which it ranges over
 ENVELOPE_KAPPAS = {4: 1, 7: 1, 8: 2, 11: 2, 14: 3}
-# the equal pieces each solution interval is cut into for the envelopes
-KAPPA_PIECES = 16
 
 
 def default_precision(t: int) -> int:
@@ -387,12 +385,19 @@ def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fra
     raise ValueError(which)
 
 
-def _piece_ratios(which: int, k: _KappaTerms) -> List[CertifiedReal]:
-    """The ratio of root differences through which a piece r of I_which
-    enters its kappas, for each of the KAPPA_PIECES equal pieces of
-    I_which."""
+def _endpoint_ratios(which: int, k: _KappaTerms) -> List[CertifiedReal]:
+    """The ratio through which r in I_which enters its kappas, at the two
+    endpoints of I_which.  It is a Moebius map of r with its pole at
+    theta2 (I_1, I_3) or theta1 (I_2), so continuous and monotone on an
+    interval without the pole: once the root enclosure puts the pole
+    outside the closed interval, the ratio's image of I_which lies in the
+    hull of the two endpoint values.  Raises IndeterminateSignError when
+    the enclosure meets the interval."""
     lo, hi = solution_interval(which, k.t)
-    rs = CertifiedReal.subdivide(lo, hi, KAPPA_PIECES, k.prec)
+    pole = k.th1 if which == 2 else k.th2
+    if not (pole.upper < lo or pole.lower > hi):
+        raise IndeterminateSignError("the pole of the I_%d ratio meets I_%d" % (which, which))
+    rs = [CertifiedReal.from_rational(r, k.prec) for r in (lo, hi)]
     if which == 1:
         return [(r - k.th3) / (r - k.th2) for r in rs]
     if which == 2:
@@ -401,8 +406,8 @@ def _piece_ratios(which: int, k: _KappaTerms) -> List[CertifiedReal]:
 
 
 def _envelope(j: int, k: _KappaTerms, ratios: List[CertifiedReal]) -> CertifiedReal:
-    """The hull of kappa_j over the pieces with the given ratios; the
-    parts that do not depend on the piece are computed once."""
+    """The hull of kappa_j over the given ratios; the parts that do not
+    depend on the ratio are computed once."""
     if j == 4:
         c = k.T3 - 2
         f = lambda q: k.T3 * (c - q)
@@ -423,15 +428,20 @@ def _envelope(j: int, k: _KappaTerms, ratios: List[CertifiedReal]) -> CertifiedR
 
 
 def kappa_envelope(j: int, t: int, roots: RootTriple) -> CertifiedReal:
-    """Enclosure of the solution-dependent kappa_j with the entire
-    admissible x/y interval substituted as an interval operand
-    (subdivided to control dependency widening)."""
+    """Enclosure of the solution-dependent kappa_j over the entire
+    admissible x/y interval I_which.  kappa_j is affine in the ratio of
+    `_endpoint_ratios` (j = 4, 8) or in its log (j = 7, 11, 14), so it is
+    monotone in r with the ratio, and its image of I_which lies in the
+    hull of its values at the two endpoints.  Two positive endpoint
+    ratios (`log` raises otherwise) certify the log over the whole
+    interval: the ratio is continuous and monotone there, so it keeps
+    one sign."""
     if j not in ENVELOPE_KAPPAS:
         raise ValueError("kappa_%d is determined by t alone" % j)
     if t < 10:
         raise ValueError("kappa claims are certified for t >= 10 only")
     k = _KappaTerms(t, roots)
-    return _envelope(j, k, _piece_ratios(ENVELOPE_KAPPAS[j], k))
+    return _envelope(j, k, _endpoint_ratios(ENVELOPE_KAPPAS[j], k))
 
 
 @dataclass(frozen=True)
@@ -467,23 +477,24 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     """All sixteen kappa enclosures checked against the claimed target
     intervals.  A claim whose enclosure misses its target is recorded as
     a failed row; an enclosure that cannot be formed at this precision
-    (roots not separated, a division or logarithm of an enclosure that
-    touches zero) raises IndeterminateSignError or
-    PrecisionInsufficientError.
+    (roots not separated, a ratio's pole not certified outside its
+    interval, a division or logarithm of an enclosure that touches zero)
+    raises IndeterminateSignError or PrecisionInsufficientError.
 
-    Each row has the bits `kappa_t_only` or `kappa_envelope` gives on the
-    same RootTriple: the t-only terms are shared through one
-    `_KappaTerms`, each solution interval is subdivided once, and the two
-    kappas of I_1 (of I_2) read the same per-piece ratios.  Every shared
-    value is the result of the same libmp kernel on the same operands at
-    the same precision as in the per-kappa functions, so sharing it
-    changes no bit."""
+    Each envelope is the hull of its kappa at the two endpoints of its
+    solution interval, which holds the kappa's image of the whole interval
+    (`kappa_envelope`).  Each row has the bits `kappa_t_only` or
+    `kappa_envelope` gives on the same RootTriple: the t-only terms are
+    shared through one `_KappaTerms`, and the two kappas of I_1 (of I_2)
+    read the same endpoint ratios.  Every shared value is the result of
+    the same libmp kernel on the same operands at the same precision as
+    in the per-kappa functions, so sharing it changes no bit."""
     if t < 10:
         raise ValueError("kappa claims are certified for t >= 10 only")
     k = _KappaTerms(t, isolate_roots(t, precision))
     encs = {j: _kappa_t_only_expr(j, k) for j in T_ONLY_KAPPAS}
     for which in (1, 2, 3):
-        ratios = _piece_ratios(which, k)
+        ratios = _endpoint_ratios(which, k)
         for j, w in ENVELOPE_KAPPAS.items():
             if w == which:
                 encs[j] = _envelope(j, k, ratios)

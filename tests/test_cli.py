@@ -1,4 +1,6 @@
 import argparse
+import csv
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -188,6 +190,22 @@ def test_kappas_below_the_needed_precision_is_inconclusive(workers, capsys):
     assert "kappas: 1/3 parameter values fully certified" in cap.out
 
 
+def test_kappas_reports_a_pole_that_meets_its_interval_as_inconclusive(monkeypatch,
+                                                                         capsys):
+    tr = roots.isolate_roots(16)
+    lo, hi = roots.solution_interval(3, 16)
+    # theta2 moved onto I_3, the pole of the ratio kappa_14 ranges over
+    pole = realnum.CertifiedReal.from_endpoints(lo, hi, tr.precision)
+    monkeypatch.setattr(roots, "isolate_roots",
+                        lambda t, precision=None: dataclasses.replace(tr, theta2=pole))
+    assert run(["kappas", "--t-lo", "16", "--t-hi", "16", "--workers", "1"]) \
+        == cli.EXIT_INCONCLUSIVE
+    cap = capsys.readouterr()
+    assert cap.err == "kappas: t=16 inconclusive: the pole of the I_3 ratio meets I_3\n"
+    assert "kappas: 0/1 parameter values fully certified" in cap.out
+    assert not [line for line in cap.out.splitlines() if line.startswith("{")]
+
+
 # per command, a cheap valid argv and the flags it does not read
 _ARGV = {"roots": ["--t", "10"], "kappas": ["--t-lo", "10", "--t-hi", "10"],
          "exponents": ["--t", "5"], "matveev": [], "tmax": [], "reduce": ["--t", "10"],
@@ -287,8 +305,18 @@ def test_sweep_csv_summary_shape(tmp_path):
     assert run(["sweep", "--t-lo", "10", "--t-hi", "12", "--output",
                 str(tmp_path / "sweep.jsonl"), "--csv", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0].startswith("t,status,precision")
+    assert lines[0] == "t,status,precision,q,lambda_lower_ln,margin,contradiction,reason"
     assert len(lines) == 4
+    # a success row leaves the reason empty
+    assert all(line.startswith(str(t) + ",success,") and line.endswith(",True,")
+               for t, line in zip((10, 11, 12), lines[1:]))
+    # a failed row carries its record's reason
+    assert run(["sweep", "--t-lo", "10", "--t-hi", "10", "--A", "1e14", "--Q", "1e3",
+                "--output", str(tmp_path / "failed.jsonl"), "--csv", str(csv_path)]) \
+        == cli.EXIT_INCONCLUSIVE
+    reason = json.loads((tmp_path / "failed.jsonl").read_text())["reason"]
+    rows = list(csv.reader(csv_path.read_text().splitlines()))
+    assert rows[1] == ["10", "failed", "1552", "", "", "", "False", reason]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

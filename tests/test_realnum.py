@@ -8,12 +8,12 @@ import mpmath
 import pytest
 from mpmath.libmp import from_man_exp, to_rational
 
-from cubicthue import exponents, forms, realnum, roots
+from cubicthue import exponents, forms, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
                                _convergents_of_fraction, _rational_mpi, _rational_side,
-                               lockstep_convergents, nearest_integer_distance,
-                               nearest_integer_distance_num, reduction_precision)
+                               lockstep_convergents, nearest_integer_distance_num,
+                               reduction_precision)
 
 
 def _rand_fraction(rng, digits=9):
@@ -144,45 +144,6 @@ def test_hull():
     assert h.contains(Fraction(1, 3)) and h.contains(Fraction(2, 3))
 
 
-def test_subdivide_matches_from_endpoints_per_piece(monkeypatch):
-    cuts = []
-    cut = realnum._cut_mpi
-    monkeypatch.setattr(realnum, "_cut_mpi", lambda n, d, p: cuts.append(n) or cut(n, d, p))
-
-    def by_divmod(lo, hi, pieces, prec):
-        """Checks subdivide against from_endpoints per piece; True when
-        it rounded the cut points by integer divmod."""
-        step = Fraction(hi - lo) / pieces
-        want = [CertifiedReal.from_endpoints(lo + i * step, lo + (i + 1) * step, prec)
-                for i in range(pieces)]
-        before = len(cuts)
-        got = CertifiedReal.subdivide(lo, hi, pieces, prec)
-        assert [(g._mpi, g.precision) for g in got] == [(w._mpi, w.precision) for w in want]
-        return len(cuts) > before
-
-    rng = random.Random(91)
-    paths = set()
-    for _ in range(50):
-        lo, width = _rand_fraction(rng), abs(_rand_fraction(rng))
-        hi, pieces, prec = lo + width, rng.randrange(1, 20), rng.choice((53, 180, 540))
-        paths.add(by_divmod(lo, hi, pieces, prec))
-    # numerators and denominators past the precision: rounded outward
-    # before the division, as from_endpoints does
-    for _ in range(50):
-        lo, width = _rand_fraction(rng, 60), abs(_rand_fraction(rng, 60))
-        assert not by_divmod(lo, lo + width, rng.randrange(1, 20), 53)
-        paths.add(by_divmod(lo, lo + width, rng.randrange(1, 20), 180))
-    # integer cut points, zero among them
-    assert by_divmod(-3, 5, 8, 64) and by_divmod(Fraction(-1, 3), Fraction(2, 3), 3, 64)
-    for t in (10, 11, 1999, 576241, 10 ** 7):
-        for w in (1, 2, 3):
-            assert by_divmod(*roots.solution_interval(w, t), 16, roots.default_precision(t))
-    assert paths == {True, False}
-    assert len(CertifiedReal.subdivide(2, 2, 3, 64)) == 3
-    with pytest.raises(ValueError):
-        CertifiedReal.subdivide(Fraction(1, 2), Fraction(1, 3), 4, 64)
-
-
 def test_reduction_precision_policy():
     # ceil(3.33 * (2*61 + 40)) at Q = 10^60
     assert reduction_precision(10 ** 60) == 540
@@ -247,25 +208,29 @@ def test_convergents_wide_enclosure_raises():
 
 
 def test_nearest_integer_distance_values():
-    lo, hi = nearest_integer_distance(CertifiedReal.from_rational(Fraction(37, 10), 128))
-    assert lo <= Fraction(3, 10) <= hi and hi - lo < Fraction(1, 10 ** 9)
-    lo, hi = nearest_integer_distance(CertifiedReal.from_rational(Fraction(5, 2), 128))
-    assert lo <= Fraction(1, 2) <= hi
-    lo, hi = nearest_integer_distance(CertifiedReal.from_rational(12, 128))
+    def distance(r):
+        # the bounds lo/2^k and hi/2^k, read as the numerators (lo, hi, k)
+        return nearest_integer_distance_num(CertifiedReal.from_rational(r, 128)._mpi)
+
+    lo, hi, k = distance(Fraction(37, 10))
+    assert 10 * lo <= 3 << k <= 10 * hi and 10 ** 9 * (hi - lo) < 1 << k
+    lo, hi, k = distance(Fraction(5, 2))
+    assert lo <= 1 << (k - 1) <= hi
+    lo, hi, k = distance(12)
     assert lo == 0 and hi == 0
 
 
 def test_nearest_integer_distance_wide_input():
     wide = CertifiedReal.from_endpoints(0, 10, 64)
-    lo, hi = nearest_integer_distance(wide)
-    assert lo == 0 and hi == Fraction(1, 2)
+    lo, hi, k = nearest_integer_distance_num(wide._mpi)
+    assert lo == 0 and hi == 1 << (k - 1)
 
 
 def test_nearest_integer_distance_straddles_integer():
     enc = CertifiedReal.from_endpoints(Fraction(19, 10), Fraction(21, 10), 64)
-    lo, hi = nearest_integer_distance(enc)
+    lo, hi, k = nearest_integer_distance_num(enc._mpi)
     assert lo == 0
-    assert hi <= Fraction(1, 2)
+    assert hi <= 1 << (k - 1)
 
 
 def _dist_to_nearest_int(r):
@@ -324,7 +289,6 @@ def test_integer_distance_matches_the_fraction_reference():
         n_lo, n_hi, k = nearest_integer_distance_num(ival)
         assert 0 <= n_lo <= n_hi <= 1 << (k - 1)
         assert (Fraction(n_lo, 1 << k), Fraction(n_hi, 1 << k)) == want
-        assert nearest_integer_distance(CertifiedReal(ival, 64)) == want
         kinds.add("negative" if lo < 0 else "nonnegative")
         kinds.add("zero" if 0 in (lo, hi) else "nonzero")
         kinds.add("wide" if hi - lo >= 1 else "narrow")
@@ -482,8 +446,9 @@ def exact_enclosures() -> dict:
 
 
 def test_exact_enclosures_match_golden():
-    # the golden file was written while CertifiedReal still wrapped
-    # iv.mpf values under a saved and restored global iv.prec
+    # the kappa rows were rewritten when each envelope became the hull of
+    # its two endpoint values; the exponent rows date from CertifiedReal
+    # wrapping iv.mpf values under a saved and restored global iv.prec
     path = Path(__file__).parent / "data" / "exact_enclosures.json"
     assert exact_enclosures() == json.loads(path.read_text())
 

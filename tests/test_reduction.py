@@ -10,7 +10,7 @@ import pytest
 from cubicthue import reduction
 from cubicthue.errors import PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, _convergents_of_fraction,
-                               nearest_integer_distance)
+                               nearest_integer_distance_num)
 from cubicthue.reduction import (ReductionInstance, baker_davenport,
                                  build_instance, contradiction_check,
                                  reduce_single, reverify_verdict, verify_range)
@@ -324,8 +324,8 @@ def test_norm_check_reads_the_lower_bound():
     for lo_end, hi_end in ((7 + d_lo, 7 + d_hi), (8 - d_hi, 8 - d_lo)):
         gamma2 = CertifiedReal.from_endpoints(lo_end / q, hi_end / q, prec)
         inst = ReductionInstance(2, 10, beta, A, q, gamma1, gamma2, prec)
-        lo, hi = nearest_integer_distance(gamma2 * q)
-        assert q * lo < threshold <= q * hi
+        lo, hi, k = nearest_integer_distance_num((gamma2 * q)._mpi)
+        assert q * lo < threshold * (1 << k) <= q * hi
         assert not baker_davenport(inst).success
         assert not reverify_verdict(inst, reduction.Verdict(True, p, q, None, None, None, 1))
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -6,7 +8,8 @@ import pytest
 
 from cubicthue import roots
 from cubicthue.forms import BinaryCubicForm, discriminant, family_form
-from cubicthue.errors import PrecisionInsufficientError
+from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
+from cubicthue.realnum import CertifiedReal
 from cubicthue.roots import (KAPPA_TARGETS,
                              intervals_disjoint, isolate_real_roots_monic_cubic,
                              isolate_roots, kappa_envelope, kappa_t_only,
@@ -324,37 +327,10 @@ def test_bisect_short_window_is_returned_as_is():
     assert roots._bisect(B, C, D, lo, hi, Fraction(1)) == (lo, hi)
 
 
-def _cut_paths(monkeypatch):
-    """Per CertifiedReal.subdivide call, True when it rounded its cut
-    points by integer divmod (`realnum._cut_mpi`), False when it took the
-    reduced-Fraction path."""
-    from cubicthue import realnum
-    paths, cuts = [], []
-    cut, subdivide = realnum._cut_mpi, realnum.CertifiedReal.subdivide
-
-    def counting_cut(num, den, prec):
-        cuts.append(num)
-        return cut(num, den, prec)
-
-    def recording_subdivide(cls, lo, hi, pieces, precision):
-        before = len(cuts)
-        out = subdivide(lo, hi, pieces, precision)
-        paths.append(len(cuts) > before)
-        return out
-
-    monkeypatch.setattr(realnum, "_cut_mpi", counting_cut)
-    monkeypatch.setattr(realnum.CertifiedReal, "subdivide", classmethod(recording_subdivide))
-    return paths
-
-
 @pytest.mark.parametrize("t, precision", [(10, None), (11, None), (1999, None),
                                           (576241, None), (10 ** 7, None), (1991, 100)])
-def test_verify_kappas_rows_match_the_per_kappa_functions(t, precision, monkeypatch):
-    paths = _cut_paths(monkeypatch)
+def test_verify_kappas_rows_match_the_per_kappa_functions(t, precision):
     rep = verify_kappas(t, precision)
-    # the default precision cuts by divmod; 100 bits at t = 1991 cannot
-    # hold the common denominators and takes the Fraction path
-    assert paths == [precision is None] * 3
     tr = isolate_roots(t, precision)
     for row in rep.rows:
         if row.j in roots.T_ONLY_KAPPAS:
@@ -364,29 +340,133 @@ def test_verify_kappas_rows_match_the_per_kappa_functions(t, precision, monkeypa
         assert (row.enclosure._mpi, row.enclosure.precision) == (want._mpi, want.precision)
 
 
-def test_verify_kappas_shares_roots_pieces_and_ln_t(monkeypatch):
-    from cubicthue.realnum import CertifiedReal
+def test_verify_kappas_shares_roots_endpoints_and_ln_t(monkeypatch):
     t = 1500
-    isolations, subdivisions, logs = [], [], []
-    isolate, subdivide, log = roots.isolate_roots, CertifiedReal.subdivide, CertifiedReal.log
+    isolations, intervals, logs = [], [], []
+    isolate, interval, log = roots.isolate_roots, roots.solution_interval, CertifiedReal.log
 
     def counting_isolate(*args):
         isolations.append(args)
         return isolate(*args)
 
-    def counting_subdivide(cls, lo, hi, pieces, precision):
-        subdivisions.append((lo, hi))
-        return subdivide(lo, hi, pieces, precision)
+    def counting_interval(*args):
+        intervals.append(args)
+        return interval(*args)
 
     def counting_log(self):
         logs.append(self._mpi)
         return log(self)
 
     monkeypatch.setattr(roots, "isolate_roots", counting_isolate)
-    monkeypatch.setattr(CertifiedReal, "subdivide", classmethod(counting_subdivide))
+    monkeypatch.setattr(roots, "solution_interval", counting_interval)
     monkeypatch.setattr(CertifiedReal, "log", counting_log)
     assert verify_kappas(t).all_pass
     assert len(isolations) == 1
-    assert subdivisions == [roots.solution_interval(w, t) for w in (1, 2, 3)]
+    assert intervals == [(w, t) for w in (1, 2, 3)]
     T = CertifiedReal.from_rational(t, roots.default_precision(t))
     assert logs.count(T._mpi) == 1
+
+
+# -- envelopes from the two endpoints of each solution interval ----------
+
+def _kappa_sample():
+    """t in [10, 59], 200 seeded t in [2001, 576241], 576241, 10^6, 10^7."""
+    return [*range(10, 60), *random.Random(11).sample(range(2001, 576242), 200),
+            576241, 10 ** 6, 10 ** 7]
+
+
+# sha256 of the t-only rows over _kappa_sample(), one json.dumps([t, j,
+# str(lower), str(upper)]) per row, as the 16-piece engine wrote them
+T_ONLY_DIGEST = "f6ba4a253e28db3b914a99e1d80998402a1429af33e3ce901a7371fe83bda560"
+
+
+def _ratio(which, k, r):
+    if which == 1:
+        return (r - k.th3) / (r - k.th2)
+    if which == 2:
+        return (k.th3 - r) / (r - k.th1)
+    return (r - k.th1) / (r - k.th2)
+
+
+def _sixteen_piece_envelope(j, t, triple):
+    """kappa_j hulled over 16 equal pieces of I_which, each piece an
+    interval operand as from_endpoints encloses it: the envelope as the
+    package formed it before the endpoint argument, bit for bit."""
+    which = roots.ENVELOPE_KAPPAS[j]
+    k = roots._KappaTerms(t, triple)
+    lo, hi = roots.solution_interval(which, t)
+    step = (hi - lo) / 16
+    pieces = [CertifiedReal.from_endpoints(lo + i * step, lo + (i + 1) * step, k.prec)
+              for i in range(16)]
+    return roots._envelope(j, k, [_ratio(which, k, r) for r in pieces])
+
+
+def test_endpoint_envelopes_lie_inside_the_sixteen_piece_oracle():
+    digest = hashlib.sha256()
+    for t in _kappa_sample():
+        rep = verify_kappas(t)
+        assert rep.all_pass, (t, [r.j for r in rep.rows if not r.passed])
+        tr = isolate_roots(t)
+        for row in rep.rows:
+            enc = row.enclosure
+            if row.j in roots.T_ONLY_KAPPAS:
+                want = kappa_t_only(row.j, t, tr)
+                assert (enc._mpi, enc.precision) == (want._mpi, want.precision)
+                digest.update(json.dumps([t, row.j, str(enc.lower), str(enc.upper)]).encode())
+            else:
+                oracle = _sixteen_piece_envelope(row.j, t, tr)
+                assert oracle.lower <= enc.lower and enc.upper <= oracle.upper, (t, row.j)
+    assert digest.hexdigest() == T_ONLY_DIGEST
+
+
+@pytest.mark.parametrize("t", (10, 11, 2000, 576241, 10 ** 7))
+def test_kappa_at_interior_points_lies_inside_the_envelope(t):
+    tr = isolate_roots(t)
+    k = roots._KappaTerms(t, tr)
+    for j, which in roots.ENVELOPE_KAPPAS.items():
+        env = kappa_envelope(j, t, tr)
+        lo, hi = roots.solution_interval(which, t)
+        for i in range(1, 9):
+            r = CertifiedReal.from_rational(lo + i * (hi - lo) / 9, k.prec)
+            point = roots._envelope(j, k, [_ratio(which, k, r)])
+            assert env.lower <= point.lower and point.upper <= env.upper, (j, i)
+
+
+def _pole_triple(which, overlap):
+    """The roots of t = 16 with the pole of the I_which ratio (theta2 on
+    I_1 and I_3, theta1 on I_2) replaced by an enclosure that overlaps
+    the inside of I_which, or that ends on the endpoint of I_which with
+    the offset 7/8 = 1 - 1/2^3: at t = 16 that endpoint is dyadic, so an
+    enclosure can end exactly on it."""
+    tr = isolate_roots(16)
+    lo, hi = roots.solution_interval(which, 16)
+    w = hi - lo
+    if overlap:
+        pole = CertifiedReal.from_endpoints(lo + w / 3, lo + 2 * w / 3, tr.precision)
+    elif which == 2:
+        pole = CertifiedReal.from_endpoints(lo - w, lo, tr.precision)
+        assert pole.upper == lo
+    else:
+        pole = CertifiedReal.from_endpoints(hi, hi + w, tr.precision)
+        assert pole.lower == hi
+    return dataclasses.replace(tr, **{"theta1" if which == 2 else "theta2": pole})
+
+
+@pytest.mark.parametrize("overlap", (False, True))
+@pytest.mark.parametrize("which", (1, 2, 3))
+def test_envelope_refuses_a_pole_that_meets_the_interval(which, overlap):
+    triple = _pole_triple(which, overlap)
+    for j, w in roots.ENVELOPE_KAPPAS.items():
+        if w == which:
+            with pytest.raises(IndeterminateSignError, match="pole of the I_%d ratio" % which):
+                kappa_envelope(j, 16, triple)
+
+
+@pytest.mark.parametrize("overlap", (False, True))
+def test_verify_kappas_refuses_a_pole_that_meets_the_interval(overlap, monkeypatch):
+    # theta2 moved up to I_3 leaves every t-only kappa formable, so the
+    # pole test is the one that refuses
+    triple = _pole_triple(3, overlap)
+    monkeypatch.setattr(roots, "isolate_roots", lambda t, precision=None: triple)
+    with pytest.raises(IndeterminateSignError, match="pole of the I_3 ratio"):
+        verify_kappas(16)
