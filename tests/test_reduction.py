@@ -386,3 +386,29 @@ def test_reduce_records_match_the_byte_golden():
                                                sort_keys=True).encode()).hexdigest()]
            for t, prec, _ in cases]
     assert got == cases
+
+
+AGGREGATE = Path(__file__).parent / "data" / "reduce_aggregate.json"
+
+
+def _aggregate_cases():
+    """Every t in [10, 1199] and 1200 seeded t in [2001, 576241] at the
+    default precision, then 130 seeded t each started at 270, 180 and 135
+    bits; the 135-bit ones take three attempts (two escalations)."""
+    rng = random.Random(20261018)
+    cases = [(t, None) for t in range(10, 1200)]
+    cases += [(t, None) for t in sorted(rng.sample(range(2001, 576242), 1200))]
+    for prec in (270, 180, 135):
+        cases += [(t, prec) for t in sorted(rng.sample(range(2001, 576242), 130))]
+    return cases
+
+
+def test_reduce_records_match_the_aggregate_golden():
+    want = _read_json(AGGREGATE)
+    cases = _aggregate_cases()
+    assert len(cases) == want["count"]
+    h = hashlib.sha256()
+    for t, prec in cases:
+        h.update(json.dumps(reduce_single(2, t, precision=prec).to_json(),
+                            sort_keys=True).encode())
+    assert h.hexdigest() == want["sha256"]
