@@ -240,3 +240,11 @@ def contradiction_threshold(which: int, t: int) -> float:
     growth products for which=1,3."""
     coef, p = CONTRADICTION_COEFF[which]
     return -float(coef) * t ** p * math.log(t) ** 2
+
+
+def certified_contradiction_threshold(which: int, t: int,
+                                      precision: int) -> CertifiedReal:
+    """contradiction_threshold enclosed at `precision` bits."""
+    coef, p = CONTRADICTION_COEFF[which]
+    lnt = CertifiedReal.from_rational(t, precision).log()
+    return -(coef * t ** p) * lnt ** 2

@@ -275,7 +275,8 @@ def _cmd_reduce(args, out: _Output) -> int:
 
 
 def _cmd_sweep(args, out: _Output) -> int:
-    t_max = bounds.derive_t_max()[0]
+    # the bisection for t_max is run only when the range or the samples read it
+    t_max = bounds.derive_t_max()[0] if args.full or args.samples else None
     extra = (_sample_ts(args.seed, args.samples, SWEEP_SLICE_HI + 1, t_max)
              if args.samples and not args.full else [])
     n = n_ok = n_failed = 0

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import (Generator, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+                    Union)
 
-from mpmath.libmp import (from_int, mpf_div, mpf_lt, mpf_sign, mpi_abs,
-                          mpi_add, mpi_div, mpi_log, mpi_mul, mpi_neg, mpi_pow_int,
-                          mpi_sub, round_ceiling, round_floor, to_rational)
+from mpmath.libmp import (fzero, mpf_lt, mpf_sign, mpi_abs, mpi_add, mpi_div,
+                          mpi_log, mpi_mul, mpi_neg, mpi_pow_int, mpi_sub,
+                          to_rational)
 
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 
@@ -38,31 +39,55 @@ def _mpf_to_fraction(x) -> Fraction:
     return Fraction(int(p), int(q))
 
 
-def _rational_mpi(r: Rational, prec: int):
-    """The enclosure iv.mpf(num) / iv.mpf(den) gives r at prec bits:
-    both integers rounded outward, then divided (a division by 1 is
-    exact and skipped)."""
-    num, den = r.numerator, r.denominator
-    x = (from_int(num, prec, round_floor), from_int(num, prec, round_ceiling))
-    if den == 1:
-        return x
-    return mpi_div(x, (from_int(den, prec, round_floor),
-                       from_int(den, prec, round_ceiling)), prec)
+def _rounded(man: int, exp: int, prec: int, up: bool, inexact: bool = False):
+    """(m, e) with m * 2^e the prec-bit rounding of man * 2^exp (man > 0)
+    toward zero, or away from it when `up`; `inexact` marks a nonzero
+    remainder below man's last bit.  m is odd, as in an mpf."""
+    drop = man.bit_length() - prec
+    if drop > 0:
+        inexact = inexact or man & ((1 << drop) - 1) != 0
+        man >>= drop
+        exp += drop
+    if up and inexact:
+        man += 1
+    zeros = (man & -man).bit_length() - 1
+    return man >> zeros, exp + zeros
 
 
 def _rational_side(r: Rational, prec: int, upper: bool):
-    """_rational_mpi(r, prec)[upper], computed alone.  With den > 0,
-    mpi_div divides the numerator's endpoint on that side by the
-    denominator's upper endpoint when the side points toward zero (the
-    lower side of a positive quotient, the upper of a negative one) and
-    by its lower endpoint otherwise; a zero numerator has den 1."""
+    """The upper (or lower) endpoint of mpmath's iv.mpf(num) / iv.mpf(den)
+    for r at prec bits, computed in integers.  iv.mpf rounds each integer
+    outward to prec bits, and the interval division then takes, for the
+    side that points away from zero (the upper side of a positive r, the
+    lower of a negative one), the numerator's endpoint rounded away from
+    zero over the denominator's rounded toward it, and the quotient
+    rounded away from zero; for the side toward zero, all three the
+    other way.  The quotient carries prec + 1 or more bits and a sticky
+    remainder flag into its rounding, so it is the directed rounding of
+    the exact quotient, as mpf_div's is."""
     num, den = r.numerator, r.denominator
-    rnd = round_ceiling if upper else round_floor
-    x = from_int(num, prec, rnd)
-    if den == 1:
-        return x
-    den_rnd = round_floor if (num > 0) == upper else round_ceiling
-    return mpf_div(x, from_int(den, prec, den_rnd), prec, rnd)
+    if not num:
+        return fzero
+    away = (num > 0) == upper
+    man, exp = _rounded(abs(num), 0, prec, away)
+    if den != 1:
+        d, d_exp = _rounded(den, 0, prec, not away)
+        exp -= d_exp
+        if d != 1:
+            # man << shift has at least prec + 1 more bits than d
+            shift = prec + d.bit_length() - man.bit_length() + 1
+            man, rem = divmod(man << shift, d)
+            man, exp = _rounded(man, exp - shift, prec, away, rem != 0)
+    return (int(num < 0), man, exp, man.bit_length())
+
+
+def _rational_mpi(r: Rational, prec: int):
+    """The enclosure iv.mpf(num) / iv.mpf(den) gives r at prec bits; an
+    integer of at most prec bits is its own two endpoints."""
+    lo = _rational_side(r, prec, False)
+    if r.denominator == 1 and abs(r.numerator).bit_length() <= prec:
+        return lo, lo
+    return lo, _rational_side(r, prec, True)
 
 
 def _straddles_zero(ival) -> bool:
@@ -276,42 +301,46 @@ def _convergents_of_fraction(x: Fraction, Q: int) -> List[Convergent]:
     return out
 
 
-def lockstep_convergents(a: int, b: int, c: int, d: int,
-                         Q: int) -> Tuple[List[Convergent], Optional[int]]:
+def lockstep_expansion(a: int, b: int, c: int, d: int,
+                       Q: int) -> Generator[Convergent, None, Optional[Tuple[int, int, int]]]:
     """The convergents p/q with q <= Q that every real in [a/b, c/d]
-    shares (a/b <= c/d, b > 0, d > 0).
+    shares (a/b <= c/d, b > 0, d > 0), produced one at a time.
 
     Both endpoints are expanded in lockstep, each as an unreduced integer
     pair (num, den) with den > 0.  The reals in the interval share every
     partial quotient on which the endpoints agree: the reals whose
-    expansion starts with given quotients form an interval.  Returns
-    (convergents, None) once the next shared convergent has q > Q.  When
-    the endpoints disagree on a partial quotient, every real in the
-    interval has a quotient there at least the lower endpoint's, f;
-    returns (convergents so far, f * q_(n-1) + q_(n-2)), the least
-    denominator the next convergent of any of them can have.  When both
-    expansions terminate at the same step, the endpoints are equal and
-    the convergents are all of theirs: returns (convergents, None).
-    Raises PrecisionInsufficientError when one endpoint's expansion
-    terminates alone before q passes Q: the expansion of the reals
-    inside is then not determined by the interval.
+    expansion starts with given quotients form an interval.  The
+    expansion returns None once the next shared convergent has q > Q, or
+    when both endpoint expansions terminate at the same step: the
+    endpoints are then equal, and the convergents are all of theirs.
+    When the endpoints disagree on the partial quotient of index n,
+    every real in the interval has a quotient there at least the lower
+    endpoint's, f, and the expansion returns (n, q_(n-1), next_q): the
+    denominator of the last shared convergent (0 before the first), and
+    next_q = f * q_(n-1) + q_(n-2), the least denominator the next
+    convergent of any of them can have.  When one endpoint's expansion
+    terminates alone, after the convergent it ends on, it raises
+    PrecisionInsufficientError: the expansion of the reals inside is then
+    not determined by the interval.  A consumer that stops at a
+    convergent never meets what the interval does past it.
     """
-    out: List[Convergent] = []
     pm1, qm1, pm2, qm2 = 1, 0, 0, 1
+    index = 0
     while True:
         fa, ra = divmod(a, b)
         fb, rc = divmod(c, d)
         if fa != fb:
             # the lower endpoint's quotient is the smaller one
-            return out, fa * qm1 + qm2
+            return index, qm1, fa * qm1 + qm2
         p = fa * pm1 + pm2
         q = fa * qm1 + qm2
         if q > Q:
-            return out, None
-        out.append(Convergent(p, q, len(out)))
+            return None
+        yield Convergent(p, q, index)
+        index += 1
         pm2, qm2, pm1, qm1 = pm1, qm1, p, q
         if ra == 0 and rc == 0:
-            return out, None
+            return None
         if ra == 0 or rc == 0:
             raise PrecisionInsufficientError(
                 "endpoint expansion terminated at denominator %d <= Q=%d" % (qm1, Q))
@@ -319,39 +348,73 @@ def lockstep_convergents(a: int, b: int, c: int, d: int,
         a, b, c, d = d, rc, b, ra
 
 
-def continued_fraction_convergents(x: CertifiedReal, Q: int) -> List[Convergent]:
-    """Convergents p/q (q <= Q) of the exact real enclosed by x: those
-    every real in the enclosure shares (`lockstep_convergents`), which
-    for a zero-radius input are the exact Euclidean ones.  A
-    disagreement in any partial quotient before the denominator exceeds
-    Q means the enclosure is too wide to pin down the expansion, and
-    raises.
+def lockstep_convergents(a: int, b: int, c: int, d: int,
+                         Q: int) -> Tuple[List[Convergent], Optional[int]]:
+    """Every convergent of `lockstep_expansion`, with None, or, when the
+    endpoints disagree, with the disagreement's `next_q`.  Raises
+    PrecisionInsufficientError when one endpoint's expansion terminates
+    alone before q passes Q."""
+    out: List[Convergent] = []
+    steps = lockstep_expansion(a, b, c, d, Q)
+    while True:
+        try:
+            out.append(next(steps))
+        except StopIteration as stop:
+            return out, None if stop.value is None else stop.value[2]
+
+
+def shared_convergents(x: CertifiedReal, Q: int) -> Iterator[Convergent]:
+    """The convergents p/q (q <= Q) of the exact real enclosed by x, in
+    order and one at a time: those every real in the enclosure shares
+    (`lockstep_expansion`), which for a zero-radius input are the exact
+    Euclidean ones.  A disagreement in a partial quotient, or an endpoint
+    expansion that ends alone, means the enclosure is too wide to pin
+    down the expansion there, and raises PrecisionInsufficientError when
+    the expansion reaches it.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
     (a, b), (c, d) = to_rational(x._mpi[0]), to_rational(x._mpi[1])
-    out, next_q = lockstep_convergents(a, b, c, d, Q)
-    if next_q is not None:
+    return _pinned(lockstep_expansion(a, b, c, d, Q), Q)
+
+
+def _pinned(steps, Q: int) -> Iterator[Convergent]:
+    parted = yield from steps
+    if parted is not None:
         raise PrecisionInsufficientError(
             "endpoints disagree on partial quotient %d (denominator %d <= Q=%d)"
-            % (len(out), out[-1].q if out else 0, Q))
-    return out
+            % (parted[0], parted[1], Q))
+
+
+def continued_fraction_convergents(x: CertifiedReal, Q: int) -> List[Convergent]:
+    """Every convergent of `shared_convergents(x, Q)`; raises if the
+    enclosure does not pin down the expansion up to Q."""
+    return list(shared_convergents(x, Q))
+
+
+def dyadic_numerators(ival) -> Tuple[int, int, int]:
+    """The endpoints of the raw interval `ival` over one denominator
+    2^k, as (a, b, k) with ival = [a/2^k, b/2^k] and k >= 1."""
+    (a, da), (b, db) = to_rational(ival[0]), to_rational(ival[1])
+    k = max(da.bit_length(), db.bit_length(), 2) - 1
+    return a << (k + 1 - da.bit_length()), b << (k + 1 - db.bit_length()), k
 
 
 def nearest_integer_distance_num(ival) -> Tuple[int, int, int]:
-    """Exact bounds on the distance from every real in the raw interval
-    `ival` to its nearest integer, as (lo, hi, k) for the bounds lo/2^k
-    and hi/2^k, with 0 <= lo <= hi <= 2^(k-1).
+    """`integer_distance_num` of the raw interval `ival`."""
+    return integer_distance_num(*dyadic_numerators(ival))
 
-    Both endpoints go over one denominator 2^k (k >= 1, so 1/2 is
-    2^(k-1)); a shift then splits each into its floor and its remainder.
-    The bounds are the endpoints' own distances, except that an integer
-    in the interval pulls the lower to 0 and a half-integer the upper to
+
+def integer_distance_num(a: int, b: int, k: int) -> Tuple[int, int, int]:
+    """Exact bounds on the distance from every real in [a/2^k, b/2^k]
+    (a <= b, k >= 1, so 1/2 is 2^(k-1)) to its nearest integer, as
+    (lo, hi, k) for the bounds lo/2^k and hi/2^k, with
+    0 <= lo <= hi <= 2^(k-1).
+
+    A shift splits each endpoint into its floor and its remainder.  The
+    bounds are the endpoints' own distances, except that an integer in
+    the interval pulls the lower to 0 and a half-integer the upper to
     1/2."""
-    (a, da), (b, db) = to_rational(ival[0]), to_rational(ival[1])
-    k = max(da.bit_length(), db.bit_length(), 2) - 1
-    a <<= k + 1 - da.bit_length()
-    b <<= k + 1 - db.bit_length()
     one, half = 1 << k, 1 << (k - 1)
     if b - a >= one:
         return 0, half, k
@@ -369,4 +432,3 @@ def nearest_integer_distance_num(ival) -> Tuple[int, int, int]:
     if has_half:
         hi = half
     return lo, hi, k
-

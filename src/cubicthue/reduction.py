@@ -11,6 +11,7 @@ and 1/Q^2 so that the continued-fraction extraction is trustworthy.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -19,11 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .bounds import contradiction_threshold, lambda_log_arguments
+from .bounds import (certified_contradiction_threshold, contradiction_threshold,
+                     lambda_log_arguments)
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .parallel import parallel_map
-from .realnum import (CertifiedReal, continued_fraction_convergents,
-                      nearest_integer_distance_num, reduction_precision)
+from .realnum import (CertifiedReal, dyadic_numerators, integer_distance_num,
+                      reduction_precision, shared_convergents)
+# the eager expansion, which the scan no longer runs, stays importable here
+from .realnum import continued_fraction_convergents  # noqa: F401
 from .roots import isolate_roots
 
 DEFAULT_A = 3 * 10 ** 18
@@ -31,6 +35,8 @@ DEFAULT_Q = 10 ** 60
 MAX_PRECISION_ESCALATIONS = 3
 Q_ESCALATION_FACTOR = 10 ** 5
 CHECKPOINT_INTERVAL = 10 ** 4
+# bits of the logarithms that decide the contradiction
+LOG_PRECISION = 64
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,8 @@ class Verdict:
     lambda_lower_ln: Optional[float]       # ln(|beta| / Q^2)
     margin: Optional[float]                # lambda_lower_ln - contradiction threshold
     convergents_scanned: int = 0
+    # ln(|beta|/Q^2) enclosed at LOG_PRECISION bits, from |beta|'s lower endpoint
+    lambda_lower_enclosure: Optional[CertifiedReal] = None
 
 
 def check_bounds(A: int, Q: int):
@@ -79,39 +87,59 @@ def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
     alpha, beta, delta = a1.log(), a2.log(), a3.log()
     gamma1 = alpha / beta
     gamma2 = delta / beta
-    if not gamma1.width < Fraction(1, 100 * Q * Q):
-        raise PrecisionInsufficientError(
-            "gamma1 width %.3g exceeds 1/(100 Q^2)" % float(gamma1.width))
-    if not gamma2.width < Fraction(1, Q * Q):
-        raise PrecisionInsufficientError(
-            "gamma2 width %.3g exceeds 1/Q^2" % float(gamma2.width))
+    for name, gamma, factor, bound in (("gamma1", gamma1, 100, "1/(100 Q^2)"),
+                                       ("gamma2", gamma2, 1, "1/Q^2")):
+        # the width (b - a)/2^k below 1/(factor Q^2), cross-multiplied
+        a, b, k = dyadic_numerators(gamma._mpi)
+        if not factor * Q * Q * (b - a) < 1 << k:
+            raise PrecisionInsufficientError(
+                "%s width %.3g exceeds %s" % (name, float(gamma.width), bound))
     return ReductionInstance(which, t, beta, A, Q, gamma1, gamma2, precision)
 
 
-def _certified_norm(inst: ReductionInstance, q: int) -> Optional[Fraction]:
+def _certified_norm(gamma2_num: Tuple[int, int, int], A: int,
+                    q: int) -> Optional[Fraction]:
     """The certified lower bound of q*||q*gamma2|| when it reaches
-    1.01*A + 2 = (101 A + 200) / 100, else None; compared in integers
-    over the bound's denominator 2^k."""
-    lo, _, k = nearest_integer_distance_num((inst.gamma2 * q)._mpi)
+    1.01*A + 2 = (101 A + 200) / 100, else None.  gamma2 is given by its
+    `dyadic_numerators` (a, b, k), so q*gamma2 lies in the exact product
+    interval [q*a/2^k, q*b/2^k], and the bound is compared in integers
+    over its denominator 2^k."""
+    a, b, k = gamma2_num
+    lo, _, _ = integer_distance_num(q * a, q * b, k)
     n = q * lo
-    if 100 * n < (101 * inst.A + 200) << k:
+    if 100 * n < (101 * A + 200) << k:
         return None
     return Fraction(n, 1 << k)
+
+
+@functools.lru_cache(maxsize=8)
+def _ln_q_squared(Q: int) -> CertifiedReal:
+    return CertifiedReal.from_rational(Q * Q, LOG_PRECISION).log()
+
+
+def _lambda_lower_enclosure(beta: CertifiedReal, Q: int) -> CertifiedReal:
+    """ln(|beta|_lower / Q^2) enclosed at LOG_PRECISION bits, where
+    |beta|_lower is the mpf lower endpoint of |beta|'s enclosure."""
+    b = abs(beta)._mpi[0]
+    return CertifiedReal((b, b), LOG_PRECISION).log() - _ln_q_squared(Q)
 
 
 def baker_davenport(inst: ReductionInstance) -> Verdict:
     """Scan the convergents of gamma1 upward in q for the first with a
     certified q*||q*gamma2|| >= 1.01*A + 2; success yields the lower
-    bound |Lambda| > |beta|/Q^2."""
+    bound |Lambda| > |beta|/Q^2.  The expansion of gamma1 is read only up
+    to that convergent, so an enclosure that cannot pin the expansion
+    down past it still succeeds; a failed scan raises the expansion's
+    PrecisionInsufficientError, if it has one."""
     threshold_100 = 101 * inst.A + 200      # 100 * (1.01*A + 2)
-    convergents = continued_fraction_convergents(inst.gamma1, inst.Q)
+    gamma2_num = dyadic_numerators(inst.gamma2._mpi)
     scanned = 0
-    for conv in convergents:
+    for conv in shared_convergents(inst.gamma1, inst.Q):
         scanned += 1
         # q*||.|| <= q/2, so small q cannot pass
         if 50 * conv.q < threshold_100:
             continue
-        q_norm_lower = _certified_norm(inst, conv.q)
+        q_norm_lower = _certified_norm(gamma2_num, inst.A, conv.q)
         if q_norm_lower is not None:
             beta_abs_lower = abs(inst.beta).lower
             lam_ln = (math.log(beta_abs_lower.numerator)
@@ -119,16 +147,29 @@ def baker_davenport(inst: ReductionInstance) -> Verdict:
                       - 2 * math.log(inst.Q))
             thr = contradiction_threshold(inst.which, inst.t)
             return Verdict(True, conv.p, conv.q, q_norm_lower, lam_ln,
-                           lam_ln - thr, scanned)
+                           lam_ln - thr, scanned,
+                           _lambda_lower_enclosure(inst.beta, inst.Q))
     return Verdict(False, None, None, None, None, None, scanned)
 
 
 def contradiction_check(which: int, t: int, verdict: Verdict) -> bool:
-    """True when the certified lower bound ln(|beta|/Q^2) exceeds the
-    combined upper bound at the type's growth threshold."""
-    if not verdict.success:
-        raise ValueError("contradiction check requires a successful verdict")
-    return verdict.lambda_lower_ln > contradiction_threshold(which, t)
+    """Whether ln(|beta|/Q^2) exceeds the combined upper bound on
+    ln|Lambda_which| at the type's growth threshold, decided on the
+    verdict's certified enclosure against the threshold's, both at
+    LOG_PRECISION bits.  Raises IndeterminateSignError when the two
+    enclosures overlap."""
+    if not verdict.success or verdict.lambda_lower_enclosure is None:
+        raise ValueError("contradiction check requires a successful verdict "
+                         "with a certified ln(|beta|/Q^2)")
+    gap = verdict.lambda_lower_enclosure - certified_contradiction_threshold(
+        which, t, LOG_PRECISION)
+    if gap.is_positive():
+        return True
+    if gap.is_negative():
+        return False
+    raise IndeterminateSignError(
+        "ln(|beta|/Q^2) meets the contradiction threshold at t=%d (%d bits)"
+        % (t, LOG_PRECISION))
 
 
 @dataclass(frozen=True)
@@ -277,8 +318,8 @@ def reverify_verdict(inst: ReductionInstance, verdict: Verdict) -> bool:
     p, q = verdict.p, verdict.q
     if not (1 <= q <= inst.Q and math.gcd(p, q) == 1):
         return False
-    if _certified_norm(inst, q) is None:
+    if _certified_norm(dyadic_numerators(inst.gamma2._mpi), inst.A, q) is None:
         return False
-    pq = Fraction(p, q)
-    err = max(abs(inst.gamma1.lower - pq), abs(inst.gamma1.upper - pq))
-    return err < Fraction(1, q * q)
+    # |e/2^k - p/q| < 1/q^2 at both endpoints e, cross-multiplied
+    a, b, k = dyadic_numerators(inst.gamma1._mpi)
+    return all(q * abs(e * q - (p << k)) < 1 << k for e in (a, b))

@@ -319,6 +319,24 @@ def test_sweep_csv_summary_shape(tmp_path):
     assert rows[1] == ["10", "failed", "1552", "", "", "", "False", reason]
 
 
+def test_sweep_derives_t_max_only_when_it_reads_it(monkeypatch, tmp_path):
+    derive = bounds.derive_t_max
+    calls = []
+    monkeypatch.setattr(bounds, "derive_t_max",
+                        lambda *a: calls.append("tmax") or derive(*a))
+    monkeypatch.setattr(reduction, "verify_range", lambda *a, **k: (o for o in ()))
+    sweep = ["sweep", "--t-lo", "10", "--t-hi", "11", "--output", str(tmp_path / "o")]
+    assert run(sweep) == 0 and calls == []
+    assert run(sweep + ["--samples", "3"]) == 0 and calls == ["tmax"]
+    assert run(sweep + ["--full"]) == 0 and calls == ["tmax"] * 2
+    # certify-all keeps its own tmax stage
+    for name in ("_cmd_kappas", "_cmd_matveev", "_cmd_sweep", "_cmd_verify_tables"):
+        monkeypatch.setattr(cli, name, lambda args, out: cli.EXIT_OK)
+    assert run(["certify-all", "--y-bound", "5", "--output", str(tmp_path / "c")]) == 0
+    assert calls == ["tmax"] * 3
+    assert json.loads((tmp_path / "c").read_text().splitlines()[0])["t_max"] == 576241
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_checkpoint_never_passes_the_written_output(workers, monkeypatch, tmp_path):
     monkeypatch.setattr(reduction, "CHECKPOINT_INTERVAL", 4)

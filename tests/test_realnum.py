@@ -305,6 +305,13 @@ def test_integer_distance_matches_the_fraction_reference():
                      "no integer inside", "half inside", "no half inside"}
 
 
+def _iv_quotient(r, prec):
+    """The reference enclosure of r at prec bits: mpmath's
+    iv.mpf(num) / iv.mpf(den), each integer rounded outward and then
+    divided by mpmath's interval division."""
+    return _at(prec, lambda: (mpmath.iv.mpf(r.numerator) / mpmath.iv.mpf(r.denominator))._mpi_)
+
+
 def test_one_sided_endpoints_match_the_two_sided_enclosure():
     rng = random.Random(20)
     values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 1), Fraction(-7, 3)]
@@ -314,13 +321,43 @@ def test_one_sided_endpoints_match_the_two_sided_enclosure():
         values.append(Fraction(rng.randrange(-10 ** digits, 10 ** digits), den))
     for prec in (64, 65, 100, 128, 540, 720, 1080, 2160):
         for r in values:
-            both = _rational_mpi(r, prec)
+            both = _iv_quotient(r, prec)
             assert (_rational_side(r, prec, False), _rational_side(r, prec, True)) == both
+            assert _rational_mpi(r, prec) == both
             assert CertifiedReal.from_endpoints(r, r, prec)._mpi == both
     for lo, hi in zip(values, values[1:]):
         lo, hi = min(lo, hi), max(lo, hi)
         assert CertifiedReal.from_endpoints(lo, hi, 200)._mpi == \
-            (_rational_mpi(lo, 200)[0], _rational_mpi(hi, 200)[1])
+            (_iv_quotient(lo, 200)[0], _iv_quotient(hi, 200)[1])
+
+
+def test_integer_rounding_matches_mpmath_bit_for_bit():
+    """The integer directed rounding of a rational gives the very mpf
+    endpoints of iv.mpf(num) / iv.mpf(den), for numerators and
+    denominators of fewer, as many and more bits than the precision."""
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(6000):
+        prec = rng.choice((53, 64, 65, 128, 540, 1080, 2160, rng.randrange(53, 2161)))
+
+        def bits():
+            return rng.choice((1, 2, prec - 1, prec, prec + 1, 2 * prec,
+                               rng.randrange(1, 3 * prec)))
+
+        num = rng.getrandbits(bits())
+        den = rng.choice((1, 1 << bits(), (1 << bits()) + 1, rng.getrandbits(bits()) | 1))
+        if rng.random() < 0.05:
+            num = rng.choice((0, 1, (1 << prec) - 1, 1 << prec, (1 << prec) + 1))
+        r = Fraction(num * rng.choice((1, -1)), den)
+        assert _rational_mpi(r, prec) == _iv_quotient(r, prec), (r, prec)
+        kinds.add("negative" if r < 0 else "positive" if r > 0 else "zero")
+        kinds.add("integer" if r.denominator == 1 else "fraction")
+        for name, n in (("numerator", r.numerator), ("denominator", r.denominator)):
+            kinds.add("%s %s precision" % (name, "above" if abs(n).bit_length() > prec
+                                           else "within"))
+    assert kinds == {"negative", "positive", "zero", "integer", "fraction",
+                     "numerator above precision", "numerator within precision",
+                     "denominator above precision", "denominator within precision"}
 
 
 def test_decimal_serialization_mentions_precision():

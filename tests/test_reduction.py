@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,12 +6,14 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from cubicthue import reduction
-from cubicthue.errors import PrecisionInsufficientError
+from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, _convergents_of_fraction,
-                               nearest_integer_distance_num)
+                               continued_fraction_convergents, dyadic_numerators,
+                               integer_distance_num, nearest_integer_distance_num)
 from cubicthue.reduction import (ReductionInstance, baker_davenport,
                                  build_instance, contradiction_check,
                                  reduce_single, reverify_verdict, verify_range)
@@ -55,8 +58,24 @@ def test_contradiction_margins():
         assert outcome.contradiction
         assert outcome.margin > 100
     # fabricated verdict below the threshold fails the check
-    fake = reduction.Verdict(True, 1, 1, Fraction(1), -10 ** 9, None, 1)
-    assert not contradiction_check(2, 10, fake)
+    assert not contradiction_check(2, 10, _verdict_at(-10 ** 9, -10 ** 9))
+    # -27.65 * 10^3 * ln^2 10, to 90 digits
+    with mpmath.workdps(100):
+        thr = Fraction(mpmath.nstr(-mpmath.mpf(2765) * 10 * mpmath.log(10) ** 2, 90))
+    eps = Fraction(1, 10 ** 9)
+    assert contradiction_check(2, 10, _verdict_at(thr + eps, thr + 2 * eps))
+    assert not contradiction_check(2, 10, _verdict_at(thr - 2 * eps, thr - eps))
+    # an enclosure that holds the threshold decides neither way
+    with pytest.raises(IndeterminateSignError, match="threshold"):
+        contradiction_check(2, 10, _verdict_at(thr - eps, thr + eps))
+
+
+def _verdict_at(lo, hi):
+    """A fabricated success verdict whose certified ln(|beta|/Q^2) is
+    enclosed by [lo, hi]; its display float is left out, as the check
+    must not read it."""
+    ln = CertifiedReal.from_endpoints(Fraction(lo), Fraction(hi), reduction.LOG_PRECISION)
+    return reduction.Verdict(True, 1, 1, Fraction(1), None, None, 1, ln)
 
 
 def test_contradiction_check_requires_success():
@@ -350,6 +369,154 @@ def test_norm_check_meets_the_threshold_exactly():
                                                             None, 1)) == passes
             if passes:
                 assert (verdict.p, verdict.q, verdict.q_norm_lower) == (1, q, 103)
+
+
+def _eager_verdict(inst):
+    """baker_davenport with the whole expansion of gamma1 read first, as
+    it was before the scan read it lazily; the norm bound is recomputed
+    in Fractions on the exact product interval q * gamma2."""
+    threshold = Fraction(101 * inst.A + 200, 100)
+    convergents = continued_fraction_convergents(inst.gamma1, inst.Q)
+    for scanned, conv in enumerate(convergents, 1):
+        lo, hi = conv.q * inst.gamma2.lower, conv.q * inst.gamma2.upper
+        bound = conv.q * (0 if math.floor(hi) > math.floor(lo) or lo.denominator == 1
+                          else min(_dist(lo), _dist(hi)))
+        if bound >= threshold:
+            b = abs(inst.beta).lower
+            lam = math.log(b.numerator) - math.log(b.denominator) - 2 * math.log(inst.Q)
+            return reduction.Verdict(
+                True, conv.p, conv.q, bound, lam,
+                lam - reduction.contradiction_threshold(inst.which, inst.t), scanned,
+                reduction._lambda_lower_enclosure(inst.beta, inst.Q))
+    return reduction.Verdict(False, None, None, None, None, None, len(convergents))
+
+
+def _dist(r):
+    return min(r - math.floor(r), math.ceil(r) - r)
+
+
+def _fields(verdict):
+    """The verdict's fields, with the certified enclosure as its endpoints."""
+    enc = verdict.lambda_lower_enclosure
+    return dataclasses.replace(verdict, lambda_lower_enclosure=None), enc and enc._mpi
+
+
+def test_lazy_scan_matches_the_eager_oracle():
+    """On random enclosures of random gamma1, gamma2: where reading the
+    whole expansion first does not raise, the lazy scan gives the same
+    verdict, field for field; where it raises, the lazy scan raises the
+    same error or accepts a convergent before the expansion breaks."""
+    rng = random.Random(74)
+    kinds = set()
+    for _ in range(400):
+        prec = rng.choice((128, 200, 420))
+        Q = rng.choice((10 ** 9, 10 ** 12, 10 ** 20))
+        # an A near Q leaves few convergents able to pass
+        A = rng.choice((rng.randrange(10 ** 3, 10 ** 6), Q // rng.choice((3, 10, 100))))
+        g1 = Fraction(rng.getrandbits(300), 2 ** 299)
+        g2 = Fraction(rng.getrandbits(300), 2 ** 299)
+        if rng.random() < 0.6:
+            inst = _exact_instance(g1, g2, A, Q, prec)
+        else:
+            # a wider gamma1, whose expansion breaks somewhere below Q
+            eps = Fraction(1, 2 ** rng.randrange(20, 80))
+            beta = CertifiedReal.from_rational(Fraction(3, 2), prec)
+            inst = ReductionInstance(2, 10, beta, A, Q,
+                                     CertifiedReal.from_endpoints(g1, g1 + eps, prec),
+                                     CertifiedReal.from_rational(g2, prec), prec)
+        try:
+            want = _eager_verdict(inst)
+        except PrecisionInsufficientError as exc:
+            try:
+                got = baker_davenport(inst)
+            except PrecisionInsufficientError as lazy:
+                assert str(lazy) == str(exc)
+                kinds.add("both raise")
+            else:
+                assert got.success and reverify_verdict(inst, got)
+                kinds.add("eager raised, lazy succeeds")
+            continue
+        assert _fields(baker_davenport(inst)) == _fields(want)
+        kinds.add("success" if want.success else "failure")
+    assert kinds == {"success", "failure", "both raise", "eager raised, lazy succeeds"}
+
+
+def _synthetic_instance(gamma1, passes):
+    """gamma1 as given, with A = 100 and Q = 10^12; q*gamma2 at q = 512
+    is 7 + 103/512, whose q*||.|| is the threshold 103, or 2^-300 nearer
+    7, which fails."""
+    A, q, prec = 100, 512, 420
+    d = Fraction(103, q) - (0 if passes else Fraction(1, 2 ** 300))
+    beta = CertifiedReal.from_rational(Fraction(3, 2), prec)
+    gamma2 = CertifiedReal.from_rational((7 + d) / q, prec)
+    return ReductionInstance(2, 10, beta, A, 10 ** 12, gamma1, gamma2, prec)
+
+
+# 1/512 - [2^-40, 2^-41] shares the quotients 0, 512 and then disagrees;
+# 1/512 - [2^-40, 0] ends on 1/512 at its upper endpoint alone
+_BREAKS_AFTER_512 = {
+    "disagree": (Fraction(1, 512) - Fraction(1, 2 ** 40), Fraction(1, 512) - Fraction(1, 2 ** 41)),
+    "terminated": (Fraction(1, 512) - Fraction(1, 2 ** 40), Fraction(1, 512)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BREAKS_AFTER_512))
+def test_lazy_scan_accepts_before_the_expansion_breaks(kind):
+    """The one behaviour change of the lazy scan: an enclosure of gamma1
+    that pins its expansion down only up to the accepted q = 512 used to
+    raise, and now succeeds."""
+    gamma1 = CertifiedReal.from_endpoints(*_BREAKS_AFTER_512[kind], 420)
+    inst = _synthetic_instance(gamma1, passes=True)
+    with pytest.raises(PrecisionInsufficientError, match=kind):
+        continued_fraction_convergents(gamma1, inst.Q)
+    verdict = baker_davenport(inst)
+    assert (verdict.success, verdict.p, verdict.q, verdict.q_norm_lower,
+            verdict.convergents_scanned) == (True, 1, 512, 103, 2)
+    assert reverify_verdict(inst, verdict)
+
+
+@pytest.mark.parametrize("kind", sorted(_BREAKS_AFTER_512))
+def test_lazy_scan_raises_when_the_expansion_breaks_first(kind):
+    gamma1 = CertifiedReal.from_endpoints(*_BREAKS_AFTER_512[kind], 420)
+    inst = _synthetic_instance(gamma1, passes=False)
+    with pytest.raises(PrecisionInsufficientError) as eager:
+        continued_fraction_convergents(gamma1, inst.Q)
+    with pytest.raises(PrecisionInsufficientError, match=kind) as lazy:
+        baker_davenport(inst)
+    assert str(lazy.value) == str(eager.value)
+
+
+def test_exact_product_norm_is_never_looser_than_the_rounded_product():
+    """The norm bound on the exact interval [q*lo, q*hi] is at least the
+    one on the outward-rounded enclosure gamma2 * q."""
+    rng = random.Random(75)
+    tighter = 0
+    for _ in range(3000):
+        prec = rng.choice((64, 128, 540, 1080))
+        g2 = Fraction(rng.getrandbits(prec + 20), 1 << rng.randrange(prec - 10, prec + 30))
+        gamma2 = CertifiedReal.from_endpoints(g2, g2 + Fraction(rng.randrange(1, 2 ** 20),
+                                                                2 ** prec), prec)
+        q = rng.choice((1, rng.getrandbits(rng.randrange(1, 200)) + 1))
+        a, b, k = dyadic_numerators(gamma2._mpi)
+        lo, _, k = integer_distance_num(q * a, q * b, k)
+        r_lo, _, r_k = nearest_integer_distance_num((gamma2 * q)._mpi)
+        assert Fraction(lo, 1 << k) >= Fraction(r_lo, 1 << r_k)
+        tighter += Fraction(lo, 1 << k) > Fraction(r_lo, 1 << r_k)
+    assert tighter > 0
+
+
+def test_reverify_bounds_the_gamma1_error_strictly():
+    """|gamma1 - p/q| < q^-2 at both endpoints: an endpoint exactly q^-2
+    away fails, one 2^-300 nearer passes."""
+    q = 512
+    for sign in (1, -1):
+        for off, passes in ((Fraction(1, q * q), False),
+                            (Fraction(1, q * q) - Fraction(1, 2 ** 300), True)):
+            edge = CertifiedReal.from_rational(Fraction(1, q) + sign * off, 420)
+            inst = _synthetic_instance(CertifiedReal.hull([edge, CertifiedReal.from_rational(
+                Fraction(1, q), 420)]), passes=True)
+            assert reverify_verdict(inst, reduction.Verdict(True, 1, q, None, None,
+                                                            None, 1)) == passes
 
 
 def test_reduce_single_rejects_success_that_fails_reverification(monkeypatch):
