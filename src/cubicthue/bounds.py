@@ -37,6 +37,9 @@ CONTRADICTION_COEFF = {which: (LAMBDA_DECAY[which] * c, p)
 # decimal digits of the (non-interval) mpmath work in derive_t_max
 TMAX_DPS = 60
 
+# bits of the logarithms that decide the contradiction
+LOG_PRECISION = 64
+
 
 def siegel_residual(x: int, y: int, roots: RootTriple) -> CertifiedReal:
     """(th2-th3)(x-y*th1) + (th3-th1)(x-y*th2) + (th1-th2)(x-y*th3);
@@ -242,9 +245,8 @@ def contradiction_threshold(which: int, t: int) -> float:
     return -float(coef) * t ** p * math.log(t) ** 2
 
 
-def certified_contradiction_threshold(which: int, t: int,
-                                      precision: int) -> CertifiedReal:
-    """contradiction_threshold enclosed at `precision` bits."""
+def certified_contradiction_threshold(which: int, t: int) -> CertifiedReal:
+    """contradiction_threshold enclosed at LOG_PRECISION bits."""
     coef, p = CONTRADICTION_COEFF[which]
-    lnt = CertifiedReal.from_rational(t, precision).log()
+    lnt = CertifiedReal.from_rational(t, LOG_PRECISION).log()
     return -(coef * t ** p) * lnt ** 2

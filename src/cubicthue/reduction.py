@@ -20,14 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .bounds import (certified_contradiction_threshold, contradiction_threshold,
-                     lambda_log_arguments)
+from .bounds import (LOG_PRECISION, certified_contradiction_threshold,
+                     contradiction_threshold, lambda_log_arguments)
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .parallel import parallel_map
 from .realnum import (CertifiedReal, dyadic_numerators, integer_distance_num,
                       reduction_precision, shared_convergents)
-# the eager expansion, which the scan no longer runs, stays importable here
-from .realnum import continued_fraction_convergents  # noqa: F401
 from .roots import isolate_roots
 
 DEFAULT_A = 3 * 10 ** 18
@@ -35,8 +33,6 @@ DEFAULT_Q = 10 ** 60
 MAX_PRECISION_ESCALATIONS = 3
 Q_ESCALATION_FACTOR = 10 ** 5
 CHECKPOINT_INTERVAL = 10 ** 4
-# bits of the logarithms that decide the contradiction
-LOG_PRECISION = 64
 
 
 @dataclass(frozen=True)
@@ -161,8 +157,7 @@ def contradiction_check(which: int, t: int, verdict: Verdict) -> bool:
     if not verdict.success or verdict.lambda_lower_enclosure is None:
         raise ValueError("contradiction check requires a successful verdict "
                          "with a certified ln(|beta|/Q^2)")
-    gap = verdict.lambda_lower_enclosure - certified_contradiction_threshold(
-        which, t, LOG_PRECISION)
+    gap = verdict.lambda_lower_enclosure - certified_contradiction_threshold(which, t)
     if gap.is_positive():
         return True
     if gap.is_negative():

@@ -12,8 +12,8 @@ from cubicthue import exponents, forms, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
                                _convergents_of_fraction, _rational_mpi, _rational_side,
-                               lockstep_convergents, nearest_integer_distance_num,
-                               reduction_precision)
+                               dyadic_numerators, integer_distance_num,
+                               lockstep_convergents, reduction_precision)
 
 
 def _rand_fraction(rng, digits=9):
@@ -210,7 +210,8 @@ def test_convergents_wide_enclosure_raises():
 def test_nearest_integer_distance_values():
     def distance(r):
         # the bounds lo/2^k and hi/2^k, read as the numerators (lo, hi, k)
-        return nearest_integer_distance_num(CertifiedReal.from_rational(r, 128)._mpi)
+        ival = CertifiedReal.from_rational(r, 128)._mpi
+        return integer_distance_num(*dyadic_numerators(ival))
 
     lo, hi, k = distance(Fraction(37, 10))
     assert 10 * lo <= 3 << k <= 10 * hi and 10 ** 9 * (hi - lo) < 1 << k
@@ -222,13 +223,13 @@ def test_nearest_integer_distance_values():
 
 def test_nearest_integer_distance_wide_input():
     wide = CertifiedReal.from_endpoints(0, 10, 64)
-    lo, hi, k = nearest_integer_distance_num(wide._mpi)
+    lo, hi, k = integer_distance_num(*dyadic_numerators(wide._mpi))
     assert lo == 0 and hi == 1 << (k - 1)
 
 
 def test_nearest_integer_distance_straddles_integer():
     enc = CertifiedReal.from_endpoints(Fraction(19, 10), Fraction(21, 10), 64)
-    lo, hi, k = nearest_integer_distance_num(enc._mpi)
+    lo, hi, k = integer_distance_num(*dyadic_numerators(enc._mpi))
     assert lo == 0
     assert hi <= 1 << (k - 1)
 
@@ -286,7 +287,7 @@ def test_integer_distance_matches_the_fraction_reference():
         ival = _dyadic_interval(rng)
         lo, hi = (Fraction(*to_rational(e)) for e in ival)
         want = _reference_distance(lo, hi)
-        n_lo, n_hi, k = nearest_integer_distance_num(ival)
+        n_lo, n_hi, k = integer_distance_num(*dyadic_numerators(ival))
         assert 0 <= n_lo <= n_hi <= 1 << (k - 1)
         assert (Fraction(n_lo, 1 << k), Fraction(n_hi, 1 << k)) == want
         kinds.add("negative" if lo < 0 else "nonnegative")

@@ -13,7 +13,7 @@ from cubicthue import reduction
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, _convergents_of_fraction,
                                continued_fraction_convergents, dyadic_numerators,
-                               integer_distance_num, nearest_integer_distance_num)
+                               integer_distance_num)
 from cubicthue.reduction import (ReductionInstance, baker_davenport,
                                  build_instance, contradiction_check,
                                  reduce_single, reverify_verdict, verify_range)
@@ -337,13 +337,13 @@ def test_norm_check_reads_the_lower_bound():
     d_lo, d_hi = threshold / (2 * q), (threshold / q + Fraction(1, 2)) / 2
     beta = CertifiedReal.from_rational(Fraction(3, 2), prec)
     gamma1 = CertifiedReal.from_rational(g1 * Fraction(3, 2), prec) / beta
-    assert [c.q for c in reduction.continued_fraction_convergents(gamma1, q)
+    assert [c.q for c in continued_fraction_convergents(gamma1, q)
             if c.q >= 2 * threshold] == [q]
     # q*gamma2 spans [7 + d_lo, 7 + d_hi], then [8 - d_hi, 8 - d_lo]
     for lo_end, hi_end in ((7 + d_lo, 7 + d_hi), (8 - d_hi, 8 - d_lo)):
         gamma2 = CertifiedReal.from_endpoints(lo_end / q, hi_end / q, prec)
         inst = ReductionInstance(2, 10, beta, A, q, gamma1, gamma2, prec)
-        lo, hi, k = nearest_integer_distance_num((gamma2 * q)._mpi)
+        lo, hi, k = integer_distance_num(*dyadic_numerators((gamma2 * q)._mpi))
         assert q * lo < threshold * (1 << k) <= q * hi
         assert not baker_davenport(inst).success
         assert not reverify_verdict(inst, reduction.Verdict(True, p, q, None, None, None, 1))
@@ -499,7 +499,7 @@ def test_exact_product_norm_is_never_looser_than_the_rounded_product():
         q = rng.choice((1, rng.getrandbits(rng.randrange(1, 200)) + 1))
         a, b, k = dyadic_numerators(gamma2._mpi)
         lo, _, k = integer_distance_num(q * a, q * b, k)
-        r_lo, _, r_k = nearest_integer_distance_num((gamma2 * q)._mpi)
+        r_lo, _, r_k = integer_distance_num(*dyadic_numerators((gamma2 * q)._mpi))
         assert Fraction(lo, 1 << k) >= Fraction(r_lo, 1 << r_k)
         tighter += Fraction(lo, 1 << k) > Fraction(r_lo, 1 << r_k)
     assert tighter > 0
