@@ -55,16 +55,24 @@ def _rounded(man: int, exp: int, prec: int, up: bool, inexact: bool = False):
 
 def _rational_side(r: Rational, prec: int, upper: bool):
     """The upper (or lower) endpoint of mpmath's iv.mpf(num) / iv.mpf(den)
-    for r at prec bits, computed in integers.  iv.mpf rounds each integer
-    outward to prec bits, and the interval division then takes, for the
-    side that points away from zero (the upper side of a positive r, the
-    lower of a negative one), the numerator's endpoint rounded away from
-    zero over the denominator's rounded toward it, and the quotient
-    rounded away from zero; for the side toward zero, all three the
-    other way.  The quotient carries prec + 1 or more bits and a sticky
-    remainder flag into its rounding, so it is the directed rounding of
-    the exact quotient, as mpf_div's is."""
-    num, den = r.numerator, r.denominator
+    for r at prec bits (`_quotient_side` of its numerator and
+    denominator)."""
+    return _quotient_side(r.numerator, r.denominator, prec, upper)
+
+
+def _quotient_side(num: int, den: int, prec: int, upper: bool):
+    """The upper (or lower) endpoint of mpmath's iv.mpf(num) / iv.mpf(den)
+    at prec bits, computed in integers, for a reduced pair (den > 0,
+    gcd(num, den) = 1), so that it is the endpoint of the rational
+    num/den.  iv.mpf rounds each integer outward to prec bits, and the
+    interval division then takes, for the side that points away from
+    zero (the upper side of a positive quotient, the lower of a negative
+    one), the numerator's endpoint rounded away from zero over the
+    denominator's rounded toward it, and the quotient rounded away from
+    zero; for the side toward zero, all three the other way.  The
+    quotient carries prec + 1 or more bits and a sticky remainder flag
+    into its rounding, so it is the directed rounding of the exact
+    quotient, as mpf_div's is."""
     if not num:
         return fzero
     away = (num > 0) == upper

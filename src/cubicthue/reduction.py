@@ -72,7 +72,9 @@ def check_bounds(A: int, Q: int):
 def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
                    precision: Optional[int] = None) -> ReductionInstance:
     """alpha, beta, delta per the Lambda_which decomposition, with
-    gamma enclosure widths meeting the lemma's hypotheses."""
+    gamma enclosure widths meeting the lemma's hypotheses.  gamma1's
+    width is checked before delta = log a3 is taken, so a precision too
+    low for gamma1 costs no third logarithm."""
     if t < 10:
         raise ValueError("reduction applies for t >= 10")
     check_bounds(A, Q)
@@ -80,17 +82,21 @@ def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
         precision = reduction_precision(Q)
     roots = isolate_roots(t, precision)
     a1, a2, a3 = lambda_log_arguments(which, roots)
-    alpha, beta, delta = a1.log(), a2.log(), a3.log()
+    alpha, beta = a1.log(), a2.log()
     gamma1 = alpha / beta
-    gamma2 = delta / beta
-    for name, gamma, factor, bound in (("gamma1", gamma1, 100, "1/(100 Q^2)"),
-                                       ("gamma2", gamma2, 1, "1/Q^2")):
-        # the width (b - a)/2^k below 1/(factor Q^2), cross-multiplied
-        a, b, k = dyadic_numerators(gamma._mpi)
-        if not factor * Q * Q * (b - a) < 1 << k:
-            raise PrecisionInsufficientError(
-                "%s width %.3g exceeds %s" % (name, float(gamma.width), bound))
+    _check_width("gamma1", gamma1, 100 * Q * Q, "1/(100 Q^2)")
+    gamma2 = a3.log() / beta
+    _check_width("gamma2", gamma2, Q * Q, "1/Q^2")
     return ReductionInstance(which, t, beta, A, Q, gamma1, gamma2, precision)
+
+
+def _check_width(name: str, gamma: CertifiedReal, scale: int, bound: str):
+    """Raises unless gamma's width (b - a)/2^k is below 1/scale,
+    cross-multiplied."""
+    a, b, k = dyadic_numerators(gamma._mpi)
+    if not scale * (b - a) < 1 << k:
+        raise PrecisionInsufficientError(
+            "%s width %.3g exceeds %s" % (name, float(gamma.width), bound))
 
 
 def _certified_norm(gamma2_num: Tuple[int, int, int], A: int,

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .forms import BinaryCubicForm, discriminant, family_form, monic_cubic
-from .realnum import CertifiedReal
+from .realnum import CertifiedReal, _quotient_side
 
 # published target interval for each kappa index
 KAPPA_TARGETS: Dict[int, Tuple[Fraction, Fraction]] = {
@@ -53,9 +53,10 @@ def default_precision(t: int) -> int:
     return 14 * abs(t).bit_length() + 200
 
 
-# Newton's method locates the root on a coarse grid first, then doubles
-# the grid resolution per level; the guard bits beyond the bracket grid
-# keep rounding in the last step away from the cell boundaries.
+# Newton's method locates the root on a coarse grid first and then jumps
+# straight to the final grid, where it converges quadratically from that
+# estimate; the guard bits beyond the bracket grid keep rounding in the
+# last step away from the cell boundaries.
 NEWTON_START_BITS = 64
 NEWTON_GUARD_BITS = 16
 
@@ -72,25 +73,28 @@ def _halvings(p: int, q: int) -> int:
     return k + 1 if (q << k) < p else k
 
 
-def _strictly_monotone(B: int, C: int, A: int, H: int, S: int) -> bool:
-    """True when P' has no zero on [A/S, H/S]: P' is a convex parabola,
-    so it suffices to look at its endpoint values and at its vertex."""
+def _slope_sign(B: int, C: int, A: int, H: int, S: int) -> int:
+    """The sign of P' on [A/S, H/S] when P' has no zero there, else 0:
+    P' is a convex parabola, so it suffices to look at its endpoint
+    values and at its vertex."""
     b, c = B * S, C * S * S
     dlo = (3 * A + 2 * b) * A + c
     dhi = (3 * H + 2 * b) * H + c
     if dlo < 0 and dhi < 0:
-        return True
+        return -1
     vertex_inside = 3 * A < -b < 3 * H
-    return dlo > 0 and dhi > 0 and (B * B < 3 * C or not vertex_inside)
+    if dlo > 0 and dhi > 0 and (B * B < 3 * C or not vertex_inside):
+        return 1
+    return 0
 
 
 def _newton_index(B: int, C: int, D: int, A: int, delta: int, S: int,
                   neg: bool, k_final: int) -> int:
     """Estimate of 2^k_final * u for the root A/S + u * delta/S of P
-    (P(A/S) < 0 iff neg).  Level k runs safeguarded Newton on the grid
-    of spacing 2^-k in u, keeping a sign-change bracket and bisecting it
-    whenever a step would leave it; the next level starts from the
-    previous estimate at twice the resolution."""
+    (P(A/S) < 0 iff neg).  Safeguarded Newton runs on the grid of
+    spacing 2^-k in u, keeping a sign-change bracket and bisecting it
+    whenever a step would leave it: first at k = NEWTON_START_BITS, then
+    from that estimate at k_final, where it converges quadratically."""
     k = min(NEWTON_START_BITS, k_final)
     a, z = 0, 1 << k
     m = z >> 1                       # the window midpoint
@@ -123,8 +127,78 @@ def _newton_index(B: int, C: int, D: int, A: int, delta: int, S: int,
                 m = (a + z) >> 1
         if k == k_final:
             return m
-        j = min(k, k_final - k)
-        a, z, m, k = a << j, z << j, m << j, k + j
+        j = k_final - k
+        a, z, m, k = a << j, z << j, m << j, k_final
+
+
+def _bisection_index(b: int, c: int, d: int, base: int, delta: int,
+                     K: int) -> Tuple[int, bool]:
+    """Integer bisection over the grid x_n = base + n * delta of the
+    cubic with scaled coefficients (b, c, d), replaying the midpoint
+    sequence of halving the window [x_0, x_(2^K)]: (n, False) for the
+    cell [x_n, x_(n+1)] it ends in, or (n, True) when it meets a zero at
+    x_n first.  Raises PrecisionInsufficientError when the cubic does
+    not change sign over the window."""
+    top = 1 << K
+    flo = monic_cubic(b, c, d, base)
+    fhi = monic_cubic(b, c, d, base + top * delta)
+    if flo == 0:
+        return 0, True
+    if fhi == 0:
+        return top, True
+    if (flo < 0) == (fhi < 0):
+        raise PrecisionInsufficientError("no sign change over bracket")
+    neg = flo < 0
+    n, span = 0, top
+    while span > 1:
+        span >>= 1
+        fm = monic_cubic(b, c, d, base + (n + span) * delta)
+        if fm == 0:
+            return n + span, True
+        if (fm < 0) == neg:
+            n += span
+    return n, False
+
+
+def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
+             wn: int, wd: int) -> Tuple[int, int, int]:
+    """The bracket that halving the window [A/S, (A + delta)/S] (S > 0,
+    delta > 0) until it is at most wn/wd wide ends in, keeping a sign
+    change of P = x^3 + B x^2 + C x + D, as numerators over one
+    denominator: (N0, N1, M) for [N0/M, N1/M].  When P vanishes at an
+    evaluated point r, it is (r - w/4, r + w/4) instead, w = wn/wd.
+
+    After K halvings the bracket is a cell [x_n, x_(n+1)] of the grid
+    x_n = (A 2^K + n delta) / (S 2^K), whose values do not depend on how
+    the window is written.  When P is strictly monotone on the window
+    (as on the series windows for t >= 10 and on the pieces of the
+    critical-point splitting that hold no critical point), the only cell
+    with a strict sign change is the one bisection ends in, and the sign
+    of P' tells which sign P has left of the root.  Newton's method then
+    finds n, and two exact sign evaluations certify the cell, which must
+    lie inside the window; the window ends are not evaluated.  Otherwise,
+    or when the certificate fails, `_bisection_index` decides.  Raises
+    PrecisionInsufficientError when P does not change sign over the
+    window."""
+    K = _halvings(delta * wd, S * wn)
+    SK = S << K
+    b, c, d = _scaled_coeffs(B, C, D, SK)
+    base = A << K
+    slope = _slope_sign(B, C, A, A + delta, S)
+    if slope:
+        neg = slope > 0
+        n = _newton_index(B, C, D, A, delta, S, neg,
+                          K + NEWTON_GUARD_BITS) >> NEWTON_GUARD_BITS
+        if 0 <= n < 1 << K:
+            N = base + n * delta
+            f0, f1 = monic_cubic(b, c, d, N), monic_cubic(b, c, d, N + delta)
+            if f0 != 0 and f1 != 0 and (f0 < 0) == neg and (f1 < 0) != neg:
+                return N, N + delta, SK
+    n, exact = _bisection_index(b, c, d, base, delta, K)
+    N = base + n * delta
+    if exact:
+        return 4 * wd * N - wn * SK, 4 * wd * N + wn * SK, 4 * wd * SK
+    return N, N + delta, SK
 
 
 def _bisect(B: int, C: int, D: int, lo: Fraction, hi: Fraction,
@@ -132,61 +206,14 @@ def _bisect(B: int, C: int, D: int, lo: Fraction, hi: Fraction,
     """The bracket that halving [lo, hi] until it is at most `width`
     wide ends in, keeping a sign change of P = x^3 + B x^2 + C x + D
     (or (r - width/4, r + width/4) when P vanishes at an evaluated point
-    r), computed in exact integers.
-
-    After K halvings the bracket is a cell [x_n, x_(n+1)] of the grid
-    x_n = lo + n (hi - lo) / 2^K.  When P is strictly monotone on
-    [lo, hi] (as on the series windows for t >= 10 and on the pieces of
-    the critical-point splitting that hold no critical point), the
-    only cell with a strict sign change is the one bisection ends in, so
-    Newton's method finds n and two exact sign evaluations certify the
-    cell.  Otherwise, or when the certificate fails or an evaluation is
-    exactly zero, an integer bisection over the same grid replays the
-    midpoint sequence of halving.  Raises PrecisionInsufficientError
-    when P does not change sign over [lo, hi]."""
+    r): `_bracket` on [lo, hi] written over the least common denominator
+    of its ends.  Raises PrecisionInsufficientError when P does not
+    change sign over [lo, hi]."""
     S = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
     A = lo.numerator * (S // lo.denominator)
     delta = hi.numerator * (S // hi.denominator) - A
-    scaled = _scaled_coeffs(B, C, D, S)
-    flo = monic_cubic(*scaled, A)
-    fhi = monic_cubic(*scaled, A + delta)
-    if flo == 0:
-        return (lo - width / 4, lo + width / 4)
-    if fhi == 0:
-        return (hi - width / 4, hi + width / 4)
-    if (flo < 0) == (fhi < 0):
-        raise PrecisionInsufficientError("no sign change over bracket")
-    K = _halvings(delta * width.denominator, S * width.numerator)
-    if K == 0:
-        return lo, hi
-    neg = flo < 0
-    SK = S << K
-    b, c, d = _scaled_coeffs(B, C, D, SK)
-    base = A << K
-
-    def at(n: int) -> int:           # SK^3 * P(x_n)
-        return monic_cubic(b, c, d, base + n * delta)
-
-    def cell(n: int) -> Tuple[Fraction, Fraction]:
-        return (Fraction(base + n * delta, SK),
-                Fraction(base + (n + 1) * delta, SK))
-
-    if _strictly_monotone(B, C, A, A + delta, S):
-        k_final = K + NEWTON_GUARD_BITS
-        n = _newton_index(B, C, D, A, delta, S, neg, k_final) >> NEWTON_GUARD_BITS
-        f0, f1 = at(n), at(n + 1)
-        if f0 != 0 and f1 != 0 and (f0 < 0) == neg and (f1 < 0) != neg:
-            return cell(n)
-    n, span = 0, 1 << K
-    while span > 1:
-        span >>= 1
-        fm = at(n + span)
-        if fm == 0:
-            mid = Fraction(base + (n + span) * delta, SK)
-            return (mid - width / 4, mid + width / 4)
-        if (fm < 0) == neg:
-            n += span
-    return cell(n)
+    N0, N1, M = _bracket(B, C, D, A, delta, S, width.numerator, width.denominator)
+    return Fraction(N0, M), Fraction(N1, M)
 
 
 def isolate_real_roots_monic_cubic(B: int, C: int, D: int,
@@ -246,9 +273,17 @@ class RootTriple:
         return (self.theta1, self.theta2, self.theta3)
 
 
+def _reduced(num: int, den: int) -> Tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
     """The three certified real roots theta1 < theta2 < theta3 of
-    F_{3,t}(x,1); requires positive discriminant (t not in {0,1})."""
+    F_{3,t}(x,1); requires positive discriminant (t not in {0,1}).
+    Each bracket end is held as a reduced integer pair (num, den), and
+    its enclosure endpoint is rounded from that pair, with the bits
+    `CertifiedReal.from_endpoints` gives the same rational."""
     if t in (0, 1):
         raise ValueError("discriminant is non-positive for t in {0,1}")
     if precision is None:
@@ -256,26 +291,31 @@ def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
     _, B, C, D = family_form(3, t).coefficients
     # kappa extraction multiplies root errors by up to t^12 ~ 2^(12 lg t),
     # and the enclosures must separate values ~t^-3 from the interval
-    # endpoints, so nearly the full working precision goes into the bracket
-    width = Fraction(1, 2 ** max(precision - 8, 32))
+    # endpoints, so nearly the full working precision goes into the
+    # bracket width 2^-w
+    w = max(precision - 8, 32)
     if t >= 10:
-        t5 = Fraction(t) ** 5
-        t8 = Fraction(t) ** 8
-        brackets = [
-            _bisect(B, C, D, -2 / t5, Fraction(0), width),
-            _bisect(B, C, D, Fraction(t), t + 2 / t5, width),
-            _bisect(B, C, D, t ** 4 - 2 * t - 2 / t8, Fraction(t ** 4 - 2 * t), width),
-        ]
+        # the series windows [-2/t^5, 0], [t, t + 2/t^5] and
+        # [t^4 - 2t - 2/t^8, t^4 - 2t], each [A/S, (A + 2)/S]
+        t5, t8 = t ** 5, t ** 8
+        ends = []
+        for A, S in ((-2, t5), (t * t5, t5), ((t ** 4 - 2 * t) * t8 - 2, t8)):
+            N0, N1, M = _bracket(B, C, D, A, 2, S, 1, 1 << w)
+            ends.append((_reduced(N0, M), _reduced(N1, M)))
     else:
-        brackets = isolate_real_roots_monic_cubic(B, C, D, width)
+        brackets = isolate_real_roots_monic_cubic(B, C, D, Fraction(1, 1 << w))
         if len(brackets) != 3:
             raise PrecisionInsufficientError(
                 "expected 3 separated real roots for t=%d, found %d" % (t, len(brackets)))
         brackets.sort()
-    for (a, b), (c, _) in zip(brackets, brackets[1:]):
-        if not b < c:
+        ends = [((a.numerator, a.denominator), (b.numerator, b.denominator))
+                for a, b in brackets]
+    for (_, (b, bd)), ((c, cd), _) in zip(ends, ends[1:]):
+        if not b * cd < c * bd:
             raise PrecisionInsufficientError("root enclosures overlap at t=%d" % t)
-    enc = [CertifiedReal.from_endpoints(a, b, precision) for a, b in brackets]
+    enc = [CertifiedReal((_quotient_side(*lo, precision, False),
+                          _quotient_side(*hi, precision, True)), precision)
+           for lo, hi in ends]
     return RootTriple(enc[0], enc[1], enc[2], t, precision)
 
 

@@ -11,8 +11,8 @@ from mpmath.libmp import from_man_exp, to_rational
 from cubicthue import exponents, forms, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
-                               _convergents_of_fraction, _rational_mpi, _rational_side,
-                               dyadic_numerators, integer_distance_num,
+                               _convergents_of_fraction, _quotient_side, _rational_mpi,
+                               _rational_side, dyadic_numerators, integer_distance_num,
                                lockstep_convergents, reduction_precision)
 
 
@@ -335,7 +335,9 @@ def test_one_sided_endpoints_match_the_two_sided_enclosure():
 def test_integer_rounding_matches_mpmath_bit_for_bit():
     """The integer directed rounding of a rational gives the very mpf
     endpoints of iv.mpf(num) / iv.mpf(den), for numerators and
-    denominators of fewer, as many and more bits than the precision."""
+    denominators of fewer, as many and more bits than the precision, and
+    so does its (num, den) form on the reduced pair, as isolate_roots
+    calls it: there denominators are t^5 or t^8 times a power of two."""
     rng = random.Random(21)
     kinds = set()
     for _ in range(6000):
@@ -346,19 +348,27 @@ def test_integer_rounding_matches_mpmath_bit_for_bit():
                                rng.randrange(1, 3 * prec)))
 
         num = rng.getrandbits(bits())
-        den = rng.choice((1, 1 << bits(), (1 << bits()) + 1, rng.getrandbits(bits()) | 1))
+        den = rng.choice((1, 1 << bits(), (1 << bits()) + 1, rng.getrandbits(bits()) | 1,
+                          (rng.getrandbits(bits()) | 1) << rng.randrange(1, prec)))
         if rng.random() < 0.05:
             num = rng.choice((0, 1, (1 << prec) - 1, 1 << prec, (1 << prec) + 1))
         r = Fraction(num * rng.choice((1, -1)), den)
-        assert _rational_mpi(r, prec) == _iv_quotient(r, prec), (r, prec)
+        want = _iv_quotient(r, prec)
+        assert _rational_mpi(r, prec) == want, (r, prec)
+        assert tuple(_quotient_side(r.numerator, r.denominator, prec, upper)
+                     for upper in (False, True)) == want, (r, prec)
         kinds.add("negative" if r < 0 else "positive" if r > 0 else "zero")
         kinds.add("integer" if r.denominator == 1 else "fraction")
         for name, n in (("numerator", r.numerator), ("denominator", r.denominator)):
             kinds.add("%s %s precision" % (name, "above" if abs(n).bit_length() > prec
                                            else "within"))
+        d = r.denominator
+        if d & 1 == 0 and d & (d - 1):
+            kinds.add("denominator odd times a power of two")
     assert kinds == {"negative", "positive", "zero", "integer", "fraction",
                      "numerator above precision", "numerator within precision",
-                     "denominator above precision", "denominator within precision"}
+                     "denominator above precision", "denominator within precision",
+                     "denominator odd times a power of two"}
 
 
 def test_decimal_serialization_mentions_precision():

@@ -39,6 +39,28 @@ def test_build_instance_rejects_small_t():
         build_instance(2, 9)
 
 
+def test_build_instance_checks_gamma1_before_the_third_log(monkeypatch):
+    """A rung whose precision is too low for gamma1 fails on it without
+    taking log a3; at the default precision all three logs are taken."""
+    logs = []
+    log = CertifiedReal.log
+
+    def counting(self):
+        logs.append(self)
+        return log(self)
+
+    monkeypatch.setattr(CertifiedReal, "log", counting)
+    for precision in (135, 180, 270, 360):
+        logs.clear()
+        with pytest.raises(PrecisionInsufficientError,
+                           match=r"^gamma1 width .* exceeds 1/\(100 Q\^2\)$"):
+            build_instance(2, 1000, precision=precision)
+        assert len(logs) == 2, precision
+    logs.clear()
+    build_instance(2, 1000)
+    assert len(logs) == 3
+
+
 def test_baker_davenport_success_t10():
     inst = build_instance(2, 10)
     verdict = baker_davenport(inst)

@@ -260,17 +260,81 @@ def test_isolation_finds_every_distinct_real_root():
         _assert_isolates_all(B, C, D, Fraction(1, 2 ** 30), expected)
 
 
+def _series_windows(t):
+    """The isolating windows of theta1, theta2, theta3 for t >= 10."""
+    t5, t8 = Fraction(t) ** 5, Fraction(t) ** 8
+    return [(-2 / t5, Fraction(0)), (Fraction(t), t + 2 / t5),
+            (t ** 4 - 2 * t - 2 / t8, Fraction(t ** 4 - 2 * t))]
+
+
 @pytest.mark.parametrize("t", (10, 11, 137, 2000, 576241, 10 ** 7))
 def test_bisect_matches_reference_on_series_windows(t):
     _, B, C, D = family_form(3, t).coefficients
-    t5, t8 = Fraction(t) ** 5, Fraction(t) ** 8
-    windows = [(-2 / t5, Fraction(0)), (Fraction(t), t + 2 / t5),
-               (t ** 4 - 2 * t - 2 / t8, Fraction(t ** 4 - 2 * t))]
     for precision in BRACKET_PRECISIONS:
         width = _width(precision)
-        for lo, hi in windows:
+        for lo, hi in _series_windows(t):
             assert roots._bisect(B, C, D, lo, hi, width) == \
                 _reference_bisect(B, C, D, lo, hi, width), (t, precision, lo)
+
+
+# the reduction's ladder rungs (135-1080 bits at Q = 10^60, 540 its
+# default), the kappa default (None) and a wide 4584 bits
+SERIES_PRECISIONS = (135, 180, 270, None, 540, 720, 1080, 4584)
+_rng = random.Random(13)
+SERIES_TS = [10, 11, 2000, 576241, 10 ** 7] + [_rng.randrange(10, 10 ** 7 + 1)
+                                               for _ in range(60)]
+del _rng
+
+
+def test_isolate_roots_matches_bisect_on_series_windows():
+    """The integer path of isolate_roots gives each enclosure the bits
+    from_endpoints gives the Fraction bracket _bisect finds in the same
+    window."""
+    for t in SERIES_TS:
+        _, B, C, D = family_form(3, t).coefficients
+        for precision in SERIES_PRECISIONS:
+            tr = isolate_roots(t, precision)
+            width = _width(tr.precision)
+            for th, (lo, hi) in zip(tr.thetas, _series_windows(t)):
+                want = CertifiedReal.from_endpoints(
+                    *roots._bisect(B, C, D, lo, hi, width), tr.precision)
+                assert (th._mpi, th.precision) == (want._mpi, want.precision), \
+                    (t, precision, lo)
+
+
+# the most exact cubic evaluations (Newton's and the certificate's) one
+# series window of SERIES_TS needs at each of SERIES_PRECISIONS; a
+# level-by-level doubling schedule averages 12 at 540 bits
+MAX_WINDOW_EVALUATIONS = {135: 7, 180: 8, 270: 8, None: 8, 540: 9, 720: 10,
+                          1080: 10, 4584: 12}
+
+
+def test_series_windows_take_the_newton_path(monkeypatch):
+    count = [0]
+    evaluate, bracket = roots.monic_cubic, roots._bracket
+
+    def counting(*args):
+        count[0] += 1
+        return evaluate(*args)
+
+    def window(*args):
+        count[0] = 0
+        out = bracket(*args)
+        counts.append(count[0])
+        return out
+
+    def no_fallback(*args):
+        raise AssertionError("a series window fell back to integer bisection")
+
+    monkeypatch.setattr(roots, "monic_cubic", counting)
+    monkeypatch.setattr(roots, "_bracket", window)
+    monkeypatch.setattr(roots, "_bisection_index", no_fallback)
+    for precision in SERIES_PRECISIONS:
+        counts = []
+        for t in SERIES_TS:
+            isolate_roots(t, precision)
+        assert len(counts) == 3 * len(SERIES_TS)
+        assert max(counts) <= MAX_WINDOW_EVALUATIONS[precision], precision
 
 
 def test_bisect_matches_reference_on_generic_windows(monkeypatch):
@@ -319,6 +383,20 @@ def test_bisect_falls_back_when_newton_misses(monkeypatch):
     width = _width(270)
     assert roots._bisect(B, C, D, lo, hi, width) == \
         _reference_bisect(B, C, D, lo, hi, width)
+
+
+@pytest.mark.parametrize("lo, hi, index", [
+    # the root 2^(1/3) = 1.2599... lies just right of [1, 5/4], and just
+    # left of [63/50, 3/2]; the cell one step outside holds it
+    (Fraction(1), Fraction(5, 4), lambda k_final: 1 << k_final),
+    (Fraction(63, 50), Fraction(3, 2), lambda k_final: -(1 << k_final)),
+])
+def test_bisect_keeps_newton_inside_the_window(monkeypatch, lo, hi, index):
+    # x^3 - 2 rises on either window; an index Newton returns outside it
+    # must not certify the sign change next to it
+    monkeypatch.setattr(roots, "_newton_index", lambda *args: index(args[-1]))
+    with pytest.raises(PrecisionInsufficientError, match="no sign change"):
+        roots._bisect(0, 0, -2, lo, hi, hi - lo)
 
 
 def test_bisect_short_window_is_returned_as_is():
