@@ -277,8 +277,9 @@ def test_bisect_matches_reference_on_series_windows(t):
                 _reference_bisect(B, C, D, lo, hi, width), (t, precision, lo)
 
 
-# the reduction's ladder rungs (135-1080 bits at Q = 10^60, 540 its
-# default), the kappa default (None) and a wide 4584 bits
+# rungs of the reduction's ladder (540 bits its default at Q = 10^60,
+# 135-1080 from capped starts, 4584 the larger-Q rung) and the kappa
+# default (None)
 SERIES_PRECISIONS = (135, 180, 270, None, 540, 720, 1080, 4584)
 _rng = random.Random(13)
 SERIES_TS = [10, 11, 2000, 576241, 10 ** 7] + [_rng.randrange(10, 10 ** 7 + 1)
@@ -310,7 +311,7 @@ MAX_WINDOW_EVALUATIONS = {135: 7, 180: 8, 270: 8, None: 8, 540: 9, 720: 10,
 
 
 def test_series_windows_take_the_newton_path(monkeypatch):
-    count = [0]
+    count, counts = [0], []
     evaluate, bracket = roots.monic_cubic, roots._bracket
 
     def counting(*args):
@@ -330,7 +331,7 @@ def test_series_windows_take_the_newton_path(monkeypatch):
     monkeypatch.setattr(roots, "_bracket", window)
     monkeypatch.setattr(roots, "_bisection_index", no_fallback)
     for precision in SERIES_PRECISIONS:
-        counts = []
+        counts.clear()
         for t in SERIES_TS:
             isolate_roots(t, precision)
         assert len(counts) == 3 * len(SERIES_TS)
