@@ -3,10 +3,11 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cubicthue import roots
+from cubicthue import roots, search
 from cubicthue.forms import BinaryCubicForm, discriminant, family_form
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import CertifiedReal
@@ -549,3 +550,49 @@ def test_verify_kappas_refuses_a_pole_that_meets_the_interval(overlap, monkeypat
     monkeypatch.setattr(roots, "isolate_roots", lambda t, precision=None: triple)
     with pytest.raises(IndeterminateSignError, match="pole of the I_3 ratio"):
         verify_kappas(16)
+
+
+# -- byte goldens of the root brackets -----------------------------------
+
+ROOT_GOLDEN = Path(__file__).parent / "data" / "root_brackets_digest.json"
+GOLDEN_PRECISIONS = (64, 200, 320, 540, 1080)
+# the widths 1/(2 Y^2 + 2) the search asks for at Y = 10 and Y = 10^30,
+# and one whose numerator is not 1
+GOLDEN_WIDTHS = (Fraction(1, 202), Fraction(7, 2 ** 45), Fraction(1, 2 * 10 ** 60 + 2))
+
+
+def _monic_brackets(B, C, D, width):
+    """isolate_real_roots_monic_cubic as pairs of Fractions."""
+    return isolate_real_roots_monic_cubic(B, C, D, width)
+
+
+def _golden_forms():
+    """Every sporadic table form and every form F_{3,t}, t in [-30, 30]."""
+    tables = search.MANY_SOLUTIONS_TABLE + search.SPORADIC_CLASSES_TABLE + \
+        search.DELONE_NAGELL_TABLE
+    return [F for F, _, _ in tables] + [family_form(3, t) for t in range(-30, 31)]
+
+
+def test_small_t_root_enclosures_match_the_golden():
+    """The exact enclosure endpoints isolate_roots gives for t < 10,
+    where the roots come from critical-point splitting."""
+    h = hashlib.sha256()
+    for t in range(-30, 10):
+        if t in (0, 1):
+            continue
+        for precision in GOLDEN_PRECISIONS:
+            tr = isolate_roots(t, precision)
+            h.update(json.dumps([t, precision, [[str(th.lower), str(th.upper)]
+                                                for th in tr.thetas]]).encode())
+    assert h.hexdigest() == json.loads(ROOT_GOLDEN.read_text())["isolate_roots_sha256"]
+
+
+def test_monic_cubic_brackets_match_the_golden():
+    h = hashlib.sha256()
+    for F in _golden_forms():
+        _, B, C, D = F.coefficients
+        for width in GOLDEN_WIDTHS:
+            brackets = _monic_brackets(B, C, D, width)
+            h.update(json.dumps([[B, C, D], str(width),
+                                 [[str(lo), str(hi)] for lo, hi in brackets]]).encode())
+    assert h.hexdigest() == json.loads(ROOT_GOLDEN.read_text())["monic_brackets_sha256"]
