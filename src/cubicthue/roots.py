@@ -201,62 +201,48 @@ def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
     return N, N + delta, SK
 
 
-def _bisect(B: int, C: int, D: int, lo: Fraction, hi: Fraction,
-            width: Fraction) -> Tuple[Fraction, Fraction]:
-    """The bracket that halving [lo, hi] until it is at most `width`
-    wide ends in, keeping a sign change of P = x^3 + B x^2 + C x + D
-    (or (r - width/4, r + width/4) when P vanishes at an evaluated point
-    r): `_bracket` on [lo, hi] written over the least common denominator
-    of its ends.  Raises PrecisionInsufficientError when P does not
-    change sign over [lo, hi]."""
-    S = lo.denominator * hi.denominator // math.gcd(lo.denominator, hi.denominator)
-    A = lo.numerator * (S // lo.denominator)
-    delta = hi.numerator * (S // hi.denominator) - A
-    N0, N1, M = _bracket(B, C, D, A, delta, S, width.numerator, width.denominator)
-    return Fraction(N0, M), Fraction(N1, M)
-
-
-def isolate_real_roots_monic_cubic(B: int, C: int, D: int,
-                                   width: Fraction) -> List[Tuple[Fraction, Fraction]]:
-    """Certified brackets, at most `width` wide, of every distinct real
-    root of x^3 + B x^2 + C x + D: sign-change validated, or centred on
-    a root that an evaluation hit exactly.  The real line is cut at
-    rational bounds on the critical points, and each piece with a sign
-    change is bisected; with a positive discriminant (three distinct
-    real roots) the bounds are tightened until the cut separates all
-    three.  A double root is an integer critical point, and so a cut
-    point at which P vanishes."""
+def isolate_real_roots_monic_cubic(B: int, C: int, D: int, wn: int,
+                                   wd: int) -> List[Tuple[int, int, int]]:
+    """Certified brackets, at most wn/wd wide and in increasing order, of
+    every distinct real root of x^3 + B x^2 + C x + D, each (N0, N1, M)
+    for [N0/M, N1/M] as `_bracket` gives it: sign-change validated, or
+    centred on a root that an evaluation hit exactly.  The real line is cut at rational bounds on
+    the critical points, and each piece with a sign change is bisected;
+    with a positive discriminant (three distinct real roots) the bounds
+    are tightened until the cut separates all three.  A double root is an
+    integer critical point, and so a cut point at which P vanishes."""
     three_real = discriminant(BinaryCubicForm(1, B, C, D)) > 0
     k = 0
     while True:
-        out = _split_and_bisect(B, C, D, width, k)
+        out = _split_and_bisect(B, C, D, wn, wd, k)
         if len(out) == 3 or not three_real:
             return out
         k += 1
 
 
-def _split_and_bisect(B: int, C: int, D: int, width: Fraction,
-                      k: int) -> List[Tuple[Fraction, Fraction]]:
+def _split_and_bisect(B: int, C: int, D: int, wn: int, wd: int,
+                      k: int) -> List[Tuple[int, int, int]]:
     """Brackets of the roots at a cut point or with a sign change between
-    two.  The cuts are -M and M, which bound every root strictly
-    (Cauchy), and between them the bounds on the critical points on the
-    grid 1/(3 * 2^k)."""
+    two.  The cuts are numerators over S = 3 * 2^k: -M and M, which bound
+    every root strictly (Cauchy), and between them the bounds on the
+    critical points on the grid 1/S."""
     M = 1 + max(abs(B), abs(C), abs(D))
+    S = 3 << k
     disc4 = B * B - 3 * C
-    cuts = [Fraction(-M)]
+    cuts = [-M * S]
     if disc4 > 0:
         # critical points (-B -+ sqrt(disc4))/3, bracketed by isqrt
         s, nb = math.isqrt(disc4 << 2 * k), -B << k
-        cuts += [Fraction(n, 3 << k) for n in (nb - s - 1, nb - s, nb + s, nb + s + 1)]
-    cuts.append(Fraction(M))
-    vals = [monic_cubic(*_scaled_coeffs(B, C, D, c.denominator), c.numerator)
-            for c in cuts]
+        cuts += [nb - s - 1, nb - s, nb + s, nb + s + 1]
+    cuts.append(M * S)
+    b, c, d = _scaled_coeffs(B, C, D, S)
+    vals = [monic_cubic(b, c, d, n) for n in cuts]
     out = []
-    for a, b, fa, fb in zip(cuts, cuts[1:], vals, vals[1:]):
-        if fa == 0:
-            out.append((a - width / 4, a + width / 4))
-        elif fb != 0 and (fa < 0) != (fb < 0):
-            out.append(_bisect(B, C, D, a, b, width))
+    for lo, hi, flo, fhi in zip(cuts, cuts[1:], vals, vals[1:]):
+        if flo == 0:
+            out.append((4 * wd * lo - wn * S, 4 * wd * lo + wn * S, 4 * wd * S))
+        elif fhi != 0 and (flo < 0) != (fhi < 0):
+            out.append(_bracket(B, C, D, lo, hi - lo, S, wn, wd))
     return out
 
 
@@ -298,18 +284,14 @@ def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
         # the series windows [-2/t^5, 0], [t, t + 2/t^5] and
         # [t^4 - 2t - 2/t^8, t^4 - 2t], each [A/S, (A + 2)/S]
         t5, t8 = t ** 5, t ** 8
-        ends = []
-        for A, S in ((-2, t5), (t * t5, t5), ((t ** 4 - 2 * t) * t8 - 2, t8)):
-            N0, N1, M = _bracket(B, C, D, A, 2, S, 1, 1 << w)
-            ends.append((_reduced(N0, M), _reduced(N1, M)))
+        brackets = [_bracket(B, C, D, A, 2, S, 1, 1 << w)
+                    for A, S in ((-2, t5), (t * t5, t5), ((t ** 4 - 2 * t) * t8 - 2, t8))]
     else:
-        brackets = isolate_real_roots_monic_cubic(B, C, D, Fraction(1, 1 << w))
+        brackets = isolate_real_roots_monic_cubic(B, C, D, 1, 1 << w)
         if len(brackets) != 3:
             raise PrecisionInsufficientError(
                 "expected 3 separated real roots for t=%d, found %d" % (t, len(brackets)))
-        brackets.sort()
-        ends = [((a.numerator, a.denominator), (b.numerator, b.denominator))
-                for a, b in brackets]
+    ends = [(_reduced(N0, M), _reduced(N1, M)) for N0, N1, M in brackets]
     for (_, (b, bd)), ((c, cd), _) in zip(ends, ends[1:]):
         if not b * cd < c * bd:
             raise PrecisionInsufficientError("root enclosures overlap at t=%d" % t)

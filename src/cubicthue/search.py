@@ -19,12 +19,12 @@ threshold y0 that depends on the form:
   (Tzanakis & de Weger 1989; Bilu & Hanrot 1996), and its cost is
   logarithmic in Y.
 
-Both ranges read the same certified rational brackets of the real roots,
-found once per form.  y0 comes from exact rational bounds on those
-brackets (see `_threshold`), every accepted (x, y) from an exact integer
-evaluation of F; no decision rests on floating point.  Completeness
-beyond |y| <= Y is NOT claimed; reports carry an explicit
-bounded-verification caveat.
+Both ranges read the same certified brackets of the real roots, found
+once per form, each as integer numerators over one denominator.  y0
+comes from exact rational bounds on those brackets (see `_threshold`),
+every accepted (x, y) from an exact integer evaluation of F; no
+decision rests on floating point.  Completeness beyond |y| <= Y is NOT
+claimed; reports carry an explicit bounded-verification caveat.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import List, Optional, Set, Tuple
 from .errors import PrecisionInsufficientError, VerificationFailedError
 from .forms import BinaryCubicForm, family_form, known_solutions, monic_cubic
 from .realnum import Convergent, lockstep_convergents
-from .roots import _bisect, isolate_real_roots_monic_cubic
+from .roots import _bracket, isolate_real_roots_monic_cubic
 
 # (form, discriminant, published solution count) for the positive-
 # discriminant sporadic classes with N_F >= 6
@@ -100,14 +100,15 @@ class SearchReport:
         }
 
 
-def _brackets(F: BinaryCubicForm, y_bound: int) -> List[Tuple[Fraction, Fraction]]:
-    """Certified brackets, each at most 1/(2 y_bound^2 + 2) wide and in
-    increasing order, of the real roots of F(x, 1)."""
+def _brackets(F: BinaryCubicForm, y_bound: int) -> List[Tuple[int, int, int]]:
+    """Certified brackets (N0, N1, M) of [N0/M, N1/M], each at most
+    1/(2 y_bound^2 + 2) wide and in increasing order, of the real roots
+    of F(x, 1)."""
     _, b, c, d = F.coefficients
-    return isolate_real_roots_monic_cubic(b, c, d, Fraction(1, 2 * y_bound ** 2 + 2))
+    return isolate_real_roots_monic_cubic(b, c, d, 1, 2 * y_bound ** 2 + 2)
 
 
-def _threshold(F: BinaryCubicForm, brackets: List[Tuple[Fraction, Fraction]],
+def _threshold(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
                y_bound: int) -> int:
     """y0 <= y_bound + 1 such that every solution of F(x,y) = 1 with
     |y| >= y0 has |theta - x/y| < 1/(2 y^2) for a real root theta.
@@ -129,11 +130,12 @@ def _threshold(F: BinaryCubicForm, brackets: List[Tuple[Fraction, Fraction]],
     leaves y0 = y_bound + 1: the root-line scan then covers every y."""
     _, b, c, d = F.coefficients
     disc = F.discriminant()
-    if disc == 0 or any(monic_cubic(b, c, d, n) == 0 for lo, hi in brackets
-                        for n in range(math.ceil(lo), math.floor(hi) + 1)):
+    if disc == 0 or any(monic_cubic(b, c, d, n) == 0 for lo, hi, m in brackets
+                        for n in range(-(-lo // m), hi // m + 1)):
         return y_bound + 1
     if disc > 0:
-        g = min(lo - hi for (_, hi), (lo, _) in zip(brackets, brackets[1:]))
+        g = min(Fraction(lo, ld) - Fraction(hi, hd)
+                for (_, hi, hd), (lo, _, ld) in zip(brackets, brackets[1:]))
         if g <= 0:
             return y_bound + 1
 
@@ -148,7 +150,8 @@ def _threshold(F: BinaryCubicForm, brackets: List[Tuple[Fraction, Fraction]],
         while y0 > 1 and holds(y0 - 1):
             y0 -= 1
     else:
-        (lo, hi), = brackets
+        (N0, N1, M), = brackets
+        lo, hi = Fraction(N0, M), Fraction(N1, M)
 
         def im2(r: Fraction) -> Fraction:
             return (3 * r * r + 2 * b * r + 4 * c - b * b) / 4
@@ -161,7 +164,7 @@ def _threshold(F: BinaryCubicForm, brackets: List[Tuple[Fraction, Fraction]],
     return min(y0, y_bound + 1)
 
 
-def _scan(F: BinaryCubicForm, brackets: List[Tuple[Fraction, Fraction]],
+def _scan(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
           y_max: int) -> Set[Tuple[int, int]]:
     """Solutions with |y| <= y_max, from the integers within 1 of each
     root line: the real roots in `brackets` (each at most
@@ -171,14 +174,12 @@ def _scan(F: BinaryCubicForm, brackets: List[Tuple[Fraction, Fraction]],
     lines = list(brackets)
     if F.discriminant() < 0:
         # the real parts of the pair sum with the real root to -b
-        (lo, hi), = brackets
-        lines.append(((-b - hi) / 2, (-b - lo) / 2))
-    q = math.lcm(*(e.denominator for br in lines for e in br))
-    lines = [(int(lo * q), int(hi * q)) for lo, hi in lines]
+        (N0, N1, M), = brackets
+        lines.append((-b * M - N1, -b * M - N0, 2 * M))
     sols = set()
     for y in range(-y_max, y_max + 1):
         by, cy, dy = b * y, c * y * y, d * y ** 3
-        for lo, hi in lines:
+        for lo, hi, q in lines:
             # theta*y lies in [u/q, v/q], and x within 1 of it
             u, v = (lo * y, hi * y) if y >= 0 else (hi * y, lo * y)
             for x in range(-(-u // q) - 1, v // q + 2):
@@ -187,10 +188,10 @@ def _scan(F: BinaryCubicForm, brackets: List[Tuple[Fraction, Fraction]],
     return sols
 
 
-def _root_convergents(F: BinaryCubicForm, lo: Fraction, hi: Fraction,
+def _root_convergents(F: BinaryCubicForm, lo: int, hi: int, m: int,
                       y_bound: int) -> List[Convergent]:
     """The convergents p/q, q <= y_bound, of the irrational root of F(x, 1)
-    in the sign-change bracket [lo, hi].  They are the convergents that
+    in the sign-change bracket [lo/m, hi/m].  They are the convergents that
     every real in the bracket shares, which stop cleanly when the
     endpoints disagree on a quotient whose smaller value already takes q
     past y_bound.  Any other disagreement, or an endpoint whose
@@ -198,14 +199,13 @@ def _root_convergents(F: BinaryCubicForm, lo: Fraction, hi: Fraction,
     _, b, c, d = F.coefficients
     while True:
         try:
-            convergents, next_q = lockstep_convergents(
-                lo.numerator, lo.denominator, hi.numerator, hi.denominator, y_bound)
+            convergents, next_q = lockstep_convergents(lo, m, hi, m, y_bound)
             if next_q is None or next_q > y_bound:
                 return convergents
         except PrecisionInsufficientError:
             pass
         width = hi - lo
-        lo, hi = _bisect(b, c, d, lo, hi, width * width)
+        lo, hi, m = _bracket(b, c, d, lo, width, m, width * width, m * m)
 
 
 def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
@@ -220,8 +220,8 @@ def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
     y0 = _threshold(F, brackets, y_bound)
     sols = _scan(F, brackets, y0 - 1)
     if y0 <= y_bound:
-        for lo, hi in brackets:
-            for cv in _root_convergents(F, lo, hi, y_bound):
+        for lo, hi, m in brackets:
+            for cv in _root_convergents(F, lo, hi, m, y_bound):
                 if cv.q >= y0:
                     # F(-p, -q) = -F(p, q)
                     value = F(cv.p, cv.q)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,22 @@ def _reference_bisect(B, C, D, lo, hi, width):
         else:
             hi, fhi = mid, fm
     return lo, hi
+
+
+def _as_fractions(bracket):
+    """A bracket (N0, N1, M) of roots._bracket as the pair N0/M, N1/M."""
+    N0, N1, M = bracket
+    return Fraction(N0, M), Fraction(N1, M)
+
+
+def _bracket_of(B, C, D, lo, hi, width):
+    """roots._bracket on [lo, hi], written over the least common
+    denominator of its ends, with the bracket as a pair of Fractions."""
+    S = math.lcm(lo.denominator, hi.denominator)
+    A = lo.numerator * (S // lo.denominator)
+    delta = hi.numerator * (S // hi.denominator) - A
+    return _as_fractions(roots._bracket(B, C, D, A, delta, S,
+                                        width.numerator, width.denominator))
 
 
 def _width(precision):
@@ -213,7 +230,7 @@ def test_kappa_targets_cover_all_sixteen():
 
 def test_bisect_detects_missing_sign_change():
     with pytest.raises(PrecisionInsufficientError):
-        roots._bisect(0, 0, 1, Fraction(1), Fraction(2), Fraction(1, 100))
+        roots._bracket(0, 0, 1, 1, 1, 1, 1, 100)
 
 
 def test_generic_isolation_small_t():
@@ -226,7 +243,7 @@ def test_generic_isolation_small_t():
 
 
 def _assert_isolates_all(B, C, D, width, expected):
-    brackets = sorted(isolate_real_roots_monic_cubic(B, C, D, width))
+    brackets = _monic_brackets(B, C, D, width)
     assert len(brackets) == expected, (B, C, D, brackets)
     f = lambda x: ((x + B) * x + C) * x + D
     for (lo, hi), (nxt, _) in zip(brackets, brackets[1:] + [(None, None)]):
@@ -274,7 +291,7 @@ def test_bisect_matches_reference_on_series_windows(t):
     for precision in BRACKET_PRECISIONS:
         width = _width(precision)
         for lo, hi in _series_windows(t):
-            assert roots._bisect(B, C, D, lo, hi, width) == \
+            assert _bracket_of(B, C, D, lo, hi, width) == \
                 _reference_bisect(B, C, D, lo, hi, width), (t, precision, lo)
 
 
@@ -290,8 +307,8 @@ del _rng
 
 def test_isolate_roots_matches_bisect_on_series_windows():
     """The integer path of isolate_roots gives each enclosure the bits
-    from_endpoints gives the Fraction bracket _bisect finds in the same
-    window."""
+    from_endpoints gives the bracket _bracket finds in the same window,
+    as a pair of Fractions."""
     for t in SERIES_TS:
         _, B, C, D = family_form(3, t).coefficients
         for precision in SERIES_PRECISIONS:
@@ -299,7 +316,7 @@ def test_isolate_roots_matches_bisect_on_series_windows():
             width = _width(tr.precision)
             for th, (lo, hi) in zip(tr.thetas, _series_windows(t)):
                 want = CertifiedReal.from_endpoints(
-                    *roots._bisect(B, C, D, lo, hi, width), tr.precision)
+                    *_bracket_of(B, C, D, lo, hi, width), tr.precision)
                 assert (th._mpi, th.precision) == (want._mpi, want.precision), \
                     (t, precision, lo)
 
@@ -341,14 +358,15 @@ def test_series_windows_take_the_newton_path(monkeypatch):
 
 def test_bisect_matches_reference_on_generic_windows(monkeypatch):
     calls = []
-    fast = roots._bisect
+    fast = roots._bracket
 
-    def spy(*args):
-        out = fast(*args)
-        calls.append((args, out))
+    def spy(B, C, D, A, delta, S, wn, wd):
+        out = fast(B, C, D, A, delta, S, wn, wd)
+        calls.append(((B, C, D, Fraction(A, S), Fraction(A + delta, S), Fraction(wn, wd)),
+                      _as_fractions(out)))
         return out
 
-    monkeypatch.setattr(roots, "_bisect", spy)
+    monkeypatch.setattr(roots, "_bracket", spy)
     for t in (2, 3, 7, 9, -1, -5):
         for precision in BRACKET_PRECISIONS:
             isolate_roots(t, precision)
@@ -360,12 +378,17 @@ def test_bisect_matches_reference_on_generic_windows(monkeypatch):
 def test_bisect_exact_root_at_grid_midpoint():
     # (x - 1)(x^2 + x + 1) = x^3 - 1 vanishes at the first midpoint of [0, 2]
     w = Fraction(1, 2 ** 40)
-    got = roots._bisect(0, 0, -1, Fraction(0), Fraction(2), w)
+    got = _as_fractions(roots._bracket(0, 0, -1, 0, 2, 1, 1, 2 ** 40))
     assert got == (1 - w / 4, 1 + w / 4)
     assert got == _reference_bisect(0, 0, -1, Fraction(0), Fraction(2), w)
     # (x - 3)(x^2 + 1) vanishes at the second-level midpoint of [0, 4]
-    got = roots._bisect(-3, 1, -3, Fraction(0), Fraction(4), w)
+    got = _as_fractions(roots._bracket(-3, 1, -3, 0, 4, 1, 1, 2 ** 40))
     assert got == (3 - w / 4, 3 + w / 4)
+    # (x - 2)^2 (x + 1) has its double root 2 on a cut of the critical-
+    # point splitting, and the simple root -1 between the cuts -5 and -1/3
+    got = _monic_brackets(-3, 0, 4, w)
+    assert got == [_reference_bisect(-3, 0, 4, Fraction(-5), Fraction(-1, 3), w),
+                   (2 - w / 4, 2 + w / 4)]
 
 
 def test_bisect_window_with_three_roots_replays_bisection():
@@ -374,7 +397,7 @@ def test_bisect_window_with_three_roots_replays_bisection():
     lo, hi = Fraction(-1000), Fraction(1001, 3)
     for precision in (100, 540):
         width = _width(precision)
-        assert roots._bisect(B, C, D, lo, hi, width) == \
+        assert _bracket_of(B, C, D, lo, hi, width) == \
             _reference_bisect(B, C, D, lo, hi, width)
 
 
@@ -383,7 +406,7 @@ def test_bisect_falls_back_when_newton_misses(monkeypatch):
     _, B, C, D = family_form(3, 137).coefficients
     lo, hi = Fraction(137), 137 + 2 / Fraction(137) ** 5
     width = _width(270)
-    assert roots._bisect(B, C, D, lo, hi, width) == \
+    assert _bracket_of(B, C, D, lo, hi, width) == \
         _reference_bisect(B, C, D, lo, hi, width)
 
 
@@ -398,13 +421,13 @@ def test_bisect_keeps_newton_inside_the_window(monkeypatch, lo, hi, index):
     # must not certify the sign change next to it
     monkeypatch.setattr(roots, "_newton_index", lambda *args: index(args[-1]))
     with pytest.raises(PrecisionInsufficientError, match="no sign change"):
-        roots._bisect(0, 0, -2, lo, hi, hi - lo)
+        _bracket_of(0, 0, -2, lo, hi, hi - lo)
 
 
 def test_bisect_short_window_is_returned_as_is():
     _, B, C, D = family_form(3, 10).coefficients
     lo, hi = -Fraction(2, 10 ** 5), Fraction(0)
-    assert roots._bisect(B, C, D, lo, hi, Fraction(1)) == (lo, hi)
+    assert _bracket_of(B, C, D, lo, hi, Fraction(1)) == (lo, hi)
 
 
 @pytest.mark.parametrize("t, precision", [(10, None), (11, None), (1999, None),
@@ -563,7 +586,8 @@ GOLDEN_WIDTHS = (Fraction(1, 202), Fraction(7, 2 ** 45), Fraction(1, 2 * 10 ** 6
 
 def _monic_brackets(B, C, D, width):
     """isolate_real_roots_monic_cubic as pairs of Fractions."""
-    return isolate_real_roots_monic_cubic(B, C, D, width)
+    return [_as_fractions(br) for br in
+            isolate_real_roots_monic_cubic(B, C, D, width.numerator, width.denominator)]
 
 
 def _golden_forms():

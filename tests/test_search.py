@@ -187,8 +187,8 @@ def test_convergents_stop_cleanly_past_the_bound(monkeypatch):
 
     monkeypatch.setattr(search, "lockstep_convergents", recording)
     F = family_form(3, 30)
-    lo, hi = search._brackets(F, 5000)[2]
-    got = search._root_convergents(F, lo, hi, 5000)
+    lo, hi, m = search._brackets(F, 5000)[2]
+    got = search._root_convergents(F, lo, hi, m, 5000)
     assert [(c.p, c.q) for c in got] == [(809939, 1), (809940, 1)]
     assert stops[-1] > 30 ** 7
 
@@ -197,12 +197,12 @@ def test_convergents_refine_the_bracket(monkeypatch):
     # the bracket of theta3 at t = 2 leaves a quotient in dispute that
     # could still give q <= 5000, so it is refined before the expansion
     refined = []
-    bisect = search._bisect
-    monkeypatch.setattr(search, "_bisect",
-                        lambda *args: refined.append(args) or bisect(*args))
+    bracket = search._bracket
+    monkeypatch.setattr(search, "_bracket",
+                        lambda *args: refined.append(args) or bracket(*args))
     F = family_form(3, 2)
-    lo, hi = search._brackets(F, 5000)[2]
-    got = search._root_convergents(F, lo, hi, 5000)
+    lo, hi, m = search._brackets(F, 5000)[2]
+    got = search._root_convergents(F, lo, hi, m, 5000)
     assert len(refined) == 1
     want = continued_fraction_convergents(roots.isolate_roots(2, 400).theta3, 5000)
     assert [(c.p, c.q) for c in got] == [(c.p, c.q) for c in want]
