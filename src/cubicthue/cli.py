@@ -49,10 +49,15 @@ def _env_workers(requested: Optional[int]) -> int:
 def _precision_cap(precision: Optional[int], default: int) -> Optional[int]:
     """--precision, or else the command's default precision, capped by
     CUBICTHUE_PRECISION_CAP; without a cap an omitted --precision stays
-    None, so the engine picks its own default."""
+    None, so the engine picks its own default.  A precision or cap below
+    1 bit is a usage error."""
+    if precision is not None and precision < 1:
+        raise ValueError("--precision must be at least 1, got %d" % precision)
     cap = os.environ.get("CUBICTHUE_PRECISION_CAP")
     if cap is None:
         return precision
+    if int(cap) < 1:
+        raise ValueError("CUBICTHUE_PRECISION_CAP must be at least 1, got %s" % cap)
     return min(default if precision is None else precision, int(cap))
 
 
