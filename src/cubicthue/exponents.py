@@ -20,7 +20,7 @@ from .errors import (IndeterminateSignError, PrecisionInsufficientError,
                      VerificationFailedError)
 from .forms import evaluate, family_form
 from .realnum import CertifiedReal
-from .roots import RootTriple, isolate_roots, solution_interval
+from .roots import isolate_roots, solution_interval
 
 ROUNDING_TOLERANCE = Fraction(1, 100)
 # recovery starts at RECOVERY_PRECISION bits and doubles them at most
@@ -68,11 +68,6 @@ class ExponentPair:
         return (self.delta, self.n, self.m)
 
 
-def _linear_units(t: int, x: int, y: int, roots: RootTriple):
-    """x - y*theta_i for the three embeddings, as enclosures."""
-    return tuple(x - th * y for th in roots.thetas)
-
-
 def recover_exponents(t: int, x: int, y: int) -> ExponentPair:
     """Solve the log-linear system for (n, m), round, fix delta by sign
     and certify the unit representation in all three embeddings."""
@@ -104,7 +99,8 @@ def _unit_logs(t: int, prec: int):
 
 def _recover_at_precision(t: int, x: int, y: int, prec: int) -> ExponentPair:
     roots, logs_te, logs_th = _unit_logs(t, prec)
-    units = _linear_units(t, x, y, roots)
+    # x - y theta_i in the three embeddings
+    units = [x - th * y for th in roots.thetas]
     logs_u = [abs(u).log() for u in units]
     # 2x2 solve on embeddings 1 and 2:  l_i = n*u_i - m*v_i
     u1, u2 = logs_te[0], logs_te[1]
@@ -120,7 +116,7 @@ def _recover_at_precision(t: int, x: int, y: int, prec: int) -> ExponentPair:
         raise PrecisionInsufficientError(
             "rounding deviation %s exceeds tolerance" % float(residual.upper))
     # delta from the sign of the first embedding
-    unit_vals = [_signed_unit(t - th, th, n, m) for th in roots.thetas]
+    unit_vals = [(t - th) ** n * th ** (-m) for th in roots.thetas]
     s_solution = units[0].sign()
     s_unit = unit_vals[0].sign()
     delta = 0 if s_solution == s_unit else 1
@@ -135,10 +131,6 @@ def _recover_at_precision(t: int, x: int, y: int, prec: int) -> ExponentPair:
         if abs(u).upper > 0 and diff.width > abs(u).upper:
             raise PrecisionInsufficientError("containment check too wide")
     return ExponentPair(delta, n, m, residual)
-
-
-def _signed_unit(base1: CertifiedReal, base2: CertifiedReal, n: int, m: int) -> CertifiedReal:
-    return (base1 ** n) * (base2 ** (-m))
 
 
 def _round_mid(enc: CertifiedReal) -> int:
