@@ -206,11 +206,12 @@ def isolate_real_roots_monic_cubic(B: int, C: int, D: int, wn: int,
     """Certified brackets, at most wn/wd wide and in increasing order, of
     every distinct real root of x^3 + B x^2 + C x + D, each (N0, N1, M)
     for [N0/M, N1/M] as `_bracket` gives it: sign-change validated, or
-    centred on a root that an evaluation hit exactly.  The real line is cut at rational bounds on
-    the critical points, and each piece with a sign change is bisected;
-    with a positive discriminant (three distinct real roots) the bounds
-    are tightened until the cut separates all three.  A double root is an
-    integer critical point, and so a cut point at which P vanishes."""
+    centred on a root that an evaluation hit exactly.  The real line is
+    cut at rational bounds on the critical points, and each piece with a
+    sign change is bisected; with a positive discriminant (three distinct
+    real roots) the bounds are tightened until the cut separates all
+    three.  A double root is an integer critical point, and so a cut
+    point at which P vanishes."""
     three_real = discriminant(BinaryCubicForm(1, B, C, D)) > 0
     k = 0
     while True:

@@ -447,8 +447,8 @@ def test_precision_below_one_bit_is_a_usage_error(tmp_path, capsys):
                  ["matveev", "--precision", "0"],
                  ["sweep", "--t-lo", "10", "--t-hi", "11", "--precision", "0"]):
         assert run(argv + ["--output", str(out)]) == cli.EXIT_USAGE, argv
-        assert capsys.readouterr().err == \
-            "cubicthue %s: error: --precision must be at least 1, got %s\n" % (argv[0], argv[-1])
+        assert capsys.readouterr().err == ("cubicthue %s: error: --precision must be "
+                                           "at least 1, got %s\n" % (argv[0], argv[-1]))
         assert not out.exists()
     assert run(["roots", "--t", "10", "--precision", "1"]) == cli.EXIT_OK
 
@@ -456,11 +456,12 @@ def test_precision_below_one_bit_is_a_usage_error(tmp_path, capsys):
 def test_precision_cap_below_one_bit_is_a_usage_error(monkeypatch, capsys):
     for cap in ("0", "-3"):
         monkeypatch.setenv("CUBICTHUE_PRECISION_CAP", cap)
-        for argv in (["roots", "--t", "10"], ["reduce", "--t", "10", "--precision", "200"],
+        for argv in (["roots", "--t", "10"],
+                     ["reduce", "--t", "10", "--precision", "200"],
                      ["sweep", "--t-lo", "10", "--t-hi", "11"]):
             assert run(argv) == cli.EXIT_USAGE, (cap, argv)
-            assert capsys.readouterr() == ("", "cubicthue %s: error: CUBICTHUE_PRECISION_CAP "
-                                               "must be at least 1, got %s\n" % (argv[0], cap))
+            err = "cubicthue %s: error: CUBICTHUE_PRECISION_CAP must be at least 1, got %s\n"
+            assert capsys.readouterr() == ("", err % (argv[0], cap))
 
 
 def test_sci_notation_parsing():

@@ -362,8 +362,8 @@ def test_bisect_matches_reference_on_generic_windows(monkeypatch):
 
     def spy(B, C, D, A, delta, S, wn, wd):
         out = fast(B, C, D, A, delta, S, wn, wd)
-        calls.append(((B, C, D, Fraction(A, S), Fraction(A + delta, S), Fraction(wn, wd)),
-                      _as_fractions(out)))
+        window = (Fraction(A, S), Fraction(A + delta, S), Fraction(wn, wd))
+        calls.append(((B, C, D, *window), _as_fractions(out)))
         return out
 
     monkeypatch.setattr(roots, "_bracket", spy)
