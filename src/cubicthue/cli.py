@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import hashlib
 import json
 import os
 import random
@@ -30,6 +31,7 @@ EXIT_USAGE = 3
 DEFAULT_SEED = 20140213
 SWEEP_SLICE_HI = 2000
 SWEEP_SAMPLE_COUNT = 100
+CHECKPOINT_INTERVAL = 10 ** 4
 
 
 def _int_from_sci(text: str) -> int:
@@ -71,7 +73,9 @@ class _Output:
         self.path = path
         self.fh = None
 
-    def emit(self, record: dict):
+    def emit(self, record: dict) -> str:
+        """Writes the record as one line and returns that line, without
+        its newline."""
         record.setdefault("schema", 1)
         if self.path is None:
             fh = sys.stdout
@@ -79,8 +83,10 @@ class _Output:
             if self.fh is None:
                 self.fh = open(self.path, "w")
             fh = self.fh
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        line = json.dumps(record, sort_keys=True)
+        fh.write(line + "\n")
         fh.flush()
+        return line
 
     def close(self, finished: bool = True):
         if self.fh is None and self.path is not None and finished:
@@ -88,6 +94,29 @@ class _Output:
             self.fh.write("\n")
         if self.fh is not None:
             self.fh.close()
+
+
+def _load_checkpoint(path: Optional[str], which: int, A: int, Q: int):
+    """The checkpoint at `path`, or None when there is none; one written
+    for another which/A/Q is refused with ValueError and left alone."""
+    if not path or not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        rec = json.load(fh)
+    got = (rec.get("which"), rec.get("A"), rec.get("Q"))
+    if got != (which, str(A), str(Q)):
+        raise ValueError("checkpoint %s was written for which=%s, A=%s, Q=%s, not "
+                         "which=%d, A=%d, Q=%d" % ((path,) + got + (which, A, Q)))
+    return rec
+
+
+def _write_checkpoint(path: str, which: int, A: int, Q: int,
+                      last_t: int, digest: str):
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump({"which": which, "A": str(A), "Q": str(Q),
+                   "last_t": last_t, "hash": digest}, fh)
+    os.replace(tmp, path)
 
 
 def _sample_ts(seed: int, count: int, lo: int, hi: int) -> List[int]:
@@ -284,14 +313,18 @@ def _cmd_sweep(args, out: _Output) -> int:
     t_max = bounds.derive_t_max()[0] if args.full or args.samples else None
     extra = (_sample_ts(args.seed, args.samples, SWEEP_SLICE_HI + 1, t_max)
              if args.samples and not args.full else [])
+    precision = _precision_cap(args.precision, realnum.reduction_precision(args.Q))
+    ckpt = _load_checkpoint(args.checkpoint, args.which, args.A, args.Q)
+    # the checkpoint hash is the sha256 of the written lines, newlines
+    # left out; it is rewritten right after the record it counts
+    digest = hashlib.sha256()
     n = n_ok = n_failed = 0
     with contextlib.ExitStack() as stack:
         # closed on every exit, so a failed write stops the workers at once
         outcomes = stack.enter_context(contextlib.closing(reduction.verify_range(
             args.which, args.t_lo, t_max if args.full else args.t_hi, args.A, args.Q,
-            workers=_env_workers(args.workers), extra_ts=extra,
-            precision=_precision_cap(args.precision, realnum.reduction_precision(args.Q)),
-            checkpoint_path=args.checkpoint)))
+            workers=_env_workers(args.workers), extra_ts=extra, precision=precision,
+            after=ckpt and ckpt["last_t"])))
         rows = None
         if args.csv:
             # line-buffered: each row reaches the file as it is written
@@ -300,7 +333,7 @@ def _cmd_sweep(args, out: _Output) -> int:
             rows.writerow(["t", "status", "precision", "q", "lambda_lower_ln",
                            "margin", "contradiction", "reason"])
         for o in outcomes:
-            out.emit(o.to_json())
+            digest.update(out.emit(o.to_json()).encode())
             if rows is not None:
                 # csv writes the reason None of a success row as empty
                 rows.writerow([o.t, o.status, o.precision, o.q, o.lambda_lower_ln,
@@ -308,6 +341,12 @@ def _cmd_sweep(args, out: _Output) -> int:
             n += 1
             n_ok += o.status == "success" and o.contradiction
             n_failed += o.status == "failed"
+            if args.checkpoint and n % CHECKPOINT_INTERVAL == 0:
+                _write_checkpoint(args.checkpoint, args.which, args.A, args.Q,
+                                  o.t, digest.hexdigest())
+        if args.checkpoint and n % CHECKPOINT_INTERVAL:
+            _write_checkpoint(args.checkpoint, args.which, args.A, args.Q,
+                              o.t, digest.hexdigest())
     print("sweep which=%d: %d/%d success+contradiction" % (args.which, n_ok, n))
     if n_ok == n:
         return EXIT_OK

@@ -10,12 +10,8 @@ and 1/Q^2 so that the continued-fraction extraction is trustworthy.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -32,7 +28,6 @@ DEFAULT_A = 3 * 10 ** 18
 DEFAULT_Q = 10 ** 60
 MAX_PRECISION_ESCALATIONS = 3
 Q_ESCALATION_FACTOR = 10 ** 5
-CHECKPOINT_INTERVAL = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -245,69 +240,25 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
                             len(attempts) - 1, reason)
 
 
-def _reduce_star(args) -> ReductionOutcome:
-    which, t, A, Q, precision = args
-    return reduce_single(which, t, A, Q, precision)
-
-
-def _load_checkpoint(path: str, which: int, A: int, Q: int):
-    """The checkpoint at `path`, or None when there is none; one written
-    for another which/A/Q is refused with ValueError and left alone."""
-    if not path or not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        rec = json.load(fh)
-    got = (rec.get("which"), rec.get("A"), rec.get("Q"))
-    if got != (which, str(A), str(Q)):
-        raise ValueError("checkpoint %s was written for which=%s, A=%s, Q=%s, not "
-                         "which=%d, A=%d, Q=%d" % ((path,) + got + (which, A, Q)))
-    return rec
-
-
-def _write_checkpoint(path: str, which: int, A: int, Q: int,
-                      last_t: int, digest: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump({"which": which, "A": str(A), "Q": str(Q),
-                   "last_t": last_t, "hash": digest}, fh)
-    os.replace(tmp, path)
-
-
 def verify_range(which: int, t_lo: int, t_hi: int,
                  A: int = DEFAULT_A, Q: int = DEFAULT_Q,
                  workers: int = 1,
                  extra_ts: Sequence[int] = (),
                  precision: Optional[int] = None,
-                 checkpoint_path: Optional[str] = None) -> Iterator[ReductionOutcome]:
+                 after: Optional[int] = None) -> Iterator[ReductionOutcome]:
     """Per-t outcomes over [t_lo, t_hi] plus any extra sampled ts, yielded
-    in t order whatever the worker count, and resumable through the
-    checkpoint file.  The arguments are checked at the call; the work
-    runs as the outcomes are taken.  A checkpoint is written only once
-    the caller has taken every outcome it counts, so close the iterator
-    when stopping early: that also shuts the worker pool down."""
+    in t order whatever the worker count; a t <= `after`, the last one a
+    previous run wrote, is skipped.  The arguments are checked at the
+    call; the work runs as the outcomes are taken.  Close the iterator
+    when stopping early: that shuts the worker pool down."""
     if t_lo <= t_hi and t_lo < 10:
         raise ValueError("sweep range starts at t >= 10")
     check_bounds(A, Q)
     ts = sorted(set(list(range(t_lo, t_hi + 1)) + [int(t) for t in extra_ts]))
-    ckpt = _load_checkpoint(checkpoint_path, which, A, Q)
-    if ckpt is not None:
-        ts = [t for t in ts if t > ckpt["last_t"]]
-    return _sweep(which, ts, A, Q, workers, precision, checkpoint_path)
-
-
-def _sweep(which: int, ts: List[int], A: int, Q: int, workers: int,
-           precision: Optional[int],
-           checkpoint_path: Optional[str]) -> Iterator[ReductionOutcome]:
-    # one running digest over the records, each serialized once
-    digest = hashlib.sha256()
-    jobs = [(which, t, A, Q, precision) for t in ts]
-    with contextlib.closing(parallel_map(_reduce_star, jobs, workers)) as outcomes:
-        for done, outcome in enumerate(outcomes, 1):
-            yield outcome
-            digest.update(json.dumps(outcome.to_json(), sort_keys=True).encode())
-            if checkpoint_path and (done % CHECKPOINT_INTERVAL == 0 or done == len(ts)):
-                _write_checkpoint(checkpoint_path, which, A, Q,
-                                  outcome.t, digest.hexdigest())
+    if after is not None:
+        ts = [t for t in ts if t > after]
+    return parallel_map(functools.partial(reduce_single, which, A=A, Q=Q,
+                                          precision=precision), ts, workers)
 
 
 def reverify_verdict(inst: ReductionInstance, verdict: Verdict) -> bool:

@@ -339,7 +339,7 @@ def test_sweep_derives_t_max_only_when_it_reads_it(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_checkpoint_never_passes_the_written_output(workers, monkeypatch, tmp_path):
-    monkeypatch.setattr(reduction, "CHECKPOINT_INTERVAL", 4)
+    monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 4)
     emit = cli._Output.emit
     emitted = []
 
@@ -347,7 +347,7 @@ def test_sweep_checkpoint_never_passes_the_written_output(workers, monkeypatch, 
         emitted.append(record["t"])
         if len(emitted) == 6:
             raise OSError("disk full")
-        emit(self, record)
+        return emit(self, record)
 
     monkeypatch.setattr(cli._Output, "emit", failing)
     ck, out, csv_path = tmp_path / "ck.json", tmp_path / "out.jsonl", tmp_path / "out.csv"

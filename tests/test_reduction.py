@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from cubicthue import reduction
+from cubicthue import cli, reduction
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, _convergents_of_fraction,
                                continued_fraction_convergents, dyadic_numerators,
@@ -244,84 +245,113 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _sweep(tmp_path, name, *extra):
+    """`cubicthue sweep` over [10, 20] with a checkpoint; the paths of
+    its checkpoint and output."""
+    ck, out = tmp_path / (name + ".json"), tmp_path / (name + ".jsonl")
+    assert cli.main(["sweep", "--t-lo", "10", "--t-hi", "20", "--checkpoint", str(ck),
+                     "--output", str(out), *extra]) == 0
+    return ck, out
+
+
 def test_verify_range_checkpoint_resume(tmp_path):
-    ck = str(tmp_path / "ck.json")
-    full = list(verify_range(2, 10, 20, checkpoint_path=ck))
+    ck, _ = _sweep(tmp_path, "ck")
+    full = list(verify_range(2, 10, 20))
     state = _read_json(ck)
     assert state["last_t"] == 20
     assert state["hash"] == _digest(full)
-    # resuming with a complete checkpoint does no further work
-    again = list(verify_range(2, 10, 20, checkpoint_path=ck))
+    # resuming after the checkpoint's last t does no further work
+    again = list(verify_range(2, 10, 20, after=state["last_t"]))
     assert again == []
+    assert [o.t for o in verify_range(2, 10, 20, after=17)] == [18, 19, 20]
     # a checkpoint for different parameters is refused and left alone
-    before = Path(ck).read_bytes()
+    before = ck.read_bytes()
     with pytest.raises(ValueError, match="checkpoint"):
-        verify_range(2, 10, 12, A=10 ** 6, checkpoint_path=ck)
-    assert Path(ck).read_bytes() == before
+        cli._load_checkpoint(str(ck), 2, 10 ** 6, reduction.DEFAULT_Q)
+    assert ck.read_bytes() == before
 
 
 def test_verify_range_checkpoints_every_interval(monkeypatch, tmp_path):
-    monkeypatch.setattr(reduction, "CHECKPOINT_INTERVAL", 4)
-    write = reduction._write_checkpoint
+    monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 4)
+    write = cli._write_checkpoint
     runs = {}
     for workers in (1, 2):
-        ck = tmp_path / ("ck%d.json" % workers)
         states = []
 
-        def recording(*args):
-            write(*args)
-            states.append(ck.read_bytes())
+        def recording(path, *args):
+            write(path, *args)
+            states.append(Path(path).read_bytes())
 
-        monkeypatch.setattr(reduction, "_write_checkpoint", recording)
-        outcomes = verify_range(2, 10, 20, workers=workers, checkpoint_path=str(ck))
-        runs[workers] = (_jsonl(outcomes), states)
+        monkeypatch.setattr(cli, "_write_checkpoint", recording)
+        _, out = _sweep(tmp_path, "ck%d" % workers, "--workers", str(workers))
+        runs[workers] = (out.read_text(), states)
     assert runs[1] == runs[2]
     jsonl = runs[1][0]
     states = [json.loads(b) for b in runs[1][1]]
     # every fourth outcome, then the last
     assert [s["last_t"] for s in states] == [13, 17, 20]
     outcomes = list(verify_range(2, 10, 20))
-    assert _jsonl(outcomes) == jsonl
+    assert "".join(json.dumps(o.to_json(), sort_keys=True) + "\n"
+                   for o in outcomes) == jsonl
     for state, n in zip(states, (4, 8, 11)):
         assert state["hash"] == _digest(outcomes[:n])
 
 
 def test_verify_range_checkpoints_only_taken_outcomes(monkeypatch, tmp_path):
-    monkeypatch.setattr(reduction, "CHECKPOINT_INTERVAL", 4)
-    ck = tmp_path / "ck.json"
-    outcomes = verify_range(2, 10, 20, workers=2, checkpoint_path=str(ck))
-    taken = [next(outcomes) for _ in range(4)]
-    # the fourth outcome is out, but the caller has not asked past it
-    assert not ck.exists()
-    taken.append(next(outcomes))
-    assert _read_json(ck) == {"which": 2, "A": str(reduction.DEFAULT_A),
-                              "Q": str(reduction.DEFAULT_Q), "last_t": 13,
-                              "hash": _digest(taken[:4])}
+    monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 4)
+    write = cli._write_checkpoint
+    ck, out = tmp_path / "ck.json", tmp_path / "out.jsonl"
+    seen = []
+
+    def checking(path, which, A, Q, last_t, digest):
+        # every record the checkpoint counts is in the output already
+        lines = out.read_text().splitlines()
+        assert json.loads(lines[-1])["t"] == last_t
+        assert digest == hashlib.sha256("".join(lines).encode()).hexdigest()
+        write(path, which, A, Q, last_t, digest)
+        seen.append(_read_json(ck))
+
+    monkeypatch.setattr(cli, "_write_checkpoint", checking)
+    assert cli.main(["sweep", "--t-lo", "10", "--t-hi", "20", "--workers", "2",
+                     "--checkpoint", str(ck), "--output", str(out)]) == 0
+    taken = list(verify_range(2, 10, 13))
+    assert seen[0] == {"which": 2, "A": str(reduction.DEFAULT_A),
+                       "Q": str(reduction.DEFAULT_Q), "last_t": 13,
+                       "hash": _digest(taken)}
+    assert [s["last_t"] for s in seen] == [13, 17, 20]
+    # an iterator closed early shuts its pool down
+    outcomes = verify_range(2, 10, 20, workers=2)
+    next(outcomes)
     outcomes.close()
-    assert _read_json(ck)["last_t"] == 13
+    assert multiprocessing.active_children() == []
 
 
-def _stub_outcome(args):
-    which, t, A, Q, precision = args
+def _stub_outcome(which, t, A, Q, precision):
     return reduction.ReductionOutcome(t, which, "success", 540, Q, 7, 1.5, -270.0,
                                       300.0, True, 0)
 
 
 def test_verify_range_serializes_each_record_once(monkeypatch, tmp_path):
-    monkeypatch.setattr(reduction, "_reduce_star", _stub_outcome)
-    monkeypatch.setattr(reduction, "CHECKPOINT_INTERVAL", 4)
-    calls = []
+    monkeypatch.setattr(reduction, "reduce_single", _stub_outcome)
+    monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 4)
+    calls, dumps = [], []
     to_json = reduction.ReductionOutcome.to_json
     monkeypatch.setattr(reduction.ReductionOutcome, "to_json",
                         lambda self: calls.append(self.t) or to_json(self))
-    ck = tmp_path / "ck.json"
-    n = sum(1 for _ in verify_range(2, 10, 409, checkpoint_path=str(ck)))
-    assert n == 400 and calls == list(range(10, 410))
+    json_dumps = json.dumps
+    monkeypatch.setattr(cli.json, "dumps",
+                        lambda *a, **k: dumps.append(1) or json_dumps(*a, **k))
+    ck, out = tmp_path / "ck.json", tmp_path / "out.jsonl"
+    assert cli.main(["sweep", "--t-lo", "10", "--t-hi", "409", "--checkpoint", str(ck),
+                     "--output", str(out)]) == 0
+    n = len(out.read_text().splitlines())
+    assert n == 400 and calls == list(range(10, 410)) and len(dumps) == 400
+    monkeypatch.undo()
     state = _read_json(ck)
     assert state["last_t"] == 409
-    monkeypatch.setattr(reduction.ReductionOutcome, "to_json", to_json)
-    jobs = [(2, t, reduction.DEFAULT_A, reduction.DEFAULT_Q, None) for t in range(10, 410)]
-    assert state["hash"] == _digest(map(_stub_outcome, jobs))
+    stubs = [_stub_outcome(2, t, reduction.DEFAULT_A, reduction.DEFAULT_Q, None)
+             for t in range(10, 410)]
+    assert state["hash"] == _digest(stubs)
 
 
 def test_escalation_soundness():
