@@ -119,6 +119,37 @@ def _write_checkpoint(path: str, which: int, A: int, Q: int,
     os.replace(tmp, path)
 
 
+def _resume(out: _Output, ckpt: dict):
+    """The sha256 of --output's lines up to the checkpoint's last t,
+    checked against its hash, with --output opened to append after them.
+    The lines past that t, which a run stopped before its next checkpoint
+    wrote (the last perhaps cut mid-line), are cut off.  A missing output
+    or a hash that does not match is refused with ValueError, and both
+    files are left as they are."""
+    if out.path is None:
+        raise ValueError("resuming from a checkpoint needs the --output it counts")
+    digest, end, counted = hashlib.sha256(), 0, False
+    try:
+        with open(out.path, "rb") as fh:
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break
+                digest.update(line[:-1])
+                end += len(line)
+                if json.loads(line)["t"] == ckpt["last_t"]:
+                    counted = digest.hexdigest() == ckpt["hash"]
+                    break
+    except (OSError, ValueError, LookupError, TypeError):
+        pass    # a missing output or a line that is no record: not counted
+    if not counted:
+        raise ValueError("%s does not hold the records its checkpoint counts "
+                         "through t=%d" % (out.path, ckpt["last_t"]))
+    if os.path.getsize(out.path) > end:
+        os.truncate(out.path, end)
+    out.fh = open(out.path, "a")
+    return digest
+
+
 def _sample_ts(seed: int, count: int, lo: int, hi: int) -> List[int]:
     rng = random.Random(seed)
     return sorted(rng.sample(range(lo, hi + 1), count))
@@ -315,9 +346,6 @@ def _cmd_sweep(args, out: _Output) -> int:
              if args.samples and not args.full else [])
     precision = _precision_cap(args.precision, realnum.reduction_precision(args.Q))
     ckpt = _load_checkpoint(args.checkpoint, args.which, args.A, args.Q)
-    # the checkpoint hash is the sha256 of the written lines, newlines
-    # left out; it is rewritten right after the record it counts
-    digest = hashlib.sha256()
     n = n_ok = n_failed = 0
     with contextlib.ExitStack() as stack:
         # closed on every exit, so a failed write stops the workers at once
@@ -325,6 +353,9 @@ def _cmd_sweep(args, out: _Output) -> int:
             args.which, args.t_lo, t_max if args.full else args.t_hi, args.A, args.Q,
             workers=_env_workers(args.workers), extra_ts=extra, precision=precision,
             after=ckpt and ckpt["last_t"])))
+        # the checkpoint hash is the sha256 of the written lines, newlines
+        # left out; it is rewritten right after the record it counts
+        digest = _resume(out, ckpt) if ckpt else hashlib.sha256()
         rows = None
         if args.csv:
             # line-buffered: each row reaches the file as it is written
@@ -394,6 +425,11 @@ def _cmd_certify_all(args, out: _Output) -> int:
     absolute bound, reduction sweep slice, bounded search."""
     def stage(cmd, **overrides) -> int:
         return cmd(argparse.Namespace(**{**vars(args), **overrides}), out)
+
+    if _load_checkpoint(args.checkpoint, 2, args.A, args.Q) is not None:
+        # the stages share one --output, so its sweep cannot append to it
+        raise ValueError("checkpoint %s already counts records; certify-all "
+                         "does not resume" % args.checkpoint)
 
     rc = stage(_cmd_kappas, t_hi=min(args.t_hi, 2000),
                extra_t=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 576241])

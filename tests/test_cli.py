@@ -374,6 +374,113 @@ def test_sweep_checkpoint_never_passes_the_written_output(workers, monkeypatch, 
         "".join(lines[:counted]).encode()).hexdigest()
 
 
+def _sweep_argv(tmp_path, name, t_hi=20):
+    ck, out = tmp_path / (name + ".json"), tmp_path / (name + ".jsonl")
+    return (["sweep", "--t-lo", "10", "--t-hi", str(t_hi), "--checkpoint", str(ck),
+             "--output", str(out)], ck, out)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_resumes_after_a_failed_write(workers, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 4)
+    argv, full_ck, full_out = _sweep_argv(tmp_path, "full")
+    assert run(argv) == 0
+    argv, ck, out = _sweep_argv(tmp_path, "cut")
+    argv += ["--workers", workers]
+    emit = cli._Output.emit
+    emitted = []
+
+    def failing(self, record):
+        emitted.append(record["t"])
+        if len(emitted) == 6:
+            raise OSError("disk full")
+        return emit(self, record)
+
+    monkeypatch.setattr(cli._Output, "emit", failing)
+    with pytest.raises(OSError, match="disk full"):
+        run(argv)
+    monkeypatch.setattr(cli._Output, "emit", emit)
+    assert json.loads(ck.read_text())["last_t"] == 13
+    # t = 14 is written but not counted, and a line cut mid-write follows
+    with open(out, "a") as fh:
+        fh.write(full_out.read_text().splitlines()[5][:40])
+    assert [json.loads(line)["t"] for line in out.read_text().splitlines()[:-1]] \
+        == [10, 11, 12, 13, 14]
+    assert run(argv) == 0
+    assert out.read_bytes() == full_out.read_bytes()
+    assert ck.read_bytes() == full_ck.read_bytes()
+
+
+def test_sweep_rerun_of_a_finished_run_leaves_its_output(capsys, tmp_path):
+    argv, ck, out = _sweep_argv(tmp_path, "done", t_hi=14)
+    assert run(argv) == 0
+    before = out.read_bytes(), ck.read_bytes()
+    assert run(argv) == 0
+    assert (out.read_bytes(), ck.read_bytes()) == before
+    assert capsys.readouterr().out.splitlines()[-1] \
+        == "sweep which=2: 0/0 success+contradiction"
+    # a longer range appends, as if it had run in one go
+    longer, full_ck, full_out = _sweep_argv(tmp_path, "full", t_hi=16)
+    assert run(longer) == 0
+    assert run(argv[:4] + ["16"] + argv[5:]) == 0
+    assert (out.read_bytes(), ck.read_bytes()) == (full_out.read_bytes(),
+                                                   full_ck.read_bytes())
+
+
+def test_sweep_resume_refuses_an_output_that_does_not_match(capsys, tmp_path):
+    argv, ck, out = _sweep_argv(tmp_path, "ck", t_hi=14)
+    assert run(argv) == 0
+    lines = out.read_text().splitlines()
+    tampered = [lines[0], lines[1].replace('"escalations": 0', '"escalations": 1')]
+    for text in ("\n".join(tampered + lines[2:]) + "\n",
+                 "\n".join(lines[:3]) + "\n",
+                 "\n".join(lines)):
+        out.write_text(text)
+        before = out.read_bytes(), ck.read_bytes()
+        capsys.readouterr()
+        assert run(argv[:4] + ["16"] + argv[5:]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "cubicthue sweep: error: %s does not hold the records its checkpoint "
+            "counts through t=14\n" % out)
+        assert (out.read_bytes(), ck.read_bytes()) == before
+    out.unlink()
+    assert run(argv) == cli.EXIT_USAGE
+    assert not out.exists()
+
+
+def test_sweep_resume_needs_the_output(capsys, tmp_path):
+    argv, ck, out = _sweep_argv(tmp_path, "ck", t_hi=11)
+    assert run(argv) == 0
+    before = ck.read_bytes()
+    capsys.readouterr()
+    assert run(argv[:-2]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "cubicthue sweep: error: resuming from a checkpoint needs the "
+            "--output it counts\n")
+    assert ck.read_bytes() == before
+
+
+def test_certify_all_refuses_a_checkpoint_that_counts_records(monkeypatch, capsys,
+                                                              tmp_path):
+    ck, out = tmp_path / "ck.json", tmp_path / "c.jsonl"
+    argv = ["certify-all", "--t-lo", "10", "--t-hi", "11", "--checkpoint", str(ck),
+            "--output", str(out)]
+    assert run(["sweep"] + argv[1:7] + ["--output", str(tmp_path / "s.jsonl")]) == 0
+    stages = []
+    for name in ("_cmd_kappas", "_cmd_matveev", "_cmd_tmax", "_cmd_sweep",
+                 "_cmd_verify_tables"):
+        monkeypatch.setattr(cli, name, lambda args, out, name=name:
+                            stages.append(name) or cli.EXIT_OK)
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_USAGE
+    assert stages == [] and not out.exists()
+    assert capsys.readouterr().err == (
+        "cubicthue certify-all: error: checkpoint %s already counts records; "
+        "certify-all does not resume\n" % ck)
+    ck.unlink()
+    assert run(argv + ["--y-bound", "5"]) == 0 and len(stages) == 5
+
+
 def test_certify_all_theorem_range_starts_at_most_one_pool(monkeypatch, capsys, tmp_path):
     for name in ("_cmd_kappas", "_cmd_matveev", "_cmd_tmax", "_cmd_sweep",
                  "_cmd_verify_tables"):
