@@ -126,12 +126,14 @@ def _threshold(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
     Im^2 theta' = (3r^2 + 2br + 4c - b^2)/4, a convex parabola in r whose
     least value m over r's bracket gives y0 = floor(2/m) + 1.
 
-    A repeated root, an integer root, or a bound that is not positive
-    leaves y0 = y_bound + 1: the root-line scan then covers every y."""
+    Both bounds hold for an integer root too: there they leave no
+    solution at all near it, since x - theta y is then a nonzero integer.
+
+    A repeated root, or a bound that is not positive, leaves
+    y0 = y_bound + 1: the root-line scan then covers every y."""
     _, b, c, d = F.coefficients
     disc = F.discriminant()
-    if disc == 0 or any(monic_cubic(b, c, d, n) == 0 for lo, hi, m in brackets
-                        for n in range(-(-lo // m), hi // m + 1)):
+    if disc == 0:
         return y_bound + 1
     if disc > 0:
         g = min(Fraction(lo, ld) - Fraction(hi, hd)
@@ -220,7 +222,13 @@ def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
     y0 = _threshold(F, brackets, y_bound)
     sols = _scan(F, brackets, y0 - 1)
     if y0 <= y_bound:
+        _, b, c, d = F.coefficients
         for lo, hi, m in brackets:
+            # from y0 on, |x - r y| < 1 for the root r nearest x/y; for an
+            # integer r, x - r y is a nonzero integer, so r has no solution
+            if any(monic_cubic(b, c, d, n) == 0
+                   for n in range(-(-lo // m), hi // m + 1)):
+                continue
             for cv in _root_convergents(F, lo, hi, m, y_bound):
                 if cv.q >= y0:
                     # F(-p, -q) = -F(p, q)

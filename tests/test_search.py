@@ -133,6 +133,53 @@ def test_search_past_the_threshold_matches_exhaustive_scan():
     assert below >= 1000 and beyond >= 50
 
 
+def _integer_root_forms(count, seed):
+    """(x - r y)(x^2 + p x y + q y^2) with distinct roots."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        r, p, q = (rng.randrange(-6, 7) for _ in range(3))
+        F = BinaryCubicForm(1, p - r, q - r * p, -r * q)
+        if F.discriminant() != 0:
+            found.append(F)
+    return found
+
+
+def test_integer_root_forms_match_exhaustive_scan():
+    # an integer root no longer sends the root-line scan over every y
+    Y = 200
+    past = 0
+    for F in _integer_root_forms(60, 37):
+        assert thue_solutions_bruteforce(F, Y).solutions == _scan(F, Y), F
+        past += search._threshold(F, search._brackets(F, Y), Y) <= Y
+    assert past >= 50
+
+
+def test_integer_root_forms_search_logarithmically(monkeypatch):
+    scan = search._scan
+
+    def few_rows(F, brackets, y_max):
+        # checked before the scan, which would never end at y_max = Y
+        assert y_max < 10
+        return scan(F, brackets, y_max)
+
+    convergents = search._root_convergents
+
+    def irrational_root(F, lo, hi, m, y_bound):
+        # the expansion of an integer root inside its bracket never settles
+        assert all(F(n, 1) != 0 for n in range(-(-lo // m), hi // m + 1))
+        return convergents(F, lo, hi, m, y_bound)
+
+    monkeypatch.setattr(search, "_scan", few_rows)
+    monkeypatch.setattr(search, "_root_convergents", irrational_root)
+    Y = 10 ** 30
+    assert thue_solutions_bruteforce(BinaryCubicForm(1, 0, 0, -1), Y).solutions \
+        == ((0, -1), (1, 0))
+    # x (x - y)(x + y): three integer roots
+    assert thue_solutions_bruteforce(BinaryCubicForm(1, 0, -1, 0), Y).solutions \
+        == ((1, 0),)
+
+
 def test_threshold_is_the_least_y_the_true_roots_allow():
     # y0 against the roots to 50 digits: from y0 on the premise of
     # Legendre's bound holds, and one below y0 it fails even with the
