@@ -42,10 +42,20 @@ def _int_from_sci(text: str) -> int:
     return int(v)
 
 
+def _env_int(name: str, default: Optional[int] = None) -> Optional[int]:
+    """The integer in environment variable `name`, `default` when it is
+    unset; any other text is a usage error that names the variable."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%s must be an integer, got %r" % (name, text)) from None
+
+
 def _env_workers(requested: Optional[int]) -> int:
-    if requested is not None:
-        return requested
-    return int(os.environ.get("CUBICTHUE_WORKERS", "1"))
+    return requested if requested is not None else _env_int("CUBICTHUE_WORKERS", 1)
 
 
 def _precision_cap(precision: Optional[int], default: int) -> Optional[int]:
@@ -55,12 +65,12 @@ def _precision_cap(precision: Optional[int], default: int) -> Optional[int]:
     1 bit is a usage error."""
     if precision is not None and precision < 1:
         raise ValueError("--precision must be at least 1, got %d" % precision)
-    cap = os.environ.get("CUBICTHUE_PRECISION_CAP")
+    cap = _env_int("CUBICTHUE_PRECISION_CAP")
     if cap is None:
         return precision
-    if int(cap) < 1:
-        raise ValueError("CUBICTHUE_PRECISION_CAP must be at least 1, got %s" % cap)
-    return min(default if precision is None else precision, int(cap))
+    if cap < 1:
+        raise ValueError("CUBICTHUE_PRECISION_CAP must be at least 1, got %d" % cap)
+    return min(default if precision is None else precision, cap)
 
 
 class _Output:

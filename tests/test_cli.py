@@ -571,6 +571,31 @@ def test_precision_cap_below_one_bit_is_a_usage_error(monkeypatch, capsys):
             assert capsys.readouterr() == ("", err % (argv[0], cap))
 
 
+def test_precision_cap_that_is_no_integer_names_the_variable(monkeypatch, capsys,
+                                                             tmp_path):
+    out = tmp_path / "out.jsonl"
+    monkeypatch.setenv("CUBICTHUE_PRECISION_CAP", "abc")
+    for argv in (["roots", "--t", "10"], ["sweep", "--t-lo", "10", "--t-hi", "11"]):
+        assert run(argv + ["--output", str(out)]) == cli.EXIT_USAGE, argv
+        assert capsys.readouterr() == ("", "cubicthue %s: error: CUBICTHUE_PRECISION_CAP "
+                                           "must be an integer, got 'abc'\n" % argv[0])
+        assert not out.exists()
+
+
+def test_workers_that_is_no_integer_names_the_variable(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "out.jsonl"
+    monkeypatch.setenv("CUBICTHUE_WORKERS", "abc")
+    for argv in (["kappas", "--t-lo", "10", "--t-hi", "11"],
+                 ["sweep", "--t-lo", "10", "--t-hi", "11"]):
+        assert run(argv + ["--output", str(out)]) == cli.EXIT_USAGE, argv
+        assert capsys.readouterr() == ("", "cubicthue %s: error: CUBICTHUE_WORKERS "
+                                           "must be an integer, got 'abc'\n" % argv[0])
+        assert not out.exists()
+    # --workers is read first, so the variable is not
+    assert run(["kappas", "--t-lo", "10", "--t-hi", "10", "--workers", "1",
+                "--output", str(out)]) == cli.EXIT_OK
+
+
 def test_sci_notation_parsing():
     assert cli._int_from_sci("1e60") == 10 ** 60
     assert cli._int_from_sci("3e18") == 3 * 10 ** 18
