@@ -40,6 +40,12 @@ TMAX_DPS = 60
 # bits of the logarithms that decide the contradiction
 LOG_PRECISION = 64
 
+# a rational above e, certified by ln(E_UPPER) > 1 in w0_prefactor_upper
+E_UPPER = Fraction(27183, 10000)
+
+# the W0 prefactor must stay below this multiple of n for ln(35 n) to majorize W0
+W0_PREFACTOR_CAP = 35
+
 
 def siegel_residual(x: int, y: int, roots: RootTriple) -> CertifiedReal:
     """(th2-th3)(x-y*th1) + (th3-th1)(x-y*th2) + (th1-th2)(x-y*th3);
@@ -140,8 +146,22 @@ def matveev_family_coefficient() -> float:
 
 
 def w0_prefactor() -> float:
-    """1.5 e B D ln(eD) per unit of n at B=n/2, D=6; must be <= 35."""
+    """1.5 e B D ln(eD) per unit of n at B=n/2, D=6, for display; the
+    check that it is below 35 reads w0_prefactor_upper."""
     return 1.5 * math.e * 0.5 * 6 * math.log(6 * math.e)
+
+
+def w0_prefactor_upper() -> CertifiedReal:
+    """An enclosure of 4.5 E (1 + ln 6) with E = E_UPPER, which bounds
+    the W0 prefactor 1.5 e B D ln(eD) / n = 4.5 e (1 + ln 6) from above
+    once E > e is certified, by ln E > 1 on an interval logarithm;
+    raises IndeterminateSignError when that is not decided."""
+    E = CertifiedReal.from_rational(E_UPPER, LOG_PRECISION)
+    if not (E.log() - 1).is_positive():
+        raise IndeterminateSignError("ln(%s) > 1 undecided at %d bits"
+                                     % (E_UPPER, LOG_PRECISION))
+    ln6 = CertifiedReal.from_rational(6, LOG_PRECISION).log()
+    return Fraction(9, 2) * E * (ln6 + 1)
 
 
 @dataclass(frozen=True)
@@ -198,8 +218,8 @@ def matveev_for_family(which: int, roots: RootTriple) -> FamilyMatveevResult:
     if not all(checks):
         raise HeightBoundViolatedError(
             "height inequality failed at t=%d: %s" % (t, checks))
-    if not w0_prefactor() <= 35:
-        raise HeightBoundViolatedError("W0 prefactor exceeds 35")
+    if not w0_prefactor_upper().upper < W0_PREFACTOR_CAP:
+        raise HeightBoundViolatedError("W0 prefactor exceeds %d" % W0_PREFACTOR_CAP)
     return FamilyMatveevResult(which, t, matveev_family_coefficient(), checks)
 
 

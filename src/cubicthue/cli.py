@@ -107,12 +107,20 @@ class _Output:
 
 
 def _load_checkpoint(path: Optional[str], which: int, A: int, Q: int):
-    """The checkpoint at `path`, or None when there is none; one written
-    for another which/A/Q is refused with ValueError and left alone."""
+    """The checkpoint at `path`, or None when there is none; one that is
+    not a JSON object with an integer last_t and a string hash, or one
+    written for another which/A/Q, is refused with ValueError naming the
+    file and left alone."""
     if not path or not os.path.exists(path):
         return None
     with open(path) as fh:
-        rec = json.load(fh)
+        try:
+            rec = json.load(fh)
+        except ValueError as exc:
+            raise ValueError("checkpoint %s is not valid JSON: %s" % (path, exc)) from None
+    if not (isinstance(rec, dict) and isinstance(rec.get("last_t"), int)
+            and isinstance(rec.get("hash"), str)):
+        raise ValueError("checkpoint %s lacks an integer last_t or a string hash" % path)
     got = (rec.get("which"), rec.get("A"), rec.get("Q"))
     if got != (which, str(A), str(Q)):
         raise ValueError("checkpoint %s was written for which=%s, A=%s, Q=%s, not "

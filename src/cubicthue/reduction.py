@@ -25,7 +25,9 @@ from .realnum import (CertifiedReal, dyadic_numerators, integer_distance_num,
 from .roots import isolate_roots
 
 DEFAULT_A = 3 * 10 ** 18
-DEFAULT_Q = 10 ** 60
+# the scan accepts a q below 10^30 at all but 345 t in [10, 576241]; those
+# take the ladder's last rung.  Q = 10 ** 60 gives the paper's parameters.
+DEFAULT_Q = 10 ** 30
 MAX_PRECISION_ESCALATIONS = 3
 Q_ESCALATION_FACTOR = 10 ** 5
 

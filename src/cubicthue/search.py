@@ -129,7 +129,8 @@ def _threshold(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
     Both bounds hold for an integer root too: there they leave no
     solution at all near it, since x - theta y is then a nonzero integer.
 
-    A repeated root, or a bound that is not positive, leaves
+    A triple root (the search solves a double root with
+    `_double_root_solutions`), or a bound that is not positive, leaves
     y0 = y_bound + 1: the root-line scan then covers every y."""
     _, b, c, d = F.coefficients
     disc = F.discriminant()
@@ -164,6 +165,23 @@ def _threshold(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
             return y_bound + 1
         y0 = math.floor(2 / m) + 1
     return min(y0, y_bound + 1)
+
+
+def _double_root_solutions(b: int, c: int, d: int,
+                           y_bound: int) -> Set[Tuple[int, int]]:
+    """Solutions with |y| <= y_bound of x^3 + b x^2 y + c x y^2 + d y^3 = 1
+    when the form is (x - r y)^2 (x - s y) with r != s, that is, a zero
+    discriminant and b^2 != 3c.  The double root r = (9d - bc) / (2(b^2 - 3c))
+    and s = -b - 2r are integers, and the positive square (x - r y)^2 divides
+    1, so x - r y = +-1 and x - s y = 1.  Then (r - s) y is 0 or 2: the
+    solution (1, 0), and a second one when r - s divides 2."""
+    r = (9 * d - b * c) // (2 * (b * b - 3 * c))
+    s = -b - 2 * r
+    sols = {(1, 0)}
+    if 2 % (r - s) == 0 and abs(2 // (r - s)) <= y_bound:
+        y = 2 // (r - s)
+        sols.add((1 + s * y, y))
+    return sols
 
 
 def _scan(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
@@ -213,16 +231,20 @@ def _root_convergents(F: BinaryCubicForm, lo: int, hi: int, m: int,
 def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
     """All integer solutions of F(x,y)=1 with |y| <= y_bound; the form
     must be monic in x.  The root-line scan covers |y| < y0, and the
-    convergents of each real root cover y0 <= |y| <= y_bound."""
+    convergents of each real root cover y0 <= |y| <= y_bound; a double
+    root beside a simple one is solved in closed form."""
     if F.a != 1:
         raise ValueError("search requires leading coefficient 1")
     if y_bound < 0:
         raise ValueError("y_bound must be >= 0")
+    _, b, c, d = F.coefficients
+    if F.discriminant() == 0 and b * b != 3 * c:
+        return SearchReport(F, y_bound, tuple(sorted(_double_root_solutions(
+            b, c, d, y_bound))))
     brackets = _brackets(F, y_bound)
     y0 = _threshold(F, brackets, y_bound)
     sols = _scan(F, brackets, y0 - 1)
     if y0 <= y_bound:
-        _, b, c, d = F.coefficients
         for lo, hi, m in brackets:
             # from y0 on, |x - r y| < 1 for the root r nearest x/y; for an
             # integer r, x - r y is a nonzero integer, so r has no solution

@@ -11,7 +11,8 @@ from cubicthue.bounds import (MatveevInput, check_height_bounds,
                               lambda_upper_bound, lambda_value,
                               matveev_C, matveev_C0, matveev_bound,
                               matveev_family_coefficient, matveev_for_family,
-                              siegel_residual, w0_prefactor)
+                              siegel_residual, w0_prefactor,
+                              w0_prefactor_upper)
 from cubicthue.errors import HeightBoundViolatedError, IndeterminateSignError
 from cubicthue.realnum import CertifiedReal
 from cubicthue.roots import isolate_roots
@@ -107,6 +108,17 @@ def test_family_coefficient_window():
 
 def test_w0_prefactor_below_35():
     assert w0_prefactor() < 35
+
+
+def test_w0_prefactor_is_certified_below_35(monkeypatch):
+    upper = w0_prefactor_upper()
+    assert upper.upper < 35
+    assert upper.lower > w0_prefactor()
+    assert bounds.E_UPPER > Fraction(math.e)
+    # the prefactor is ~34.15, so a cap of 34 fails the Matveev step
+    monkeypatch.setattr(bounds, "W0_PREFACTOR_CAP", 34)
+    with pytest.raises(HeightBoundViolatedError, match="W0 prefactor exceeds 34"):
+        matveev_for_family(2, isolate_roots(10))
 
 
 def test_matveev_for_family():

@@ -268,6 +268,39 @@ def test_sweep_refuses_a_checkpoint_for_other_parameters(capsys, tmp_path):
     assert ck.read_bytes() == before
 
 
+def test_sweep_refuses_a_checkpoint_without_last_t_or_hash(capsys, tmp_path):
+    ck = tmp_path / "ck.json"
+    argv = ["sweep", "--t-lo", "10", "--t-hi", "11", "--checkpoint", str(ck),
+            "--output", str(tmp_path / "out.jsonl")]
+    assert run(argv) == 0
+    state = json.loads(ck.read_text())
+    for key in ("last_t", "hash"):
+        ck.write_text(json.dumps({k: v for k, v in state.items() if k != key}))
+        before = ck.read_bytes()
+        capsys.readouterr()
+        assert run(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "cubicthue sweep: error: checkpoint %s lacks an integer last_t or a "
+            "string hash\n" % ck)
+        assert ck.read_bytes() == before
+
+
+def test_sweep_refuses_a_checkpoint_that_is_not_json(capsys, tmp_path):
+    ck, out = tmp_path / "ck.json", tmp_path / "out.jsonl"
+    argv = ["sweep", "--t-lo", "10", "--t-hi", "11", "--checkpoint", str(ck),
+            "--output", str(out)]
+    assert run(argv) == 0
+    ck.write_text('{"last_t": 11, "hash"')
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("cubicthue sweep: error: checkpoint %s is not valid JSON: "
+                          % ck)
+    assert len(err.splitlines()) == 1
+    assert out.read_bytes() == before
+
+
 def test_refused_run_leaves_the_output_file_as_it_was(capsys, tmp_path):
     out = tmp_path / "o.jsonl"
     argv = ["sweep", "--t-lo", "10", "--t-hi", "12",
@@ -641,7 +674,7 @@ def test_output_without_records_is_one_newline(tmp_path):
 
 
 @pytest.mark.parametrize("argv, golden", [
-    (["sweep", "--t-lo", "10", "--t-hi", "14"], "sweep_10_14.jsonl"),
+    (["sweep", "--t-lo", "10", "--t-hi", "14", "--Q", "1e60"], "sweep_10_14.jsonl"),
     (["kappas", "--t-lo", "10", "--t-hi", "11"], "kappas_10_11.jsonl"),
     (["roots", "--t", "2"], "roots_t2.jsonl"),
     (["roots", "--t", "576241"], "roots_t576241.jsonl"),
@@ -659,5 +692,21 @@ def test_certify_all_bytes_match_golden(workers, tmp_path):
     # own process-pool code
     path = tmp_path / "certify.jsonl"
     assert run(["certify-all", "--t-lo", "10", "--t-hi", "12", "--y-bound", "50",
-                "--workers", workers, "--output", str(path)]) == 0
+                "--Q", "1e60", "--workers", workers, "--output", str(path)]) == 0
     assert path.read_bytes() == (DATA / "certify_all_10_12.jsonl").read_bytes()
+
+
+def test_bench_full_records_the_default_q_and_t_max():
+    """BENCH_full.json records `sweep --full` at the default Q and at
+    the paper's Q = 10^60; it must name the Q and t_max the code uses
+    now, so a change of either cannot leave it stale unnoticed.  The
+    sweep itself is not re-run here."""
+    rec = json.loads((ROOT / "BENCH_full.json").read_text())
+    t_max = bounds.derive_t_max()[0]
+    assert rec["t_max"] == t_max
+    default, paper = rec["runs"]
+    assert default["Q"] == str(reduction.DEFAULT_Q)
+    assert paper["Q"] == str(10 ** 60)
+    for run_ in (default, paper):
+        assert run_["records"] == run_["success_contradiction"] == t_max - 9
+        assert run_["precision"] == realnum.reduction_precision(int(run_["Q"]))

@@ -21,12 +21,23 @@ from cubicthue.reduction import (ReductionInstance, baker_davenport,
 
 
 def test_build_instance_which2_t10():
-    inst = build_instance(2, 10)
+    # the paper's Q = 10^60, at its 540 bits
+    inst = build_instance(2, 10, Q=10 ** 60)
     beta_abs = abs(inst.beta)
     # |beta| = |ln((t-th1)/(t-th3))| ~ 3 ln 10 - small
     assert 6.5 < float(beta_abs.lower) < 3 * math.log(10)
     assert inst.gamma1.width < Fraction(1, 10 ** 122)
     assert inst.gamma2.width < Fraction(1, 10 ** 120)
+
+
+def test_build_instance_which2_t10_default_q():
+    inst = build_instance(2, 10)
+    assert (inst.Q, inst.precision) == (10 ** 30, 340)
+    beta_abs = abs(inst.beta)
+    assert 6.5 < float(beta_abs.lower) < 3 * math.log(10)
+    # 1/(100 Q^2) and 1/Q^2 are 10^-62 and 10^-60
+    assert inst.gamma1.width < Fraction(1, 10 ** 92)
+    assert inst.gamma2.width < Fraction(1, 10 ** 92)
 
 
 def test_build_instance_which3():
@@ -40,9 +51,7 @@ def test_build_instance_rejects_small_t():
         build_instance(2, 9)
 
 
-def test_build_instance_checks_gamma1_before_the_third_log(monkeypatch):
-    """A rung whose precision is too low for gamma1 fails on it without
-    taking log a3; at the default precision all three logs are taken."""
+def _count_logs(monkeypatch):
     logs = []
     log = CertifiedReal.log
 
@@ -51,14 +60,37 @@ def test_build_instance_checks_gamma1_before_the_third_log(monkeypatch):
         return log(self)
 
     monkeypatch.setattr(CertifiedReal, "log", counting)
+    return logs
+
+
+def test_build_instance_checks_gamma1_before_the_third_log(monkeypatch):
+    """A rung whose precision is too low for gamma1 fails on it without
+    taking log a3; at the default precision all three logs are taken.
+    At the paper's Q = 10^60, whose precision is 540 bits."""
+    logs = _count_logs(monkeypatch)
     for precision in (135, 180, 270, 360):
+        logs.clear()
+        with pytest.raises(PrecisionInsufficientError,
+                           match=r"^gamma1 width .* exceeds 1/\(100 Q\^2\)$"):
+            build_instance(2, 1000, Q=10 ** 60, precision=precision)
+        assert len(logs) == 2, precision
+    logs.clear()
+    build_instance(2, 1000, Q=10 ** 60)
+    assert len(logs) == 3
+
+
+def test_build_instance_checks_gamma1_before_the_third_log_default_q(monkeypatch):
+    """The same at the default Q = 10^30 and its 340 bits: the rungs
+    below it fail on gamma1 after two logs."""
+    logs = _count_logs(monkeypatch)
+    for precision in (85, 113, 170, 226):
         logs.clear()
         with pytest.raises(PrecisionInsufficientError,
                            match=r"^gamma1 width .* exceeds 1/\(100 Q\^2\)$"):
             build_instance(2, 1000, precision=precision)
         assert len(logs) == 2, precision
     logs.clear()
-    build_instance(2, 1000)
+    assert build_instance(2, 1000).precision == 340
     assert len(logs) == 3
 
 
@@ -596,23 +628,77 @@ def test_failed_record_says_why_the_last_attempt_failed(monkeypatch):
 DIGESTS = Path(__file__).parent / "data" / "reduce_digest.json"
 
 
+def _record_sha256(t, precision=None, Q=reduction.DEFAULT_Q):
+    return hashlib.sha256(json.dumps(reduce_single(2, t, Q=Q, precision=precision).to_json(),
+                                     sort_keys=True).encode()).hexdigest()
+
+
 def test_reduce_records_match_the_byte_golden():
-    """Seeded t in [2001, 576241] at the default precision, and seeded t
-    started at 270 and 180 bits, which climb the escalation ladder."""
+    """Seeded t in [2001, 576241] at Q = 10^60 and its 540 bits, and
+    seeded t started at 270 and 180 bits, which climb the escalation
+    ladder."""
     cases = _read_json(DIGESTS)["cases"]
     assert len(cases) == 140
-    got = [[t, prec, hashlib.sha256(json.dumps(reduce_single(2, t, precision=prec).to_json(),
-                                               sort_keys=True).encode()).hexdigest()]
-           for t, prec, _ in cases]
+    got = [[t, prec, _record_sha256(t, prec, Q=10 ** 60)] for t, prec, _ in cases]
     assert got == cases
+
+
+def test_default_q_keeps_the_accepted_convergent():
+    """On the byte golden's t, Q = 10^30 accepts the convergent that
+    Q = 10^60 accepts, with the same certified norm; the conclusion
+    |Lambda| > |beta|/Q^2 is then stronger by 2 * 30 * ln 10."""
+    for t, prec, _ in _read_json(DIGESTS)["cases"]:
+        if prec is not None:
+            continue
+        small, paper = reduce_single(2, t), reduce_single(2, t, Q=10 ** 60)
+        assert small.status == paper.status == "success"
+        assert (small.Q, small.precision, small.escalations) == (10 ** 30, 340, 0)
+        assert (small.q, small.q_norm_lower) == (paper.q, paper.q_norm_lower), t
+        assert abs(small.lambda_lower_ln - paper.lambda_lower_ln
+                   - 60 * math.log(10)) < 1e-6
+
+
+DEFAULT_DIGESTS = Path(__file__).parent / "data" / "reduce_default_digest.json"
+# t in [2001, 576241] whose accepted q exceeds 10^30: they reach the last
+# rung, Q = 10^35 at 2984 bits
+LAST_RUNG_TS = (251349, 450939, 520941)
+
+
+def _default_cases():
+    """Every t in [10, 200] and 100 seeded t in [2001, 576241] at the
+    default precision, 20 seeded t each started at 170 and 113 bits,
+    which climb the ladder, and the last-rung t."""
+    rng = random.Random(20261019)
+    cases = [(t, None) for t in range(10, 201)]
+    cases += [(t, None) for t in sorted(rng.sample(range(2001, 576242), 100))]
+    for prec in (170, 113):
+        cases += [(t, prec) for t in sorted(rng.sample(range(2001, 576242), 20))]
+    return cases + [(t, None) for t in LAST_RUNG_TS]
+
+
+def test_reduce_records_at_the_default_q_match_their_golden():
+    cases = _read_json(DEFAULT_DIGESTS)["cases"]
+    assert [(t, prec) for t, prec, _ in cases] == _default_cases()
+    assert [[t, prec, _record_sha256(t, prec)] for t, prec, _ in cases] == cases
+
+
+def test_last_rung_keeps_the_paper_q():
+    top = reduction.Q_ESCALATION_FACTOR * reduction.DEFAULT_Q
+    for t in LAST_RUNG_TS:
+        small, paper = reduce_single(2, t), reduce_single(2, t, Q=10 ** 60)
+        assert small.status == "success" and small.contradiction
+        assert (small.Q, small.precision, small.escalations) == (
+            top, reduction.reduction_precision(top) * 8, 4)
+        assert small.q == paper.q and small.q > 10 ** 30
+        assert small.q_norm_lower == paper.q_norm_lower
 
 
 AGGREGATE = Path(__file__).parent / "data" / "reduce_aggregate.json"
 
 
 def _aggregate_cases():
-    """Every t in [10, 1199] and 1200 seeded t in [2001, 576241] at the
-    default precision, then 130 seeded t each started at 270, 180 and 135
+    """At Q = 10^60: every t in [10, 1199] and 1200 seeded t in
+    [2001, 576241] at its 540 bits, then 130 seeded t each started at 270, 180 and 135
     bits; the 135-bit ones take three attempts (two escalations)."""
     rng = random.Random(20261018)
     cases = [(t, None) for t in range(10, 1200)]
@@ -628,6 +714,6 @@ def test_reduce_records_match_the_aggregate_golden():
     assert len(cases) == want["count"]
     h = hashlib.sha256()
     for t, prec in cases:
-        h.update(json.dumps(reduce_single(2, t, precision=prec).to_json(),
+        h.update(json.dumps(reduce_single(2, t, Q=10 ** 60, precision=prec).to_json(),
                             sort_keys=True).encode())
     assert h.hexdigest() == want["sha256"]

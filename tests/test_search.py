@@ -180,6 +180,43 @@ def test_integer_root_forms_search_logarithmically(monkeypatch):
         == ((1, 0),)
 
 
+def _double_root_forms(count, seed):
+    """(x - r y)^2 (x - s y) with r != s."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        r, s = (rng.randrange(-8, 9) for _ in range(2))
+        if r != s:
+            found.append(BinaryCubicForm(1, -(2 * r + s), r * r + 2 * r * s, -r * r * s))
+    return found
+
+
+def test_double_root_forms_match_exhaustive_scan(monkeypatch):
+    Y = 300
+    forms = _double_root_forms(60, 39)
+    assert all(F.discriminant() == 0 for F in forms)
+    with_second = 0
+    for F in forms:
+        found = thue_solutions_bruteforce(F, Y).solutions
+        assert found == _scan(F, Y), F
+        with_second += len(found) == 2
+        # the second solution has |y| = 1 or 2, at or past these bounds
+        for y_bound in (0, 1, 2):
+            assert thue_solutions_bruteforce(F, y_bound).solutions == _scan(F, y_bound), F
+    # r - s = +-1 or +-2 gives a second solution
+    assert with_second >= 10
+
+    def no_scan(F, brackets, y_max):
+        raise AssertionError("a double root needs no root-line scan")
+
+    monkeypatch.setattr(search, "_scan", no_scan)
+    # (x - y)^2 (x + 2y), and (x - 2y)^2 (x - y), whose r - s = 1
+    assert thue_solutions_bruteforce(BinaryCubicForm(1, 0, -3, 2), 10 ** 30).solutions \
+        == ((1, 0),)
+    assert thue_solutions_bruteforce(BinaryCubicForm(1, -5, 8, -4), 10 ** 30).solutions \
+        == ((1, 0), (3, 2))
+
+
 def test_threshold_is_the_least_y_the_true_roots_allow():
     # y0 against the roots to 50 digits: from y0 on the premise of
     # Legendre's bound holds, and one below y0 it fails even with the
