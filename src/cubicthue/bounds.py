@@ -87,33 +87,6 @@ def lambda_value(which: int, n: int, m: int, roots: RootTriple) -> LogLinearForm
     return LogLinearForm(which, roots.t, (m, n, 1), (a1, a2, a3), value)
 
 
-def lambda_upper_bound(which: int, t: int, exponent_size: int) -> float:
-    """ln 2 - c * exponent_size * ln t with c in {7.7, 7.9, 8.9}."""
-    c = LAMBDA_DECAY[which]
-    return math.log(2) - float(c) * exponent_size * math.log(t)
-
-
-@dataclass(frozen=True)
-class MatveevInput:
-    nlogs: int
-    D: int
-    chi: int
-    A: Tuple[float, ...]
-    B: float
-
-    def __post_init__(self):
-        if self.chi not in (1, 2):
-            raise ValueError("chi must be 1 or 2")
-        if len(self.A) != self.nlogs:
-            raise ValueError("need one A_i per logarithm")
-        if any(a <= 0 for a in self.A):
-            raise ValueError("A_i must be positive")
-
-    @property
-    def omega(self) -> float:
-        return math.prod(self.A)
-
-
 def matveev_C(n: int, chi: int) -> float:
     return (16 / (math.factorial(n) * chi) * math.e ** n * (2 * n + 1 + 2 * chi)
             * (n + 2) * (4 * n + 4) ** (n + 1) * (math.e * n / 2) ** chi)
@@ -121,18 +94,6 @@ def matveev_C(n: int, chi: int) -> float:
 
 def matveev_C0(n: int, D: int) -> float:
     return math.log(math.exp(4.4 * n + 7) * n ** 5.5 * D * D * math.log(math.e * D))
-
-
-def matveev_W0(B: float, D: int) -> float:
-    return math.log(1.5 * math.e * B * D * math.log(math.e * D))
-
-
-def matveev_bound(inp: MatveevInput) -> float:
-    """Lower bound for ln|Lambda|: -C * C0 * W0 * D^2 * Omega."""
-    C = matveev_C(inp.nlogs, inp.chi)
-    C0 = matveev_C0(inp.nlogs, inp.D)
-    W0 = matveev_W0(inp.B, inp.D)
-    return -C * C0 * W0 * inp.D ** 2 * inp.omega
 
 
 def matveev_family_coefficient() -> float:
@@ -170,12 +131,6 @@ class FamilyMatveevResult:
     t: int
     coefficient: float
     height_checks: Tuple[bool, bool, bool]
-
-    def bound_ln(self, t: int, n: int) -> float:
-        return -self.coefficient * math.log(t) ** 3 * math.log(35 * n)
-
-    def describe(self) -> str:
-        return "ln|Lambda_%d| > -%.6g * ln(t)^3 * ln(35*n)" % (self.which, self.coefficient)
 
 
 def _certified_below(h: CertifiedReal, bound: CertifiedReal, name: str) -> bool:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import json
 import os
@@ -106,11 +105,11 @@ class _Output:
             self.fh.close()
 
 
-def _load_checkpoint(path: Optional[str], which: int, A: int, Q: int):
+def _load_checkpoint(path: Optional[str], config: dict):
     """The checkpoint at `path`, or None when there is none; one that is
     not a JSON object with an integer last_t and a string hash, or one
-    written for another which/A/Q, is refused with ValueError naming the
-    file and left alone."""
+    written for another sweep `config`, is refused with ValueError naming
+    the file and left alone."""
     if not path or not os.path.exists(path):
         return None
     with open(path) as fh:
@@ -121,19 +120,17 @@ def _load_checkpoint(path: Optional[str], which: int, A: int, Q: int):
     if not (isinstance(rec, dict) and isinstance(rec.get("last_t"), int)
             and isinstance(rec.get("hash"), str)):
         raise ValueError("checkpoint %s lacks an integer last_t or a string hash" % path)
-    got = (rec.get("which"), rec.get("A"), rec.get("Q"))
-    if got != (which, str(A), str(Q)):
-        raise ValueError("checkpoint %s was written for which=%s, A=%s, Q=%s, not "
-                         "which=%d, A=%d, Q=%d" % ((path,) + got + (which, A, Q)))
+    if rec.get("config") != config:
+        raise ValueError("checkpoint %s was written for the sweep %s, not %s"
+                         % (path, json.dumps(rec.get("config"), sort_keys=True),
+                            json.dumps(config, sort_keys=True)))
     return rec
 
 
-def _write_checkpoint(path: str, which: int, A: int, Q: int,
-                      last_t: int, digest: str):
+def _write_checkpoint(path: str, config: dict, last_t: int, digest: str):
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump({"which": which, "A": str(A), "Q": str(Q),
-                   "last_t": last_t, "hash": digest}, fh)
+        json.dump({"config": config, "last_t": last_t, "hash": digest}, fh)
     os.replace(tmp, path)
 
 
@@ -228,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeded extra samples up to t_max")
     p.add_argument("--full", action="store_true",
                    help="sweep every t up to the absolute bound")
-    p.add_argument("--csv", default=None)
 
     p = sub.add_parser("search", help="bounded brute-force search for one form")
     common(p)
@@ -362,40 +358,31 @@ def _cmd_sweep(args, out: _Output) -> int:
     t_max = bounds.derive_t_max()[0] if args.full or args.samples else None
     extra = (_sample_ts(args.seed, args.samples, SWEEP_SLICE_HI + 1, t_max)
              if args.samples and not args.full else [])
+    t_hi = t_max if args.full else args.t_hi
     precision = _precision_cap(args.precision, realnum.reduction_precision(args.Q))
-    ckpt = _load_checkpoint(args.checkpoint, args.which, args.A, args.Q)
+    # everything that decides which records the sweep writes, and their bytes
+    config = {"which": args.which, "A": str(args.A), "Q": str(args.Q),
+              "t_range": [args.t_lo, t_hi], "extra_ts": extra,
+              "precision": precision or realnum.reduction_precision(args.Q)}
+    ckpt = _load_checkpoint(args.checkpoint, config)
     n = n_ok = n_failed = 0
-    with contextlib.ExitStack() as stack:
-        # closed on every exit, so a failed write stops the workers at once
-        outcomes = stack.enter_context(contextlib.closing(reduction.verify_range(
-            args.which, args.t_lo, t_max if args.full else args.t_hi, args.A, args.Q,
+    # closed on every exit, so a failed write stops the workers at once
+    with contextlib.closing(reduction.verify_range(
+            args.which, args.t_lo, t_hi, args.A, args.Q,
             workers=_env_workers(args.workers), extra_ts=extra, precision=precision,
-            after=ckpt and ckpt["last_t"])))
+            after=ckpt and ckpt["last_t"])) as outcomes:
         # the checkpoint hash is the sha256 of the written lines, newlines
         # left out; it is rewritten right after the record it counts
         digest = _resume(out, ckpt) if ckpt else hashlib.sha256()
-        rows = None
-        if args.csv:
-            # line-buffered: each row reaches the file as it is written
-            fh = stack.enter_context(open(args.csv, "w", newline="", buffering=1))
-            rows = csv.writer(fh)
-            rows.writerow(["t", "status", "precision", "q", "lambda_lower_ln",
-                           "margin", "contradiction", "reason"])
         for o in outcomes:
             digest.update(out.emit(o.to_json()).encode())
-            if rows is not None:
-                # csv writes the reason None of a success row as empty
-                rows.writerow([o.t, o.status, o.precision, o.q, o.lambda_lower_ln,
-                               o.margin, o.contradiction, o.reason])
             n += 1
             n_ok += o.status == "success" and o.contradiction
             n_failed += o.status == "failed"
             if args.checkpoint and n % CHECKPOINT_INTERVAL == 0:
-                _write_checkpoint(args.checkpoint, args.which, args.A, args.Q,
-                                  o.t, digest.hexdigest())
+                _write_checkpoint(args.checkpoint, config, o.t, digest.hexdigest())
         if args.checkpoint and n % CHECKPOINT_INTERVAL:
-            _write_checkpoint(args.checkpoint, args.which, args.A, args.Q,
-                              o.t, digest.hexdigest())
+            _write_checkpoint(args.checkpoint, config, o.t, digest.hexdigest())
     print("sweep which=%d: %d/%d success+contradiction" % (args.which, n_ok, n))
     if n_ok == n:
         return EXIT_OK
@@ -444,7 +431,7 @@ def _cmd_certify_all(args, out: _Output) -> int:
     def stage(cmd, **overrides) -> int:
         return cmd(argparse.Namespace(**{**vars(args), **overrides}), out)
 
-    if _load_checkpoint(args.checkpoint, 2, args.A, args.Q) is not None:
+    if args.checkpoint and os.path.exists(args.checkpoint):
         # the stages share one --output, so its sweep cannot append to it
         raise ValueError("checkpoint %s already counts records; certify-all "
                          "does not resume" % args.checkpoint)
@@ -453,7 +440,7 @@ def _cmd_certify_all(args, out: _Output) -> int:
                extra_t=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 576241])
     rc = max(rc, stage(_cmd_matveev, t=10))
     rc = max(rc, _cmd_tmax(args, out))
-    rc = max(rc, stage(_cmd_sweep, which=2, csv=None,
+    rc = max(rc, stage(_cmd_sweep, which=2,
                        samples=0 if args.full else SWEEP_SAMPLE_COUNT))
 
     # serial: a bounded search costs well under a millisecond per t

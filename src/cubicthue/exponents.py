@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .bounds import GROWTH
 from .errors import (IndeterminateSignError, PrecisionInsufficientError,
                      VerificationFailedError)
 from .forms import evaluate, family_form
@@ -27,7 +26,6 @@ ROUNDING_TOLERANCE = Fraction(1, 100)
 # RECOVERY_ESCALATIONS times
 RECOVERY_PRECISION = 320
 RECOVERY_ESCALATIONS = 6
-GROWTH_PRECISION = 128
 
 
 class SolutionType(enum.Enum):
@@ -136,53 +134,3 @@ def _recover_at_precision(t: int, x: int, y: int, prec: int) -> ExponentPair:
 def _round_mid(enc: CertifiedReal) -> int:
     mid = enc.midpoint
     return (2 * mid.numerator + mid.denominator) // (2 * mid.denominator)
-
-
-def k_relation(sol_type: SolutionType, n: int, m: int) -> int:
-    """The integer combination governing exponent growth: k = 3n-m-1
-    (type I), k = n-3m-1 (type II), s = n+m (type III)."""
-    if sol_type == SolutionType.TYPE_I:
-        return 3 * n - m - 1
-    if sol_type == SolutionType.TYPE_II:
-        return n - 3 * m - 1
-    if sol_type == SolutionType.TYPE_III:
-        return n + m
-    raise ValueError("k relation is defined for types I/II/III only")
-
-
-@dataclass(frozen=True)
-class GrowthBound:
-    sol_type: SolutionType
-    t: int
-    bound: CertifiedReal
-
-
-def growth_lower_bound(sol_type: SolutionType, t: int) -> GrowthBound:
-    """Lower bound on max{|m|, |n|} for a hypothetical non-special
-    solution of the given type: c * t^p * ln t."""
-    if t < 10:
-        raise ValueError("growth bounds hold for t >= 10")
-    try:
-        coef, p = GROWTH[_WHICH[sol_type]]
-    except KeyError:
-        raise ValueError("growth bound defined for types I/II/III only")
-    T = CertifiedReal.from_rational(t, GROWTH_PRECISION)
-    return GrowthBound(sol_type, t, coef * T ** p * T.log())
-
-
-def special_exponent_solutions(sol_type: SolutionType, t: int):
-    """The solution attached to the degenerate exponent case of each
-    type (I: k=0, II: m=0, III: m=n0), verified exactly."""
-    if t < 2:
-        raise ValueError("requires t >= 2")
-    if sol_type == SolutionType.TYPE_I:
-        pair = (1 - t ** 3, t ** 8 - 3 * t ** 5 + 3 * t * t)
-    elif sol_type == SolutionType.TYPE_II:
-        pair = (t, 1)
-    elif sol_type == SolutionType.TYPE_III:
-        pair = (t ** 4 - 2 * t, 1)
-    else:
-        raise ValueError("special solutions exist for types I/II/III only")
-    if evaluate(family_form(3, t), *pair) != 1:
-        raise VerificationFailedError("special solution check failed at t=%d" % t)
-    return pair

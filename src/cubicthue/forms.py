@@ -5,14 +5,11 @@ arithmetic."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from .errors import VerificationFailedError
 
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
-
-IDENTITY: Matrix = ((1, 0), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -36,10 +33,6 @@ class BinaryCubicForm:
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
-
-    @classmethod
-    def from_json(cls, rec: dict) -> "BinaryCubicForm":
-        return cls(rec["a"], rec["b"], rec["c"], rec["d"])
 
     def __str__(self):
         return "(%d)x^3 + (%d)x^2y + (%d)xy^2 + (%d)y^3" % self.coefficients
@@ -118,64 +111,15 @@ def _det(M: Matrix) -> int:
     return M[0][0] * M[1][1] - M[0][1] * M[1][0]
 
 
-def matmul(M: Matrix, N: Matrix) -> Matrix:
-    return (
-        (M[0][0] * N[0][0] + M[0][1] * N[1][0], M[0][0] * N[0][1] + M[0][1] * N[1][1]),
-        (M[1][0] * N[0][0] + M[1][1] * N[1][0], M[1][0] * N[0][1] + M[1][1] * N[1][1]),
-    )
-
-
 def apply_gl2(F: BinaryCubicForm, M: Matrix) -> BinaryCubicForm:
-    """Coefficients of F(m11*x + m12*y, m21*x + m22*y); M must be
-    unimodular."""
+    """Coefficients of G(x, y) = F(m11*x + m12*y, m21*x + m22*y); M must
+    be unimodular.  They come from four exact values of G: G(1, 0) and
+    G(0, 1) are the outer coefficients, and G(1, 1) and G(1, -1) give the
+    sum and the difference of the inner two."""
     if _det(M) not in (1, -1):
         raise ValueError("matrix must have determinant +-1, got %d" % _det(M))
     (m11, m12), (m21, m22) = M
-    # convolve the linear substitutions power by power
-    u = (m11, m12)  # x -> m11 X + m12 Y
-    v = (m21, m22)  # y -> m21 X + m22 Y
-    coeffs = [0, 0, 0, 0]
-    for (weight, lin_x_pow, lin_y_pow) in (
-        (F.a, 3, 0), (F.b, 2, 1), (F.c, 1, 2), (F.d, 0, 3),
-    ):
-        term = [1]
-        for _ in range(lin_x_pow):
-            term = _lin_mul(term, u)
-        for _ in range(lin_y_pow):
-            term = _lin_mul(term, v)
-        for i, coef in enumerate(term):
-            coeffs[i] += weight * coef
-    return BinaryCubicForm(*coeffs)
-
-
-def _lin_mul(poly: List[int], lin: Tuple[int, int]) -> List[int]:
-    p, q = lin
-    out = [0] * (len(poly) + 1)
-    for i, coef in enumerate(poly):
-        out[i] += coef * p
-        out[i + 1] += coef * q
-    return out
-
-
-def gl2_equivalent_search(F: BinaryCubicForm, G: BinaryCubicForm,
-                          entry_bound: int) -> Optional[Matrix]:
-    """Brute-force search for a unimodular M with apply_gl2(F, M) == G
-    and all |entries| <= entry_bound.  Returns None when no witness
-    exists within the bound."""
-    if entry_bound < 1:
-        raise ValueError("entry_bound must be >= 1")
-    if F == G:
-        return IDENTITY
-    rng = range(-entry_bound, entry_bound + 1)
-    # the first column determines G's leading coefficient, the second
-    # its trailing coefficient; prefilter both
-    first_cols = [(u, v) for u, v in product(rng, rng) if evaluate(F, u, v) == G.a]
-    second_cols = [(u, v) for u, v in product(rng, rng) if evaluate(F, u, v) == G.d]
-    for (m11, m21) in first_cols:
-        for (m12, m22) in second_cols:
-            M = ((m11, m12), (m21, m22))
-            if _det(M) not in (1, -1):
-                continue
-            if apply_gl2(F, M) == G:
-                return M
-    return None
+    a, d = F(m11, m21), F(m12, m22)
+    b_plus_c = F(m11 + m12, m21 + m22) - a - d
+    c_minus_b = F(m11 - m12, m21 - m22) - a + d
+    return BinaryCubicForm(a, (b_plus_c - c_minus_b) // 2, (b_plus_c + c_minus_b) // 2, d)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from mpmath.libmp import (fzero, mpf_lt, mpf_sign, mpi_abs, mpi_add, mpi_div,
                           mpi_log, mpi_mul, mpi_neg, mpi_pow_int, mpi_sub,
@@ -284,10 +284,6 @@ class Convergent(NamedTuple):
     q: int
     index: int
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 def _convergents_of_fraction(x: Fraction, Q: int) -> List[Convergent]:
     """All continued-fraction convergents of an exact rational with q <= Q."""
@@ -308,8 +304,7 @@ def _convergents_of_fraction(x: Fraction, Q: int) -> List[Convergent]:
     return out
 
 
-def lockstep_expansion(a: int, b: int, c: int, d: int,
-                       Q: int) -> Iterator[Union[Convergent, Tuple[int, int, int]]]:
+def lockstep_expansion(a: int, b: int, c: int, d: int, Q: int) -> Iterator[Convergent]:
     """The convergents p/q with q <= Q that every real in [a/b, c/d]
     shares (a/b <= c/d, b > 0, d > 0), produced one at a time.
 
@@ -320,33 +315,30 @@ def lockstep_expansion(a: int, b: int, c: int, d: int,
     expansion stops once the next shared convergent has q > Q, or when
     both endpoint expansions terminate at the same step: the endpoints
     are then equal, and the convergents are all of theirs.  When the
-    endpoints disagree on the partial quotient of index n, every real in
-    the interval has a quotient there at least the lower endpoint's, f,
-    and the expansion ends with the plain tuple (n, q_(n-1), next_q): the
-    denominator of the last shared convergent (0 before the first), and
-    next_q = f * q_(n-1) + q_(n-2), the least denominator the next
-    convergent of any of them can have.  Its type, tuple and not its
-    subclass Convergent, marks it: a plain tuple is built in a tenth of
-    the time of a NamedTuple, and the bounded search makes ~4 expansions
-    per form that mostly part after one or two convergents.  When one
-    endpoint's expansion terminates alone, after the convergent it ends
-    on, it raises PrecisionInsufficientError: the expansion of the reals
-    inside is then not determined by the interval.  A consumer that stops
-    at a convergent never meets what the interval does past it.
+    endpoints disagree on a partial quotient, every real in the interval
+    has a quotient there at least the lower endpoint's, f, so its next
+    convergent has q >= f * q_(n-1) + q_(n-2): past Q, the expansion
+    stops there too.  Otherwise, or when one endpoint's expansion
+    terminates alone, after the convergent it ends on, it raises
+    PrecisionInsufficientError: the expansion of the reals inside is then
+    not determined by the interval.  A consumer that stops at a
+    convergent never meets what the interval does past it.
     """
     pm1, qm1, pm2, qm2 = 1, 0, 0, 1
     index = 0
     while True:
         fa, ra = divmod(a, b)
         fb, rc = divmod(c, d)
-        if fa != fb:
-            # the lower endpoint's quotient is the smaller one
-            yield index, qm1, fa * qm1 + qm2
-            return
-        p = fa * pm1 + pm2
+        # the shared q, or where the endpoints disagree the least next q of
+        # any real inside: the lower endpoint's quotient is the smaller one
         q = fa * qm1 + qm2
         if q > Q:
             return
+        if fa != fb:
+            raise PrecisionInsufficientError(
+                "endpoints disagree on partial quotient %d (denominator %d <= Q=%d)"
+                % (index, qm1, Q))
+        p = fa * pm1 + pm2
         yield Convergent(p, q, index)
         index += 1
         pm2, qm2, pm1, qm1 = pm1, qm1, p, q
@@ -359,42 +351,18 @@ def lockstep_expansion(a: int, b: int, c: int, d: int,
         a, b, c, d = d, rc, b, ra
 
 
-def lockstep_convergents(a: int, b: int, c: int, d: int,
-                         Q: int) -> Tuple[List[Convergent], Optional[int]]:
-    """Every convergent of `lockstep_expansion`, with None, or, when the
-    endpoints disagree, with the disagreement's `next_q`.  Raises
-    PrecisionInsufficientError when one endpoint's expansion terminates
-    alone before q passes Q."""
-    out = list(lockstep_expansion(a, b, c, d, Q))
-    if out and type(out[-1]) is tuple:
-        next_q = out.pop()[2]
-        return out, next_q
-    return out, None
-
-
 def shared_convergents(x: CertifiedReal, Q: int) -> Iterator[Convergent]:
     """The convergents p/q (q <= Q) of the exact real enclosed by x, in
     order and one at a time: those every real in the enclosure shares
     (`lockstep_expansion`), which for a zero-radius input are the exact
-    Euclidean ones.  A disagreement in a partial quotient, or an endpoint
-    expansion that ends alone, means the enclosure is too wide to pin
-    down the expansion there, and raises PrecisionInsufficientError when
-    the expansion reaches it.
+    Euclidean ones.  An enclosure too wide to pin the expansion down up
+    to Q raises PrecisionInsufficientError when the expansion reaches
+    the point where it parts.
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
     (a, b), (c, d) = to_rational(x._mpi[0]), to_rational(x._mpi[1])
-    return _pinned(lockstep_expansion(a, b, c, d, Q), Q)
-
-
-def _pinned(steps: Iterator[Union[Convergent, Tuple[int, int, int]]],
-            Q: int) -> Iterator[Convergent]:
-    for step in steps:
-        if type(step) is tuple:
-            raise PrecisionInsufficientError(
-                "endpoints disagree on partial quotient %d (denominator %d <= Q=%d)"
-                % (step[0], step[1], Q))
-        yield step
+    return lockstep_expansion(a, b, c, d, Q)
 
 
 def continued_fraction_convergents(x: CertifiedReal, Q: int) -> List[Convergent]:

@@ -36,7 +36,7 @@ from typing import List, Optional, Set, Tuple
 
 from .errors import PrecisionInsufficientError, VerificationFailedError
 from .forms import BinaryCubicForm, family_form, known_solutions, monic_cubic
-from .realnum import Convergent, lockstep_convergents
+from .realnum import Convergent, lockstep_expansion
 from .roots import _bracket, isolate_real_roots_monic_cubic
 
 # (form, discriminant, published solution count) for the positive-
@@ -49,8 +49,10 @@ MANY_SOLUTIONS_TABLE: Tuple[Tuple[BinaryCubicForm, int, int], ...] = (
     (BinaryCubicForm(1, 2, -5, 1), 361, 6),
 )
 
-# the nine classes with N_F >= 5 inequivalent to every family member;
-# univariate rows homogenized by degree in y
+# the paper's nine classes with N_F >= 5, read as a list by discriminant:
+# eight have a discriminant no family member has, and the 810661 row is
+# F_{3,-2} (and F_{4,2}) under a unimodular substitution; univariate rows
+# homogenized by degree in y
 SPORADIC_CLASSES_TABLE: Tuple[Tuple[BinaryCubicForm, int, int], ...] = (
     (BinaryCubicForm(1, 0, -3, 1), 81, 6),
     (BinaryCubicForm(1, 1, -3, -1), 148, 5),
@@ -211,21 +213,16 @@ def _scan(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
 def _root_convergents(F: BinaryCubicForm, lo: int, hi: int, m: int,
                       y_bound: int) -> List[Convergent]:
     """The convergents p/q, q <= y_bound, of the irrational root of F(x, 1)
-    in the sign-change bracket [lo/m, hi/m].  They are the convergents that
-    every real in the bracket shares, which stop cleanly when the
-    endpoints disagree on a quotient whose smaller value already takes q
-    past y_bound.  Any other disagreement, or an endpoint whose
-    expansion ends, refines the bracket to the square of its width."""
+    in the sign-change bracket [lo/m, hi/m]: those every real in the
+    bracket shares (`lockstep_expansion`).  A bracket too wide to pin them
+    down is refined to the square of its width."""
     _, b, c, d = F.coefficients
     while True:
         try:
-            convergents, next_q = lockstep_convergents(lo, m, hi, m, y_bound)
-            if next_q is None or next_q > y_bound:
-                return convergents
+            return list(lockstep_expansion(lo, m, hi, m, y_bound))
         except PrecisionInsufficientError:
-            pass
-        width = hi - lo
-        lo, hi, m = _bracket(b, c, d, lo, width, m, width * width, m * m)
+            width = hi - lo
+            lo, hi, m = _bracket(b, c, d, lo, width, m, width * width, m * m)
 
 
 def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:

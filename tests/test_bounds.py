@@ -6,13 +6,10 @@ from fractions import Fraction
 import pytest
 
 from cubicthue import bounds
-from cubicthue.bounds import (MatveevInput, check_height_bounds,
-                              contradiction_threshold, derive_t_max,
-                              lambda_upper_bound, lambda_value,
-                              matveev_C, matveev_C0, matveev_bound,
+from cubicthue.bounds import (check_height_bounds, contradiction_threshold,
+                              derive_t_max, lambda_value, matveev_C, matveev_C0,
                               matveev_family_coefficient, matveev_for_family,
-                              siegel_residual, w0_prefactor,
-                              w0_prefactor_upper)
+                              siegel_residual, w0_prefactor, w0_prefactor_upper)
 from cubicthue.errors import HeightBoundViolatedError, IndeterminateSignError
 from cubicthue.realnum import CertifiedReal
 from cubicthue.roots import isolate_roots
@@ -68,12 +65,6 @@ def test_lambda_log_of_one_plus_tau():
         assert lam_hi <= 2 * abs(tau2).upper
 
 
-def test_lambda_upper_bound_formula():
-    assert abs(lambda_upper_bound(2, 10, 8060) - (math.log(2) - 7.9 * 8060 * math.log(10))) < 1e-6
-    assert abs(lambda_upper_bound(1, 10, 1) - (math.log(2) - 7.7 * math.log(10))) < 1e-12
-    assert abs(lambda_upper_bound(3, 10, 1) - (math.log(2) - 8.9 * math.log(10))) < 1e-12
-
-
 def test_matveev_constants():
     C = matveev_C(3, 1)
     assert abs(C - (16 / 6) * math.e ** 3 * 9 * 5 * 16 ** 4 * (3 * math.e / 2)) < 1e-3
@@ -83,20 +74,9 @@ def test_matveev_constants():
 
 
 def test_matveev_bound_direct():
-    inp = MatveevInput(nlogs=3, D=6, chi=1, A=(1.0, 1.0, 1.0), B=2.0)
-    val = matveev_bound(inp)
-    assert val < 0
-    assert abs(val + matveev_C(3, 1) * matveev_C0(3, 6)
-               * bounds.matveev_W0(2.0, 6) * 36) < 1e-3
-
-
-def test_matveev_input_validation():
-    with pytest.raises(ValueError):
-        MatveevInput(nlogs=3, D=6, chi=3, A=(1, 1, 1), B=1)
-    with pytest.raises(ValueError):
-        MatveevInput(nlogs=3, D=6, chi=1, A=(1, 1), B=1)
-    with pytest.raises(ValueError):
-        MatveevInput(nlogs=3, D=6, chi=1, A=(1, -1, 1), B=1)
+    # C * C0 * D^2 * Omega / ln^3 t at D = 6 and A = (18, 18, 36) * ln t
+    assert matveev_family_coefficient() == (matveev_C(3, 1) * matveev_C0(3, 6)
+                                            * 6 ** 2 * (18 * 18 * 36))
 
 
 def test_family_coefficient_window():
@@ -127,8 +107,6 @@ def test_matveev_for_family():
     assert res10.coefficient == matveev_family_coefficient()
     res_big = matveev_for_family(2, isolate_roots(576241))
     assert res_big.coefficient == res10.coefficient
-    assert res_big.bound_ln(576241, 10 ** 18) < 0
-    assert "Lambda_2" in res_big.describe()
     with pytest.raises(ValueError):
         matveev_for_family(2, isolate_roots(9))
 

@@ -1,5 +1,4 @@
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -255,17 +254,43 @@ def test_readme_flag_table_matches_parser(flag):
 
 
 def test_sweep_refuses_a_checkpoint_for_other_parameters(capsys, tmp_path):
-    ck = tmp_path / "ck.json"
-    argv = ["sweep", "--t-lo", "10", "--t-hi", "11", "--checkpoint", str(ck),
-            "--output", str(tmp_path / "out.jsonl")]
+    ck, out = tmp_path / "ck.json", tmp_path / "out.jsonl"
+    argv = ["sweep", "--t-lo", "10", "--t-hi", "11", "--samples", "1",
+            "--checkpoint", str(ck), "--output", str(out)]
     assert run(argv) == 0
-    before = ck.read_bytes()
+    before = ck.read_bytes(), out.read_bytes()
+    # the precision the engine picks by itself is the same sweep
+    assert run(argv + ["--precision", str(realnum.reduction_precision(reduction.DEFAULT_Q))]) \
+        == 0
+    # one field of the configuration changed at a time
+    for other in (["--A", "1e6"], ["--Q", "1e31"], ["--which", "3"], ["--t-lo", "11"],
+                  ["--t-hi", "12"], ["--full"], ["--samples", "2"], ["--seed", "7"],
+                  ["--precision", "400"]):
+        capsys.readouterr()
+        assert run(argv + other) == cli.EXIT_USAGE, other
+        err = capsys.readouterr().err
+        assert err.startswith("cubicthue sweep: error: checkpoint %s was written for the "
+                              "sweep " % ck)
+        assert len(err.splitlines()) == 1
+        assert (ck.read_bytes(), out.read_bytes()) == before
+
+
+def test_sweep_refuses_a_checkpoint_without_its_sweep(capsys, tmp_path):
+    # a checkpoint in the format that recorded only which, A and Q
+    ck, out = tmp_path / "ck.json", tmp_path / "out.jsonl"
+    argv = ["sweep", "--t-lo", "10", "--t-hi", "11", "--checkpoint", str(ck),
+            "--output", str(out)]
+    assert run(argv) == 0
+    state = json.loads(ck.read_text())
+    ck.write_text(json.dumps({"which": 2, "A": str(reduction.DEFAULT_A),
+                              "Q": str(reduction.DEFAULT_Q), "last_t": state["last_t"],
+                              "hash": state["hash"]}))
+    before = ck.read_bytes(), out.read_bytes()
     capsys.readouterr()
-    assert run(argv + ["--A", "1e6"]) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("cubicthue sweep: error: checkpoint ")
-    assert len(err.splitlines()) == 1
-    assert ck.read_bytes() == before
+    assert run(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "cubicthue sweep: error: checkpoint %s was written for the sweep null, not " % ck)
+    assert (ck.read_bytes(), out.read_bytes()) == before
 
 
 def test_sweep_refuses_a_checkpoint_without_last_t_or_hash(capsys, tmp_path):
@@ -323,33 +348,16 @@ def test_refused_run_leaves_the_output_file_as_it_was(capsys, tmp_path):
 
 def test_sweep_small_range(capsys, tmp_path):
     out_path = tmp_path / "sweep.jsonl"
-    csv_path = tmp_path / "sweep.csv"
-    rc = run(["sweep", "--t-lo", "10", "--t-hi", "14",
-              "--output", str(out_path), "--csv", str(csv_path)])
-    assert rc == 0
+    argv = ["sweep", "--t-lo", "10", "--t-hi", "14", "--output", str(out_path)]
+    assert run(argv) == 0
     recs = [json.loads(line) for line in out_path.read_text().splitlines()]
     assert [r["t"] for r in recs] == [10, 11, 12, 13, 14]
     assert all(r["contradiction"] for r in recs)
-    assert csv_path.read_text().startswith("t,status")
-
-
-def test_sweep_csv_summary_shape(tmp_path):
+    # the records are the only output: there is no CSV projection of them
     csv_path = tmp_path / "sweep.csv"
-    assert run(["sweep", "--t-lo", "10", "--t-hi", "12", "--output",
-                str(tmp_path / "sweep.jsonl"), "--csv", str(csv_path)]) == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "t,status,precision,q,lambda_lower_ln,margin,contradiction,reason"
-    assert len(lines) == 4
-    # a success row leaves the reason empty
-    assert all(line.startswith(str(t) + ",success,") and line.endswith(",True,")
-               for t, line in zip((10, 11, 12), lines[1:]))
-    # a failed row carries its record's reason
-    assert run(["sweep", "--t-lo", "10", "--t-hi", "10", "--A", "1e14", "--Q", "1e3",
-                "--output", str(tmp_path / "failed.jsonl"), "--csv", str(csv_path)]) \
-        == cli.EXIT_INCONCLUSIVE
-    reason = json.loads((tmp_path / "failed.jsonl").read_text())["reason"]
-    rows = list(csv.reader(csv_path.read_text().splitlines()))
-    assert rows[1] == ["10", "failed", "1552", "", "", "", "False", reason]
+    assert run(argv + ["--csv", str(csv_path)]) == cli.EXIT_USAGE
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+    assert not csv_path.exists()
 
 
 def test_sweep_derives_t_max_only_when_it_reads_it(monkeypatch, tmp_path):
@@ -383,10 +391,10 @@ def test_sweep_checkpoint_never_passes_the_written_output(workers, monkeypatch, 
         return emit(self, record)
 
     monkeypatch.setattr(cli._Output, "emit", failing)
-    ck, out, csv_path = tmp_path / "ck.json", tmp_path / "out.jsonl", tmp_path / "out.csv"
+    ck, out = tmp_path / "ck.json", tmp_path / "out.jsonl"
     try:
         run(["sweep", "--t-lo", "10", "--t-hi", "20", "--workers", workers,
-             "--checkpoint", str(ck), "--output", str(out), "--csv", str(csv_path)])
+             "--checkpoint", str(ck), "--output", str(out)])
     except OSError as exc:
         assert str(exc) == "disk full"
         # the pool is down before the error leaves the sweep, not only
@@ -397,8 +405,6 @@ def test_sweep_checkpoint_never_passes_the_written_output(workers, monkeypatch, 
     lines = out.read_text().splitlines()
     written = [json.loads(line)["t"] for line in lines]
     assert written == [10, 11, 12, 13, 14]
-    assert [int(row.split(",")[0]) for row in csv_path.read_text().splitlines()[1:]] \
-        == written
     state = json.loads(ck.read_text())
     assert state["last_t"] <= written[-1]
     # the checkpoint hash is the digest of the written records it counts
@@ -452,12 +458,6 @@ def test_sweep_rerun_of_a_finished_run_leaves_its_output(capsys, tmp_path):
     assert (out.read_bytes(), ck.read_bytes()) == before
     assert capsys.readouterr().out.splitlines()[-1] \
         == "sweep which=2: 0/0 success+contradiction"
-    # a longer range appends, as if it had run in one go
-    longer, full_ck, full_out = _sweep_argv(tmp_path, "full", t_hi=16)
-    assert run(longer) == 0
-    assert run(argv[:4] + ["16"] + argv[5:]) == 0
-    assert (out.read_bytes(), ck.read_bytes()) == (full_out.read_bytes(),
-                                                   full_ck.read_bytes())
 
 
 def test_sweep_resume_refuses_an_output_that_does_not_match(capsys, tmp_path):
@@ -471,7 +471,7 @@ def test_sweep_resume_refuses_an_output_that_does_not_match(capsys, tmp_path):
         out.write_text(text)
         before = out.read_bytes(), ck.read_bytes()
         capsys.readouterr()
-        assert run(argv[:4] + ["16"] + argv[5:]) == cli.EXIT_USAGE
+        assert run(argv) == cli.EXIT_USAGE
         assert capsys.readouterr().err == (
             "cubicthue sweep: error: %s does not hold the records its checkpoint "
             "counts through t=14\n" % out)

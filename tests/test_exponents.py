@@ -1,12 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from cubicthue import exponents
-from cubicthue.exponents import (SolutionType, classify, growth_lower_bound,
-                                 k_relation, recover_exponents,
-                                 special_exponent_solutions)
+from cubicthue.bounds import GROWTH
+from cubicthue.exponents import SolutionType, classify, recover_exponents
 from cubicthue.forms import evaluate, family_form, known_solutions
+from cubicthue.realnum import CertifiedReal
 from cubicthue.roots import isolate_roots
 
 
@@ -83,36 +84,41 @@ def test_roundtrip_reexpansion():
             assert y_enc.width < Fraction(1, 2) and x_enc.width < Fraction(1, 2)
 
 
+def _special_solutions(t):
+    """The solution of each type's degenerate exponent case: I (k = 0),
+    II (m = 0), III (m = n0)."""
+    return {SolutionType.TYPE_I: (1 - t ** 3, t ** 8 - 3 * t ** 5 + 3 * t * t),
+            SolutionType.TYPE_II: (t, 1), SolutionType.TYPE_III: (t ** 4 - 2 * t, 1)}
+
+
 def test_k_relation_values():
-    assert k_relation(SolutionType.TYPE_I, -1, -4) == 0
-    assert k_relation(SolutionType.TYPE_II, 1, 0) == 0
-    assert k_relation(SolutionType.TYPE_III, -1, 1) == 0
-    with pytest.raises(ValueError):
-        k_relation(SolutionType.SMALL, 1, 1)
+    # k = 3n-m-1 (type I), k = n-3m-1 (type II) and s = n+m (type III)
+    # vanish on the exponents recovered for the type's special solution
+    relation = {SolutionType.TYPE_I: lambda n, m: 3 * n - m - 1,
+                SolutionType.TYPE_II: lambda n, m: n - 3 * m - 1,
+                SolutionType.TYPE_III: lambda n, m: n + m}
+    for t in (2, 10, 37):
+        for sol_type, (x, y) in _special_solutions(t).items():
+            pair = recover_exponents(t, x, y)
+            assert relation[sol_type](pair.n, pair.m) == 0
 
 
 def test_growth_bound_values():
-    gb = growth_lower_bound(SolutionType.TYPE_II, 10)
-    assert abs(float(gb.bound) - 8059.0478) < 0.01
-    gb1 = growth_lower_bound(SolutionType.TYPE_I, 10)
-    gb3 = growth_lower_bound(SolutionType.TYPE_III, 10)
-    import math
-    assert abs(float(gb1.bound) - 8.6e6 * math.log(10)) < 1.0
-    assert abs(float(gb3.bound) - 9.8e3 * math.log(10)) < 0.01
-    with pytest.raises(ValueError):
-        growth_lower_bound(SolutionType.SMALL, 10)
-    with pytest.raises(ValueError):
-        growth_lower_bound(SolutionType.TYPE_II, 9)
+    # max(|m|, |n|) >= c t^p ln t, enclosed at t = 10
+    T = CertifiedReal.from_rational(10, 128)
+    bound = {which: float(c * T ** p * T.log()) for which, (c, p) in GROWTH.items()}
+    assert abs(bound[2] - 8059.0478) < 0.01
+    assert abs(bound[1] - 8.6e6 * math.log(10)) < 1.0
+    assert abs(bound[3] - 9.8e3 * math.log(10)) < 0.01
 
 
 def test_special_solutions_evaluated_exactly():
-    assert special_exponent_solutions(SolutionType.TYPE_I, 3) == (-26, 5859)
-    assert special_exponent_solutions(SolutionType.TYPE_II, 5) == (5, 1)
-    assert special_exponent_solutions(SolutionType.TYPE_III, 5) == (615, 1)
+    assert _special_solutions(3)[SolutionType.TYPE_I] == (-26, 5859)
+    assert _special_solutions(5)[SolutionType.TYPE_III] == (615, 1)
     for t in (2, 9, 20):
-        for st in (SolutionType.TYPE_I, SolutionType.TYPE_II, SolutionType.TYPE_III):
-            pair = special_exponent_solutions(st, t)
+        for pair in _special_solutions(t).values():
             assert evaluate(family_form(3, t), *pair) == 1
+            assert pair in known_solutions(t)
 
 
 def test_positivity_relation():

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from cubicthue.forms import (BinaryCubicForm, IDENTITY, apply_gl2, discriminant,
-                             evaluate, family_discriminant_poly, family_form,
-                             gl2_equivalent_search, known_solutions, matmul)
+from cubicthue.forms import (BinaryCubicForm, apply_gl2, discriminant, evaluate,
+                             family_discriminant_poly, family_form, known_solutions)
 
 SWAP = ((0, 1), (1, 0))
+# generators of GL2(Z), each with its inverse
+INVERSE = {((1, 1), (0, 1)): ((1, -1), (0, 1)), ((1, 0), (1, 1)): ((1, 0), (-1, 1)),
+           SWAP: SWAP, ((-1, 0), (0, 1)): ((-1, 0), (0, 1))}
 
 
 def test_evaluate_leading_coefficient():
@@ -87,7 +89,7 @@ def test_apply_gl2_family_identity():
 
 def test_apply_gl2_identity_matrix():
     F = BinaryCubicForm(1, 2, -5, 1)
-    assert apply_gl2(F, IDENTITY) == F
+    assert apply_gl2(F, ((1, 0), (0, 1))) == F
 
 
 def test_apply_gl2_family1_swap_shift():
@@ -101,53 +103,41 @@ def test_apply_gl2_rejects_non_unimodular():
 
 
 def test_apply_gl2_composes():
-    rng = random.Random(1)
+    # F(M N X): M applied first, then N, is the product M N
     F = family_form(3, 3)
-    mats = [((1, 0), (0, 1)), ((1, 1), (0, 1)), ((1, 0), (1, 1)),
-            ((0, 1), (1, 0)), ((1, -1), (0, 1)), ((-1, 0), (0, 1))]
+    M, N = ((1, 1), (0, 1)), ((1, 0), (1, 1))
+    assert apply_gl2(apply_gl2(F, M), N) == apply_gl2(F, ((2, 1), (1, 1)))
+    assert apply_gl2(apply_gl2(F, N), M) == apply_gl2(F, ((1, 1), (1, 2)))
+    # a random word, then its inverse, gives F back
+    rng = random.Random(1)
     for _ in range(200):
-        M = rng.choice(mats)
-        N = rng.choice(mats)
-        assert apply_gl2(apply_gl2(F, M), N) == apply_gl2(F, matmul(M, N))
+        word = [rng.choice(list(INVERSE)) for _ in range(rng.randrange(1, 7))]
+        G = F
+        for step in word + [INVERSE[M] for M in reversed(word)]:
+            G = apply_gl2(G, step)
+        assert G == F
 
 
 def test_discriminant_gl2_invariant():
     rng = random.Random(2)
-    mats = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 0)),
-            ((1, -2), (0, 1)), ((-1, 0), (0, 1))]
+    mats = list(INVERSE) + [((1, -2), (0, 1))]
     for t in (-7, -1, 2, 5):
-        F = family_form(3, t)
-        M = IDENTITY
+        F = G = family_form(3, t)
         for _ in range(6):
-            M = matmul(M, rng.choice(mats))
-        assert discriminant(apply_gl2(F, M)) == discriminant(F)
+            G = apply_gl2(G, rng.choice(mats))
+            assert discriminant(G) == discriminant(F)
 
 
 def test_gl2_search_cross_family_equivalences():
-    # F_{2,0} and F_{3,0} coincide, so the identity is a witness
-    M = gl2_equivalent_search(family_form(2, 0), family_form(3, 0), 3)
-    assert M is not None
-    assert apply_gl2(family_form(2, 0), M) == family_form(3, 0)
-
-    M = gl2_equivalent_search(family_form(1, 4), family_form(3, -1), 20)
-    assert M is not None
-    assert M[0][0] * M[1][1] - M[0][1] * M[1][0] in (1, -1)
-    assert apply_gl2(family_form(1, 4), M) == family_form(3, -1)
-
-
-def test_gl2_search_self_returns_identity():
-    F = family_form(3, 7)
-    assert gl2_equivalent_search(F, F, 2) == IDENTITY
-
-
-def test_gl2_search_none_found():
-    # discriminants differ, so no witness can exist
-    assert gl2_equivalent_search(family_form(3, 2), family_form(3, 3), 2) is None
+    # witnesses a bounded search over GL2(Z) found: F_{2,0} is F_{3,0},
+    # and a shear takes F_{1,4} to F_{3,-1}
+    assert apply_gl2(family_form(2, 0), ((1, 0), (0, 1))) == family_form(3, 0)
+    assert apply_gl2(family_form(1, 4), ((1, 1), (0, 1))) == family_form(3, -1)
 
 
 def test_form_json_roundtrip():
     F = BinaryCubicForm(1, 9, -12, -21)
-    assert BinaryCubicForm.from_json(F.to_json()) == F
+    assert BinaryCubicForm(**F.to_json()) == F
 
 
 def test_solution_set_restriction():

@@ -13,7 +13,7 @@ from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
                                _convergents_of_fraction, _quotient_side, _rational_mpi,
                                _rational_side, dyadic_numerators, integer_distance_num,
-                               lockstep_convergents, reduction_precision)
+                               lockstep_expansion, reduction_precision)
 
 
 def _rand_fraction(rng, digits=9):
@@ -505,7 +505,8 @@ def test_exact_enclosures_match_golden():
 
 def _reference_convergents(x, Q):
     """Lockstep expansion of both endpoints as Fractions, as the package
-    did it before expanding unreduced integer pairs."""
+    did it before expanding unreduced integer pairs, with its rule for a
+    disagreement: the lower endpoint's quotient bounds every real's."""
     lo, hi = x.lower, x.upper
     if lo == hi:
         return _convergents_of_fraction(lo, Q)
@@ -516,6 +517,8 @@ def _reference_convergents(x, Q):
         fa = lo.numerator // lo.denominator
         fb = hi.numerator // hi.denominator
         if fa != fb:
+            if fa * qm1 + qm2 > Q:
+                return out
             raise PrecisionInsufficientError(
                 "endpoints disagree on partial quotient %d (denominator %d <= Q=%d)"
                 % (idx, qm1, Q))
@@ -567,6 +570,32 @@ def test_convergents_match_fraction_expansion():
     assert kinds == {"convergents", "disagree", "expansion"}
 
 
+def test_shared_convergents_are_those_of_every_point_inside():
+    """Where the expansion of an interval ends without raising, every
+    rational in it has exactly those convergents up to Q, also where the
+    endpoints part on a quotient that takes the next q past Q."""
+    rng = random.Random(19)
+    parted = 0
+    for _ in range(300):
+        a = _rand_fraction(rng, rng.choice((5, 30)))
+        b = a + Fraction(1, 10 ** rng.randrange(2, 40))
+        ends = a.numerator, a.denominator, b.numerator, b.denominator
+        shared = []
+        with pytest.raises(PrecisionInsufficientError) as exc:
+            shared.extend(lockstep_expansion(*ends, 10 ** 100))
+        # Q at the last shared q, where the endpoints part next, below or above
+        last = shared[-1].q if shared else 1
+        for Q in {last, rng.randrange(1, last + 1), last * 10 ** 6}:
+            try:
+                got = list(lockstep_expansion(*ends, Q))
+            except PrecisionInsufficientError:
+                continue
+            for x in (a, b, (a + b) / 2, a + (b - a) * Fraction(rng.randrange(1, 1000), 1000)):
+                assert _convergents_of_fraction(x, Q) == got
+            parted += got == shared and "disagree" in str(exc.value)
+    assert parted > 50
+
+
 def test_lockstep_of_equal_endpoints_is_the_euclidean_expansion():
     # an exact point given as two unreduced pairs: both expansions end at
     # the same step, and the convergents are exactly Euclid's
@@ -575,9 +604,9 @@ def test_lockstep_of_equal_endpoints_is_the_euclidean_expansion():
         x = _rand_fraction(rng, rng.choice((3, 12, 40)))
         j, k = rng.randrange(1, 50), rng.randrange(1, 50)
         for Q in (10, 10 ** 6, 10 ** 40):
-            got = lockstep_convergents(x.numerator * j, x.denominator * j,
-                                       x.numerator * k, x.denominator * k, Q)
-            assert got == (_convergents_of_fraction(x, Q), None)
+            got = lockstep_expansion(x.numerator * j, x.denominator * j,
+                                     x.numerator * k, x.denominator * k, Q)
+            assert list(got) == _convergents_of_fraction(x, Q)
     # an expansion that ends alone leaves the reals inside undetermined
     with pytest.raises(PrecisionInsufficientError, match="terminated"):
-        lockstep_convergents(45 * 2 ** 86 - 1, 2 ** 90, 45, 16, 10 ** 6)
+        list(lockstep_expansion(45 * 2 ** 86 - 1, 2 ** 90, 45, 16, 10 ** 6))

@@ -299,7 +299,7 @@ def test_verify_range_checkpoint_resume(tmp_path):
     # a checkpoint for different parameters is refused and left alone
     before = ck.read_bytes()
     with pytest.raises(ValueError, match="checkpoint"):
-        cli._load_checkpoint(str(ck), 2, 10 ** 6, reduction.DEFAULT_Q)
+        cli._load_checkpoint(str(ck), {**state["config"], "A": str(10 ** 6)})
     assert ck.read_bytes() == before
 
 
@@ -335,21 +335,22 @@ def test_verify_range_checkpoints_only_taken_outcomes(monkeypatch, tmp_path):
     ck, out = tmp_path / "ck.json", tmp_path / "out.jsonl"
     seen = []
 
-    def checking(path, which, A, Q, last_t, digest):
+    def checking(path, config, last_t, digest):
         # every record the checkpoint counts is in the output already
         lines = out.read_text().splitlines()
         assert json.loads(lines[-1])["t"] == last_t
         assert digest == hashlib.sha256("".join(lines).encode()).hexdigest()
-        write(path, which, A, Q, last_t, digest)
+        write(path, config, last_t, digest)
         seen.append(_read_json(ck))
 
     monkeypatch.setattr(cli, "_write_checkpoint", checking)
     assert cli.main(["sweep", "--t-lo", "10", "--t-hi", "20", "--workers", "2",
                      "--checkpoint", str(ck), "--output", str(out)]) == 0
     taken = list(verify_range(2, 10, 13))
-    assert seen[0] == {"which": 2, "A": str(reduction.DEFAULT_A),
-                       "Q": str(reduction.DEFAULT_Q), "last_t": 13,
-                       "hash": _digest(taken)}
+    config = {"which": 2, "A": str(reduction.DEFAULT_A), "Q": str(reduction.DEFAULT_Q),
+              "t_range": [10, 20], "extra_ts": [],
+              "precision": reduction.reduction_precision(reduction.DEFAULT_Q)}
+    assert seen[0] == {"config": config, "last_t": 13, "hash": _digest(taken)}
     assert [s["last_t"] for s in seen] == [13, 17, 20]
     # an iterator closed early shuts its pool down
     outcomes = verify_range(2, 10, 20, workers=2)
@@ -568,6 +569,20 @@ def test_lazy_scan_raises_when_the_expansion_breaks_first(kind):
     with pytest.raises(PrecisionInsufficientError, match=kind) as lazy:
         baker_davenport(inst)
     assert str(lazy.value) == str(eager.value)
+
+
+def test_scan_fails_where_the_expansion_parts_past_q():
+    """Every real in the "disagree" enclosure has its third quotient at
+    least 2^22 - 1, so its next q at least (2^22 - 1) * 512 + 1: below
+    that Q the expansion ends there, and a scan that found no convergent
+    fails instead of raising."""
+    gamma1 = CertifiedReal.from_endpoints(*_BREAKS_AFTER_512["disagree"], 420)
+    inst = _synthetic_instance(gamma1, passes=False)
+    next_q = (2 ** 22 - 1) * 512 + 1
+    verdict = baker_davenport(dataclasses.replace(inst, Q=next_q - 1))
+    assert (verdict.success, verdict.convergents_scanned) == (False, 2)
+    with pytest.raises(PrecisionInsufficientError, match="disagree on partial quotient 2 "):
+        baker_davenport(dataclasses.replace(inst, Q=next_q))
 
 
 def test_exact_product_norm_is_never_looser_than_the_rounded_product():

@@ -9,7 +9,7 @@ from cubicthue import forms, roots, search
 from cubicthue.errors import PrecisionInsufficientError, VerificationFailedError
 from cubicthue.forms import BinaryCubicForm, evaluate, family_form
 from cubicthue.realnum import (CertifiedReal, continued_fraction_convergents,
-                               lockstep_convergents)
+                               lockstep_expansion)
 from cubicthue.search import (DELONE_NAGELL_TABLE, MANY_SOLUTIONS_TABLE,
                               SPORADIC_CLASSES_TABLE, thue_solutions_bruteforce,
                               verify_sporadic_tables, verify_theorem)
@@ -252,29 +252,29 @@ def test_threshold_is_the_least_y_the_true_roots_allow():
 
 
 def test_convergents_stop_cleanly_past_the_bound(monkeypatch):
-    # [7; N, 2] and [7; N - 1, 2] disagree at index 1, on N - 1 against N
+    # [7; N, 2] and [7; N - 1, 2] disagree at index 1, on N - 1 against N,
+    # so every real between them has its next q >= N - 1
     N = 10 ** 6
     lo, hi = 7 + 1 / Fraction(2 * N + 1, 2), 7 + 1 / Fraction(2 * N - 1, 2)
-    convergents, next_q = lockstep_convergents(
-        lo.numerator, lo.denominator, hi.numerator, hi.denominator, 5000)
-    assert [(c.p, c.q) for c in convergents] == [(7, 1)] and next_q == N - 1
-    # the reduction still refuses the same enclosure
+    ends = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    assert [(c.p, c.q) for c in lockstep_expansion(*ends, N - 2)] == [(7, 1)]
     with pytest.raises(PrecisionInsufficientError, match="partial quotient 1 "):
-        continued_fraction_convergents(CertifiedReal.from_endpoints(lo, hi, 128), 5000)
-    # theta3 = t^4 - 2t - ~t^-8 at t = 30 stops on a quotient ~t^8 at q = 1
-    stops = []
-
-    def recording(*args):
-        out = lockstep_convergents(*args)
-        stops.append(out[1])
-        return out
-
-    monkeypatch.setattr(search, "lockstep_convergents", recording)
+        list(lockstep_expansion(*ends, N - 1))
+    # the reduction reads the same enclosure by the same rule
+    enc = CertifiedReal.from_endpoints(lo, hi, 128)
+    assert [(c.p, c.q) for c in continued_fraction_convergents(enc, 5000)] == [(7, 1)]
+    # theta3 = t^4 - 2t - ~t^-8 at t = 30: its refined bracket stops on a
+    # quotient in dispute above t^7, at q = 1
+    refined = []
+    bracket = search._bracket
+    monkeypatch.setattr(search, "_bracket",
+                        lambda *args: refined.append(bracket(*args)) or refined[-1])
     F = family_form(3, 30)
     lo, hi, m = search._brackets(F, 5000)[2]
     got = search._root_convergents(F, lo, hi, m, 5000)
     assert [(c.p, c.q) for c in got] == [(809939, 1), (809940, 1)]
-    assert stops[-1] > 30 ** 7
+    lo, hi, m = refined[-1]
+    assert list(lockstep_expansion(lo, m, hi, m, 30 ** 7)) == got
 
 
 def test_convergents_refine_the_bracket(monkeypatch):
@@ -325,6 +325,13 @@ def test_sporadic_tables_reports():
     assert by_coeffs[(1, 2, -5, 1)].count >= 6
     assert by_coeffs[(1, 1, -3, -1)].count >= 5
     assert by_coeffs[(1, 1, -3, -1)].form.discriminant() == 148
+
+
+def test_sporadic_row_810661_is_a_family_member():
+    row = BinaryCubicForm(1, 21, -1, -22)
+    assert (row, 810661, 5) in SPORADIC_CLASSES_TABLE
+    assert forms.apply_gl2(family_form(3, -2), ((1, 1), (0, -1))) == row
+    assert forms.apply_gl2(family_form(4, 2), ((1, -1), (0, -1))) == row
 
 
 def test_table_discriminants():
