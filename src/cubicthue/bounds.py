@@ -1,10 +1,10 @@
 """Siegel identity, the three linear forms in logarithms, their upper
 bounds, Matveev's explicit lower bound, and the absolute bound on t.
 
-Constants are carried as exact rationals where the source analysis gives
-them exactly (7.7, 7.9, 8.9, 3.5, 8.6, 9.8, 1.07e15); the contradiction
-coefficients 7.7 * 8.6, 27.65 = 7.9 * 3.5 and 8.9 * 9.8 are derived
-from them.
+The source analysis's constants (7.7, 7.9, 8.9, 3.5, 8.6, 9.8, 1.07e15)
+are exact rationals, and the contradiction coefficients are their
+products.  Every other proof constant is an enclosure at LOG_PRECISION
+bits, and `realnum.certified_below` decides every inequality on them.
 """
 
 from __future__ import annotations
@@ -14,16 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from mpmath import mp
-
-from .errors import HeightBoundViolatedError, IndeterminateSignError
-from .realnum import CertifiedReal
+from .errors import HeightBoundViolatedError, VerificationFailedError
+from .realnum import CertifiedReal, certified_below
 from .roots import RootTriple
 
 # decay rates of |Lambda_which| in the exponent size
 LAMBDA_DECAY = {1: Fraction(77, 10), 2: Fraction(79, 10), 3: Fraction(89, 10)}
 
-# n/log(35n) cap per unit of log^2 t, derived from the Matveev constant
+# n/log(35n) cap per unit of log^2 t; derive_t_max certifies it is at
+# least the Matveev coefficient over LAMBDA_DECAY[2]
 EXPONENT_CAP = 107 * 10 ** 13
 
 # (c, p) of the forced exponent growth max(|m|, |n|) >= c * t^p * ln t
@@ -34,17 +33,19 @@ GROWTH = {1: (Fraction(86, 10), 6), 2: (Fraction(35, 10), 3), 3: (Fraction(98, 1
 CONTRADICTION_COEFF = {which: (LAMBDA_DECAY[which] * c, p)
                        for which, (c, p) in GROWTH.items()}
 
-# decimal digits of the (non-interval) mpmath work in derive_t_max
-TMAX_DPS = 60
-
-# bits of the logarithms that decide the contradiction
+# bits of the logarithms that decide the contradiction, and of every
+# other proof constant here
 LOG_PRECISION = 64
 
-# a rational above e, certified by ln(E_UPPER) > 1 in w0_prefactor_upper
-E_UPPER = Fraction(27183, 10000)
+# two decimals around e, certified by ln lo < 1 < ln hi in e_enclosure;
+# 10^-18 apart, so that K's enclosure at LOG_PRECISION pins its double
+E_BRACKET = ("2.718281828459045235", "2.718281828459045236")
 
 # the W0 prefactor must stay below this multiple of n for ln(35 n) to majorize W0
 W0_PREFACTOR_CAP = 35
+
+# the window the family's Matveev coefficient must fall in
+MATVEEV_WINDOW = (830 * 10 ** 13, 840 * 10 ** 13)
 
 
 def siegel_residual(x: int, y: int, roots: RootTriple) -> CertifiedReal:
@@ -55,15 +56,6 @@ def siegel_residual(x: int, y: int, roots: RootTriple) -> CertifiedReal:
     return ((th2 - th3) * (x - th1 * y)
             + (th3 - th1) * (x - th2 * y)
             + (th1 - th2) * (x - th3 * y))
-
-
-@dataclass(frozen=True)
-class LogLinearForm:
-    which: int
-    t: int
-    coefficients: Tuple[int, int, int]        # (b1, b2, b3) on (alpha1, alpha2, alpha3)
-    log_arguments: Tuple[CertifiedReal, CertifiedReal, CertifiedReal]
-    value: CertifiedReal
 
 
 def lambda_log_arguments(which: int, roots: RootTriple
@@ -80,69 +72,45 @@ def lambda_log_arguments(which: int, roots: RootTriple
     raise ValueError("which must be 1, 2 or 3")
 
 
-def lambda_value(which: int, n: int, m: int, roots: RootTriple) -> LogLinearForm:
-    """Certified enclosure of Lambda_which at integer exponents (n, m)."""
-    a1, a2, a3 = lambda_log_arguments(which, roots)
-    value = m * a1.log() + n * a2.log() + a3.log()
-    return LogLinearForm(which, roots.t, (m, n, 1), (a1, a2, a3), value)
+def _ln(r) -> CertifiedReal:
+    return CertifiedReal.from_rational(r, LOG_PRECISION).log()
 
 
-def matveev_C(n: int, chi: int) -> float:
-    return (16 / (math.factorial(n) * chi) * math.e ** n * (2 * n + 1 + 2 * chi)
-            * (n + 2) * (4 * n + 4) ** (n + 1) * (math.e * n / 2) ** chi)
+def e_enclosure() -> CertifiedReal:
+    """e, enclosed by E_BRACKET once ln lo < 1 < ln hi is certified on
+    interval logarithms at LOG_PRECISION bits."""
+    lo, hi = (Fraction(r) for r in E_BRACKET)
+    undecided = "ln(%s) < 1 < ln(%s) undecided at %d bits" % (*E_BRACKET, LOG_PRECISION)
+    if not (certified_below(_ln(lo), 1, undecided) and certified_below(1, _ln(hi), undecided)):
+        raise VerificationFailedError("e is not in [%s, %s]" % E_BRACKET)
+    return CertifiedReal.from_endpoints(lo, hi, LOG_PRECISION)
 
 
-def matveev_C0(n: int, D: int) -> float:
-    return math.log(math.exp(4.4 * n + 7) * n ** 5.5 * D * D * math.log(math.e * D))
-
-
-def matveev_family_coefficient() -> float:
+def matveev_family_coefficient() -> CertifiedReal:
     """Coefficient K in ln|Lambda_2| > -K * ln^3 t * ln(35 n), from the
-    family parameterization D=6, chi=1, A = (18, 18, 36) * ln t, B=n/2.
-    The W0 prefactor 1.5 e (n/2) 6 ln(6e) is below 35 n, so ln(35 n)
-    majorizes W0."""
-    C = matveev_C(3, 1)
-    C0 = matveev_C0(3, 6)
-    return C * C0 * 36 * (18 * 18 * 36)
+    family parameterization of three logarithms, D=6, chi=1,
+    A = (18, 18, 36) * ln t, B=n/2: K = C * C0 * D^2 * Omega with
+    Matveev's C = 16/3! e^3 (2*3+1+2) (3+2) (4*3+4)^4 (3e/2) and
+    C0 = ln(e^(4.4*3+7) 3^5.5 D^2 ln(eD)) = 20.2 + 5.5 ln 3 + 2 ln 6 + ln(1 + ln 6)."""
+    ln6 = _ln(6)
+    C = Fraction(16, 6) * 9 * 5 * 16 ** 4 * Fraction(3, 2) * e_enclosure() ** 4
+    C0 = Fraction(101, 5) + Fraction(11, 2) * _ln(3) + 2 * ln6 + (1 + ln6).log()
+    return C * C0 * 6 ** 2 * (18 * 18 * 36)
 
 
-def w0_prefactor() -> float:
-    """1.5 e B D ln(eD) per unit of n at B=n/2, D=6, for display; the
-    check that it is below 35 reads w0_prefactor_upper."""
-    return 1.5 * math.e * 0.5 * 6 * math.log(6 * math.e)
-
-
-def w0_prefactor_upper() -> CertifiedReal:
-    """An enclosure of 4.5 E (1 + ln 6) with E = E_UPPER, which bounds
-    the W0 prefactor 1.5 e B D ln(eD) / n = 4.5 e (1 + ln 6) from above
-    once E > e is certified, by ln E > 1 on an interval logarithm;
-    raises IndeterminateSignError when that is not decided."""
-    E = CertifiedReal.from_rational(E_UPPER, LOG_PRECISION)
-    if not (E.log() - 1).is_positive():
-        raise IndeterminateSignError("ln(%s) > 1 undecided at %d bits"
-                                     % (E_UPPER, LOG_PRECISION))
-    ln6 = CertifiedReal.from_rational(6, LOG_PRECISION).log()
-    return Fraction(9, 2) * E * (ln6 + 1)
+def w0_prefactor() -> CertifiedReal:
+    """The W0 prefactor 1.5 e B D ln(eD) per unit of n at B=n/2, D=6,
+    which is 4.5 e (1 + ln 6)."""
+    return Fraction(9, 2) * e_enclosure() * (1 + _ln(6))
 
 
 @dataclass(frozen=True)
 class FamilyMatveevResult:
     which: int
     t: int
-    coefficient: float
+    coefficient: CertifiedReal
     height_checks: Tuple[bool, bool, bool]
-
-
-def _certified_below(h: CertifiedReal, bound: CertifiedReal, name: str) -> bool:
-    """h < bound for every value of both enclosures (True), h >= bound
-    for every value (False); enclosures that overlap decide neither."""
-    if h.upper < bound.lower:
-        return True
-    if h.lower >= bound.upper:
-        return False
-    raise IndeterminateSignError(
-        "height inequality %s undecided at %d bits: [%.6g, %.6g] against [%.6g, %.6g]"
-        % (name, h.precision, h.lower, h.upper, bound.lower, bound.upper))
+    in_target_window: bool
 
 
 def check_height_bounds(roots: RootTriple) -> Tuple[bool, bool, bool]:
@@ -155,17 +123,18 @@ def check_height_bounds(roots: RootTriple) -> Tuple[bool, bool, bool]:
     h_diff = Fraction(2, 3) * ((th3 - th2) * (th3 - th1) * (th2 - th1)).log()
     h_ratio = Fraction(1, 6) * ((th3 / th1) ** 2).log()
     h_unit = Fraction(1, 6) * (((T - th3) / (T - th2)) ** 2).log()
-    return (
-        _certified_below(h_diff, 6 * lnt, "h_diff < 6 ln t"),
-        _certified_below(h_ratio, 3 * lnt, "h_ratio < 3 ln t"),
-        _certified_below(h_unit, 3 * lnt, "h_unit < 3 ln t"),
-    )
+    return tuple(certified_below(h, bound, (
+        "height inequality %s undecided at %d bits: [%.6g, %.6g] against [%.6g, %.6g]"
+        % (name, h.precision, h.lower, h.upper, bound.lower, bound.upper)))
+        for name, h, bound in (("h_diff < 6 ln t", h_diff, 6 * lnt),
+                               ("h_ratio < 3 ln t", h_ratio, 3 * lnt),
+                               ("h_unit < 3 ln t", h_unit, 3 * lnt)))
 
 
 def matveev_for_family(which: int, roots: RootTriple) -> FamilyMatveevResult:
     """Instantiate Matveev's bound for the family at t = roots.t: verify
-    the height bounds numerically and return the (t-independent)
-    coefficient of ln^3 t * ln(35 n)."""
+    the height bounds and the W0 cap, and return the (t-independent)
+    coefficient of ln^3 t * ln(35 n), and whether it is in MATVEEV_WINDOW."""
     t = roots.t
     if t < 10:
         raise ValueError("family parameterization assumes t >= 10")
@@ -173,27 +142,34 @@ def matveev_for_family(which: int, roots: RootTriple) -> FamilyMatveevResult:
     if not all(checks):
         raise HeightBoundViolatedError(
             "height inequality failed at t=%d: %s" % (t, checks))
-    if not w0_prefactor_upper().upper < W0_PREFACTOR_CAP:
+    if not certified_below(w0_prefactor(), W0_PREFACTOR_CAP,
+                           "W0 prefactor cap undecided at %d bits" % LOG_PRECISION):
         raise HeightBoundViolatedError("W0 prefactor exceeds %d" % W0_PREFACTOR_CAP)
-    return FamilyMatveevResult(which, t, matveev_family_coefficient(), checks)
+    K = matveev_family_coefficient()
+    lo, hi = MATVEEV_WINDOW
+    undecided = "Matveev coefficient window undecided at %d bits" % LOG_PRECISION
+    return FamilyMatveevResult(which, t, K, checks, certified_below(lo, K, undecided)
+                               and certified_below(K, hi, undecided))
 
 
-def _growth_feasible(t) -> bool:
+def _growth_feasible(t: int) -> bool:
     """Can the forced growth n >= 3.5 t^3 ln t coexist with the Matveev
-    cap n / ln(35 n) < 1.07e15 ln^2 t?"""
+    cap n / ln(35 n) < EXPONENT_CAP ln^2 t?"""
     c, p = GROWTH[2]
-    with mp.workdps(TMAX_DPS):
-        tt = mp.mpf(t)
-        # 3.5 = 7/2 is exact in binary
-        g = mp.mpf(c.numerator) / c.denominator * tt ** p * mp.log(tt)
-        return g / mp.log(35 * g) < mp.mpf(EXPONENT_CAP) * mp.log(tt) ** 2
+    lnt = _ln(t)
+    g = c * t ** p * lnt
+    return certified_below(g / (35 * g).log(), EXPONENT_CAP * lnt ** 2,
+                           "growth cap at t=%d undecided at %d bits" % (t, LOG_PRECISION))
 
 
-def derive_t_max(which: int = 2) -> Tuple[int, float]:
-    """Largest integer t compatible with both the growth bound and the
-    Matveev cap (monotone bisection), plus the matching n ceiling."""
-    if which != 2:
-        raise ValueError("the binding bound comes from Lambda_2")
+def derive_t_max() -> Tuple[int, float]:
+    """Largest integer t compatible with both the growth bound of
+    Lambda_2 and the Matveev cap (monotone bisection), plus the n
+    ceiling n = EXPONENT_CAP ln^2 t ln(35 n).  The typed cap is first
+    certified to be at least K / 7.9, so it can only widen t_max."""
+    if not certified_below(matveev_family_coefficient() / LAMBDA_DECAY[2], EXPONENT_CAP,
+                           "K / 7.9 against EXPONENT_CAP undecided at %d bits" % LOG_PRECISION):
+        raise VerificationFailedError("EXPONENT_CAP %d is below K / 7.9" % EXPONENT_CAP)
     lo, hi = 10, 10 ** 7
     if not _growth_feasible(lo) or _growth_feasible(hi):
         raise AssertionError("feasibility predicate lost its bracket")
@@ -203,13 +179,13 @@ def derive_t_max(which: int = 2) -> Tuple[int, float]:
             lo = mid
         else:
             hi = mid
-    with mp.workdps(TMAX_DPS):
-        tt = mp.mpf(lo)
-        n = mp.mpf("1e18")
-        for _ in range(200):
-            n = mp.mpf(EXPONENT_CAP) * mp.log(tt) ** 2 * mp.log(35 * n)
-        n_max = float(n)
-    return lo, n_max
+    # n -> cap * ln(35 n) maps [1, 10^20] into itself and contracts near
+    # its fixed point; iterate until the enclosure stops shrinking
+    cap = EXPONENT_CAP * _ln(lo) ** 2
+    n = CertifiedReal.from_endpoints(1, 10 ** 20, LOG_PRECISION)
+    while (nxt := cap * (35 * n).log()).width < n.width:
+        n = nxt
+    return lo, float(n)
 
 
 def contradiction_threshold(which: int, t: int) -> float:
@@ -223,5 +199,4 @@ def contradiction_threshold(which: int, t: int) -> float:
 def certified_contradiction_threshold(which: int, t: int) -> CertifiedReal:
     """contradiction_threshold enclosed at LOG_PRECISION bits."""
     coef, p = CONTRADICTION_COEFF[which]
-    lnt = CertifiedReal.from_rational(t, LOG_PRECISION).log()
-    return -(coef * t ** p) * lnt ** 2
+    return -(coef * t ** p) * _ln(t) ** 2

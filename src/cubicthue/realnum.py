@@ -174,13 +174,10 @@ class CertifiedReal:
     def is_positive(self) -> bool:
         return mpf_sign(self._mpi[0]) > 0
 
-    def is_negative(self) -> bool:
-        return mpf_sign(self._mpi[1]) < 0
-
     def sign(self) -> int:
         if self.is_positive():
             return 1
-        if self.is_negative():
+        if mpf_sign(self._mpi[1]) < 0:
             return -1
         if self.lower == self.upper == 0:
             return 0
@@ -264,6 +261,22 @@ class CertifiedReal:
 
     def __repr__(self):
         return "CertifiedReal(%s)" % self.as_decimal_string(20)
+
+
+def certified_below(a, b, undecided: str) -> bool:
+    """a < b for every value of the enclosures a and b (True), a >= b for
+    every value (False); overlapping enclosures raise
+    IndeterminateSignError(undecided).  A rational side is enclosed at
+    the other side's precision, and the endpoints are compared exactly."""
+    if not isinstance(a, CertifiedReal):
+        a = CertifiedReal.from_rational(a, b.precision)
+    elif not isinstance(b, CertifiedReal):
+        b = CertifiedReal.from_rational(b, a.precision)
+    if mpf_lt(a._mpi[1], b._mpi[0]):
+        return True
+    if not mpf_lt(a._mpi[0], b._mpi[1]):
+        return False
+    raise IndeterminateSignError(undecided)
 
 
 def _decimal(r: Fraction, digits: int) -> str:

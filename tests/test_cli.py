@@ -115,8 +115,8 @@ def test_kappas_certifies_an_extra_t_inside_the_range_once(capsys):
 
 
 MATVEEV_RECORD = (
-    b'{"coefficient": 8343947451864177.0, "height_checks": [true, true, true], '
-    b'"in_target_window": true, "schema": 1, "t": 10, "w0_prefactor": 34.1495506558399, '
+    b'{"coefficient": 8343947451864178.0, "height_checks": [true, true, true], '
+    b'"in_target_window": true, "schema": 1, "t": 10, "w0_prefactor": 34.14955065583991, '
     b'"which": 2}\n')
 
 
