@@ -476,14 +476,16 @@ def test_arithmetic_ignores_and_keeps_global_iv_prec():
 
 def exact_enclosures() -> dict:
     """The exact endpoints of all sixteen kappa enclosures at t in
-    {10, 2000, 576241} and of the exponent-recovery residuals at
-    t in {2, 50}, as written to tests/data/exact_enclosures.json."""
+    {10, 2000, 2001, 576241, 10^6} and of the exponent-recovery residuals
+    at t in {2, 9, 10, 50, 100}, as written to
+    tests/data/exact_enclosures.json.  Recovery at t < 10 isolates the
+    roots by critical-point splitting, at t >= 10 in the series windows."""
     out = {"kappas": {}, "exponents": {}}
-    for t in (10, 2000, 576241):
+    for t in (10, 2000, 2001, 576241, 10 ** 6):
         rep = roots.verify_kappas(t)
         out["kappas"][str(t)] = [[r.j, str(r.enclosure.lower), str(r.enclosure.upper)]
                                  for r in rep.rows]
-    for t in (2, 50):
+    for t in (2, 9, 10, 50, 100):
         rows = []
         for x, y in forms.known_solutions(t).solutions:
             p = exponents.recover_exponents(t, x, y)
