@@ -106,7 +106,6 @@ def w0_prefactor() -> CertifiedReal:
 
 @dataclass(frozen=True)
 class FamilyMatveevResult:
-    which: int
     t: int
     coefficient: CertifiedReal
     height_checks: Tuple[bool, bool, bool]
@@ -131,10 +130,11 @@ def check_height_bounds(roots: RootTriple) -> Tuple[bool, bool, bool]:
                                ("h_unit < 3 ln t", h_unit, 3 * lnt)))
 
 
-def matveev_for_family(which: int, roots: RootTriple) -> FamilyMatveevResult:
-    """Instantiate Matveev's bound for the family at t = roots.t: verify
-    the height bounds and the W0 cap, and return the (t-independent)
-    coefficient of ln^3 t * ln(35 n), and whether it is in MATVEEV_WINDOW."""
+def matveev_for_family(roots: RootTriple) -> FamilyMatveevResult:
+    """Instantiate Matveev's bound on Lambda_2 for the family at
+    t = roots.t: verify the height bounds and the W0 cap, and return the
+    (t-independent) coefficient of ln^3 t * ln(35 n), and whether it is
+    in MATVEEV_WINDOW."""
     t = roots.t
     if t < 10:
         raise ValueError("family parameterization assumes t >= 10")
@@ -148,7 +148,7 @@ def matveev_for_family(which: int, roots: RootTriple) -> FamilyMatveevResult:
     K = matveev_family_coefficient()
     lo, hi = MATVEEV_WINDOW
     undecided = "Matveev coefficient window undecided at %d bits" % LOG_PRECISION
-    return FamilyMatveevResult(which, t, K, checks, certified_below(lo, K, undecided)
+    return FamilyMatveevResult(t, K, checks, certified_below(lo, K, undecided)
                                and certified_below(K, hi, undecided))
 
 

@@ -319,7 +319,7 @@ def _cmd_exponents(args, out: _Output) -> int:
 def _cmd_matveev(args, out: _Output) -> int:
     triple = roots.isolate_roots(
         args.t, _precision_cap(args.precision, roots.default_precision(args.t)))
-    res = bounds.matveev_for_family(2, triple)
+    res = bounds.matveev_for_family(triple)
     ok = res.in_target_window
     out.emit({"which": 2, "t": res.t, "coefficient": float(res.coefficient),
               "height_checks": list(res.height_checks),

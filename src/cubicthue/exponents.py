@@ -18,7 +18,7 @@ from typing import Tuple
 from .errors import (IndeterminateSignError, PrecisionInsufficientError,
                      VerificationFailedError)
 from .forms import evaluate, family_form
-from .realnum import CertifiedReal
+from .realnum import CertifiedReal, dyadic_numerators, endpoint_cmp
 from .roots import isolate_roots, solution_interval
 
 ROUNDING_TOLERANCE = Fraction(1, 100)
@@ -87,34 +87,34 @@ def recover_exponents(t: int, x: int, y: int) -> ExponentPair:
 
 @functools.lru_cache(maxsize=16)
 def _unit_logs(t: int, prec: int):
-    """The roots at prec bits and the six logs that depend on t alone,
-    ln|t - theta_i| and ln|theta_i|: the solutions of one t recovered at
-    one precision share a single root isolation."""
+    """The roots at prec bits, the units t - theta_i and the logs that
+    depend on t alone and enter the 2x2 solve, ln|t - theta_i| and
+    ln|theta_i| for i = 1, 2: the solutions of one t recovered at one
+    precision share a single root isolation."""
     roots = isolate_roots(t, prec)
-    return (roots, tuple(abs(t - th).log() for th in roots.thetas),
-            tuple(abs(th).log() for th in roots.thetas))
+    t_th = tuple(t - th for th in roots.thetas)
+    return (roots, t_th, tuple(abs(d).log() for d in t_th[:2]),
+            tuple(abs(th).log() for th in roots.thetas[:2]))
 
 
 def _recover_at_precision(t: int, x: int, y: int, prec: int) -> ExponentPair:
-    roots, logs_te, logs_th = _unit_logs(t, prec)
-    # x - y theta_i in the three embeddings
+    roots, t_th, (u1, u2), (v1, v2) = _unit_logs(t, prec)
+    # x - y theta_i in the three embeddings; the third enters only the
+    # unit check
     units = [x - th * y for th in roots.thetas]
-    logs_u = [abs(u).log() for u in units]
     # 2x2 solve on embeddings 1 and 2:  l_i = n*u_i - m*v_i
-    u1, u2 = logs_te[0], logs_te[1]
-    v1, v2 = logs_th[0], logs_th[1]
-    l1, l2 = logs_u[0], logs_u[1]
+    l1, l2 = (abs(u).log() for u in units[:2])
     det = u2 * v1 - u1 * v2
     n_enc = (l2 * v1 - l1 * v2) / det
     m_enc = (l2 * u1 - l1 * u2) / det
     n = _round_mid(n_enc)
     m = _round_mid(m_enc)
     residual = CertifiedReal.hull([abs(n_enc - n), abs(m_enc - m)])
-    if not residual.upper < ROUNDING_TOLERANCE:
+    if endpoint_cmp(residual._mpi[1], *ROUNDING_TOLERANCE.as_integer_ratio()) >= 0:
         raise PrecisionInsufficientError(
             "rounding deviation %s exceeds tolerance" % float(residual.upper))
     # delta from the sign of the first embedding
-    unit_vals = [(t - th) ** n * th ** (-m) for th in roots.thetas]
+    unit_vals = [d ** n * th ** (-m) for d, th in zip(t_th, roots.thetas)]
     s_solution = units[0].sign()
     s_unit = unit_vals[0].sign()
     delta = 0 if s_solution == s_unit else 1
@@ -126,11 +126,15 @@ def _recover_at_precision(t: int, x: int, y: int, prec: int) -> ExponentPair:
                 "unit representation (delta=%d, n=%d, m=%d) fails for t=%d, (%d,%d)"
                 % (delta, n, m, t, x, y))
         # reject sloppy containment: the difference must be pinned near 0
-        if abs(u).upper > 0 and diff.width > abs(u).upper:
+        u_hi = abs(u)._mpi[1]
+        a, b, k = dyadic_numerators(diff._mpi)
+        if endpoint_cmp(u_hi, 0) > 0 and endpoint_cmp(u_hi, b - a, 1 << k) < 0:
             raise PrecisionInsufficientError("containment check too wide")
     return ExponentPair(delta, n, m, residual)
 
 
 def _round_mid(enc: CertifiedReal) -> int:
-    mid = enc.midpoint
-    return (2 * mid.numerator + mid.denominator) // (2 * mid.denominator)
+    """The integer nearest the midpoint (a + b) / 2^(k+1) of enc, halves
+    rounded up."""
+    a, b, k = dyadic_numerators(enc._mpi)
+    return (a + b + (1 << k)) >> (k + 1)

@@ -279,6 +279,20 @@ def certified_below(a, b, undecided: str) -> bool:
     raise IndeterminateSignError(undecided)
 
 
+def endpoint_cmp(x, num: int, den: int = 1) -> int:
+    """The sign (-1, 0 or 1) of x - num/den for an mpf endpoint x and
+    den > 0: the sign of man * 2^exp * den - num, computed in integers.
+    A NaN or infinite endpoint raises ValueError instead of reading as
+    0."""
+    sign, man, exp, _ = x
+    if not man and x != fzero:
+        raise ValueError("endpoint %r is not finite" % (x,))
+    if sign:
+        man = -man
+    d = (man << exp) * den - num if exp >= 0 else man * den - (num << -exp)
+    return (d > 0) - (d < 0)
+
+
 def _decimal(r: Fraction, digits: int) -> str:
     if r == 0:
         return "0"

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .forms import BinaryCubicForm, discriminant, family_form, monic_cubic
-from .realnum import CertifiedReal, _quotient_side
+from .realnum import CertifiedReal, _quotient_side, endpoint_cmp
 
 # published target interval for each kappa index
 KAPPA_TARGETS: Dict[int, Tuple[Fraction, Fraction]] = {
@@ -311,6 +311,18 @@ class _KappaTerms:
         self.t, self.prec = t, roots.precision
         self.th1, self.th2, self.th3 = roots.thetas
         self.T = CertifiedReal.from_rational(t, self.prec)
+        self._c_lnt: Dict[int, CertifiedReal] = {}
+        self._c_T3: Dict[int, CertifiedReal] = {}
+
+    def c_lnt(self, c: int) -> CertifiedReal:       # c ln t
+        if c not in self._c_lnt:
+            self._c_lnt[c] = c * self.lnt
+        return self._c_lnt[c]
+
+    def c_T3(self, c: int) -> CertifiedReal:        # c / t^3
+        if c not in self._c_T3:
+            self._c_T3[c] = c / self.T3
+        return self._c_T3[c]
 
     @cached_property
     def lnt(self) -> CertifiedReal:
@@ -352,9 +364,13 @@ class _KappaTerms:
     def ratio31(self) -> CertifiedReal:     # (theta3 - T) / (T - theta1)
         return self.th3_T / self.T_th1
 
+    @cached_property
+    def th3_th1(self) -> CertifiedReal:     # theta3 / |theta1|
+        return self.th3 / self.abs_th1
+
 
 def _kappa_t_only_expr(j: int, k: _KappaTerms) -> CertifiedReal:
-    T, T3, T6, lnt = k.T, k.T3, k.T6, k.lnt
+    T, T3, T6, c_lnt, c_T3 = k.T, k.T3, k.T6, k.c_lnt, k.c_T3
     if j == 1:
         return -(k.th1 * k.T11) - T6 - 2 * T3
     if j == 2:
@@ -362,21 +378,21 @@ def _kappa_t_only_expr(j: int, k: _KappaTerms) -> CertifiedReal:
     if j == 3:
         return (T ** 4 - 2 * T - k.th3) * k.T11 - T3
     if j == 5:
-        return T6 * (9 * lnt - 6 / T3 - (k.th3_T / k.th2_T).log())
+        return T6 * (c_lnt(9) - c_T3(6) - (k.th3_T / k.th2_T).log())
     if j == 6:
-        return T6 * (3 * lnt - 2 / T3 - (k.th3 / k.th2).log())
+        return T6 * (c_lnt(3) - c_T3(2) - (k.th3 / k.th2).log())
     if j == 9:
         return T3 * (T3 - 3 - k.ratio31)
     if j == 10:
-        return (k.th3 / k.abs_th1 - k.T9 + 4 * T6) / T3
+        return (k.th3_th1 - k.T9 + 4 * T6) / T3
     if j == 12:
-        return T6 * (3 * lnt - 3 / T3 - k.ratio31.log())
+        return T6 * (c_lnt(3) - c_T3(3) - k.ratio31.log())
     if j == 13:
-        return T6 * (9 * lnt - 4 / T3 - (k.th3 / k.abs_th1).log())
+        return T6 * (c_lnt(9) - c_T3(4) - k.th3_th1.log())
     if j == 15:
-        return T3 * (6 * lnt - (k.T_th1 / k.th2_T).log())
+        return T3 * (c_lnt(6) - (k.T_th1 / k.th2_T).log())
     if j == 16:
-        return T6 * (6 * lnt - 2 / T3 - (k.th2 / k.abs_th1).log())
+        return T6 * (c_lnt(6) - c_T3(2) - (k.th2 / k.abs_th1).log())
     raise ValueError("kappa_%d is not determined by t alone" % j)
 
 
@@ -417,8 +433,9 @@ def _endpoint_ratios(which: int, k: _KappaTerms) -> List[CertifiedReal]:
     hull of the two endpoint values.  Raises IndeterminateSignError when
     the enclosure meets the interval."""
     lo, hi = solution_interval(which, k.t)
-    pole = k.th1 if which == 2 else k.th2
-    if not (pole.upper < lo or pole.lower > hi):
+    pole_lo, pole_hi = (k.th1 if which == 2 else k.th2)._mpi
+    if not (endpoint_cmp(pole_hi, *lo.as_integer_ratio()) < 0
+            or endpoint_cmp(pole_lo, *hi.as_integer_ratio()) > 0):
         raise IndeterminateSignError("the pole of the I_%d ratio meets I_%d" % (which, which))
     rs = [CertifiedReal.from_rational(r, k.prec) for r in (lo, hi)]
     if which == 1:
@@ -435,16 +452,16 @@ def _envelope(j: int, k: _KappaTerms, ratios: List[CertifiedReal]) -> CertifiedR
         c = k.T3 - 2
         f = lambda q: k.T3 * (c - q)
     elif j == 7:
-        c = 3 * k.lnt - 2 / k.T3
+        c = k.c_lnt(3) - k.c_T3(2)
         f = lambda q: k.T6 * (c - q.log())
     elif j == 8:
         c = k.T3 - 3
         f = lambda q: k.T3 * (c - q)
     elif j == 11:
-        c = 3 * k.lnt - 3 / k.T3
+        c = k.c_lnt(3) - k.c_T3(3)
         f = lambda q: k.T6 * (c - q.log())
     else:
-        T12, c1, c2, c3 = (k.T ** 12, 1 / k.T3, Fraction(5, 2) / k.T6,
+        T12, c1, c2, c3 = (k.T ** 12, k.c_T3(1), Fraction(5, 2) / k.T6,
                            Fraction(25, 3) / k.T9)
         f = lambda q: T12 * (q.log() - c1 - c2 - c3)
     return CertifiedReal.hull(f(q) for q in ratios)
@@ -507,11 +524,16 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     Each envelope is the hull of its kappa at the two endpoints of its
     solution interval, which holds the kappa's image of the whole interval
     (`kappa_envelope`).  Each row has the bits `kappa_t_only` or
-    `kappa_envelope` gives on the same RootTriple: the t-only terms are
-    shared through one `_KappaTerms`, and the two kappas of I_1 (of I_2)
-    read the same endpoint ratios.  Every shared value is the result of
-    the same libmp kernel on the same operands at the same precision as
-    in the per-kappa functions, so sharing it changes no bit."""
+    `kappa_envelope` gives on the same RootTriple.  One `_KappaTerms`
+    computes once each term that several kappas use: ln t and c ln t
+    (c = 3, 6, 9), t^3, t^6, t^9, t^11 and c / t^3 (c = 1, 2, 3, 4, 6),
+    theta2 - t, theta3 - t, t - theta1, |theta1|, theta3 / |theta1| and
+    (theta3 - t) / (t - theta1); the two kappas of I_1 (of I_2) read the
+    same endpoint ratios.  Every shared value is the result of the same
+    libmp kernel on the same operands at the same precision as in the
+    per-kappa functions, so sharing it changes no bit.  A row passes
+    when its enclosure lies strictly inside the target, each endpoint
+    compared with the target exactly (`endpoint_cmp`)."""
     if t < 10:
         raise ValueError("kappa claims are certified for t >= 10 only")
     k = _KappaTerms(t, isolate_roots(t, precision))
@@ -524,8 +546,10 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     rows = []
     for j in range(1, 17):
         lo, hi = KAPPA_TARGETS[j]
-        enc = encs[j]
-        rows.append(KappaRow(j, enc, (lo, hi), lo < enc.lower and enc.upper < hi))
+        a, b = encs[j]._mpi
+        rows.append(KappaRow(j, encs[j], (lo, hi),
+                             endpoint_cmp(a, *lo.as_integer_ratio()) > 0
+                             and endpoint_cmp(b, *hi.as_integer_ratio()) < 0))
     return KappaReport(t, tuple(rows))
 
 

@@ -2,16 +2,18 @@
 (visible with pytest -s or in captured output on failure)."""
 
 import math
-import multiprocessing
+import os
 import random
 import sys
 from fractions import Fraction
 
 from cubicthue import bounds, cli, exponents, forms, reduction, roots, search
+from cubicthue.parallel import parallel_map
 from cubicthue.realnum import (CertifiedReal, _convergents_of_fraction,
                                continued_fraction_convergents)
 
-WORKERS = 4
+# one worker per core this process may run on
+WORKERS = len(os.sched_getaffinity(0))
 
 
 def _verdict(name, ok):
@@ -21,7 +23,7 @@ def _verdict(name, ok):
 
 
 def test_criterion_1_matveev_constant():
-    res = bounds.matveev_for_family(2, roots.isolate_roots(10))
+    res = bounds.matveev_for_family(roots.isolate_roots(10))
     ok = res.in_target_window and all(res.height_checks)
     _verdict("1 matveev-constant", ok)
 
@@ -37,8 +39,7 @@ def _kappa_ok(t):
 
 def test_criterion_3_kappa_certification():
     ts = list(range(10, 2001)) + [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 576241]
-    with multiprocessing.Pool(WORKERS) as pool:
-        results = pool.map(_kappa_ok, ts, chunksize=32)
+    results = list(parallel_map(_kappa_ok, ts, WORKERS))
     _verdict("3 kappa-certification", all(results))
 
 
@@ -61,8 +62,7 @@ def _theorem_ok(t):
 
 def test_criterion_5_theorem_bounded_verification():
     ts = [t for t in range(-30, 31) if t not in (0, 1)]
-    with multiprocessing.Pool(WORKERS) as pool:
-        results = pool.map(_theorem_ok, ts)
+    results = list(parallel_map(_theorem_ok, ts, WORKERS))
     rep = search.thue_solutions_bruteforce(forms.family_form(3, -1), 5000)
     ok = all(results) and rep.count == 6 and (6, -5) in rep.solutions
     _verdict("5 theorem-verification", ok)
@@ -108,8 +108,7 @@ def _recover_ok(t):
 
 def test_criterion_8_exponent_recovery():
     ts = list(range(2, 101))
-    with multiprocessing.Pool(WORKERS) as pool:
-        results = pool.map(_recover_ok, ts, chunksize=8)
+    results = list(parallel_map(_recover_ok, ts, WORKERS))
     _verdict("8 exponent-recovery", all(results))
 
 

@@ -124,7 +124,7 @@ def test_family_coefficient_window(monkeypatch):
     K = matveev_family_coefficient()
     lo, hi = bounds.MATVEEV_WINDOW
     assert certified_below(lo, K, "") and certified_below(K, hi, "")
-    assert matveev_for_family(2, isolate_roots(10)).in_target_window
+    assert matveev_for_family(isolate_roots(10)).in_target_window
     # the 1.07e15 cap is certified to be at least K / 7.9 = 1.0562e15
     decay = bounds.LAMBDA_DECAY[2]
     assert 1.056e15 < float(K.upper / decay) <= bounds.EXPONENT_CAP
@@ -135,7 +135,7 @@ def test_family_coefficient_window(monkeypatch):
         derive_t_max()
     # a window that K misses is a certified false, not an error
     monkeypatch.setattr(bounds, "MATVEEV_WINDOW", (830 * 10 ** 13, 834 * 10 ** 13))
-    assert not matveev_for_family(2, isolate_roots(10)).in_target_window
+    assert not matveev_for_family(isolate_roots(10)).in_target_window
 
 
 def test_w0_prefactor_below_35():
@@ -150,7 +150,7 @@ def test_w0_prefactor_is_certified_below_35(monkeypatch):
     # the prefactor is ~34.15, so a cap of 34 fails the Matveev step
     monkeypatch.setattr(bounds, "W0_PREFACTOR_CAP", 34)
     with pytest.raises(HeightBoundViolatedError, match="W0 prefactor exceeds 34"):
-        matveev_for_family(2, isolate_roots(10))
+        matveev_for_family(isolate_roots(10))
 
 
 def test_e_enclosure_is_certified(monkeypatch):
@@ -171,15 +171,15 @@ def test_e_enclosure_is_certified(monkeypatch):
 
 
 def test_matveev_for_family():
-    res10 = matveev_for_family(2, isolate_roots(10))
+    res10 = matveev_for_family(isolate_roots(10))
     assert all(res10.height_checks)
     assert res10.in_target_window
     K = matveev_family_coefficient()
-    res_big = matveev_for_family(2, isolate_roots(576241))
+    res_big = matveev_for_family(isolate_roots(576241))
     for res in (res10, res_big):
         assert (res.coefficient.lower, res.coefficient.upper) == (K.lower, K.upper)
     with pytest.raises(ValueError):
-        matveev_for_family(2, isolate_roots(9))
+        matveev_for_family(isolate_roots(9))
 
 
 def test_height_checks_sampled():
@@ -193,13 +193,13 @@ def test_height_checks_decide_three_ways():
     with pytest.raises(IndeterminateSignError, match="h_unit"):
         check_height_bounds(isolate_roots(10, 24))
     with pytest.raises(IndeterminateSignError):
-        matveev_for_family(2, isolate_roots(10, 24))
+        matveev_for_family(isolate_roots(10, 24))
     # the roots of t = 11 measured against ln 10 break the inequalities
     # outright: certified false, and reported as a failed check
     wrong = dataclasses.replace(isolate_roots(11), t=10)
     assert check_height_bounds(wrong) == (False, False, True)
     with pytest.raises(HeightBoundViolatedError):
-        matveev_for_family(2, wrong)
+        matveev_for_family(wrong)
     # h < bound is certified only by disjoint enclosures, either way round
     enc = lambda lo, hi: CertifiedReal.from_endpoints(lo, hi, 64)
     assert certified_below(enc(1, 2), enc(3, 4), "h") is True

@@ -6,14 +6,15 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from mpmath.libmp import from_man_exp, to_rational
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, to_rational
 
-from cubicthue import exponents, forms, roots
+from cubicthue import exponents, forms, realnum, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
                                _convergents_of_fraction, _quotient_side, _rational_mpi,
-                               _rational_side, dyadic_numerators, integer_distance_num,
-                               lockstep_expansion, reduction_precision)
+                               _rational_side, dyadic_numerators, endpoint_cmp,
+                               integer_distance_num, lockstep_expansion,
+                               reduction_precision)
 
 
 def _rand_fraction(rng, digits=9):
@@ -501,6 +502,74 @@ def test_exact_enclosures_match_golden():
     # wrapping iv.mpf values under a saved and restored global iv.prec
     path = Path(__file__).parent / "data" / "exact_enclosures.json"
     assert exact_enclosures() == json.loads(path.read_text())
+
+
+def test_kappas_and_recovery_decide_without_fractions(monkeypatch):
+    # every verdict on these paths compares mpf endpoints in integers;
+    # none converts an endpoint to a Fraction first
+    calls = []
+    to_fraction = realnum._mpf_to_fraction
+
+    def counting(x):
+        calls.append(x)
+        return to_fraction(x)
+
+    monkeypatch.setattr(realnum, "_mpf_to_fraction", counting)
+    exponents._unit_logs.cache_clear()
+    for t in (10, 576241):
+        assert roots.verify_kappas(t).all_pass
+    for x, y in forms.known_solutions(50).solutions:
+        exponents.recover_exponents(50, x, y)
+    assert calls == []
+    # the count sees a conversion when one happens
+    roots.verify_kappas(10).rows[0].enclosure.lower
+    assert len(calls) == 1
+
+
+# -- exact endpoint comparison ---------------------------------------------
+
+def _oracle_cmp(x, r):
+    d = Fraction(*to_rational(x)) - r
+    return (d > 0) - (d < 0)
+
+
+def test_endpoint_cmp_matches_fraction_oracle():
+    rng = random.Random(41)
+    dyadic = [Fraction(0), Fraction(3), Fraction(5), Fraction(8), Fraction(-3, 1024)]
+    checked = {-1: 0, 0: 0, 1: 0}
+    for _ in range(3000):
+        kind = rng.randrange(4)
+        if kind == 0:
+            # a target that is dyadic, and an endpoint equal to it or beside it
+            r = rng.choice(dyadic)
+            p, q = r.numerator, r.denominator
+            x = from_man_exp(p * 2 ** 40 + rng.choice((-1, 0, 0, 1)), -40 - (q.bit_length() - 1))
+        elif kind == 1:
+            # a non-dyadic rational and its directed rounding at a few bits
+            r = _rand_fraction(rng, rng.choice((3, 20, 60))) + Fraction(1, 3 * 7 ** rng.randrange(9))
+            x = _rational_side(r, rng.choice((8, 64, 300)), rng.randrange(2) == 1)
+        else:
+            # any signed mantissa, exp >= 0 (kind 2) or exp < 0 (kind 3)
+            man = rng.getrandbits(rng.randrange(1, 200)) * rng.choice((-1, 1))
+            exp = rng.randrange(0, 80) if kind == 2 else -rng.randrange(1, 300)
+            x = from_man_exp(man, exp)
+            r = rng.choice(dyadic + [_rand_fraction(rng, rng.choice((3, 40)))])
+        want = _oracle_cmp(x, r)
+        assert endpoint_cmp(x, r.numerator, r.denominator) == want
+        # an unreduced pair names the same rational
+        g = rng.randrange(1, 10 ** 6)
+        assert endpoint_cmp(x, r.numerator * g, r.denominator * g) == want
+        checked[want] += 1
+    assert min(checked.values()) > 100
+    assert endpoint_cmp(fzero, 0) == 0
+    assert endpoint_cmp(fzero, 1, 3) == -1 and endpoint_cmp(fzero, -1, 3) == 1
+
+
+def test_endpoint_cmp_refuses_non_finite_endpoints():
+    for x in (finf, fninf, fnan):
+        for num in (-1, 0, 1):
+            with pytest.raises(ValueError, match="not finite"):
+                endpoint_cmp(x, num)
 
 
 # -- continued fractions in integers --------------------------------------

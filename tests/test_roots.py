@@ -443,6 +443,18 @@ def test_verify_kappas_rows_match_the_per_kappa_functions(t, precision):
         assert (row.enclosure._mpi, row.enclosure.precision) == (want._mpi, want.precision)
 
 
+def test_kappa_verdicts_are_strict_on_both_sides(monkeypatch):
+    # a target that ends exactly on an enclosure endpoint fails its row,
+    # and one a hair wider on both sides passes
+    hair = Fraction(1, 2 ** 2000)
+    for row in verify_kappas(10).rows:
+        lo, hi = row.enclosure.lower, row.enclosure.upper
+        for target, want in (((lo, hi + 1), False), ((lo - 1, hi), False),
+                             ((lo - hair, hi + hair), True)):
+            monkeypatch.setitem(KAPPA_TARGETS, row.j, target)
+            assert verify_kappas(10).rows[row.j - 1].passed is want, (row.j, target)
+
+
 def test_verify_kappas_shares_roots_endpoints_and_ln_t(monkeypatch):
     t = 1500
     isolations, intervals, logs = [], [], []
