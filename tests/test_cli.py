@@ -678,6 +678,11 @@ def test_output_without_records_is_one_newline(tmp_path):
     (["kappas", "--t-lo", "10", "--t-hi", "11"], "kappas_10_11.jsonl"),
     (["roots", "--t", "2"], "roots_t2.jsonl"),
     (["roots", "--t", "576241"], "roots_t576241.jsonl"),
+    (["exponents", "--t", "2"], "exponents_t2.jsonl"),
+    (["exponents", "--t", "9"], "exponents_t9.jsonl"),
+    (["exponents", "--t", "57"], "exponents_t57.jsonl"),
+    (["exponents", "--t", "100"], "exponents_t100.jsonl"),
+    (["exponents", "--t", "576241"], "exponents_t576241.jsonl"),
 ])
 def test_output_bytes_match_golden(argv, golden, tmp_path):
     # the golden files were written by the Fraction-bisection engine
