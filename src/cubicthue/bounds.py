@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import HeightBoundViolatedError, VerificationFailedError
+from .errors import (HeightBoundViolatedError, IndeterminateSignError,
+                     VerificationFailedError)
 from .realnum import CertifiedReal, certified_below
 from .roots import RootTriple
 
@@ -122,12 +123,18 @@ def check_height_bounds(roots: RootTriple) -> Tuple[bool, bool, bool]:
     h_diff = Fraction(2, 3) * ((th3 - th2) * (th3 - th1) * (th2 - th1)).log()
     h_ratio = Fraction(1, 6) * ((th3 / th1) ** 2).log()
     h_unit = Fraction(1, 6) * (((T - th3) / (T - th2)) ** 2).log()
-    return tuple(certified_below(h, bound, (
-        "height inequality %s undecided at %d bits: [%.6g, %.6g] against [%.6g, %.6g]"
-        % (name, h.precision, h.lower, h.upper, bound.lower, bound.upper)))
-        for name, h, bound in (("h_diff < 6 ln t", h_diff, 6 * lnt),
-                               ("h_ratio < 3 ln t", h_ratio, 3 * lnt),
-                               ("h_unit < 3 ln t", h_unit, 3 * lnt)))
+    checks = []
+    for name, h, bound in (("h_diff < 6 ln t", h_diff, 6 * lnt),
+                           ("h_ratio < 3 ln t", h_ratio, 3 * lnt),
+                           ("h_unit < 3 ln t", h_unit, 3 * lnt)):
+        try:
+            checks.append(certified_below(h, bound, name))
+        except IndeterminateSignError:
+            # the message converts four endpoints: format it only here
+            raise IndeterminateSignError(
+                "height inequality %s undecided at %d bits: [%.6g, %.6g] against [%.6g, %.6g]"
+                % (name, h.precision, h.lower, h.upper, bound.lower, bound.upper)) from None
+    return tuple(checks)
 
 
 def matveev_for_family(roots: RootTriple) -> FamilyMatveevResult:

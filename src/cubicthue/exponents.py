@@ -1,10 +1,10 @@
 """Classification of solutions into types I/II/III and certified
-recovery of the unit-equation exponents (delta, n, m) with their growth
-bounds.
+recovery of the unit-equation exponents (delta, n, m) with
+    x - y*theta = (-1)^delta * (t - theta)^n * theta^(-m).
 
-The unit representation under test is
-    x - y*theta_i = (-1)^delta * (t - theta_i)^n * theta_i^(-m)
-in all three real embeddings simultaneously.
+A log-linear solve in two real embeddings finds (n, m), certified to lie
+within ROUNDING_TOLERANCE of integers; the identity in Z[theta], checked
+on integer coefficients, accepts them and fixes delta.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ class ExponentPair:
 
 
 def recover_exponents(t: int, x: int, y: int) -> ExponentPair:
-    """Solve the log-linear system for (n, m), round, fix delta by sign
-    and certify the unit representation in all three embeddings."""
+    """Solve the log-linear system for (n, m) and round it, then accept
+    (delta, n, m) by the exact identity of the unit representation in
+    Z[theta]."""
     if t < 2:
         raise ValueError("recovery requires t >= 2")
     if evaluate(family_form(3, t), x, y) != 1:
@@ -77,33 +78,42 @@ def recover_exponents(t: int, x: int, y: int) -> ExponentPair:
     for attempt in range(RECOVERY_ESCALATIONS + 1):
         prec = RECOVERY_PRECISION * 2 ** attempt
         try:
-            return _recover_at_precision(t, x, y, prec)
+            n, m, residual = _solve_at_precision(t, x, y, prec)
+            break
         except (IndeterminateSignError, PrecisionInsufficientError) as err:
             last_err = err
-    raise PrecisionInsufficientError(
-        "exponent recovery for t=%d, (%d,%d) failed after escalation: %s"
-        % (t, x, y, last_err))
+    else:
+        raise PrecisionInsufficientError(
+            "exponent recovery for t=%d, (%d,%d) failed after escalation: %s"
+            % (t, x, y, last_err))
+    unit = _unit_power(t, n, m)
+    if unit == (x, -y, 0):
+        return ExponentPair(0, n, m, residual)
+    if unit == (-x, y, 0):
+        return ExponentPair(1, n, m, residual)
+    raise VerificationFailedError(
+        "x - y*theta is not +-(t - theta)^%d * theta^%d for t=%d, (%d,%d)"
+        % (n, -m, t, x, y))
 
 
 @functools.lru_cache(maxsize=16)
 def _unit_logs(t: int, prec: int):
-    """The roots at prec bits, the units t - theta_i and the logs that
-    depend on t alone and enter the 2x2 solve, ln|t - theta_i| and
-    ln|theta_i| for i = 1, 2: the solutions of one t recovered at one
-    precision share a single root isolation."""
+    """The logs that depend on t alone and enter the 2x2 solve,
+    ln|t - theta_i| and ln|theta_i| for i = 1, 2, and the roots they come
+    from: the solutions of one t recovered at one precision share a
+    single root isolation."""
     roots = isolate_roots(t, prec)
-    t_th = tuple(t - th for th in roots.thetas)
-    return (roots, t_th, tuple(abs(d).log() for d in t_th[:2]),
-            tuple(abs(th).log() for th in roots.thetas[:2]))
+    th1, th2 = roots.thetas[:2]
+    return (roots, (abs(t - th1).log(), abs(t - th2).log()),
+            (abs(th1).log(), abs(th2).log()))
 
 
-def _recover_at_precision(t: int, x: int, y: int, prec: int) -> ExponentPair:
-    roots, t_th, (u1, u2), (v1, v2) = _unit_logs(t, prec)
-    # x - y theta_i in the three embeddings; the third enters only the
-    # unit check
-    units = [x - th * y for th in roots.thetas]
-    # 2x2 solve on embeddings 1 and 2:  l_i = n*u_i - m*v_i
-    l1, l2 = (abs(u).log() for u in units[:2])
+def _solve_at_precision(t: int, x: int, y: int, prec: int):
+    """The integers (n, m) nearest the enclosed solution of the 2x2 log
+    system l_i = n*u_i - m*v_i on embeddings 1 and 2, and the residual
+    that certifies them: both deviations below ROUNDING_TOLERANCE."""
+    roots, (u1, u2), (v1, v2) = _unit_logs(t, prec)
+    l1, l2 = (abs(x - th * y).log() for th in roots.thetas[:2])
     det = u2 * v1 - u1 * v2
     n_enc = (l2 * v1 - l1 * v2) / det
     m_enc = (l2 * u1 - l1 * u2) / det
@@ -113,24 +123,37 @@ def _recover_at_precision(t: int, x: int, y: int, prec: int) -> ExponentPair:
     if endpoint_cmp(residual._mpi[1], *ROUNDING_TOLERANCE.as_integer_ratio()) >= 0:
         raise PrecisionInsufficientError(
             "rounding deviation %s exceeds tolerance" % float(residual.upper))
-    # delta from the sign of the first embedding
-    unit_vals = [d ** n * th ** (-m) for d, th in zip(t_th, roots.thetas)]
-    s_solution = units[0].sign()
-    s_unit = unit_vals[0].sign()
-    delta = 0 if s_solution == s_unit else 1
-    sign_factor = -1 if delta else 1
-    for u, w in zip(units, unit_vals):
-        diff = u - sign_factor * w
-        if not diff.contains_zero():
-            raise VerificationFailedError(
-                "unit representation (delta=%d, n=%d, m=%d) fails for t=%d, (%d,%d)"
-                % (delta, n, m, t, x, y))
-        # reject sloppy containment: the difference must be pinned near 0
-        u_hi = abs(u)._mpi[1]
-        a, b, k = dyadic_numerators(diff._mpi)
-        if endpoint_cmp(u_hi, 0) > 0 and endpoint_cmp(u_hi, b - a, 1 << k) < 0:
-            raise PrecisionInsufficientError("containment check too wide")
-    return ExponentPair(delta, n, m, residual)
+    return n, m, residual
+
+
+def _unit_power(t: int, n: int, m: int) -> Tuple[int, int, int]:
+    """(t - theta)^n * theta^(-m) as the coefficients (c0, c1, c2) of
+    c0 + c1*theta + c2*theta^2 in Z[theta], theta a root of
+    X^3 + B X^2 + C X + 1 = F_{3,t}(X, 1).  theta and t - theta are units,
+    since F_{3,t}(0, 1) = F_{3,t}(t, 1) = 1:
+        theta^-1 = -(theta^2 + B theta + C),
+        (t - theta)^-1 = theta^2 + (t + B) theta + t^2 + B t + C."""
+    _, B, C, _ = family_form(3, t).coefficients
+
+    def mul(a, b):
+        c = [0] * 5
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                c[i + j] += ai * bj
+        # X^k = X^(k-3) * (-B X^2 - C X - 1) for k = 4, 3
+        for k in (4, 3):
+            c[k - 1] -= B * c[k]
+            c[k - 2] -= C * c[k]
+            c[k - 3] -= c[k]
+        return tuple(c[:3])
+
+    unit = (t, -1, 0) if n >= 0 else (t * t + B * t + C, t + B, 1)
+    theta = (-C, -B, -1) if m >= 0 else (0, 1, 0)
+    out = (1, 0, 0)
+    for base, k in ((unit, abs(n)), (theta, abs(m))):
+        for _ in range(k):
+            out = mul(out, base)
+    return out
 
 
 def _round_mid(enc: CertifiedReal) -> int:

@@ -174,16 +174,6 @@ class CertifiedReal:
     def is_positive(self) -> bool:
         return mpf_sign(self._mpi[0]) > 0
 
-    def sign(self) -> int:
-        if self.is_positive():
-            return 1
-        if mpf_sign(self._mpi[1]) < 0:
-            return -1
-        if self.lower == self.upper == 0:
-            return 0
-        raise IndeterminateSignError(
-            "enclosure [%s, %s] straddles zero" % (self.lower, self.upper))
-
     # -- arithmetic ---------------------------------------------------
     # Each operation runs one libmp interval kernel at the larger of the
     # operands' precisions; an int or Fraction operand is enclosed at
@@ -233,12 +223,8 @@ class CertifiedReal:
         return CertifiedReal(mpi_abs(self._mpi, self.precision), self.precision)
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("only integer powers are supported")
-        if k < 0:
-            if self.contains_zero():
-                raise IndeterminateSignError("negative power of enclosure containing zero")
-            return 1 / self.__pow__(-k)
+        if not isinstance(k, int) or k < 0:
+            raise TypeError("only non-negative integer powers are supported")
         return CertifiedReal(mpi_pow_int(self._mpi, k, self.precision), self.precision)
 
     def log(self) -> "CertifiedReal":

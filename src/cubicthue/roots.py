@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .errors import IndeterminateSignError, PrecisionInsufficientError
@@ -304,69 +303,21 @@ def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
 
 class _KappaTerms:
     """The parts of the kappa expressions that depend on t alone, each
-    computed at most once per RootTriple, by the same operations (and so
-    with the same roundings) wherever an expression uses it."""
+    computed once per RootTriple, by the same operations (and so with the
+    same roundings) wherever an expression uses it."""
 
     def __init__(self, t: int, roots: RootTriple):
         self.t, self.prec = t, roots.precision
-        self.th1, self.th2, self.th3 = roots.thetas
-        self.T = CertifiedReal.from_rational(t, self.prec)
-        self._c_lnt: Dict[int, CertifiedReal] = {}
-        self._c_T3: Dict[int, CertifiedReal] = {}
-
-    def c_lnt(self, c: int) -> CertifiedReal:       # c ln t
-        if c not in self._c_lnt:
-            self._c_lnt[c] = c * self.lnt
-        return self._c_lnt[c]
-
-    def c_T3(self, c: int) -> CertifiedReal:        # c / t^3
-        if c not in self._c_T3:
-            self._c_T3[c] = c / self.T3
-        return self._c_T3[c]
-
-    @cached_property
-    def lnt(self) -> CertifiedReal:
-        return self.T.log()
-
-    @cached_property
-    def T3(self) -> CertifiedReal:
-        return self.T ** 3
-
-    @cached_property
-    def T6(self) -> CertifiedReal:
-        return self.T ** 6
-
-    @cached_property
-    def T9(self) -> CertifiedReal:
-        return self.T ** 9
-
-    @cached_property
-    def T11(self) -> CertifiedReal:
-        return self.T ** 11
-
-    @cached_property
-    def th2_T(self) -> CertifiedReal:       # theta2 - T
-        return self.th2 - self.T
-
-    @cached_property
-    def th3_T(self) -> CertifiedReal:       # theta3 - T
-        return self.th3 - self.T
-
-    @cached_property
-    def T_th1(self) -> CertifiedReal:       # T - theta1
-        return self.T - self.th1
-
-    @cached_property
-    def abs_th1(self) -> CertifiedReal:
-        return abs(self.th1)
-
-    @cached_property
-    def ratio31(self) -> CertifiedReal:     # (theta3 - T) / (T - theta1)
-        return self.th3_T / self.T_th1
-
-    @cached_property
-    def th3_th1(self) -> CertifiedReal:     # theta3 / |theta1|
-        return self.th3 / self.abs_th1
+        self.th1, self.th2, self.th3 = th1, th2, th3 = roots.thetas
+        self.T = T = CertifiedReal.from_rational(t, self.prec)
+        self.T3, self.T6, self.T9, self.T11 = T ** 3, T ** 6, T ** 9, T ** 11
+        lnt = T.log()
+        self.c_lnt = {c: c * lnt for c in (3, 6, 9)}                  # c ln t
+        self.c_T3 = {c: c / self.T3 for c in (1, 2, 3, 4, 6)}         # c / t^3
+        self.th2_T, self.th3_T, self.T_th1 = th2 - T, th3 - T, T - th1
+        self.abs_th1 = abs(th1)
+        self.ratio31 = self.th3_T / self.T_th1      # (theta3 - T) / (T - theta1)
+        self.th3_th1 = th3 / self.abs_th1           # theta3 / |theta1|
 
 
 def _kappa_t_only_expr(j: int, k: _KappaTerms) -> CertifiedReal:
@@ -378,21 +329,21 @@ def _kappa_t_only_expr(j: int, k: _KappaTerms) -> CertifiedReal:
     if j == 3:
         return (T ** 4 - 2 * T - k.th3) * k.T11 - T3
     if j == 5:
-        return T6 * (c_lnt(9) - c_T3(6) - (k.th3_T / k.th2_T).log())
+        return T6 * (c_lnt[9] - c_T3[6] - (k.th3_T / k.th2_T).log())
     if j == 6:
-        return T6 * (c_lnt(3) - c_T3(2) - (k.th3 / k.th2).log())
+        return T6 * (c_lnt[3] - c_T3[2] - (k.th3 / k.th2).log())
     if j == 9:
         return T3 * (T3 - 3 - k.ratio31)
     if j == 10:
         return (k.th3_th1 - k.T9 + 4 * T6) / T3
     if j == 12:
-        return T6 * (c_lnt(3) - c_T3(3) - k.ratio31.log())
+        return T6 * (c_lnt[3] - c_T3[3] - k.ratio31.log())
     if j == 13:
-        return T6 * (c_lnt(9) - c_T3(4) - k.th3_th1.log())
+        return T6 * (c_lnt[9] - c_T3[4] - k.th3_th1.log())
     if j == 15:
-        return T3 * (c_lnt(6) - (k.T_th1 / k.th2_T).log())
+        return T3 * (c_lnt[6] - (k.T_th1 / k.th2_T).log())
     if j == 16:
-        return T6 * (c_lnt(6) - c_T3(2) - (k.th2 / k.abs_th1).log())
+        return T6 * (c_lnt[6] - c_T3[2] - (k.th2 / k.abs_th1).log())
     raise ValueError("kappa_%d is not determined by t alone" % j)
 
 
@@ -452,16 +403,16 @@ def _envelope(j: int, k: _KappaTerms, ratios: List[CertifiedReal]) -> CertifiedR
         c = k.T3 - 2
         f = lambda q: k.T3 * (c - q)
     elif j == 7:
-        c = k.c_lnt(3) - k.c_T3(2)
+        c = k.c_lnt[3] - k.c_T3[2]
         f = lambda q: k.T6 * (c - q.log())
     elif j == 8:
         c = k.T3 - 3
         f = lambda q: k.T3 * (c - q)
     elif j == 11:
-        c = k.c_lnt(3) - k.c_T3(3)
+        c = k.c_lnt[3] - k.c_T3[3]
         f = lambda q: k.T6 * (c - q.log())
     else:
-        T12, c1, c2, c3 = (k.T ** 12, k.c_T3(1), Fraction(5, 2) / k.T6,
+        T12, c1, c2, c3 = (k.T ** 12, k.c_T3[1], Fraction(5, 2) / k.T6,
                            Fraction(25, 3) / k.T9)
         f = lambda q: T12 * (q.log() - c1 - c2 - c3)
     return CertifiedReal.hull(f(q) for q in ratios)
@@ -521,19 +472,11 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     interval, a division or logarithm of an enclosure that touches zero)
     raises IndeterminateSignError or PrecisionInsufficientError.
 
-    Each envelope is the hull of its kappa at the two endpoints of its
-    solution interval, which holds the kappa's image of the whole interval
-    (`kappa_envelope`).  Each row has the bits `kappa_t_only` or
-    `kappa_envelope` gives on the same RootTriple.  One `_KappaTerms`
-    computes once each term that several kappas use: ln t and c ln t
-    (c = 3, 6, 9), t^3, t^6, t^9, t^11 and c / t^3 (c = 1, 2, 3, 4, 6),
-    theta2 - t, theta3 - t, t - theta1, |theta1|, theta3 / |theta1| and
-    (theta3 - t) / (t - theta1); the two kappas of I_1 (of I_2) read the
-    same endpoint ratios.  Every shared value is the result of the same
-    libmp kernel on the same operands at the same precision as in the
-    per-kappa functions, so sharing it changes no bit.  A row passes
-    when its enclosure lies strictly inside the target, each endpoint
-    compared with the target exactly (`endpoint_cmp`)."""
+    Each row has the bits `kappa_t_only` or `kappa_envelope` gives on
+    the same RootTriple; one `_KappaTerms` serves all sixteen, and the
+    kappas of one interval share its endpoint ratios.  A row passes when
+    its enclosure lies strictly inside the target, each endpoint compared
+    with the target exactly (`endpoint_cmp`)."""
     if t < 10:
         raise ValueError("kappa claims are certified for t >= 10 only")
     k = _KappaTerms(t, isolate_roots(t, precision))

@@ -147,13 +147,12 @@ def _threshold(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
         def holds(y: int) -> bool:
             return g * y > 1 and (g * y - 1) ** 2 > 2 * y
 
-        # y > ((g + 1) + sqrt(2g + 1)) / g^2, from below in integers
+        # y > ((g + 1) + sqrt(2g + 1)) / g^2, from below in integers: the
+        # start is at most that bound, so the first y that holds is the least
         n, m = g.numerator, g.denominator
         y0 = max(1, m * (n + m + math.isqrt(m * (2 * n + m))) // (n * n))
         while not holds(y0):
             y0 += 1
-        while y0 > 1 and holds(y0 - 1):
-            y0 -= 1
     else:
         (N0, N1, M), = brackets
         lo, hi = Fraction(N0, M), Fraction(N1, M)

@@ -205,6 +205,77 @@ def test_kappas_reports_a_pole_that_meets_its_interval_as_inconclusive(monkeypat
     assert not [line for line in cap.out.splitlines() if line.startswith("{")]
 
 
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_kappas_with_a_failed_row_exits_one(monkeypatch, tmp_path, capsys):
+    rep = roots.verify_kappas(10)
+    failed = dataclasses.replace(rep, rows=(dataclasses.replace(rep.rows[0], passed=False),)
+                                 + rep.rows[1:])
+    monkeypatch.setattr(roots, "verify_kappas", lambda t, precision=None: failed)
+    path = tmp_path / "k.jsonl"
+    assert run(["kappas", "--t-lo", "10", "--t-hi", "10", "--workers", "1",
+                "--output", str(path)]) == cli.EXIT_VERIFICATION_FAILED
+    out = capsys.readouterr().out
+    assert "kappa FAILURE at t=10\n" in out
+    assert "kappas: 0/1 parameter values fully certified" in out
+    recs = _records(path)
+    assert len(recs) == 16 and [r["pass"] for r in recs] == [False] + [True] * 15
+
+
+def _outcome(**changes):
+    """A real reduction outcome at t = 10 with the given fields replaced."""
+    return dataclasses.replace(reduction.reduce_single(2, 10), **changes)
+
+
+@pytest.mark.parametrize("changes, code, line", [
+    ({"contradiction": False}, cli.EXIT_VERIFICATION_FAILED,
+     "t=10: reduction success but no contradiction"),
+    ({"status": "failed", "contradiction": False, "reason": "scan exhausted"},
+     cli.EXIT_INCONCLUSIVE, "t=10: reduction inconclusive after escalation"),
+])
+def test_reduce_exit_without_a_contradiction(changes, code, line, monkeypatch, tmp_path,
+                                             capsys):
+    outcome = _outcome(**changes)
+    monkeypatch.setattr(reduction, "reduce_single", lambda *args: outcome)
+    path = tmp_path / "r.jsonl"
+    assert run(["reduce", "--t", "10", "--output", str(path)]) == code
+    assert capsys.readouterr().out == line + "\n"
+    assert _records(path) == [{**outcome.to_json(), "schema": 1}]
+
+
+@pytest.mark.parametrize("changes, code", [
+    ({"status": "failed", "contradiction": False, "reason": "scan exhausted"},
+     cli.EXIT_INCONCLUSIVE),
+    ({"contradiction": False}, cli.EXIT_VERIFICATION_FAILED),
+])
+def test_sweep_exit_with_a_record_short_of_a_contradiction(changes, code, monkeypatch,
+                                                           tmp_path, capsys):
+    outcomes = [_outcome(), _outcome(t=11, **changes)]
+    monkeypatch.setattr(reduction, "verify_range",
+                        lambda *args, **kwargs: (o for o in outcomes))
+    path = tmp_path / "s.jsonl"
+    assert run(["sweep", "--t-lo", "10", "--t-hi", "11", "--output", str(path)]) == code
+    assert capsys.readouterr().out == "sweep which=2: 1/2 success+contradiction\n"
+    assert _records(path) == [o.to_json() for o in outcomes]
+
+
+def test_certify_all_theorem_range_failure_exits_one(monkeypatch, tmp_path, capsys):
+    for name in ("_cmd_kappas", "_cmd_matveev", "_cmd_tmax", "_cmd_sweep",
+                 "_cmd_verify_tables"):
+        monkeypatch.setattr(cli, name, lambda args, out: cli.EXIT_OK)
+    monkeypatch.setattr(search, "verify_theorem", lambda t, y_bound: t != 5)
+    path = tmp_path / "c.jsonl"
+    assert run(["certify-all", "--y-bound", "50", "--output", str(path)]) \
+        == cli.EXIT_VERIFICATION_FAILED
+    out = capsys.readouterr().out
+    assert "theorem verification FAILED at t=5\n" in out
+    assert "theorem range [-30,30]: 1 failures" in out
+    assert _records(path) == [{"schema": 1, "stage": "theorem-range", "t_range": [-30, 30],
+                               "y_bound": 50, "failures": 1}]
+
+
 # per command, a cheap valid argv and the flags it does not read
 _ARGV = {"roots": ["--t", "10"], "kappas": ["--t-lo", "10", "--t-hi", "10"],
          "exponents": ["--t", "5"], "matveev": [], "tmax": [], "reduce": ["--t", "10"],

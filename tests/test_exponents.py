@@ -5,6 +5,7 @@ import pytest
 
 from cubicthue import exponents
 from cubicthue.bounds import GROWTH
+from cubicthue.errors import VerificationFailedError
 from cubicthue.exponents import SolutionType, classify, recover_exponents
 from cubicthue.forms import evaluate, family_form, known_solutions
 from cubicthue.realnum import CertifiedReal
@@ -68,6 +69,11 @@ def test_recover_residual_certified():
             assert pair.residual.upper < Fraction(1, 100)
 
 
+def _power(x, k):
+    """x^k for an enclosure x and an integer k of either sign."""
+    return x ** k if k >= 0 else 1 / x ** -k
+
+
 def test_roundtrip_reexpansion():
     # rebuild (x, y) from the recovered exponents via two embeddings
     for t in (2, 5, 10, 37, 100):
@@ -76,12 +82,41 @@ def test_roundtrip_reexpansion():
         for (x, y) in known_solutions(t).solutions:
             pair = recover_exponents(t, x, y)
             sign = -1 if pair.delta else 1
-            u1 = sign * (t - th1) ** pair.n * th1 ** (-pair.m)
-            u2 = sign * (t - th2) ** pair.n * th2 ** (-pair.m)
+            u1 = sign * _power(t - th1, pair.n) * _power(th1, -pair.m)
+            u2 = sign * _power(t - th2, pair.n) * _power(th2, -pair.m)
             y_enc = (u1 - u2) / (th2 - th1)
             x_enc = u1 + y_enc * th1
             assert y_enc.contains(y) and x_enc.contains(x)
             assert y_enc.width < Fraction(1, 2) and x_enc.width < Fraction(1, 2)
+
+
+def test_unit_power_matches_every_embedding():
+    # the coefficients in Z[theta] evaluated at each certified root
+    # enclose (t - theta_i)^n * theta_i^(-m): the two inverses are right
+    for t in (2, 9, 10, 57):
+        roots = isolate_roots(t, 640)
+        for n in range(-3, 4):
+            for m in range(-3, 4):
+                c0, c1, c2 = exponents._unit_power(t, n, m)
+                for th in roots.thetas:
+                    diff = (c0 + c1 * th + c2 * th * th
+                            - _power(t - th, n) * _power(th, -m))
+                    assert diff.contains_zero(), (t, n, m)
+                    assert abs(diff).upper < Fraction(1, 10 ** 20)
+
+
+def test_recovery_rejects_exponents_the_identity_refutes(monkeypatch):
+    # a solve that rounds to the wrong exponents is refused exactly,
+    # whatever the precision
+    solve = exponents._solve_at_precision
+
+    def off_by_one(t, x, y, prec):
+        n, m, residual = solve(t, x, y, prec)
+        return n + 1, m, residual
+
+    monkeypatch.setattr(exponents, "_solve_at_precision", off_by_one)
+    with pytest.raises(VerificationFailedError):
+        recover_exponents(10, 10, 1)
 
 
 def _special_solutions(t):

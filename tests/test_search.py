@@ -225,7 +225,8 @@ def test_threshold_is_the_least_y_the_true_roots_allow():
     w = mpmath.mpf(1) / (2 * Y * Y + 2)
     checked = 0
     for F in _oracle_forms():
-        y0 = search._threshold(F, search._brackets(F, Y), Y)
+        brackets = search._brackets(F, Y)
+        y0 = search._threshold(F, brackets, Y)
         if y0 > Y:
             continue
         _, b, c, _ = F.coefficients
@@ -238,6 +239,11 @@ def test_threshold_is_the_least_y_the_true_roots_allow():
                 def premise(y, g):
                     return g * y > 1 and (g * y - 1) ** 2 > 2 * y
                 bound, lowered = gap, gap - 2 * w
+                # y0 is the least y the premise allows for the g that
+                # _threshold takes from the brackets
+                g = min(Fraction(lo, ld) - Fraction(hi, hd)
+                        for (_, hi, hd), (lo, _, ld) in zip(brackets, brackets[1:]))
+                assert y0 == 1 or not premise(y0 - 1, g), F
             else:
                 def premise(y, m):
                     return m * y > 2
