@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 inconclusive
 (precision/Q exhausted, or a certified comparison the enclosures do not
-decide), 3 usage error.
+decide), 3 usage error, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_BROKEN_PIPE = 141
 
 DEFAULT_SEED = 20140213
 SWEEP_SLICE_HI = 2000
@@ -498,6 +499,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("cubicthue %s: verification failed: %s" % (args.command, exc),
               file=sys.stderr)
         rc = EXIT_VERIFICATION_FAILED
+    except BrokenPipeError:
+        # the reader of stdout went away (`cubicthue kappas ... | head`):
+        # stop without a traceback, with stdout on the null device so that
+        # the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        rc = EXIT_BROKEN_PIPE
     finally:
         # a refused run (exit 3), or one stopped by an error before its
         # first record, leaves an existing --output file untouched

@@ -120,7 +120,7 @@ def _solve_at_precision(t: int, x: int, y: int, prec: int):
     n = _round_mid(n_enc)
     m = _round_mid(m_enc)
     residual = CertifiedReal.hull([abs(n_enc - n), abs(m_enc - m)])
-    if endpoint_cmp(residual._mpi[1], *ROUNDING_TOLERANCE.as_integer_ratio()) >= 0:
+    if endpoint_cmp(residual._ival[1], *ROUNDING_TOLERANCE.as_integer_ratio()) >= 0:
         raise PrecisionInsufficientError(
             "rounding deviation %s exceeds tolerance" % float(residual.upper))
     return n, m, residual
@@ -159,5 +159,5 @@ def _unit_power(t: int, n: int, m: int) -> Tuple[int, int, int]:
 def _round_mid(enc: CertifiedReal) -> int:
     """The integer nearest the midpoint (a + b) / 2^(k+1) of enc, halves
     rounded up."""
-    a, b, k = dyadic_numerators(enc._mpi)
+    a, b, k = dyadic_numerators(enc._ival)
     return (a + b + (1 << k)) >> (k + 1)

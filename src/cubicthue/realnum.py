@@ -1,29 +1,32 @@
-"""Certified midpoint-radius real arithmetic.
+"""Certified real arithmetic on integer endpoints.
 
 Every analytic quantity in the engine (roots, logarithms, linear forms,
 reduction ratios) flows through :class:`CertifiedReal`, an enclosure
-held as a raw mpmath interval (a pair of mpf endpoints).  Each operation
-calls mpmath's outward-rounded interval kernels (``mpmath.libmp.mpi_*``)
-at an explicit precision, so no global precision state is read or
-written, and the exact dyadic endpoints are accessible as
-:class:`fractions.Fraction` values.  Operations never guess: whenever an
-enclosure straddles a forbidden region the operation raises and the
-caller escalates precision.
+[lower, upper] whose endpoints are dyadic numbers m * 2^e held as integer
+pairs (m, e).  Each operation computes the exact result of its endpoints
+(or, for division and the logarithm, enough of it) and rounds every
+endpoint on its own side to the working precision: the lower endpoint
+toward -inf, the upper toward +inf.  The precision is explicit in every
+call, so no global state is read or written, and the exact endpoints are
+accessible as :class:`fractions.Fraction` values.  Operations never
+guess: whenever an enclosure straddles a forbidden region the operation
+raises and the caller escalates precision.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, List, NamedTuple, Tuple, Union
-
-from mpmath.libmp import (fzero, mpf_lt, mpf_sign, mpi_abs, mpi_add, mpi_div,
-                          mpi_log, mpi_mul, mpi_neg, mpi_pow_int, mpi_sub,
-                          to_rational)
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 
 Rational = Union[int, Fraction]
+# an endpoint (m, e) stands for m * 2^e
+Endpoint = Tuple[int, int]
+
+_ZERO: Endpoint = (0, 0)
+_ONE: Endpoint = (1, 0)
 
 
 def reduction_precision(Q: int) -> int:
@@ -33,90 +36,299 @@ def reduction_precision(Q: int) -> int:
     return math.ceil(3.33 * (2 * digits10 + 40))
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    p, q = to_rational(x)
-    return Fraction(int(p), int(q))
+# -- endpoints --------------------------------------------------------------
+# An endpoint (m, e) is the dyadic number m * 2^e.  Results of arithmetic
+# keep whatever trailing zero bits their mantissa has, so two endpoints
+# are equal when their values are (`_cmp`), not their pairs;
+# `_normal` gives the odd-mantissa form where one is needed.
+
+def _round(m: int, e: int, prec: int, up: bool) -> Endpoint:
+    """m * 2^e rounded to prec significant bits, toward +inf when `up`
+    and toward -inf otherwise."""
+    drop = m.bit_length() - prec
+    if drop <= 0:
+        return m, e
+    return (-((-m) >> drop) if up else m >> drop), e + drop
 
 
-def _rounded(man: int, exp: int, prec: int, up: bool, inexact: bool = False):
-    """(m, e) with m * 2^e the prec-bit rounding of man * 2^exp (man > 0)
-    toward zero, or away from it when `up`; `inexact` marks a nonzero
-    remainder below man's last bit.  m is odd, as in an mpf."""
-    drop = man.bit_length() - prec
-    if drop > 0:
-        inexact = inexact or man & ((1 << drop) - 1) != 0
-        man >>= drop
-        exp += drop
-    if up and inexact:
-        man += 1
-    zeros = (man & -man).bit_length() - 1
-    return man >> zeros, exp + zeros
+def _normal(x: Endpoint) -> Endpoint:
+    """x with an odd mantissa, or (0, 0)."""
+    m, e = x
+    if not m:
+        return _ZERO
+    zeros = (m & -m).bit_length() - 1
+    return m >> zeros, e + zeros
 
 
-def _rational_side(r: Rational, prec: int, upper: bool):
-    """The upper (or lower) endpoint of mpmath's iv.mpf(num) / iv.mpf(den)
-    for r at prec bits (`_quotient_side` of its numerator and
-    denominator)."""
+def _ratio(x: Endpoint) -> Tuple[int, int]:
+    """x as an integer pair (num, den), den > 0 a power of two."""
+    m, e = x
+    return (m << e, 1) if e >= 0 else (m, 1 << -e)
+
+
+def _fraction(x: Endpoint) -> Fraction:
+    return Fraction(*_ratio(x))
+
+
+def _cmp(x: Endpoint, y: Endpoint) -> int:
+    """The sign (-1, 0 or 1) of x - y."""
+    (m, e), (n, f) = x, y
+    d = (m << (e - f)) - n if e >= f else m - (n << (f - e))
+    return (d > 0) - (d < 0)
+
+
+def _add(x: Endpoint, y: Endpoint, prec: int, up: bool) -> Endpoint:
+    (m, e), (n, f) = x, y
+    if e >= f:
+        return _round((m << (e - f)) + n, f, prec, up)
+    return _round(m + (n << (f - e)), e, prec, up)
+
+
+def _sub(x: Endpoint, y: Endpoint, prec: int, up: bool) -> Endpoint:
+    (m, e), (n, f) = x, y
+    if e >= f:
+        return _round((m << (e - f)) - n, f, prec, up)
+    return _round(m - (n << (f - e)), e, prec, up)
+
+
+def _mul(x: Endpoint, y: Endpoint, prec: int, up: bool) -> Endpoint:
+    return _round(x[0] * y[0], x[1] + y[1], prec, up)
+
+
+def _div(x: Endpoint, y: Endpoint, prec: int, up: bool) -> Endpoint:
+    """x / y (y != 0) rounded.  The numerator is scaled so that the
+    integer quotient has at least prec + 1 bits; the floor (or ceiling)
+    of that quotient then rounds to the floor (or ceiling) of x / y."""
+    (m, e), (n, f) = x, y
+    shift = max(0, prec + n.bit_length() - m.bit_length() + 1)
+    m <<= shift
+    return _round(-(-m // n) if up else m // n, e - f - shift, prec, up)
+
+
+def _pow(x: Endpoint, k: int, prec: int, up: bool) -> Endpoint:
+    """x^k, the exact power rounded once."""
+    return _round(x[0] ** k, x[1] * k, prec, up)
+
+
+def _rational_side(r: Rational, prec: int, upper: bool) -> Endpoint:
+    """The upper (or lower) endpoint of r at prec bits (`_quotient_side`
+    of its numerator and denominator)."""
     return _quotient_side(r.numerator, r.denominator, prec, upper)
 
 
-def _quotient_side(num: int, den: int, prec: int, upper: bool):
-    """The upper (or lower) endpoint of mpmath's iv.mpf(num) / iv.mpf(den)
-    at prec bits, computed in integers, for a reduced pair (den > 0,
-    gcd(num, den) = 1), so that it is the endpoint of the rational
-    num/den.  iv.mpf rounds each integer outward to prec bits, and the
-    interval division then takes, for the side that points away from
-    zero (the upper side of a positive quotient, the lower of a negative
-    one), the numerator's endpoint rounded away from zero over the
-    denominator's rounded toward it, and the quotient rounded away from
-    zero; for the side toward zero, all three the other way.  The
-    quotient carries prec + 1 or more bits and a sticky remainder flag
-    into its rounding, so it is the directed rounding of the exact
-    quotient, as mpf_div's is."""
-    if not num:
-        return fzero
-    away = (num > 0) == upper
-    man, exp = _rounded(abs(num), 0, prec, away)
-    if den != 1:
-        d, d_exp = _rounded(den, 0, prec, not away)
-        exp -= d_exp
-        if d != 1:
-            # man << shift has at least prec + 1 more bits than d
-            shift = prec + d.bit_length() - man.bit_length() + 1
-            man, rem = divmod(man << shift, d)
-            man, exp = _rounded(man, exp - shift, prec, away, rem != 0)
-    return (int(num < 0), man, exp, man.bit_length())
+def _quotient_side(num: int, den: int, prec: int, upper: bool) -> Endpoint:
+    """The upper (or lower) endpoint of the rational num/den at prec
+    bits, for a reduced pair (den > 0, gcd(num, den) = 1), computed as
+    the interval quotient of the two integers' enclosures, each rounded
+    outward to prec bits.  The upper endpoint of the quotient of
+    [N_lo, N_hi] / [D_lo, D_hi] is N_hi / D_lo for num > 0 and
+    N_hi / D_hi for num < 0, rounded up; the lower one is N_lo / D_hi
+    or N_lo / D_lo, rounded down.  The mantissa is odd."""
+    n = _round(num, 0, prec, upper)
+    d = _round(den, 0, prec, (num < 0) == upper)
+    return _normal(_div(n, d, prec, upper))
 
 
-def _rational_mpi(r: Rational, prec: int):
-    """The enclosure iv.mpf(num) / iv.mpf(den) gives r at prec bits; an
-    integer of at most prec bits is its own two endpoints."""
-    lo = _rational_side(r, prec, False)
-    if r.denominator == 1 and abs(r.numerator).bit_length() <= prec:
-        return lo, lo
-    return lo, _rational_side(r, prec, True)
+def _rational_ival(r: Rational, prec: int) -> Tuple[Endpoint, Endpoint]:
+    """The enclosure of r at prec bits; an integer of at most prec bits
+    is its own two endpoints."""
+    if r.denominator == 1 and r.numerator.bit_length() <= prec:
+        x = _normal((r.numerator, 0))
+        return x, x
+    return _rational_side(r, prec, False), _rational_side(r, prec, True)
+
+
+# -- the logarithm ------------------------------------------------------------
+#
+# ln x for a dyadic x = m 2^e > 0 is first bracketed in fixed point: an
+# integer pair L <= 2^w ln x <= H.  Write x = 2^E y with y in [1, 2); let
+# c1 = j/2^R be the nearest point to y on the grid 2^-R (j = 2^(R+1) is
+# taken as E + 1 and j = 2^R), and c2 = i/2^S the nearest point to y/c1 on
+# the grid 2^-S.  Then, with c = c1 c2,
+#     ln x = E ln 2 + ln c1 + ln c2 + 2 atanh(z),   z = (y - c)/(y + c).
+# |y - c1| <= 2^-(R+1) and |y/c1 - c2| <= 2^-(S+1), so |y - c| <=
+# c1 2^-(S+1) while y + c > c1: |z| < 2^-(S+1).  ln 2 = 2 atanh(1/3) and
+# the table values ln(j/2^R) and ln(i/2^S) = 2 atanh((i - 2^S)/(i + 2^S))
+# (arguments at most 1/3) come from the same series (`_atanh_fixed`).
+# Near 1 (E = 0, c = 1) only the atanh term is left, so the bracket has
+# the relative precision of z.
+#
+# Ziv's rounding test (Ziv 1991) turns the bracket into an endpoint: L and
+# H are rounded to prec bits in the endpoint's direction, and the result
+# stands when the two agree, since rounding is monotone.  Otherwise w
+# grows by 64 bits and the bracket is recomputed.  ln x is irrational for
+# every dyadic x != 1, so it lies on no rounding boundary and the loop
+# ends; x = 1 returns 0 before it.  w is always a multiple of 64, and a
+# table value is kept at the largest w it was asked for.
+
+_R, _S = 8, 16
+_GRID, _FINE = 1 << _R, 1 << _S
+_CONST_GUARD = 32
+# (j, bits) -> (W, C): ln(j/2^bits) at the largest W asked for (`_ln_dyadic`)
+_LN: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+
+def _atanh_fixed(num: int, den: int, w: int) -> Tuple[int, int]:
+    """(S, err) with S <= 2^w atanh(z) < S + err for z = num/den in
+    [0, 1/3], by the series sum z^(2i+1)/(2i+1) summed in two streams:
+    the terms z^(4i+1)/(4i+1) and z^2 times z^(4i+1)/(4i+3).
+
+    Every product and quotient is floored.  Z = floor(2^w z) falls short
+    of 2^w z by less than 1; Q = floor(Z^2 / 2^w) of 2^w z^2 by less than
+    1 + 2z < 2; Q2 = floor(Q^2 / 2^w) of 2^w z^4 by less than
+    1 + 4z^2 < 2.  The powers P_0 = Z, P_i = floor(P_(i-1) Q2 / 2^w)
+    stand for t_i = 2^w z^(4i+1), and 0 <= t_i - P_i < e_i with e_0 = 1
+    and e_i <= z^4 e_(i-1) + 2z + 1 < 2 (P_(i-1) <= t_0 = 2^w z bounds
+    P_(i-1) (z^4 - Q2/2^w)).  The loop adds floor(P_i/(4i+1)) to S0 and
+    floor(P_i/(4i+3)) to S1 for i = 0..n, where P_n = 0 ends it.  S0 is
+    short by less than 1 + 1.4 n plus a tail below 0.03 (t_i for i > n
+    is at most t_n z^(4(i-n)), t_n < 2), and S1 by less than
+    4/3 + 1.3 n + 0.03.  S = S0 + floor(S1 Q / 2^w), and the odd part is
+    short by less than z^2 (S1's shortfall) + S1 * 2/2^w + 1, where
+    S1 <= 2^w z/3 * 81/80.  So 0 <= 2^w atanh(z) - S < 2.4 + 1.6 n,
+    below 2n + 4."""
+    z = (num << w) // den
+    q = (z * z) >> w
+    q2 = (q * q) >> w
+    s0 = p = z
+    s1 = z // 3
+    k = 1
+    while p:
+        p = (p * q2) >> w
+        k += 4
+        s0 += p // k
+        s1 += p // (k + 2)
+    return s0 + ((s1 * q) >> w), (k - 1) // 2 + 4
+
+
+def _twice_atanh(num: int, den: int, w: int) -> Tuple[int, int]:
+    """(L, H) with L <= 2^w * 2 atanh(num/den) <= H, |num|/den <= 1/3."""
+    s, err = _atanh_fixed(abs(num), den, w)
+    s, err = 2 * s, 2 * err
+    return (s, s + err) if num >= 0 else (-s - err, -s)
+
+
+def _ln_dyadic(j: int, bits: int, w: int) -> int:
+    """C with C <= 2^w ln(j/2^bits) < C + 2, for j/2^bits in [1/2, 2]:
+    the bracket of `_twice_atanh` at _CONST_GUARD more bits, whose width
+    is far below 2^_CONST_GUARD, floored to w bits.  Each value is kept
+    at the largest w asked for, W, and shifted down for a smaller w:
+    C_W >> d, with C_W = 2^d (C_W >> d) + r and r < 2^d, keeps
+    C <= 2^w v < (C_W + 2)/2^d <= C + 1 + 1/2^d.  The rounding test
+    accepts only the one correct rounding, so which W served a bracket
+    does not show in any endpoint."""
+    W, c = _LN.get((j, bits), (-1, 0))
+    if W < w:
+        one = 1 << bits
+        W, c = w, _twice_atanh(j - one, j + one, w + _CONST_GUARD)[0] >> _CONST_GUARD
+        _LN[j, bits] = W, c
+    return c >> (W - w)
+
+
+def _ln_reduce(x: Endpoint) -> Tuple[int, int, int, int, int]:
+    """(E, j, i, N, D) for x = m 2^e > 0: x = 2^E (j/2^R) (i/2^S) e^(2 atanh z)
+    with z = N/D, D > 0."""
+    m, e = x
+    k = m.bit_length() - 1                        # y = m / 2^k
+    j = (((m << (_R + 1)) >> k) + 1) >> 1         # round(y 2^R)
+    if j == _GRID << 1:
+        j, k = _GRID, k + 1
+    i = ((((m << (_R + _S + 1)) >> k) // j) + 1) >> 1   # round(y 2^(R+S) / j)
+    top, c = m << (_R + _S), (j * i) << k
+    return e + k, j, i, top - c, top + c
+
+
+def _ln_bits(r: Tuple[int, int, int, int, int]) -> int:
+    """Fraction bits beyond the precision that the bracket of `r` needs
+    before its rounding can succeed: -log2 |ln x| (when c1 != 1 or
+    E != 0, y stays 2^-(R+1) from the grid points 1 and 2 and |ln x| >
+    2^-(R+2); when only c2 != 1, |ln x| > 2^-(S+2); else
+    |ln x| >= |2z| >= 2^(bits(N) - bits(D))), the 2|E| ulps of error of
+    E ln 2, and 20 for the series and the rounding test."""
+    E, j, i, N, D = r
+    if E or j != _GRID:
+        mag = _R + 2
+    else:
+        mag = _S + 2 if i != _FINE else D.bit_length() - N.bit_length()
+    return mag + E.bit_length() + 20
+
+
+def _ln_bracket(r: Tuple[int, int, int, int, int], w: int) -> Tuple[int, int]:
+    """(L, H) with L <= 2^w ln x <= H for x reduced to r."""
+    E, j, i, N, D = r
+    lo, hi = _twice_atanh(N, D, w)
+    if j != _GRID:
+        c = _ln_dyadic(j, _R, w)
+        lo, hi = lo + c, hi + c + 2
+    if i != _FINE:
+        c = _ln_dyadic(i, _S, w)
+        lo, hi = lo + c, hi + c + 2
+    if E:
+        c = E * _ln_dyadic(2, 0, w)
+        lo, hi = (lo + c, hi + c + 2 * E) if E > 0 else (lo + c + 2 * E, hi + c)
+    return lo, hi
+
+
+def _ziv(bracket: Tuple[int, int], w: int, prec: int, up: bool):
+    """The prec-bit rounding of every value in bracket/2^w, or None when
+    the bracket's ends round apart."""
+    a = _round(bracket[0], -w, prec, up)
+    return a if _cmp(a, _round(bracket[1], -w, prec, up)) == 0 else None
+
+
+def _log_ival(a: Endpoint, b: Endpoint, prec: int) -> Tuple[Endpoint, Endpoint]:
+    """[ln a rounded down, ln b rounded up] at prec bits, 0 < a <= b.
+
+    ln b is ln a + 2 atanh((b - a)/(b + a)) when that argument is below
+    2^-(S+1): for the narrow enclosures the engine forms, its series
+    then needs a term or two, not a second full evaluation."""
+    a, b = _normal(a), _normal(b)
+    lo = _ZERO if a == _ONE else None
+    hi = _ZERO if b == _ONE else None
+    ra, rb = _ln_reduce(a), _ln_reduce(b)
+    (m, e), (n, f) = a, b
+    g = min(e, f)
+    m, n = m << (e - g), n << (f - g)
+    gap, total = n - m, n + m
+    near = total.bit_length() - gap.bit_length() > _S + 1
+    w = -(-(prec + max(_ln_bits(ra), _ln_bits(rb))) // 64) * 64
+    while lo is None or hi is None:
+        la = _ln_bracket(ra, w)
+        if lo is None:
+            lo = _ziv(la, w, prec, False)
+        if hi is None:
+            if not gap:
+                lb = la
+            elif near:
+                c0, c1 = _twice_atanh(gap, total, w)
+                lb = la[0] + c0, la[1] + c1
+            else:
+                lb = _ln_bracket(rb, w)
+            hi = _ziv(lb, w, prec, True)
+        w += 64
+    return lo, hi
 
 
 def _straddles_zero(ival) -> bool:
-    return mpf_sign(ival[0]) <= 0 <= mpf_sign(ival[1])
+    return ival[0][0] <= 0 <= ival[1][0]
 
 
 class CertifiedReal:
     """An enclosure [lower, upper] of an exact real number, tagged with
-    the working precision (bits) used to produce it.  `ival` is a raw
-    mpmath interval, a pair of mpf endpoints (``iv.mpf(...)._mpi_``)."""
+    the working precision (bits) used to produce it.  `ival` is the pair
+    of endpoints ((m_lo, e_lo), (m_hi, e_hi))."""
 
-    __slots__ = ("_mpi", "precision")
+    __slots__ = ("_ival", "precision")
 
-    def __init__(self, ival: tuple, precision: int):
-        self._mpi = ival
+    def __init__(self, ival: Tuple[Endpoint, Endpoint], precision: int):
+        self._ival = ival
         self.precision = precision
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def from_rational(cls, r: Rational, precision: int) -> "CertifiedReal":
-        return cls(_rational_mpi(r, precision), precision)
+        return cls(_rational_ival(r, precision), precision)
 
     @classmethod
     def from_endpoints(cls, lo: Rational, hi: Rational, precision: int) -> "CertifiedReal":
@@ -130,12 +342,12 @@ class CertifiedReal:
         vals = list(values)
         if not vals:
             raise ValueError("empty hull")
-        lo, hi = vals[0]._mpi
+        lo, hi = vals[0]._ival
         for v in vals[1:]:
-            a, b = v._mpi
-            if mpf_lt(a, lo):
+            a, b = v._ival
+            if _cmp(a, lo) < 0:
                 lo = a
-            if mpf_lt(hi, b):
+            if _cmp(hi, b) < 0:
                 hi = b
         return cls((lo, hi), max(v.precision for v in vals))
 
@@ -143,11 +355,11 @@ class CertifiedReal:
 
     @property
     def lower(self) -> Fraction:
-        return _mpf_to_fraction(self._mpi[0])
+        return _fraction(self._ival[0])
 
     @property
     def upper(self) -> Fraction:
-        return _mpf_to_fraction(self._mpi[1])
+        return _fraction(self._ival[1])
 
     @property
     def midpoint(self) -> Fraction:
@@ -169,70 +381,98 @@ class CertifiedReal:
         return self.lower <= Fraction(r) <= self.upper
 
     def contains_zero(self) -> bool:
-        return _straddles_zero(self._mpi)
+        return _straddles_zero(self._ival)
 
     def is_positive(self) -> bool:
-        return mpf_sign(self._mpi[0]) > 0
+        return self._ival[0][0] > 0
 
     # -- arithmetic ---------------------------------------------------
-    # Each operation runs one libmp interval kernel at the larger of the
-    # operands' precisions; an int or Fraction operand is enclosed at
-    # the precision of the CertifiedReal it meets.
+    # Each operation runs at the larger of the operands' precisions; an
+    # int or Fraction operand is enclosed at the precision of the
+    # CertifiedReal it meets.
 
     def _operand(self, other) -> Tuple[tuple, int]:
-        if isinstance(other, (int, Fraction)):
-            return _rational_mpi(other, self.precision), self.precision
-        return other._mpi, max(self.precision, other.precision)
+        p = self.precision
+        if isinstance(other, CertifiedReal):
+            q = other.precision
+            return other._ival, (q if q > p else p)
+        return _rational_ival(other, p), p
 
     def __add__(self, other):
-        b, prec = self._operand(other)
-        return CertifiedReal(mpi_add(self._mpi, b, prec), prec)
+        (c, d), prec = self._operand(other)
+        a, b = self._ival
+        return CertifiedReal((_add(a, c, prec, False), _add(b, d, prec, True)), prec)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        b, prec = self._operand(other)
-        return CertifiedReal(mpi_sub(self._mpi, b, prec), prec)
+        (c, d), prec = self._operand(other)
+        a, b = self._ival
+        return CertifiedReal((_sub(a, d, prec, False), _sub(b, c, prec, True)), prec)
 
     def __rsub__(self, other):
-        b, prec = self._operand(other)
-        return CertifiedReal(mpi_sub(b, self._mpi, prec), prec)
+        (c, d), prec = self._operand(other)
+        a, b = self._ival
+        return CertifiedReal((_sub(c, b, prec, False), _sub(d, a, prec, True)), prec)
 
     def __mul__(self, other):
-        b, prec = self._operand(other)
-        return CertifiedReal(mpi_mul(self._mpi, b, prec), prec)
+        y, prec = self._operand(other)
+        return CertifiedReal(_mul_ival(self._ival, y, prec), prec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b, prec = self._operand(other)
-        if _straddles_zero(b):
+        y, prec = self._operand(other)
+        if _straddles_zero(y):
             raise IndeterminateSignError("division by enclosure containing zero")
-        return CertifiedReal(mpi_div(self._mpi, b, prec), prec)
+        return CertifiedReal(_div_ival(self._ival, y, prec), prec)
 
     def __rtruediv__(self, other):
         if self.contains_zero():
             raise IndeterminateSignError("division by enclosure containing zero")
-        b, prec = self._operand(other)
-        return CertifiedReal(mpi_div(b, self._mpi, prec), prec)
+        x, prec = self._operand(other)
+        return CertifiedReal(_div_ival(x, self._ival, prec), prec)
 
     def __neg__(self):
-        return CertifiedReal(mpi_neg(self._mpi, self.precision), self.precision)
+        a, b = self._ival
+        p = self.precision
+        return CertifiedReal((_round(-b[0], b[1], p, False),
+                              _round(-a[0], a[1], p, True)), p)
 
     def __abs__(self):
-        return CertifiedReal(mpi_abs(self._mpi, self.precision), self.precision)
+        a, b = self._ival
+        p = self.precision
+        if a[0] >= 0:
+            ival = _round(a[0], a[1], p, False), _round(b[0], b[1], p, True)
+        elif b[0] <= 0:
+            ival = _round(-b[0], b[1], p, False), _round(-a[0], a[1], p, True)
+        else:
+            top = b if _cmp((-a[0], a[1]), b) < 0 else (-a[0], a[1])
+            ival = _ZERO, _round(top[0], top[1], p, True)
+        return CertifiedReal(ival, p)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise TypeError("only non-negative integer powers are supported")
-        return CertifiedReal(mpi_pow_int(self._mpi, k, self.precision), self.precision)
+        a, b = self._ival
+        p = self.precision
+        if k == 0:
+            ival = _ONE, _ONE
+        elif k & 1 or a[0] >= 0:
+            ival = _pow(a, k, p, False), _pow(b, k, p, True)
+        elif b[0] <= 0:
+            ival = _pow(b, k, p, False), _pow(a, k, p, True)
+        else:
+            top = b if _cmp((-a[0], a[1]), b) < 0 else a
+            ival = _ZERO, _pow(top, k, p, True)
+        return CertifiedReal(ival, p)
 
     def log(self) -> "CertifiedReal":
         if not self.is_positive():
             raise IndeterminateSignError(
                 "log requires an enclosure strictly above zero, got [%s, %s]"
                 % (self.lower, self.upper))
-        return CertifiedReal(mpi_log(self._mpi, self.precision), self.precision)
+        return CertifiedReal(_log_ival(*self._ival, self.precision), self.precision)
 
     # -- serialization ------------------------------------------------
 
@@ -249,6 +489,54 @@ class CertifiedReal:
         return "CertifiedReal(%s)" % self.as_decimal_string(20)
 
 
+def _mul_ival(x, y, prec: int):
+    """[a, b] * [c, d]: the least and greatest endpoint products, picked
+    by the operands' signs, each rounded outward."""
+    (a, b), (c, d) = x, y
+    if a[0] >= 0:
+        if c[0] >= 0:
+            lo, hi = (a, c), (b, d)
+        elif d[0] <= 0:
+            lo, hi = (b, c), (a, d)
+        else:
+            lo, hi = (b, c), (b, d)
+    elif b[0] <= 0:
+        if c[0] >= 0:
+            lo, hi = (a, d), (b, c)
+        elif d[0] <= 0:
+            lo, hi = (b, d), (a, c)
+        else:
+            lo, hi = (a, d), (a, c)
+    elif c[0] >= 0:
+        lo, hi = (a, d), (b, d)
+    elif d[0] <= 0:
+        lo, hi = (b, c), (a, c)
+    else:
+        # both straddle zero: the products are exact, so compare them
+        ad, bc = (a[0] * d[0], a[1] + d[1]), (b[0] * c[0], b[1] + c[1])
+        ac, bd = (a[0] * c[0], a[1] + c[1]), (b[0] * d[0], b[1] + d[1])
+        low = ad if _cmp(ad, bc) < 0 else bc
+        high = bd if _cmp(ac, bd) < 0 else ac
+        return _round(*low, prec, False), _round(*high, prec, True)
+    return _mul(*lo, prec, False), _mul(*hi, prec, True)
+
+
+def _div_ival(x, y, prec: int):
+    """[a, b] / [c, d] for a divisor that excludes zero: for c > 0, the
+    numerator's sign picks the endpoint quotients; for d < 0, x/y is
+    (-x)/(-y)."""
+    (a, b), (c, d) = x, y
+    if c[0] < 0:
+        (a, b), (c, d) = ((-b[0], b[1]), (-a[0], a[1])), ((-d[0], d[1]), (-c[0], c[1]))
+    if a[0] >= 0:
+        lo, hi = (a, d), (b, c)
+    elif b[0] <= 0:
+        lo, hi = (a, c), (b, d)
+    else:
+        lo, hi = (a, c), (b, c)
+    return _div(*lo, prec, False), _div(*hi, prec, True)
+
+
 def certified_below(a, b, undecided: str) -> bool:
     """a < b for every value of the enclosures a and b (True), a >= b for
     every value (False); overlapping enclosures raise
@@ -258,37 +546,39 @@ def certified_below(a, b, undecided: str) -> bool:
         a = CertifiedReal.from_rational(a, b.precision)
     elif not isinstance(b, CertifiedReal):
         b = CertifiedReal.from_rational(b, a.precision)
-    if mpf_lt(a._mpi[1], b._mpi[0]):
+    if _cmp(a._ival[1], b._ival[0]) < 0:
         return True
-    if not mpf_lt(a._mpi[0], b._mpi[1]):
+    if _cmp(a._ival[0], b._ival[1]) >= 0:
         return False
     raise IndeterminateSignError(undecided)
 
 
-def endpoint_cmp(x, num: int, den: int = 1) -> int:
-    """The sign (-1, 0 or 1) of x - num/den for an mpf endpoint x and
-    den > 0: the sign of man * 2^exp * den - num, computed in integers.
-    A NaN or infinite endpoint raises ValueError instead of reading as
-    0."""
-    sign, man, exp, _ = x
-    if not man and x != fzero:
-        raise ValueError("endpoint %r is not finite" % (x,))
-    if sign:
-        man = -man
-    d = (man << exp) * den - num if exp >= 0 else man * den - (num << -exp)
+def endpoint_cmp(x: Endpoint, num: int, den: int = 1) -> int:
+    """The sign (-1, 0 or 1) of x - num/den for an endpoint x and den > 0:
+    the sign of m * 2^e * den - num, computed in integers."""
+    m, e = x
+    d = (m << e) * den - num if e >= 0 else m * den - (num << -e)
     return (d > 0) - (d < 0)
 
 
 def _decimal(r: Fraction, digits: int) -> str:
+    """r as d.ddd...e+X with `digits` digits after the point, truncated.
+    The exponent X = floor(log10 |r|) is estimated from the bit lengths
+    of r's numerator and denominator and then settled by exact integer
+    comparison, so it holds at any magnitude."""
     if r == 0:
         return "0"
     sign = "-" if r < 0 else ""
-    r = abs(r)
-    e = math.floor(math.log10(float(r))) if float(r) > 0 else -400
-    scaled = r / Fraction(10) ** e
+    n, d = abs(r.numerator), r.denominator
+    e = math.floor((n.bit_length() - d.bit_length()) * math.log10(2))
+    # 10^e <= n/d < 10^(e+1)
+    while (n * 10 ** -e < d) if e < 0 else (n < d * 10 ** e):
+        e -= 1
+    while (n * 10 ** (-e - 1) >= d) if e + 1 < 0 else (n >= d * 10 ** (e + 1)):
+        e += 1
+    scaled = Fraction(n, d) / Fraction(10) ** e
     # one leading digit plus `digits` following
-    q = int(scaled * 10 ** digits)
-    s = str(q)
+    s = str(int(scaled * 10 ** digits))
     return "%s%s.%se%+d" % (sign, s[0], s[1:] or "0", e)
 
 
@@ -374,7 +664,7 @@ def shared_convergents(x: CertifiedReal, Q: int) -> Iterator[Convergent]:
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    (a, b), (c, d) = to_rational(x._mpi[0]), to_rational(x._mpi[1])
+    (a, b), (c, d) = _ratio(x._ival[0]), _ratio(x._ival[1])
     return lockstep_expansion(a, b, c, d, Q)
 
 
@@ -387,9 +677,9 @@ def continued_fraction_convergents(x: CertifiedReal, Q: int) -> List[Convergent]
 def dyadic_numerators(ival) -> Tuple[int, int, int]:
     """The endpoints of the raw interval `ival` over one denominator
     2^k, as (a, b, k) with ival = [a/2^k, b/2^k] and k >= 1."""
-    (a, da), (b, db) = to_rational(ival[0]), to_rational(ival[1])
-    k = max(da.bit_length(), db.bit_length(), 2) - 1
-    return a << (k + 1 - da.bit_length()), b << (k + 1 - db.bit_length()), k
+    (a, e), (b, f) = ival
+    k = max(1, -e, -f)
+    return a << (e + k), b << (f + k), k
 
 
 def integer_distance_num(a: int, b: int, k: int) -> Tuple[int, int, int]:

@@ -90,7 +90,7 @@ def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
 def _check_width(name: str, gamma: CertifiedReal, scale: int, bound: str):
     """Raises unless gamma's width (b - a)/2^k is below 1/scale,
     cross-multiplied."""
-    a, b, k = dyadic_numerators(gamma._mpi)
+    a, b, k = dyadic_numerators(gamma._ival)
     if not scale * (b - a) < 1 << k:
         raise PrecisionInsufficientError(
             "%s width %.3g exceeds %s" % (name, float(gamma.width), bound))
@@ -118,8 +118,8 @@ def _ln_q_squared(Q: int) -> CertifiedReal:
 
 def _lambda_lower_enclosure(beta: CertifiedReal, Q: int) -> CertifiedReal:
     """ln(|beta|_lower / Q^2) enclosed at LOG_PRECISION bits, where
-    |beta|_lower is the mpf lower endpoint of |beta|'s enclosure."""
-    b = abs(beta)._mpi[0]
+    |beta|_lower is the lower endpoint of |beta|'s enclosure."""
+    b = abs(beta)._ival[0]
     return CertifiedReal((b, b), LOG_PRECISION).log() - _ln_q_squared(Q)
 
 
@@ -131,7 +131,7 @@ def baker_davenport(inst: ReductionInstance) -> Verdict:
     down past it still succeeds; a failed scan raises the expansion's
     PrecisionInsufficientError, if it has one."""
     threshold_100 = 101 * inst.A + 200      # 100 * (1.01*A + 2)
-    gamma2_num = dyadic_numerators(inst.gamma2._mpi)
+    gamma2_num = dyadic_numerators(inst.gamma2._ival)
     scanned = 0
     for conv in shared_convergents(inst.gamma1, inst.Q):
         scanned += 1
@@ -268,8 +268,8 @@ def reverify_verdict(inst: ReductionInstance, verdict: Verdict) -> bool:
     p, q = verdict.p, verdict.q
     if not (1 <= q <= inst.Q and math.gcd(p, q) == 1):
         return False
-    if _certified_norm(dyadic_numerators(inst.gamma2._mpi), inst.A, q) is None:
+    if _certified_norm(dyadic_numerators(inst.gamma2._ival), inst.A, q) is None:
         return False
     # |e/2^k - p/q| < 1/q^2 at both endpoints e, cross-multiplied
-    a, b, k = dyadic_numerators(inst.gamma1._mpi)
+    a, b, k = dyadic_numerators(inst.gamma1._ival)
     return all(q * abs(e * q - (p << k)) < 1 << k for e in (a, b))

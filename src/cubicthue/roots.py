@@ -384,7 +384,7 @@ def _endpoint_ratios(which: int, k: _KappaTerms) -> List[CertifiedReal]:
     hull of the two endpoint values.  Raises IndeterminateSignError when
     the enclosure meets the interval."""
     lo, hi = solution_interval(which, k.t)
-    pole_lo, pole_hi = (k.th1 if which == 2 else k.th2)._mpi
+    pole_lo, pole_hi = (k.th1 if which == 2 else k.th2)._ival
     if not (endpoint_cmp(pole_hi, *lo.as_integer_ratio()) < 0
             or endpoint_cmp(pole_lo, *hi.as_integer_ratio()) > 0):
         raise IndeterminateSignError("the pole of the I_%d ratio meets I_%d" % (which, which))
@@ -489,7 +489,7 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     rows = []
     for j in range(1, 17):
         lo, hi = KAPPA_TARGETS[j]
-        a, b = encs[j]._mpi
+        a, b = encs[j]._ival
         rows.append(KappaRow(j, encs[j], (lo, hi),
                              endpoint_cmp(a, *lo.as_integer_ratio()) > 0
                              and endpoint_cmp(b, *hi.as_integer_ratio()) < 0))

@@ -786,3 +786,23 @@ def test_bench_full_records_the_default_q_and_t_max():
     for run_ in (default, paper):
         assert run_["records"] == run_["success_contradiction"] == t_max - 9
         assert run_["precision"] == realnum.reduction_precision(int(run_["Q"]))
+
+
+def test_closed_stdout_pipe_ends_quietly_with_exit_141():
+    """`cubicthue kappas ... | head -1`: the records outgrow the pipe
+    buffer, so the run is still writing when its reader closes the pipe
+    after one line."""
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "cubicthue.cli", "kappas",
+                             "--t-lo", "10", "--t-hi", "300"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    proc.stderr.close()
+    assert json.loads(first)["t"] == 10
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""

@@ -1,8 +1,11 @@
-"""The engine's proof constants live on CertifiedReal: its modules reach
-mpmath only through the interval kernels of `mpmath.libmp`, and use no
-float e, exp or factorial."""
+"""The engine's proof constants live on CertifiedReal: its modules import
+no mpmath, which only the tests use, as an oracle, and use no float e,
+exp or factorial."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "cubicthue"
@@ -10,15 +13,15 @@ FLOAT_NAMES = {"e", "exp", "factorial"}
 
 
 def _violations(source: str):
-    """(line, what) for each mpmath import other than mpmath.libmp and
-    each use of math.e, math.exp or math.factorial."""
+    """(line, what) for each mpmath import and each use of math.e,
+    math.exp or math.factorial."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [(node.lineno, "import " + a.name) for a in node.names
-                      if a.name.split(".")[0] == "mpmath" and a.name != "mpmath.libmp"]
+                      if a.name.split(".")[0] == "mpmath"]
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.split(".")[0] == "mpmath" and node.module != "mpmath.libmp":
+            if node.module.split(".")[0] == "mpmath":
                 found.append((node.lineno, "from " + node.module))
             elif node.module == "math":
                 found += [(node.lineno, "from math import " + a.name)
@@ -41,5 +44,14 @@ def test_the_guard_sees_each_forbidden_form():
               "from math import exp, log\nx = math.e ** 2 * math.factorial(3)\n"
               "y = math.exp(1) + math.log(2)\n")
     assert sorted(_violations(source)) == [
-        (2, "import mpmath"), (3, "from mpmath"), (5, "from math import exp"),
+        (2, "import mpmath"), (3, "from mpmath"), (4, "from mpmath.libmp"),
+        (5, "from math import exp"),
         (6, "math.e"), (6, "math.factorial"), (7, "math.exp")]
+
+
+def test_the_command_line_runs_without_mpmath():
+    code = "import sys, cubicthue.cli; print(sorted(m for m in sys.modules if 'mpmath' in m))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,20 +1,24 @@
+import decimal
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
-from mpmath.libmp import finf, fnan, fninf, from_man_exp, fzero, to_rational
+from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_log, mpf_pos,
+                          round_ceiling, round_floor, to_rational)
 
 from cubicthue import bounds, exponents, forms, realnum, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
-                               _convergents_of_fraction, _quotient_side, _rational_mpi,
+                               _convergents_of_fraction, _quotient_side, _rational_ival,
                                _rational_side, dyadic_numerators, endpoint_cmp,
                                integer_distance_num, lockstep_expansion,
                                reduction_precision)
+from mpmath_oracle import endpoint_of, ival_of
 
 
 def _rand_fraction(rng, digits=9):
@@ -51,7 +55,7 @@ def test_log_of_e_contains_one():
     try:
         mpmath.iv.prec = 128
         e_iv = mpmath.iv.exp(mpmath.iv.mpf(1))
-        e = CertifiedReal(e_iv._mpi_, 128)
+        e = CertifiedReal(ival_of(e_iv._mpi_), 128)
     finally:
         mpmath.iv.prec = old
     assert e.log().contains(1)
@@ -151,7 +155,7 @@ def test_convergents_golden_ratio_fibonacci():
     try:
         mpmath.iv.prec = 256
         phi = (1 + mpmath.iv.sqrt(5)) / 2
-        x = CertifiedReal(phi._mpi_, 256)
+        x = CertifiedReal(ival_of(phi._mpi_), 256)
     finally:
         mpmath.iv.prec = old
     convs = continued_fraction_convergents(x, 100)
@@ -181,7 +185,7 @@ def test_convergent_denominators_increase_and_coprime():
     old = mpmath.iv.prec
     try:
         mpmath.iv.prec = 256
-        x = CertifiedReal(mpmath.iv.sqrt(2)._mpi_, 256)
+        x = CertifiedReal(ival_of(mpmath.iv.sqrt(2)._mpi_), 256)
     finally:
         mpmath.iv.prec = old
     convs = continued_fraction_convergents(x, 10 ** 4)
@@ -200,7 +204,7 @@ def test_convergents_wide_enclosure_raises():
 def test_nearest_integer_distance_values():
     def distance(r):
         # the bounds lo/2^k and hi/2^k, read as the numerators (lo, hi, k)
-        ival = CertifiedReal.from_rational(r, 128)._mpi
+        ival = CertifiedReal.from_rational(r, 128)._ival
         return integer_distance_num(*dyadic_numerators(ival))
 
     lo, hi, k = distance(Fraction(37, 10))
@@ -213,13 +217,13 @@ def test_nearest_integer_distance_values():
 
 def test_nearest_integer_distance_wide_input():
     wide = CertifiedReal.from_endpoints(0, 10, 64)
-    lo, hi, k = integer_distance_num(*dyadic_numerators(wide._mpi))
+    lo, hi, k = integer_distance_num(*dyadic_numerators(wide._ival))
     assert lo == 0 and hi == 1 << (k - 1)
 
 
 def test_nearest_integer_distance_straddles_integer():
     enc = CertifiedReal.from_endpoints(Fraction(19, 10), Fraction(21, 10), 64)
-    lo, hi, k = integer_distance_num(*dyadic_numerators(enc._mpi))
+    lo, hi, k = integer_distance_num(*dyadic_numerators(enc._ival))
     assert lo == 0
     assert hi <= 1 << (k - 1)
 
@@ -277,7 +281,7 @@ def test_integer_distance_matches_the_fraction_reference():
         ival = _dyadic_interval(rng)
         lo, hi = (Fraction(*to_rational(e)) for e in ival)
         want = _reference_distance(lo, hi)
-        n_lo, n_hi, k = integer_distance_num(*dyadic_numerators(ival))
+        n_lo, n_hi, k = integer_distance_num(*dyadic_numerators(ival_of(ival)))
         assert 0 <= n_lo <= n_hi <= 1 << (k - 1)
         assert (Fraction(n_lo, 1 << k), Fraction(n_hi, 1 << k)) == want
         kinds.add("negative" if lo < 0 else "nonnegative")
@@ -300,7 +304,8 @@ def _iv_quotient(r, prec):
     """The reference enclosure of r at prec bits: mpmath's
     iv.mpf(num) / iv.mpf(den), each integer rounded outward and then
     divided by mpmath's interval division."""
-    return _at(prec, lambda: (mpmath.iv.mpf(r.numerator) / mpmath.iv.mpf(r.denominator))._mpi_)
+    return _at(prec, lambda: ival_of(
+        (mpmath.iv.mpf(r.numerator) / mpmath.iv.mpf(r.denominator))._mpi_))
 
 
 def test_one_sided_endpoints_match_the_two_sided_enclosure():
@@ -314,16 +319,16 @@ def test_one_sided_endpoints_match_the_two_sided_enclosure():
         for r in values:
             both = _iv_quotient(r, prec)
             assert (_rational_side(r, prec, False), _rational_side(r, prec, True)) == both
-            assert _rational_mpi(r, prec) == both
-            assert CertifiedReal.from_endpoints(r, r, prec)._mpi == both
+            assert _rational_ival(r, prec) == both
+            assert CertifiedReal.from_endpoints(r, r, prec)._ival == both
     for lo, hi in zip(values, values[1:]):
         lo, hi = min(lo, hi), max(lo, hi)
-        assert CertifiedReal.from_endpoints(lo, hi, 200)._mpi == \
+        assert CertifiedReal.from_endpoints(lo, hi, 200)._ival == \
             (_iv_quotient(lo, 200)[0], _iv_quotient(hi, 200)[1])
 
 
 def test_integer_rounding_matches_mpmath_bit_for_bit():
-    """The integer directed rounding of a rational gives the very mpf
+    """The integer directed rounding of a rational gives the very
     endpoints of iv.mpf(num) / iv.mpf(den), for numerators and
     denominators of fewer, as many and more bits than the precision, and
     so does its (num, den) form on the reduced pair, as isolate_roots
@@ -344,7 +349,7 @@ def test_integer_rounding_matches_mpmath_bit_for_bit():
             num = rng.choice((0, 1, (1 << prec) - 1, 1 << prec, (1 << prec) + 1))
         r = Fraction(num * rng.choice((1, -1)), den)
         want = _iv_quotient(r, prec)
-        assert _rational_mpi(r, prec) == want, (r, prec)
+        assert _rational_ival(r, prec) == want, (r, prec)
         assert tuple(_quotient_side(r.numerator, r.denominator, prec, upper)
                      for upper in (False, True)) == want, (r, prec)
         kinds.add("negative" if r < 0 else "positive" if r > 0 else "zero")
@@ -366,10 +371,28 @@ def test_decimal_serialization_mentions_precision():
     assert "96 bits" in s and "±" in s
 
 
+def test_decimal_exponent_is_exact_beyond_the_float_range():
+    assert realnum._decimal(Fraction(1, 10 ** 900), 3) == "1.000e-900"
+    assert realnum._decimal(Fraction(10 ** 400), 3) == "1.000e+400"
+    assert realnum._decimal(Fraction(10 ** 400 - 1), 3) == "9.999e+399"
+    assert realnum._decimal(-Fraction(10 ** 900 + 1, 10 ** 1800), 2) == "-1.00e-900"
+    rng = random.Random(24)
+    for _ in range(300):
+        r = (Fraction(rng.randrange(1, 10 ** 30), rng.randrange(1, 10 ** 30))
+             * Fraction(10) ** rng.randrange(-1000, 1000))
+        with decimal.localcontext(decimal.Context(prec=80)):
+            want = (decimal.Decimal(r.numerator) / r.denominator).adjusted()
+        assert realnum._decimal(r, 5).endswith("e%+d" % want)
+    # a radius below the smallest double, as `roots --precision 3000` shows
+    radius = CertifiedReal.from_rational(Fraction(1, 3), 3000).as_decimal_string().split("± ")[1]
+    assert re.fullmatch(r"[1-9]\.\d{3}e-90\d @ 3000 bits", radius), radius
+
+
 # -- CertifiedReal against mpmath.iv ------------------------------------
-# CertifiedReal runs the interval kernels that mpmath.iv dispatches to,
-# at an explicit precision; every endpoint must match the same iv
-# expression evaluated with iv.prec set to that precision.
+# CertifiedReal rounds each endpoint as the interval kernels that
+# mpmath.iv dispatches to do, at an explicit precision; every endpoint
+# must match the same iv expression evaluated with iv.prec set to that
+# precision.
 
 def _at(prec, fn):
     old = mpmath.iv.prec
@@ -436,12 +459,106 @@ def test_operations_match_mpmath_iv_bit_for_bit():
         _assert_same(-x, _at(px, lambda: -X))
         _assert_same(abs(x), _at(px, lambda: abs(X)))
         for k in (0, 1, 3, 7):
-            _assert_same(x ** k, _at(px, lambda: X ** k))
+            ref = _at(px, lambda: X ** k)
+            if k < 7 or k * max(e[3] for e in X._mpi_) < 1000:
+                _assert_same(x ** k, ref)
+            else:
+                # mpmath then rounds the partial powers of its
+                # square-and-multiply outward; the exact power, rounded
+                # once, lies inside its enclosure
+                lo, hi = _iv_endpoints(ref)
+                assert lo <= (x ** k).lower and (x ** k).upper <= hi
         if x.is_positive():
             _assert_same(x.log(), _at(px, lambda: mpmath.iv.log(X)))
         _assert_same(CertifiedReal.hull([x, y]),
                      mpmath.iv.mpf([min(X.a, Y.a), max(X.b, Y.b)]))
         assert CertifiedReal.hull([x, y]).precision == p
+
+
+# -- the logarithm against a high-precision oracle --------------------------
+
+def _log_oracle(x, prec):
+    """ln of the endpoint x rounded down and up to prec bits, as
+    Fractions: mpmath's log at prec + 200 bits, in the same direction,
+    rounded again to prec bits.  The prec-bit grid lies on the finer
+    one, so this is the rounding of ln x itself unless ln x lies within
+    a few ulps at prec + 200 bits of a prec-bit boundary.  The bits of
+    x's mantissa come on top: when x - 1 cancels more bits than it
+    works with, mpf_log returns x - 1 nudged by an ulp, and for x > 1
+    it nudges it the wrong way (ln x < x - 1), so its lower endpoint at
+    1 + 2^-353 and 53 bits is 2^-353, above ln x."""
+    v = from_man_exp(*x)
+    wp = prec + 200 + x[0].bit_length()
+    return tuple(Fraction(*to_rational(mpf_pos(mpf_log(v, wp, rnd), prec, rnd)))
+                 for rnd in (round_floor, round_ceiling))
+
+
+def _log_arguments(rng, prec):
+    """(kind, endpoint) pairs for the log tests."""
+    n = prec + 64
+    yield "near 1", ((1 << n) + 1, -n)
+    yield "near 1", ((1 << n) - 1, -n)
+    yield "near 1", ((1 << 40) + rng.getrandbits(20), -40)
+    yield "near 1", ((1 << 40) - rng.getrandbits(20) - 1, -40)
+    yield "near 1", ((1 << 20) + 1, -20)
+    yield "near 1", ((1 << 20) - 1, -20)
+    for k in (1, -1, 2, -3, 64, -64, 1000, -1000):
+        yield "power of two", (1, k)
+    for one in ((1, 0), (2, -1), (1 << 40, -40)):
+        yield "one", one
+    yield "exponent 10^4", (rng.getrandbits(prec) | 1, 10 ** 4)
+    yield "exponent -10^4", (rng.getrandbits(prec) | 1, -10 ** 4)
+    yield "more bits than the precision", (rng.getrandbits(3 * prec) | (1 << 3 * prec), -3 * prec)
+    yield "more bits than the precision", (rng.getrandbits(2 * prec) | 1, rng.randrange(-9 * prec, prec))
+    for _ in range(6):
+        yield "other", (rng.getrandbits(prec) | 1, rng.randrange(-3 * prec, prec))
+
+
+def test_log_endpoints_are_the_directed_roundings_of_ln():
+    rng = random.Random(22)
+    kinds = set()
+    for prec in (24, 53, 64, 128, 354, 540, 1080):
+        for kind, x in _log_arguments(rng, prec):
+            kinds.add(kind)
+            enc = CertifiedReal((x, x), prec).log()
+            assert (enc.lower, enc.upper) == _log_oracle(x, prec), (kind, x, prec)
+            if kind == "one":
+                assert enc.lower == enc.upper == 0
+    assert kinds == {"near 1", "power of two", "one", "exponent 10^4",
+                     "exponent -10^4", "more bits than the precision", "other"}
+
+
+def test_log_of_an_interval_rounds_each_endpoint():
+    """The upper endpoint of a narrow enclosure comes from the lower's
+    bracket and a short series; a wide one is evaluated on its own.
+    Either way each endpoint is its own directed rounding."""
+    rng = random.Random(23)
+    for prec in (53, 128, 354, 720):
+        for _ in range(40):
+            a = (rng.getrandbits(prec) | (1 << prec), rng.randrange(-prec - 40, -prec + 40))
+            gap = rng.choice((1, rng.getrandbits(prec // 2), rng.getrandbits(prec - 10),
+                              rng.getrandbits(prec + 8)))
+            b = (a[0] + gap, a[1])
+            enc = CertifiedReal((a, b), prec).log()
+            assert (enc.lower, enc.upper) == (_log_oracle(a, prec)[0], _log_oracle(b, prec)[1])
+        # across 1, with the two logs far apart in magnitude
+        n = prec + 300
+        a, b = ((1 << n) - (1 << 200), -n), ((1 << n) + 1, -n)
+        enc = CertifiedReal((a, b), prec).log()
+        assert (enc.lower, enc.upper) == (_log_oracle(a, prec)[0], _log_oracle(b, prec)[1])
+        enc = CertifiedReal(((1, 0), b), prec).log()
+        assert enc.lower == 0 and enc.upper == _log_oracle(b, prec)[1]
+
+
+def test_log_table_values_keep_their_bound_when_shifted_down():
+    realnum._LN.clear()
+    # the first w fills each value; the smaller ones shift it down
+    for w in (1024, 64, 448, 1088):
+        for j, bits in ((257, 8), (300, 8), (511, 8), (65535, 16), (65600, 16), (2, 0)):
+            c = realnum._ln_dyadic(j, bits, w)
+            with mpmath.workprec(w + 100):
+                v = mpmath.log(mpmath.mpf(j) / 2 ** bits) * mpmath.mpf(2) ** w
+            assert c <= v < c + 2, (j, bits, w)
 
 
 def test_arithmetic_ignores_and_keeps_global_iv_prec():
@@ -493,16 +610,16 @@ def test_exact_enclosures_match_golden():
 
 
 def test_kappas_and_recovery_decide_without_fractions(monkeypatch):
-    # every verdict on these paths compares mpf endpoints in integers;
+    # every verdict on these paths compares endpoints in integers;
     # none converts an endpoint to a Fraction first
     calls = []
-    to_fraction = realnum._mpf_to_fraction
+    to_fraction = realnum._fraction
 
     def counting(x):
         calls.append(x)
         return to_fraction(x)
 
-    monkeypatch.setattr(realnum, "_mpf_to_fraction", counting)
+    monkeypatch.setattr(realnum, "_fraction", counting)
     exponents._unit_logs.cache_clear()
     for t in (10, 576241):
         assert roots.verify_kappas(t).all_pass
@@ -518,7 +635,8 @@ def test_kappas_and_recovery_decide_without_fractions(monkeypatch):
 # -- exact endpoint comparison ---------------------------------------------
 
 def _oracle_cmp(x, r):
-    d = Fraction(*to_rational(x)) - r
+    m, e = x
+    d = m * Fraction(2) ** e - r
     return (d > 0) - (d < 0)
 
 
@@ -532,7 +650,8 @@ def test_endpoint_cmp_matches_fraction_oracle():
             # a target that is dyadic, and an endpoint equal to it or beside it
             r = rng.choice(dyadic)
             p, q = r.numerator, r.denominator
-            x = from_man_exp(p * 2 ** 40 + rng.choice((-1, 0, 0, 1)), -40 - (q.bit_length() - 1))
+            x = endpoint_of(from_man_exp(p * 2 ** 40 + rng.choice((-1, 0, 0, 1)),
+                                         -40 - (q.bit_length() - 1)))
         elif kind == 1:
             # a non-dyadic rational and its directed rounding at a few bits
             r = _rand_fraction(rng, rng.choice((3, 20, 60))) + Fraction(1, 3 * 7 ** rng.randrange(9))
@@ -541,7 +660,7 @@ def test_endpoint_cmp_matches_fraction_oracle():
             # any signed mantissa, exp >= 0 (kind 2) or exp < 0 (kind 3)
             man = rng.getrandbits(rng.randrange(1, 200)) * rng.choice((-1, 1))
             exp = rng.randrange(0, 80) if kind == 2 else -rng.randrange(1, 300)
-            x = from_man_exp(man, exp)
+            x = endpoint_of(from_man_exp(man, exp))
             r = rng.choice(dyadic + [_rand_fraction(rng, rng.choice((3, 40)))])
         want = _oracle_cmp(x, r)
         assert endpoint_cmp(x, r.numerator, r.denominator) == want
@@ -550,15 +669,19 @@ def test_endpoint_cmp_matches_fraction_oracle():
         assert endpoint_cmp(x, r.numerator * g, r.denominator * g) == want
         checked[want] += 1
     assert min(checked.values()) > 100
-    assert endpoint_cmp(fzero, 0) == 0
-    assert endpoint_cmp(fzero, 1, 3) == -1 and endpoint_cmp(fzero, -1, 3) == 1
+    zero = endpoint_of(fzero)
+    assert endpoint_cmp(zero, 0) == 0
+    assert endpoint_cmp(zero, 1, 3) == -1 and endpoint_cmp(zero, -1, 3) == 1
 
 
 def test_endpoint_cmp_refuses_non_finite_endpoints():
+    # an integer endpoint (m, e) is finite by construction: mpmath's
+    # infinities and NaN have no such form, so none reaches endpoint_cmp
+    # to be read as 0
     for x in (finf, fninf, fnan):
         for num in (-1, 0, 1):
             with pytest.raises(ValueError, match="not finite"):
-                endpoint_cmp(x, num)
+                endpoint_cmp(endpoint_of(x), num)
 
 
 # -- continued fractions in integers --------------------------------------

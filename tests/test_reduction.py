@@ -169,13 +169,14 @@ def test_degenerate_integer_gamma2_fails():
 
 def test_synthetic_log_instance_matches_oracle():
     import mpmath
+    from mpmath_oracle import ival_of
     prec = 420
     old = mpmath.iv.prec
     try:
         mpmath.iv.prec = prec
-        alpha = CertifiedReal(mpmath.iv.log(2)._mpi_, prec)
-        beta = CertifiedReal(mpmath.iv.log(3)._mpi_, prec)
-        delta = CertifiedReal(mpmath.iv.log(mpmath.iv.mpf(5) / 4)._mpi_, prec)
+        alpha = CertifiedReal(ival_of(mpmath.iv.log(2)._mpi_), prec)
+        beta = CertifiedReal(ival_of(mpmath.iv.log(3)._mpi_), prec)
+        delta = CertifiedReal(ival_of(mpmath.iv.log(mpmath.iv.mpf(5) / 4)._mpi_), prec)
     finally:
         mpmath.iv.prec = old
     A, Q = 10 ** 3, 10 ** 10
@@ -428,7 +429,7 @@ def test_norm_check_reads_the_lower_bound():
     for lo_end, hi_end in ((7 + d_lo, 7 + d_hi), (8 - d_hi, 8 - d_lo)):
         gamma2 = CertifiedReal.from_endpoints(lo_end / q, hi_end / q, prec)
         inst = ReductionInstance(2, 10, beta, A, q, gamma1, gamma2, prec)
-        lo, hi, k = integer_distance_num(*dyadic_numerators((gamma2 * q)._mpi))
+        lo, hi, k = integer_distance_num(*dyadic_numerators((gamma2 * q)._ival))
         assert q * lo < threshold * (1 << k) <= q * hi
         assert not baker_davenport(inst).success
         assert not reverify_verdict(inst, reduction.Verdict(True, p, q, None, None, None, 1))
@@ -483,7 +484,7 @@ def _dist(r):
 def _fields(verdict):
     """The verdict's fields, with the certified enclosure as its endpoints."""
     enc = verdict.lambda_lower_enclosure
-    return dataclasses.replace(verdict, lambda_lower_enclosure=None), enc and enc._mpi
+    return dataclasses.replace(verdict, lambda_lower_enclosure=None), enc and enc._ival
 
 
 def test_lazy_scan_matches_the_eager_oracle():
@@ -596,9 +597,9 @@ def test_exact_product_norm_is_never_looser_than_the_rounded_product():
         gamma2 = CertifiedReal.from_endpoints(g2, g2 + Fraction(rng.randrange(1, 2 ** 20),
                                                                 2 ** prec), prec)
         q = rng.choice((1, rng.getrandbits(rng.randrange(1, 200)) + 1))
-        a, b, k = dyadic_numerators(gamma2._mpi)
+        a, b, k = dyadic_numerators(gamma2._ival)
         lo, _, k = integer_distance_num(q * a, q * b, k)
-        r_lo, _, r_k = integer_distance_num(*dyadic_numerators((gamma2 * q)._mpi))
+        r_lo, _, r_k = integer_distance_num(*dyadic_numerators((gamma2 * q)._ival))
         assert Fraction(lo, 1 << k) >= Fraction(r_lo, 1 << r_k)
         tighter += Fraction(lo, 1 << k) > Fraction(r_lo, 1 << r_k)
     assert tighter > 0

@@ -317,7 +317,7 @@ def test_isolate_roots_matches_bisect_on_series_windows():
             for th, (lo, hi) in zip(tr.thetas, _series_windows(t)):
                 want = CertifiedReal.from_endpoints(
                     *_bracket_of(B, C, D, lo, hi, width), tr.precision)
-                assert (th._mpi, th.precision) == (want._mpi, want.precision), \
+                assert (th._ival, th.precision) == (want._ival, want.precision), \
                     (t, precision, lo)
 
 
@@ -440,7 +440,7 @@ def test_verify_kappas_rows_match_the_per_kappa_functions(t, precision):
             want = kappa_t_only(row.j, t, tr)
         else:
             want = kappa_envelope(row.j, t, tr)
-        assert (row.enclosure._mpi, row.enclosure.precision) == (want._mpi, want.precision)
+        assert (row.enclosure._ival, row.enclosure.precision) == (want._ival, want.precision)
 
 
 def test_kappa_verdicts_are_strict_on_both_sides(monkeypatch):
@@ -469,7 +469,7 @@ def test_verify_kappas_shares_roots_endpoints_and_ln_t(monkeypatch):
         return interval(*args)
 
     def counting_log(self):
-        logs.append(self._mpi)
+        logs.append(self._ival)
         return log(self)
 
     monkeypatch.setattr(roots, "isolate_roots", counting_isolate)
@@ -479,7 +479,7 @@ def test_verify_kappas_shares_roots_endpoints_and_ln_t(monkeypatch):
     assert len(isolations) == 1
     assert intervals == [(w, t) for w in (1, 2, 3)]
     T = CertifiedReal.from_rational(t, roots.default_precision(t))
-    assert logs.count(T._mpi) == 1
+    assert logs.count(T._ival) == 1
 
 
 # -- envelopes from the two endpoints of each solution interval ----------
@@ -526,7 +526,7 @@ def test_endpoint_envelopes_lie_inside_the_sixteen_piece_oracle():
             enc = row.enclosure
             if row.j in roots.T_ONLY_KAPPAS:
                 want = kappa_t_only(row.j, t, tr)
-                assert (enc._mpi, enc.precision) == (want._mpi, want.precision)
+                assert (enc._ival, enc.precision) == (want._ival, want.precision)
                 digest.update(json.dumps([t, row.j, str(enc.lower), str(enc.upper)]).encode())
             else:
                 oracle = _sixteen_piece_envelope(row.j, t, tr)
