@@ -22,7 +22,7 @@ from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .parallel import parallel_map
 from .realnum import (CertifiedReal, certified_below, dyadic_numerators,
                       integer_distance_num, reduction_precision, shared_convergents)
-from .roots import isolate_roots
+from .roots import isolate_roots, series_cell_halvings
 
 DEFAULT_A = 3 * 10 ** 18
 # the scan accepts a q below 10^30 at all but 345 t in [10, 576241]; those
@@ -55,6 +55,10 @@ class Verdict:
     convergents_scanned: int = 0
     # ln(|beta|/Q^2) enclosed at LOG_PRECISION bits, from |beta|'s lower endpoint
     lambda_lower_enclosure: Optional[CertifiedReal] = None
+    # a failed scan read every convergent of gamma1 with q <= Q and
+    # certified each q*||q*gamma2|| below 1.01*A + 2: no precision can
+    # pass at this Q
+    exhausted_q: bool = False
 
 
 def check_bounds(A: int, Q: int):
@@ -66,15 +70,19 @@ def check_bounds(A: int, Q: int):
         raise ValueError("A must be >= 1, got %d" % A)
 
 
+def _check_arguments(t: int, A: int, Q: int):
+    if t < 10:
+        raise ValueError("reduction applies for t >= 10")
+    check_bounds(A, Q)
+
+
 def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
                    precision: Optional[int] = None) -> ReductionInstance:
     """alpha, beta, delta per the Lambda_which decomposition, with
     gamma enclosure widths meeting the lemma's hypotheses.  gamma1's
     width is checked before delta = log a3 is taken, so a precision too
     low for gamma1 costs no third logarithm."""
-    if t < 10:
-        raise ValueError("reduction applies for t >= 10")
-    check_bounds(A, Q)
+    _check_arguments(t, A, Q)
     if precision is None:
         precision = reduction_precision(Q)
     roots = isolate_roots(t, precision)
@@ -87,6 +95,49 @@ def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
     return ReductionInstance(which, t, beta, A, Q, gamma1, gamma2, precision)
 
 
+def gamma1_width_floor(t: int, precision: int) -> Tuple[int, int]:
+    """A lower bound num/den (den > 0) on the width of the gamma1
+    enclosure that `build_instance(2, t, precision=precision)` forms
+    (t >= 10), from t and the precision alone.
+
+    With K = `series_cell_halvings(t, precision)`, `isolate_roots`
+    brackets theta1 in a grid cell [x_l, x_h] of exact width
+    c1 = 2/(t^5 2^K) inside the window [-2/t^5, 0].  No grid point is a
+    root: a rational root of the monic P with constant term 1 is +-1,
+    and P(+-1) != 0.  theta1's enclosure holds both ends of the cell and
+    theta3's holds y = theta3, in (t^4 - 2t - 2/t^8, t^4 - 2t).  gamma1
+    is formed by outward-rounded interval operations, so it contains
+    g(x) = ln|y/x| / ln|(t - x)/(t - y)| = -N(x)/D(x) at both ends x,
+    with N(x) = ln(y/|x|) and D(x) = ln((y - t)/(t - x)), and its width
+    is at least N(x_h)/D(x_h) - N(x_l)/D(x_l)
+    = (N(x_h) - N(x_l))/D(x_h) - N(x_l) (D(x_h) - D(x_l))/(D(x_h) D(x_l)).
+    On the windows, for t >= 10:
+    - N(x_h) - N(x_l) = ln(1 + c1/|x_h|) >= ln(1 + 2^-K) >= 1/(2^K + 1),
+      as |x_h| <= 2/t^5;
+    - 2 ln t < D(x) < 3 ln t, as t^2 < (y - t)/(t - x) < t^3;
+    - 0 < D(x_h) - D(x_l) = ln(1 + c1/(t - x_h)) <= c1/t;
+    - 0 < N(x_l) < 9 ln t, as y < t^4 and |x_l| >= |theta1|
+      = 1/(theta2 theta3) > 1/t^5, theta2 being below t + 2/t^5.
+    So the width is at least 1/(3 (2^K + 1) ln t) - 9 c1/(4 t ln t),
+    and with 2 < ln t < 0.6932 * bits(t) at least the value returned,
+    10000/(20796 bits(t) (2^K + 1)) - 9/(4 t^6 2^K), over one
+    denominator.  An operation that raises instead fails the rung all
+    the same."""
+    K = series_cell_halvings(t, precision)
+    b, t6 = t.bit_length(), t ** 6
+    return ((40000 * t6 << K) - 187164 * b * ((1 << K) + 1),
+            83184 * b * ((1 << K) + 1) * t6 << K)
+
+
+def _gamma1_too_wide(which: int, t: int, precision: int, Q: int) -> bool:
+    """Whether gamma1's width, when `build_instance` forms it, certainly
+    fails its test against 1/(100 Q^2); decided for which = 2 only."""
+    if which != 2:
+        return False
+    num, den = gamma1_width_floor(t, precision)
+    return 100 * Q * Q * num >= den
+
+
 def _check_width(name: str, gamma: CertifiedReal, scale: int, bound: str):
     """Raises unless gamma's width (b - a)/2^k is below 1/scale,
     cross-multiplied."""
@@ -96,19 +147,13 @@ def _check_width(name: str, gamma: CertifiedReal, scale: int, bound: str):
             "%s width %.3g exceeds %s" % (name, float(gamma.width), bound))
 
 
-def _certified_norm(gamma2_num: Tuple[int, int, int], A: int,
-                    q: int) -> Optional[Fraction]:
-    """The certified lower bound of q*||q*gamma2|| when it reaches
-    1.01*A + 2 = (101 A + 200) / 100, else None.  gamma2 is given by its
-    `dyadic_numerators` (a, b, k), so q*gamma2 lies in the exact product
-    interval [q*a/2^k, q*b/2^k], and the bound is compared in integers
-    over its denominator 2^k."""
+def _norm_bounds(gamma2_num: Tuple[int, int, int], q: int) -> Tuple[int, int, int]:
+    """Exact bounds (lo, hi, k) with lo/2^k <= q*||q*gamma2|| <= hi/2^k.
+    gamma2 is given by its `dyadic_numerators` (a, b, k), so q*gamma2
+    lies in the exact product interval [q*a/2^k, q*b/2^k]."""
     a, b, k = gamma2_num
-    lo, _, _ = integer_distance_num(q * a, q * b, k)
-    n = q * lo
-    if 100 * n < (101 * A + 200) << k:
-        return None
-    return Fraction(n, 1 << k)
+    lo, hi, _ = integer_distance_num(q * a, q * b, k)
+    return q * lo, q * hi, k
 
 
 @functools.lru_cache(maxsize=8)
@@ -129,17 +174,28 @@ def baker_davenport(inst: ReductionInstance) -> Verdict:
     bound |Lambda| > |beta|/Q^2.  The expansion of gamma1 is read only up
     to that convergent, so an enclosure that cannot pin the expansion
     down past it still succeeds; a failed scan raises the expansion's
-    PrecisionInsufficientError, if it has one."""
+    PrecisionInsufficientError, if it has one.
+
+    A failed scan that ends without raising has read every convergent
+    with q <= Q of each real in the gamma1 enclosure, so of the true
+    gamma1, and any enclosure of it at any precision yields a prefix of
+    that same list.  When the upper bound of every q*||q*gamma2|| is
+    below the threshold, the true values are too, so no certified lower
+    bound can reach it: the verdict is `exhausted_q`."""
     threshold_100 = 101 * inst.A + 200      # 100 * (1.01*A + 2)
     gamma2_num = dyadic_numerators(inst.gamma2._ival)
-    scanned = 0
+    k = gamma2_num[2]
+    bar = threshold_100 << k                # the threshold, times 100 * 2^k
+    scanned, exhausted = 0, True
     for conv in shared_convergents(inst.gamma1, inst.Q):
         scanned += 1
         # q*||.|| <= q/2, so small q cannot pass
         if 50 * conv.q < threshold_100:
             continue
-        q_norm_lower = _certified_norm(gamma2_num, inst.A, conv.q)
-        if q_norm_lower is not None:
+        lo, hi, _ = _norm_bounds(gamma2_num, conv.q)
+        exhausted = exhausted and 100 * hi < bar
+        if 100 * lo >= bar:
+            q_norm_lower = Fraction(lo, 1 << k)
             beta_abs_lower = abs(inst.beta).lower
             lam_ln = (math.log(beta_abs_lower.numerator)
                       - math.log(beta_abs_lower.denominator)
@@ -148,7 +204,8 @@ def baker_davenport(inst: ReductionInstance) -> Verdict:
             return Verdict(True, conv.p, conv.q, q_norm_lower, lam_ln,
                            lam_ln - thr, scanned,
                            _lambda_lower_enclosure(inst.beta, inst.Q))
-    return Verdict(False, None, None, None, None, None, scanned)
+    return Verdict(False, None, None, None, None, None, scanned,
+                   exhausted_q=exhausted)
 
 
 def contradiction_check(which: int, t: int, verdict: Verdict) -> bool:
@@ -207,15 +264,26 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
     a single Q escalation on convergent failure.  A success verdict is
     accepted only after its exact re-verification; one that fails it
     moves on to the next attempt.  A failed outcome carries the reason
-    the last attempt failed."""
+    the last attempt failed.
+
+    A rung before the last that cannot succeed is skipped, and still
+    counts as an escalation: one whose gamma1 enclosure is certainly too
+    wide (`gamma1_width_floor`), and one at a Q where an earlier scan
+    showed that no precision can pass (`Verdict.exhausted_q`).  The
+    last rung always runs."""
+    _check_arguments(t, A, Q)
     base_prec = precision if precision is not None else reduction_precision(Q)
     attempts: List[Tuple[int, int]] = [
         (base_prec * 2 ** i, Q) for i in range(MAX_PRECISION_ESCALATIONS + 1)
     ]
     big_q = Q * Q_ESCALATION_FACTOR
     attempts.append((reduction_precision(big_q) * 2 ** MAX_PRECISION_ESCALATIONS, big_q))
-    reason = None
+    last = len(attempts) - 1
+    reason, exhausted_q = None, None
     for idx, (prec, q_used) in enumerate(attempts):
+        if idx < last and (q_used == exhausted_q
+                           or _gamma1_too_wide(which, t, prec, q_used)):
+            continue
         try:
             inst = build_instance(which, t, A, q_used, prec)
             verdict = baker_davenport(inst)
@@ -225,6 +293,8 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
         if not verdict.success:
             reason = ("no convergent with q <= Q reaches q*||q*gamma2|| >= 1.01*A + 2 "
                       "(%d scanned)" % verdict.convergents_scanned)
+            if verdict.exhausted_q:
+                exhausted_q = q_used
         elif reverify_verdict(inst, verdict):
             return ReductionOutcome(
                 t, which, "success", prec, q_used, verdict.q,
@@ -234,8 +304,7 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
             reason = "re-verification failed"
     return ReductionOutcome(t, which, "failed",
                             attempts[-1][0], attempts[-1][1],
-                            None, None, None, None, False,
-                            len(attempts) - 1, reason)
+                            None, None, None, None, False, last, reason)
 
 
 def verify_range(which: int, t_lo: int, t_hi: int,
@@ -268,7 +337,9 @@ def reverify_verdict(inst: ReductionInstance, verdict: Verdict) -> bool:
     p, q = verdict.p, verdict.q
     if not (1 <= q <= inst.Q and math.gcd(p, q) == 1):
         return False
-    if _certified_norm(dyadic_numerators(inst.gamma2._ival), inst.A, q) is None:
+    # the certified lower bound of q*||q*gamma2|| against 1.01*A + 2
+    n, _, k = _norm_bounds(dyadic_numerators(inst.gamma2._ival), q)
+    if 100 * n < (101 * inst.A + 200) << k:
         return False
     # |e/2^k - p/q| < 1/q^2 at both endpoints e, cross-multiplied
     a, b, k = dyadic_numerators(inst.gamma1._ival)

@@ -72,6 +72,22 @@ def _halvings(p: int, q: int) -> int:
     return k + 1 if (q << k) < p else k
 
 
+def bracket_bits(precision: int) -> int:
+    """w such that `isolate_roots` at this precision brackets each root
+    in at most 2^-w.  Kappa extraction multiplies root errors by up to
+    t^12 ~ 2^(12 lg t), and the enclosures must separate values ~t^-3
+    from the interval endpoints, so nearly the full working precision
+    goes into the bracket width."""
+    return max(precision - 8, 32)
+
+
+def series_cell_halvings(t: int, precision: int) -> int:
+    """K such that, for t >= 10, `isolate_roots(t, precision)` brackets
+    theta1 in a cell of exact width 2 / (t^5 2^K) of its series window
+    [-2/t^5, 0]: `_bracket`'s number of halvings of that window."""
+    return _halvings(2 << bracket_bits(precision), t ** 5)
+
+
 def _slope_sign(B: int, C: int, A: int, H: int, S: int) -> int:
     """The sign of P' on [A/S, H/S] when P' has no zero there, else 0:
     P' is a convex parabola, so it suffices to look at its endpoint
@@ -275,11 +291,7 @@ def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
     if precision is None:
         precision = default_precision(t)
     _, B, C, D = family_form(3, t).coefficients
-    # kappa extraction multiplies root errors by up to t^12 ~ 2^(12 lg t),
-    # and the enclosures must separate values ~t^-3 from the interval
-    # endpoints, so nearly the full working precision goes into the
-    # bracket width 2^-w
-    w = max(precision - 8, 32)
+    w = bracket_bits(precision)
     if t >= 10:
         # the series windows [-2/t^5, 0], [t, t + 2/t^5] and
         # [t^4 - 2t - 2/t^8, t^4 - 2t], each [A/S, (A + 2)/S]

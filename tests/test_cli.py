@@ -650,6 +650,29 @@ def test_precision_cap_applies_to_default_precision(monkeypatch, capsys):
     assert seen[-1] is None
 
 
+def test_precision_cap_bounds_only_where_the_ladder_starts(monkeypatch, capsys, tmp_path):
+    """CUBICTHUE_PRECISION_CAP=170 writes the bytes --precision 170
+    writes: the ladder starts at 170 bits and still climbs past the cap,
+    to 340 bits."""
+    outputs = []
+    for env, flag in ((None, ["--precision", "170"]), ("170", [])):
+        if env is None:
+            monkeypatch.delenv("CUBICTHUE_PRECISION_CAP", raising=False)
+        else:
+            monkeypatch.setenv("CUBICTHUE_PRECISION_CAP", env)
+        path = tmp_path / ("sweep%d.jsonl" % len(outputs))
+        assert run(["reduce", "--t", "2001"] + flag) == cli.EXIT_OK
+        assert run(["sweep", "--t-lo", "2001", "--t-hi", "2002",
+                    "--output", str(path)] + flag) == cli.EXIT_OK
+        outputs.append((capsys.readouterr(), path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    (reduce_out, _), sweep_out = outputs[0]
+    records = [json.loads(line) for line in reduce_out.splitlines()[:1]
+               + sweep_out.decode().splitlines()]
+    assert [(r["t"], r["precision"], r["escalations"]) for r in records] == [
+        (2001, 340, 1), (2001, 340, 1), (2002, 340, 1)]
+
+
 def test_precision_below_one_bit_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     for argv in (["roots", "--t", "10", "--precision", "0"],

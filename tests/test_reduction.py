@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from cubicthue import cli, reduction
+from cubicthue import bounds, cli, reduction, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, _convergents_of_fraction,
                                continued_fraction_convergents, dyadic_numerators,
@@ -459,14 +459,19 @@ def test_norm_check_meets_the_threshold_exactly():
 
 def _eager_verdict(inst):
     """baker_davenport with the whole expansion of gamma1 read first, as
-    it was before the scan read it lazily; the norm bound is recomputed
+    it was before the scan read it lazily; the norm bounds are recomputed
     in Fractions on the exact product interval q * gamma2."""
     threshold = Fraction(101 * inst.A + 200, 100)
     convergents = continued_fraction_convergents(inst.gamma1, inst.Q)
+    exhausted = True
     for scanned, conv in enumerate(convergents, 1):
         lo, hi = conv.q * inst.gamma2.lower, conv.q * inst.gamma2.upper
         bound = conv.q * (0 if math.floor(hi) > math.floor(lo) or lo.denominator == 1
                           else min(_dist(lo), _dist(hi)))
+        half = Fraction(1, 2)
+        upper = conv.q * (half if math.floor(hi - half) > math.floor(lo - half)
+                          or (lo - half).denominator == 1 else max(_dist(lo), _dist(hi)))
+        exhausted = exhausted and upper < threshold
         if bound >= threshold:
             b = abs(inst.beta).lower
             lam = math.log(b.numerator) - math.log(b.denominator) - 2 * math.log(inst.Q)
@@ -474,7 +479,8 @@ def _eager_verdict(inst):
                 True, conv.p, conv.q, bound, lam,
                 lam - reduction.contradiction_threshold(inst.which, inst.t), scanned,
                 reduction._lambda_lower_enclosure(inst.beta, inst.Q))
-    return reduction.Verdict(False, None, None, None, None, None, len(convergents))
+    return reduction.Verdict(False, None, None, None, None, None, len(convergents),
+                             exhausted_q=exhausted)
 
 
 def _dist(r):
@@ -493,6 +499,8 @@ def test_lazy_scan_matches_the_eager_oracle():
     verdict, field for field; where it raises, the lazy scan raises the
     same error or accepts a convergent before the expansion breaks."""
     rng = random.Random(74)
+    # its own stream, so that the draws above keep their values
+    wide = random.Random(76)
     kinds = set()
     for _ in range(400):
         prec = rng.choice((128, 200, 420))
@@ -503,6 +511,10 @@ def test_lazy_scan_matches_the_eager_oracle():
         g2 = Fraction(rng.getrandbits(300), 2 ** 299)
         if rng.random() < 0.6:
             inst = _exact_instance(g1, g2, A, Q, prec)
+            if wide.random() < 0.3:
+                # a wider gamma2, whose norm bounds can straddle the threshold
+                inst = dataclasses.replace(inst, gamma2=CertifiedReal.from_endpoints(
+                    g2, g2 + Fraction(1, 2 ** wide.randrange(4, 40)), prec))
         else:
             # a wider gamma1, whose expansion breaks somewhere below Q
             eps = Fraction(1, 2 ** rng.randrange(20, 80))
@@ -523,8 +535,10 @@ def test_lazy_scan_matches_the_eager_oracle():
                 kinds.add("eager raised, lazy succeeds")
             continue
         assert _fields(baker_davenport(inst)) == _fields(want)
-        kinds.add("success" if want.success else "failure")
-    assert kinds == {"success", "failure", "both raise", "eager raised, lazy succeeds"}
+        kinds.add("success" if want.success else
+                  "exhausted failure" if want.exhausted_q else "failure")
+    assert kinds == {"success", "failure", "exhausted failure", "both raise",
+                     "eager raised, lazy succeeds"}
 
 
 def _synthetic_instance(gamma1, passes):
@@ -707,6 +721,151 @@ def test_last_rung_keeps_the_paper_q():
             top, reduction.reduction_precision(top) * 8, 4)
         assert small.q == paper.q and small.q > 10 ** 30
         assert small.q_norm_lower == paper.q_norm_lower
+
+
+def _count_instances(monkeypatch):
+    built, build = [], reduction.build_instance
+
+    def counting(which, t, A, Q, precision):
+        built.append((precision, Q))
+        return build(which, t, A, Q, precision)
+
+    monkeypatch.setattr(reduction, "build_instance", counting)
+    return built
+
+
+def test_ladder_runs_only_the_rungs_that_can_succeed(monkeypatch):
+    """A 113- or 170-bit start skips its rungs below 340 bits on the
+    gamma1 width floor; a last-rung t skips the higher precisions at
+    Q = 10^30 once its scan is exhausted there; a default start builds
+    one instance.  The records are those of the full ladder (the byte
+    goldens above)."""
+    built = _count_instances(monkeypatch)
+    rng = random.Random(22)
+    top = reduction.Q_ESCALATION_FACTOR * reduction.DEFAULT_Q
+    for t in sorted(rng.sample(range(100, 576242), 12)):
+        for start, escalations in ((113, 2), (170, 1), (None, 0)):
+            built.clear()
+            out = reduce_single(2, t, precision=start)
+            assert (out.status, out.precision, out.escalations) == (
+                "success", 340 if start is None else start << escalations, escalations)
+            assert built == [(out.precision, reduction.DEFAULT_Q)], (t, start)
+    for t in LAST_RUNG_TS:
+        built.clear()
+        out = reduce_single(2, t)
+        assert out.escalations == 4
+        assert built == [(340, reduction.DEFAULT_Q),
+                         (reduction.reduction_precision(top) * 8, top)], t
+
+
+def _failed_scan(exhausted):
+    def scan(inst):
+        return reduction.Verdict(False, None, None, None, None, None, 1,
+                                 exhausted_q=exhausted)
+    return scan
+
+
+@pytest.mark.parametrize("exhausted", [False, True])
+def test_exhausted_scan_jumps_to_the_q_rung(monkeypatch, exhausted):
+    built = _count_instances(monkeypatch)
+    monkeypatch.setattr(reduction, "baker_davenport", _failed_scan(exhausted))
+    out = reduce_single(2, 2001)
+    assert out.status == "failed" and out.escalations == 4
+    assert [q for _, q in built] == [reduction.DEFAULT_Q] * (1 if exhausted else 4) + [
+        reduction.DEFAULT_Q * reduction.Q_ESCALATION_FACTOR]
+
+
+def test_the_last_rung_always_runs(monkeypatch):
+    built = _count_instances(monkeypatch)
+    monkeypatch.setattr(reduction, "_gamma1_too_wide", lambda which, t, precision, Q: True)
+    top = reduction.DEFAULT_Q * reduction.Q_ESCALATION_FACTOR
+    out = reduce_single(2, 2001)
+    assert (out.status, out.Q, out.escalations) == ("success", top, 4)
+    assert built == [(reduction.reduction_precision(top) * 8, top)]
+
+
+def test_a_scan_that_raises_does_not_stop_the_precision_rungs(monkeypatch):
+    built = _count_instances(monkeypatch)
+    scan = reduction.baker_davenport
+
+    def raise_once(inst):
+        if len(built) == 1:
+            raise PrecisionInsufficientError("endpoints disagree")
+        return scan(inst)
+
+    monkeypatch.setattr(reduction, "baker_davenport", raise_once)
+    out = reduce_single(2, 2001)
+    assert (out.status, out.precision, out.escalations) == ("success", 680, 1)
+    assert built == [(340, reduction.DEFAULT_Q), (680, reduction.DEFAULT_Q)]
+
+
+@pytest.mark.parametrize("upper, exhausted", [(102, True), (103, False), (104, False)])
+def test_scan_is_exhausted_only_below_the_threshold(upper, exhausted):
+    """gamma1 = 1/512 has the convergents 0/1 and 1/512, and the scan
+    ends after them.  q * gamma2 at q = 512 is enclosed in
+    7 + [101, upper]/512, so q*||q*gamma2|| lies in [101, upper]: no
+    lower bound reaches the threshold 1.01*A + 2 = 103, and the verdict
+    is exhausted only when the upper bound stays below it."""
+    A, q, prec = 100, 512, 420
+    gamma2 = CertifiedReal.from_endpoints(Fraction(7 * q + 101, q * q),
+                                          Fraction(7 * q + upper, q * q), prec)
+    inst = ReductionInstance(2, 10, CertifiedReal.from_rational(Fraction(3, 2), prec), A,
+                             10 ** 12, CertifiedReal.from_rational(Fraction(1, q), prec),
+                             gamma2, prec)
+    verdict = baker_davenport(inst)
+    assert (verdict.success, verdict.convergents_scanned, verdict.exhausted_q) == (
+        False, 2, exhausted)
+
+
+def test_gamma1_width_floor_is_sound():
+    """Differential check of the floor: wherever the gamma1 enclosure of
+    build_instance's steps is formed, the floor is at most its width, and
+    wherever the floor reaches 1/(100 Q^2), build_instance raises."""
+    rng = random.Random(23)
+    ts = [10, 11, 576241] + rng.sample(range(12, 576241), 12)
+    formed = fired = 0
+    for t in ts:
+        for precision in (64, 80, 96, 113, 128, 150, 170, 200, 226, 256, 300, 340, 400, 452):
+            floor = Fraction(*reduction.gamma1_width_floor(t, precision))
+            try:
+                a1, a2, _ = bounds.lambda_log_arguments(2, roots.isolate_roots(t, precision))
+                gamma1 = a1.log() / a2.log()
+            except (PrecisionInsufficientError, IndeterminateSignError):
+                pass
+            else:
+                formed += 1
+                assert floor <= gamma1.width, (t, precision)
+            for Q in (reduction.DEFAULT_Q, 10 ** 60):
+                if reduction._gamma1_too_wide(2, t, precision, Q):
+                    fired += 1
+                    with pytest.raises((PrecisionInsufficientError, IndeterminateSignError)):
+                        build_instance(2, t, Q=Q, precision=precision)
+    assert formed > 100 and fired > 100
+
+
+def _largest_fifth_power_root_below(n):
+    r = round(n ** 0.2)
+    while r ** 5 >= n:
+        r -= 1
+    while (r + 1) ** 5 < n:
+        r += 1
+    return r
+
+
+def test_gamma1_width_floor_never_fires_at_the_default_precision():
+    """At reduction_precision(DEFAULT_Q), for every t in [10, t_max].
+    The floor depends on t through bits(t), K (constant while t^5 stays
+    between two powers of two) and -9/(4 t^6 2^K), which grows with t:
+    on each run of t with one bits(t) and one K it is largest at the
+    run's last t, so those are the t checked."""
+    t_max = 576241
+    precision = reduction.reduction_precision(reduction.DEFAULT_Q)
+    ends = {t_max} | {min(2 ** b - 1, t_max) for b in range(4, t_max.bit_length() + 1)}
+    ends |= {_largest_fifth_power_root_below(2 ** j) for j in range(17, 5 * 20)}
+    ends = sorted(t for t in ends if 10 <= t <= t_max)
+    assert ends[0] == 10 and ends[-1] == t_max and len(ends) == 80
+    assert not any(reduction._gamma1_too_wide(2, t, precision, reduction.DEFAULT_Q)
+                   for t in ends)
 
 
 AGGREGATE = Path(__file__).parent / "data" / "reduce_aggregate.json"

@@ -321,6 +321,23 @@ def test_isolate_roots_matches_bisect_on_series_windows():
                     (t, precision, lo)
 
 
+def test_theta1_bracket_width_is_the_series_cell(monkeypatch):
+    """`series_cell_halvings` gives the number of halvings that
+    isolate_roots applies to theta1's window: its bracket is exactly
+    2 / (t^5 2^K) wide, and lies inside [-2/t^5, 0]."""
+    brackets, bracket = [], roots._bracket
+    monkeypatch.setattr(roots, "_bracket",
+                        lambda *args: brackets.append(bracket(*args)) or brackets[-1])
+    for t in SERIES_TS:
+        for precision in (64, 113, 226, 340, 452):
+            brackets.clear()
+            isolate_roots(t, precision)
+            N0, N1, M = brackets[0]
+            K = roots.series_cell_halvings(t, precision)
+            assert Fraction(N1 - N0, M) == Fraction(2, t ** 5 << K), (t, precision)
+            assert -2 * M <= N0 * t ** 5 and N1 <= 0
+
+
 # the most exact cubic evaluations (Newton's and the certificate's) one
 # series window of SERIES_TS needs at each of SERIES_PRECISIONS; a
 # level-by-level doubling schedule averages 12 at 540 bits
