@@ -14,7 +14,7 @@ import json
 import os
 import random
 import sys
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import List, Optional
 
 from . import bounds, exponents, forms, realnum, reduction, roots, search
@@ -35,9 +35,13 @@ CHECKPOINT_INTERVAL = 10 ** 4
 
 
 def _int_from_sci(text: str) -> int:
-    """Accept 1e60 / 3e18 style notation but keep exact integers."""
-    v = Decimal(text)
-    if v != v.to_integral_value():
+    """Accept 1e60 / 3e18 style notation but keep exact integers; any
+    other text is an argparse type error, and so a usage error."""
+    try:
+        v = Decimal(text)
+    except InvalidOperation:
+        v = Decimal("NaN")          # not a number: refused below
+    if not v.is_finite() or v != v.to_integral_value():
         raise argparse.ArgumentTypeError("%r is not an integer" % text)
     return int(v)
 
@@ -232,21 +236,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--coeffs", type=int, nargs=4, default=None,
                    metavar=("A", "B", "C", "D"))
-    p.add_argument("--y-bound", type=int, default=1000)
+    p.add_argument("--y-bound", type=_int_from_sci, default=1000)
 
     p = sub.add_parser("verify-theorem", help="bounded verification of the solution list")
     common(p, t=True)
-    p.add_argument("--y-bound", type=int, default=5000)
+    p.add_argument("--y-bound", type=_int_from_sci, default=5000)
 
     p = sub.add_parser("verify-tables", help="sporadic table verification")
     common(p)
-    p.add_argument("--y-bound", type=int, default=10 ** 4)
+    p.add_argument("--y-bound", type=_int_from_sci, default=10 ** 4)
 
     p = sub.add_parser("certify-all", help="full desk-scale certification chain")
     common(p, "precision", "workers", "seed", trange=True)
     p.add_argument("--Q", type=_int_from_sci, default=reduction.DEFAULT_Q)
     p.add_argument("--A", type=_int_from_sci, default=reduction.DEFAULT_A)
-    p.add_argument("--y-bound", type=int, default=5000)
+    p.add_argument("--y-bound", type=_int_from_sci, default=5000)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--full", action="store_true")
 

@@ -88,7 +88,9 @@ def family_discriminant_poly(t: int) -> int:
 
 def known_solutions(t: int) -> SolutionSet:
     """The complete solution set of F_{3,t}(x,y)=1 (degenerate duplicates
-    at t in {0,1} removed; the extra pair (6,-5) appears at t=-1)."""
+    at t in {0,1} removed; the extra pair (6,-5) appears at t=-1, and
+    (4,-3) at t=1, where F_{3,1} = x^3 - x y^2 + y^3 is the discriminant
+    -23 form with five solutions)."""
     sols = [
         (1, 0),
         (0, 1),
@@ -98,6 +100,8 @@ def known_solutions(t: int) -> SolutionSet:
     ]
     if t == -1:
         sols.append((6, -5))
+    elif t == 1:
+        sols.append((4, -3))
     F = family_form(3, t)
     uniq = sorted(set(sols))
     for (x, y) in uniq:

@@ -104,15 +104,24 @@ def _slope_sign(B: int, C: int, A: int, H: int, S: int) -> int:
 
 
 def _newton_index(B: int, C: int, D: int, A: int, delta: int, S: int,
-                  neg: bool, k_final: int) -> int:
+                  neg: bool, k_final: int,
+                  start: Optional[Tuple[int, int]] = None) -> int:
     """Estimate of 2^k_final * u for the root A/S + u * delta/S of P
     (P(A/S) < 0 iff neg).  Safeguarded Newton runs on the grid of
     spacing 2^-k in u, keeping a sign-change bracket and bisecting it
     whenever a step would leave it: first at k = NEWTON_START_BITS, then
-    from that estimate at k_final, where it converges quadratically."""
+    from that estimate at k_final, where it converges quadratically.
+    It starts from the grid point at or below start = (p, q), for p/q
+    with q > 0, when that point lies strictly inside the window, and
+    from the window midpoint otherwise."""
     k = min(NEWTON_START_BITS, k_final)
     a, z = 0, 1 << k
     m = z >> 1                       # the window midpoint
+    if start is not None:
+        p, q = start
+        s = ((p * S - A * q) << k) // (q * delta)
+        if a < s < z:
+            m = s
     while True:
         b, c, d = _scaled_coeffs(B, C, D, S << k)
         base = A << k
@@ -176,7 +185,8 @@ def _bisection_index(b: int, c: int, d: int, base: int, delta: int,
 
 
 def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
-             wn: int, wd: int) -> Tuple[int, int, int]:
+             wn: int, wd: int,
+             start: Optional[Tuple[int, int]] = None) -> Tuple[int, int, int]:
     """The bracket that halving the window [A/S, (A + delta)/S] (S > 0,
     delta > 0) until it is at most wn/wd wide ends in, keeping a sign
     change of P = x^3 + B x^2 + C x + D, as numerators over one
@@ -190,8 +200,10 @@ def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
     critical-point splitting that hold no critical point), the only cell
     with a strict sign change is the one bisection ends in, and the sign
     of P' tells which sign P has left of the root.  Newton's method then
-    finds n, and two exact sign evaluations certify the cell, which must
-    lie inside the window; the window ends are not evaluated.  Otherwise,
+    finds n, from `start` when given (see `_newton_index`), and two exact
+    sign evaluations certify the cell, which must lie inside the window;
+    the window ends are not evaluated.  So the start changes only the
+    number of evaluations, never the bracket.  Otherwise,
     or when the certificate fails, `_bisection_index` decides.  Raises
     PrecisionInsufficientError when P does not change sign over the
     window."""
@@ -203,7 +215,7 @@ def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
     if slope:
         neg = slope > 0
         n = _newton_index(B, C, D, A, delta, S, neg,
-                          K + NEWTON_GUARD_BITS) >> NEWTON_GUARD_BITS
+                          K + NEWTON_GUARD_BITS, start) >> NEWTON_GUARD_BITS
         if 0 <= n < 1 << K:
             N = base + n * delta
             f0, f1 = monic_cubic(b, c, d, N), monic_cubic(b, c, d, N + delta)
@@ -216,8 +228,9 @@ def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
     return N, N + delta, SK
 
 
-def isolate_real_roots_monic_cubic(B: int, C: int, D: int, wn: int,
-                                   wd: int) -> List[Tuple[int, int, int]]:
+def isolate_real_roots_monic_cubic(B: int, C: int, D: int, wn: int, wd: int,
+                                   disc: Optional[int] = None
+                                   ) -> List[Tuple[int, int, int]]:
     """Certified brackets, at most wn/wd wide and in increasing order, of
     every distinct real root of x^3 + B x^2 + C x + D, each (N0, N1, M)
     for [N0/M, N1/M] as `_bracket` gives it: sign-change validated, or
@@ -225,9 +238,12 @@ def isolate_real_roots_monic_cubic(B: int, C: int, D: int, wn: int,
     cut at rational bounds on the critical points, and each piece with a
     sign change is bisected; with a positive discriminant (three distinct
     real roots) the bounds are tightened until the cut separates all
-    three.  A double root is an integer critical point, and so a cut
-    point at which P vanishes."""
-    three_real = discriminant(BinaryCubicForm(1, B, C, D)) > 0
+    three; disc is that discriminant, when the caller has it.  A double
+    root is an integer critical point, and so a cut point at which P
+    vanishes."""
+    if disc is None:
+        disc = discriminant(BinaryCubicForm(1, B, C, D))
+    three_real = disc > 0
     k = 0
     while True:
         out = _split_and_bisect(B, C, D, wn, wd, k)
@@ -241,7 +257,13 @@ def _split_and_bisect(B: int, C: int, D: int, wn: int, wd: int,
     """Brackets of the roots at a cut point or with a sign change between
     two.  The cuts are numerators over S = 3 * 2^k: -M and M, which bound
     every root strictly (Cauchy), and between them the bounds on the
-    critical points on the grid 1/S."""
+    critical points on the grid 1/S.
+
+    The outer pieces are ~M wide, and far from its roots a Newton step
+    of a cubic covers only a third of the distance, so Newton starts a
+    piece from the first of the Newton-polygon root estimates -D/C, -C/B
+    and -B that lies strictly inside it (for F_{3,t}, the leading terms
+    of theta1, theta2 and theta3)."""
     M = 1 + max(abs(B), abs(C), abs(D))
     S = 3 << k
     disc4 = B * B - 3 * C
@@ -253,12 +275,15 @@ def _split_and_bisect(B: int, C: int, D: int, wn: int, wd: int,
     cuts.append(M * S)
     b, c, d = _scaled_coeffs(B, C, D, S)
     vals = [monic_cubic(b, c, d, n) for n in cuts]
+    estimates = [(p, q) if q > 0 else (-p, -q)
+                 for p, q in ((-D, C), (-C, B), (-B, 1)) if q]
     out = []
     for lo, hi, flo, fhi in zip(cuts, cuts[1:], vals, vals[1:]):
         if flo == 0:
             out.append((4 * wd * lo - wn * S, 4 * wd * lo + wn * S, 4 * wd * S))
         elif fhi != 0 and (flo < 0) != (fhi < 0):
-            out.append(_bracket(B, C, D, lo, hi - lo, S, wn, wd))
+            start = next(((p, q) for p, q in estimates if lo * q < p * S < hi * q), None)
+            out.append(_bracket(B, C, D, lo, hi - lo, S, wn, wd, start))
     return out
 
 

@@ -21,9 +21,12 @@ threshold y0 that depends on the form:
 
 Both ranges read the same certified brackets of the real roots, found
 once per form, each as integer numerators over one denominator.  y0
-comes from exact rational bounds on those brackets (see `_threshold`),
-every accepted (x, y) from an exact integer evaluation of F; no
-decision rests on floating point.  Completeness beyond |y| <= Y is NOT
+comes from exact rational bounds on those brackets, held as integer
+pairs and compared by cross-multiplication (see `_threshold`), every
+accepted (x, y) from an exact integer evaluation of F: no decision rests
+on floating point, and no Fraction is formed.  The form's discriminant
+is computed once per search and handed to each step that branches on
+it.  Completeness beyond |y| <= Y is NOT
 claimed; reports carry an explicit bounded-verification caveat.
 """
 
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Set, Tuple
 
 from .errors import PrecisionInsufficientError, VerificationFailedError
@@ -102,18 +104,20 @@ class SearchReport:
         }
 
 
-def _brackets(F: BinaryCubicForm, y_bound: int) -> List[Tuple[int, int, int]]:
+def _brackets(F: BinaryCubicForm, y_bound: int,
+              disc: Optional[int] = None) -> List[Tuple[int, int, int]]:
     """Certified brackets (N0, N1, M) of [N0/M, N1/M], each at most
     1/(2 y_bound^2 + 2) wide and in increasing order, of the real roots
-    of F(x, 1)."""
+    of F(x, 1); disc is F's discriminant, when the caller has it."""
     _, b, c, d = F.coefficients
-    return isolate_real_roots_monic_cubic(b, c, d, 1, 2 * y_bound ** 2 + 2)
+    return isolate_real_roots_monic_cubic(b, c, d, 1, 2 * y_bound ** 2 + 2, disc)
 
 
 def _threshold(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
-               y_bound: int) -> int:
+               y_bound: int, disc: int) -> int:
     """y0 <= y_bound + 1 such that every solution of F(x,y) = 1 with
-    |y| >= y0 has |theta - x/y| < 1/(2 y^2) for a real root theta.
+    |y| >= y0 has |theta - x/y| < 1/(2 y^2) for a real root theta; disc
+    is F's discriminant.
 
     Three real roots: let g > 0 bound the gaps between the roots from
     below.  Take theta_i nearest x/y; each other factor of F(x,y) has
@@ -130,41 +134,44 @@ def _threshold(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
 
     Both bounds hold for an integer root too: there they leave no
     solution at all near it, since x - theta y is then a nonzero integer.
+    g and m are held as integer pairs (numerator, positive denominator)
+    and compared by cross-multiplication.
 
     A triple root (the search solves a double root with
     `_double_root_solutions`), or a bound that is not positive, leaves
     y0 = y_bound + 1: the root-line scan then covers every y."""
     _, b, c, d = F.coefficients
-    disc = F.discriminant()
     if disc == 0:
         return y_bound + 1
     if disc > 0:
-        g = min(Fraction(lo, ld) - Fraction(hi, hd)
-                for (_, hi, hd), (lo, _, ld) in zip(brackets, brackets[1:]))
-        if g <= 0:
+        # g = n/m: the least gap lo/ld - hi/hd between adjacent brackets,
+        # from n/m = 1/0, above every gap
+        n, m = 1, 0
+        for (_, hi, hd), (lo, _, ld) in zip(brackets, brackets[1:]):
+            gn, gm = lo * hd - hi * ld, ld * hd
+            if gn * m < n * gm:
+                n, m = gn, gm
+        if n <= 0:
             return y_bound + 1
-
-        def holds(y: int) -> bool:
-            return g * y > 1 and (g * y - 1) ** 2 > 2 * y
-
         # y > ((g + 1) + sqrt(2g + 1)) / g^2, from below in integers: the
-        # start is at most that bound, so the first y that holds is the least
-        n, m = g.numerator, g.denominator
+        # start is at most that bound, so the first y that holds is the
+        # least; g y > 1 and (g y - 1)^2 > 2y, times m and m^2
         y0 = max(1, m * (n + m + math.isqrt(m * (2 * n + m))) // (n * n))
-        while not holds(y0):
+        while not (n * y0 > m and (n * y0 - m) ** 2 > 2 * y0 * m * m):
             y0 += 1
     else:
         (N0, N1, M), = brackets
-        lo, hi = Fraction(N0, M), Fraction(N1, M)
-
-        def im2(r: Fraction) -> Fraction:
-            return (3 * r * r + 2 * b * r + 4 * c - b * b) / 4
-
-        vertex = Fraction(-b, 3)
-        m = im2(vertex) if lo <= vertex <= hi else min(im2(lo), im2(hi))
-        if m <= 0:
+        if 3 * N0 <= -b * M <= 3 * N1:
+            # the vertex -b/3 lies in the bracket: m = c - b^2/3
+            num, den = 3 * c - b * b, 3
+        else:
+            # Im^2 at r = N/M, times 4 M^2
+            num = min(3 * N * N + 2 * b * N * M + (4 * c - b * b) * M * M
+                      for N in (N0, N1))
+            den = 4 * M * M
+        if num <= 0:
             return y_bound + 1
-        y0 = math.floor(2 / m) + 1
+        y0 = 2 * den // num + 1
     return min(y0, y_bound + 1)
 
 
@@ -186,14 +193,14 @@ def _double_root_solutions(b: int, c: int, d: int,
 
 
 def _scan(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
-          y_max: int) -> Set[Tuple[int, int]]:
+          y_max: int, disc: int) -> Set[Tuple[int, int]]:
     """Solutions with |y| <= y_max, from the integers within 1 of each
     root line: the real roots in `brackets` (each at most
-    1/(2 y_max + 2) wide) and, when the other two roots are complex,
-    their common real part."""
+    1/(2 y_max + 2) wide) and, when the other two roots are complex
+    (disc, F's discriminant, is negative), their common real part."""
     _, b, c, d = F.coefficients
     lines = list(brackets)
-    if F.discriminant() < 0:
+    if disc < 0:
         # the real parts of the pair sum with the real root to -b
         (N0, N1, M), = brackets
         lines.append((-b * M - N1, -b * M - N0, 2 * M))
@@ -234,12 +241,13 @@ def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
     if y_bound < 0:
         raise ValueError("y_bound must be >= 0")
     _, b, c, d = F.coefficients
-    if F.discriminant() == 0 and b * b != 3 * c:
+    disc = F.discriminant()
+    if disc == 0 and b * b != 3 * c:
         return SearchReport(F, y_bound, tuple(sorted(_double_root_solutions(
             b, c, d, y_bound))))
-    brackets = _brackets(F, y_bound)
-    y0 = _threshold(F, brackets, y_bound)
-    sols = _scan(F, brackets, y0 - 1)
+    brackets = _brackets(F, y_bound, disc)
+    y0 = _threshold(F, brackets, y_bound, disc)
+    sols = _scan(F, brackets, y0 - 1, disc)
     if y0 <= y_bound:
         for lo, hi, m in brackets:
             # from y0 on, |x - r y| < 1 for the root r nearest x/y; for an

@@ -727,6 +727,40 @@ def test_sci_notation_parsing():
     assert cli._int_from_sci("1e60") == 10 ** 60
     assert cli._int_from_sci("3e18") == 3 * 10 ** 18
     assert cli._int_from_sci("576241") == 576241
+    for text in ("1.5", "abc", "inf", "nan", "snan", ""):
+        with pytest.raises(argparse.ArgumentTypeError, match="is not an integer"):
+            cli._int_from_sci(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--t", "2", "--y-bound", "1.5"],
+    ["verify-theorem", "--t", "2", "--y-bound", "abc"],
+    ["verify-tables", "--y-bound", "1e-3"],
+    ["certify-all", "--y-bound", "inf"],
+])
+def test_y_bound_that_is_no_integer_is_a_usage_error(argv, capsys):
+    assert run(argv) == cli.EXIT_USAGE
+    assert "error: argument --y-bound: %r is not an integer" % argv[-1] \
+        in capsys.readouterr().err
+
+
+def test_y_bound_in_sci_notation_writes_the_same_bytes(tmp_path, capsys):
+    outputs = []
+    for y_bound in ("1e30", str(10 ** 30)):
+        path = tmp_path / ("%s.jsonl" % y_bound)
+        assert run(["search", "--t", "2", "--y-bound", y_bound, "--output", str(path)]) == 0
+        outputs.append((path.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert b'"y_bound": 1000000000000000000000000000000' in outputs[0][0]
+
+
+def test_verify_theorem_at_t_one_matches_the_five_solutions(capsys):
+    # F_{3,1} is the discriminant -23 form, with (4, -3) beside the list
+    assert run(["verify-theorem", "--t", "1", "--y-bound", "10"]) == 0
+    out = capsys.readouterr().out
+    assert out == ('{"count": 5, "pass": true, "schema": 1, "solutions": [[-1, 1], '
+                   '[0, 1], [1, 0], [1, 1], [4, -3]], "t": 1, "y_bound": 10}\n'
+                   "t=1: 5 solutions, matches published list\n")
 
 
 def test_seeded_samples_deterministic():

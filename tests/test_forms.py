@@ -76,9 +76,12 @@ def test_known_solutions_always_evaluate_to_one():
 
 
 def test_known_solutions_degenerate_dedup():
-    # at t=0: (t,1)=(0,1) and (t^4-2t,1)=(0,1) collapse
-    assert len(known_solutions(0)) < 5
-    assert len(known_solutions(1)) < 5
+    # at t=0: (t,1)=(0,1) and (t^4-2t,1)=(0,1) collapse, and so do (1,0)
+    # and (1-t^3, t^8-3t^5+3t^2) = (1,0)
+    assert known_solutions(0).solutions == ((0, 1), (1, 0))
+    # at t=1: (1-t^3, t^8-3t^5+3t^2) = (0,1) collapses, and (4,-3) joins:
+    # F_{3,1} = x^3 - xy^2 + y^3 is the discriminant -23 form, N_F = 5
+    assert known_solutions(1).solutions == ((-1, 1), (0, 1), (1, 0), (1, 1), (4, -3))
 
 
 def test_apply_gl2_family_identity():

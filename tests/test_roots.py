@@ -377,8 +377,8 @@ def test_bisect_matches_reference_on_generic_windows(monkeypatch):
     calls = []
     fast = roots._bracket
 
-    def spy(B, C, D, A, delta, S, wn, wd):
-        out = fast(B, C, D, A, delta, S, wn, wd)
+    def spy(B, C, D, A, delta, S, wn, wd, start=None):
+        out = fast(B, C, D, A, delta, S, wn, wd, start)
         window = (Fraction(A, S), Fraction(A + delta, S), Fraction(wn, wd))
         calls.append(((B, C, D, *window), _as_fractions(out)))
         return out
@@ -436,9 +436,44 @@ def test_bisect_falls_back_when_newton_misses(monkeypatch):
 def test_bisect_keeps_newton_inside_the_window(monkeypatch, lo, hi, index):
     # x^3 - 2 rises on either window; an index Newton returns outside it
     # must not certify the sign change next to it
-    monkeypatch.setattr(roots, "_newton_index", lambda *args: index(args[-1]))
+    monkeypatch.setattr(roots, "_newton_index",
+                        lambda B, C, D, A, delta, S, neg, k_final, start=None: index(k_final))
     with pytest.raises(PrecisionInsufficientError, match="no sign change"):
         _bracket_of(0, 0, -2, lo, hi, hi - lo)
+
+
+def test_bracket_does_not_depend_on_the_newton_start(monkeypatch):
+    # the windows critical-point splitting hands _bracket, at the small t
+    # and for seeded random cubics, half of them with an integer root
+    windows, bracket = [], roots._bracket
+    monkeypatch.setattr(roots, "_bracket",
+                        lambda *args: windows.append(args[:8]) or bracket(*args))
+    for t in (2, 3, 7, 9, -1, -5):
+        for precision in BRACKET_PRECISIONS:
+            isolate_roots(t, precision)
+    rng = random.Random(29)
+    integer_root = {}
+    for _ in range(300):
+        if rng.random() < 0.5:
+            r, p, q = (rng.randrange(-50, 51) for _ in range(3))
+            B, C, D = p - r, q - r * p, -r * q
+            integer_root[B, C, D] = r
+        else:
+            B, C, D = (rng.randrange(-10 ** 6, 10 ** 6 + 1) for _ in range(3))
+        isolate_real_roots_monic_cubic(B, C, D, 1, 2 ** rng.choice((20, 64, 200)))
+    on_root = 0
+    for B, C, D, A, delta, S, wn, wd in windows:
+        j = rng.randrange(80)
+        inside = ((A << j) + rng.randrange(1, delta << j), S << j)
+        starts = [inside, (A - delta, S), (A + 2 * delta, S), (A, S), (A + delta, S)]
+        r = integer_root.get((B, C, D))
+        if r is not None and A <= r * S <= A + delta:
+            starts.append((r, 1))
+            on_root += 1
+        want = bracket(B, C, D, A, delta, S, wn, wd)
+        for start in starts:
+            assert bracket(B, C, D, A, delta, S, wn, wd, start) == want, (B, C, D, A, start)
+    assert len(windows) >= 500 and on_root >= 50
 
 
 def test_bisect_short_window_is_returned_as_is():
