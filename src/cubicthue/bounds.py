@@ -1,5 +1,5 @@
-"""Siegel identity, the three linear forms in logarithms, their upper
-bounds, Matveev's explicit lower bound, and the absolute bound on t.
+"""The three linear forms in logarithms, their upper bounds, Matveev's
+explicit lower bound, and the absolute bound on t.
 
 The source analysis's constants (7.7, 7.9, 8.9, 3.5, 8.6, 9.8, 1.07e15)
 are exact rationals, and the contradiction coefficients are their
@@ -47,16 +47,6 @@ W0_PREFACTOR_CAP = 35
 
 # the window the family's Matveev coefficient must fall in
 MATVEEV_WINDOW = (830 * 10 ** 13, 840 * 10 ** 13)
-
-
-def siegel_residual(x: int, y: int, roots: RootTriple) -> CertifiedReal:
-    """(th2-th3)(x-y*th1) + (th3-th1)(x-y*th2) + (th1-th2)(x-y*th3);
-    an algebraic identity, so the enclosure must contain 0 for any
-    integers x, y."""
-    th1, th2, th3 = roots.thetas
-    return ((th2 - th3) * (x - th1 * y)
-            + (th3 - th1) * (x - th2 * y)
-            + (th1 - th2) * (x - th3 * y))
 
 
 def lambda_log_arguments(which: int, roots: RootTriple

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 inconclusive
 (precision/Q exhausted, or a certified comparison the enclosures do not
-decide), 3 usage error, 141 (128 + SIGPIPE) stdout closed by its reader.
+decide), 3 usage error or an --output or --checkpoint that cannot be
+written, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -485,13 +486,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     out = _Output(getattr(args, "output", None))
-    finished = False
     try:
         if hasattr(args, "Q"):
             # refused before the command runs, so no record is written
             reduction.check_bounds(args.A, args.Q)
         rc = _COMMANDS[args.command](args, out)
-        finished = rc != EXIT_USAGE
+        # a refused run (exit 3) leaves an existing --output file untouched;
+        # a finished one with no records opens it here, for its newline
+        out.close(finished=rc != EXIT_USAGE)
     except ValueError as exc:
         # the engine rejects parameters outside its range with ValueError
         print("cubicthue %s: error: %s" % (args.command, exc), file=sys.stderr)
@@ -511,10 +513,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         rc = EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # an --output or --checkpoint that cannot be written: a usage
+        # error, not a failed verification
+        print("cubicthue %s: error: %s" % (args.command, exc), file=sys.stderr)
+        rc = EXIT_USAGE
     finally:
-        # a refused run (exit 3), or one stopped by an error before its
-        # first record, leaves an existing --output file untouched
-        out.close(finished=finished)
+        # a run stopped by an error before its first record leaves an
+        # existing --output file untouched
+        out.close(finished=False)
     return rc
 
 

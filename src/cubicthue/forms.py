@@ -1,6 +1,5 @@
-"""Integer binary cubic forms, the parametric families, their known
-solution sets, and GL2(Z) actions.  Everything here is exact integer
-arithmetic."""
+"""Integer binary cubic forms, the parametric families and their known
+solution sets.  Everything here is exact integer arithmetic."""
 
 from __future__ import annotations
 
@@ -8,9 +7,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import VerificationFailedError
-
-Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
-
 
 @dataclass(frozen=True)
 class BinaryCubicForm:
@@ -80,12 +76,6 @@ def family_form(index: int, t: int) -> BinaryCubicForm:
     raise ValueError("family index must be 1..4")
 
 
-def family_discriminant_poly(t: int) -> int:
-    """The closed form of disc(F_{3,t}) as a polynomial in t."""
-    return (t ** 18 - 10 * t ** 15 + 41 * t ** 12 - 90 * t ** 9
-            + 102 * t ** 6 - 40 * t ** 3 - 27)
-
-
 def known_solutions(t: int) -> SolutionSet:
     """The complete solution set of F_{3,t}(x,y)=1 (degenerate duplicates
     at t in {0,1} removed; the extra pair (6,-5) appears at t=-1, and
@@ -110,20 +100,3 @@ def known_solutions(t: int) -> SolutionSet:
                 "(%d, %d) is not a solution at t=%d" % (x, y, t))
     return SolutionSet(t, tuple(uniq))
 
-
-def _det(M: Matrix) -> int:
-    return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-
-
-def apply_gl2(F: BinaryCubicForm, M: Matrix) -> BinaryCubicForm:
-    """Coefficients of G(x, y) = F(m11*x + m12*y, m21*x + m22*y); M must
-    be unimodular.  They come from four exact values of G: G(1, 0) and
-    G(0, 1) are the outer coefficients, and G(1, 1) and G(1, -1) give the
-    sum and the difference of the inner two."""
-    if _det(M) not in (1, -1):
-        raise ValueError("matrix must have determinant +-1, got %d" % _det(M))
-    (m11, m12), (m21, m22) = M
-    a, d = F(m11, m21), F(m12, m22)
-    b_plus_c = F(m11 + m12, m21 + m22) - a - d
-    c_minus_b = F(m11 - m12, m21 - m22) - a + d
-    return BinaryCubicForm(a, (b_plus_c - c_minus_b) // 2, (b_plus_c + c_minus_b) // 2, d)

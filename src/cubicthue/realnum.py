@@ -588,25 +588,6 @@ class Convergent(NamedTuple):
     index: int
 
 
-def _convergents_of_fraction(x: Fraction, Q: int) -> List[Convergent]:
-    """All continued-fraction convergents of an exact rational with q <= Q."""
-    out: List[Convergent] = []
-    pm1, qm1, pm2, qm2 = 1, 0, 0, 1
-    num, den = x.numerator, x.denominator
-    idx = 0
-    while den != 0:
-        a = num // den
-        p = a * pm1 + pm2
-        q = a * qm1 + qm2
-        if q > Q:
-            break
-        out.append(Convergent(p, q, idx))
-        idx += 1
-        pm2, qm2, pm1, qm1 = pm1, qm1, p, q
-        num, den = den, num - a * den
-    return out
-
-
 def lockstep_expansion(a: int, b: int, c: int, d: int, Q: int) -> Iterator[Convergent]:
     """The convergents p/q with q <= Q that every real in [a/b, c/d]
     shares (a/b <= c/d, b > 0, d > 0), produced one at a time.
@@ -654,24 +635,14 @@ def lockstep_expansion(a: int, b: int, c: int, d: int, Q: int) -> Iterator[Conve
         a, b, c, d = d, rc, b, ra
 
 
-def shared_convergents(x: CertifiedReal, Q: int) -> Iterator[Convergent]:
-    """The convergents p/q (q <= Q) of the exact real enclosed by x, in
-    order and one at a time: those every real in the enclosure shares
-    (`lockstep_expansion`), which for a zero-radius input are the exact
-    Euclidean ones.  An enclosure too wide to pin the expansion down up
-    to Q raises PrecisionInsufficientError when the expansion reaches
-    the point where it parts.
-    """
-    if Q < 1:
-        raise ValueError("Q must be >= 1")
-    (a, b), (c, d) = _ratio(x._ival[0]), _ratio(x._ival[1])
-    return lockstep_expansion(a, b, c, d, Q)
-
-
 def continued_fraction_convergents(x: CertifiedReal, Q: int) -> List[Convergent]:
-    """Every convergent of `shared_convergents(x, Q)`; raises if the
-    enclosure does not pin down the expansion up to Q."""
-    return list(shared_convergents(x, Q))
+    """The convergents p/q (q <= Q) of the exact real enclosed by x: those
+    every real in the enclosure shares (`lockstep_expansion`), which for
+    a zero-radius input are the exact Euclidean ones.  Raises
+    PrecisionInsufficientError if the enclosure does not pin the
+    expansion down up to Q."""
+    a, b, k = dyadic_numerators(x._ival)
+    return list(lockstep_expansion(a, 1 << k, b, 1 << k, Q))
 
 
 def dyadic_numerators(ival) -> Tuple[int, int, int]:

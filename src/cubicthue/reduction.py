@@ -21,7 +21,7 @@ from .bounds import (LOG_PRECISION, certified_contradiction_threshold,
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .parallel import parallel_map
 from .realnum import (CertifiedReal, certified_below, dyadic_numerators,
-                      integer_distance_num, reduction_precision, shared_convergents)
+                      integer_distance_num, lockstep_expansion, reduction_precision)
 from .roots import isolate_roots, series_cell_halvings
 
 DEFAULT_A = 3 * 10 ** 18
@@ -186,8 +186,9 @@ def baker_davenport(inst: ReductionInstance) -> Verdict:
     gamma2_num = dyadic_numerators(inst.gamma2._ival)
     k = gamma2_num[2]
     bar = threshold_100 << k                # the threshold, times 100 * 2^k
+    a1, b1, k1 = dyadic_numerators(inst.gamma1._ival)
     scanned, exhausted = 0, True
-    for conv in shared_convergents(inst.gamma1, inst.Q):
+    for conv in lockstep_expansion(a1, 1 << k1, b1, 1 << k1, inst.Q):
         scanned += 1
         # q*||.|| <= q/2, so small q cannot pass
         if 50 * conv.q < threshold_100:

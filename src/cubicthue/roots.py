@@ -532,9 +532,3 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
                              and endpoint_cmp(b, *hi.as_integer_ratio()) < 0))
     return KappaReport(t, tuple(rows))
 
-
-def intervals_disjoint(t: int, y_abs: int = 2) -> bool:
-    """sup I1 < inf I2 < sup I2 < inf I3 at the given |y|."""
-    (_, sup1), (inf2, sup2), (inf3, _) = (solution_interval(w, t, y_abs)
-                                          for w in (1, 2, 3))
-    return sup1 < inf2 < sup2 < inf3

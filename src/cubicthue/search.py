@@ -36,10 +36,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
-from .errors import PrecisionInsufficientError, VerificationFailedError
+from .errors import VerificationFailedError
 from .forms import BinaryCubicForm, family_form, known_solutions, monic_cubic
-from .realnum import Convergent, lockstep_expansion
-from .roots import _bracket, isolate_real_roots_monic_cubic
+from .realnum import lockstep_expansion
+from .roots import isolate_real_roots_monic_cubic
 
 # (form, discriminant, published solution count) for the positive-
 # discriminant sporadic classes with N_F >= 6
@@ -81,7 +81,6 @@ class SearchReport:
     y_bound: int
     solutions: Tuple[Tuple[int, int], ...]
     expected_min_count: Optional[int] = None
-    bounded_verification: bool = True
 
     @property
     def count(self) -> int:
@@ -100,17 +99,36 @@ class SearchReport:
             "solutions": [list(s) for s in self.solutions],
             "expected_min_count": self.expected_min_count,
             "matches_expected": self.matches_expected,
-            "bounded_verification": self.bounded_verification,
+            "bounded_verification": True,
         }
 
 
 def _brackets(F: BinaryCubicForm, y_bound: int,
               disc: Optional[int] = None) -> List[Tuple[int, int, int]]:
-    """Certified brackets (N0, N1, M) of [N0/M, N1/M], each at most
-    1/(2 y_bound^2 + 2) wide and in increasing order, of the real roots
-    of F(x, 1); disc is F's discriminant, when the caller has it."""
+    """Certified brackets (N0, N1, M) of [N0/M, N1/M], in increasing
+    order, of the real roots of P = F(x, 1), each so narrow that
+    `lockstep_expansion` settles every convergent of an irrational root
+    up to y_bound; disc is F's discriminant, when the caller has it.
+
+    The width is 1/W, W = 8 L Y^3 + 2 with Y = max(y_bound, 1), where
+    K = 1 + max(|b|, |c|, |d|) is the Cauchy bound, within which every
+    bracket lies, and L = 3 K^2 + 2|b| K + |c| bounds |P'| on [-K, K].
+    Let p/q (q >= 1) be a rational in the bracket of an irrational root
+    theta.  The rational roots of the monic P are integers, and the
+    search expands no bracket that holds one, so q^3 P(p/q) is a nonzero
+    integer; with the mean value theorem,
+    1/q^3 <= |P(p/q)| <= L |p/q - theta|.  The expansion raises only at
+    a rational in the bracket with denominator at most
+    q_n + q_(n-1) <= 2Y: where the endpoints part, the one whose
+    complete quotient there is the lower endpoint's plus 1, and where
+    one endpoint's expansion ends, that endpoint.  Such a rational lies
+    at least 1/(8 L Y^3) from theta, farther than the bracket is wide,
+    so there is none."""
     _, b, c, d = F.coefficients
-    return isolate_real_roots_monic_cubic(b, c, d, 1, 2 * y_bound ** 2 + 2, disc)
+    K = 1 + max(abs(b), abs(c), abs(d))
+    L = 3 * K * K + 2 * abs(b) * K + abs(c)
+    return isolate_real_roots_monic_cubic(b, c, d, 1, 8 * L * max(y_bound, 1) ** 3 + 2,
+                                          disc)
 
 
 def _threshold(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
@@ -216,21 +234,6 @@ def _scan(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
     return sols
 
 
-def _root_convergents(F: BinaryCubicForm, lo: int, hi: int, m: int,
-                      y_bound: int) -> List[Convergent]:
-    """The convergents p/q, q <= y_bound, of the irrational root of F(x, 1)
-    in the sign-change bracket [lo/m, hi/m]: those every real in the
-    bracket shares (`lockstep_expansion`).  A bracket too wide to pin them
-    down is refined to the square of its width."""
-    _, b, c, d = F.coefficients
-    while True:
-        try:
-            return list(lockstep_expansion(lo, m, hi, m, y_bound))
-        except PrecisionInsufficientError:
-            width = hi - lo
-            lo, hi, m = _bracket(b, c, d, lo, width, m, width * width, m * m)
-
-
 def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
     """All integer solutions of F(x,y)=1 with |y| <= y_bound; the form
     must be monic in x.  The root-line scan covers |y| < y0, and the
@@ -255,7 +258,7 @@ def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
             if any(monic_cubic(b, c, d, n) == 0
                    for n in range(-(-lo // m), hi // m + 1)):
                 continue
-            for cv in _root_convergents(F, lo, hi, m, y_bound):
+            for cv in lockstep_expansion(lo, m, hi, m, y_bound):
                 if cv.q >= y0:
                     # F(-p, -q) = -F(p, q)
                     value = F(cv.p, cv.q)

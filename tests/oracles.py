@@ -1,0 +1,67 @@
+"""Reference code the tests check the engine against, kept out of the
+engine because nothing there calls it: closed forms, identities and
+the exact Euclidean continued fraction."""
+
+from fractions import Fraction
+from typing import List
+
+from cubicthue.forms import BinaryCubicForm
+from cubicthue.realnum import CertifiedReal, Convergent
+from cubicthue.roots import RootTriple, solution_interval
+
+
+def family_discriminant_poly(t: int) -> int:
+    """The closed form of disc(F_{3,t}) as a polynomial in t."""
+    return (t ** 18 - 10 * t ** 15 + 41 * t ** 12 - 90 * t ** 9
+            + 102 * t ** 6 - 40 * t ** 3 - 27)
+
+
+def apply_gl2(F: BinaryCubicForm, M) -> BinaryCubicForm:
+    """Coefficients of G(x, y) = F(m11*x + m12*y, m21*x + m22*y); M must
+    be unimodular.  They come from four exact values of G: G(1, 0) and
+    G(0, 1) are the outer coefficients, and G(1, 1) and G(1, -1) give the
+    sum and the difference of the inner two."""
+    (m11, m12), (m21, m22) = M
+    det = m11 * m22 - m12 * m21
+    if det not in (1, -1):
+        raise ValueError("matrix must have determinant +-1, got %d" % det)
+    a, d = F(m11, m21), F(m12, m22)
+    b_plus_c = F(m11 + m12, m21 + m22) - a - d
+    c_minus_b = F(m11 - m12, m21 - m22) - a + d
+    return BinaryCubicForm(a, (b_plus_c - c_minus_b) // 2, (b_plus_c + c_minus_b) // 2, d)
+
+
+def siegel_residual(x: int, y: int, roots: RootTriple) -> CertifiedReal:
+    """(th2-th3)(x-y*th1) + (th3-th1)(x-y*th2) + (th1-th2)(x-y*th3);
+    an algebraic identity, so the enclosure must contain 0 for any
+    integers x, y."""
+    th1, th2, th3 = roots.thetas
+    return ((th2 - th3) * (x - th1 * y)
+            + (th3 - th1) * (x - th2 * y)
+            + (th1 - th2) * (x - th3 * y))
+
+
+def intervals_disjoint(t: int, y_abs: int = 2) -> bool:
+    """sup I1 < inf I2 < sup I2 < inf I3 at the given |y|."""
+    (_, sup1), (inf2, sup2), (inf3, _) = (solution_interval(w, t, y_abs)
+                                          for w in (1, 2, 3))
+    return sup1 < inf2 < sup2 < inf3
+
+
+def convergents_of_fraction(x: Fraction, Q: int) -> List[Convergent]:
+    """All continued-fraction convergents of an exact rational with q <= Q."""
+    out: List[Convergent] = []
+    pm1, qm1, pm2, qm2 = 1, 0, 0, 1
+    num, den = x.numerator, x.denominator
+    idx = 0
+    while den != 0:
+        a = num // den
+        p = a * pm1 + pm2
+        q = a * qm1 + qm2
+        if q > Q:
+            break
+        out.append(Convergent(p, q, idx))
+        idx += 1
+        pm2, qm2, pm1, qm1 = pm1, qm1, p, q
+        num, den = den, num - a * den
+    return out

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from cubicthue import bounds, cli, exponents, forms, reduction, roots, search
 from cubicthue.parallel import parallel_map
-from cubicthue.realnum import (CertifiedReal, _convergents_of_fraction,
-                               continued_fraction_convergents)
+from cubicthue.realnum import CertifiedReal, continued_fraction_convergents
+from oracles import convergents_of_fraction, family_discriminant_poly, siegel_residual
 
 # one worker per core this process may run on
 WORKERS = len(os.sched_getaffinity(0))
@@ -85,7 +85,7 @@ def test_criterion_6_sporadic_tables():
 
 def test_criterion_7_discriminant_identity():
     ok = all(forms.discriminant(forms.family_form(3, t))
-             == forms.family_discriminant_poly(t)
+             == family_discriminant_poly(t)
              for t in range(-100, 101))
     _verdict("7 discriminant-identity", ok)
 
@@ -121,7 +121,7 @@ def _siegel_suite():
             cache[t] = roots.isolate_roots(t)
         x = rng.randrange(-10 ** 6, 10 ** 6)
         y = rng.randrange(-10 ** 6, 10 ** 6)
-        if not bounds.siegel_residual(x, y, cache[t]).contains_zero():
+        if not siegel_residual(x, y, cache[t]).contains_zero():
             return False
     return True
 
@@ -150,7 +150,7 @@ def _cf_oracle_suite():
     for _ in range(1000):
         x = Fraction(rng.randrange(1, 10 ** 40), rng.randrange(1, 10 ** 40))
         got = continued_fraction_convergents(CertifiedReal.from_rational(x, 256), 10 ** 6)
-        want = _convergents_of_fraction(x, 10 ** 6)
+        want = convergents_of_fraction(x, 10 ** 6)
         if [(c.p, c.q) for c in got] != [(c.p, c.q) for c in want]:
             return False
     return True
@@ -171,7 +171,7 @@ def _bd_oracle_suite():
         verdict = reduction.baker_davenport(inst)
         thr = Fraction(101 * A, 100) + 2
         want = None
-        for conv in _convergents_of_fraction(g1, Q):
+        for conv in convergents_of_fraction(g1, Q):
             prod = conv.q * g2
             fl = prod.numerator // prod.denominator
             dist = min(prod - fl, fl + 1 - prod)

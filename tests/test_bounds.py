@@ -10,11 +10,12 @@ from cubicthue import bounds
 from cubicthue.bounds import (check_height_bounds, contradiction_threshold,
                               derive_t_max, e_enclosure, lambda_log_arguments,
                               matveev_family_coefficient, matveev_for_family,
-                              siegel_residual, w0_prefactor)
+                              w0_prefactor)
 from cubicthue.errors import (HeightBoundViolatedError, IndeterminateSignError,
                               VerificationFailedError)
 from cubicthue.realnum import CertifiedReal, certified_below
 from cubicthue.roots import isolate_roots
+from oracles import siegel_residual
 
 def _lambda(which, n, m, roots):
     """Lambda_which at integer exponents (n, m), from the log arguments

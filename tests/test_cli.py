@@ -417,6 +417,21 @@ def test_refused_run_leaves_the_output_file_as_it_was(capsys, tmp_path):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--t", "10", "--output", "{missing}/x"],
+    ["sweep", "--t-lo", "10", "--t-hi", "11", "--output", "{dir}"],
+    # written only after the last record
+    ["sweep", "--t-lo", "10", "--t-hi", "11", "--checkpoint", "{missing}/ck"],
+    # no records: the file is opened at the end, for its newline
+    ["kappas", "--t-lo", "11", "--t-hi", "10", "--output", "{missing}/x"],
+])
+def test_unwritable_output_is_a_usage_error(argv, capsys, tmp_path):
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    assert run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"cubicthue %s: error: \[Errno \d+\] [^\n]*\n" % argv[0], err)
+
+
 def test_sweep_small_range(capsys, tmp_path):
     out_path = tmp_path / "sweep.jsonl"
     argv = ["sweep", "--t-lo", "10", "--t-hi", "14", "--output", str(out_path)]
@@ -462,17 +477,16 @@ def test_sweep_checkpoint_never_passes_the_written_output(workers, monkeypatch, 
         return emit(self, record)
 
     monkeypatch.setattr(cli._Output, "emit", failing)
+    printed = []
+    monkeypatch.setattr(cli, "print", lambda *args, **kwargs: printed.append(
+        (args[0], multiprocessing.active_children())), raising=False)
     ck, out = tmp_path / "ck.json", tmp_path / "out.jsonl"
-    try:
-        run(["sweep", "--t-lo", "10", "--t-hi", "20", "--workers", workers,
-             "--checkpoint", str(ck), "--output", str(out)])
-    except OSError as exc:
-        assert str(exc) == "disk full"
-        # the pool is down before the error leaves the sweep, not only
-        # once the traceback that holds its iterator is freed
-        assert multiprocessing.active_children() == []
-    else:
-        pytest.fail("the sweep went on after a failed write")
+    assert run(["sweep", "--t-lo", "10", "--t-hi", "20", "--workers", workers,
+                "--checkpoint", str(ck), "--output", str(out)]) == cli.EXIT_USAGE
+    # the error is printed while its traceback still holds the sweep's
+    # iterator: the pool is down before the error leaves the sweep, not
+    # only once that traceback is freed
+    assert printed == [("cubicthue sweep: error: disk full", [])]
     lines = out.read_text().splitlines()
     written = [json.loads(line)["t"] for line in lines]
     assert written == [10, 11, 12, 13, 14]
@@ -491,7 +505,7 @@ def _sweep_argv(tmp_path, name, t_hi=20):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_sweep_resumes_after_a_failed_write(workers, monkeypatch, tmp_path):
+def test_sweep_resumes_after_a_failed_write(workers, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 4)
     argv, full_ck, full_out = _sweep_argv(tmp_path, "full")
     assert run(argv) == 0
@@ -507,8 +521,8 @@ def test_sweep_resumes_after_a_failed_write(workers, monkeypatch, tmp_path):
         return emit(self, record)
 
     monkeypatch.setattr(cli._Output, "emit", failing)
-    with pytest.raises(OSError, match="disk full"):
-        run(argv)
+    assert run(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "cubicthue sweep: error: disk full\n"
     monkeypatch.setattr(cli._Output, "emit", emit)
     assert json.loads(ck.read_text())["last_t"] == 13
     # t = 14 is written but not counted, and a line cut mid-write follows

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from cubicthue.forms import (BinaryCubicForm, apply_gl2, discriminant, evaluate,
-                             family_discriminant_poly, family_form, known_solutions)
+from cubicthue.forms import (BinaryCubicForm, discriminant, evaluate, family_form,
+                             known_solutions)
+from oracles import apply_gl2, family_discriminant_poly
 
 SWAP = ((0, 1), (1, 0))
 # generators of GL2(Z), each with its inverse

@@ -14,11 +14,11 @@ from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_log, mpf_p
 from cubicthue import bounds, exponents, forms, realnum, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
-                               _convergents_of_fraction, _quotient_side, _rational_ival,
-                               _rational_side, dyadic_numerators, endpoint_cmp,
-                               integer_distance_num, lockstep_expansion,
-                               reduction_precision)
+                               _quotient_side, _rational_ival, _rational_side,
+                               dyadic_numerators, endpoint_cmp, integer_distance_num,
+                               lockstep_expansion, reduction_precision)
 from mpmath_oracle import endpoint_of, ival_of
+from oracles import convergents_of_fraction
 
 
 def _rand_fraction(rng, digits=9):
@@ -174,7 +174,7 @@ def test_convergents_big_rational_matches_euclid_oracle():
         eps = Fraction(1, 10 ** 60)
         enc = CertifiedReal.from_endpoints(x - eps, x + eps, 512)
         got = continued_fraction_convergents(enc, 10 ** 9)
-        want = _convergents_of_fraction(x, 10 ** 9)
+        want = convergents_of_fraction(x, 10 ** 9)
         assert [(c.p, c.q) for c in got] == [(c.p, c.q) for c in want]
         for c in got:
             assert abs(x * c.q - c.p) < Fraction(1, c.q)
@@ -692,7 +692,7 @@ def _reference_convergents(x, Q):
     disagreement: the lower endpoint's quotient bounds every real's."""
     lo, hi = x.lower, x.upper
     if lo == hi:
-        return _convergents_of_fraction(lo, Q)
+        return convergents_of_fraction(lo, Q)
     out = []
     pm1, qm1, pm2, qm2 = 1, 0, 0, 1
     idx = 0
@@ -774,7 +774,7 @@ def test_shared_convergents_are_those_of_every_point_inside():
             except PrecisionInsufficientError:
                 continue
             for x in (a, b, (a + b) / 2, a + (b - a) * Fraction(rng.randrange(1, 1000), 1000)):
-                assert _convergents_of_fraction(x, Q) == got
+                assert convergents_of_fraction(x, Q) == got
             parted += got == shared and "disagree" in str(exc.value)
     assert parted > 50
 
@@ -789,7 +789,7 @@ def test_lockstep_of_equal_endpoints_is_the_euclidean_expansion():
         for Q in (10, 10 ** 6, 10 ** 40):
             got = lockstep_expansion(x.numerator * j, x.denominator * j,
                                      x.numerator * k, x.denominator * k, Q)
-            assert list(got) == _convergents_of_fraction(x, Q)
+            assert list(got) == convergents_of_fraction(x, Q)
     # an expansion that ends alone leaves the reals inside undetermined
     with pytest.raises(PrecisionInsufficientError, match="terminated"):
         list(lockstep_expansion(45 * 2 ** 86 - 1, 2 ** 90, 45, 16, 10 ** 6))

@@ -12,12 +12,12 @@ import pytest
 
 from cubicthue import bounds, cli, reduction, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
-from cubicthue.realnum import (CertifiedReal, _convergents_of_fraction,
-                               continued_fraction_convergents, dyadic_numerators,
-                               integer_distance_num)
+from cubicthue.realnum import (CertifiedReal, continued_fraction_convergents,
+                               dyadic_numerators, integer_distance_num)
 from cubicthue.reduction import (ReductionInstance, baker_davenport,
                                  build_instance, contradiction_check,
                                  reduce_single, reverify_verdict, verify_range)
+from oracles import convergents_of_fraction
 
 
 def test_build_instance_which2_t10():
@@ -150,7 +150,7 @@ def _exact_instance(g1, g2, A, Q, prec=420):
 
 def _oracle_first_convergent(g1, g2, A, Q):
     thr = Fraction(101 * A, 100) + 2
-    for conv in _convergents_of_fraction(g1, Q):
+    for conv in convergents_of_fraction(g1, Q):
         prod = conv.q * g2
         dist = min(prod - math.floor(prod), math.floor(prod) + 1 - prod)
         if conv.q * dist >= thr:
@@ -417,7 +417,7 @@ def test_norm_check_reads_the_lower_bound():
     A, prec = 100, 420
     threshold = Fraction(101 * A, 100) + 2
     g1 = Fraction(random.Random(73).getrandbits(300), 2 ** 299)
-    conv = next(c for c in _convergents_of_fraction(g1, 10 ** 9) if c.q > 2 * threshold)
+    conv = next(c for c in convergents_of_fraction(g1, 10 ** 9) if c.q > 2 * threshold)
     p, q = conv.p, conv.q
     # distances d_lo < d_hi from the integer with q*d_lo < threshold < q*d_hi <= q/2
     d_lo, d_hi = threshold / (2 * q), (threshold / q + Fraction(1, 2)) / 2

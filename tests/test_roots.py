@@ -12,10 +12,10 @@ from cubicthue import roots, search
 from cubicthue.forms import BinaryCubicForm, discriminant, family_form
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import CertifiedReal
-from cubicthue.roots import (KAPPA_TARGETS,
-                             intervals_disjoint, isolate_real_roots_monic_cubic,
+from cubicthue.roots import (KAPPA_TARGETS, isolate_real_roots_monic_cubic,
                              isolate_roots, kappa_envelope, kappa_t_only,
                              verify_kappas)
+from oracles import intervals_disjoint
 
 
 def _reference_bisect(B, C, D, lo, hi, width):

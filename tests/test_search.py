@@ -7,12 +7,14 @@ import pytest
 
 from cubicthue import forms, roots, search
 from cubicthue.errors import PrecisionInsufficientError, VerificationFailedError
-from cubicthue.forms import BinaryCubicForm, evaluate, family_form
+from cubicthue.forms import BinaryCubicForm, evaluate, family_form, monic_cubic
 from cubicthue.realnum import (CertifiedReal, continued_fraction_convergents,
                                lockstep_expansion)
+from cubicthue.roots import isolate_real_roots_monic_cubic
 from cubicthue.search import (DELONE_NAGELL_TABLE, MANY_SOLUTIONS_TABLE,
                               SPORADIC_CLASSES_TABLE, thue_solutions_bruteforce,
                               verify_sporadic_tables, verify_theorem)
+from oracles import apply_gl2
 
 
 def test_bruteforce_delone_nagell_example():
@@ -164,21 +166,21 @@ def test_integer_root_forms_search_logarithmically(monkeypatch):
         assert y_max < 10
         return scan(F, brackets, y_max, disc)
 
-    convergents = search._root_convergents
+    expand = search.lockstep_expansion
 
-    def irrational_root(F, lo, hi, m, y_bound):
+    def irrational_root(lo, m, hi, m_, y_bound):
         # the expansion of an integer root inside its bracket never settles
         assert all(F(n, 1) != 0 for n in range(-(-lo // m), hi // m + 1))
-        return convergents(F, lo, hi, m, y_bound)
+        return expand(lo, m, hi, m_, y_bound)
 
     monkeypatch.setattr(search, "_scan", few_rows)
-    monkeypatch.setattr(search, "_root_convergents", irrational_root)
+    monkeypatch.setattr(search, "lockstep_expansion", irrational_root)
     Y = 10 ** 30
-    assert thue_solutions_bruteforce(BinaryCubicForm(1, 0, 0, -1), Y).solutions \
-        == ((0, -1), (1, 0))
+    F = BinaryCubicForm(1, 0, 0, -1)
+    assert thue_solutions_bruteforce(F, Y).solutions == ((0, -1), (1, 0))
     # x (x - y)(x + y): three integer roots
-    assert thue_solutions_bruteforce(BinaryCubicForm(1, 0, -1, 0), Y).solutions \
-        == ((1, 0),)
+    F = BinaryCubicForm(1, 0, -1, 0)
+    assert thue_solutions_bruteforce(F, Y).solutions == ((1, 0),)
 
 
 def _double_root_forms(count, seed):
@@ -223,13 +225,13 @@ def test_threshold_is_the_least_y_the_true_roots_allow():
     # Legendre's bound holds, and one below y0 it fails even with the
     # true bound lowered by what brackets of width w can lose
     Y = 200
-    w = mpmath.mpf(1) / (2 * Y * Y + 2)
     checked = 0
     for F in _oracle_forms():
         brackets = search._brackets(F, Y)
         y0 = search._threshold(F, brackets, Y, F.discriminant())
         if y0 > Y:
             continue
+        w = max(mpmath.mpf(hi - lo) / m for lo, hi, m in brackets)
         _, b, c, _ = F.coefficients
         with mpmath.workdps(50):
             zs = mpmath.polyroots(F.coefficients, maxsteps=200, extraprec=200)
@@ -260,8 +262,9 @@ def test_threshold_is_the_least_y_the_true_roots_allow():
 
 def test_search_brackets_stay_within_the_evaluation_budget(monkeypatch):
     # Newton starts each critical-point piece from a Newton-polygon root
-    # estimate, not from the midpoint of a piece up to ~t^5 wide: 21.0
-    # exact cubic evaluations per search, against 61.1 from the midpoints
+    # estimate, not from the midpoint of a piece up to ~t^5 wide: 28.4
+    # exact cubic evaluations per search at the width that settles every
+    # convergent up to y_bound, against 61.1 from the midpoints
     count = [0]
     evaluate = roots.monic_cubic
 
@@ -297,7 +300,7 @@ def test_search_decides_without_fractions(monkeypatch):
     assert calls
 
 
-def test_convergents_stop_cleanly_past_the_bound(monkeypatch):
+def test_convergents_stop_cleanly_past_the_bound():
     # [7; N, 2] and [7; N - 1, 2] disagree at index 1, on N - 1 against N,
     # so every real between them has its next q >= N - 1
     N = 10 ** 6
@@ -309,33 +312,29 @@ def test_convergents_stop_cleanly_past_the_bound(monkeypatch):
     # the reduction reads the same enclosure by the same rule
     enc = CertifiedReal.from_endpoints(lo, hi, 128)
     assert [(c.p, c.q) for c in continued_fraction_convergents(enc, 5000)] == [(7, 1)]
-    # theta3 = t^4 - 2t - ~t^-8 at t = 30: its refined bracket stops on a
-    # quotient in dispute above t^7, at q = 1
-    refined = []
-    bracket = search._bracket
-    monkeypatch.setattr(search, "_bracket",
-                        lambda *args: refined.append(bracket(*args)) or refined[-1])
-    F = family_form(3, 30)
-    lo, hi, m = search._brackets(F, 5000)[2]
-    got = search._root_convergents(F, lo, hi, m, 5000)
-    assert [(c.p, c.q) for c in got] == [(809939, 1), (809940, 1)]
-    lo, hi, m = refined[-1]
-    assert list(lockstep_expansion(lo, m, hi, m, 30 ** 7)) == got
 
 
-def test_convergents_refine_the_bracket(monkeypatch):
-    # the bracket of theta3 at t = 2 leaves a quotient in dispute that
-    # could still give q <= 5000, so it is refined before the expansion
-    refined = []
-    bracket = search._bracket
-    monkeypatch.setattr(search, "_bracket",
-                        lambda *args: refined.append(args) or bracket(*args))
-    F = family_form(3, 2)
-    lo, hi, m = search._brackets(F, 5000)[2]
-    got = search._root_convergents(F, lo, hi, m, 5000)
-    assert len(refined) == 1
-    want = continued_fraction_convergents(roots.isolate_roots(2, 400).theta3, 5000)
-    assert [(c.p, c.q) for c in got] == [(c.p, c.q) for c in want]
+def test_search_brackets_settle_every_convergent():
+    # the width lemma of `_brackets`: the expansion of no bracket of an
+    # irrational root raises before y_bound, so each root is bracketed once
+    tables = MANY_SOLUTIONS_TABLE + SPORADIC_CLASSES_TABLE + DELONE_NAGELL_TABLE
+    cases = (_oracle_forms() + [family_form(3, t) for t in range(-60, 62)]
+             + [F for F, _, _ in tables])
+    expanded = 0
+    for F in cases:
+        _, b, c, d = F.coefficients
+        for Y in (1, 5, 5000, 10 ** 30):
+            for lo, hi, m in search._brackets(F, Y):
+                if all(monic_cubic(b, c, d, n) for n in range(-(-lo // m), hi // m + 1)):
+                    list(lockstep_expansion(lo, m, hi, m, Y))
+                    expanded += 1
+    assert expanded >= 3000
+    # at the width 1/(2 Y^2 + 2) the search once asked for, the bracket of
+    # theta3 of F_{3,2} leaves a quotient in dispute below Y = 5000
+    Y = 5000
+    lo, hi, m = isolate_real_roots_monic_cubic(-14, 24, 1, 1, 2 * Y * Y + 2)[2]
+    with pytest.raises(PrecisionInsufficientError):
+        list(lockstep_expansion(lo, m, hi, m, Y))
 
 
 def test_deep_bounds_return_the_published_lists():
@@ -366,7 +365,7 @@ def test_wrong_known_solution_raises(monkeypatch):
 
 def test_sporadic_tables_reports():
     reports = verify_sporadic_tables(y_bound=2000)
-    assert all(r.bounded_verification for r in reports)
+    assert all(r.to_json()["bounded_verification"] for r in reports)
     by_coeffs = {r.form.coefficients: r for r in reports}
     assert by_coeffs[(1, 0, -3, 1)].count >= 6
     assert by_coeffs[(1, 2, -5, 1)].count >= 6
@@ -377,8 +376,8 @@ def test_sporadic_tables_reports():
 def test_sporadic_row_810661_is_a_family_member():
     row = BinaryCubicForm(1, 21, -1, -22)
     assert (row, 810661, 5) in SPORADIC_CLASSES_TABLE
-    assert forms.apply_gl2(family_form(3, -2), ((1, 1), (0, -1))) == row
-    assert forms.apply_gl2(family_form(4, 2), ((1, -1), (0, -1))) == row
+    assert apply_gl2(family_form(3, -2), ((1, 1), (0, -1))) == row
+    assert apply_gl2(family_form(4, 2), ((1, -1), (0, -1))) == row
 
 
 def test_table_discriminants():
