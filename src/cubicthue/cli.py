@@ -133,6 +133,18 @@ def _load_checkpoint(path: Optional[str], config: dict):
     return rec
 
 
+def _check_checkpoint_writable(path: str):
+    """Raises OSError when the checkpoint's temporary file PATH.tmp, which
+    each checkpoint is written to before it replaces PATH, cannot be
+    written; a probe file it had to create is removed again."""
+    tmp = path + ".tmp"
+    existed = os.path.exists(tmp)
+    with open(tmp, "a"):
+        pass
+    if not existed:
+        os.remove(tmp)
+
+
 def _write_checkpoint(path: str, config: dict, last_t: int, digest: str):
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -490,6 +502,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if hasattr(args, "Q"):
             # refused before the command runs, so no record is written
             reduction.check_bounds(args.A, args.Q)
+        if getattr(args, "checkpoint", None):
+            # first written after records (sweep, certify-all's sweep
+            # stage): refused before the command runs
+            _check_checkpoint_writable(args.checkpoint)
         rc = _COMMANDS[args.command](args, out)
         # a refused run (exit 3) leaves an existing --output file untouched;
         # a finished one with no records opens it here, for its newline

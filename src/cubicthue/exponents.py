@@ -62,9 +62,6 @@ class ExponentPair:
     m: int
     residual: CertifiedReal
 
-    def as_tuple(self) -> Tuple[int, int, int]:
-        return (self.delta, self.n, self.m)
-
 
 def recover_exponents(t: int, x: int, y: int) -> ExponentPair:
     """Solve the log-linear system for (n, m) and round it, then accept

@@ -15,11 +15,12 @@ CHUNKSIZE = 64
 
 
 def parallel_map(fn: Callable[[J], R], jobs: Sequence[J], workers: int) -> Iterator[R]:
-    """fn over jobs, yielding the results in job order: in this process
-    when workers <= 1, otherwise on a pool of `workers` processes, in
-    tasks of at most CHUNKSIZE jobs and at least four tasks per worker
-    where the jobs allow.  `fn` must be a module-level function so the
-    pool can pickle it."""
+    """fn over jobs, yielding the results in job order: on a pool of
+    min(workers, len(jobs)) processes, or in this process when that is
+    at most 1, in tasks of at most CHUNKSIZE jobs and at least four tasks
+    per worker where the jobs allow.  `fn` must be a module-level
+    function so the pool can pickle it."""
+    workers = min(workers, len(jobs))
     if workers <= 1:
         yield from map(fn, jobs)
         return

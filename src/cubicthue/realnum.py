@@ -377,9 +377,6 @@ class CertifiedReal:
 
     # -- predicates ---------------------------------------------------
 
-    def contains(self, r: Rational) -> bool:
-        return self.lower <= Fraction(r) <= self.upper
-
     def contains_zero(self) -> bool:
         return _straddles_zero(self._ival)
 
@@ -585,7 +582,6 @@ def _decimal(r: Fraction, digits: int) -> str:
 class Convergent(NamedTuple):
     p: int
     q: int
-    index: int
 
 
 def lockstep_expansion(a: int, b: int, c: int, d: int, Q: int) -> Iterator[Convergent]:
@@ -623,7 +619,7 @@ def lockstep_expansion(a: int, b: int, c: int, d: int, Q: int) -> Iterator[Conve
                 "endpoints disagree on partial quotient %d (denominator %d <= Q=%d)"
                 % (index, qm1, Q))
         p = fa * pm1 + pm2
-        yield Convergent(p, q, index)
+        yield Convergent(p, q)
         index += 1
         pm2, qm2, pm1, qm1 = pm1, qm1, p, q
         if ra == 0 and rc == 0:

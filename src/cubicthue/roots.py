@@ -15,36 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .forms import BinaryCubicForm, discriminant, family_form, monic_cubic
 from .realnum import CertifiedReal, _quotient_side, endpoint_cmp
-
-# published target interval for each kappa index
-KAPPA_TARGETS: Dict[int, Tuple[Fraction, Fraction]] = {
-    1: (Fraction(3), Fraction("3.1")),
-    2: (Fraction(8), Fraction("8.03")),
-    3: (Fraction(5), Fraction("5.02")),
-    4: (Fraction("1.8"), Fraction("2.2")),
-    5: (Fraction("7.99"), Fraction("8.03")),
-    6: (Fraction(3), Fraction("3.01")),
-    7: (Fraction("3.8"), Fraction("4.3")),
-    8: (Fraction(0), Fraction("3.1")),
-    9: (Fraction(0), Fraction("1.1")),
-    10: (Fraction("4.9"), Fraction(5)),
-    11: (Fraction("4.5"), Fraction("7.7")),
-    12: (Fraction("4.5"), Fraction("5.7")),
-    13: (Fraction("2.9"), Fraction("3.1")),
-    14: (Fraction("25.9"), Fraction("26.6")),
-    15: (Fraction("2.9"), Fraction("3.1")),
-    16: (Fraction("-0.1"), Fraction("0.1")),
-}
-
-T_ONLY_KAPPAS = (1, 2, 3, 5, 6, 9, 10, 12, 13, 15, 16)
-# each solution-dependent kappa and the interval I_which it ranges over
-ENVELOPE_KAPPAS = {4: 1, 7: 1, 8: 2, 11: 2, 14: 3}
-
 
 def default_precision(t: int) -> int:
     """Scales with t so that kappa extraction (which multiplies root
@@ -341,47 +316,73 @@ def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
 class _KappaTerms:
     """The parts of the kappa expressions that depend on t alone, each
     computed once per RootTriple, by the same operations (and so with the
-    same roundings) wherever an expression uses it."""
+    same roundings) wherever an expression uses it.  t below 10 is
+    refused with ValueError."""
 
     def __init__(self, t: int, roots: RootTriple):
+        if t < 10:
+            raise ValueError("kappa claims are certified for t >= 10 only")
         self.t, self.prec = t, roots.precision
         self.th1, self.th2, self.th3 = th1, th2, th3 = roots.thetas
         self.T = T = CertifiedReal.from_rational(t, self.prec)
-        self.T3, self.T6, self.T9, self.T11 = T ** 3, T ** 6, T ** 9, T ** 11
+        self.T3, self.T6, self.T9, self.T11, self.T12 = (T ** e for e in (3, 6, 9, 11, 12))
         lnt = T.log()
         self.c_lnt = {c: c * lnt for c in (3, 6, 9)}                  # c ln t
         self.c_T3 = {c: c / self.T3 for c in (1, 2, 3, 4, 6)}         # c / t^3
-        self.th2_T, self.th3_T, self.T_th1 = th2 - T, th3 - T, T - th1
-        self.abs_th1 = abs(th1)
+        self.c_T6 = Fraction(5, 2) / self.T6                          # 5/2 / t^6
+        self.c_T9 = Fraction(25, 3) / self.T9                         # 25/3 / t^9
+        self.th2_T, self.th3_T, self.T_th1, self.abs_th1 = th2 - T, th3 - T, T - th1, abs(th1)
         self.ratio31 = self.th3_T / self.T_th1      # (theta3 - T) / (T - theta1)
         self.th3_th1 = th3 / self.abs_th1           # theta3 / |theta1|
 
 
-def _kappa_t_only_expr(j: int, k: _KappaTerms) -> CertifiedReal:
-    T, T3, T6, c_lnt, c_T3 = k.T, k.T3, k.T6, k.c_lnt, k.c_T3
-    if j == 1:
-        return -(k.th1 * k.T11) - T6 - 2 * T3
-    if j == 2:
-        return k.th2_T * k.T11 - T6 - 3 * T3
-    if j == 3:
-        return (T ** 4 - 2 * T - k.th3) * k.T11 - T3
-    if j == 5:
-        return T6 * (c_lnt[9] - c_T3[6] - (k.th3_T / k.th2_T).log())
-    if j == 6:
-        return T6 * (c_lnt[3] - c_T3[2] - (k.th3 / k.th2).log())
-    if j == 9:
-        return T3 * (T3 - 3 - k.ratio31)
-    if j == 10:
-        return (k.th3_th1 - k.T9 + 4 * T6) / T3
-    if j == 12:
-        return T6 * (c_lnt[3] - c_T3[3] - k.ratio31.log())
-    if j == 13:
-        return T6 * (c_lnt[9] - c_T3[4] - k.th3_th1.log())
-    if j == 15:
-        return T3 * (c_lnt[6] - (k.T_th1 / k.th2_T).log())
-    if j == 16:
-        return T6 * (c_lnt[6] - c_T3[2] - (k.th2 / k.abs_th1).log())
-    raise ValueError("kappa_%d is not determined by t alone" % j)
+class _KappaClaim(NamedTuple):
+    """The paper's claim that kappa_j lies strictly inside `target`.
+    `expr` encloses kappa_j from the terms k, and when x/y ranges over the
+    interval I_which (`which`, None when t alone fixes kappa_j) from k
+    and the ratio q of `_endpoint_ratios` at a point of I_which."""
+    target: Tuple[Fraction, Fraction]
+    which: Optional[int]
+    expr: Callable[..., CertifiedReal]
+
+
+def _claim(lo, hi, expr, which: Optional[int] = None) -> _KappaClaim:
+    return _KappaClaim((Fraction(lo), Fraction(hi)), which, expr)
+
+
+KAPPA_CLAIMS: Dict[int, _KappaClaim] = {
+    1: _claim(3, "3.1", lambda k: -(k.th1 * k.T11) - k.T6 - 2 * k.T3),
+    2: _claim(8, "8.03", lambda k: k.th2_T * k.T11 - k.T6 - 3 * k.T3),
+    3: _claim(5, "5.02", lambda k: (k.T ** 4 - 2 * k.T - k.th3) * k.T11 - k.T3),
+    4: _claim("1.8", "2.2", lambda k, q: k.T3 * (k.T3 - 2 - q), which=1),
+    5: _claim("7.99", "8.03", lambda k: k.T6 * (
+        k.c_lnt[9] - k.c_T3[6] - (k.th3_T / k.th2_T).log())),
+    6: _claim(3, "3.01", lambda k: k.T6 * (k.c_lnt[3] - k.c_T3[2] - (k.th3 / k.th2).log())),
+    7: _claim("3.8", "4.3", lambda k, q: k.T6 * (k.c_lnt[3] - k.c_T3[2] - q.log()), which=1),
+    8: _claim(0, "3.1", lambda k, q: k.T3 * (k.T3 - 3 - q), which=2),
+    9: _claim(0, "1.1", lambda k: k.T3 * (k.T3 - 3 - k.ratio31)),
+    10: _claim("4.9", 5, lambda k: (k.th3_th1 - k.T9 + 4 * k.T6) / k.T3),
+    11: _claim("4.5", "7.7", lambda k, q: k.T6 * (k.c_lnt[3] - k.c_T3[3] - q.log()), which=2),
+    12: _claim("4.5", "5.7", lambda k: k.T6 * (k.c_lnt[3] - k.c_T3[3] - k.ratio31.log())),
+    13: _claim("2.9", "3.1", lambda k: k.T6 * (k.c_lnt[9] - k.c_T3[4] - k.th3_th1.log())),
+    14: _claim("25.9", "26.6", lambda k, q: k.T12 * (
+        q.log() - k.c_T3[1] - k.c_T6 - k.c_T9), which=3),
+    15: _claim("2.9", "3.1", lambda k: k.T3 * (k.c_lnt[6] - (k.T_th1 / k.th2_T).log())),
+    16: _claim("-0.1", "0.1", lambda k: k.T6 * (
+        k.c_lnt[6] - k.c_T3[2] - (k.th2 / k.abs_th1).log())),
+}
+
+T_ONLY_KAPPAS = tuple(j for j, claim in KAPPA_CLAIMS.items() if claim.which is None)
+
+
+def _kappa(j: int, k: _KappaTerms,
+           ratios: Optional[List[CertifiedReal]] = None) -> CertifiedReal:
+    """Enclosure of kappa_j from the terms k: its expression, or for an
+    envelope kappa the hull of its expression over the given ratios."""
+    expr = KAPPA_CLAIMS[j].expr
+    if ratios is None:
+        return expr(k)
+    return CertifiedReal.hull(expr(k, q) for q in ratios)
 
 
 def kappa_t_only(j: int, t: int, roots: RootTriple) -> CertifiedReal:
@@ -389,9 +390,7 @@ def kappa_t_only(j: int, t: int, roots: RootTriple) -> CertifiedReal:
     by inverting the defining series identity."""
     if j not in T_ONLY_KAPPAS:
         raise ValueError("kappa_%d depends on the solution interval" % j)
-    if t < 10:
-        raise ValueError("kappa claims are certified for t >= 10 only")
-    return _kappa_t_only_expr(j, _KappaTerms(t, roots))
+    return _kappa(j, _KappaTerms(t, roots))
 
 
 def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fraction]:
@@ -400,11 +399,10 @@ def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fra
     smallest at |y| = 2, so the default is the hull over all |y| >= 2."""
     c113 = Fraction(113, 100)
     cy = 1 - Fraction(1, y_abs ** 3)
+    t5 = Fraction(t) ** 5
     if which == 1:
-        t5 = Fraction(t) ** 5
         return (-c113 / t5, -cy / t5)
     if which == 2:
-        t5 = Fraction(t) ** 5
         return (t + cy / t5, t + c113 / t5)
     if which == 3:
         t8 = Fraction(t) ** 8
@@ -433,43 +431,17 @@ def _endpoint_ratios(which: int, k: _KappaTerms) -> List[CertifiedReal]:
     return [(r - k.th1) / (r - k.th2) for r in rs]
 
 
-def _envelope(j: int, k: _KappaTerms, ratios: List[CertifiedReal]) -> CertifiedReal:
-    """The hull of kappa_j over the given ratios; the parts that do not
-    depend on the ratio are computed once."""
-    if j == 4:
-        c = k.T3 - 2
-        f = lambda q: k.T3 * (c - q)
-    elif j == 7:
-        c = k.c_lnt[3] - k.c_T3[2]
-        f = lambda q: k.T6 * (c - q.log())
-    elif j == 8:
-        c = k.T3 - 3
-        f = lambda q: k.T3 * (c - q)
-    elif j == 11:
-        c = k.c_lnt[3] - k.c_T3[3]
-        f = lambda q: k.T6 * (c - q.log())
-    else:
-        T12, c1, c2, c3 = (k.T ** 12, k.c_T3[1], Fraction(5, 2) / k.T6,
-                           Fraction(25, 3) / k.T9)
-        f = lambda q: T12 * (q.log() - c1 - c2 - c3)
-    return CertifiedReal.hull(f(q) for q in ratios)
-
-
 def kappa_envelope(j: int, t: int, roots: RootTriple) -> CertifiedReal:
-    """Enclosure of the solution-dependent kappa_j over the entire
-    admissible x/y interval I_which.  kappa_j is affine in the ratio of
-    `_endpoint_ratios` (j = 4, 8) or in its log (j = 7, 11, 14), so it is
-    monotone in r with the ratio, and its image of I_which lies in the
-    hull of its values at the two endpoints.  Two positive endpoint
-    ratios (`log` raises otherwise) certify the log over the whole
-    interval: the ratio is continuous and monotone there, so it keeps
-    one sign."""
-    if j not in ENVELOPE_KAPPAS:
+    """Enclosure of the solution-dependent kappa_j over all of I_which.
+    kappa_j is affine in the ratio of `_endpoint_ratios` (j = 4, 8) or in
+    its log (j = 7, 11, 14), so monotone in r with the ratio: its image of
+    I_which lies in the hull of its values at the two endpoints.  Two
+    positive endpoint ratios (`log` raises otherwise) keep the ratio, which
+    is continuous and monotone on I_which, positive all over it."""
+    if j not in KAPPA_CLAIMS or j in T_ONLY_KAPPAS:
         raise ValueError("kappa_%d is determined by t alone" % j)
-    if t < 10:
-        raise ValueError("kappa claims are certified for t >= 10 only")
     k = _KappaTerms(t, roots)
-    return _envelope(j, k, _endpoint_ratios(ENVELOPE_KAPPAS[j], k))
+    return _kappa(j, k, _endpoint_ratios(KAPPA_CLAIMS[j].which, k))
 
 
 @dataclass(frozen=True)
@@ -480,15 +452,10 @@ class KappaRow:
     passed: bool
 
     def to_json(self, t: int) -> dict:
-        return {
-            "schema": 1,
-            "t": t,
-            "kappa": self.j,
-            "lower": float(self.enclosure.lower),
-            "upper": float(self.enclosure.upper),
-            "target": [float(self.target[0]), float(self.target[1])],
-            "pass": self.passed,
-        }
+        return {"schema": 1, "t": t, "kappa": self.j,
+                "lower": float(self.enclosure.lower), "upper": float(self.enclosure.upper),
+                "target": [float(self.target[0]), float(self.target[1])],
+                "pass": self.passed}
 
 
 @dataclass(frozen=True)
@@ -517,17 +484,15 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     if t < 10:
         raise ValueError("kappa claims are certified for t >= 10 only")
     k = _KappaTerms(t, isolate_roots(t, precision))
-    encs = {j: _kappa_t_only_expr(j, k) for j in T_ONLY_KAPPAS}
+    encs = {j: _kappa(j, k) for j in T_ONLY_KAPPAS}
     for which in (1, 2, 3):
         ratios = _endpoint_ratios(which, k)
-        for j, w in ENVELOPE_KAPPAS.items():
-            if w == which:
-                encs[j] = _envelope(j, k, ratios)
+        encs.update((j, _kappa(j, k, ratios))
+                    for j, claim in KAPPA_CLAIMS.items() if claim.which == which)
     rows = []
-    for j in range(1, 17):
-        lo, hi = KAPPA_TARGETS[j]
-        a, b = encs[j]._ival
-        rows.append(KappaRow(j, encs[j], (lo, hi),
+    for j, claim in KAPPA_CLAIMS.items():
+        (lo, hi), (a, b) = claim.target, encs[j]._ival
+        rows.append(KappaRow(j, encs[j], claim.target,
                              endpoint_cmp(a, *lo.as_integer_ratio()) > 0
                              and endpoint_cmp(b, *hi.as_integer_ratio()) < 0))
     return KappaReport(t, tuple(rows))

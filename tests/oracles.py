@@ -1,6 +1,6 @@
 """Reference code the tests check the engine against, kept out of the
-engine because nothing there calls it: closed forms, identities and
-the exact Euclidean continued fraction."""
+engine because nothing there calls it: closed forms, identities,
+enclosure membership and the exact Euclidean continued fraction."""
 
 from fractions import Fraction
 from typing import List
@@ -8,6 +8,11 @@ from typing import List
 from cubicthue.forms import BinaryCubicForm
 from cubicthue.realnum import CertifiedReal, Convergent
 from cubicthue.roots import RootTriple, solution_interval
+
+
+def contains(x: CertifiedReal, r) -> bool:
+    """Whether the enclosure x contains the rational r."""
+    return x.lower <= Fraction(r) <= x.upper
 
 
 def family_discriminant_poly(t: int) -> int:
@@ -53,15 +58,13 @@ def convergents_of_fraction(x: Fraction, Q: int) -> List[Convergent]:
     out: List[Convergent] = []
     pm1, qm1, pm2, qm2 = 1, 0, 0, 1
     num, den = x.numerator, x.denominator
-    idx = 0
     while den != 0:
         a = num // den
         p = a * pm1 + pm2
         q = a * qm1 + qm2
         if q > Q:
             break
-        out.append(Convergent(p, q, idx))
-        idx += 1
+        out.append(Convergent(p, q))
         pm2, qm2, pm1, qm1 = pm1, qm1, p, q
         num, den = den, num - a * den
     return out

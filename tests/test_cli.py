@@ -420,7 +420,7 @@ def test_refused_run_leaves_the_output_file_as_it_was(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["exponents", "--t", "10", "--output", "{missing}/x"],
     ["sweep", "--t-lo", "10", "--t-hi", "11", "--output", "{dir}"],
-    # written only after the last record
+    # refused before the first record
     ["sweep", "--t-lo", "10", "--t-hi", "11", "--checkpoint", "{missing}/ck"],
     # no records: the file is opened at the end, for its newline
     ["kappas", "--t-lo", "11", "--t-hi", "10", "--output", "{missing}/x"],
@@ -430,6 +430,32 @@ def test_unwritable_output_is_a_usage_error(argv, capsys, tmp_path):
     assert run(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert re.fullmatch(r"cubicthue %s: error: \[Errno \d+\] [^\n]*\n" % argv[0], err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--t-lo", "10", "--t-hi", "11"],
+    ["certify-all", "--t-lo", "10", "--t-hi", "11", "--y-bound", "5"],
+])
+def test_unwritable_checkpoint_is_refused_before_any_work(argv, capsys, tmp_path):
+    argv = argv + ["--checkpoint", str(tmp_path / "missing" / "ck"),
+                   "--output", str(tmp_path / "o.jsonl")]
+    assert run(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"cubicthue %s: error: \[Errno \d+\] [^\n]*ck\.tmp'\n" % argv[0],
+                        captured.err)
+    # no --output, and no probe file either
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_probe_leaves_no_new_file(tmp_path):
+    ck = tmp_path / "ck.json"
+    cli._check_checkpoint_writable(str(ck))
+    assert list(tmp_path.iterdir()) == []
+    # a leftover PATH.tmp from a run stopped mid-write is kept as it was
+    (tmp_path / "ck.json.tmp").write_text("partial")
+    cli._check_checkpoint_writable(str(ck))
+    assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("ck.json.tmp", "partial")]
 
 
 def test_sweep_small_range(capsys, tmp_path):

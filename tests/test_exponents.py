@@ -10,6 +10,7 @@ from cubicthue.exponents import SolutionType, classify, recover_exponents
 from cubicthue.forms import evaluate, family_form, known_solutions
 from cubicthue.realnum import CertifiedReal
 from cubicthue.roots import isolate_roots
+from oracles import contains
 
 
 def test_classify_examples():
@@ -86,7 +87,7 @@ def test_roundtrip_reexpansion():
             u2 = sign * _power(t - th2, pair.n) * _power(th2, -pair.m)
             y_enc = (u1 - u2) / (th2 - th1)
             x_enc = u1 + y_enc * th1
-            assert y_enc.contains(y) and x_enc.contains(x)
+            assert contains(y_enc, y) and contains(x_enc, x)
             assert y_enc.width < Fraction(1, 2) and x_enc.width < Fraction(1, 2)
 
 
@@ -187,7 +188,7 @@ def test_parity_relations():
 
 def test_exponent_pair_tuple():
     pair = recover_exponents(5, 5, 1)
-    assert pair.as_tuple() == (0, 1, 0)
+    assert (pair.delta, pair.n, pair.m) == (0, 1, 0)
 
 
 def _count_isolations(monkeypatch):
@@ -219,8 +220,8 @@ def test_known_solutions_of_one_t_share_one_root_isolation(monkeypatch):
     assert calls == [(57, 96), (57, 192)]
     assert exponents._unit_logs.cache_info().currsize == 2
     monkeypatch.setattr(exponents, "RECOVERY_PRECISION", default)
-    assert [p.as_tuple() for p in pairs] == [recover_exponents(57, x, y).as_tuple()
-                                             for x, y in sols]
+    again = [recover_exponents(57, x, y) for x, y in sols]
+    assert [(p.delta, p.n, p.m) for p in pairs] == [(p.delta, p.n, p.m) for p in again]
 
 
 def test_unit_log_memo_is_bounded(monkeypatch):

@@ -18,7 +18,7 @@ from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_con
                                dyadic_numerators, endpoint_cmp, integer_distance_num,
                                lockstep_expansion, reduction_precision)
 from mpmath_oracle import endpoint_of, ival_of
-from oracles import convergents_of_fraction
+from oracles import contains, convergents_of_fraction
 
 
 def _rand_fraction(rng, digits=9):
@@ -29,7 +29,7 @@ def _rand_fraction(rng, digits=9):
 
 def test_enclose_rational_one_third():
     x = CertifiedReal.from_rational(Fraction(1, 3), 64)
-    assert x.contains(Fraction(1, 3))
+    assert contains(x, Fraction(1, 3))
     assert x.radius <= Fraction(1, 2 ** 62)
 
 
@@ -41,13 +41,13 @@ def test_enclose_zero_exact():
 
 def test_enclose_tiny_rational_narrow():
     x = CertifiedReal.from_rational(Fraction(1, 10 ** 120), 512)
-    assert x.contains(Fraction(1, 10 ** 120))
+    assert contains(x, Fraction(1, 10 ** 120))
     assert x.width < Fraction(1, 10 ** 150)
 
 
 def test_log_of_one_contains_zero():
     one = CertifiedReal.from_rational(1, 128)
-    assert one.log().contains(0)
+    assert contains(one.log(), 0)
 
 
 def test_log_of_e_contains_one():
@@ -58,7 +58,7 @@ def test_log_of_e_contains_one():
         e = CertifiedReal(ival_of(e_iv._mpi_), 128)
     finally:
         mpmath.iv.prec = old
-    assert e.log().contains(1)
+    assert contains(e.log(), 1)
 
 
 def test_add_sub_roundtrip_contains():
@@ -67,7 +67,7 @@ def test_add_sub_roundtrip_contains():
         a, b = _rand_fraction(rng), _rand_fraction(rng)
         x = CertifiedReal.from_rational(a, 64)
         y = CertifiedReal.from_rational(b, 64)
-        assert ((x + y) - y).contains(a)
+        assert contains((x + y) - y, a)
 
 
 def test_inclusion_isotonicity_per_operator():
@@ -76,11 +76,11 @@ def test_inclusion_isotonicity_per_operator():
         a, b = _rand_fraction(rng), _rand_fraction(rng)
         x = CertifiedReal.from_rational(a, 64)
         y = CertifiedReal.from_rational(b, 64)
-        assert (x + y).contains(a + b)
-        assert (x - y).contains(a - b)
-        assert (x * y).contains(a * b)
+        assert contains(x + y, a + b)
+        assert contains(x - y, a - b)
+        assert contains(x * y, a * b)
         if b != 0 and not y.contains_zero():
-            assert (x / y).contains(a / b)
+            assert contains(x / y, a / b)
 
 
 def test_power_isotonicity():
@@ -89,7 +89,7 @@ def test_power_isotonicity():
         a = _rand_fraction(rng, 4)
         x = CertifiedReal.from_rational(a, 128)
         for k in (0, 1, 2, 3, 7):
-            assert (x ** k).contains(a ** k)
+            assert contains(x ** k, a ** k)
     with pytest.raises(TypeError):
         CertifiedReal.from_rational(2, 64) ** -1
 
@@ -135,7 +135,7 @@ def test_hull():
     a = CertifiedReal.from_rational(Fraction(1, 3), 64)
     b = CertifiedReal.from_rational(Fraction(2, 3), 64)
     h = CertifiedReal.hull([a, b])
-    assert h.contains(Fraction(1, 3)) and h.contains(Fraction(2, 3))
+    assert contains(h, Fraction(1, 3)) and contains(h, Fraction(2, 3))
 
 
 def test_reduction_precision_policy():
@@ -709,7 +709,7 @@ def _reference_convergents(x, Q):
         q = fa * qm1 + qm2
         if q > Q:
             return out
-        out.append(Convergent(p, q, idx))
+        out.append(Convergent(p, q))
         idx += 1
         pm2, qm2, pm1, qm1 = pm1, qm1, p, q
         frac_lo, frac_hi = lo - fa, hi - fa

@@ -12,10 +12,10 @@ from cubicthue import roots, search
 from cubicthue.forms import BinaryCubicForm, discriminant, family_form
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import CertifiedReal
-from cubicthue.roots import (KAPPA_TARGETS, isolate_real_roots_monic_cubic,
+from cubicthue.roots import (KAPPA_CLAIMS, isolate_real_roots_monic_cubic,
                              isolate_roots, kappa_envelope, kappa_t_only,
                              verify_kappas)
-from oracles import intervals_disjoint
+from oracles import contains, intervals_disjoint
 
 
 def _reference_bisect(B, C, D, lo, hi, width):
@@ -97,7 +97,7 @@ def test_theta1_t10_against_bisection_oracle():
 def test_vieta_product_t2():
     triple = isolate_roots(2)
     prod = triple.theta1 * triple.theta2 * triple.theta3
-    assert prod.contains(-1)
+    assert contains(prod, -1)
 
 
 def test_roots_ordered_disjoint():
@@ -224,8 +224,13 @@ def test_solution_interval_is_the_one_definition():
 
 
 def test_kappa_targets_cover_all_sixteen():
-    assert set(KAPPA_TARGETS) == set(range(1, 17))
-    assert set(roots.T_ONLY_KAPPAS) | set(roots.ENVELOPE_KAPPAS) == set(range(1, 17))
+    assert list(KAPPA_CLAIMS) == list(range(1, 17))
+    assert roots.T_ONLY_KAPPAS == tuple(j for j, c in KAPPA_CLAIMS.items() if c.which is None)
+    assert all(c.which in (None, 1, 2, 3) for c in KAPPA_CLAIMS.values())
+    assert {j: c.which for j, c in KAPPA_CLAIMS.items() if c.which} == {4: 1, 7: 1, 8: 2,
+                                                                       11: 2, 14: 3}
+    assert all(type(lo) is type(hi) is Fraction and lo < hi
+               for lo, hi in (c.target for c in KAPPA_CLAIMS.values()))
 
 
 def test_bisect_detects_missing_sign_change():
@@ -503,7 +508,7 @@ def test_kappa_verdicts_are_strict_on_both_sides(monkeypatch):
         lo, hi = row.enclosure.lower, row.enclosure.upper
         for target, want in (((lo, hi + 1), False), ((lo - 1, hi), False),
                              ((lo - hair, hi + hair), True)):
-            monkeypatch.setitem(KAPPA_TARGETS, row.j, target)
+            monkeypatch.setitem(KAPPA_CLAIMS, row.j, KAPPA_CLAIMS[row.j]._replace(target=target))
             assert verify_kappas(10).rows[row.j - 1].passed is want, (row.j, target)
 
 
@@ -559,13 +564,13 @@ def _sixteen_piece_envelope(j, t, triple):
     """kappa_j hulled over 16 equal pieces of I_which, each piece an
     interval operand as from_endpoints encloses it: the envelope as the
     package formed it before the endpoint argument, bit for bit."""
-    which = roots.ENVELOPE_KAPPAS[j]
+    which = KAPPA_CLAIMS[j].which
     k = roots._KappaTerms(t, triple)
     lo, hi = roots.solution_interval(which, t)
     step = (hi - lo) / 16
     pieces = [CertifiedReal.from_endpoints(lo + i * step, lo + (i + 1) * step, k.prec)
               for i in range(16)]
-    return roots._envelope(j, k, [_ratio(which, k, r) for r in pieces])
+    return roots._kappa(j, k, [_ratio(which, k, r) for r in pieces])
 
 
 def test_endpoint_envelopes_lie_inside_the_sixteen_piece_oracle():
@@ -590,12 +595,13 @@ def test_endpoint_envelopes_lie_inside_the_sixteen_piece_oracle():
 def test_kappa_at_interior_points_lies_inside_the_envelope(t):
     tr = isolate_roots(t)
     k = roots._KappaTerms(t, tr)
-    for j, which in roots.ENVELOPE_KAPPAS.items():
+    envelope_kappas = [(j, c.which) for j, c in KAPPA_CLAIMS.items() if c.which is not None]
+    for j, which in envelope_kappas:
         env = kappa_envelope(j, t, tr)
         lo, hi = roots.solution_interval(which, t)
         for i in range(1, 9):
             r = CertifiedReal.from_rational(lo + i * (hi - lo) / 9, k.prec)
-            point = roots._envelope(j, k, [_ratio(which, k, r)])
+            point = roots._kappa(j, k, [_ratio(which, k, r)])
             assert env.lower <= point.lower and point.upper <= env.upper, (j, i)
 
 
@@ -623,8 +629,8 @@ def _pole_triple(which, overlap):
 @pytest.mark.parametrize("which", (1, 2, 3))
 def test_envelope_refuses_a_pole_that_meets_the_interval(which, overlap):
     triple = _pole_triple(which, overlap)
-    for j, w in roots.ENVELOPE_KAPPAS.items():
-        if w == which:
+    for j, claim in KAPPA_CLAIMS.items():
+        if claim.which == which:
             with pytest.raises(IndeterminateSignError, match="pole of the I_%d ratio" % which):
                 kappa_envelope(j, 16, triple)
 
