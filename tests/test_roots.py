@@ -667,18 +667,38 @@ def _golden_forms():
     return [F for F, _, _ in tables] + [family_form(3, t) for t in range(-30, 31)]
 
 
+def _root_enclosures_digest(ts, precisions):
+    """sha256 over the exact enclosure endpoints of isolate_roots(t, p)."""
+    h = hashlib.sha256()
+    for t in ts:
+        for precision in precisions:
+            tr = isolate_roots(t, precision)
+            h.update(json.dumps([t, tr.precision, [[str(th.lower), str(th.upper)]
+                                                   for th in tr.thetas]]).encode())
+    return h.hexdigest()
+
+
 def test_small_t_root_enclosures_match_the_golden():
     """The exact enclosure endpoints isolate_roots gives for t < 10,
     where the roots come from critical-point splitting."""
-    h = hashlib.sha256()
-    for t in range(-30, 10):
-        if t in (0, 1):
-            continue
-        for precision in GOLDEN_PRECISIONS:
-            tr = isolate_roots(t, precision)
-            h.update(json.dumps([t, precision, [[str(th.lower), str(th.upper)]
-                                                for th in tr.thetas]]).encode())
-    assert h.hexdigest() == json.loads(ROOT_GOLDEN.read_text())["isolate_roots_sha256"]
+    ts = [t for t in range(-30, 10) if t not in (0, 1)]
+    assert _root_enclosures_digest(ts, GOLDEN_PRECISIONS) == \
+        json.loads(ROOT_GOLDEN.read_text())["isolate_roots_sha256"]
+
+
+# the reduction's rungs at Q = 10^30 and 10^60 (340 and 452 bits), their
+# halves and quarters from capped starts, the larger-Q rung (2984 bits)
+# and the kappa default (None)
+GOLDEN_SERIES_PRECISIONS = (113, 170, 226, 340, 452, 2984, None)
+
+
+def test_series_window_root_enclosures_match_the_golden():
+    """The exact enclosure endpoints isolate_roots gives for t >= 10,
+    where each root is bracketed in its series window."""
+    rng = random.Random(26)
+    ts = [*range(10, 201), *sorted(rng.randrange(10, 576242) for _ in range(200)), 10 ** 6]
+    assert _root_enclosures_digest(ts, GOLDEN_SERIES_PRECISIONS) == \
+        json.loads(ROOT_GOLDEN.read_text())["series_roots_sha256"]
 
 
 def test_monic_cubic_brackets_match_the_golden():
