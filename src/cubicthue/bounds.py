@@ -4,7 +4,9 @@ explicit lower bound, and the absolute bound on t.
 The source analysis's constants (7.7, 7.9, 8.9, 3.5, 8.6, 9.8, 1.07e15)
 are exact rationals, and the contradiction coefficients are their
 products.  Every other proof constant is an enclosure at LOG_PRECISION
-bits, and `realnum.certified_below` decides every inequality on them.
+bits, and `realnum.certified_below` decides every inequality on them;
+the per-t contradiction is decided on integer bit-length bounds
+(`ln_bit_bounds`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Tuple
 
 from .errors import (HeightBoundViolatedError, IndeterminateSignError,
                      VerificationFailedError)
-from .realnum import CertifiedReal, certified_below
+from .realnum import CertifiedReal, certified_below, dyadic_numerators
 from .roots import RootTriple
 
 # decay rates of |Lambda_which| in the exponent size
@@ -188,12 +190,21 @@ def derive_t_max() -> Tuple[int, float]:
 def contradiction_threshold(which: int, t: int) -> float:
     """The combined upper bound on ln|Lambda_which| at the growth
     threshold: -27.65 t^3 ln^2 t for which=2 and the analogous decay x
-    growth products for which=1,3."""
+    growth products for which=1,3.  A float, for the records' margin;
+    `reduction.contradiction_check` decides against it in integers."""
     coef, p = CONTRADICTION_COEFF[which]
     return -float(coef) * t ** p * math.log(t) ** 2
 
 
-def certified_contradiction_threshold(which: int, t: int) -> CertifiedReal:
-    """contradiction_threshold enclosed at LOG_PRECISION bits."""
-    coef, p = CONTRADICTION_COEFF[which]
-    return -(coef * t ** p) * _ln(t) ** 2
+# ln 2 in [LN2[0], LN2[1]] / 2^LN2[2], from its enclosure at LOG_PRECISION bits
+LN2 = dyadic_numerators(_ln(2)._ival)
+
+
+def ln_bit_bounds(m: int, e: int = 0) -> Tuple[int, int]:
+    """(lo, hi) with lo/2^k <= ln(m 2^e) < hi/2^k for m > 0, k = LN2[2]:
+    m 2^e lies in [2^E, 2^(E+1)) for E = bits(m) - 1 + e, so ln(m 2^e)
+    lies in [E ln 2, (E + 1) ln 2), and each end takes the bound on ln 2
+    that keeps it on its side."""
+    E = m.bit_length() - 1 + e
+    lo2, hi2, _ = LN2
+    return E * (lo2 if E >= 0 else hi2), (E + 1) * (hi2 if E >= -1 else lo2)

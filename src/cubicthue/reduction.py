@@ -13,14 +13,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .bounds import (LOG_PRECISION, certified_contradiction_threshold,
-                     contradiction_threshold, lambda_log_arguments)
+from .bounds import (CONTRADICTION_COEFF, LN2, contradiction_threshold,
+                     lambda_log_arguments, ln_bit_bounds)
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .parallel import parallel_map
-from .realnum import (CertifiedReal, certified_below, dyadic_numerators,
+from .realnum import (CertifiedReal, Endpoint, _normal, _ratio, dyadic_numerators,
                       integer_distance_num, lockstep_expansion, reduction_precision)
 from .roots import isolate_roots, series_cell_halvings
 
@@ -49,12 +48,14 @@ class Verdict:
     success: bool
     p: Optional[int]
     q: Optional[int]
-    q_norm_lower: Optional[Fraction]       # certified lower bound of q*||q*gamma2||
+    q_norm_lower: Optional[float]          # certified lower bound of q*||q*gamma2||, rounded
     lambda_lower_ln: Optional[float]       # ln(|beta| / Q^2)
     margin: Optional[float]                # lambda_lower_ln - contradiction threshold
     convergents_scanned: int = 0
-    # ln(|beta|/Q^2) enclosed at LOG_PRECISION bits, from |beta|'s lower endpoint
-    lambda_lower_enclosure: Optional[CertifiedReal] = None
+    # what the contradiction is decided on: the lower endpoint of |beta|'s
+    # enclosure and the convergent bound Q
+    beta_lower: Optional[Endpoint] = None
+    Q: Optional[int] = None
     # a failed scan read every convergent of gamma1 with q <= Q and
     # certified each q*||q*gamma2|| below 1.01*A + 2: no precision can
     # pass at this Q
@@ -156,18 +157,6 @@ def _norm_bounds(gamma2_num: Tuple[int, int, int], q: int) -> Tuple[int, int, in
     return q * lo, q * hi, k
 
 
-@functools.lru_cache(maxsize=8)
-def _ln_q_squared(Q: int) -> CertifiedReal:
-    return CertifiedReal.from_rational(Q * Q, LOG_PRECISION).log()
-
-
-def _lambda_lower_enclosure(beta: CertifiedReal, Q: int) -> CertifiedReal:
-    """ln(|beta|_lower / Q^2) enclosed at LOG_PRECISION bits, where
-    |beta|_lower is the lower endpoint of |beta|'s enclosure."""
-    b = abs(beta)._ival[0]
-    return CertifiedReal((b, b), LOG_PRECISION).log() - _ln_q_squared(Q)
-
-
 def baker_davenport(inst: ReductionInstance) -> Verdict:
     """Scan the convergents of gamma1 upward in q for the first with a
     certified q*||q*gamma2|| >= 1.01*A + 2; success yields the lower
@@ -196,32 +185,53 @@ def baker_davenport(inst: ReductionInstance) -> Verdict:
         lo, hi, _ = _norm_bounds(gamma2_num, conv.q)
         exhausted = exhausted and 100 * hi < bar
         if 100 * lo >= bar:
-            q_norm_lower = Fraction(lo, 1 << k)
-            beta_abs_lower = abs(inst.beta).lower
-            lam_ln = (math.log(beta_abs_lower.numerator)
-                      - math.log(beta_abs_lower.denominator)
-                      - 2 * math.log(inst.Q))
+            beta_lower = abs(inst.beta)._ival[0]
+            num, den = _ratio(_normal(beta_lower))
+            lam_ln = math.log(num) - math.log(den) - 2 * math.log(inst.Q)
             thr = contradiction_threshold(inst.which, inst.t)
-            return Verdict(True, conv.p, conv.q, q_norm_lower, lam_ln,
-                           lam_ln - thr, scanned,
-                           _lambda_lower_enclosure(inst.beta, inst.Q))
+            return Verdict(True, conv.p, conv.q, lo / (1 << k), lam_ln,
+                           lam_ln - thr, scanned, beta_lower, inst.Q)
     return Verdict(False, None, None, None, None, None, scanned,
                    exhausted_q=exhausted)
 
 
 def contradiction_check(which: int, t: int, verdict: Verdict) -> bool:
-    """Whether ln(|beta|/Q^2) exceeds the combined upper bound on
-    ln|Lambda_which| at the type's growth threshold, decided on the
-    verdict's certified enclosure against the threshold's, both at
-    LOG_PRECISION bits.  Raises IndeterminateSignError when the two
-    enclosures overlap."""
-    if not verdict.success or verdict.lambda_lower_enclosure is None:
+    """Whether L = ln(b/Q^2) exceeds T = -c t^p ln^2 t, the combined upper
+    bound on ln|Lambda_which| at the type's growth threshold
+    ((c, p) = CONTRADICTION_COEFF[which]; b is the lower endpoint of
+    |beta|'s enclosure), decided by exact integer comparison: True when
+    L > T, False when L <= T, and IndeterminateSignError when the bounds
+    below decide neither.
+
+    `ln_bit_bounds` encloses ln b, ln Q and ln t by their bit lengths, as
+    numerators over 2^k, k = LN2[2]: [b_lo, b_hi], [q_lo, q_hi] and
+    [t_lo, t_hi], with t_lo >= 0 for t >= 1.  So L lies in
+    [b_lo - 2 q_hi, b_hi - 2 q_lo] / 2^k, and, squares keeping the order
+    of non-negative numbers, T in [-c t^p t_hi^2, -c t^p t_lo^2] / 2^2k.
+    L's lower bound above T's upper bound proves L > T; L's upper bound
+    at most T's lower bound proves L <= T.  Both comparisons are taken
+    times c's denominator and 2^2k.
+
+    The slack: each bit-length bound is within ln 2 of its logarithm, so
+    L's bounds are within 3 ln 2 of L; and for t >= 8, where
+    bits(t) >= 4, ln t >= (bits(t) - 1) ln 2 >= (3/4) bits(t) ln 2
+    > (3/4) ln t, so T's upper bound is at most 9/16 T and its lower bound
+    at least 16/9 T.  Up to the rounding of ln 2, the check is therefore
+    decided whenever L > 9/16 T + 3 ln 2 or L <= 16/9 T - 3 ln 2."""
+    if not verdict.success or verdict.beta_lower is None:
         raise ValueError("contradiction check requires a successful verdict "
-                         "with a certified ln(|beta|/Q^2)")
-    return certified_below(
-        certified_contradiction_threshold(which, t), verdict.lambda_lower_enclosure,
-        "ln(|beta|/Q^2) meets the contradiction threshold at t=%d (%d bits)"
-        % (t, LOG_PRECISION))
+                         "with |beta|'s lower endpoint")
+    (b_lo, b_hi), (q_lo, q_hi), (t_lo, t_hi) = (
+        ln_bit_bounds(*verdict.beta_lower), ln_bit_bounds(verdict.Q), ln_bit_bounds(t))
+    coef, p = CONTRADICTION_COEFF[which]
+    n, d = coef.numerator * t ** p, coef.denominator << LN2[2]
+    if (b_lo - 2 * q_hi) * d + n * t_lo * t_lo > 0:
+        return True
+    if (b_hi - 2 * q_lo) * d + n * t_hi * t_hi <= 0:
+        return False
+    raise IndeterminateSignError(
+        "ln(|beta|/Q^2) is within the bit-length bounds' slack of the "
+        "contradiction threshold at t=%d" % t)
 
 
 @dataclass(frozen=True)
@@ -299,7 +309,7 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
         elif reverify_verdict(inst, verdict):
             return ReductionOutcome(
                 t, which, "success", prec, q_used, verdict.q,
-                float(verdict.q_norm_lower), verdict.lambda_lower_ln,
+                verdict.q_norm_lower, verdict.lambda_lower_ln,
                 verdict.margin, contradiction_check(which, t, verdict), idx)
         else:
             reason = "re-verification failed"

@@ -29,8 +29,9 @@ def default_precision(t: int) -> int:
 
 # Newton's method locates the root on a coarse grid first and then jumps
 # straight to the final grid, where it converges quadratically from that
-# estimate; the guard bits beyond the bracket grid keep rounding in the
-# last step away from the cell boundaries.
+# estimate (a start near the root skips the coarse grid); the guard bits
+# beyond the bracket grid keep rounding in the last step away from the
+# cell boundaries.
 NEWTON_START_BITS = 64
 NEWTON_GUARD_BITS = 16
 
@@ -80,16 +81,17 @@ def _slope_sign(B: int, C: int, A: int, H: int, S: int) -> int:
 
 def _newton_index(B: int, C: int, D: int, A: int, delta: int, S: int,
                   neg: bool, k_final: int,
-                  start: Optional[Tuple[int, int]] = None) -> int:
+                  start: Optional[Tuple[int, int]] = None, near: bool = False) -> int:
     """Estimate of 2^k_final * u for the root A/S + u * delta/S of P
     (P(A/S) < 0 iff neg).  Safeguarded Newton runs on the grid of
     spacing 2^-k in u, keeping a sign-change bracket and bisecting it
     whenever a step would leave it: first at k = NEWTON_START_BITS, then
-    from that estimate at k_final, where it converges quadratically.
+    from that estimate at k_final, where it converges quadratically; a
+    start `near` the root starts at k_final.
     It starts from the grid point at or below start = (p, q), for p/q
     with q > 0, when that point lies strictly inside the window, and
     from the window midpoint otherwise."""
-    k = min(NEWTON_START_BITS, k_final)
+    k = k_final if near else min(NEWTON_START_BITS, k_final)
     a, z = 0, 1 << k
     m = z >> 1                       # the window midpoint
     if start is not None:
@@ -160,8 +162,8 @@ def _bisection_index(b: int, c: int, d: int, base: int, delta: int,
 
 
 def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
-             wn: int, wd: int,
-             start: Optional[Tuple[int, int]] = None) -> Tuple[int, int, int]:
+             wn: int, wd: int, start: Optional[Tuple[int, int]] = None,
+             near: bool = False) -> Tuple[int, int, int]:
     """The bracket that halving the window [A/S, (A + delta)/S] (S > 0,
     delta > 0) until it is at most wn/wd wide ends in, keeping a sign
     change of P = x^3 + B x^2 + C x + D, as numerators over one
@@ -175,10 +177,11 @@ def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
     critical-point splitting that hold no critical point), the only cell
     with a strict sign change is the one bisection ends in, and the sign
     of P' tells which sign P has left of the root.  Newton's method then
-    finds n, from `start` when given (see `_newton_index`), and two exact
-    sign evaluations certify the cell, which must lie inside the window;
-    the window ends are not evaluated.  So the start changes only the
-    number of evaluations, never the bracket.  Otherwise,
+    finds n, from `start` when given (and `near` the root, see
+    `_newton_index`), and two exact sign evaluations certify the cell,
+    which must lie inside the window; the window ends are not evaluated.
+    So the start changes only the number of evaluations, never the
+    bracket.  Otherwise,
     or when the certificate fails, `_bisection_index` decides.  Raises
     PrecisionInsufficientError when P does not change sign over the
     window."""
@@ -190,7 +193,7 @@ def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
     if slope:
         neg = slope > 0
         n = _newton_index(B, C, D, A, delta, S, neg,
-                          K + NEWTON_GUARD_BITS, start) >> NEWTON_GUARD_BITS
+                          K + NEWTON_GUARD_BITS, start, near) >> NEWTON_GUARD_BITS
         if 0 <= n < 1 << K:
             N = base + n * delta
             f0, f1 = monic_cubic(b, c, d, N), monic_cubic(b, c, d, N + delta)
@@ -280,6 +283,17 @@ def _reduced(num: int, den: int) -> Tuple[int, int]:
     return num // g, den // g
 
 
+def _series_starts(t: int) -> List[Tuple[int, int]]:
+    """theta1, theta2, theta3 truncated in u = 1/t, each as (p, q) for
+    p/q: -u^5 - 2u^8 - 3u^11 - 3u^14, t + u^5 + 3u^8 + 8u^11 + 22u^14
+    + 65u^17 and t^4 - 2t - u^8 - 5u^11 - 19u^14 - 65u^17."""
+    x, t14 = t ** 3, t ** 14
+    t17 = t14 * x
+    return [(-(((x + 2) * x + 3) * x + 3), t14),
+            (((((x * x + 1) * x + 3) * x + 8) * x + 22) * x + 65, t17),
+            ((t ** 4 - 2 * t) * t17 - (((x + 5) * x + 19) * x + 65), t17)]
+
+
 def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
     """The three certified real roots theta1 < theta2 < theta3 of
     F_{3,t}(x,1); requires positive discriminant (t not in {0,1}).
@@ -294,10 +308,14 @@ def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
     w = bracket_bits(precision)
     if t >= 10:
         # the series windows [-2/t^5, 0], [t, t + 2/t^5] and
-        # [t^4 - 2t - 2/t^8, t^4 - 2t], each [A/S, (A + 2)/S]
+        # [t^4 - 2t - 2/t^8, t^4 - 2t], each [A/S, (A + 2)/S]; Newton
+        # starts from the roots' series in u = 1/t, which are within
+        # 300 u^20 of them, so 33-285 bits into their windows
         t5, t8 = t ** 5, t ** 8
-        brackets = [_bracket(B, C, D, A, 2, S, 1, 1 << w)
-                    for A, S in ((-2, t5), (t * t5, t5), ((t ** 4 - 2 * t) * t8 - 2, t8))]
+        brackets = [_bracket(B, C, D, A, 2, S, 1, 1 << w, start, True)
+                    for (A, S), start in zip(
+                        ((-2, t5), (t * t5, t5), ((t ** 4 - 2 * t) * t8 - 2, t8)),
+                        _series_starts(t))]
     else:
         brackets = isolate_real_roots_monic_cubic(B, C, D, 1, 1 << w)
         if len(brackets) != 3:
@@ -470,17 +488,20 @@ class KappaReport:
 
 def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     """All sixteen kappa enclosures checked against the claimed target
-    intervals.  A claim whose enclosure misses its target is recorded as
-    a failed row; an enclosure that cannot be formed at this precision
-    (roots not separated, a ratio's pole not certified outside its
-    interval, a division or logarithm of an enclosure that touches zero)
-    raises IndeterminateSignError or PrecisionInsufficientError.
+    intervals.  Each enclosure is compared with its open target's ends
+    exactly (`endpoint_cmp`): a row passes when the enclosure lies
+    strictly inside the target, and fails when it lies outside it (so no
+    value it holds meets the claim); an enclosure that holds both a target
+    end and a point of the target decides neither and raises
+    IndeterminateSignError naming j, t and the end.  An enclosure that
+    cannot be formed at this precision (roots not separated, a ratio's
+    pole not certified outside its interval, a division or logarithm of
+    an enclosure that touches zero) raises IndeterminateSignError or
+    PrecisionInsufficientError.
 
     Each row has the bits `kappa_t_only` or `kappa_envelope` gives on
     the same RootTriple; one `_KappaTerms` serves all sixteen, and the
-    kappas of one interval share its endpoint ratios.  A row passes when
-    its enclosure lies strictly inside the target, each endpoint compared
-    with the target exactly (`endpoint_cmp`)."""
+    kappas of one interval share its endpoint ratios."""
     if t < 10:
         raise ValueError("kappa claims are certified for t >= 10 only")
     k = _KappaTerms(t, isolate_roots(t, precision))
@@ -491,9 +512,14 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
                     for j, claim in KAPPA_CLAIMS.items() if claim.which == which)
     rows = []
     for j, claim in KAPPA_CLAIMS.items():
-        (lo, hi), (a, b) = claim.target, encs[j]._ival
-        rows.append(KappaRow(j, encs[j], claim.target,
-                             endpoint_cmp(a, *lo.as_integer_ratio()) > 0
-                             and endpoint_cmp(b, *hi.as_integer_ratio()) < 0))
+        (a, b), (lo, hi) = encs[j]._ival, (e.as_integer_ratio() for e in claim.target)
+        above_lo = endpoint_cmp(a, *lo) > 0
+        passed = above_lo and endpoint_cmp(b, *hi) < 0
+        # neither inside the open target nor outside it: it holds an end
+        if not passed and endpoint_cmp(b, *lo) > 0 and endpoint_cmp(a, *hi) < 0:
+            raise IndeterminateSignError(
+                "kappa_%d's enclosure [%.6g, %.6g] at t=%d holds its target's end %g"
+                " (%d bits)" % (j, encs[j].lower, encs[j].upper, t,
+                                claim.target[above_lo], k.prec))
+        rows.append(KappaRow(j, encs[j], claim.target, passed))
     return KappaReport(t, tuple(rows))
-

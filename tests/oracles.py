@@ -1,12 +1,14 @@
 """Reference code the tests check the engine against, kept out of the
 engine because nothing there calls it: closed forms, identities,
-enclosure membership and the exact Euclidean continued fraction."""
+enclosure membership, the exact Euclidean continued fraction and the
+contradiction decided on interval logarithms."""
 
 from fractions import Fraction
 from typing import List
 
+from cubicthue.bounds import CONTRADICTION_COEFF, LOG_PRECISION
 from cubicthue.forms import BinaryCubicForm
-from cubicthue.realnum import CertifiedReal, Convergent
+from cubicthue.realnum import CertifiedReal, Convergent, Endpoint, certified_below
 from cubicthue.roots import RootTriple, solution_interval
 
 
@@ -68,3 +70,16 @@ def convergents_of_fraction(x: Fraction, Q: int) -> List[Convergent]:
         pm2, qm2, pm1, qm1 = pm1, qm1, p, q
         num, den = den, num - a * den
     return out
+
+
+def contradiction_on_enclosures(which: int, t: int, beta_lower: Endpoint, Q: int) -> bool:
+    """Whether ln(b/Q^2) exceeds -c t^p ln^2 t ((c, p) =
+    CONTRADICTION_COEFF[which]) for the dyadic b = beta_lower, decided on
+    LOG_PRECISION-bit interval logarithms of b, Q^2 and t, as
+    `reduction.contradiction_check` decided it before its integer bounds.
+    Raises IndeterminateSignError when the two enclosures overlap."""
+    coef, p = CONTRADICTION_COEFF[which]
+    ln = lambda r: CertifiedReal.from_rational(r, LOG_PRECISION).log()
+    lam = CertifiedReal((beta_lower, beta_lower), LOG_PRECISION).log() - ln(Q * Q)
+    return certified_below(-(coef * t ** p) * ln(t) ** 2, lam,
+                           "ln(|beta|/Q^2) meets the contradiction threshold at t=%d" % t)

@@ -205,6 +205,18 @@ def test_kappas_reports_a_pole_that_meets_its_interval_as_inconclusive(monkeypat
     assert not [line for line in cap.out.splitlines() if line.startswith("{")]
 
 
+def test_kappas_with_a_straddled_target_is_inconclusive(capsys):
+    # kappa_3's enclosure at t = 59 and 60, 100 bits, holds its target's end 5
+    assert run(["kappas", "--t-lo", "59", "--t-hi", "60", "--precision", "100",
+                "--workers", "1"]) == cli.EXIT_INCONCLUSIVE
+    cap = capsys.readouterr()
+    assert [line.split(" holds ")[1] for line in cap.err.splitlines()] == [
+        "its target's end 5 (100 bits)"] * 2
+    assert cap.err.startswith("kappas: t=59 inconclusive: kappa_3's enclosure [4.99996, 5.00036]")
+    assert "FAILURE" not in cap.out
+    assert "kappas: 0/2 parameter values fully certified" in cap.out
+
+
 def _records(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 

@@ -17,7 +17,7 @@ from cubicthue.realnum import (CertifiedReal, continued_fraction_convergents,
 from cubicthue.reduction import (ReductionInstance, baker_davenport,
                                  build_instance, contradiction_check,
                                  reduce_single, reverify_verdict, verify_range)
-from oracles import convergents_of_fraction
+from oracles import contradiction_on_enclosures, convergents_of_fraction
 
 
 def test_build_instance_which2_t10():
@@ -112,25 +112,112 @@ def test_contradiction_margins():
         assert outcome.status == "success"
         assert outcome.contradiction
         assert outcome.margin > 100
-    # fabricated verdict below the threshold fails the check
-    assert not contradiction_check(2, 10, _verdict_at(-10 ** 9, -10 ** 9))
-    # -27.65 * 10^3 * ln^2 10, to 90 digits
-    with mpmath.workdps(100):
-        thr = Fraction(mpmath.nstr(-mpmath.mpf(2765) * 10 * mpmath.log(10) ** 2, 90))
-    eps = Fraction(1, 10 ** 9)
-    assert contradiction_check(2, 10, _verdict_at(thr + eps, thr + 2 * eps))
-    assert not contradiction_check(2, 10, _verdict_at(thr - 2 * eps, thr - eps))
-    # an enclosure that holds the threshold decides neither way
-    with pytest.raises(IndeterminateSignError, match="threshold"):
-        contradiction_check(2, 10, _verdict_at(thr - eps, thr + eps))
+    # fabricated verdicts at Q = 1, where ln(|beta|/Q^2) = ln|beta| is
+    # E ln 2 for |beta| = 2^E: the threshold at t = 10 is -146597.48, and
+    # ln 10 between 3 ln 2 and 4 ln 2 leaves it in [-212555, -119562]
+    ln2 = math.log(2)
+    assert not contradiction_check(2, 10, _verdict_at((1, -10 ** 9)))
+    assert contradiction_check(2, 10, _verdict_at((1, round(-80000 / ln2))))
+    assert not contradiction_check(2, 10, _verdict_at((1, round(-280000 / ln2))))
+    # within the slack of the bit-length bounds the check decides neither
+    # way, where the enclosures decide
+    for ln_beta, want in ((-130000, True), (-180000, False)):
+        beta_lower = (1, round(ln_beta / ln2))
+        assert contradiction_on_enclosures(2, 10, beta_lower, 1) is want
+        with pytest.raises(IndeterminateSignError, match="threshold at t=10"):
+            contradiction_check(2, 10, _verdict_at(beta_lower))
 
 
-def _verdict_at(lo, hi):
-    """A fabricated success verdict whose certified ln(|beta|/Q^2) is
-    enclosed by [lo, hi]; its display float is left out, as the check
-    must not read it."""
-    ln = CertifiedReal.from_endpoints(Fraction(lo), Fraction(hi), reduction.LOG_PRECISION)
-    return reduction.Verdict(True, 1, 1, Fraction(1), None, None, 1, ln)
+def _verdict_at(beta_lower, Q=1):
+    """A fabricated success verdict with |beta|'s lower endpoint
+    beta_lower = (m, e), for m 2^e, at the convergent bound Q; its display
+    floats are left out, as the check must not read them."""
+    return reduction.Verdict(True, 1, 1, None, None, None, 1, beta_lower, Q)
+
+
+def test_integer_contradiction_agrees_with_the_enclosures():
+    """At sampled t of each type and at both Q of the sweeps, the integer
+    decision on |beta|'s lower endpoint is the one the 64-bit interval
+    logarithms give; on fabricated endpoints spread across the threshold
+    it never contradicts them, and it decides all but a band of them."""
+    rng = random.Random(61)
+    ts = [10, 11, 57, 2000, 576241] + [rng.randrange(12, 576241) for _ in range(5)]
+    for Q in (10 ** 30, 10 ** 60):
+        for which in (1, 2, 3):
+            for t in ts:
+                triple = roots.isolate_roots(t, reduction.reduction_precision(Q))
+                beta = bounds.lambda_log_arguments(which, triple)[1].log()
+                beta_lower = abs(beta)._ival[0]
+                want = contradiction_on_enclosures(which, t, beta_lower, Q)
+                assert contradiction_check(which, t, _verdict_at(beta_lower, Q)) is want is True
+    outcomes = {True: 0, False: 0, "undecided": 0}
+    for _ in range(300):
+        which, t = rng.choice((1, 2, 3)), rng.choice(ts)
+        Q = rng.choice((1, 10 ** 30, 10 ** 60))
+        thr = -bounds.contradiction_threshold(which, t)
+        beta_lower = (rng.getrandbits(80) | 1 << 79,
+                      round(-thr * rng.uniform(0.2, 2.5) / math.log(2)) - 79)
+        want = contradiction_on_enclosures(which, t, beta_lower, Q)
+        try:
+            got = contradiction_check(which, t, _verdict_at(beta_lower, Q))
+        except IndeterminateSignError:
+            got = "undecided"
+        else:
+            assert got is want, (which, t, beta_lower, Q)
+        outcomes[got] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_contradiction_is_decided_on_the_documented_bounds():
+    """contradiction_check against the bounds of its docstring taken in
+    Fractions, each end of ln 2^E's bracket the min or max of E (or E + 1) times
+    the two bounds on ln 2, at every |beta| = 2^E around the two values
+    of E where its verdict changes."""
+    lo2, hi2, k = bounds.LN2
+    ln2 = (Fraction(lo2, 2 ** k), Fraction(hi2, 2 ** k))
+
+    def ln_bits(E):
+        return min(E * r for r in ln2), max((E + 1) * r for r in ln2)
+
+    seen = set()
+    for which, t, Q in ((2, 10, 10 ** 30), (1, 11, 10 ** 60), (3, 576241, 3), (2, 2000, 1)):
+        coef, p = bounds.CONTRADICTION_COEFF[which]
+        (q_lo, q_hi), (t_lo, t_hi) = ln_bits(Q.bit_length() - 1), ln_bits(t.bit_length() - 1)
+        T_lo, T_hi = -coef * t ** p * t_hi ** 2, -coef * t ** p * t_lo ** 2
+        for edge in (T_hi + 2 * q_hi, T_lo + 2 * q_lo):
+            E0 = math.floor(edge / ln2[0])
+            for E in range(E0 - 4, E0 + 5):
+                b_lo, b_hi = ln_bits(E)
+                want = (True if b_lo - 2 * q_hi > T_hi else
+                        False if b_hi - 2 * q_lo <= T_lo else None)
+                seen.add(want)
+                if want is None:
+                    with pytest.raises(IndeterminateSignError):
+                        contradiction_check(which, t, _verdict_at((1, E), Q))
+                else:
+                    assert contradiction_check(which, t, _verdict_at((1, E), Q)) is want
+    assert seen == {True, False, None}
+
+
+def test_ln_bit_bounds_are_on_their_sides(monkeypatch):
+    """Each end of ln_bit_bounds against ln(m 2^e) to 60 digits, at the
+    powers of two, where the lower end is tight, and just below them,
+    where the upper end is; with the two bounds on ln 2 swapped, the
+    check fails."""
+    def check():
+        k = bounds.LN2[2]
+        for E in (-300, -3, -1, 0, 1, 2, 3, 19, 64, 1000):
+            for m, e in ((1, E), ((1 << 200) - 1, E - 199)):
+                lo, hi = bounds.ln_bit_bounds(m, e)
+                with mpmath.workdps(60):
+                    x = mpmath.log(mpmath.mpf(m) * mpmath.mpf(2) ** e) * 2 ** k
+                    assert lo <= x < hi, (m, e)
+
+    check()
+    lo2, hi2, k = bounds.LN2
+    monkeypatch.setattr(bounds, "LN2", (hi2, lo2, k))
+    with pytest.raises(AssertionError):
+        check()
 
 
 def test_contradiction_check_requires_success():
@@ -476,21 +563,15 @@ def _eager_verdict(inst):
             b = abs(inst.beta).lower
             lam = math.log(b.numerator) - math.log(b.denominator) - 2 * math.log(inst.Q)
             return reduction.Verdict(
-                True, conv.p, conv.q, bound, lam,
+                True, conv.p, conv.q, float(bound), lam,
                 lam - reduction.contradiction_threshold(inst.which, inst.t), scanned,
-                reduction._lambda_lower_enclosure(inst.beta, inst.Q))
+                abs(inst.beta)._ival[0], inst.Q)
     return reduction.Verdict(False, None, None, None, None, None, len(convergents),
                              exhausted_q=exhausted)
 
 
 def _dist(r):
     return min(r - math.floor(r), math.ceil(r) - r)
-
-
-def _fields(verdict):
-    """The verdict's fields, with the certified enclosure as its endpoints."""
-    enc = verdict.lambda_lower_enclosure
-    return dataclasses.replace(verdict, lambda_lower_enclosure=None), enc and enc._ival
 
 
 def test_lazy_scan_matches_the_eager_oracle():
@@ -534,7 +615,7 @@ def test_lazy_scan_matches_the_eager_oracle():
                 assert got.success and reverify_verdict(inst, got)
                 kinds.add("eager raised, lazy succeeds")
             continue
-        assert _fields(baker_davenport(inst)) == _fields(want)
+        assert baker_davenport(inst) == want
         kinds.add("success" if want.success else
                   "exhausted failure" if want.exhausted_q else "failure")
     assert kinds == {"success", "failure", "exhausted failure", "both raise",

@@ -378,6 +378,33 @@ def test_series_windows_take_the_newton_path(monkeypatch):
         assert max(counts) <= MAX_WINDOW_EVALUATIONS[precision], precision
 
 
+def test_cubic_evaluation_counts(monkeypatch):
+    """The series starts, not a timing, guard the root isolation's cost:
+    Newton starts each series window from the roots' series in 1/t, on
+    the final grid, and averages at most 4.5 exact cubic evaluations per
+    root at the reduction's 340 bits (6.97 from the window midpoint with a
+    64-bit grid first); the search's critical-point pieces keep their
+    28.4 per form over the theorem range at y_bound 1000."""
+    count = [0]
+    evaluate = roots.monic_cubic
+
+    def counting(*args):
+        count[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(roots, "monic_cubic", counting)
+    rng = random.Random(41)
+    ts = [*range(10, 1001), *(rng.randrange(1001, 576242) for _ in range(200))]
+    for t in ts:
+        isolate_roots(t, 340)
+    assert 10 * count[0] <= 45 * 3 * len(ts), count[0] / (3 * len(ts))
+    count[0] = 0
+    forms = [family_form(3, t) for t in range(-30, 31) if t not in (0, 1)]
+    for F in forms:
+        search._brackets(F, 1000)
+    assert 10 * count[0] <= 284 * len(forms), count[0] / len(forms)
+
+
 def test_bisect_matches_reference_on_generic_windows(monkeypatch):
     calls = []
     fast = roots._bracket
@@ -442,7 +469,8 @@ def test_bisect_keeps_newton_inside_the_window(monkeypatch, lo, hi, index):
     # x^3 - 2 rises on either window; an index Newton returns outside it
     # must not certify the sign change next to it
     monkeypatch.setattr(roots, "_newton_index",
-                        lambda B, C, D, A, delta, S, neg, k_final, start=None: index(k_final))
+                        lambda B, C, D, A, delta, S, neg, k_final, start=None, near=False:
+                        index(k_final))
     with pytest.raises(PrecisionInsufficientError, match="no sign change"):
         _bracket_of(0, 0, -2, lo, hi, hi - lo)
 
@@ -489,7 +517,11 @@ def test_bisect_short_window_is_returned_as_is():
 
 @pytest.mark.parametrize("t, precision", [(10, None), (11, None), (1999, None),
                                           (576241, None), (10 ** 7, None), (1991, 100)])
-def test_verify_kappas_rows_match_the_per_kappa_functions(t, precision):
+def test_verify_kappas_rows_match_the_per_kappa_functions(monkeypatch, t, precision):
+    # targets that hold every enclosure, so that a wide one at 100 bits
+    # gives its row instead of straddling its target
+    for j, claim in KAPPA_CLAIMS.items():
+        monkeypatch.setitem(KAPPA_CLAIMS, j, claim._replace(target=(-2 ** 4096, 2 ** 4096)))
     rep = verify_kappas(t, precision)
     tr = isolate_roots(t, precision)
     for row in rep.rows:
@@ -501,15 +533,33 @@ def test_verify_kappas_rows_match_the_per_kappa_functions(t, precision):
 
 
 def test_kappa_verdicts_are_strict_on_both_sides(monkeypatch):
-    # a target that ends exactly on an enclosure endpoint fails its row,
-    # and one a hair wider on both sides passes
+    # a target that ends exactly on an enclosure endpoint, on the inside,
+    # decides neither way; one that starts or stops there, on the outside,
+    # fails its row; and one a hair wider on both sides passes
     hair = Fraction(1, 2 ** 2000)
     for row in verify_kappas(10).rows:
         lo, hi = row.enclosure.lower, row.enclosure.upper
-        for target, want in (((lo, hi + 1), False), ((lo - 1, hi), False),
-                             ((lo - hair, hi + hair), True)):
+        # the passing target last, as it stays in the table for the next rows
+        for target, want in (((hi, hi + 1), False), ((lo - 1, lo), False), ((lo, hi + 1), lo),
+                             ((lo - 1, hi), hi), ((lo - hair, hi + hair), True)):
             monkeypatch.setitem(KAPPA_CLAIMS, row.j, KAPPA_CLAIMS[row.j]._replace(target=target))
-            assert verify_kappas(10).rows[row.j - 1].passed is want, (row.j, target)
+            if isinstance(want, bool):
+                assert verify_kappas(10).rows[row.j - 1].passed is want, (row.j, target)
+                continue
+            with pytest.raises(IndeterminateSignError) as exc:
+                verify_kappas(10)
+            assert str(exc.value).startswith("kappa_%d's enclosure [%.6g, %.6g] at t=10 holds "
+                                             "its target's end %g (" % (row.j, lo, hi, want))
+
+
+def test_a_straddled_kappa_target_is_undecided():
+    # at 100 bits kappa_3's enclosure at t = 59 holds 5, the lower end of
+    # its target (5, 5.02); at the default precision it lies inside
+    with pytest.raises(IndeterminateSignError,
+                       match=r"kappa_3's enclosure \[4\.99996, 5\.00036\] at t=59 holds "
+                             r"its target's end 5 \(100 bits\)"):
+        verify_kappas(59, 100)
+    assert verify_kappas(59).all_pass
 
 
 def test_verify_kappas_shares_roots_endpoints_and_ln_t(monkeypatch):
