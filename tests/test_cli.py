@@ -881,6 +881,24 @@ def test_certify_all_bytes_match_golden(workers, tmp_path):
     assert path.read_bytes() == (DATA / "certify_all_10_12.jsonl").read_bytes()
 
 
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+@pytest.mark.parametrize("expected", json.loads((DATA / "cli_transcripts.json").read_text()),
+                         ids=lambda e: " ".join(e["argv"]))
+def test_transcript_matches_golden(expected, tmp_path, capsys):
+    """Every command at cheap arguments, and the README's exit 2 and 3
+    examples: stdout, stderr, exit code and the bytes of --output and
+    --checkpoint (their sha256, None for no file) as the golden has them."""
+    paths = {"output": tmp_path / "out.jsonl", "checkpoint": tmp_path / "ck.json"}
+    rc = run([a.format(**paths) for a in expected["argv"]])
+    cap = capsys.readouterr()
+    assert {"argv": expected["argv"], "exit": rc, "stdout": cap.out, "stderr": cap.err,
+            "output_sha256": _sha256(paths["output"]),
+            "checkpoint_sha256": _sha256(paths["checkpoint"])} == expected
+
+
 def test_bench_full_records_the_default_q_and_t_max():
     """BENCH_full.json records `sweep --full` at the default Q and at
     the paper's Q = 10^60; it must name the Q and t_max the code uses
