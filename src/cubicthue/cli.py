@@ -1,4 +1,6 @@
-"""Command-line orchestration for the verification pipeline.
+"""Command-line orchestration for the verification pipeline: each
+command is a list of stages, generators that yield records and return
+an exit status, and `_run` writes the records.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 inconclusive
 (precision/Q exhausted, or a certified comparison the enclosures do not
@@ -9,6 +11,7 @@ written, 141 (128 + SIGPIPE) stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import json
@@ -16,7 +19,7 @@ import os
 import random
 import sys
 from decimal import Decimal, InvalidOperation
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from . import bounds, exponents, forms, realnum, reduction, roots, search
 from .errors import (IndeterminateSignError, PrecisionInsufficientError,
@@ -60,14 +63,19 @@ def _env_int(name: str, default: Optional[int] = None) -> Optional[int]:
 
 
 def _env_workers(requested: Optional[int]) -> int:
-    return requested if requested is not None else _env_int("CUBICTHUE_WORKERS", 1)
+    """--workers, or else CUBICTHUE_WORKERS, or else 1; fewer than one
+    worker is a usage error that names where the number came from."""
+    name, workers = (("--workers", requested) if requested is not None else
+                     ("CUBICTHUE_WORKERS", _env_int("CUBICTHUE_WORKERS", 1)))
+    if workers < 1:
+        raise ValueError("%s must be at least 1, got %d" % (name, workers))
+    return workers
 
 
 def _precision_cap(precision: Optional[int], default: int) -> Optional[int]:
-    """--precision, or else the command's default precision, capped by
-    CUBICTHUE_PRECISION_CAP; without a cap an omitted --precision stays
-    None, so the engine picks its own default.  A precision or cap below
-    1 bit is a usage error."""
+    """--precision, or else the command's default, capped by CUBICTHUE_PRECISION_CAP;
+    without a cap an omitted --precision stays None, so the engine picks its
+    own default.  A precision or cap below 1 bit is a usage error."""
     if precision is not None and precision < 1:
         raise ValueError("--precision must be at least 1, got %d" % precision)
     cap = _env_int("CUBICTHUE_PRECISION_CAP")
@@ -92,12 +100,9 @@ class _Output:
         """Writes the record as one line and returns that line, without
         its newline."""
         record.setdefault("schema", 1)
-        if self.path is None:
-            fh = sys.stdout
-        else:
-            if self.fh is None:
-                self.fh = open(self.path, "w")
-            fh = self.fh
+        if self.fh is None and self.path is not None:
+            self.fh = open(self.path, "w")
+        fh = self.fh or sys.stdout
         line = json.dumps(record, sort_keys=True)
         fh.write(line + "\n")
         fh.flush()
@@ -112,10 +117,9 @@ class _Output:
 
 
 def _load_checkpoint(path: Optional[str], config: dict):
-    """The checkpoint at `path`, or None when there is none; one that is
-    not a JSON object with an integer last_t and a string hash, or one
-    written for another sweep `config`, is refused with ValueError naming
-    the file and left alone."""
+    """The checkpoint at `path`, or None when there is none.  One that is not
+    a JSON object with an integer last_t and a string hash, or that was
+    written for another sweep `config`, is left alone and refused (ValueError)."""
     if not path or not os.path.exists(path):
         return None
     with open(path) as fh:
@@ -134,13 +138,11 @@ def _load_checkpoint(path: Optional[str], config: dict):
 
 
 def _check_checkpoint_writable(path: str):
-    """Raises OSError when the checkpoint's temporary file PATH.tmp, which
-    each checkpoint is written to before it replaces PATH, cannot be
-    written; a probe file it had to create is removed again."""
+    """Raises OSError when PATH.tmp, where each checkpoint is written before
+    it replaces PATH, cannot be written; a probe file made here is removed."""
     tmp = path + ".tmp"
     existed = os.path.exists(tmp)
-    with open(tmp, "a"):
-        pass
+    open(tmp, "a").close()
     if not existed:
         os.remove(tmp)
 
@@ -152,24 +154,27 @@ def _write_checkpoint(path: str, config: dict, last_t: int, digest: str):
     os.replace(tmp, path)
 
 
-def _resume(out: _Output, ckpt: dict):
-    """The sha256 of --output's lines up to the checkpoint's last t,
-    checked against its hash, with --output opened to append after them.
-    The lines past that t, which a run stopped before its next checkpoint
-    wrote (the last perhaps cut mid-line), are cut off.  A missing output
-    or a hash that does not match is refused with ValueError, and both
-    files are left as they are."""
+def _resume(out: _Output, ckpt: dict, digest):
+    """The records (dicts with a "t") of --output through the checkpoint's
+    last t, yielded as their lines are hashed into `digest`.  Then, if the
+    hash is the checkpoint's, the lines after them (a run stopped before
+    its next checkpoint wrote them, the last perhaps cut mid-line) are cut
+    off and --output is opened to append; if not, or with no output, it
+    raises ValueError and leaves both files as they are."""
     if out.path is None:
         raise ValueError("resuming from a checkpoint needs the --output it counts")
-    digest, end, counted = hashlib.sha256(), 0, False
+    end, counted = 0, False
     try:
         with open(out.path, "rb") as fh:
             for line in fh:
                 if not line.endswith(b"\n"):
                     break
+                rec = json.loads(line)
+                last = rec["t"] == ckpt["last_t"]
                 digest.update(line[:-1])
                 end += len(line)
-                if json.loads(line)["t"] == ckpt["last_t"]:
+                yield rec
+                if last:
                     counted = digest.hexdigest() == ckpt["hash"]
                     break
     except (OSError, ValueError, LookupError, TypeError):
@@ -180,26 +185,70 @@ def _resume(out: _Output, ckpt: dict):
     if os.path.getsize(out.path) > end:
         os.truncate(out.path, end)
     out.fh = open(out.path, "a")
-    return digest
+
+
+class _Checkpointed(NamedTuple):
+    """Yielded by the sweep before its first record: the configuration its
+    --checkpoint is written for.  The runner sends back the records of
+    --output such a checkpoint counts, to read through before yielding."""
+    config: dict
+
+
+def _run(stages, path: Optional[str], checkpoint: Optional[str]) -> int:
+    """Runs the stages in turn, the only writer of their records, and
+    returns the worst of their exit statuses.  While a _Checkpointed stage
+    runs, --checkpoint is rewritten after every CHECKPOINT_INTERVAL-th of
+    its records and after its last, with the sha256 of the output's lines
+    so far, newlines left out."""
+    if checkpoint and len(stages) > 1 and os.path.exists(checkpoint):
+        # the stages share one --output, so a resumed stage cannot append to it
+        raise ValueError("checkpoint %s already counts records; certify-all "
+                         "does not resume" % checkpoint)
+    out, digest, rc, finished = _Output(path), hashlib.sha256(), EXIT_OK, False
+    try:
+        for stage in stages:
+            # closed on every exit: a failed write stops a sweep's workers
+            with contextlib.closing(stage):
+                config, n, reply = None, 0, None
+                while True:
+                    try:
+                        item, reply = stage.send(reply), None
+                    except StopIteration as stop:
+                        rc = max(rc, stop.value)
+                        break
+                    if isinstance(item, _Checkpointed):
+                        config = item.config
+                        ckpt = _load_checkpoint(checkpoint, config)
+                        reply = _resume(out, ckpt, digest) if ckpt else ()
+                        continue
+                    digest.update(out.emit(item).encode())
+                    n += 1
+                    if checkpoint and config and n % CHECKPOINT_INTERVAL == 0:
+                        _write_checkpoint(checkpoint, config, item["t"], digest.hexdigest())
+                if checkpoint and config and n % CHECKPOINT_INTERVAL:
+                    _write_checkpoint(checkpoint, config, item["t"], digest.hexdigest())
+        finished = True
+    finally:
+        # a run refused (exit 3) or stopped before its first record leaves
+        # --output as it was; a finished one without records gets a newline
+        out.close(finished=finished and rc != EXIT_USAGE)
+    return rc
 
 
 def _sample_ts(seed: int, count: int, lo: int, hi: int) -> List[int]:
-    rng = random.Random(seed)
-    return sorted(rng.sample(range(lo, hi + 1), count))
+    return sorted(random.Random(seed).sample(range(lo, hi + 1), count))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="cubicthue",
-        description="Certified verification pipeline for the cubic Thue "
-                    "family F_3,t(x,y)=1.")
+    ap = argparse.ArgumentParser(prog="cubicthue", description="Certified verification "
+                                 "pipeline for the cubic Thue family F_3,t(x,y)=1.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     flags = {"precision": dict(type=int, default=None),
              "workers": dict(type=int, default=None),
              "seed": dict(type=int, default=DEFAULT_SEED)}
 
-    def common(p, *read, t=False, trange=False):
+    def common(p, *read, t=False, trange=False, which=False, qa=False):
         # --output, and of the flags above only those the command reads
         for name in read:
             p.add_argument("--" + name, **flags[name])
@@ -209,6 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         if trange:
             p.add_argument("--t-lo", type=int, default=10)
             p.add_argument("--t-hi", type=int, default=SWEEP_SLICE_HI)
+        if which:
+            p.add_argument("--which", type=int, default=2, choices=(1, 2, 3))
+        if qa:
+            p.add_argument("--Q", type=_int_from_sci, default=reduction.DEFAULT_Q)
+            p.add_argument("--A", type=_int_from_sci, default=reduction.DEFAULT_A)
 
     p = sub.add_parser("roots", help="certified root enclosures")
     common(p, "precision", t=True)
@@ -228,16 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("reduce", help="Baker-Davenport reduction at one t")
-    common(p, "precision", t=True)
-    p.add_argument("--which", type=int, default=2, choices=(1, 2, 3))
-    p.add_argument("--Q", type=_int_from_sci, default=reduction.DEFAULT_Q)
-    p.add_argument("--A", type=_int_from_sci, default=reduction.DEFAULT_A)
+    common(p, "precision", t=True, which=True, qa=True)
 
     p = sub.add_parser("sweep", help="reduction sweep over a t range")
-    common(p, "precision", "workers", "seed", trange=True)
-    p.add_argument("--which", type=int, default=2, choices=(1, 2, 3))
-    p.add_argument("--Q", type=_int_from_sci, default=reduction.DEFAULT_Q)
-    p.add_argument("--A", type=_int_from_sci, default=reduction.DEFAULT_A)
+    common(p, "precision", "workers", "seed", trange=True, which=True, qa=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--samples", type=int, default=0,
                    help="seeded extra samples up to t_max")
@@ -260,9 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-bound", type=_int_from_sci, default=10 ** 4)
 
     p = sub.add_parser("certify-all", help="full desk-scale certification chain")
-    common(p, "precision", "workers", "seed", trange=True)
-    p.add_argument("--Q", type=_int_from_sci, default=reduction.DEFAULT_Q)
-    p.add_argument("--A", type=_int_from_sci, default=reduction.DEFAULT_A)
+    common(p, "precision", "workers", "seed", trange=True, qa=True)
     p.add_argument("--y-bound", type=_int_from_sci, default=5000)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--full", action="store_true")
@@ -270,49 +316,42 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_roots(args, out: _Output) -> int:
-    triple = roots.isolate_roots(
-        args.t, _precision_cap(args.precision, roots.default_precision(args.t)))
+def _cmd_roots(precision, t):
+    triple = roots.isolate_roots(t, _precision_cap(precision, roots.default_precision(t)))
     for i, th in enumerate(triple.thetas, start=1):
-        out.emit({"t": args.t, "root": i,
-                  "enclosure": th.as_decimal_string(40),
-                  "lower": float(th.lower), "upper": float(th.upper)})
-    print("t=%d: three separated certified roots at %d bits" %
-          (args.t, triple.precision))
+        yield {"t": t, "root": i, "enclosure": th.as_decimal_string(40),
+               "lower": float(th.lower), "upper": float(th.upper)}
+    print("t=%d: three separated certified roots at %d bits" % (t, triple.precision))
     return EXIT_OK
 
 
-def _cmd_kappas(args, out: _Output) -> int:
+def _cmd_kappas(precision, workers, t_lo, t_hi, extra_t):
     # each t once, in first-seen order: sorting would move certify-all's
     # 576241 ahead of 10^6 and change its output
-    ts = list(dict.fromkeys([*range(args.t_lo, args.t_hi + 1), *args.extra_t]))
+    ts = list(dict.fromkeys([*range(t_lo, t_hi + 1), *extra_t]))
     if any(t < 10 for t in ts):
         # refused before the first record, not at the first t below 10
         raise ValueError("kappa claims are certified for t >= 10 only")
-    workers = _env_workers(args.workers)
-    failures = 0
-    jobs = [(t, _precision_cap(args.precision, roots.default_precision(t))) for t in ts]
-    inconclusive = 0
+    workers = _env_workers(workers)
+    failures = inconclusive = 0
+    jobs = [(t, _precision_cap(precision, roots.default_precision(t))) for t in ts]
     for rep_rows, t, all_pass, error in parallel_map(_kappa_report_row, jobs, workers):
         if error is not None:
             inconclusive += 1
             print("kappas: t=%d inconclusive: %s" % (t, error), file=sys.stderr)
             continue
-        for row in rep_rows:
-            out.emit(row)
+        yield from rep_rows
         if not all_pass:
             failures += 1
             print("kappa FAILURE at t=%d" % t)
     print("kappas: %d/%d parameter values fully certified" %
           (len(ts) - failures - inconclusive, len(ts)))
-    if failures:
-        return EXIT_VERIFICATION_FAILED
-    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+    return (EXIT_VERIFICATION_FAILED if failures else
+            EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
 
 
 def _kappa_report_row(job):
-    """The rows of one t, or the reason its enclosures could not be
-    formed at the given precision."""
+    """The rows of one t, or why its enclosures cannot be formed at `precision`."""
     t, precision = job
     try:
         rep = roots.verify_kappas(t, precision)
@@ -321,174 +360,145 @@ def _kappa_report_row(job):
     return [r.to_json(t) for r in rep.rows], t, rep.all_pass, None
 
 
-def _cmd_exponents(args, out: _Output) -> int:
-    t = args.t
-    for (x, y) in forms.known_solutions(t).solutions:
+def _cmd_exponents(t):
+    solutions = forms.known_solutions(t).solutions
+    for (x, y) in solutions:
         pair = exponents.recover_exponents(t, x, y)
         sol_type = (exponents.classify(t, x, y).value if t >= 10 else "n/a")
-        out.emit({"t": t, "x": x, "y": y, "delta": pair.delta,
-                  "n": pair.n, "m": pair.m, "type": sol_type,
-                  "residual_upper": float(pair.residual.upper)})
-    print("t=%d: exponents recovered for all %d known solutions"
-          % (t, len(forms.known_solutions(t))))
+        yield {"t": t, "x": x, "y": y, "delta": pair.delta, "n": pair.n, "m": pair.m,
+               "type": sol_type, "residual_upper": float(pair.residual.upper)}
+    print("t=%d: exponents recovered for all %d known solutions" % (t, len(solutions)))
     return EXIT_OK
 
 
-def _cmd_matveev(args, out: _Output) -> int:
-    triple = roots.isolate_roots(
-        args.t, _precision_cap(args.precision, roots.default_precision(args.t)))
-    res = bounds.matveev_for_family(triple)
+def _cmd_matveev(precision, t):
+    res = bounds.matveev_for_family(
+        roots.isolate_roots(t, _precision_cap(precision, roots.default_precision(t))))
     ok = res.in_target_window
-    out.emit({"which": 2, "t": res.t, "coefficient": float(res.coefficient),
-              "height_checks": list(res.height_checks),
-              "w0_prefactor": float(bounds.w0_prefactor()),
-              "in_target_window": ok})
+    yield {"which": 2, "t": res.t, "coefficient": float(res.coefficient),
+           "height_checks": list(res.height_checks),
+           "w0_prefactor": float(bounds.w0_prefactor()), "in_target_window": ok}
     print("Matveev coefficient: %.6g (%s)" %
           (float(res.coefficient), "within target window" if ok else "OUT OF WINDOW"))
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_tmax(args, out: _Output) -> int:
+def _cmd_tmax():
     t_max, n_max = bounds.derive_t_max()
-    out.emit({"t_max": t_max, "n_max": n_max})
+    yield {"t_max": t_max, "n_max": n_max}
     print("t_max = %d  (n < %.4g)" % (t_max, n_max))
     return EXIT_OK if t_max == 576241 else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_reduce(args, out: _Output) -> int:
+def _cmd_reduce(precision, t, which, Q, A):
     outcome = reduction.reduce_single(
-        args.which, args.t, args.A, args.Q,
-        _precision_cap(args.precision, realnum.reduction_precision(args.Q)))
-    out.emit(outcome.to_json())
+        which, t, A, Q, _precision_cap(precision, realnum.reduction_precision(Q)))
+    yield outcome.to_json()
     if outcome.status == "success" and outcome.contradiction:
-        print("t=%d: reduction success, q=%s, margin %.4g" %
-              (args.t, outcome.q, outcome.margin))
+        print("t=%d: reduction success, q=%s, margin %.4g" % (t, outcome.q, outcome.margin))
         return EXIT_OK
     if outcome.status == "success":
-        print("t=%d: reduction success but no contradiction" % args.t)
+        print("t=%d: reduction success but no contradiction" % t)
         return EXIT_VERIFICATION_FAILED
-    print("t=%d: reduction inconclusive after escalation" % args.t)
+    print("t=%d: reduction inconclusive after escalation" % t)
     return EXIT_INCONCLUSIVE
 
 
-def _cmd_sweep(args, out: _Output) -> int:
+def _cmd_sweep(precision, workers, seed, t_lo, t_hi, which, Q, A, samples, full):
     # the bisection for t_max is run only when the range or the samples read it
-    t_max = bounds.derive_t_max()[0] if args.full or args.samples else None
-    extra = (_sample_ts(args.seed, args.samples, SWEEP_SLICE_HI + 1, t_max)
-             if args.samples and not args.full else [])
-    t_hi = t_max if args.full else args.t_hi
-    precision = _precision_cap(args.precision, realnum.reduction_precision(args.Q))
+    t_max = bounds.derive_t_max()[0] if full or samples else None
+    extra = _sample_ts(seed, samples, SWEEP_SLICE_HI + 1, t_max) if samples and not full else []
+    t_hi = t_max if full else t_hi
+    precision = _precision_cap(precision, realnum.reduction_precision(Q))
+    workers = _env_workers(workers)
+    tally = collections.Counter()
+
+    def judged(records):
+        # the verdict counts every record of the sweep, resumed or written;
+        # a resumed one is judged before its hash is checked, so it may be any dict
+        for rec in records:
+            tally["n"] += 1
+            tally["ok"] += rec.get("status") == "success" and rec.get("contradiction") is True
+            tally["failed"] += rec.get("status") == "failed"
+            yield rec
+
     # everything that decides which records the sweep writes, and their bytes
-    config = {"which": args.which, "A": str(args.A), "Q": str(args.Q),
-              "t_range": [args.t_lo, t_hi], "extra_ts": extra,
-              "precision": precision or realnum.reduction_precision(args.Q)}
-    ckpt = _load_checkpoint(args.checkpoint, config)
-    n = n_ok = n_failed = 0
+    config = {"which": which, "A": str(A), "Q": str(Q), "t_range": [t_lo, t_hi],
+              "extra_ts": extra, "precision": precision or realnum.reduction_precision(Q)}
+    after = None
+    for rec in judged((yield _Checkpointed(config))):
+        after = rec["t"]
     # closed on every exit, so a failed write stops the workers at once
     with contextlib.closing(reduction.verify_range(
-            args.which, args.t_lo, t_hi, args.A, args.Q,
-            workers=_env_workers(args.workers), extra_ts=extra, precision=precision,
-            after=ckpt and ckpt["last_t"])) as outcomes:
-        # the checkpoint hash is the sha256 of the written lines, newlines
-        # left out; it is rewritten right after the record it counts
-        digest = _resume(out, ckpt) if ckpt else hashlib.sha256()
-        for o in outcomes:
-            digest.update(out.emit(o.to_json()).encode())
-            n += 1
-            n_ok += o.status == "success" and o.contradiction
-            n_failed += o.status == "failed"
-            if args.checkpoint and n % CHECKPOINT_INTERVAL == 0:
-                _write_checkpoint(args.checkpoint, config, o.t, digest.hexdigest())
-        if args.checkpoint and n % CHECKPOINT_INTERVAL:
-            _write_checkpoint(args.checkpoint, config, o.t, digest.hexdigest())
-    print("sweep which=%d: %d/%d success+contradiction" % (args.which, n_ok, n))
-    if n_ok == n:
+            which, t_lo, t_hi, A, Q, workers=workers, extra_ts=extra,
+            precision=precision, after=after)) as outcomes:
+        yield from judged(o.to_json() for o in outcomes)
+    print("sweep which=%d: %d/%d success+contradiction" % (which, tally["ok"], tally["n"]))
+    if tally["ok"] == tally["n"]:
         return EXIT_OK
-    if n_failed:
-        return EXIT_INCONCLUSIVE
-    return EXIT_VERIFICATION_FAILED
+    return EXIT_INCONCLUSIVE if tally["failed"] else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_search(args, out: _Output) -> int:
-    if (args.t is None) == (args.coeffs is None):
+def _cmd_search(t, coeffs, y_bound):
+    if (t is None) == (coeffs is None):
         print("search: give exactly one of --t or --coeffs", file=sys.stderr)
         return EXIT_USAGE
-    F = forms.family_form(3, args.t) if args.t is not None \
-        else forms.BinaryCubicForm(*args.coeffs)
-    rep = search.thue_solutions_bruteforce(F, args.y_bound)
-    out.emit(rep.to_json())
-    print("%s: %d solutions with |y| <= %d" % (F, rep.count, args.y_bound))
+    F = forms.family_form(3, t) if t is not None else forms.BinaryCubicForm(*coeffs)
+    rep = search.thue_solutions_bruteforce(F, y_bound)
+    yield rep.to_json()
+    print("%s: %d solutions with |y| <= %d" % (F, rep.count, y_bound))
     return EXIT_OK
 
 
-def _cmd_verify_theorem(args, out: _Output) -> int:
-    found = search.thue_solutions_bruteforce(forms.family_form(3, args.t),
-                                             args.y_bound)
-    expected = tuple(sorted(forms.known_solutions(args.t).restricted(args.y_bound)))
+def _cmd_verify_theorem(t, y_bound):
+    found = search.thue_solutions_bruteforce(forms.family_form(3, t), y_bound)
+    expected = tuple(sorted(forms.known_solutions(t).restricted(y_bound)))
     ok = found.solutions == expected
-    out.emit({"t": args.t, "y_bound": args.y_bound, "count": found.count,
-              "solutions": [list(s) for s in found.solutions], "pass": ok})
+    yield {"t": t, "y_bound": y_bound, "count": found.count,
+           "solutions": [list(s) for s in found.solutions], "pass": ok}
     print("t=%d: %d solutions, %s" %
-          (args.t, found.count, "matches published list" if ok else "MISMATCH"))
+          (t, found.count, "matches published list" if ok else "MISMATCH"))
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_verify_tables(args, out: _Output) -> int:
-    reports = search.verify_sporadic_tables(args.y_bound)
-    ok = all(r.matches_expected for r in reports)
-    for r in reports:
-        out.emit(r.to_json())
+def _cmd_verify_tables(y_bound):
+    reports = search.verify_sporadic_tables(y_bound)
+    yield from (r.to_json() for r in reports)
     print("tables: %d/%d forms at or above their published counts" %
           (sum(r.matches_expected for r in reports), len(reports)))
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if all(r.matches_expected for r in reports) else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_certify_all(args, out: _Output) -> int:
-    """Chains the proof order: kappa certification, Matveev constant,
-    absolute bound, reduction sweep slice, bounded search."""
-    def stage(cmd, **overrides) -> int:
-        return cmd(argparse.Namespace(**{**vars(args), **overrides}), out)
-
-    if args.checkpoint and os.path.exists(args.checkpoint):
-        # the stages share one --output, so its sweep cannot append to it
-        raise ValueError("checkpoint %s already counts records; certify-all "
-                         "does not resume" % args.checkpoint)
-
-    rc = stage(_cmd_kappas, t_hi=min(args.t_hi, 2000),
-               extra_t=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 576241])
-    rc = max(rc, stage(_cmd_matveev, t=10))
-    rc = max(rc, _cmd_tmax(args, out))
-    rc = max(rc, stage(_cmd_sweep, which=2,
-                       samples=0 if args.full else SWEEP_SAMPLE_COUNT))
-
+def _theorem_range(y_bound):
     # serial: a bounded search costs well under a millisecond per t
-    fails = 0
-    for t in range(-30, 31):
-        if t not in (0, 1) and not search.verify_theorem(t, args.y_bound):
-            fails += 1
-            print("theorem verification FAILED at t=%d" % t)
-    out.emit({"stage": "theorem-range", "t_range": [-30, 30],
-              "y_bound": args.y_bound, "failures": fails})
-    print("theorem range [-30,30]: %d failures" % fails)
-    if fails:
-        rc = max(rc, EXIT_VERIFICATION_FAILED)
-
-    return max(rc, stage(_cmd_verify_tables, y_bound=10 ** 4))
+    fails = [t for t in range(-30, 31)
+             if t not in (0, 1) and not search.verify_theorem(t, y_bound)]
+    for t in fails:
+        print("theorem verification FAILED at t=%d" % t)
+    yield {"stage": "theorem-range", "t_range": [-30, 30], "y_bound": y_bound,
+           "failures": len(fails)}
+    print("theorem range [-30,30]: %d failures" % len(fails))
+    return EXIT_VERIFICATION_FAILED if fails else EXIT_OK
 
 
-_COMMANDS = {
-    "roots": _cmd_roots,
-    "kappas": _cmd_kappas,
-    "exponents": _cmd_exponents,
-    "matveev": _cmd_matveev,
-    "tmax": _cmd_tmax,
-    "reduce": _cmd_reduce,
-    "sweep": _cmd_sweep,
-    "search": _cmd_search,
-    "verify-theorem": _cmd_verify_theorem,
-    "verify-tables": _cmd_verify_tables,
-    "certify-all": _cmd_certify_all,
-}
+def _cmd_certify_all(precision, workers, seed, t_lo, t_hi, Q, A, y_bound, full):
+    """The stages in proof order: kappa certification, Matveev constant,
+    absolute bound, reduction sweep slice, bounded search."""
+    return [_cmd_kappas(precision=precision, workers=workers, t_lo=t_lo, t_hi=min(t_hi, 2000),
+                        extra_t=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 576241]),
+            _cmd_matveev(precision=precision, t=10),
+            _cmd_tmax(),
+            _cmd_sweep(precision=precision, workers=workers, seed=seed, t_lo=t_lo, t_hi=t_hi,
+                       which=2, Q=Q, A=A, samples=0 if full else SWEEP_SAMPLE_COUNT, full=full),
+            _theorem_range(y_bound),
+            _cmd_verify_tables(y_bound=10 ** 4)]
+
+
+_COMMANDS = {"roots": _cmd_roots, "kappas": _cmd_kappas, "exponents": _cmd_exponents,
+             "matveev": _cmd_matveev, "tmax": _cmd_tmax, "reduce": _cmd_reduce,
+             "sweep": _cmd_sweep, "search": _cmd_search,
+             "verify-theorem": _cmd_verify_theorem, "verify-tables": _cmd_verify_tables,
+             "certify-all": _cmd_certify_all}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -497,47 +507,36 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    out = _Output(getattr(args, "output", None))
+    # every option but these three is a parameter of the command's stages
+    options = dict(vars(args))
+    command, output = options.pop("command"), options.pop("output")
+    checkpoint = options.pop("checkpoint", None)
     try:
-        if hasattr(args, "Q"):
-            # refused before the command runs, so no record is written
-            reduction.check_bounds(args.A, args.Q)
-        if getattr(args, "checkpoint", None):
-            # first written after records (sweep, certify-all's sweep
-            # stage): refused before the command runs
-            _check_checkpoint_writable(args.checkpoint)
-        rc = _COMMANDS[args.command](args, out)
-        # a refused run (exit 3) leaves an existing --output file untouched;
-        # a finished one with no records opens it here, for its newline
-        out.close(finished=rc != EXIT_USAGE)
-    except ValueError as exc:
-        # the engine rejects parameters outside its range with ValueError
-        print("cubicthue %s: error: %s" % (args.command, exc), file=sys.stderr)
-        rc = EXIT_USAGE
+        # refused before the command runs, so no record is written
+        if "Q" in options:
+            reduction.check_bounds(options["A"], options["Q"])
+        if checkpoint:
+            _check_checkpoint_writable(checkpoint)
+        stages = _COMMANDS[command](**options)
+        rc = _run(stages if command == "certify-all" else [stages], output, checkpoint)
     except (IndeterminateSignError, PrecisionInsufficientError) as exc:
-        print("cubicthue %s: inconclusive: %s" % (args.command, exc), file=sys.stderr)
+        print("cubicthue %s: inconclusive: %s" % (command, exc), file=sys.stderr)
         rc = EXIT_INCONCLUSIVE
     except VerificationFailedError as exc:
-        print("cubicthue %s: verification failed: %s" % (args.command, exc),
-              file=sys.stderr)
+        print("cubicthue %s: verification failed: %s" % (command, exc), file=sys.stderr)
         rc = EXIT_VERIFICATION_FAILED
     except BrokenPipeError:
-        # the reader of stdout went away (`cubicthue kappas ... | head`):
-        # stop without a traceback, with stdout on the null device so that
-        # the flush at exit does not raise again
+        # stdout's reader went away (`cubicthue kappas ... | head`): stop, with
+        # stdout on the null device so that the flush at exit does not raise
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         rc = EXIT_BROKEN_PIPE
-    except OSError as exc:
-        # an --output or --checkpoint that cannot be written: a usage
-        # error, not a failed verification
-        print("cubicthue %s: error: %s" % (args.command, exc), file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        # the engine rejects parameters outside its range with ValueError;
+        # an --output or --checkpoint that cannot be written is OSError
+        print("cubicthue %s: error: %s" % (command, exc), file=sys.stderr)
         rc = EXIT_USAGE
-    finally:
-        # a run stopped by an error before its first record leaves an
-        # existing --output file untouched
-        out.close(finished=False)
     return rc
 
 

@@ -273,10 +273,23 @@ def test_sweep_exit_with_a_record_short_of_a_contradiction(changes, code, monkey
     assert _records(path) == [o.to_json() for o in outcomes]
 
 
+def _stage_stub(ran, name):
+    """A stand-in for the stage `name`: a generator that notes in `ran`
+    that it ran, and passes without a record."""
+    def stage(**options):
+        ran.append(name)
+        return cli.EXIT_OK
+        yield
+    return stage
+
+
+_CERTIFY_ALL_STAGES = ("_cmd_kappas", "_cmd_matveev", "_cmd_tmax", "_cmd_sweep",
+                       "_cmd_verify_tables")
+
+
 def test_certify_all_theorem_range_failure_exits_one(monkeypatch, tmp_path, capsys):
-    for name in ("_cmd_kappas", "_cmd_matveev", "_cmd_tmax", "_cmd_sweep",
-                 "_cmd_verify_tables"):
-        monkeypatch.setattr(cli, name, lambda args, out: cli.EXIT_OK)
+    for name in _CERTIFY_ALL_STAGES:
+        monkeypatch.setattr(cli, name, _stage_stub([], name))
     monkeypatch.setattr(search, "verify_theorem", lambda t, y_bound: t != 5)
     path = tmp_path / "c.jsonl"
     assert run(["certify-all", "--y-bound", "50", "--output", str(path)]) \
@@ -496,7 +509,7 @@ def test_sweep_derives_t_max_only_when_it_reads_it(monkeypatch, tmp_path):
     assert run(sweep + ["--full"]) == 0 and calls == ["tmax"] * 2
     # certify-all keeps its own tmax stage
     for name in ("_cmd_kappas", "_cmd_matveev", "_cmd_sweep", "_cmd_verify_tables"):
-        monkeypatch.setattr(cli, name, lambda args, out: cli.EXIT_OK)
+        monkeypatch.setattr(cli, name, _stage_stub([], name))
     assert run(["certify-all", "--y-bound", "5", "--output", str(tmp_path / "c")]) == 0
     assert calls == ["tmax"] * 3
     assert json.loads((tmp_path / "c").read_text().splitlines()[0])["t_max"] == 576241
@@ -579,8 +592,40 @@ def test_sweep_rerun_of_a_finished_run_leaves_its_output(capsys, tmp_path):
     before = out.read_bytes(), ck.read_bytes()
     assert run(argv) == 0
     assert (out.read_bytes(), ck.read_bytes()) == before
+    # the verdict still judges the five records it did not write again
     assert capsys.readouterr().out.splitlines()[-1] \
-        == "sweep which=2: 0/0 success+contradiction"
+        == "sweep which=2: 5/5 success+contradiction"
+
+
+def test_a_resumed_sweep_judges_the_records_it_resumed(monkeypatch, tmp_path, capsys):
+    """A reduction that fails at t = 11, before the checkpoint at t = 12
+    that a run stopped at t = 14 resumes from: the resumed run gives the
+    uninterrupted run's summary, exit code, output and checkpoint."""
+    reduce_single = reduction.reduce_single
+    monkeypatch.setattr(reduction, "reduce_single", lambda which, t, *a, **k: (
+        _outcome(t=11, status="failed", contradiction=False, reason="scan exhausted")
+        if t == 11 else reduce_single(which, t, *a, **k)))
+    monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 3)
+    argv, full_ck, full_out = _sweep_argv(tmp_path, "full", t_hi=16)
+    summary = "sweep which=2: 6/7 success+contradiction\n"
+    assert run(argv) == cli.EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out == summary
+    argv, ck, out = _sweep_argv(tmp_path, "cut", t_hi=16)
+    emit = cli._Output.emit
+
+    def failing(self, record):
+        if record["t"] == 14:
+            raise OSError("disk full")
+        return emit(self, record)
+
+    monkeypatch.setattr(cli._Output, "emit", failing)
+    assert run(argv) == cli.EXIT_USAGE
+    monkeypatch.setattr(cli._Output, "emit", emit)
+    assert json.loads(ck.read_text())["last_t"] == 12
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out == summary
+    assert (out.read_bytes(), ck.read_bytes()) == (full_out.read_bytes(), full_ck.read_bytes())
 
 
 def test_sweep_resume_refuses_an_output_that_does_not_match(capsys, tmp_path):
@@ -588,9 +633,12 @@ def test_sweep_resume_refuses_an_output_that_does_not_match(capsys, tmp_path):
     assert run(argv) == 0
     lines = out.read_text().splitlines()
     tampered = [lines[0], lines[1].replace('"escalations": 0', '"escalations": 1')]
+    # the last: records judged before the hash is checked, one not a reduction's
     for text in ("\n".join(tampered + lines[2:]) + "\n",
                  "\n".join(lines[:3]) + "\n",
-                 "\n".join(lines)):
+                 "\n".join(lines),
+                 "\n".join([lines[0], '{"t": 11}']
+                           + lines[2:]) + "\n"):
         out.write_text(text)
         before = out.read_bytes(), ck.read_bytes()
         capsys.readouterr()
@@ -623,10 +671,8 @@ def test_certify_all_refuses_a_checkpoint_that_counts_records(monkeypatch, capsy
             "--output", str(out)]
     assert run(["sweep"] + argv[1:7] + ["--output", str(tmp_path / "s.jsonl")]) == 0
     stages = []
-    for name in ("_cmd_kappas", "_cmd_matveev", "_cmd_tmax", "_cmd_sweep",
-                 "_cmd_verify_tables"):
-        monkeypatch.setattr(cli, name, lambda args, out, name=name:
-                            stages.append(name) or cli.EXIT_OK)
+    for name in _CERTIFY_ALL_STAGES:
+        monkeypatch.setattr(cli, name, _stage_stub(stages, name))
     capsys.readouterr()
     assert run(argv) == cli.EXIT_USAGE
     assert stages == [] and not out.exists()
@@ -637,10 +683,25 @@ def test_certify_all_refuses_a_checkpoint_that_counts_records(monkeypatch, capsy
     assert run(argv + ["--y-bound", "5"]) == 0 and len(stages) == 5
 
 
+def test_certify_all_checkpoint_counts_every_line_before_it(tmp_path):
+    """certify-all's checkpoint is written while its sweep stage runs; its
+    hash covers all the lines of --output up to the sweep's last record,
+    the records of the stages before the sweep included."""
+    ck, out = tmp_path / "ck.json", tmp_path / "c.jsonl"
+    assert run(["certify-all", "--t-lo", "10", "--t-hi", "11", "--y-bound", "20", "--Q", "1e60",
+                "--checkpoint", str(ck), "--output", str(out)]) == cli.EXIT_OK
+    lines = out.read_text().splitlines()
+    counted = max(i for i, line in enumerate(lines) if '"status": ' in line) + 1
+    state = json.loads(ck.read_text())
+    assert state["last_t"] == json.loads(lines[counted - 1])["t"]
+    assert state["hash"] == hashlib.sha256("".join(lines[:counted]).encode()).hexdigest()
+    assert state["config"]["t_range"] == [10, 11] and len(state["config"]["extra_ts"]) == 100
+    assert "kappa" in lines[0] and "matches_expected" in lines[-1]
+
+
 def test_certify_all_theorem_range_starts_at_most_one_pool(monkeypatch, capsys, tmp_path):
-    for name in ("_cmd_kappas", "_cmd_matveev", "_cmd_tmax", "_cmd_sweep",
-                 "_cmd_verify_tables"):
-        monkeypatch.setattr(cli, name, lambda args, out: cli.EXIT_OK)
+    for name in _CERTIFY_ALL_STAGES:
+        monkeypatch.setattr(cli, name, _stage_stub([], name))
     pools = []
     Pool = multiprocessing.Pool
 
@@ -737,6 +798,28 @@ def test_precision_below_one_bit_is_a_usage_error(tmp_path, capsys):
                                            "at least 1, got %s\n" % (argv[0], argv[-1]))
         assert not out.exists()
     assert run(["roots", "--t", "10", "--precision", "1"]) == cli.EXIT_OK
+
+
+def test_workers_below_one_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    for argv in (["kappas", "--t-lo", "10", "--t-hi", "10", "--workers", "0"],
+                 ["sweep", "--t-lo", "10", "--t-hi", "10", "--workers", "-1"],
+                 ["certify-all", "--t-lo", "10", "--t-hi", "10", "--workers", "0"]):
+        assert run(argv + ["--output", str(out)]) == cli.EXIT_USAGE, argv
+        assert capsys.readouterr() == ("", "cubicthue %s: error: --workers must be at "
+                                           "least 1, got %s\n" % (argv[0], argv[-1]))
+        assert not out.exists()
+    for workers in ("0", "-2"):
+        monkeypatch.setenv("CUBICTHUE_WORKERS", workers)
+        for argv in (["kappas", "--t-lo", "10", "--t-hi", "10"],
+                     ["sweep", "--t-lo", "10", "--t-hi", "10"]):
+            assert run(argv + ["--output", str(out)]) == cli.EXIT_USAGE, argv
+            assert capsys.readouterr() == ("", "cubicthue %s: error: CUBICTHUE_WORKERS must "
+                                               "be at least 1, got %s\n" % (argv[0], workers))
+            assert not out.exists()
+        # --workers is read first, so the variable is not
+        assert run(["sweep", "--t-lo", "10", "--t-hi", "10", "--workers", "1"]) == cli.EXIT_OK
+        capsys.readouterr()
 
 
 def test_precision_cap_below_one_bit_is_a_usage_error(monkeypatch, capsys):
