@@ -5,7 +5,9 @@ an exit status, and `_run` writes the records.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 inconclusive
 (precision/Q exhausted, or a certified comparison the enclosures do not
 decide), 3 usage error or an --output or --checkpoint that cannot be
-written, 141 (128 + SIGPIPE) stdout closed by its reader.
+written, 141 (128 + SIGPIPE) stdout closed by its reader.  A run that
+meets more than one reports the worst, in the order 3, 1, 2, 0: a failed
+claim outranks an undecided one.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_BROKEN_PIPE = 141
+# the statuses stages return, from best to worst
+_SEVERITY = (EXIT_OK, EXIT_INCONCLUSIVE, EXIT_VERIFICATION_FAILED, EXIT_USAGE)
 
 DEFAULT_SEED = 20140213
 SWEEP_SLICE_HI = 2000
@@ -196,10 +200,10 @@ class _Checkpointed(NamedTuple):
 
 def _run(stages, path: Optional[str], checkpoint: Optional[str]) -> int:
     """Runs the stages in turn, the only writer of their records, and
-    returns the worst of their exit statuses.  While a _Checkpointed stage
-    runs, --checkpoint is rewritten after every CHECKPOINT_INTERVAL-th of
-    its records and after its last, with the sha256 of the output's lines
-    so far, newlines left out."""
+    returns the worst of their exit statuses, in `_SEVERITY`'s order.
+    While a _Checkpointed stage runs, --checkpoint is rewritten after
+    every CHECKPOINT_INTERVAL-th of its records and after its last, with
+    the sha256 of the output's lines so far, newlines left out."""
     if checkpoint and len(stages) > 1 and os.path.exists(checkpoint):
         # the stages share one --output, so a resumed stage cannot append to it
         raise ValueError("checkpoint %s already counts records; certify-all "
@@ -214,7 +218,7 @@ def _run(stages, path: Optional[str], checkpoint: Optional[str]) -> int:
                     try:
                         item, reply = stage.send(reply), None
                     except StopIteration as stop:
-                        rc = max(rc, stop.value)
+                        rc = max(rc, stop.value, key=_SEVERITY.index)
                         break
                     if isinstance(item, _Checkpointed):
                         config = item.config
@@ -434,9 +438,10 @@ def _cmd_sweep(precision, workers, seed, t_lo, t_hi, which, Q, A, samples, full)
             precision=precision, after=after)) as outcomes:
         yield from judged(o.to_json() for o in outcomes)
     print("sweep which=%d: %d/%d success+contradiction" % (which, tally["ok"], tally["n"]))
-    if tally["ok"] == tally["n"]:
-        return EXIT_OK
-    return EXIT_INCONCLUSIVE if tally["failed"] else EXIT_VERIFICATION_FAILED
+    if tally["ok"] + tally["failed"] < tally["n"]:
+        # a success short of a contradiction
+        return EXIT_VERIFICATION_FAILED
+    return EXIT_INCONCLUSIVE if tally["failed"] else EXIT_OK
 
 
 def _cmd_search(t, coeffs, y_bound):

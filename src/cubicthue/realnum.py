@@ -15,6 +15,7 @@ raises and the caller escalates precision.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
@@ -559,24 +560,15 @@ def endpoint_cmp(x: Endpoint, num: int, den: int = 1) -> int:
 
 
 def _decimal(r: Fraction, digits: int) -> str:
-    """r as d.ddd...e+X with `digits` digits after the point, truncated.
-    The exponent X = floor(log10 |r|) is estimated from the bit lengths
-    of r's numerator and denominator and then settled by exact integer
-    comparison, so it holds at any magnitude."""
+    """r as d.ddd...e+X with `digits` digits after the point, truncated
+    toward zero: the exact quotient rounded down to digits + 1
+    significant digits, with an exponent range that holds any r."""
     if r == 0:
         return "0"
-    sign = "-" if r < 0 else ""
-    n, d = abs(r.numerator), r.denominator
-    e = math.floor((n.bit_length() - d.bit_length()) * math.log10(2))
-    # 10^e <= n/d < 10^(e+1)
-    while (n * 10 ** -e < d) if e < 0 else (n < d * 10 ** e):
-        e -= 1
-    while (n * 10 ** (-e - 1) >= d) if e + 1 < 0 else (n >= d * 10 ** (e + 1)):
-        e += 1
-    scaled = Fraction(n, d) / Fraction(10) ** e
-    # one leading digit plus `digits` following
-    s = str(int(scaled * 10 ** digits))
-    return "%s%s.%se%+d" % (sign, s[0], s[1:] or "0", e)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = digits + 1, decimal.ROUND_DOWN
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        return "{:.{}e}".format(decimal.Decimal(r.numerator) / r.denominator, digits)
 
 
 class Convergent(NamedTuple):

@@ -27,12 +27,8 @@ def default_precision(t: int) -> int:
     return 14 * abs(t).bit_length() + 200
 
 
-# Newton's method locates the root on a coarse grid first and then jumps
-# straight to the final grid, where it converges quadratically from that
-# estimate (a start near the root skips the coarse grid); the guard bits
-# beyond the bracket grid keep rounding in the last step away from the
-# cell boundaries.
-NEWTON_START_BITS = 64
+# the guard bits beyond the bracket grid keep rounding in Newton's last
+# step away from the cell boundaries
 NEWTON_GUARD_BITS = 16
 
 
@@ -80,18 +76,14 @@ def _slope_sign(B: int, C: int, A: int, H: int, S: int) -> int:
 
 
 def _newton_index(B: int, C: int, D: int, A: int, delta: int, S: int,
-                  neg: bool, k_final: int,
-                  start: Optional[Tuple[int, int]] = None, near: bool = False) -> int:
-    """Estimate of 2^k_final * u for the root A/S + u * delta/S of P
+                  neg: bool, k: int, start: Optional[Tuple[int, int]] = None) -> int:
+    """Estimate of 2^k * u for the root A/S + u * delta/S of P
     (P(A/S) < 0 iff neg).  Safeguarded Newton runs on the grid of
     spacing 2^-k in u, keeping a sign-change bracket and bisecting it
-    whenever a step would leave it: first at k = NEWTON_START_BITS, then
-    from that estimate at k_final, where it converges quadratically; a
-    start `near` the root starts at k_final.
+    whenever a step would leave it.
     It starts from the grid point at or below start = (p, q), for p/q
     with q > 0, when that point lies strictly inside the window, and
     from the window midpoint otherwise."""
-    k = k_final if near else min(NEWTON_START_BITS, k_final)
     a, z = 0, 1 << k
     m = z >> 1                       # the window midpoint
     if start is not None:
@@ -99,37 +91,33 @@ def _newton_index(B: int, C: int, D: int, A: int, delta: int, S: int,
         s = ((p * S - A * q) << k) // (q * delta)
         if a < s < z:
             m = s
-    while True:
-        b, c, d = _scaled_coeffs(B, C, D, S << k)
-        base = A << k
-        for _ in range(2 * k + 8):
-            N = base + m * delta
-            f = monic_cubic(b, c, d, N)
-            if f == 0:
+    b, c, d = _scaled_coeffs(B, C, D, S << k)
+    base = A << k
+    for _ in range(2 * k + 8):
+        N = base + m * delta
+        f = monic_cubic(b, c, d, N)
+        if f == 0:
+            break
+        if (f < 0) == neg:
+            a = m
+        else:
+            z = m
+        if z - a <= 1:
+            m = a
+            break
+        df = ((3 * N + 2 * b) * N + c) * delta
+        if df:
+            step = f // df
+            if -1 <= step <= 0:
+                # the root is within a unit of m, on the side the
+                # sign of f shows: round down to the grid point below
+                if m == z:
+                    m -= 1
                 break
-            if (f < 0) == neg:
-                a = m
-            else:
-                z = m
-            if z - a <= 1:
-                m = a
-                break
-            df = ((3 * N + 2 * b) * N + c) * delta
-            if df:
-                step = f // df
-                if -1 <= step <= 0:
-                    # the root is within a unit of m, on the side the
-                    # sign of f shows: round down to the grid point below
-                    if m == z:
-                        m -= 1
-                    break
-                m -= step
-            if not a < m < z:
-                m = (a + z) >> 1
-        if k == k_final:
-            return m
-        j = k_final - k
-        a, z, m, k = a << j, z << j, m << j, k_final
+            m -= step
+        if not a < m < z:
+            m = (a + z) >> 1
+    return m
 
 
 def _bisection_index(b: int, c: int, d: int, base: int, delta: int,
@@ -162,8 +150,8 @@ def _bisection_index(b: int, c: int, d: int, base: int, delta: int,
 
 
 def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
-             wn: int, wd: int, start: Optional[Tuple[int, int]] = None,
-             near: bool = False) -> Tuple[int, int, int]:
+             wn: int, wd: int, start: Optional[Tuple[int, int]] = None
+             ) -> Tuple[int, int, int]:
     """The bracket that halving the window [A/S, (A + delta)/S] (S > 0,
     delta > 0) until it is at most wn/wd wide ends in, keeping a sign
     change of P = x^3 + B x^2 + C x + D, as numerators over one
@@ -177,12 +165,11 @@ def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
     critical-point splitting that hold no critical point), the only cell
     with a strict sign change is the one bisection ends in, and the sign
     of P' tells which sign P has left of the root.  Newton's method then
-    finds n, from `start` when given (and `near` the root, see
-    `_newton_index`), and two exact sign evaluations certify the cell,
-    which must lie inside the window; the window ends are not evaluated.
-    So the start changes only the number of evaluations, never the
-    bracket.  Otherwise,
-    or when the certificate fails, `_bisection_index` decides.  Raises
+    finds n on the final grid, from `start` when given, and two exact
+    sign evaluations certify the cell, which must lie inside the window;
+    the window ends are not evaluated.  So the start changes only the
+    number of evaluations, never the bracket.  Otherwise, or when the
+    certificate fails, `_bisection_index` decides.  Raises
     PrecisionInsufficientError when P does not change sign over the
     window."""
     K = _halvings(delta * wd, S * wn)
@@ -193,7 +180,7 @@ def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
     if slope:
         neg = slope > 0
         n = _newton_index(B, C, D, A, delta, S, neg,
-                          K + NEWTON_GUARD_BITS, start, near) >> NEWTON_GUARD_BITS
+                          K + NEWTON_GUARD_BITS, start) >> NEWTON_GUARD_BITS
         if 0 <= n < 1 << K:
             N = base + n * delta
             f0, f1 = monic_cubic(b, c, d, N), monic_cubic(b, c, d, N + delta)
@@ -206,8 +193,7 @@ def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
     return N, N + delta, SK
 
 
-def isolate_real_roots_monic_cubic(B: int, C: int, D: int, wn: int, wd: int,
-                                   disc: Optional[int] = None
+def isolate_real_roots_monic_cubic(B: int, C: int, D: int, wn: int, wd: int
                                    ) -> List[Tuple[int, int, int]]:
     """Certified brackets, at most wn/wd wide and in increasing order, of
     every distinct real root of x^3 + B x^2 + C x + D, each (N0, N1, M)
@@ -216,12 +202,9 @@ def isolate_real_roots_monic_cubic(B: int, C: int, D: int, wn: int, wd: int,
     cut at rational bounds on the critical points, and each piece with a
     sign change is bisected; with a positive discriminant (three distinct
     real roots) the bounds are tightened until the cut separates all
-    three; disc is that discriminant, when the caller has it.  A double
-    root is an integer critical point, and so a cut point at which P
-    vanishes."""
-    if disc is None:
-        disc = discriminant(BinaryCubicForm(1, B, C, D))
-    three_real = disc > 0
+    three.  A double root is an integer critical point, and so a cut
+    point at which P vanishes."""
+    three_real = discriminant(BinaryCubicForm(1, B, C, D)) > 0
     k = 0
     while True:
         out = _split_and_bisect(B, C, D, wn, wd, k)
@@ -312,7 +295,7 @@ def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
         # starts from the roots' series in u = 1/t, which are within
         # 300 u^20 of them, so 33-285 bits into their windows
         t5, t8 = t ** 5, t ** 8
-        brackets = [_bracket(B, C, D, A, 2, S, 1, 1 << w, start, True)
+        brackets = [_bracket(B, C, D, A, 2, S, 1, 1 << w, start)
                     for (A, S), start in zip(
                         ((-2, t5), (t * t5, t5), ((t ** 4 - 2 * t) * t8 - 2, t8)),
                         _series_starts(t))]

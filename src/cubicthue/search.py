@@ -24,10 +24,11 @@ once per form, each as integer numerators over one denominator.  y0
 comes from exact rational bounds on those brackets, held as integer
 pairs and compared by cross-multiplication (see `_threshold`), every
 accepted (x, y) from an exact integer evaluation of F: no decision rests
-on floating point, and no Fraction is formed.  The form's discriminant
-is computed once per search and handed to each step that branches on
-it.  Completeness beyond |y| <= Y is NOT
-claimed; reports carry an explicit bounded-verification caveat.
+on floating point, and no Fraction is formed.  The search computes the
+form's discriminant once and hands it to its own steps that branch on
+it (the threshold and the scan); the root isolation works it out from
+the coefficients itself.  Completeness beyond |y| <= Y is NOT claimed;
+reports carry an explicit bounded-verification caveat.
 """
 
 from __future__ import annotations
@@ -103,12 +104,11 @@ class SearchReport:
         }
 
 
-def _brackets(F: BinaryCubicForm, y_bound: int,
-              disc: Optional[int] = None) -> List[Tuple[int, int, int]]:
+def _brackets(F: BinaryCubicForm, y_bound: int) -> List[Tuple[int, int, int]]:
     """Certified brackets (N0, N1, M) of [N0/M, N1/M], in increasing
     order, of the real roots of P = F(x, 1), each so narrow that
     `lockstep_expansion` settles every convergent of an irrational root
-    up to y_bound; disc is F's discriminant, when the caller has it.
+    up to y_bound.
 
     The width is 1/W, W = 8 L Y^3 + 2 with Y = max(y_bound, 1), where
     K = 1 + max(|b|, |c|, |d|) is the Cauchy bound, within which every
@@ -127,8 +127,7 @@ def _brackets(F: BinaryCubicForm, y_bound: int,
     _, b, c, d = F.coefficients
     K = 1 + max(abs(b), abs(c), abs(d))
     L = 3 * K * K + 2 * abs(b) * K + abs(c)
-    return isolate_real_roots_monic_cubic(b, c, d, 1, 8 * L * max(y_bound, 1) ** 3 + 2,
-                                          disc)
+    return isolate_real_roots_monic_cubic(b, c, d, 1, 8 * L * max(y_bound, 1) ** 3 + 2)
 
 
 def _threshold(F: BinaryCubicForm, brackets: List[Tuple[int, int, int]],
@@ -248,7 +247,7 @@ def thue_solutions_bruteforce(F: BinaryCubicForm, y_bound: int) -> SearchReport:
     if disc == 0 and b * b != 3 * c:
         return SearchReport(F, y_bound, tuple(sorted(_double_root_solutions(
             b, c, d, y_bound))))
-    brackets = _brackets(F, y_bound, disc)
+    brackets = _brackets(F, y_bound)
     y0 = _threshold(F, brackets, y_bound, disc)
     sols = _scan(F, brackets, y0 - 1, disc)
     if y0 <= y_bound:

@@ -1,8 +1,10 @@
 """Reference code the tests check the engine against, kept out of the
 engine because nothing there calls it: closed forms, identities,
-enclosure membership, the exact Euclidean continued fraction and the
-contradiction decided on interval logarithms."""
+enclosure membership, the exact Euclidean continued fraction, the
+truncated decimal in Fractions and the contradiction decided on interval
+logarithms."""
 
+import math
 from fractions import Fraction
 from typing import List
 
@@ -83,3 +85,23 @@ def contradiction_on_enclosures(which: int, t: int, beta_lower: Endpoint, Q: int
     lam = CertifiedReal((beta_lower, beta_lower), LOG_PRECISION).log() - ln(Q * Q)
     return certified_below(-(coef * t ** p) * ln(t) ** 2, lam,
                            "ln(|beta|/Q^2) meets the contradiction threshold at t=%d" % t)
+
+
+def decimal_by_fractions(r: Fraction, digits: int) -> str:
+    """r as d.ddd...e+X with `digits` digits after the point, truncated
+    toward zero, in exact Fractions: the exponent X = floor(log10 |r|)
+    is estimated from the bit lengths of r's numerator and denominator
+    and then settled by exact integer comparison."""
+    if r == 0:
+        return "0"
+    sign = "-" if r < 0 else ""
+    n, d = abs(r.numerator), r.denominator
+    e = math.floor((n.bit_length() - d.bit_length()) * math.log10(2))
+    # 10^e <= n/d < 10^(e+1)
+    while (n * 10 ** -e < d) if e < 0 else (n < d * 10 ** e):
+        e -= 1
+    while (n * 10 ** (-e - 1) >= d) if e + 1 < 0 else (n >= d * 10 ** (e + 1)):
+        e += 1
+    # one leading digit plus `digits` following
+    s = str(int(Fraction(n, d) / Fraction(10) ** e * 10 ** digits))
+    return "%s%s.%se%+d" % (sign, s[0], s[1:] or "0", e)

@@ -257,34 +257,59 @@ def test_reduce_exit_without_a_contradiction(changes, code, line, monkeypatch, t
     assert _records(path) == [{**outcome.to_json(), "schema": 1}]
 
 
+_UNDECIDED = {"status": "failed", "contradiction": False, "reason": "scan exhausted"}
+
+
 @pytest.mark.parametrize("changes, code", [
-    ({"status": "failed", "contradiction": False, "reason": "scan exhausted"},
-     cli.EXIT_INCONCLUSIVE),
-    ({"contradiction": False}, cli.EXIT_VERIFICATION_FAILED),
+    ((_UNDECIDED,), cli.EXIT_INCONCLUSIVE),
+    (({"contradiction": False},), cli.EXIT_VERIFICATION_FAILED),
+    # a failed claim is not hidden by an undecided t, before or after it
+    (({"contradiction": False}, _UNDECIDED), cli.EXIT_VERIFICATION_FAILED),
+    ((_UNDECIDED, {"contradiction": False}), cli.EXIT_VERIFICATION_FAILED),
 ])
 def test_sweep_exit_with_a_record_short_of_a_contradiction(changes, code, monkeypatch,
                                                            tmp_path, capsys):
-    outcomes = [_outcome(), _outcome(t=11, **changes)]
+    # t = 10 succeeds, and each t after it takes one set of changes
+    outcomes = [_outcome()] + [_outcome(t=11 + i, **c) for i, c in enumerate(changes)]
     monkeypatch.setattr(reduction, "verify_range",
                         lambda *args, **kwargs: (o for o in outcomes))
     path = tmp_path / "s.jsonl"
-    assert run(["sweep", "--t-lo", "10", "--t-hi", "11", "--output", str(path)]) == code
-    assert capsys.readouterr().out == "sweep which=2: 1/2 success+contradiction\n"
+    assert run(["sweep", "--t-lo", "10", "--t-hi", str(10 + len(changes)),
+                "--output", str(path)]) == code
+    assert capsys.readouterr().out == \
+        "sweep which=2: 1/%d success+contradiction\n" % len(outcomes)
     assert _records(path) == [o.to_json() for o in outcomes]
 
 
-def _stage_stub(ran, name):
+def _stage_stub(ran, name, status=cli.EXIT_OK):
     """A stand-in for the stage `name`: a generator that notes in `ran`
-    that it ran, and passes without a record."""
+    that it ran, and returns `status` without a record."""
     def stage(**options):
         ran.append(name)
-        return cli.EXIT_OK
+        return status
         yield
     return stage
 
 
 _CERTIFY_ALL_STAGES = ("_cmd_kappas", "_cmd_matveev", "_cmd_tmax", "_cmd_sweep",
                        "_cmd_verify_tables")
+
+
+@pytest.mark.parametrize("kappas, sweep, want", [
+    (cli.EXIT_VERIFICATION_FAILED, cli.EXIT_INCONCLUSIVE, cli.EXIT_VERIFICATION_FAILED),
+    (cli.EXIT_INCONCLUSIVE, cli.EXIT_VERIFICATION_FAILED, cli.EXIT_VERIFICATION_FAILED),
+    (cli.EXIT_INCONCLUSIVE, cli.EXIT_OK, cli.EXIT_INCONCLUSIVE),
+    (cli.EXIT_USAGE, cli.EXIT_VERIFICATION_FAILED, cli.EXIT_USAGE),
+    (cli.EXIT_INCONCLUSIVE, cli.EXIT_USAGE, cli.EXIT_USAGE),
+])
+def test_certify_all_exits_with_its_worst_stage(kappas, sweep, want, monkeypatch, tmp_path):
+    # a failed claim outranks an undecided stage, and a usage error both
+    status = {"_cmd_kappas": kappas, "_cmd_sweep": sweep}
+    for name in _CERTIFY_ALL_STAGES:
+        monkeypatch.setattr(cli, name, _stage_stub([], name, status.get(name, cli.EXIT_OK)))
+    monkeypatch.setattr(search, "verify_theorem", lambda t, y_bound: True)
+    path = tmp_path / "c.jsonl"
+    assert run(["certify-all", "--y-bound", "50", "--output", str(path)]) == want
 
 
 def test_certify_all_theorem_range_failure_exits_one(monkeypatch, tmp_path, capsys):

@@ -18,7 +18,7 @@ from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_con
                                dyadic_numerators, endpoint_cmp, integer_distance_num,
                                lockstep_expansion, reduction_precision)
 from mpmath_oracle import endpoint_of, ival_of
-from oracles import contains, convergents_of_fraction
+from oracles import contains, convergents_of_fraction, decimal_by_fractions
 
 
 def _rand_fraction(rng, digits=9):
@@ -386,6 +386,22 @@ def test_decimal_exponent_is_exact_beyond_the_float_range():
     # a radius below the smallest double, as `roots --precision 3000` shows
     radius = CertifiedReal.from_rational(Fraction(1, 3), 3000).as_decimal_string().split("± ")[1]
     assert re.fullmatch(r"[1-9]\.\d{3}e-90\d @ 3000 bits", radius), radius
+
+
+def test_decimal_matches_the_fraction_truncation():
+    # the digits `roots` prints (40), the repr's (20), the default (30) and
+    # a radius's (3), for numerators up to 3000 bits and denominators up
+    # to 2^9000, powers of two and ten and their neighbours among them
+    rng = random.Random(31)
+    for _ in range(200):
+        num = rng.getrandbits(rng.choice((1, 8, 64, 400, 3000))) * rng.choice((1, -1))
+        den = rng.choice((1 << rng.randrange(9001), 10 ** rng.randrange(2000),
+                          rng.getrandbits(rng.choice((8, 300, 9000))) | 1))
+        den += rng.choice((0, 0, 1, -1)) if den > 2 else 0
+        for r in (Fraction(num, den), Fraction(den, num or 1)):
+            for digits in (3, 20, 30, 40):
+                assert realnum._decimal(r, digits) == decimal_by_fractions(r, digits), \
+                    (r, digits)
 
 
 # -- CertifiedReal against mpmath.iv ------------------------------------

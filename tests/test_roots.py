@@ -379,12 +379,15 @@ def test_series_windows_take_the_newton_path(monkeypatch):
 
 
 def test_cubic_evaluation_counts(monkeypatch):
-    """The series starts, not a timing, guard the root isolation's cost:
-    Newton starts each series window from the roots' series in 1/t, on
-    the final grid, and averages at most 4.5 exact cubic evaluations per
-    root at the reduction's 340 bits (6.97 from the window midpoint with a
-    64-bit grid first); the search's critical-point pieces keep their
-    28.4 per form over the theorem range at y_bound 1000."""
+    """Evaluation counts, not timings, guard the root isolation's cost.
+    Each count is of every exact cubic evaluation (`monic_cubic` call):
+    Newton's, the certificate's and the critical-point cuts'.  Newton
+    runs on the final grid from its start: on the series windows from the
+    roots' series in 1/t, at most 4.5 per root at the reduction's 340
+    bits; on the critical-point pieces from the Newton-polygon estimates,
+    at most 10.2 per root for `isolate_roots` over t in [-30, 9] at 340
+    bits and 24.3 per form for the search over the theorem range at
+    y_bound 1000."""
     count = [0]
     evaluate = roots.monic_cubic
 
@@ -399,29 +402,15 @@ def test_cubic_evaluation_counts(monkeypatch):
         isolate_roots(t, 340)
     assert 10 * count[0] <= 45 * 3 * len(ts), count[0] / (3 * len(ts))
     count[0] = 0
+    ts = [t for t in range(-30, 10) if t not in (0, 1)]
+    for t in ts:
+        isolate_roots(t, 340)
+    assert 10 * count[0] <= 102 * 3 * len(ts), count[0] / (3 * len(ts))
+    count[0] = 0
     forms = [family_form(3, t) for t in range(-30, 31) if t not in (0, 1)]
     for F in forms:
         search._brackets(F, 1000)
-    assert 10 * count[0] <= 284 * len(forms), count[0] / len(forms)
-
-
-def test_bisect_matches_reference_on_generic_windows(monkeypatch):
-    calls = []
-    fast = roots._bracket
-
-    def spy(B, C, D, A, delta, S, wn, wd, start=None):
-        out = fast(B, C, D, A, delta, S, wn, wd, start)
-        window = (Fraction(A, S), Fraction(A + delta, S), Fraction(wn, wd))
-        calls.append(((B, C, D, *window), _as_fractions(out)))
-        return out
-
-    monkeypatch.setattr(roots, "_bracket", spy)
-    for t in (2, 3, 7, 9, -1, -5):
-        for precision in BRACKET_PRECISIONS:
-            isolate_roots(t, precision)
-    assert len(calls) == 6 * len(BRACKET_PRECISIONS) * 3
-    for args, out in calls:
-        assert out == _reference_bisect(*args), args
+    assert 10 * count[0] <= 243 * len(forms), count[0] / len(forms)
 
 
 def test_bisect_exact_root_at_grid_midpoint():
@@ -462,28 +451,38 @@ def test_bisect_falls_back_when_newton_misses(monkeypatch):
 @pytest.mark.parametrize("lo, hi, index", [
     # the root 2^(1/3) = 1.2599... lies just right of [1, 5/4], and just
     # left of [63/50, 3/2]; the cell one step outside holds it
-    (Fraction(1), Fraction(5, 4), lambda k_final: 1 << k_final),
-    (Fraction(63, 50), Fraction(3, 2), lambda k_final: -(1 << k_final)),
+    (Fraction(1), Fraction(5, 4), lambda k: 1 << k),
+    (Fraction(63, 50), Fraction(3, 2), lambda k: -(1 << k)),
 ])
 def test_bisect_keeps_newton_inside_the_window(monkeypatch, lo, hi, index):
     # x^3 - 2 rises on either window; an index Newton returns outside it
     # must not certify the sign change next to it
     monkeypatch.setattr(roots, "_newton_index",
-                        lambda B, C, D, A, delta, S, neg, k_final, start=None, near=False:
-                        index(k_final))
+                        lambda B, C, D, A, delta, S, neg, k, start=None: index(k))
     with pytest.raises(PrecisionInsufficientError, match="no sign change"):
         _bracket_of(0, 0, -2, lo, hi, hi - lo)
 
 
 def test_bracket_does_not_depend_on_the_newton_start(monkeypatch):
     # the windows critical-point splitting hands _bracket, at the small t
-    # and for seeded random cubics, half of them with an integer root
+    # and for seeded random cubics, half of them with an integer root;
+    # each window's bracket is the Fraction bisection's, from every start,
+    # the splitting's own among them
     windows, bracket = [], roots._bracket
     monkeypatch.setattr(roots, "_bracket",
-                        lambda *args: windows.append(args[:8]) or bracket(*args))
+                        lambda *args: windows.append(args) or bracket(*args))
+    # the slope sign of each window that reaches _bisection_index: 0 when
+    # P is not known to be monotone there, else the certificate failed
+    slopes, reached = [], []
+    slope_sign, bisection_index = roots._slope_sign, roots._bisection_index
+    monkeypatch.setattr(roots, "_slope_sign",
+                        lambda *args: slopes.append(slope_sign(*args)) or slopes[-1])
+    monkeypatch.setattr(roots, "_bisection_index",
+                        lambda *args: reached.append(slopes[-1]) or bisection_index(*args))
     for t in (2, 3, 7, 9, -1, -5):
         for precision in BRACKET_PRECISIONS:
             isolate_roots(t, precision)
+    assert len(windows) == 6 * len(BRACKET_PRECISIONS) * 3
     rng = random.Random(29)
     integer_root = {}
     for _ in range(300):
@@ -494,19 +493,26 @@ def test_bracket_does_not_depend_on_the_newton_start(monkeypatch):
         else:
             B, C, D = (rng.randrange(-10 ** 6, 10 ** 6 + 1) for _ in range(3))
         isolate_real_roots_monic_cubic(B, C, D, 1, 2 ** rng.choice((20, 64, 200)))
-    on_root = 0
-    for B, C, D, A, delta, S, wn, wd in windows:
+    on_root = zero_slope = failed_certificate = 0
+    for B, C, D, A, delta, S, wn, wd, *given in windows:
         j = rng.randrange(80)
         inside = ((A << j) + rng.randrange(1, delta << j), S << j)
-        starts = [inside, (A - delta, S), (A + 2 * delta, S), (A, S), (A + delta, S)]
+        starts = [*given, inside, (A - delta, S), (A + 2 * delta, S), (A, S), (A + delta, S)]
         r = integer_root.get((B, C, D))
         if r is not None and A <= r * S <= A + delta:
             starts.append((r, 1))
             on_root += 1
+        reached.clear()
         want = bracket(B, C, D, A, delta, S, wn, wd)
+        zero_slope += reached == [0]
+        failed_certificate += reached not in ([], [0])
+        assert _as_fractions(want) == _reference_bisect(
+            B, C, D, Fraction(A, S), Fraction(A + delta, S), Fraction(wn, wd)), (B, C, D, A)
         for start in starts:
             assert bracket(B, C, D, A, delta, S, wn, wd, start) == want, (B, C, D, A, start)
     assert len(windows) >= 500 and on_root >= 50
+    # measured: 7 and 5 of 834 windows
+    assert zero_slope >= 1 and failed_certificate >= 1, (zero_slope, failed_certificate)
 
 
 def test_bisect_short_window_is_returned_as_is():

@@ -154,7 +154,7 @@ def test_integer_root_forms_match_exhaustive_scan():
     for F in _integer_root_forms(60, 37):
         assert thue_solutions_bruteforce(F, Y).solutions == _scan(F, Y), F
         disc = F.discriminant()
-        past += search._threshold(F, search._brackets(F, Y, disc), Y, disc) <= Y
+        past += search._threshold(F, search._brackets(F, Y), Y, disc) <= Y
     assert past >= 50
 
 
@@ -262,9 +262,9 @@ def test_threshold_is_the_least_y_the_true_roots_allow():
 
 def test_search_brackets_stay_within_the_evaluation_budget(monkeypatch):
     # Newton starts each critical-point piece from a Newton-polygon root
-    # estimate, not from the midpoint of a piece up to ~t^5 wide: 28.4
+    # estimate, not from the midpoint of a piece up to ~t^5 wide: 24.3
     # exact cubic evaluations per search at the width that settles every
-    # convergent up to y_bound, against 61.1 from the midpoints
+    # convergent up to y_bound, against 64.3 from the midpoints
     count = [0]
     evaluate = roots.monic_cubic
 
