@@ -95,23 +95,23 @@ def recover_exponents(t: int, x: int, y: int) -> ExponentPair:
 
 @functools.lru_cache(maxsize=16)
 def _unit_logs(t: int, prec: int):
-    """The logs that depend on t alone and enter the 2x2 solve,
-    ln|t - theta_i| and ln|theta_i| for i = 1, 2, and the roots they come
-    from: the solutions of one t recovered at one precision share a
-    single root isolation."""
+    """The logs that depend on t alone and enter the 2x2 solve, u_i =
+    ln|t - theta_i| and v_i = ln|theta_i| for i = 1, 2, their determinant
+    u2 v1 - u1 v2 and the roots they come from: the solutions of one t
+    recovered at one precision share them all."""
     roots = isolate_roots(t, prec)
     th1, th2 = roots.thetas[:2]
-    return (roots, (abs(t - th1).log(), abs(t - th2).log()),
-            (abs(th1).log(), abs(th2).log()))
+    u1, u2 = abs(t - th1).log(), abs(t - th2).log()
+    v1, v2 = abs(th1).log(), abs(th2).log()
+    return roots, (u1, u2), (v1, v2), u2 * v1 - u1 * v2
 
 
 def _solve_at_precision(t: int, x: int, y: int, prec: int):
     """The integers (n, m) nearest the enclosed solution of the 2x2 log
     system l_i = n*u_i - m*v_i on embeddings 1 and 2, and the residual
     that certifies them: both deviations below ROUNDING_TOLERANCE."""
-    roots, (u1, u2), (v1, v2) = _unit_logs(t, prec)
+    roots, (u1, u2), (v1, v2), det = _unit_logs(t, prec)
     l1, l2 = (abs(x - th * y).log() for th in roots.thetas[:2])
-    det = u2 * v1 - u1 * v2
     n_enc = (l2 * v1 - l1 * v2) / det
     m_enc = (l2 * u1 - l1 * u2) / det
     n = _round_mid(n_enc)

@@ -282,16 +282,18 @@ def _log_ival(a: Endpoint, b: Endpoint, prec: int) -> Tuple[Endpoint, Endpoint]:
 
     ln b is ln a + 2 atanh((b - a)/(b + a)) when that argument is below
     2^-(S+1): for the narrow enclosures the engine forms, its series
-    then needs a term or two, not a second full evaluation."""
+    then needs a term or two, and b is not reduced: the rounding test
+    makes ln b correctly rounded whatever w served it."""
     a, b = _normal(a), _normal(b)
     lo = _ZERO if a == _ONE else None
     hi = _ZERO if b == _ONE else None
-    ra, rb = _ln_reduce(a), _ln_reduce(b)
     (m, e), (n, f) = a, b
     g = min(e, f)
     m, n = m << (e - g), n << (f - g)
     gap, total = n - m, n + m
     near = total.bit_length() - gap.bit_length() > _S + 1
+    ra = _ln_reduce(a)
+    rb = ra if near else _ln_reduce(b)
     w = -(-(prec + max(_ln_bits(ra), _ln_bits(rb))) // 64) * 64
     while lo is None or hi is None:
         la = _ln_bracket(ra, w)

@@ -341,7 +341,7 @@ class _KappaClaim(NamedTuple):
     """The paper's claim that kappa_j lies strictly inside `target`.
     `expr` encloses kappa_j from the terms k, and when x/y ranges over the
     interval I_which (`which`, None when t alone fixes kappa_j) from k
-    and the ratio q of `_endpoint_ratios` at a point of I_which."""
+    and an enclosure q of its ratio (`_ratio_hull`), for every ratio in q."""
     target: Tuple[Fraction, Fraction]
     which: Optional[int]
     expr: Callable[..., CertifiedReal]
@@ -376,14 +376,11 @@ KAPPA_CLAIMS: Dict[int, _KappaClaim] = {
 T_ONLY_KAPPAS = tuple(j for j, claim in KAPPA_CLAIMS.items() if claim.which is None)
 
 
-def _kappa(j: int, k: _KappaTerms,
-           ratios: Optional[List[CertifiedReal]] = None) -> CertifiedReal:
-    """Enclosure of kappa_j from the terms k: its expression, or for an
-    envelope kappa the hull of its expression over the given ratios."""
+def _kappa(j: int, k: _KappaTerms, q: Optional[CertifiedReal] = None) -> CertifiedReal:
+    """Enclosure of kappa_j from the terms k, and for an envelope kappa
+    from the enclosure q of its ratio."""
     expr = KAPPA_CLAIMS[j].expr
-    if ratios is None:
-        return expr(k)
-    return CertifiedReal.hull(expr(k, q) for q in ratios)
+    return expr(k) if q is None else expr(k, q)
 
 
 def kappa_t_only(j: int, t: int, roots: RootTriple) -> CertifiedReal:
@@ -398,27 +395,25 @@ def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fra
     """The open interval I_which (1, 2 or 3) that x/y of a type-I/II/III
     solution with the given |y| lies in.  The endpoint 1 - 1/|y|^3 is
     smallest at |y| = 2, so the default is the hull over all |y| >= 2."""
-    c113 = Fraction(113, 100)
-    cy = 1 - Fraction(1, y_abs ** 3)
-    t5 = Fraction(t) ** 5
+    # each endpoint as one Fraction of integers: 1 - 1/|y|^3 = (c - 1)/c
+    c, t5 = y_abs ** 3, t ** 5
     if which == 1:
-        return (-c113 / t5, -cy / t5)
+        return Fraction(-113, 100 * t5), Fraction(1 - c, c * t5)
     if which == 2:
-        return (t + cy / t5, t + c113 / t5)
+        return Fraction(c * t5 * t + c - 1, c * t5), Fraction(100 * t5 * t + 113, 100 * t5)
     if which == 3:
-        t8 = Fraction(t) ** 8
-        return (t ** 4 - 2 * t - c113 / t8, t ** 4 - 2 * t - cy / t8)
+        a, t8 = t ** 4 - 2 * t, t ** 8
+        return Fraction(100 * a * t8 - 113, 100 * t8), Fraction(c * a * t8 - c + 1, c * t8)
     raise ValueError(which)
 
 
-def _endpoint_ratios(which: int, k: _KappaTerms) -> List[CertifiedReal]:
-    """The ratio through which r in I_which enters its kappas, at the two
-    endpoints of I_which.  It is a Moebius map of r with its pole at
-    theta2 (I_1, I_3) or theta1 (I_2), so continuous and monotone on an
-    interval without the pole: once the root enclosure puts the pole
+def _ratio_hull(which: int, k: _KappaTerms) -> CertifiedReal:
+    """The hull of the ratio through which r in I_which enters its kappas
+    at the two endpoints of I_which.  It is a Moebius map of r with its
+    pole at theta2 (I_1, I_3) or theta1 (I_2), so continuous and monotone
+    on an interval without the pole: once the root enclosure puts the pole
     outside the closed interval, the ratio's image of I_which lies in the
-    hull of the two endpoint values.  Raises IndeterminateSignError when
-    the enclosure meets the interval."""
+    hull.  Raises IndeterminateSignError when the enclosure meets it."""
     lo, hi = solution_interval(which, k.t)
     pole_lo, pole_hi = (k.th1 if which == 2 else k.th2)._ival
     if not (endpoint_cmp(pole_hi, *lo.as_integer_ratio()) < 0
@@ -426,23 +421,23 @@ def _endpoint_ratios(which: int, k: _KappaTerms) -> List[CertifiedReal]:
         raise IndeterminateSignError("the pole of the I_%d ratio meets I_%d" % (which, which))
     rs = [CertifiedReal.from_rational(r, k.prec) for r in (lo, hi)]
     if which == 1:
-        return [(r - k.th3) / (r - k.th2) for r in rs]
+        return CertifiedReal.hull((r - k.th3) / (r - k.th2) for r in rs)
     if which == 2:
-        return [(k.th3 - r) / (r - k.th1) for r in rs]
-    return [(r - k.th1) / (r - k.th2) for r in rs]
+        return CertifiedReal.hull((k.th3 - r) / (r - k.th1) for r in rs)
+    return CertifiedReal.hull((r - k.th1) / (r - k.th2) for r in rs)
 
 
 def kappa_envelope(j: int, t: int, roots: RootTriple) -> CertifiedReal:
-    """Enclosure of the solution-dependent kappa_j over all of I_which.
-    kappa_j is affine in the ratio of `_endpoint_ratios` (j = 4, 8) or in
-    its log (j = 7, 11, 14), so monotone in r with the ratio: its image of
-    I_which lies in the hull of its values at the two endpoints.  Two
-    positive endpoint ratios (`log` raises otherwise) keep the ratio, which
-    is continuous and monotone on I_which, positive all over it."""
+    """Enclosure of the solution-dependent kappa_j over all of I_which: its
+    expression evaluated once on `_ratio_hull`, which holds the ratio at
+    every point of I_which (`log` raises unless it is positive).  The ratio
+    occurs once in the expression, and every operation on it is monotone,
+    directed rounding included: so (single use, Moore 1966) the result has
+    the bits of the hull of the expression at the two endpoint ratios."""
     if j not in KAPPA_CLAIMS or j in T_ONLY_KAPPAS:
         raise ValueError("kappa_%d is determined by t alone" % j)
     k = _KappaTerms(t, roots)
-    return _kappa(j, k, _endpoint_ratios(KAPPA_CLAIMS[j].which, k))
+    return _kappa(j, k, _ratio_hull(KAPPA_CLAIMS[j].which, k))
 
 
 @dataclass(frozen=True)
@@ -483,15 +478,15 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     PrecisionInsufficientError.
 
     Each row has the bits `kappa_t_only` or `kappa_envelope` gives on
-    the same RootTriple; one `_KappaTerms` serves all sixteen, and the
-    kappas of one interval share its endpoint ratios."""
+    the same RootTriple; one `_KappaTerms` serves all sixteen, and each
+    kappa of one interval is evaluated once, on its shared `_ratio_hull`."""
     if t < 10:
         raise ValueError("kappa claims are certified for t >= 10 only")
     k = _KappaTerms(t, isolate_roots(t, precision))
     encs = {j: _kappa(j, k) for j in T_ONLY_KAPPAS}
     for which in (1, 2, 3):
-        ratios = _endpoint_ratios(which, k)
-        encs.update((j, _kappa(j, k, ratios))
+        q = _ratio_hull(which, k)
+        encs.update((j, _kappa(j, k, q))
                     for j, claim in KAPPA_CLAIMS.items() if claim.which == which)
     rows = []
     for j, claim in KAPPA_CLAIMS.items():

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from cubicthue import roots, search
-from cubicthue.forms import BinaryCubicForm, discriminant, family_form
+from cubicthue import exponents, roots, search
+from cubicthue.forms import BinaryCubicForm, discriminant, family_form, known_solutions
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import CertifiedReal
 from cubicthue.roots import (KAPPA_CLAIMS, isolate_real_roots_monic_cubic,
@@ -593,6 +593,28 @@ def test_verify_kappas_shares_roots_endpoints_and_ln_t(monkeypatch):
     assert intervals == [(w, t) for w in (1, 2, 3)]
     T = CertifiedReal.from_rational(t, roots.default_precision(t))
     assert logs.count(T._ival) == 1
+    # operation counts, not timings, guard the cost: ln t, the six t-only
+    # logs, and one for each of kappa_7, kappa_11 and kappa_14 on its ratio
+    # hull (13 when each envelope took the log at both endpoint ratios)
+    assert len(logs) == 10
+    # exponent recovery forms the determinant of the unit logs once per t
+    # and precision, not once per solution
+    products = []
+    mul = CertifiedReal.__mul__
+
+    def counting_mul(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(CertifiedReal, "__mul__", counting_mul)
+    exponents._unit_logs.cache_clear()
+    sols = known_solutions(57).solutions
+    for x, y in sols:
+        exponents.recover_exponents(57, x, y)
+    _, u, v, _ = exponents._unit_logs(57, exponents.RECOVERY_PRECISION)
+    is_unit_log = lambda x: any(x is w for w in (*u, *v))
+    assert len(sols) == 5
+    assert sum(is_unit_log(a) and is_unit_log(b) for a, b in products) == 2
 
 
 # -- envelopes from the two endpoints of each solution interval ----------
@@ -606,6 +628,9 @@ def _kappa_sample():
 # sha256 of the t-only rows over _kappa_sample(), one json.dumps([t, j,
 # str(lower), str(upper)]) per row, as the 16-piece engine wrote them
 T_ONLY_DIGEST = "f6ba4a253e28db3b914a99e1d80998402a1429af33e3ce901a7371fe83bda560"
+# the same of the envelope rows, as the engine wrote them when it hulled
+# each envelope kappa's values at the two endpoint ratios
+ENVELOPE_DIGEST = "940136845dae1a50c57b7fd86d5b87a799d7e43b1bee2aefb87e8b635dc634e6"
 
 
 def _ratio(which, k, r):
@@ -620,31 +645,34 @@ def _sixteen_piece_envelope(j, t, triple):
     """kappa_j hulled over 16 equal pieces of I_which, each piece an
     interval operand as from_endpoints encloses it: the envelope as the
     package formed it before the endpoint argument, bit for bit."""
-    which = KAPPA_CLAIMS[j].which
+    which, expr = KAPPA_CLAIMS[j].which, KAPPA_CLAIMS[j].expr
     k = roots._KappaTerms(t, triple)
     lo, hi = roots.solution_interval(which, t)
     step = (hi - lo) / 16
     pieces = [CertifiedReal.from_endpoints(lo + i * step, lo + (i + 1) * step, k.prec)
               for i in range(16)]
-    return roots._kappa(j, k, [_ratio(which, k, r) for r in pieces])
+    return CertifiedReal.hull(expr(k, _ratio(which, k, r)) for r in pieces)
 
 
 def test_endpoint_envelopes_lie_inside_the_sixteen_piece_oracle():
-    digest = hashlib.sha256()
+    digest, envelope_digest = hashlib.sha256(), hashlib.sha256()
     for t in _kappa_sample():
         rep = verify_kappas(t)
         assert rep.all_pass, (t, [r.j for r in rep.rows if not r.passed])
         tr = isolate_roots(t)
         for row in rep.rows:
             enc = row.enclosure
+            line = json.dumps([t, row.j, str(enc.lower), str(enc.upper)]).encode()
             if row.j in roots.T_ONLY_KAPPAS:
                 want = kappa_t_only(row.j, t, tr)
                 assert (enc._ival, enc.precision) == (want._ival, want.precision)
-                digest.update(json.dumps([t, row.j, str(enc.lower), str(enc.upper)]).encode())
+                digest.update(line)
             else:
                 oracle = _sixteen_piece_envelope(row.j, t, tr)
                 assert oracle.lower <= enc.lower and enc.upper <= oracle.upper, (t, row.j)
+                envelope_digest.update(line)
     assert digest.hexdigest() == T_ONLY_DIGEST
+    assert envelope_digest.hexdigest() == ENVELOPE_DIGEST
 
 
 @pytest.mark.parametrize("t", (10, 11, 2000, 576241, 10 ** 7))
@@ -657,7 +685,7 @@ def test_kappa_at_interior_points_lies_inside_the_envelope(t):
         lo, hi = roots.solution_interval(which, t)
         for i in range(1, 9):
             r = CertifiedReal.from_rational(lo + i * (hi - lo) / 9, k.prec)
-            point = roots._kappa(j, k, [_ratio(which, k, r)])
+            point = KAPPA_CLAIMS[j].expr(k, _ratio(which, k, r))
             assert env.lower <= point.lower and point.upper <= env.upper, (j, i)
 
 
