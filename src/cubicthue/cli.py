@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import hashlib
+import functools
 import json
 import os
 import random
@@ -26,7 +26,17 @@ from typing import List, NamedTuple, Optional
 from . import bounds, exponents, forms, realnum, reduction, roots, search
 from .errors import (IndeterminateSignError, PrecisionInsufficientError,
                      VerificationFailedError)
-from .parallel import parallel_map
+from .parallel import Jobs, parallel_map
+
+# CPython's own SHA-256 for the checkpoint's digest: hashlib's maps OpenSSL
+# (3.4 MB resident) into this process and into every forked worker
+try:
+    from _sha2 import sha256            # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.11
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -208,7 +218,7 @@ def _run(stages, path: Optional[str], checkpoint: Optional[str]) -> int:
         # the stages share one --output, so a resumed stage cannot append to it
         raise ValueError("checkpoint %s already counts records; certify-all "
                          "does not resume" % checkpoint)
-    out, digest, rc, finished = _Output(path), hashlib.sha256(), EXIT_OK, False
+    out, digest, rc, finished = _Output(path), sha256(), EXIT_OK, False
     try:
         for stage in stages:
             # closed on every exit: a failed write stops a sweep's workers
@@ -332,14 +342,16 @@ def _cmd_roots(precision, t):
 def _cmd_kappas(precision, workers, t_lo, t_hi, extra_t):
     # each t once, in first-seen order: sorting would move certify-all's
     # 576241 ahead of 10^6 and change its output
-    ts = list(dict.fromkeys([*range(t_lo, t_hi + 1), *extra_t]))
-    if any(t < 10 for t in ts):
+    span = range(t_lo, t_hi + 1)
+    extra = tuple(t for t in dict.fromkeys(extra_t) if t not in span)
+    if any(t < 10 for t in (*span[:1], *extra)):
         # refused before the first record, not at the first t below 10
         raise ValueError("kappa claims are certified for t >= 10 only")
     workers = _env_workers(workers)
     failures = inconclusive = 0
-    jobs = [(t, _precision_cap(precision, roots.default_precision(t))) for t in ts]
-    for rep_rows, t, all_pass, error in parallel_map(_kappa_report_row, jobs, workers):
+    ts = Jobs(span, extra)
+    rows = functools.partial(_kappa_report_row, precision=precision)
+    for rep_rows, t, all_pass, error in parallel_map(rows, ts, workers):
         if error is not None:
             inconclusive += 1
             print("kappas: t=%d inconclusive: %s" % (t, error), file=sys.stderr)
@@ -354,11 +366,11 @@ def _cmd_kappas(precision, workers, t_lo, t_hi, extra_t):
             EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
 
 
-def _kappa_report_row(job):
-    """The rows of one t, or why its enclosures cannot be formed at `precision`."""
-    t, precision = job
+def _kappa_report_row(t, precision):
+    """The rows of one t, or why its enclosures cannot be formed at
+    `precision`, capped here, in the worker, so the parent lists no t."""
     try:
-        rep = roots.verify_kappas(t, precision)
+        rep = roots.verify_kappas(t, _precision_cap(precision, roots.default_precision(t)))
     except (IndeterminateSignError, PrecisionInsufficientError) as exc:
         return [], t, False, str(exc)
     return [r.to_json(t) for r in rep.rows], t, rep.all_pass, None

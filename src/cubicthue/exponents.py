@@ -97,21 +97,25 @@ def recover_exponents(t: int, x: int, y: int) -> ExponentPair:
 def _unit_logs(t: int, prec: int):
     """The logs that depend on t alone and enter the 2x2 solve, u_i =
     ln|t - theta_i| and v_i = ln|theta_i| for i = 1, 2, their determinant
-    u2 v1 - u1 v2 and the roots they come from: the solutions of one t
-    recovered at one precision share them all."""
+    u2 v1 - u1 v2, the roots they come from, and the four logs again keyed
+    by their argument's enclosure: the solutions of one t recovered at one
+    precision share them all, and those of (0, 1) and (t, 1), whose factors
+    |x - theta_i y| are these arguments, take no log of their own."""
     roots = isolate_roots(t, prec)
     th1, th2 = roots.thetas[:2]
-    u1, u2 = abs(t - th1).log(), abs(t - th2).log()
-    v1, v2 = abs(th1).log(), abs(th2).log()
-    return roots, (u1, u2), (v1, v2), u2 * v1 - u1 * v2
+    args = abs(t - th1), abs(t - th2), abs(th1), abs(th2)
+    u1, u2, v1, v2 = logs = [a.log() for a in args]
+    return (roots, (u1, u2), (v1, v2), u2 * v1 - u1 * v2,
+            {a._ival: ln for a, ln in zip(args, logs)})
 
 
 def _solve_at_precision(t: int, x: int, y: int, prec: int):
     """The integers (n, m) nearest the enclosed solution of the 2x2 log
     system l_i = n*u_i - m*v_i on embeddings 1 and 2, and the residual
     that certifies them: both deviations below ROUNDING_TOLERANCE."""
-    roots, (u1, u2), (v1, v2), det = _unit_logs(t, prec)
-    l1, l2 = (abs(x - th * y).log() for th in roots.thetas[:2])
+    roots, (u1, u2), (v1, v2), det, known = _unit_logs(t, prec)
+    factors = (abs(x - th * y) for th in roots.thetas[:2])
+    l1, l2 = (known[f._ival] if f._ival in known else f.log() for f in factors)
     n_enc = (l2 * v1 - l1 * v2) / det
     m_enc = (l2 * u1 - l1 * u2) / det
     n = _round_mid(n_enc)

@@ -1,8 +1,9 @@
-"""The one process-pool map of the engine."""
+"""The one process-pool map of the engine, and the job streams it takes."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence, TypeVar
+import itertools
+from typing import Callable, Iterable, Iterator, TypeVar
 
 J = TypeVar("J")
 R = TypeVar("R")
@@ -14,12 +15,32 @@ R = TypeVar("R")
 CHUNKSIZE = 64
 
 
-def parallel_map(fn: Callable[[J], R], jobs: Sequence[J], workers: int) -> Iterator[R]:
+class Jobs:
+    """The items of a few sized pieces (ranges, tuples) in turn: sized and
+    re-iterable like their list, but holding only the pieces, so a range of
+    any length costs the parent process the same few bytes and the pool's
+    forked workers inherit no list of it."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, *pieces):
+        self.pieces = pieces
+
+    def __len__(self) -> int:
+        return sum(map(len, self.pieces))
+
+    def __iter__(self) -> Iterator:
+        return itertools.chain.from_iterable(self.pieces)
+
+
+def parallel_map(fn: Callable[[J], R], jobs: Iterable[J], workers: int) -> Iterator[R]:
     """fn over jobs, yielding the results in job order: on a pool of
     min(workers, len(jobs)) processes, or in this process when that is
     at most 1, in tasks of at most CHUNKSIZE jobs and at least four tasks
-    per worker where the jobs allow.  `fn` must be a module-level
-    function so the pool can pickle it."""
+    per worker where the jobs allow.  `jobs` may be any sized iterable,
+    such as `Jobs`; the pool is fed from it lazily, a task at a time, so
+    no list of them is built.  `fn` must be a module-level function (or a
+    partial of one) so the pool can pickle it."""
     workers = min(workers, len(jobs))
     if workers <= 1:
         yield from map(fn, jobs)

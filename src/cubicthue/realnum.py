@@ -71,6 +71,14 @@ def _fraction(x: Endpoint) -> Fraction:
     return Fraction(*_ratio(x))
 
 
+def _float(x: Endpoint) -> float:
+    """float(_fraction(x)) without the Fraction's gcd: that float is the
+    true quotient of its numerator and denominator, and an int true
+    division is correctly rounded whatever common factor they share."""
+    m, e = x
+    return float(m << e) if e >= 0 else m / (1 << -e)
+
+
 def _cmp(x: Endpoint, y: Endpoint) -> int:
     """The sign (-1, 0 or 1) of x - y."""
     (m, e), (n, f) = x, y

@@ -10,6 +10,7 @@ and 1/Q^2 so that the continued-fraction extraction is trustworthy.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .bounds import (CONTRADICTION_COEFF, LN2, contradiction_threshold,
                      lambda_log_arguments, ln_bit_bounds)
 from .errors import IndeterminateSignError, PrecisionInsufficientError
-from .parallel import parallel_map
+from .parallel import Jobs, parallel_map
 from .realnum import (CertifiedReal, Endpoint, _normal, _ratio, dyadic_numerators,
                       integer_distance_num, lockstep_expansion, reduction_precision)
 from .roots import isolate_roots, series_cell_halvings
@@ -327,16 +328,22 @@ def verify_range(which: int, t_lo: int, t_hi: int,
     """Per-t outcomes over [t_lo, t_hi] plus any extra sampled ts, yielded
     in t order whatever the worker count; a t <= `after`, the last one a
     previous run wrote, is skipped.  The arguments are checked at the
-    call; the work runs as the outcomes are taken.  Close the iterator
-    when stopping early: that shuts the worker pool down."""
+    call; the work runs as the outcomes are taken, and the ts are streamed
+    to it, not listed.  Close the iterator when stopping early: that shuts
+    the worker pool down."""
     if t_lo <= t_hi and t_lo < 10:
         raise ValueError("sweep range starts at t >= 10")
     check_bounds(A, Q)
-    ts = sorted(set(list(range(t_lo, t_hi + 1)) + [int(t) for t in extra_ts]))
-    if after is not None:
-        ts = [t for t in ts if t > after]
+    span = range(t_lo if after is None else max(t_lo, after + 1), t_hi + 1)
+    # each extra t once, sorted into place between the pieces of the range
+    pieces = []
+    for t in sorted({t for t in map(int, extra_ts)
+                     if t not in span and (after is None or t > after)}):
+        k = bisect.bisect_left(span, t)
+        pieces += span[:k], (t,)
+        span = span[k:]
     return parallel_map(functools.partial(reduce_single, which, A=A, Q=Q,
-                                          precision=precision), ts, workers)
+                                          precision=precision), Jobs(*pieces, span), workers)
 
 
 def reverify_verdict(inst: ReductionInstance, verdict: Verdict) -> bool:

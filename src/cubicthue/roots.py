@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .forms import BinaryCubicForm, discriminant, family_form, monic_cubic
-from .realnum import CertifiedReal, _quotient_side, endpoint_cmp
+from .realnum import CertifiedReal, _float, _quotient_side, endpoint_cmp
 
 def default_precision(t: int) -> int:
     """Scales with t so that kappa extraction (which multiplies root
@@ -448,8 +448,8 @@ class KappaRow:
     passed: bool
 
     def to_json(self, t: int) -> dict:
-        return {"schema": 1, "t": t, "kappa": self.j,
-                "lower": float(self.enclosure.lower), "upper": float(self.enclosure.upper),
+        lo, hi = self.enclosure._ival
+        return {"schema": 1, "t": t, "kappa": self.j, "lower": _float(lo), "upper": _float(hi),
                 "target": [float(self.target[0]), float(self.target[1])],
                 "pass": self.passed}
 

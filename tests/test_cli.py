@@ -3,7 +3,10 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -598,6 +601,8 @@ def test_sweep_resumes_after_a_failed_write(workers, monkeypatch, tmp_path, caps
 
     monkeypatch.setattr(cli._Output, "emit", failing)
     assert run(argv) == cli.EXIT_USAGE
+    # the pool is down, its task thread stopped reading the ts
+    assert multiprocessing.active_children() == []
     assert capsys.readouterr().err == "cubicthue sweep: error: disk full\n"
     monkeypatch.setattr(cli._Output, "emit", emit)
     assert json.loads(ck.read_text())["last_t"] == 13
@@ -609,6 +614,65 @@ def test_sweep_resumes_after_a_failed_write(workers, monkeypatch, tmp_path, caps
     assert run(argv) == 0
     assert out.read_bytes() == full_out.read_bytes()
     assert ck.read_bytes() == full_ck.read_bytes()
+
+
+def test_the_cli_maps_no_openssl(tmp_path):
+    """The checkpoint's digest is CPython's built-in SHA-256, so neither
+    importing the CLI nor a two-worker sweep with a checkpoint loads
+    hashlib's OpenSSL module."""
+    code = ("import sys\n"
+            "from cubicthue import cli\n"
+            "loaded = '_hashlib' in sys.modules\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(loaded, '_hashlib' in sys.modules, rc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, "sweep", "--t-lo", "10", "--t-hi", "16",
+         "--workers", "2", "--checkpoint", str(tmp_path / "ck.json"),
+         "--output", str(tmp_path / "out.jsonl")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "False False 0", done.stderr
+    assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 7
+
+
+def test_sweep_and_kappas_stream_their_ts(monkeypatch, tmp_path):
+    """`sweep --full` and the kappa range to t_max hand the pool a stream
+    whose length is their t count and whose size is that of a 10-t one."""
+    streams = []
+
+    def recording(fn, jobs, workers):
+        streams.append(jobs)
+        return (r for r in ())
+
+    monkeypatch.setattr(reduction, "parallel_map", recording)
+    monkeypatch.setattr(cli, "parallel_map", recording)
+    out = ["--output", str(tmp_path / "out.jsonl")]
+    for argv in (["sweep", "--full"], ["sweep", "--t-lo", "10", "--t-hi", "19"],
+                 ["kappas", "--t-lo", "2001", "--t-hi", "576241"],
+                 ["kappas", "--t-lo", "2001", "--t-hi", "2010"]):
+        assert run(argv + out) == 0
+    sweep_full, sweep_10, kappas_full, kappas_10 = streams
+    assert [len(s) for s in streams] == [576232, 10, 574241, 10]
+    assert sys.getsizeof(sweep_full) == sys.getsizeof(sweep_10)
+    assert sys.getsizeof(kappas_full) == sys.getsizeof(kappas_10)
+
+
+def test_kappas_stream_the_range_then_new_extras(monkeypatch, capsys):
+    """The kappa jobs are the range and then each extra t not in it, once,
+    in first-seen order: below, inside, next to and above the range."""
+    streams = []
+    monkeypatch.setattr(cli, "parallel_map",
+                        lambda fn, jobs, workers: streams.append(jobs) or iter(()))
+    extra = [40, 25, 12, 20, 31, 25, 19, 30, 12, 576241, 10 ** 6]
+    for lo, hi in ((20, 30), (30, 20)):
+        for ex in (extra, extra[::-1], []):
+            assert list(cli._cmd_kappas(None, 1, lo, hi, ex)) == []
+            jobs = streams.pop()
+            old = list(dict.fromkeys([*range(lo, hi + 1), *ex]))
+            assert (len(jobs), list(jobs), list(jobs)) == (len(old), old, old)
+            assert capsys.readouterr().out == \
+                "kappas: %d/%d parameter values fully certified\n" % (len(old), len(old))
 
 
 def test_sweep_rerun_of_a_finished_run_leaves_its_output(capsys, tmp_path):
@@ -1027,9 +1091,6 @@ def test_closed_stdout_pipe_ends_quietly_with_exit_141():
     """`cubicthue kappas ... | head -1`: the records outgrow the pipe
     buffer, so the run is still writing when its reader closes the pipe
     after one line."""
-    import os
-    import subprocess
-    import sys
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.Popen([sys.executable, "-m", "cubicthue.cli", "kappas",
                              "--t-lo", "10", "--t-hi", "300"], env=env,

@@ -14,7 +14,7 @@ from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_log, mpf_p
 from cubicthue import bounds, exponents, forms, realnum, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
-                               _quotient_side, _rational_ival, _rational_side,
+                               _float, _fraction, _quotient_side, _rational_ival, _rational_side,
                                dyadic_numerators, endpoint_cmp, integer_distance_num,
                                lockstep_expansion, reduction_precision)
 from mpmath_oracle import endpoint_of, ival_of
@@ -25,6 +25,25 @@ def _rand_fraction(rng, digits=9):
     num = rng.randrange(-10 ** digits, 10 ** digits)
     den = rng.randrange(1, 10 ** digits)
     return Fraction(num, den)
+
+
+def test_endpoint_float_is_the_fraction_float():
+    """`_float` rounds an endpoint as float(Fraction) does: on exact ties
+    (an odd 54-bit mantissa), on mantissas with factors of two, at both
+    signs, subnormal and above 2^53; and raises where it overflows."""
+    rng = random.Random(20140213)
+    cases = [(0, 0), (1, 0), (-3, 5), (1, -1075), (3, -1076), (-(1 << 60) + 1, 0)]
+    for _ in range(300):
+        m = rng.randrange(1 << 53, 1 << 54) | 1           # halfway between two floats
+        cases.append((m * rng.choice((1, -1)), rng.randrange(-1200, 40)))
+        m = rng.randrange(1, 1 << rng.randrange(1, 400)) << rng.randrange(0, 8)
+        cases.append((m * rng.choice((1, -1)), rng.randrange(-1200, 200)))
+    for x in cases:
+        expected = float(_fraction(x))
+        got = _float(x)
+        assert got == expected and math.copysign(1, got) == math.copysign(1, expected), x
+    with pytest.raises(OverflowError):
+        _float((1, 1024))
 
 
 def test_enclose_rational_one_third():

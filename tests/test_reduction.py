@@ -360,6 +360,24 @@ def test_verify_range_extra_ts_sorted_dedup():
     assert [o.t for o in outcomes] == [10, 11, 12, 500]
 
 
+def test_verify_range_streams_the_sorted_deduplicated_ts(monkeypatch):
+    """The sweep's jobs are a stream, not a list, in the order of the
+    sorted set of the range and the extras, less those a resumed run
+    wrote: with extras below, inside, next to and above the range, and
+    repeated, on a range and an empty one, resumed from each side."""
+    streams = []
+    monkeypatch.setattr(reduction, "parallel_map",
+                        lambda fn, jobs, workers: streams.append(jobs) or iter(()))
+    extra = [40, 25, 12, 20, 31, 25, 19, 30, 12, 5000]
+    for lo, hi in ((20, 30), (30, 20)):
+        for after in (None, 5, 12, 19, 20, 24, 25, 30, 31, 35, 45, 5000):
+            verify_range(2, lo, hi, extra_ts=extra, after=after)
+            jobs = streams.pop()
+            old = sorted(set(list(range(lo, hi + 1)) + extra))
+            old = [t for t in old if after is None or t > after]
+            assert (len(jobs), list(jobs), list(jobs)) == (len(old), old, old)
+
+
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)

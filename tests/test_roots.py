@@ -598,7 +598,11 @@ def test_verify_kappas_shares_roots_endpoints_and_ln_t(monkeypatch):
     # hull (13 when each envelope took the log at both endpoint ratios)
     assert len(logs) == 10
     # exponent recovery forms the determinant of the unit logs once per t
-    # and precision, not once per solution
+    # and precision, not once per solution; and the factors |theta_i| and
+    # |t - theta_i| of (0, 1) and (t, 1) are the unit logs' arguments, so
+    # the five recoveries take the four unit logs and two for each of the
+    # other three solutions (14 when every solution took its own two)
+    logs.clear()
     products = []
     mul = CertifiedReal.__mul__
 
@@ -611,10 +615,14 @@ def test_verify_kappas_shares_roots_endpoints_and_ln_t(monkeypatch):
     sols = known_solutions(57).solutions
     for x, y in sols:
         exponents.recover_exponents(57, x, y)
-    _, u, v, _ = exponents._unit_logs(57, exponents.RECOVERY_PRECISION)
+    _, u, v, _, _ = exponents._unit_logs(57, exponents.RECOVERY_PRECISION)
     is_unit_log = lambda x: any(x is w for w in (*u, *v))
     assert len(sols) == 5
-    assert sum(is_unit_log(a) and is_unit_log(b) for a, b in products) == 2
+    assert len(logs) == 10
+    # products of two unit logs: the determinant's two, formed once, and
+    # the four of the solve for each of (0, 1) and (t, 1), whose logs are
+    # unit logs (a determinant per solution would make 18)
+    assert sum(is_unit_log(a) and is_unit_log(b) for a, b in products) == 10
 
 
 # -- envelopes from the two endpoints of each solution interval ----------
