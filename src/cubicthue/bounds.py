@@ -165,10 +165,19 @@ def derive_t_max() -> Tuple[int, float]:
     """Largest integer t compatible with both the growth bound of
     Lambda_2 and the Matveev cap (monotone bisection), plus the n
     ceiling n = EXPONENT_CAP ln^2 t ln(35 n).  The typed cap is first
-    certified to be at least K / 7.9, so it can only widen t_max."""
+    certified to be at least K / 7.9, so it can only widen t_max.
+
+    The bisection needs h(t) = (g / ln 35g) / ln^2 t, g = 3.5 t^3 ln t,
+    increasing for t >= 10.  As g'/g >= 3/t and g grows, its
+    log-derivative is at least (1/t)(3(1 - 1/ln 35g) - 2/ln t), and so,
+    by the certified premise ln(35 g(10)) > 3, (1/t)(2 - 2/ln 10) > 0."""
     if not certified_below(matveev_family_coefficient() / LAMBDA_DECAY[2], EXPONENT_CAP,
                            "K / 7.9 against EXPONENT_CAP undecided at %d bits" % LOG_PRECISION):
         raise VerificationFailedError("EXPONENT_CAP %d is below K / 7.9" % EXPONENT_CAP)
+    c, p = GROWTH[2]
+    if not certified_below(3, (35 * c * 10 ** p * _ln(10)).log(),
+                           "ln(35 g(10)) > 3 undecided at %d bits" % LOG_PRECISION):
+        raise VerificationFailedError("ln(35 g(10)) <= 3: the bisection may not be monotone")
     lo, hi = 10, 10 ** 7
     if not _growth_feasible(lo) or _growth_feasible(hi):
         raise AssertionError("feasibility predicate lost its bracket")

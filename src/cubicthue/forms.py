@@ -77,10 +77,11 @@ def family_form(index: int, t: int) -> BinaryCubicForm:
 
 
 def known_solutions(t: int) -> SolutionSet:
-    """The complete solution set of F_{3,t}(x,y)=1 (degenerate duplicates
-    at t in {0,1} removed; the extra pair (6,-5) appears at t=-1, and
-    (4,-3) at t=1, where F_{3,1} = x^3 - x y^2 + y^3 is the discriminant
-    -23 form with five solutions)."""
+    """The published solution list of F_{3,t}(x,y)=1 (degenerate
+    duplicates at t in {0,1} removed; the extra pair (6,-5) appears at
+    t=-1, and (4,-3) at t=1, where F_{3,1} = x^3 - x y^2 + y^3 is the
+    discriminant -23 form with five solutions).  The README's coverage
+    says at which t the engine checks it, and how; not below t = -30."""
     sols = [
         (1, 0),
         (0, 1),

@@ -649,32 +649,3 @@ def dyadic_numerators(ival) -> Tuple[int, int, int]:
     (a, e), (b, f) = ival
     k = max(1, -e, -f)
     return a << (e + k), b << (f + k), k
-
-
-def integer_distance_num(a: int, b: int, k: int) -> Tuple[int, int, int]:
-    """Exact bounds on the distance from every real in [a/2^k, b/2^k]
-    (a <= b, k >= 1, so 1/2 is 2^(k-1)) to its nearest integer, as
-    (lo, hi, k) for the bounds lo/2^k and hi/2^k, with
-    0 <= lo <= hi <= 2^(k-1).
-
-    A shift splits each endpoint into its floor and its remainder.  The
-    bounds are the endpoints' own distances, except that an integer in
-    the interval pulls the lower to 0 and a half-integer the upper to
-    1/2."""
-    one, half = 1 << k, 1 << (k - 1)
-    if b - a >= one:
-        return 0, half, k
-    fa, ra = a >> k, a & (one - 1)
-    fb, rb = b >> k, b & (one - 1)
-    lo, hi = sorted((min(ra, one - ra), min(rb, one - rb)))
-    if fa < fb or ra == 0:
-        lo = 0
-    if fa == fb:
-        has_half = ra <= half <= rb
-    else:
-        # fb = fa + 1: the half-integer of a's unit is below b, and the
-        # one of b's unit above a
-        has_half = ra <= half or half <= rb
-    if has_half:
-        hi = half
-    return lo, hi, k

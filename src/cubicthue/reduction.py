@@ -21,7 +21,7 @@ from .bounds import (CONTRADICTION_COEFF, LN2, contradiction_threshold,
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .parallel import Jobs, parallel_map
 from .realnum import (CertifiedReal, Endpoint, _normal, _ratio, dyadic_numerators,
-                      integer_distance_num, lockstep_expansion, reduction_precision)
+                      lockstep_expansion, reduction_precision)
 from .roots import isolate_roots, series_cell_halvings
 
 DEFAULT_A = 3 * 10 ** 18
@@ -57,10 +57,6 @@ class Verdict:
     # enclosure and the convergent bound Q
     beta_lower: Optional[Endpoint] = None
     Q: Optional[int] = None
-    # a failed scan read every convergent of gamma1 with q <= Q and
-    # certified each q*||q*gamma2|| below 1.01*A + 2: no precision can
-    # pass at this Q
-    exhausted_q: bool = False
 
 
 def check_bounds(A: int, Q: int):
@@ -149,13 +145,15 @@ def _check_width(name: str, gamma: CertifiedReal, scale: int, bound: str):
             "%s width %.3g exceeds %s" % (name, float(gamma.width), bound))
 
 
-def _norm_bounds(gamma2_num: Tuple[int, int, int], q: int) -> Tuple[int, int, int]:
-    """Exact bounds (lo, hi, k) with lo/2^k <= q*||q*gamma2|| <= hi/2^k.
-    gamma2 is given by its `dyadic_numerators` (a, b, k), so q*gamma2
-    lies in the exact product interval [q*a/2^k, q*b/2^k]."""
+def _norm_lower(gamma2_num: Tuple[int, int, int], q: int) -> int:
+    """n with n/2^k <= q*||q*gamma2||, for gamma2's `dyadic_numerators`
+    (a, b, k): q*gamma2 lies in [q*a/2^k, q*b/2^k], whose distance to
+    the nearest integer is 0 if it holds one, and else, with ra and rb
+    the ends' remainders mod 2^k, min(ra, 2^k - rb)/2^k."""
     a, b, k = gamma2_num
-    lo, hi, _ = integer_distance_num(q * a, q * b, k)
-    return q * lo, q * hi, k
+    a, b, one = q * a, q * b, 1 << k
+    ra, rb = a & (one - 1), b & (one - 1)
+    return 0 if ra == 0 or a >> k < b >> k else q * min(ra, one - rb)
 
 
 def baker_davenport(inst: ReductionInstance) -> Verdict:
@@ -164,27 +162,19 @@ def baker_davenport(inst: ReductionInstance) -> Verdict:
     bound |Lambda| > |beta|/Q^2.  The expansion of gamma1 is read only up
     to that convergent, so an enclosure that cannot pin the expansion
     down past it still succeeds; a failed scan raises the expansion's
-    PrecisionInsufficientError, if it has one.
-
-    A failed scan that ends without raising has read every convergent
-    with q <= Q of each real in the gamma1 enclosure, so of the true
-    gamma1, and any enclosure of it at any precision yields a prefix of
-    that same list.  When the upper bound of every q*||q*gamma2|| is
-    below the threshold, the true values are too, so no certified lower
-    bound can reach it: the verdict is `exhausted_q`."""
+    PrecisionInsufficientError, if it has one."""
     threshold_100 = 101 * inst.A + 200      # 100 * (1.01*A + 2)
     gamma2_num = dyadic_numerators(inst.gamma2._ival)
     k = gamma2_num[2]
     bar = threshold_100 << k                # the threshold, times 100 * 2^k
     a1, b1, k1 = dyadic_numerators(inst.gamma1._ival)
-    scanned, exhausted = 0, True
+    scanned = 0
     for conv in lockstep_expansion(a1, 1 << k1, b1, 1 << k1, inst.Q):
         scanned += 1
         # q*||.|| <= q/2, so small q cannot pass
         if 50 * conv.q < threshold_100:
             continue
-        lo, hi, _ = _norm_bounds(gamma2_num, conv.q)
-        exhausted = exhausted and 100 * hi < bar
+        lo = _norm_lower(gamma2_num, conv.q)
         if 100 * lo >= bar:
             beta_lower = abs(inst.beta)._ival[0]
             num, den = _ratio(_normal(beta_lower))
@@ -192,8 +182,7 @@ def baker_davenport(inst: ReductionInstance) -> Verdict:
             thr = contradiction_threshold(inst.which, inst.t)
             return Verdict(True, conv.p, conv.q, lo / (1 << k), lam_ln,
                            lam_ln - thr, scanned, beta_lower, inst.Q)
-    return Verdict(False, None, None, None, None, None, scanned,
-                   exhausted_q=exhausted)
+    return Verdict(False, None, None, None, None, None, scanned)
 
 
 def contradiction_check(which: int, t: int, verdict: Verdict) -> bool:
@@ -272,17 +261,20 @@ class ReductionOutcome:
 
 def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
                   precision: Optional[int] = None) -> ReductionOutcome:
-    """One t with automatic precision escalation (doubling, capped) and
-    a single Q escalation on convergent failure.  A success verdict is
-    accepted only after its exact re-verification; one that fails it
-    moves on to the next attempt.  A failed outcome carries the reason
-    the last attempt failed.
+    """One t on the escalation ladder: the base precision doubled up to
+    MAX_PRECISION_ESCALATIONS times at Q, then one rung at
+    Q * Q_ESCALATION_FACTOR.  A success is accepted only after its exact
+    re-verification; a failed outcome carries why the last rung failed.
 
-    A rung before the last that cannot succeed is skipped, and still
-    counts as an escalation: one whose gamma1 enclosure is certainly too
-    wide (`gamma1_width_floor`), and one at a Q where an earlier scan
-    showed that no precision can pass (`Verdict.exhausted_q`).  The
-    last rung always runs."""
+    A precision reason (an enclosure or scan that raises, or a gamma1
+    that `gamma1_width_floor` shows too wide, which is not built) moves
+    on to the next precision at Q.  A Q reason, a clean failed scan,
+    skips the rungs left at Q: a higher precision reads the same
+    convergents q <= Q of gamma1, and gamma2's width test (1/Q^2) puts
+    each certified q*||q*gamma2|| within q^2/Q^2 <= 1 of its true value,
+    so it could pass only where a true one lies in [thr, thr + 1),
+    thr = 1.01*A + 2.  A skipped rung counts as an escalation; the last
+    rung always runs."""
     _check_arguments(t, A, Q)
     base_prec = precision if precision is not None else reduction_precision(Q)
     attempts: List[Tuple[int, int]] = [
@@ -291,9 +283,9 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
     big_q = Q * Q_ESCALATION_FACTOR
     attempts.append((reduction_precision(big_q) * 2 ** MAX_PRECISION_ESCALATIONS, big_q))
     last = len(attempts) - 1
-    reason, exhausted_q = None, None
+    reason, failed_q = None, None
     for idx, (prec, q_used) in enumerate(attempts):
-        if idx < last and (q_used == exhausted_q
+        if idx < last and (q_used == failed_q
                            or _gamma1_too_wide(which, t, prec, q_used)):
             continue
         try:
@@ -305,8 +297,7 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
         if not verdict.success:
             reason = ("no convergent with q <= Q reaches q*||q*gamma2|| >= 1.01*A + 2 "
                       "(%d scanned)" % verdict.convergents_scanned)
-            if verdict.exhausted_q:
-                exhausted_q = q_used
+            failed_q = q_used
         elif reverify_verdict(inst, verdict):
             return ReductionOutcome(
                 t, which, "success", prec, q_used, verdict.q,
@@ -356,8 +347,8 @@ def reverify_verdict(inst: ReductionInstance, verdict: Verdict) -> bool:
     if not (1 <= q <= inst.Q and math.gcd(p, q) == 1):
         return False
     # the certified lower bound of q*||q*gamma2|| against 1.01*A + 2
-    n, _, k = _norm_bounds(dyadic_numerators(inst.gamma2._ival), q)
-    if 100 * n < (101 * inst.A + 200) << k:
+    gamma2_num = dyadic_numerators(inst.gamma2._ival)
+    if 100 * _norm_lower(gamma2_num, q) < (101 * inst.A + 200) << gamma2_num[2]:
         return False
     # |e/2^k - p/q| < 1/q^2 at both endpoints e, cross-multiplied
     a, b, k = dyadic_numerators(inst.gamma1._ival)

@@ -221,6 +221,14 @@ def test_derive_t_max():
     assert n_max == 8.883102365288762e+18
 
 
+def test_t_max_refuses_a_growth_that_breaks_its_monotonicity_premise(monkeypatch):
+    # the bisection is sound when ln(35 g(10)) > 3, g = c t^3 ln t; at
+    # c = 10^-5, 35 g(10) is about 0.81
+    monkeypatch.setattr(bounds, "GROWTH", {**bounds.GROWTH, 2: (Fraction(1, 10 ** 5), 3)})
+    with pytest.raises(VerificationFailedError, match=r"ln\(35 g\(10\)\) <= 3"):
+        derive_t_max()
+
+
 def test_feasibility_flips_once():
     t_max = 576241
     samples = [10, 1000, 100000, t_max - 1, t_max, t_max + 1,

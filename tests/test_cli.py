@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import faulthandler
 import hashlib
 import json
 import multiprocessing
@@ -583,8 +584,23 @@ def _sweep_argv(tmp_path, name, t_hi=20):
              "--output", str(out)], ck, out)
 
 
+@pytest.fixture
+def hang_watchdog(capsys):
+    """Should closing the pool hang again, end the run after two minutes
+    with every thread's traceback on the terminal's stderr."""
+    with capsys.disabled():
+        stderr = os.dup(sys.stderr.fileno())
+    faulthandler.dump_traceback_later(120, exit=True, file=stderr)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        os.close(stderr)
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_sweep_resumes_after_a_failed_write(workers, monkeypatch, tmp_path, capsys):
+def test_sweep_resumes_after_a_failed_write(workers, monkeypatch, tmp_path, capsys,
+                                            hang_watchdog):
     monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 4)
     argv, full_ck, full_out = _sweep_argv(tmp_path, "full")
     assert run(argv) == 0

@@ -11,11 +11,11 @@ import pytest
 from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_log, mpf_pos,
                           round_ceiling, round_floor, to_rational)
 
-from cubicthue import bounds, exponents, forms, realnum, roots
+from cubicthue import bounds, exponents, forms, realnum, reduction, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
                                _float, _fraction, _quotient_side, _rational_ival, _rational_side,
-                               dyadic_numerators, endpoint_cmp, integer_distance_num,
+                               dyadic_numerators, endpoint_cmp,
                                lockstep_expansion, reduction_precision)
 from mpmath_oracle import endpoint_of, ival_of
 from oracles import contains, convergents_of_fraction, decimal_by_fractions
@@ -220,31 +220,34 @@ def test_convergents_wide_enclosure_raises():
         continued_fraction_convergents(enc, 10 ** 6)
 
 
+# the reduction's norm bound q*||q*x|| is an integer-distance lower bound
+# on dyadic numerators; at q = 1 it is the distance itself
+def _distance_lower(ival, q=1):
+    """(n, k): n/2^k bounds below q times the distance from q*x to its
+    nearest integer, over every x in the raw interval `ival`."""
+    num = dyadic_numerators(ival)
+    return reduction._norm_lower(num, q), num[2]
+
+
 def test_nearest_integer_distance_values():
     def distance(r):
-        # the bounds lo/2^k and hi/2^k, read as the numerators (lo, hi, k)
-        ival = CertifiedReal.from_rational(r, 128)._ival
-        return integer_distance_num(*dyadic_numerators(ival))
+        return _distance_lower(CertifiedReal.from_rational(r, 128)._ival)
 
-    lo, hi, k = distance(Fraction(37, 10))
-    assert 10 * lo <= 3 << k <= 10 * hi and 10 ** 9 * (hi - lo) < 1 << k
-    lo, hi, k = distance(Fraction(5, 2))
-    assert lo <= 1 << (k - 1) <= hi
-    lo, hi, k = distance(12)
-    assert lo == 0 and hi == 0
+    n, k = distance(Fraction(37, 10))
+    assert 10 * n <= 3 << k and 10 ** 9 * ((3 << k) - 10 * n) < 10 << k
+    n, k = distance(Fraction(5, 2))
+    assert n == 1 << (k - 1)
+    assert distance(12)[0] == 0
 
 
 def test_nearest_integer_distance_wide_input():
     wide = CertifiedReal.from_endpoints(0, 10, 64)
-    lo, hi, k = integer_distance_num(*dyadic_numerators(wide._ival))
-    assert lo == 0 and hi == 1 << (k - 1)
+    assert _distance_lower(wide._ival)[0] == 0
 
 
 def test_nearest_integer_distance_straddles_integer():
     enc = CertifiedReal.from_endpoints(Fraction(19, 10), Fraction(21, 10), 64)
-    lo, hi, k = integer_distance_num(*dyadic_numerators(enc._ival))
-    assert lo == 0
-    assert hi <= 1 << (k - 1)
+    assert _distance_lower(enc._ival)[0] == 0
 
 
 def _dist_to_nearest_int(r):
@@ -253,19 +256,12 @@ def _dist_to_nearest_int(r):
 
 
 def _reference_distance(lo, hi):
-    """Bounds on the distance to the nearest integer over [lo, hi],
-    computed in Fraction arithmetic: the reference for the integer
-    helper."""
-    if hi - lo >= 1:
-        return Fraction(0), Fraction(1, 2)
-    dlo, dhi = _dist_to_nearest_int(lo), _dist_to_nearest_int(hi)
-    out_lo, out_hi = min(dlo, dhi), max(dlo, dhi)
-    if lo.numerator // lo.denominator < hi.numerator // hi.denominator or lo.denominator == 1:
-        out_lo = Fraction(0)
-    s, t = lo - Fraction(1, 2), hi - Fraction(1, 2)
-    if math.ceil(s) <= math.floor(t):
-        out_hi = Fraction(1, 2)
-    return out_lo, out_hi
+    """The least distance to the nearest integer over [lo, hi], in
+    Fraction arithmetic: 0 if an integer lies in it, else the nearer
+    endpoint's, as the distance is concave between two integers."""
+    if math.ceil(lo) <= hi:
+        return Fraction(0)
+    return min(_dist_to_nearest_int(lo), _dist_to_nearest_int(hi))
 
 
 def _dyadic_interval(rng):
@@ -298,25 +294,23 @@ def test_integer_distance_matches_the_fraction_reference():
     kinds = set()
     for _ in range(12000):
         ival = _dyadic_interval(rng)
-        lo, hi = (Fraction(*to_rational(e)) for e in ival)
-        want = _reference_distance(lo, hi)
-        n_lo, n_hi, k = integer_distance_num(*dyadic_numerators(ival_of(ival)))
-        assert 0 <= n_lo <= n_hi <= 1 << (k - 1)
-        assert (Fraction(n_lo, 1 << k), Fraction(n_hi, 1 << k)) == want
+        q = rng.choice((1, 1, rng.randrange(2, 1000)))
+        lo, hi = (q * Fraction(*to_rational(e)) for e in ival)
+        n, k = _distance_lower(ival_of(ival), q)
+        assert 0 <= n <= q << (k - 1)
+        assert Fraction(n, 1 << k) == q * _reference_distance(lo, hi)
         kinds.add("negative" if lo < 0 else "nonnegative")
         kinds.add("zero" if 0 in (lo, hi) else "nonzero")
         kinds.add("wide" if hi - lo >= 1 else "narrow")
         kinds.add("integer endpoint" if lo.denominator == 1 or hi.denominator == 1
                   else "inner endpoints")
         if hi - lo < 1:
-            # the least integer and the least half-integer above lo
-            n = lo.numerator // lo.denominator + 1
-            h = math.floor(lo + Fraction(1, 2)) + Fraction(1, 2)
-            kinds.add("integer inside" if n < hi else "no integer inside")
-            kinds.add("half inside" if h < hi else "no half inside")
+            # the least integer above lo
+            kinds.add("integer inside" if lo.numerator // lo.denominator + 1 < hi
+                      else "no integer inside")
     assert kinds == {"negative", "nonnegative", "zero", "nonzero", "wide", "narrow",
                      "integer endpoint", "inner endpoints", "integer inside",
-                     "no integer inside", "half inside", "no half inside"}
+                     "no integer inside"}
 
 
 def _iv_quotient(r, prec):

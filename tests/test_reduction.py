@@ -13,7 +13,7 @@ import pytest
 from cubicthue import bounds, cli, reduction, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, continued_fraction_convergents,
-                               dyadic_numerators, integer_distance_num)
+                               dyadic_numerators)
 from cubicthue.reduction import (ReductionInstance, baker_davenport,
                                  build_instance, contradiction_check,
                                  reduce_single, reverify_verdict, verify_range)
@@ -534,8 +534,8 @@ def test_norm_check_reads_the_lower_bound():
     for lo_end, hi_end in ((7 + d_lo, 7 + d_hi), (8 - d_hi, 8 - d_lo)):
         gamma2 = CertifiedReal.from_endpoints(lo_end / q, hi_end / q, prec)
         inst = ReductionInstance(2, 10, beta, A, q, gamma1, gamma2, prec)
-        lo, hi, k = integer_distance_num(*dyadic_numerators((gamma2 * q)._ival))
-        assert q * lo < threshold * (1 << k) <= q * hi
+        a, b, k = dyadic_numerators(gamma2._ival)
+        assert reduction._norm_lower((a, b, k), q) < threshold * (1 << k)
         assert not baker_davenport(inst).success
         assert not reverify_verdict(inst, reduction.Verdict(True, p, q, None, None, None, 1))
 
@@ -568,15 +568,10 @@ def _eager_verdict(inst):
     in Fractions on the exact product interval q * gamma2."""
     threshold = Fraction(101 * inst.A + 200, 100)
     convergents = continued_fraction_convergents(inst.gamma1, inst.Q)
-    exhausted = True
     for scanned, conv in enumerate(convergents, 1):
         lo, hi = conv.q * inst.gamma2.lower, conv.q * inst.gamma2.upper
         bound = conv.q * (0 if math.floor(hi) > math.floor(lo) or lo.denominator == 1
                           else min(_dist(lo), _dist(hi)))
-        half = Fraction(1, 2)
-        upper = conv.q * (half if math.floor(hi - half) > math.floor(lo - half)
-                          or (lo - half).denominator == 1 else max(_dist(lo), _dist(hi)))
-        exhausted = exhausted and upper < threshold
         if bound >= threshold:
             b = abs(inst.beta).lower
             lam = math.log(b.numerator) - math.log(b.denominator) - 2 * math.log(inst.Q)
@@ -584,8 +579,7 @@ def _eager_verdict(inst):
                 True, conv.p, conv.q, float(bound), lam,
                 lam - reduction.contradiction_threshold(inst.which, inst.t), scanned,
                 abs(inst.beta)._ival[0], inst.Q)
-    return reduction.Verdict(False, None, None, None, None, None, len(convergents),
-                             exhausted_q=exhausted)
+    return reduction.Verdict(False, None, None, None, None, None, len(convergents))
 
 
 def _dist(r):
@@ -634,10 +628,8 @@ def test_lazy_scan_matches_the_eager_oracle():
                 kinds.add("eager raised, lazy succeeds")
             continue
         assert baker_davenport(inst) == want
-        kinds.add("success" if want.success else
-                  "exhausted failure" if want.exhausted_q else "failure")
-    assert kinds == {"success", "failure", "exhausted failure", "both raise",
-                     "eager raised, lazy succeeds"}
+        kinds.add("success" if want.success else "failure")
+    assert kinds == {"success", "failure", "both raise", "eager raised, lazy succeeds"}
 
 
 def _synthetic_instance(gamma1, passes):
@@ -700,8 +692,8 @@ def test_scan_fails_where_the_expansion_parts_past_q():
 
 
 def test_exact_product_norm_is_never_looser_than_the_rounded_product():
-    """The norm bound on the exact interval [q*lo, q*hi] is at least the
-    one on the outward-rounded enclosure gamma2 * q."""
+    """The norm bound on the exact interval [q*lo, q*hi] is at least q
+    times the integer distance of the outward-rounded enclosure gamma2 * q."""
     rng = random.Random(75)
     tighter = 0
     for _ in range(3000):
@@ -711,10 +703,11 @@ def test_exact_product_norm_is_never_looser_than_the_rounded_product():
                                                                 2 ** prec), prec)
         q = rng.choice((1, rng.getrandbits(rng.randrange(1, 200)) + 1))
         a, b, k = dyadic_numerators(gamma2._ival)
-        lo, _, k = integer_distance_num(q * a, q * b, k)
-        r_lo, _, r_k = integer_distance_num(*dyadic_numerators((gamma2 * q)._ival))
-        assert Fraction(lo, 1 << k) >= Fraction(r_lo, 1 << r_k)
-        tighter += Fraction(lo, 1 << k) > Fraction(r_lo, 1 << r_k)
+        exact = Fraction(reduction._norm_lower((a, b, k), q), 1 << k)
+        r_a, r_b, r_k = dyadic_numerators((gamma2 * q)._ival)
+        rounded = Fraction(q * reduction._norm_lower((r_a, r_b, r_k), 1), 1 << r_k)
+        assert exact >= rounded
+        tighter += exact > rounded
     assert tighter > 0
 
 
@@ -857,21 +850,23 @@ def test_ladder_runs_only_the_rungs_that_can_succeed(monkeypatch):
                          (reduction.reduction_precision(top) * 8, top)], t
 
 
-def _failed_scan(exhausted):
-    def scan(inst):
-        return reduction.Verdict(False, None, None, None, None, None, 1,
-                                 exhausted_q=exhausted)
-    return scan
-
-
-@pytest.mark.parametrize("exhausted", [False, True])
-def test_exhausted_scan_jumps_to_the_q_rung(monkeypatch, exhausted):
+def test_a_clean_failure_skips_the_rungs_left_at_its_q(monkeypatch):
+    """Whichever precision rung at Q first fails without raising, it is
+    the last instance built at Q: the next is the Q rung's."""
     built = _count_instances(monkeypatch)
-    monkeypatch.setattr(reduction, "baker_davenport", _failed_scan(exhausted))
-    out = reduce_single(2, 2001)
-    assert out.status == "failed" and out.escalations == 4
-    assert [q for _, q in built] == [reduction.DEFAULT_Q] * (1 if exhausted else 4) + [
-        reduction.DEFAULT_Q * reduction.Q_ESCALATION_FACTOR]
+    top = reduction.DEFAULT_Q * reduction.Q_ESCALATION_FACTOR
+    for clean in range(reduction.MAX_PRECISION_ESCALATIONS + 1):
+        def scan(inst):
+            if len(built) <= clean:
+                raise PrecisionInsufficientError("endpoints disagree")
+            return reduction.Verdict(False, None, None, None, None, None, 1)
+
+        monkeypatch.setattr(reduction, "baker_davenport", scan)
+        built.clear()
+        out = reduce_single(2, 2001)
+        assert (out.status, out.escalations) == ("failed", 4)
+        assert built == [(340 << i, reduction.DEFAULT_Q) for i in range(clean + 1)] + [
+            (reduction.reduction_precision(top) * 8, top)], clean
 
 
 def test_the_last_rung_always_runs(monkeypatch):
@@ -896,24 +891,6 @@ def test_a_scan_that_raises_does_not_stop_the_precision_rungs(monkeypatch):
     out = reduce_single(2, 2001)
     assert (out.status, out.precision, out.escalations) == ("success", 680, 1)
     assert built == [(340, reduction.DEFAULT_Q), (680, reduction.DEFAULT_Q)]
-
-
-@pytest.mark.parametrize("upper, exhausted", [(102, True), (103, False), (104, False)])
-def test_scan_is_exhausted_only_below_the_threshold(upper, exhausted):
-    """gamma1 = 1/512 has the convergents 0/1 and 1/512, and the scan
-    ends after them.  q * gamma2 at q = 512 is enclosed in
-    7 + [101, upper]/512, so q*||q*gamma2|| lies in [101, upper]: no
-    lower bound reaches the threshold 1.01*A + 2 = 103, and the verdict
-    is exhausted only when the upper bound stays below it."""
-    A, q, prec = 100, 512, 420
-    gamma2 = CertifiedReal.from_endpoints(Fraction(7 * q + 101, q * q),
-                                          Fraction(7 * q + upper, q * q), prec)
-    inst = ReductionInstance(2, 10, CertifiedReal.from_rational(Fraction(3, 2), prec), A,
-                             10 ** 12, CertifiedReal.from_rational(Fraction(1, q), prec),
-                             gamma2, prec)
-    verdict = baker_davenport(inst)
-    assert (verdict.success, verdict.convergents_scanned, verdict.exhausted_q) == (
-        False, 2, exhausted)
 
 
 def test_gamma1_width_floor_is_sound():
