@@ -850,6 +850,26 @@ def test_ladder_runs_only_the_rungs_that_can_succeed(monkeypatch):
                          (reduction.reduction_precision(top) * 8, top)], t
 
 
+def _failed_scan(exhausted):
+    def scan(inst):
+        if not exhausted:
+            raise PrecisionInsufficientError("endpoints disagree")
+        return reduction.Verdict(False, None, None, None, None, None, 1)
+    return scan
+
+
+@pytest.mark.parametrize("exhausted", [False, True])
+def test_exhausted_scan_jumps_to_the_q_rung(monkeypatch, exhausted):
+    """A scan that fails cleanly leaves Q after its one instance; one that
+    raises every time runs each precision rung at Q first."""
+    built = _count_instances(monkeypatch)
+    monkeypatch.setattr(reduction, "baker_davenport", _failed_scan(exhausted))
+    out = reduce_single(2, 2001)
+    assert out.status == "failed" and out.escalations == 4
+    assert [q for _, q in built] == [reduction.DEFAULT_Q] * (1 if exhausted else 4) + [
+        reduction.DEFAULT_Q * reduction.Q_ESCALATION_FACTOR]
+
+
 def test_a_clean_failure_skips_the_rungs_left_at_its_q(monkeypatch):
     """Whichever precision rung at Q first fails without raising, it is
     the last instance built at Q: the next is the Q rung's."""
