@@ -68,21 +68,25 @@ def check_bounds(A: int, Q: int):
         raise ValueError("A must be >= 1, got %d" % A)
 
 
-def _check_arguments(t: int, A: int, Q: int):
+def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
+                   precision: Optional[int] = None) -> ReductionInstance:
+    """alpha, beta, delta per the Lambda_which decomposition, with the
+    lemma's hypotheses checked here, each before the work it would waste:
+    t >= 10 and A, Q >= 1 first; then, for which = 2, a precision at which
+    `gamma1_width_floor` reaches 1/(100 Q^2) is refused before any root
+    is isolated; then gamma1's width against 1/(100 Q^2) before
+    delta = log a3 is taken, and gamma2's against 1/Q^2.  A refused
+    precision raises PrecisionInsufficientError."""
     if t < 10:
         raise ValueError("reduction applies for t >= 10")
     check_bounds(A, Q)
-
-
-def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
-                   precision: Optional[int] = None) -> ReductionInstance:
-    """alpha, beta, delta per the Lambda_which decomposition, with
-    gamma enclosure widths meeting the lemma's hypotheses.  gamma1's
-    width is checked before delta = log a3 is taken, so a precision too
-    low for gamma1 costs no third logarithm."""
-    _check_arguments(t, A, Q)
     if precision is None:
         precision = reduction_precision(Q)
+    if which == 2:
+        num, den = gamma1_width_floor(t, precision)
+        if 100 * Q * Q * num >= den:
+            raise PrecisionInsufficientError(
+                "gamma1 width floor %.3g reaches 1/(100 Q^2)" % (num / den))
     roots = isolate_roots(t, precision)
     a1, a2, a3 = lambda_log_arguments(which, roots)
     alpha, beta = a1.log(), a2.log()
@@ -125,15 +129,6 @@ def gamma1_width_floor(t: int, precision: int) -> Tuple[int, int]:
     b, t6 = t.bit_length(), t ** 6
     return ((40000 * t6 << K) - 187164 * b * ((1 << K) + 1),
             83184 * b * ((1 << K) + 1) * t6 << K)
-
-
-def _gamma1_too_wide(which: int, t: int, precision: int, Q: int) -> bool:
-    """Whether gamma1's width, when `build_instance` forms it, certainly
-    fails its test against 1/(100 Q^2); decided for which = 2 only."""
-    if which != 2:
-        return False
-    num, den = gamma1_width_floor(t, precision)
-    return 100 * Q * Q * num >= den
 
 
 def _check_width(name: str, gamma: CertifiedReal, scale: int, bound: str):
@@ -265,28 +260,26 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
     MAX_PRECISION_ESCALATIONS times at Q, then one rung at
     Q * Q_ESCALATION_FACTOR.  A success is accepted only after its exact
     re-verification; a failed outcome carries why the last rung failed.
+    Each rung is a `build_instance`, which checks the arguments and
+    refuses a precision at which gamma1's width floor reaches
+    1/(100 Q^2) before it isolates any root.
 
-    A precision reason (an enclosure or scan that raises, or a gamma1
-    that `gamma1_width_floor` shows too wide, which is not built) moves
-    on to the next precision at Q.  A Q reason, a clean failed scan,
-    skips the rungs left at Q: a higher precision reads the same
-    convergents q <= Q of gamma1, and gamma2's width test (1/Q^2) puts
-    each certified q*||q*gamma2|| within q^2/Q^2 <= 1 of its true value,
-    so it could pass only where a true one lies in [thr, thr + 1),
-    thr = 1.01*A + 2.  A skipped rung counts as an escalation; the last
-    rung always runs."""
-    _check_arguments(t, A, Q)
+    A precision reason (a rung that raises, the floor's refusal among
+    them) moves on to the next precision at Q.  A Q reason, a clean
+    failed scan, skips the rungs left at Q: a higher precision reads the
+    same convergents q <= Q of gamma1, and gamma2's width test (1/Q^2)
+    puts each certified q*||q*gamma2|| within q^2/Q^2 <= 1 of its true
+    value, so it could pass only where a true one lies in [thr, thr + 1),
+    thr = 1.01*A + 2.  A skipped rung counts as an escalation."""
     base_prec = precision if precision is not None else reduction_precision(Q)
     attempts: List[Tuple[int, int]] = [
         (base_prec * 2 ** i, Q) for i in range(MAX_PRECISION_ESCALATIONS + 1)
     ]
     big_q = Q * Q_ESCALATION_FACTOR
     attempts.append((reduction_precision(big_q) * 2 ** MAX_PRECISION_ESCALATIONS, big_q))
-    last = len(attempts) - 1
     reason, failed_q = None, None
     for idx, (prec, q_used) in enumerate(attempts):
-        if idx < last and (q_used == failed_q
-                           or _gamma1_too_wide(which, t, prec, q_used)):
+        if q_used == failed_q:
             continue
         try:
             inst = build_instance(which, t, A, q_used, prec)
@@ -305,9 +298,8 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
                 verdict.margin, contradiction_check(which, t, verdict), idx)
         else:
             reason = "re-verification failed"
-    return ReductionOutcome(t, which, "failed",
-                            attempts[-1][0], attempts[-1][1],
-                            None, None, None, None, False, last, reason)
+    return ReductionOutcome(t, which, "failed", *attempts[-1],
+                            None, None, None, None, False, idx, reason)
 
 
 def verify_range(which: int, t_lo: int, t_hi: int,

@@ -480,8 +480,6 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     Each row has the bits `kappa_t_only` or `kappa_envelope` gives on
     the same RootTriple; one `_KappaTerms` serves all sixteen, and each
     kappa of one interval is evaluated once, on its shared `_ratio_hull`."""
-    if t < 10:
-        raise ValueError("kappa claims are certified for t >= 10 only")
     k = _KappaTerms(t, isolate_roots(t, precision))
     encs = {j: _kappa(j, k) for j in T_ONLY_KAPPAS}
     for which in (1, 2, 3):

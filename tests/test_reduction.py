@@ -63,35 +63,58 @@ def _count_logs(monkeypatch):
     return logs
 
 
+def _count_isolations(monkeypatch):
+    """The precision of each `isolate_roots` call the reduction makes: the
+    work a rung does before its logarithms, and what a refused one saves."""
+    isolated, isolate = [], reduction.isolate_roots
+
+    def counting(t, precision):
+        isolated.append(precision)
+        return isolate(t, precision)
+
+    monkeypatch.setattr(reduction, "isolate_roots", counting)
+    return isolated
+
+
 def test_build_instance_checks_gamma1_before_the_third_log(monkeypatch):
-    """A rung whose precision is too low for gamma1 fails on it without
-    taking log a3; at the default precision all three logs are taken.
-    At the paper's Q = 10^60, whose precision is 540 bits."""
+    """A precision the width floor admits but too low for gamma1 fails on
+    gamma1's width without taking log a3; at the default precision all
+    three logs are taken.  At the paper's Q = 10^60, whose precision is
+    540 bits."""
     logs = _count_logs(monkeypatch)
-    for precision in (135, 180, 270, 360):
-        logs.clear()
-        with pytest.raises(PrecisionInsufficientError,
-                           match=r"^gamma1 width .* exceeds 1/\(100 Q\^2\)$"):
-            build_instance(2, 1000, Q=10 ** 60, precision=precision)
-        assert len(logs) == 2, precision
+    with pytest.raises(PrecisionInsufficientError,
+                       match=r"^gamma1 width .* exceeds 1/\(100 Q\^2\)$"):
+        build_instance(2, 10, Q=10 ** 60, precision=426)
+    assert len(logs) == 2
     logs.clear()
-    build_instance(2, 1000, Q=10 ** 60)
+    build_instance(2, 10, Q=10 ** 60)
     assert len(logs) == 3
 
 
 def test_build_instance_checks_gamma1_before_the_third_log_default_q(monkeypatch):
-    """The same at the default Q = 10^30 and its 340 bits: the rungs
-    below it fail on gamma1 after two logs."""
+    """The same at the default Q = 10^30 and its 340 bits."""
     logs = _count_logs(monkeypatch)
-    for precision in (85, 113, 170, 226):
-        logs.clear()
-        with pytest.raises(PrecisionInsufficientError,
-                           match=r"^gamma1 width .* exceeds 1/\(100 Q\^2\)$"):
-            build_instance(2, 1000, precision=precision)
-        assert len(logs) == 2, precision
+    with pytest.raises(PrecisionInsufficientError,
+                       match=r"^gamma1 width .* exceeds 1/\(100 Q\^2\)$"):
+        build_instance(2, 1000, precision=258)
+    assert len(logs) == 2
     logs.clear()
     assert build_instance(2, 1000).precision == 340
     assert len(logs) == 3
+
+
+@pytest.mark.parametrize("Q, precisions", [(10 ** 30, (85, 113, 170, 226)),
+                                           (10 ** 60, (135, 180, 270, 360))])
+def test_build_instance_refuses_below_the_width_floor_before_isolating(
+        monkeypatch, Q, precisions):
+    """A precision at which gamma1_width_floor reaches 1/(100 Q^2) is
+    refused before any root is isolated or logarithm taken."""
+    isolated, logs = _count_isolations(monkeypatch), _count_logs(monkeypatch)
+    for precision in precisions:
+        with pytest.raises(PrecisionInsufficientError,
+                           match=r"^gamma1 width floor .* reaches 1/\(100 Q\^2\)$"):
+            build_instance(2, 1000, Q=Q, precision=precision)
+    assert isolated == logs == []
 
 
 def test_baker_davenport_success_t10():
@@ -815,39 +838,27 @@ def test_last_rung_keeps_the_paper_q():
         assert small.q_norm_lower == paper.q_norm_lower
 
 
-def _count_instances(monkeypatch):
-    built, build = [], reduction.build_instance
-
-    def counting(which, t, A, Q, precision):
-        built.append((precision, Q))
-        return build(which, t, A, Q, precision)
-
-    monkeypatch.setattr(reduction, "build_instance", counting)
-    return built
-
-
 def test_ladder_runs_only_the_rungs_that_can_succeed(monkeypatch):
-    """A 113- or 170-bit start skips its rungs below 340 bits on the
-    gamma1 width floor; a last-rung t skips the higher precisions at
-    Q = 10^30 once its scan is exhausted there; a default start builds
-    one instance.  The records are those of the full ladder (the byte
-    goldens above)."""
-    built = _count_instances(monkeypatch)
+    """A 113- or 170-bit start has its rungs below 340 bits refused on the
+    gamma1 width floor, before their roots are isolated; a last-rung t
+    skips the higher precisions at Q = 10^30 once its scan is exhausted
+    there; a default start isolates once.  The records are those of the
+    full ladder (the byte goldens above)."""
+    isolated = _count_isolations(monkeypatch)
     rng = random.Random(22)
     top = reduction.Q_ESCALATION_FACTOR * reduction.DEFAULT_Q
     for t in sorted(rng.sample(range(100, 576242), 12)):
         for start, escalations in ((113, 2), (170, 1), (None, 0)):
-            built.clear()
+            isolated.clear()
             out = reduce_single(2, t, precision=start)
             assert (out.status, out.precision, out.escalations) == (
                 "success", 340 if start is None else start << escalations, escalations)
-            assert built == [(out.precision, reduction.DEFAULT_Q)], (t, start)
+            assert isolated == [out.precision], (t, start)
     for t in LAST_RUNG_TS:
-        built.clear()
+        isolated.clear()
         out = reduce_single(2, t)
-        assert out.escalations == 4
-        assert built == [(340, reduction.DEFAULT_Q),
-                         (reduction.reduction_precision(top) * 8, top)], t
+        assert (out.Q, out.escalations) == (top, 4)
+        assert isolated == [340, reduction.reduction_precision(top) * 8], t
 
 
 def _failed_scan(exhausted):
@@ -862,64 +873,74 @@ def _failed_scan(exhausted):
 def test_exhausted_scan_jumps_to_the_q_rung(monkeypatch, exhausted):
     """A scan that fails cleanly leaves Q after its one instance; one that
     raises every time runs each precision rung at Q first."""
-    built = _count_instances(monkeypatch)
+    isolated = _count_isolations(monkeypatch)
     monkeypatch.setattr(reduction, "baker_davenport", _failed_scan(exhausted))
     out = reduce_single(2, 2001)
     assert out.status == "failed" and out.escalations == 4
-    assert [q for _, q in built] == [reduction.DEFAULT_Q] * (1 if exhausted else 4) + [
-        reduction.DEFAULT_Q * reduction.Q_ESCALATION_FACTOR]
+    top = reduction.DEFAULT_Q * reduction.Q_ESCALATION_FACTOR
+    assert isolated == [340 << i for i in range(1 if exhausted else 4)] + [
+        reduction.reduction_precision(top) * 8]
 
 
 def test_a_clean_failure_skips_the_rungs_left_at_its_q(monkeypatch):
     """Whichever precision rung at Q first fails without raising, it is
-    the last instance built at Q: the next is the Q rung's."""
-    built = _count_instances(monkeypatch)
+    the last one isolated at Q: the next is the Q rung's."""
+    isolated = _count_isolations(monkeypatch)
     top = reduction.DEFAULT_Q * reduction.Q_ESCALATION_FACTOR
     for clean in range(reduction.MAX_PRECISION_ESCALATIONS + 1):
         def scan(inst):
-            if len(built) <= clean:
+            if len(isolated) <= clean:
                 raise PrecisionInsufficientError("endpoints disagree")
             return reduction.Verdict(False, None, None, None, None, None, 1)
 
         monkeypatch.setattr(reduction, "baker_davenport", scan)
-        built.clear()
+        isolated.clear()
         out = reduce_single(2, 2001)
         assert (out.status, out.escalations) == ("failed", 4)
-        assert built == [(340 << i, reduction.DEFAULT_Q) for i in range(clean + 1)] + [
-            (reduction.reduction_precision(top) * 8, top)], clean
-
-
-def test_the_last_rung_always_runs(monkeypatch):
-    built = _count_instances(monkeypatch)
-    monkeypatch.setattr(reduction, "_gamma1_too_wide", lambda which, t, precision, Q: True)
-    top = reduction.DEFAULT_Q * reduction.Q_ESCALATION_FACTOR
-    out = reduce_single(2, 2001)
-    assert (out.status, out.Q, out.escalations) == ("success", top, 4)
-    assert built == [(reduction.reduction_precision(top) * 8, top)]
+        assert isolated == [340 << i for i in range(clean + 1)] + [
+            reduction.reduction_precision(top) * 8], clean
 
 
 def test_a_scan_that_raises_does_not_stop_the_precision_rungs(monkeypatch):
-    built = _count_instances(monkeypatch)
+    isolated = _count_isolations(monkeypatch)
     scan = reduction.baker_davenport
 
     def raise_once(inst):
-        if len(built) == 1:
+        if len(isolated) == 1:
             raise PrecisionInsufficientError("endpoints disagree")
         return scan(inst)
 
     monkeypatch.setattr(reduction, "baker_davenport", raise_once)
     out = reduce_single(2, 2001)
     assert (out.status, out.precision, out.escalations) == ("success", 680, 1)
-    assert built == [(340, reduction.DEFAULT_Q), (680, reduction.DEFAULT_Q)]
+    assert isolated == [340, 680]
+
+
+def test_a_ladder_below_the_width_floor_isolates_no_roots(monkeypatch):
+    """At t = 10^200 the floor refuses every rung, the Q rung's too: the
+    outcome fails with the floor's reason and no root is isolated.  At
+    t = 10^150 the floor admits the 2720-bit rung and the Q rung, which
+    isolate their roots, and the Q rung's scan gives the reason."""
+    isolated = _count_isolations(monkeypatch)
+    top = reduction.DEFAULT_Q * reduction.Q_ESCALATION_FACTOR
+    out = reduce_single(2, 10 ** 200)
+    assert (out.status, out.Q, out.precision, out.escalations) == ("failed", top, 2984, 4)
+    assert out.reason.startswith("gamma1 width floor") and isolated == []
+    out = reduce_single(2, 10 ** 150)
+    assert (out.status, out.Q, out.precision, out.escalations) == ("failed", top, 2984, 4)
+    assert out.reason == ("endpoints disagree on partial quotient 0 "
+                          "(denominator 0 <= Q=%d)" % top)
+    assert isolated == [2720, 2984]
 
 
 def test_gamma1_width_floor_is_sound():
     """Differential check of the floor: wherever the gamma1 enclosure of
-    build_instance's steps is formed, the floor is at most its width, and
-    wherever the floor reaches 1/(100 Q^2), build_instance raises."""
+    build_instance's steps is formed, the floor is at most its width; and
+    wherever build_instance refuses a precision on the floor, that
+    enclosure is not formed or fails the width test too."""
     rng = random.Random(23)
     ts = [10, 11, 576241] + rng.sample(range(12, 576241), 12)
-    formed = fired = 0
+    formed = refused = 0
     for t in ts:
         for precision in (64, 80, 96, 113, 128, 150, 170, 200, 226, 256, 300, 340, 400, 452):
             floor = Fraction(*reduction.gamma1_width_floor(t, precision))
@@ -927,16 +948,18 @@ def test_gamma1_width_floor_is_sound():
                 a1, a2, _ = bounds.lambda_log_arguments(2, roots.isolate_roots(t, precision))
                 gamma1 = a1.log() / a2.log()
             except (PrecisionInsufficientError, IndeterminateSignError):
-                pass
+                gamma1 = None
             else:
                 formed += 1
                 assert floor <= gamma1.width, (t, precision)
             for Q in (reduction.DEFAULT_Q, 10 ** 60):
-                if reduction._gamma1_too_wide(2, t, precision, Q):
-                    fired += 1
-                    with pytest.raises((PrecisionInsufficientError, IndeterminateSignError)):
-                        build_instance(2, t, Q=Q, precision=precision)
-    assert formed > 100 and fired > 100
+                try:
+                    build_instance(2, t, Q=Q, precision=precision)
+                except (PrecisionInsufficientError, IndeterminateSignError) as exc:
+                    if str(exc).startswith("gamma1 width floor"):
+                        refused += 1
+                        assert gamma1 is None or 100 * Q * Q * gamma1.width >= 1, (t, precision)
+    assert formed > 100 and refused > 100
 
 
 def _largest_fifth_power_root_below(n):
@@ -949,19 +972,25 @@ def _largest_fifth_power_root_below(n):
 
 
 def test_gamma1_width_floor_never_fires_at_the_default_precision():
-    """At reduction_precision(DEFAULT_Q), for every t in [10, t_max].
+    """At reduction_precision(Q) and on the Q rung, Q * Q_ESCALATION_FACTOR
+    at 8 times its reduction_precision, for every t in [10, t_max], at
+    the default Q and at the paper's Q = 10^60: so no ladder that starts
+    at its default precision sees the floor refuse a rung up to t_max.
     The floor depends on t through bits(t), K (constant while t^5 stays
     between two powers of two) and -9/(4 t^6 2^K), which grows with t:
     on each run of t with one bits(t) and one K it is largest at the
     run's last t, so those are the t checked."""
     t_max = 576241
-    precision = reduction.reduction_precision(reduction.DEFAULT_Q)
     ends = {t_max} | {min(2 ** b - 1, t_max) for b in range(4, t_max.bit_length() + 1)}
     ends |= {_largest_fifth_power_root_below(2 ** j) for j in range(17, 5 * 20)}
     ends = sorted(t for t in ends if 10 <= t <= t_max)
     assert ends[0] == 10 and ends[-1] == t_max and len(ends) == 80
-    assert not any(reduction._gamma1_too_wide(2, t, precision, reduction.DEFAULT_Q)
-                   for t in ends)
+    for Q in (reduction.DEFAULT_Q, 10 ** 60):
+        top = Q * reduction.Q_ESCALATION_FACTOR
+        for q, precision in ((Q, reduction.reduction_precision(Q)),
+                             (top, reduction.reduction_precision(top) * 8)):
+            assert all(Fraction(*reduction.gamma1_width_floor(t, precision))
+                       < Fraction(1, 100 * q * q) for t in ends), (q, precision)
 
 
 AGGREGATE = Path(__file__).parent / "data" / "reduce_aggregate.json"
