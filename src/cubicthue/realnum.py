@@ -42,15 +42,11 @@ def reduction_precision(Q: int) -> int:
 # keep whatever trailing zero bits their mantissa has, so two endpoints
 # are equal when their values are (`_cmp`), not their pairs;
 # `_normal` gives the odd-mantissa form where one is needed.
-
-def _round(m: int, e: int, prec: int, up: bool) -> Endpoint:
-    """m * 2^e rounded to prec significant bits, toward +inf when `up`
-    and toward -inf otherwise."""
-    drop = m.bit_length() - prec
-    if drop <= 0:
-        return m, e
-    return (-((-m) >> drop) if up else m >> drop), e + drop
-
+#
+# Every kernel rounds inline, in its own frame: an exact result m * 2^e
+# with more than prec significant bits drops its drop = bits(m) - prec
+# low bits, as m >> drop toward -inf (a lower endpoint) and as
+# -((-m) >> drop) toward +inf (an upper one), and adds drop to e.
 
 def _normal(x: Endpoint) -> Endpoint:
     """x with an odd mantissa, or (0, 0)."""
@@ -86,45 +82,6 @@ def _cmp(x: Endpoint, y: Endpoint) -> int:
     return (d > 0) - (d < 0)
 
 
-def _add(x: Endpoint, y: Endpoint, prec: int, up: bool) -> Endpoint:
-    (m, e), (n, f) = x, y
-    if e >= f:
-        return _round((m << (e - f)) + n, f, prec, up)
-    return _round(m + (n << (f - e)), e, prec, up)
-
-
-def _sub(x: Endpoint, y: Endpoint, prec: int, up: bool) -> Endpoint:
-    (m, e), (n, f) = x, y
-    if e >= f:
-        return _round((m << (e - f)) - n, f, prec, up)
-    return _round(m - (n << (f - e)), e, prec, up)
-
-
-def _mul(x: Endpoint, y: Endpoint, prec: int, up: bool) -> Endpoint:
-    return _round(x[0] * y[0], x[1] + y[1], prec, up)
-
-
-def _div(x: Endpoint, y: Endpoint, prec: int, up: bool) -> Endpoint:
-    """x / y (y != 0) rounded.  The numerator is scaled so that the
-    integer quotient has at least prec + 1 bits; the floor (or ceiling)
-    of that quotient then rounds to the floor (or ceiling) of x / y."""
-    (m, e), (n, f) = x, y
-    shift = max(0, prec + n.bit_length() - m.bit_length() + 1)
-    m <<= shift
-    return _round(-(-m // n) if up else m // n, e - f - shift, prec, up)
-
-
-def _pow(x: Endpoint, k: int, prec: int, up: bool) -> Endpoint:
-    """x^k, the exact power rounded once."""
-    return _round(x[0] ** k, x[1] * k, prec, up)
-
-
-def _rational_side(r: Rational, prec: int, upper: bool) -> Endpoint:
-    """The upper (or lower) endpoint of r at prec bits (`_quotient_side`
-    of its numerator and denominator)."""
-    return _quotient_side(r.numerator, r.denominator, prec, upper)
-
-
 def _quotient_side(num: int, den: int, prec: int, upper: bool) -> Endpoint:
     """The upper (or lower) endpoint of the rational num/den at prec
     bits, for a reduced pair (den > 0, gcd(num, den) = 1), computed as
@@ -132,19 +89,44 @@ def _quotient_side(num: int, den: int, prec: int, upper: bool) -> Endpoint:
     outward to prec bits.  The upper endpoint of the quotient of
     [N_lo, N_hi] / [D_lo, D_hi] is N_hi / D_lo for num > 0 and
     N_hi / D_hi for num < 0, rounded up; the lower one is N_lo / D_hi
-    or N_lo / D_lo, rounded down.  The mantissa is odd."""
-    n = _round(num, 0, prec, upper)
-    d = _round(den, 0, prec, (num < 0) == upper)
-    return _normal(_div(n, d, prec, upper))
+    or N_lo / D_lo, rounded down.  The mantissa is odd.
+
+    The quotient n / d of the rounded integers is formed as in
+    `_div_ival`: n is scaled so that the integer quotient has at least
+    prec + 1 bits, and its floor (or ceiling) then rounds to the floor
+    (or ceiling) of n / d."""
+    e = f = 0
+    drop = num.bit_length() - prec
+    if drop > 0:
+        num, e = (-((-num) >> drop) if upper else num >> drop), drop
+    drop = den.bit_length() - prec
+    if drop > 0:
+        den, f = (-((-den) >> drop) if (num < 0) == upper else den >> drop), drop
+    shift = prec + den.bit_length() - num.bit_length() + 1
+    if shift < 0:
+        shift = 0
+    num <<= shift
+    q, e = (-(-num // den) if upper else num // den), e - f - shift
+    drop = q.bit_length() - prec
+    if drop > 0:
+        q, e = (-((-q) >> drop) if upper else q >> drop), e + drop
+    if not q:
+        return _ZERO
+    zeros = (q & -q).bit_length() - 1
+    return q >> zeros, e + zeros
 
 
 def _rational_ival(r: Rational, prec: int) -> Tuple[Endpoint, Endpoint]:
     """The enclosure of r at prec bits; an integer of at most prec bits
-    is its own two endpoints."""
-    if r.denominator == 1 and r.numerator.bit_length() <= prec:
-        x = _normal((r.numerator, 0))
+    is its own two endpoints, with an odd mantissa."""
+    num, den = r.numerator, r.denominator
+    if den == 1 and num.bit_length() <= prec:
+        if not num:
+            return _ZERO, _ZERO
+        zeros = (num & -num).bit_length() - 1
+        x = num >> zeros, zeros
         return x, x
-    return _rational_side(r, prec, False), _rational_side(r, prec, True)
+    return _quotient_side(num, den, prec, False), _quotient_side(num, den, prec, True)
 
 
 # -- the logarithm ------------------------------------------------------------
@@ -234,94 +216,91 @@ def _ln_dyadic(j: int, bits: int, w: int) -> int:
     return c >> (W - w)
 
 
-def _ln_reduce(x: Endpoint) -> Tuple[int, int, int, int, int]:
-    """(E, j, i, N, D) for x = m 2^e > 0: x = 2^E (j/2^R) (i/2^S) e^(2 atanh z)
-    with z = N/D, D > 0."""
-    m, e = x
+def _log_ival(a: Endpoint, b: Endpoint, prec: int) -> Tuple[Endpoint, Endpoint]:
+    """[ln a rounded down, ln b rounded up] at prec bits, 0 < a <= b.
+
+    a = m 2^e is reduced to a = 2^E (j/2^R) (i/2^S) e^(2 atanh z) with
+    z = N/D, D > 0.  The bracket starts at w = prec plus the fraction
+    bits it needs before its rounding can succeed, up to a multiple of
+    64: -log2 |ln a| (when c1 != 1 or E != 0, y stays 2^-(R+1) from the
+    grid points 1 and 2 and |ln a| > 2^-(R+2); when only c2 != 1,
+    |ln a| > 2^-(S+2); else |ln a| >= |2z| >= 2^(bits(N) - bits(D))),
+    the 2|E| ulps of error of E ln 2, and 20 for the series and the
+    rounding test.
+
+    ln b is ln a + 2 atanh((b - a)/(b + a)) when that argument is below
+    2^-(S+1): for the narrow enclosures the engine forms, its series
+    then needs a term or two, and b is not reduced: the rounding test
+    makes ln b correctly rounded whatever w served it.  Further apart,
+    each end is the log of its own point enclosure."""
+    (m, e), (n, f) = a, b
+    zeros = (m & -m).bit_length() - 1
+    m, e = m >> zeros, e + zeros
+    zeros = (n & -n).bit_length() - 1
+    n, f = n >> zeros, f + zeros
+    g = e if e < f else f
+    gap, total = (n << (f - g)) - (m << (e - g)), (n << (f - g)) + (m << (e - g))
+    if gap and total.bit_length() - gap.bit_length() <= _S + 1:
+        return _log_ival(a, a, prec)[0], _log_ival(b, b, prec)[1]
+    lo = _ZERO if m == 1 and not e else None
+    hi = _ZERO if n == 1 and not f else None
     k = m.bit_length() - 1                        # y = m / 2^k
     j = (((m << (_R + 1)) >> k) + 1) >> 1         # round(y 2^R)
     if j == _GRID << 1:
         j, k = _GRID, k + 1
     i = ((((m << (_R + _S + 1)) >> k) // j) + 1) >> 1   # round(y 2^(R+S) / j)
     top, c = m << (_R + _S), (j * i) << k
-    return e + k, j, i, top - c, top + c
-
-
-def _ln_bits(r: Tuple[int, int, int, int, int]) -> int:
-    """Fraction bits beyond the precision that the bracket of `r` needs
-    before its rounding can succeed: -log2 |ln x| (when c1 != 1 or
-    E != 0, y stays 2^-(R+1) from the grid points 1 and 2 and |ln x| >
-    2^-(R+2); when only c2 != 1, |ln x| > 2^-(S+2); else
-    |ln x| >= |2z| >= 2^(bits(N) - bits(D))), the 2|E| ulps of error of
-    E ln 2, and 20 for the series and the rounding test."""
-    E, j, i, N, D = r
+    E, N, D = e + k, top - c, top + c
     if E or j != _GRID:
         mag = _R + 2
     else:
         mag = _S + 2 if i != _FINE else D.bit_length() - N.bit_length()
-    return mag + E.bit_length() + 20
-
-
-def _ln_bracket(r: Tuple[int, int, int, int, int], w: int) -> Tuple[int, int]:
-    """(L, H) with L <= 2^w ln x <= H for x reduced to r."""
-    E, j, i, N, D = r
-    lo, hi = _twice_atanh(N, D, w)
-    if j != _GRID:
-        c = _ln_dyadic(j, _R, w)
-        lo, hi = lo + c, hi + c + 2
-    if i != _FINE:
-        c = _ln_dyadic(i, _S, w)
-        lo, hi = lo + c, hi + c + 2
-    if E:
-        c = E * _ln_dyadic(2, 0, w)
-        lo, hi = (lo + c, hi + c + 2 * E) if E > 0 else (lo + c + 2 * E, hi + c)
-    return lo, hi
-
-
-def _ziv(bracket: Tuple[int, int], w: int, prec: int, up: bool):
-    """The prec-bit rounding of every value in bracket/2^w, or None when
-    the bracket's ends round apart."""
-    a = _round(bracket[0], -w, prec, up)
-    return a if _cmp(a, _round(bracket[1], -w, prec, up)) == 0 else None
-
-
-def _log_ival(a: Endpoint, b: Endpoint, prec: int) -> Tuple[Endpoint, Endpoint]:
-    """[ln a rounded down, ln b rounded up] at prec bits, 0 < a <= b.
-
-    ln b is ln a + 2 atanh((b - a)/(b + a)) when that argument is below
-    2^-(S+1): for the narrow enclosures the engine forms, its series
-    then needs a term or two, and b is not reduced: the rounding test
-    makes ln b correctly rounded whatever w served it."""
-    a, b = _normal(a), _normal(b)
-    lo = _ZERO if a == _ONE else None
-    hi = _ZERO if b == _ONE else None
-    (m, e), (n, f) = a, b
-    g = min(e, f)
-    m, n = m << (e - g), n << (f - g)
-    gap, total = n - m, n + m
-    near = total.bit_length() - gap.bit_length() > _S + 1
-    ra = _ln_reduce(a)
-    rb = ra if near else _ln_reduce(b)
-    w = -(-(prec + max(_ln_bits(ra), _ln_bits(rb))) // 64) * 64
+    w = -(-(prec + mag + E.bit_length() + 20) // 64) * 64
     while lo is None or hi is None:
-        la = _ln_bracket(ra, w)
+        # L <= 2^w ln a <= H
+        L, H = _twice_atanh(N, D, w)
+        if j != _GRID:
+            c = _ln_dyadic(j, _R, w)
+            L, H = L + c, H + c + 2
+        if i != _FINE:
+            c = _ln_dyadic(i, _S, w)
+            L, H = L + c, H + c + 2
+        if E:
+            c = E * _ln_dyadic(2, 0, w)
+            L, H = (L + c, H + c + 2 * E) if E > 0 else (L + c + 2 * E, H + c)
         if lo is None:
-            lo = _ziv(la, w, prec, False)
-        if hi is None:
-            if not gap:
-                lb = la
-            elif near:
-                c0, c1 = _twice_atanh(gap, total, w)
-                lb = la[0] + c0, la[1] + c1
+            # the rounding test on L and H, each rounded down
+            u, du = L, L.bit_length() - prec
+            if du > 0:
+                u >>= du
             else:
-                lb = _ln_bracket(rb, w)
-            hi = _ziv(lb, w, prec, True)
+                du = 0
+            v, dv = H, H.bit_length() - prec
+            if dv > 0:
+                v >>= dv
+            else:
+                dv = 0
+            if (u << (du - dv) == v) if du >= dv else (u == v << (dv - du)):
+                lo = u, du - w
+        if hi is None:
+            if gap:
+                c0, c1 = _twice_atanh(gap, total, w)
+                L, H = L + c0, H + c1
+            # the rounding test on the bracket of ln b, each end rounded up
+            u, du = L, L.bit_length() - prec
+            if du > 0:
+                u = -((-u) >> du)
+            else:
+                du = 0
+            v, dv = H, H.bit_length() - prec
+            if dv > 0:
+                v = -((-v) >> dv)
+            else:
+                dv = 0
+            if (u << (du - dv) == v) if du >= dv else (u == v << (dv - du)):
+                hi = u, du - w
         w += 64
     return lo, hi
-
-
-def _straddles_zero(ival) -> bool:
-    return ival[0][0] <= 0 <= ival[1][0]
 
 
 class CertifiedReal:
@@ -345,8 +324,8 @@ class CertifiedReal:
     def from_endpoints(cls, lo: Rational, hi: Rational, precision: int) -> "CertifiedReal":
         if not lo <= hi:
             raise ValueError("lower endpoint exceeds upper endpoint")
-        return cls((_rational_side(lo, precision, False),
-                    _rational_side(hi, precision, True)), precision)
+        return cls((_quotient_side(lo.numerator, lo.denominator, precision, False),
+                    _quotient_side(hi.numerator, hi.denominator, precision, True)), precision)
 
     @classmethod
     def hull(cls, values: Iterable["CertifiedReal"]) -> "CertifiedReal":
@@ -389,7 +368,7 @@ class CertifiedReal:
     # -- predicates ---------------------------------------------------
 
     def contains_zero(self) -> bool:
-        return _straddles_zero(self._ival)
+        return self._ival[0][0] <= 0 <= self._ival[1][0]
 
     def is_positive(self) -> bool:
         return self._ival[0][0] > 0
@@ -397,83 +376,172 @@ class CertifiedReal:
     # -- arithmetic ---------------------------------------------------
     # Each operation runs at the larger of the operands' precisions; an
     # int or Fraction operand is enclosed at the precision of the
-    # CertifiedReal it meets.
-
-    def _operand(self, other) -> Tuple[tuple, int]:
-        p = self.precision
-        if isinstance(other, CertifiedReal):
-            q = other.precision
-            return other._ival, (q if q > p else p)
-        return _rational_ival(other, p), p
+    # CertifiedReal it meets.  Both endpoints are formed exactly and
+    # rounded inline in the operation's frame, the lower toward -inf and
+    # the upper toward +inf.
 
     def __add__(self, other):
-        (c, d), prec = self._operand(other)
-        a, b = self._ival
-        return CertifiedReal((_add(a, c, prec, False), _add(b, d, prec, True)), prec)
+        p = self.precision
+        if other.__class__ is CertifiedReal:
+            (c, g), (d, h) = other._ival
+            if other.precision > p:
+                p = other.precision
+        else:
+            (c, g), (d, h) = _rational_ival(other, p)
+        (a, e), (b, f) = self._ival
+        if e >= g:
+            a, e = (a << (e - g)) + c, g
+        else:
+            a += c << (g - e)
+        drop = a.bit_length() - p
+        if drop > 0:
+            a, e = a >> drop, e + drop
+        if f >= h:
+            b, f = (b << (f - h)) + d, h
+        else:
+            b += d << (h - f)
+        drop = b.bit_length() - p
+        if drop > 0:
+            b, f = -((-b) >> drop), f + drop
+        return CertifiedReal(((a, e), (b, f)), p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        (c, d), prec = self._operand(other)
-        a, b = self._ival
-        return CertifiedReal((_sub(a, d, prec, False), _sub(b, c, prec, True)), prec)
+        p = self.precision
+        if other.__class__ is CertifiedReal:
+            (c, g), (d, h) = other._ival
+            if other.precision > p:
+                p = other.precision
+        else:
+            (c, g), (d, h) = _rational_ival(other, p)
+        (a, e), (b, f) = self._ival
+        # [a - d, b - c]
+        if e >= h:
+            a, e = (a << (e - h)) - d, h
+        else:
+            a -= d << (h - e)
+        drop = a.bit_length() - p
+        if drop > 0:
+            a, e = a >> drop, e + drop
+        if f >= g:
+            b, f = (b << (f - g)) - c, g
+        else:
+            b -= c << (g - f)
+        drop = b.bit_length() - p
+        if drop > 0:
+            b, f = -((-b) >> drop), f + drop
+        return CertifiedReal(((a, e), (b, f)), p)
 
     def __rsub__(self, other):
-        (c, d), prec = self._operand(other)
-        a, b = self._ival
-        return CertifiedReal((_sub(c, b, prec, False), _sub(d, a, prec, True)), prec)
+        p = self.precision
+        (c, g), (d, h) = _rational_ival(other, p)
+        (a, e), (b, f) = self._ival
+        # [c - b, d - a]
+        if g >= f:
+            c, g = (c << (g - f)) - b, f
+        else:
+            c -= b << (f - g)
+        drop = c.bit_length() - p
+        if drop > 0:
+            c, g = c >> drop, g + drop
+        if h >= e:
+            d, h = (d << (h - e)) - a, e
+        else:
+            d -= a << (e - h)
+        drop = d.bit_length() - p
+        if drop > 0:
+            d, h = -((-d) >> drop), h + drop
+        return CertifiedReal(((c, g), (d, h)), p)
 
     def __mul__(self, other):
-        y, prec = self._operand(other)
-        return CertifiedReal(_mul_ival(self._ival, y, prec), prec)
+        p = self.precision
+        if other.__class__ is CertifiedReal:
+            y = other._ival
+            if other.precision > p:
+                p = other.precision
+        else:
+            y = _rational_ival(other, p)
+        return CertifiedReal(_mul_ival(self._ival, y, p), p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        y, prec = self._operand(other)
-        if _straddles_zero(y):
+        p = self.precision
+        if other.__class__ is CertifiedReal:
+            y = other._ival
+            if other.precision > p:
+                p = other.precision
+        else:
+            y = _rational_ival(other, p)
+        if y[0][0] <= 0 <= y[1][0]:
             raise IndeterminateSignError("division by enclosure containing zero")
-        return CertifiedReal(_div_ival(self._ival, y, prec), prec)
+        return CertifiedReal(_div_ival(self._ival, y, p), p)
 
     def __rtruediv__(self, other):
         if self.contains_zero():
             raise IndeterminateSignError("division by enclosure containing zero")
-        x, prec = self._operand(other)
-        return CertifiedReal(_div_ival(x, self._ival, prec), prec)
+        p = self.precision
+        return CertifiedReal(_div_ival(_rational_ival(other, p), self._ival, p), p)
 
     def __neg__(self):
-        a, b = self._ival
+        (a, e), (b, f) = self._ival
         p = self.precision
-        return CertifiedReal((_round(-b[0], b[1], p, False),
-                              _round(-a[0], a[1], p, True)), p)
+        # [-b, -a]
+        b = -b
+        drop = b.bit_length() - p
+        if drop > 0:
+            b, f = b >> drop, f + drop
+        a = -a
+        drop = a.bit_length() - p
+        if drop > 0:
+            a, e = -((-a) >> drop), e + drop
+        return CertifiedReal(((b, f), (a, e)), p)
 
     def __abs__(self):
-        a, b = self._ival
+        (a, e), (b, f) = self._ival
         p = self.precision
-        if a[0] >= 0:
-            ival = _round(a[0], a[1], p, False), _round(b[0], b[1], p, True)
-        elif b[0] <= 0:
-            ival = _round(-b[0], b[1], p, False), _round(-a[0], a[1], p, True)
+        if a >= 0:
+            pass
+        elif b <= 0:
+            a, e, b, f = -b, f, -a, e
         else:
-            top = b if _cmp((-a[0], a[1]), b) < 0 else (-a[0], a[1])
-            ival = _ZERO, _round(top[0], top[1], p, True)
-        return CertifiedReal(ival, p)
+            # [0, max(-a, b)]
+            if _cmp((-a, e), (b, f)) >= 0:
+                b, f = -a, e
+            a, e = 0, 0
+        drop = a.bit_length() - p
+        if drop > 0:
+            a, e = a >> drop, e + drop
+        drop = b.bit_length() - p
+        if drop > 0:
+            b, f = -((-b) >> drop), f + drop
+        return CertifiedReal(((a, e), (b, f)), p)
 
     def __pow__(self, k: int):
+        """The exact powers of the endpoints, each rounded once."""
         if not isinstance(k, int) or k < 0:
             raise TypeError("only non-negative integer powers are supported")
-        a, b = self._ival
         p = self.precision
         if k == 0:
-            ival = _ONE, _ONE
-        elif k & 1 or a[0] >= 0:
-            ival = _pow(a, k, p, False), _pow(b, k, p, True)
-        elif b[0] <= 0:
-            ival = _pow(b, k, p, False), _pow(a, k, p, True)
+            return CertifiedReal((_ONE, _ONE), p)
+        (a, e), (b, f) = self._ival
+        if k & 1 or a >= 0:
+            a, e, b, f = a ** k, e * k, b ** k, f * k
+        elif b <= 0:
+            a, e, b, f = b ** k, f * k, a ** k, e * k
         else:
-            top = b if _cmp((-a[0], a[1]), b) < 0 else a
-            ival = _ZERO, _pow(top, k, p, True)
-        return CertifiedReal(ival, p)
+            # an even power of an enclosure of 0: [0, max(a^k, b^k)]
+            if _cmp((-a, e), (b, f)) >= 0:
+                b, f = a, e
+            a, e, b, f = 0, 0, b ** k, f * k
+        drop = a.bit_length() - p
+        if drop > 0:
+            a, e = a >> drop, e + drop
+        drop = b.bit_length() - p
+        if drop > 0:
+            b, f = -((-b) >> drop), f + drop
+        return CertifiedReal(((a, e), (b, f)), p)
 
     def log(self) -> "CertifiedReal":
         if not self.is_positive():
@@ -499,50 +567,73 @@ class CertifiedReal:
 
 def _mul_ival(x, y, prec: int):
     """[a, b] * [c, d]: the least and greatest endpoint products, picked
-    by the operands' signs, each rounded outward."""
-    (a, b), (c, d) = x, y
-    if a[0] >= 0:
-        if c[0] >= 0:
-            lo, hi = (a, c), (b, d)
-        elif d[0] <= 0:
-            lo, hi = (b, c), (a, d)
+    by the operands' signs, each formed exactly and rounded outward."""
+    ((a, e), (b, f)), ((c, g), (d, h)) = x, y
+    if a >= 0:
+        if c >= 0:
+            lo, le, hi, he = a * c, e + g, b * d, f + h
+        elif d <= 0:
+            lo, le, hi, he = b * c, f + g, a * d, e + h
         else:
-            lo, hi = (b, c), (b, d)
-    elif b[0] <= 0:
-        if c[0] >= 0:
-            lo, hi = (a, d), (b, c)
-        elif d[0] <= 0:
-            lo, hi = (b, d), (a, c)
+            lo, le, hi, he = b * c, f + g, b * d, f + h
+    elif b <= 0:
+        if c >= 0:
+            lo, le, hi, he = a * d, e + h, b * c, f + g
+        elif d <= 0:
+            lo, le, hi, he = b * d, f + h, a * c, e + g
         else:
-            lo, hi = (a, d), (a, c)
-    elif c[0] >= 0:
-        lo, hi = (a, d), (b, d)
-    elif d[0] <= 0:
-        lo, hi = (b, c), (a, c)
+            lo, le, hi, he = a * d, e + h, a * c, e + g
+    elif c >= 0:
+        lo, le, hi, he = a * d, e + h, b * d, f + h
+    elif d <= 0:
+        lo, le, hi, he = b * c, f + g, a * c, e + g
     else:
         # both straddle zero: the products are exact, so compare them
-        ad, bc = (a[0] * d[0], a[1] + d[1]), (b[0] * c[0], b[1] + c[1])
-        ac, bd = (a[0] * c[0], a[1] + c[1]), (b[0] * d[0], b[1] + d[1])
-        low = ad if _cmp(ad, bc) < 0 else bc
-        high = bd if _cmp(ac, bd) < 0 else ac
-        return _round(*low, prec, False), _round(*high, prec, True)
-    return _mul(*lo, prec, False), _mul(*hi, prec, True)
+        lo, le, hi, he = a * d, e + h, a * c, e + g
+        if _cmp((lo, le), (b * c, f + g)) >= 0:
+            lo, le = b * c, f + g
+        if _cmp((hi, he), (b * d, f + h)) < 0:
+            hi, he = b * d, f + h
+    drop = lo.bit_length() - prec
+    if drop > 0:
+        lo, le = lo >> drop, le + drop
+    drop = hi.bit_length() - prec
+    if drop > 0:
+        hi, he = -((-hi) >> drop), he + drop
+    return (lo, le), (hi, he)
 
 
 def _div_ival(x, y, prec: int):
     """[a, b] / [c, d] for a divisor that excludes zero: for c > 0, the
     numerator's sign picks the endpoint quotients; for d < 0, x/y is
-    (-x)/(-y)."""
-    (a, b), (c, d) = x, y
-    if c[0] < 0:
-        (a, b), (c, d) = ((-b[0], b[1]), (-a[0], a[1])), ((-d[0], d[1]), (-c[0], c[1]))
-    if a[0] >= 0:
-        lo, hi = (a, d), (b, c)
-    elif b[0] <= 0:
-        lo, hi = (a, c), (b, d)
+    (-x)/(-y).  Each quotient n / d scales n so that the integer
+    quotient has at least prec + 1 bits; the floor (or ceiling) of that
+    quotient then rounds to the floor (or ceiling) of n / d."""
+    ((a, e), (b, f)), ((c, g), (d, h)) = x, y
+    if c < 0:
+        a, e, b, f, c, g, d, h = -b, f, -a, e, -d, h, -c, g
+    # lo = n0 / d0, hi = n1 / d1
+    if a >= 0:
+        n0, e0, d0, f0, n1, e1, d1, f1 = a, e, d, h, b, f, c, g
+    elif b <= 0:
+        n0, e0, d0, f0, n1, e1, d1, f1 = a, e, c, g, b, f, d, h
     else:
-        lo, hi = (a, c), (b, c)
-    return _div(*lo, prec, False), _div(*hi, prec, True)
+        n0, e0, d0, f0, n1, e1, d1, f1 = a, e, c, g, b, f, c, g
+    shift = prec + d0.bit_length() - n0.bit_length() + 1
+    if shift < 0:
+        shift = 0
+    lo, le = (n0 << shift) // d0, e0 - f0 - shift
+    drop = lo.bit_length() - prec
+    if drop > 0:
+        lo, le = lo >> drop, le + drop
+    shift = prec + d1.bit_length() - n1.bit_length() + 1
+    if shift < 0:
+        shift = 0
+    hi, he = -(-(n1 << shift) // d1), e1 - f1 - shift
+    drop = hi.bit_length() - prec
+    if drop > 0:
+        hi, he = -((-hi) >> drop), he + drop
+    return (lo, le), (hi, he)
 
 
 def certified_below(a, b, undecided: str) -> bool:

@@ -1,8 +1,8 @@
 """Reference code the tests check the engine against, kept out of the
 engine because nothing there calls it: closed forms, identities,
-enclosure membership, the exact Euclidean continued fraction, the
-truncated decimal in Fractions and the contradiction decided on interval
-logarithms."""
+enclosure membership, one endpoint of a rational, the exact Euclidean
+continued fraction, the truncated decimal in Fractions and the
+contradiction decided on interval logarithms."""
 
 import math
 from fractions import Fraction
@@ -10,13 +10,21 @@ from typing import List
 
 from cubicthue.bounds import CONTRADICTION_COEFF, LOG_PRECISION
 from cubicthue.forms import BinaryCubicForm
-from cubicthue.realnum import CertifiedReal, Convergent, Endpoint, certified_below
+from cubicthue.realnum import (CertifiedReal, Convergent, Endpoint, _quotient_side,
+                               certified_below)
 from cubicthue.roots import RootTriple, solution_interval
 
 
 def contains(x: CertifiedReal, r) -> bool:
     """Whether the enclosure x contains the rational r."""
     return x.lower <= Fraction(r) <= x.upper
+
+
+def rational_side(r, prec: int, upper: bool) -> Endpoint:
+    """The upper (or lower) endpoint of the rational r at prec bits, as
+    `CertifiedReal.from_endpoints` rounds each of its two ends."""
+    r = Fraction(r)
+    return _quotient_side(r.numerator, r.denominator, prec, upper)
 
 
 def family_discriminant_poly(t: int) -> int:

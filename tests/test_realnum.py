@@ -14,11 +14,11 @@ from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_log, mpf_p
 from cubicthue import bounds, exponents, forms, realnum, reduction, roots
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import (CertifiedReal, Convergent, continued_fraction_convergents,
-                               _float, _fraction, _quotient_side, _rational_ival, _rational_side,
+                               _float, _fraction, _quotient_side, _rational_ival,
                                dyadic_numerators, endpoint_cmp,
                                lockstep_expansion, reduction_precision)
 from mpmath_oracle import endpoint_of, ival_of
-from oracles import contains, convergents_of_fraction, decimal_by_fractions
+from oracles import contains, convergents_of_fraction, decimal_by_fractions, rational_side
 
 
 def _rand_fraction(rng, digits=9):
@@ -331,7 +331,7 @@ def test_one_sided_endpoints_match_the_two_sided_enclosure():
     for prec in (64, 65, 100, 128, 540, 720, 1080, 2160):
         for r in values:
             both = _iv_quotient(r, prec)
-            assert (_rational_side(r, prec, False), _rational_side(r, prec, True)) == both
+            assert (rational_side(r, prec, False), rational_side(r, prec, True)) == both
             assert _rational_ival(r, prec) == both
             assert CertifiedReal.from_endpoints(r, r, prec)._ival == both
     for lo, hi in zip(values, values[1:]):
@@ -446,17 +446,74 @@ def _assert_same(x, ref):
     assert (x.lower, x.upper) == _iv_endpoints(ref)
 
 
-def _rand_operand(rng, prec):
+def _rand_operand(rng, prec, kind=None):
     """A rational, or a random enclosure with rational endpoints, as a
     (CertifiedReal, iv.mpf) pair; numerators and denominators run to
-    200 digits, far wider than the precision."""
-    digits = rng.choice((3, 12, 40, 200))
-    a = _rand_fraction(rng, digits)
-    if rng.random() < 0.4:
-        return CertifiedReal.from_rational(a, prec), _at(prec, lambda: _iv_rational(a))
-    b = a + abs(_rand_fraction(rng, rng.choice((3, 12))))
+    200 digits, far wider than the precision.  A `kind` asks for an
+    enclosure that straddles zero, one whose endpoints are dyadics of
+    a few bits (every sum and product of two fits in the precision), or
+    one whose ends are negative numerators over a root bracket's
+    denominator t^5 2^w, as theta1's are."""
+    if kind == "straddle":
+        a = -abs(_rand_fraction(rng, rng.choice((3, 40))))
+        b = abs(_rand_fraction(rng, rng.choice((3, 40))))
+    elif kind == "dyadic":
+        k = rng.randrange(0, 6)
+        a = Fraction(rng.randrange(-99, 99), 2 ** k)
+        b = a + Fraction(rng.randrange(0, 99), 2 ** rng.randrange(0, 6))
+    elif kind == "theta1":
+        den = rng.randrange(10, 576242) ** 5 << roots.bracket_bits(prec)
+        num = rng.randrange(1, 2 << roots.bracket_bits(prec))
+        a, b = Fraction(-num - 2, den), Fraction(-num, den)
+    else:
+        digits = rng.choice((3, 12, 40, 200))
+        a = _rand_fraction(rng, digits)
+        if rng.random() < 0.4:
+            return CertifiedReal.from_rational(a, prec), _at(prec, lambda: _iv_rational(a))
+        b = a + abs(_rand_fraction(rng, rng.choice((3, 12))))
     ref = _at(prec, lambda: mpmath.iv.mpf([_iv_rational(a).a, _iv_rational(b).b]))
     return CertifiedReal.from_endpoints(a, b, prec), ref
+
+
+def _check_operations(x, X, px, y, Y, py, r):
+    """Every operation on the operands x (at px bits) and y (at py), and
+    on x and the rational r, against the same iv expression at the
+    operation's precision."""
+    _assert_same(x, X)
+    p = max(px, py)
+    _assert_same(x + y, _at(p, lambda: X + Y))
+    _assert_same(x - y, _at(p, lambda: X - Y))
+    _assert_same(x * y, _at(p, lambda: X * Y))
+    if not y.contains_zero():
+        _assert_same(x / y, _at(p, lambda: X / Y))
+    R = _at(px, lambda: _iv_rational(r))
+    _assert_same(x + r, _at(px, lambda: X + R))
+    _assert_same(r + x, _at(px, lambda: R + X))
+    _assert_same(x - r, _at(px, lambda: X - R))
+    _assert_same(r - x, _at(px, lambda: R - X))
+    _assert_same(x * r, _at(px, lambda: X * R))
+    _assert_same(r * x, _at(px, lambda: R * X))
+    if r != 0:
+        _assert_same(x / r, _at(px, lambda: X / R))
+    if not x.contains_zero():
+        _assert_same(r / x, _at(px, lambda: R / X))
+    _assert_same(-x, _at(px, lambda: -X))
+    _assert_same(abs(x), _at(px, lambda: abs(X)))
+    for k in (0, 1, 2, 3, 7):
+        ref = _at(px, lambda: X ** k)
+        if k < 3 or k * max(e[3] for e in X._mpi_) < 1000:
+            _assert_same(x ** k, ref)
+        else:
+            # mpmath then rounds the partial powers of its
+            # square-and-multiply outward; the exact power, rounded
+            # once, lies inside its enclosure
+            lo, hi = _iv_endpoints(ref)
+            assert lo <= (x ** k).lower and (x ** k).upper <= hi
+    if x.is_positive():
+        _assert_same(x.log(), _at(px, lambda: mpmath.iv.log(X)))
+    _assert_same(CertifiedReal.hull([x, y]),
+                 mpmath.iv.mpf([min(X.a, Y.a), max(X.b, Y.b)]))
+    assert CertifiedReal.hull([x, y]).precision == p
 
 
 def test_operations_match_mpmath_iv_bit_for_bit():
@@ -466,42 +523,35 @@ def test_operations_match_mpmath_iv_bit_for_bit():
         px, py = rng.choice(precs), rng.choice(precs)
         x, X = _rand_operand(rng, px)
         y, Y = _rand_operand(rng, py)
-        _assert_same(x, X)
-        p = max(px, py)
-        _assert_same(x + y, _at(p, lambda: X + Y))
-        _assert_same(x - y, _at(p, lambda: X - Y))
-        _assert_same(x * y, _at(p, lambda: X * Y))
-        if not y.contains_zero():
-            _assert_same(x / y, _at(p, lambda: X / Y))
         r = rng.choice((rng.randrange(-10 ** 30, 10 ** 30), _rand_fraction(rng, 25)))
-        R = _at(px, lambda: _iv_rational(r))
-        _assert_same(x + r, _at(px, lambda: X + R))
-        _assert_same(r + x, _at(px, lambda: R + X))
-        _assert_same(x - r, _at(px, lambda: X - R))
-        _assert_same(r - x, _at(px, lambda: R - X))
-        _assert_same(x * r, _at(px, lambda: X * R))
-        _assert_same(r * x, _at(px, lambda: R * X))
-        if r != 0:
-            _assert_same(x / r, _at(px, lambda: X / R))
+        _check_operations(x, X, px, y, Y, py, r)
+    # the engine's working precisions, and the cases the kernels branch
+    # on: each operand shape against each, an int and a Fraction on either
+    # side of - and /, operands at two precisions
+    shapes = (None, "straddle", "dyadic", "theta1")
+    engine = (340, 373, 452, 480, 2984)
+    seen = set()
+    for i in range(128):
+        px, py = rng.choice(engine), rng.choice(engine + precs)
+        kx, ky = shapes[i % 4], shapes[i // 4 % 4]
+        x, X = _rand_operand(rng, px, kx)
+        y, Y = _rand_operand(rng, py, ky)
+        r = rng.randrange(-10 ** 30, 10 ** 30) if i % 2 else _rand_fraction(rng, 25)
+        _check_operations(x, X, px, y, Y, py, r)
+        seen.add(px)
+        if px != py:
+            seen.add("two precisions")
+        if x.contains_zero() and y.contains_zero():
+            seen.add("both straddle zero")
         if not x.contains_zero():
-            _assert_same(r / x, _at(px, lambda: R / X))
-        _assert_same(-x, _at(px, lambda: -X))
-        _assert_same(abs(x), _at(px, lambda: abs(X)))
-        for k in (0, 1, 3, 7):
-            ref = _at(px, lambda: X ** k)
-            if k < 7 or k * max(e[3] for e in X._mpi_) < 1000:
-                _assert_same(x ** k, ref)
-            else:
-                # mpmath then rounds the partial powers of its
-                # square-and-multiply outward; the exact power, rounded
-                # once, lies inside its enclosure
-                lo, hi = _iv_endpoints(ref)
-                assert lo <= (x ** k).lower and (x ** k).upper <= hi
-        if x.is_positive():
-            _assert_same(x.log(), _at(px, lambda: mpmath.iv.log(X)))
-        _assert_same(CertifiedReal.hull([x, y]),
-                     mpmath.iv.mpf([min(X.a, Y.a), max(X.b, Y.b)]))
-        assert CertifiedReal.hull([x, y]).precision == p
+            seen.add("%s / x" % type(r).__name__)
+        if kx == ky == "dyadic":
+            # endpoints that fit in the precision: the sum is exact
+            s = x + y
+            assert (s.lower, s.upper) == (x.lower + y.lower, x.upper + y.upper)
+        if kx == "theta1":
+            assert x.upper < 0
+    assert seen == {*engine, "two precisions", "both straddle zero", "int / x", "Fraction / x"}
 
 
 # -- the logarithm against a high-precision oracle --------------------------
@@ -684,7 +734,7 @@ def test_endpoint_cmp_matches_fraction_oracle():
         elif kind == 1:
             # a non-dyadic rational and its directed rounding at a few bits
             r = _rand_fraction(rng, rng.choice((3, 20, 60))) + Fraction(1, 3 * 7 ** rng.randrange(9))
-            x = _rational_side(r, rng.choice((8, 64, 300)), rng.randrange(2) == 1)
+            x = rational_side(r, rng.choice((8, 64, 300)), rng.randrange(2) == 1)
         else:
             # any signed mantissa, exp >= 0 (kind 2) or exp < 0 (kind 3)
             man = rng.getrandbits(rng.randrange(1, 200)) * rng.choice((-1, 1))
