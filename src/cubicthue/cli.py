@@ -101,25 +101,29 @@ def _precision_cap(precision: Optional[int], default: int) -> Optional[int]:
 
 
 class _Output:
-    """JSON-lines sink: each record is written and flushed as it is
-    emitted, to the --output file or to stdout.  The file is opened at
-    the first record, so a run that ends before one leaves it as it was;
-    a finished run with no records writes a single newline."""
+    """JSON-lines sink, to the --output file or to stdout: each record, or
+    each block of whole lines a stage yields as text (a t's kappa rows),
+    is written and flushed as it is emitted.  The file is opened at the
+    first write, so a run that ends before one leaves it as it was; a
+    finished run with no records writes a single newline."""
 
     def __init__(self, path: Optional[str]):
         self.path = path
         self.fh = None
 
+    def write(self, text: str):
+        if self.fh is None and self.path is not None:
+            self.fh = open(self.path, "w")
+        fh = self.fh or sys.stdout
+        fh.write(text)
+        fh.flush()
+
     def emit(self, record: dict) -> str:
         """Writes the record as one line and returns that line, without
         its newline."""
         record.setdefault("schema", 1)
-        if self.fh is None and self.path is not None:
-            self.fh = open(self.path, "w")
-        fh = self.fh or sys.stdout
         line = json.dumps(record, sort_keys=True)
-        fh.write(line + "\n")
-        fh.flush()
+        self.write(line + "\n")
         return line
 
     def close(self, finished: bool = True):
@@ -209,11 +213,12 @@ class _Checkpointed(NamedTuple):
 
 
 def _run(stages, path: Optional[str], checkpoint: Optional[str]) -> int:
-    """Runs the stages in turn, the only writer of their records, and
-    returns the worst of their exit statuses, in `_SEVERITY`'s order.
-    While a _Checkpointed stage runs, --checkpoint is rewritten after
-    every CHECKPOINT_INTERVAL-th of its records and after its last, with
-    the sha256 of the output's lines so far, newlines left out."""
+    """Runs the stages in turn, the only writer of their records (dicts,
+    or a str of whole JSON lines written as one block), and returns the
+    worst of their exit statuses, in `_SEVERITY`'s order.  While a
+    _Checkpointed stage runs, --checkpoint is rewritten after every
+    CHECKPOINT_INTERVAL-th of its records and after its last, with the
+    sha256 of the output's lines so far, newlines left out."""
     if checkpoint and len(stages) > 1 and os.path.exists(checkpoint):
         # the stages share one --output, so a resumed stage cannot append to it
         raise ValueError("checkpoint %s already counts records; certify-all "
@@ -235,7 +240,12 @@ def _run(stages, path: Optional[str], checkpoint: Optional[str]) -> int:
                         ckpt = _load_checkpoint(checkpoint, config)
                         reply = _resume(out, ckpt, digest) if ckpt else ()
                         continue
-                    digest.update(out.emit(item).encode())
+                    if item.__class__ is str:
+                        # a block of lines: the digest leaves out their newlines
+                        out.write(item)
+                        digest.update(item.replace("\n", "").encode())
+                    else:
+                        digest.update(out.emit(item).encode())
                     n += 1
                     if checkpoint and config and n % CHECKPOINT_INTERVAL == 0:
                         _write_checkpoint(checkpoint, config, item["t"], digest.hexdigest())
@@ -351,12 +361,12 @@ def _cmd_kappas(precision, workers, t_lo, t_hi, extra_t):
     failures = inconclusive = 0
     ts = Jobs(span, extra)
     rows = functools.partial(_kappa_report_row, precision=precision)
-    for rep_rows, t, all_pass, error in parallel_map(rows, ts, workers):
+    for text, t, all_pass, error in parallel_map(rows, ts, workers):
         if error is not None:
             inconclusive += 1
             print("kappas: t=%d inconclusive: %s" % (t, error), file=sys.stderr)
             continue
-        yield from rep_rows
+        yield text
         if not all_pass:
             failures += 1
             print("kappa FAILURE at t=%d" % t)
@@ -367,13 +377,15 @@ def _cmd_kappas(precision, workers, t_lo, t_hi, extra_t):
 
 
 def _kappa_report_row(t, precision):
-    """The rows of one t, or why its enclosures cannot be formed at
-    `precision`, capped here, in the worker, so the parent lists no t."""
+    """The rows of one t as their JSON lines, or why its enclosures cannot
+    be formed at `precision`, capped here, in the process that computes
+    the t, so the caller lists no t and gets one string per t."""
     try:
         rep = roots.verify_kappas(t, _precision_cap(precision, roots.default_precision(t)))
     except (IndeterminateSignError, PrecisionInsufficientError) as exc:
-        return [], t, False, str(exc)
-    return [r.to_json(t) for r in rep.rows], t, rep.all_pass, None
+        return "", t, False, str(exc)
+    text = "".join(json.dumps(r.to_json(t), sort_keys=True) + "\n" for r in rep.rows)
+    return text, t, rep.all_pass, None
 
 
 def _cmd_exponents(t):

@@ -1,6 +1,5 @@
 import argparse
 import dataclasses
-import faulthandler
 import hashlib
 import json
 import multiprocessing
@@ -545,7 +544,8 @@ def test_sweep_derives_t_max_only_when_it_reads_it(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_sweep_checkpoint_never_passes_the_written_output(workers, monkeypatch, tmp_path):
+def test_sweep_checkpoint_never_passes_the_written_output(workers, monkeypatch, tmp_path,
+                                                          hang_watchdog):
     monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 4)
     emit = cli._Output.emit
     emitted = []
@@ -582,20 +582,6 @@ def _sweep_argv(tmp_path, name, t_hi=20):
     ck, out = tmp_path / (name + ".json"), tmp_path / (name + ".jsonl")
     return (["sweep", "--t-lo", "10", "--t-hi", str(t_hi), "--checkpoint", str(ck),
              "--output", str(out)], ck, out)
-
-
-@pytest.fixture
-def hang_watchdog(capsys):
-    """Should closing the pool hang again, end the run after two minutes
-    with every thread's traceback on the terminal's stderr."""
-    with capsys.disabled():
-        stderr = os.dup(sys.stderr.fileno())
-    faulthandler.dump_traceback_later(120, exit=True, file=stderr)
-    try:
-        yield
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-        os.close(stderr)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -840,6 +826,30 @@ def test_workers_env_override(monkeypatch, tmp_path):
     assert run(["kappas", "--t-lo", "10", "--t-hi", "11",
                 "--output", str(a)]) == 0
     assert a.read_text().strip()
+
+
+def test_the_command_is_one_of_its_workers(monkeypatch, tmp_path, hang_watchdog):
+    """--workers 2, or CUBICTHUE_WORKERS=2, starts one pool process, since
+    the command computes too; --workers 1 or a single t starts none."""
+    started = []
+    Pool = multiprocessing.Pool
+
+    def counting(processes):
+        pool = Pool(processes)
+        started.append(len(multiprocessing.active_children()))
+        return pool
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting)
+    out = ["--output", str(tmp_path / "out.jsonl")]
+    for command in ("kappas", "sweep"):
+        assert run([command, "--t-lo", "10", "--t-hi", "11", "--workers", "2"] + out) == 0
+        with monkeypatch.context() as env:
+            env.setenv("CUBICTHUE_WORKERS", "2")
+            assert run([command, "--t-lo", "10", "--t-hi", "11"] + out) == 0
+            assert run([command, "--t-lo", "10", "--t-hi", "10"] + out) == 0
+        assert run([command, "--t-lo", "10", "--t-hi", "11", "--workers", "1"] + out) == 0
+    assert started == [1, 1, 1, 1]
+    assert multiprocessing.active_children() == []
 
 
 def test_precision_cap_applies_to_default_precision(monkeypatch, capsys):
