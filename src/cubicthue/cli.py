@@ -13,6 +13,7 @@ claim outranks an undecided one.
 from __future__ import annotations
 
 import argparse
+import bisect
 import collections
 import contextlib
 import functools
@@ -86,18 +87,21 @@ def _env_workers(requested: Optional[int]) -> int:
     return workers
 
 
-def _precision_cap(precision: Optional[int], default: int) -> Optional[int]:
-    """--precision, or else the command's default, capped by CUBICTHUE_PRECISION_CAP;
-    without a cap an omitted --precision stays None, so the engine picks its
-    own default.  A precision or cap below 1 bit is a usage error."""
+def _env_cap(precision: Optional[int]) -> Optional[int]:
+    """CUBICTHUE_PRECISION_CAP, None when it is unset, read once per command
+    before its first record.  It and --precision below 1 bit are usage errors."""
     if precision is not None and precision < 1:
         raise ValueError("--precision must be at least 1, got %d" % precision)
     cap = _env_int("CUBICTHUE_PRECISION_CAP")
-    if cap is None:
-        return precision
-    if cap < 1:
+    if cap is not None and cap < 1:
         raise ValueError("CUBICTHUE_PRECISION_CAP must be at least 1, got %d" % cap)
-    return min(default if precision is None else precision, cap)
+    return cap
+
+
+def _precision_cap(precision: Optional[int], default: int, cap: Optional[int]) -> Optional[int]:
+    """--precision, or else the command's default, capped by `cap`; without a
+    cap an omitted --precision stays None, so the engine picks its own default."""
+    return precision if cap is None else min(default if precision is None else precision, cap)
 
 
 class _Output:
@@ -341,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_roots(precision, t):
-    triple = roots.isolate_roots(t, _precision_cap(precision, roots.default_precision(t)))
+    triple = roots.isolate_roots(
+        t, _precision_cap(precision, roots.default_precision(t), _env_cap(precision)))
     for i, th in enumerate(triple.thetas, start=1):
         yield {"t": t, "root": i, "enclosure": th.as_decimal_string(40),
                "lower": float(th.lower), "upper": float(th.upper)}
@@ -360,7 +365,7 @@ def _cmd_kappas(precision, workers, t_lo, t_hi, extra_t):
     workers = _env_workers(workers)
     failures = inconclusive = 0
     ts = Jobs(span, extra)
-    rows = functools.partial(_kappa_report_row, precision=precision)
+    rows = functools.partial(_kappa_report_row, precision=precision, cap=_env_cap(precision))
     for text, t, all_pass, error in parallel_map(rows, ts, workers):
         if error is not None:
             inconclusive += 1
@@ -376,12 +381,12 @@ def _cmd_kappas(precision, workers, t_lo, t_hi, extra_t):
             EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
 
 
-def _kappa_report_row(t, precision):
+def _kappa_report_row(t, precision, cap):
     """The rows of one t as their JSON lines, or why its enclosures cannot
-    be formed at `precision`, capped here, in the process that computes
-    the t, so the caller lists no t and gets one string per t."""
+    be formed at `precision`, capped here by `cap`, in the process that
+    computes the t, so the caller lists no t and gets one string per t."""
     try:
-        rep = roots.verify_kappas(t, _precision_cap(precision, roots.default_precision(t)))
+        rep = roots.verify_kappas(t, _precision_cap(precision, roots.default_precision(t), cap))
     except (IndeterminateSignError, PrecisionInsufficientError) as exc:
         return "", t, False, str(exc)
     text = "".join(json.dumps(r.to_json(t), sort_keys=True) + "\n" for r in rep.rows)
@@ -400,8 +405,8 @@ def _cmd_exponents(t):
 
 
 def _cmd_matveev(precision, t):
-    res = bounds.matveev_for_family(
-        roots.isolate_roots(t, _precision_cap(precision, roots.default_precision(t))))
+    res = bounds.matveev_for_family(roots.isolate_roots(
+        t, _precision_cap(precision, roots.default_precision(t), _env_cap(precision))))
     ok = res.in_target_window
     yield {"which": 2, "t": res.t, "coefficient": float(res.coefficient),
            "height_checks": list(res.height_checks),
@@ -419,8 +424,8 @@ def _cmd_tmax():
 
 
 def _cmd_reduce(precision, t, which, Q, A):
-    outcome = reduction.reduce_single(
-        which, t, A, Q, _precision_cap(precision, realnum.reduction_precision(Q)))
+    outcome = reduction.reduce_single(which, t, A, Q, _precision_cap(
+        precision, realnum.reduction_precision(Q), _env_cap(precision)))
     yield outcome.to_json()
     if outcome.status == "success" and outcome.contradiction:
         print("t=%d: reduction success, q=%s, margin %.4g" % (t, outcome.q, outcome.margin))
@@ -437,7 +442,7 @@ def _cmd_sweep(precision, workers, seed, t_lo, t_hi, which, Q, A, samples, full)
     t_max = bounds.derive_t_max()[0] if full or samples else None
     extra = _sample_ts(seed, samples, SWEEP_SLICE_HI + 1, t_max) if samples and not full else []
     t_hi = t_max if full else t_hi
-    precision = _precision_cap(precision, realnum.reduction_precision(Q))
+    precision = _precision_cap(precision, realnum.reduction_precision(Q), _env_cap(precision))
     workers = _env_workers(workers)
     tally = collections.Counter()
 
@@ -456,10 +461,17 @@ def _cmd_sweep(precision, workers, seed, t_lo, t_hi, which, Q, A, samples, full)
     after = None
     for rec in judged((yield _Checkpointed(config))):
         after = rec["t"]
+    if t_lo <= t_hi and t_lo < 10:
+        raise ValueError("sweep range starts at t >= 10")
+    # the ts past `after`, the last one resumed, in order: the range, with
+    # the samples outside it (sorted and distinct) on either side
+    span = range(t_lo if after is None else max(t_lo, after + 1), t_hi + 1)
+    rest = [t for t in extra if t not in span and (after is None or t > after)]
+    k = bisect.bisect_left(rest, span.start)
+    reduce = functools.partial(reduction.reduce_single, which, A=A, Q=Q, precision=precision)
     # closed on every exit, so a failed write stops the workers at once
-    with contextlib.closing(reduction.verify_range(
-            which, t_lo, t_hi, A, Q, workers=workers, extra_ts=extra,
-            precision=precision, after=after)) as outcomes:
+    with contextlib.closing(parallel_map(reduce, Jobs(rest[:k], span, rest[k:]),
+                                         workers)) as outcomes:
         yield from judged(o.to_json() for o in outcomes)
     print("sweep which=%d: %d/%d success+contradiction" % (which, tally["ok"], tally["n"]))
     if tally["ok"] + tally["failed"] < tally["n"]:

@@ -1,4 +1,5 @@
-"""The one process-pool map of the engine, and the job streams it takes."""
+"""The one process-pool map, on which the CLI runs its t-ranges, and the
+job streams it takes."""
 
 from __future__ import annotations
 

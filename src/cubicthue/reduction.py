@@ -1,5 +1,6 @@
-"""Baker-Davenport reduction (Mignotte's variant) applied per t, plus
-the range sweep that finishes the verification for 10 <= t <= 576241.
+"""Baker-Davenport reduction (Mignotte's variant) applied at one t; the
+`sweep` command runs it at every t from 10 to 576241 to finish the
+verification.
 
 For each t the linear form is decomposed as Lambda = mu*alpha + nu*beta
 + delta with gamma1 = alpha/beta and gamma2 = delta/beta taken as the
@@ -10,16 +11,13 @@ and 1/Q^2 so that the continued-fraction extraction is trustworthy.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .bounds import (CONTRADICTION_COEFF, LN2, contradiction_threshold,
                      lambda_log_arguments, ln_bit_bounds)
 from .errors import IndeterminateSignError, PrecisionInsufficientError
-from .parallel import Jobs, parallel_map
 from .realnum import (CertifiedReal, Endpoint, _normal, _ratio, dyadic_numerators,
                       lockstep_expansion, reduction_precision)
 from .roots import isolate_roots, series_cell_halvings
@@ -300,33 +298,6 @@ def reduce_single(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
             reason = "re-verification failed"
     return ReductionOutcome(t, which, "failed", *attempts[-1],
                             None, None, None, None, False, idx, reason)
-
-
-def verify_range(which: int, t_lo: int, t_hi: int,
-                 A: int = DEFAULT_A, Q: int = DEFAULT_Q,
-                 workers: int = 1,
-                 extra_ts: Sequence[int] = (),
-                 precision: Optional[int] = None,
-                 after: Optional[int] = None) -> Iterator[ReductionOutcome]:
-    """Per-t outcomes over [t_lo, t_hi] plus any extra sampled ts, yielded
-    in t order whatever the worker count; a t <= `after`, the last one a
-    previous run wrote, is skipped.  The arguments are checked at the
-    call; the work runs as the outcomes are taken, and the ts are streamed
-    to it, not listed.  Close the iterator when stopping early: that shuts
-    the worker pool down."""
-    if t_lo <= t_hi and t_lo < 10:
-        raise ValueError("sweep range starts at t >= 10")
-    check_bounds(A, Q)
-    span = range(t_lo if after is None else max(t_lo, after + 1), t_hi + 1)
-    # each extra t once, sorted into place between the pieces of the range
-    pieces = []
-    for t in sorted({t for t in map(int, extra_ts)
-                     if t not in span and (after is None or t > after)}):
-        k = bisect.bisect_left(span, t)
-        pieces += span[:k], (t,)
-        span = span[k:]
-    return parallel_map(functools.partial(reduce_single, which, A=A, Q=Q,
-                                          precision=precision), Jobs(*pieces, span), workers)
 
 
 def reverify_verdict(inst: ReductionInstance, verdict: Verdict) -> bool:

@@ -1,6 +1,7 @@
 """End-to-end acceptance gate.  Each test emits a single PASS/FAIL line
 (visible with pytest -s or in captured output on failure)."""
 
+import json
 import math
 import os
 import random
@@ -44,15 +45,17 @@ def test_criterion_3_kappa_certification():
     _verdict("3 kappa-certification", all(results))
 
 
-def test_criterion_4_reduction_sweep_slice():
-    samples = cli._sample_ts(cli.DEFAULT_SEED, 100, 2001, 576241)
-    outcomes = list(reduction.verify_range(2, 10, 2000, workers=WORKERS,
-                                           extra_ts=samples))
+def test_criterion_4_reduction_sweep_slice(tmp_path):
+    # t in [10, 2000] and 100 seeded samples up to t_max
+    out = tmp_path / "sweep.jsonl"
+    rc = cli.main(["sweep", "--samples", "100", "--workers", str(WORKERS),
+                   "--output", str(out)])
+    outcomes = [json.loads(line) for line in out.read_text().splitlines()]
     floor_ln = -120 * math.log(10)     # ln(1e-120 * min(1, |beta|)), |beta| > 1
-    ok = (len(outcomes) == 1991 + 100
-          and all(o.status == "success" and o.contradiction
-                  and o.margin > 100
-                  and o.lambda_lower_ln > floor_ln
+    ok = (rc == 0 and len(outcomes) == 1991 + 100
+          and all(o["status"] == "success" and o["contradiction"]
+                  and o["margin"] > 100
+                  and o["lambda_lower_ln"] > floor_ln
                   for o in outcomes))
     _verdict("4 reduction-sweep", ok)
 

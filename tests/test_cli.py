@@ -274,8 +274,7 @@ def test_sweep_exit_with_a_record_short_of_a_contradiction(changes, code, monkey
                                                            tmp_path, capsys):
     # t = 10 succeeds, and each t after it takes one set of changes
     outcomes = [_outcome()] + [_outcome(t=11 + i, **c) for i, c in enumerate(changes)]
-    monkeypatch.setattr(reduction, "verify_range",
-                        lambda *args, **kwargs: (o for o in outcomes))
+    monkeypatch.setattr(cli, "parallel_map", lambda fn, jobs, workers: (o for o in outcomes))
     path = tmp_path / "s.jsonl"
     assert run(["sweep", "--t-lo", "10", "--t-hi", str(10 + len(changes)),
                 "--output", str(path)]) == code
@@ -530,7 +529,7 @@ def test_sweep_derives_t_max_only_when_it_reads_it(monkeypatch, tmp_path):
     calls = []
     monkeypatch.setattr(bounds, "derive_t_max",
                         lambda *a: calls.append("tmax") or derive(*a))
-    monkeypatch.setattr(reduction, "verify_range", lambda *a, **k: (o for o in ()))
+    monkeypatch.setattr(cli, "parallel_map", lambda fn, jobs, workers: (o for o in ()))
     sweep = ["sweep", "--t-lo", "10", "--t-hi", "11", "--output", str(tmp_path / "o")]
     assert run(sweep) == 0 and calls == []
     assert run(sweep + ["--samples", "3"]) == 0 and calls == ["tmax"]
@@ -647,7 +646,6 @@ def test_sweep_and_kappas_stream_their_ts(monkeypatch, tmp_path):
         streams.append(jobs)
         return (r for r in ())
 
-    monkeypatch.setattr(reduction, "parallel_map", recording)
     monkeypatch.setattr(cli, "parallel_map", recording)
     out = ["--output", str(tmp_path / "out.jsonl")]
     for argv in (["sweep", "--full"], ["sweep", "--t-lo", "10", "--t-hi", "19"],
@@ -940,9 +938,12 @@ def test_workers_below_one_is_a_usage_error(monkeypatch, tmp_path, capsys):
 def test_precision_cap_below_one_bit_is_a_usage_error(monkeypatch, capsys):
     for cap in ("0", "-3"):
         monkeypatch.setenv("CUBICTHUE_PRECISION_CAP", cap)
-        for argv in (["roots", "--t", "10"],
+        for argv in (["roots", "--t", "10"], ["matveev"],
                      ["reduce", "--t", "10", "--precision", "200"],
-                     ["sweep", "--t-lo", "10", "--t-hi", "11"]):
+                     ["sweep", "--t-lo", "10", "--t-hi", "11"],
+                     # read once before the first t, so an empty range reads it too
+                     ["kappas", "--t-lo", "10", "--t-hi", "11", "--workers", "2"],
+                     ["kappas", "--t-lo", "11", "--t-hi", "10"]):
             assert run(argv) == cli.EXIT_USAGE, (cap, argv)
             err = "cubicthue %s: error: CUBICTHUE_PRECISION_CAP must be at least 1, got %s\n"
             assert capsys.readouterr() == ("", err % (argv[0], cap))
@@ -952,7 +953,10 @@ def test_precision_cap_that_is_no_integer_names_the_variable(monkeypatch, capsys
                                                              tmp_path):
     out = tmp_path / "out.jsonl"
     monkeypatch.setenv("CUBICTHUE_PRECISION_CAP", "abc")
-    for argv in (["roots", "--t", "10"], ["sweep", "--t-lo", "10", "--t-hi", "11"]):
+    for argv in (["roots", "--t", "10"], ["matveev"],
+                 ["sweep", "--t-lo", "10", "--t-hi", "11"],
+                 ["kappas", "--t-lo", "10", "--t-hi", "11", "--workers", "2"],
+                 ["kappas", "--t-lo", "11", "--t-hi", "10"]):
         assert run(argv + ["--output", str(out)]) == cli.EXIT_USAGE, argv
         assert capsys.readouterr() == ("", "cubicthue %s: error: CUBICTHUE_PRECISION_CAP "
                                            "must be an integer, got 'abc'\n" % argv[0])

@@ -16,7 +16,7 @@ from cubicthue.realnum import (CertifiedReal, continued_fraction_convergents,
                                dyadic_numerators)
 from cubicthue.reduction import (ReductionInstance, baker_davenport,
                                  build_instance, contradiction_check,
-                                 reduce_single, reverify_verdict, verify_range)
+                                 reduce_single, reverify_verdict)
 from oracles import contradiction_on_enclosures, convergents_of_fraction
 
 
@@ -329,10 +329,6 @@ def test_reduce_single_outcome_record():
     assert json.dumps(rec)
 
 
-def _jsonl(outcomes):
-    return "\n".join(json.dumps(o.to_json()) for o in outcomes)
-
-
 def _digest(outcomes):
     """The checkpoint hash of these records, recomputed in full."""
     h = hashlib.sha256()
@@ -341,60 +337,86 @@ def _digest(outcomes):
     return h.hexdigest()
 
 
-def _all_success(outcomes):
-    return all(o.status == "success" and o.contradiction for o in outcomes)
+def _reduced(lo, hi):
+    return [reduce_single(2, t) for t in range(lo, hi + 1)]
 
 
-def test_verify_range_empty():
-    outcomes = verify_range(2, 30, 20)
-    assert iter(outcomes) is outcomes
-    outcomes = list(outcomes)
-    assert outcomes == []
-    assert _all_success(outcomes)
+def _sweep_records(lo, hi, resumed=(), samples=0):
+    """The records of the sweep stage over [lo, hi] that follow the
+    `resumed` ones, driven as `cli._run` drives it."""
+    stage = cli._cmd_sweep(None, 1, cli.DEFAULT_SEED, lo, hi, 2, reduction.DEFAULT_Q,
+                           reduction.DEFAULT_A, samples, False)
+    assert isinstance(next(stage), cli._Checkpointed)
+    records = []
+    try:
+        records.append(stage.send(resumed))
+        records.extend(stage)
+    except StopIteration:
+        pass
+    return records
 
 
-def test_verify_range_rejects_low_start():
-    # at the call, before any outcome is taken
-    with pytest.raises(ValueError):
-        verify_range(2, 5, 20)
+def test_verify_range_empty(tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["sweep", "--t-lo", "30", "--t-hi", "20", "--output", str(out)]) == 0
+    assert out.read_text() == "\n"
+    assert capsys.readouterr().out == "sweep which=2: 0/0 success+contradiction\n"
+
+
+def test_verify_range_rejects_low_start(monkeypatch, tmp_path, capsys):
+    # before any t is handed to the workers or any record is written
+    streams = []
+    monkeypatch.setattr(cli, "parallel_map",
+                        lambda fn, jobs, workers: streams.append(jobs) or (o for o in ()))
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["sweep", "--t-lo", "5", "--t-hi", "20", "--output", str(out)]) \
+        == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "cubicthue sweep: error: sweep range starts at t >= 10\n"
+    assert streams == [] and not out.exists()
+    # an empty range is no claim about its start
+    assert cli.main(["sweep", "--t-lo", "5", "--t-hi", "4", "--output", str(out)]) == 0
+    assert [len(jobs) for jobs in streams] == [0]
 
 
 @pytest.mark.parametrize("A, Q", [(3 * 10 ** 18, 0), (3 * 10 ** 18, -1), (0, 10 ** 60),
                                   (-5, 10 ** 60)])
-def test_bounds_below_one_are_refused(A, Q):
+def test_bounds_below_one_are_refused(A, Q, capsys):
     with pytest.raises(ValueError):
         build_instance(2, 10, A, Q)
-    with pytest.raises(ValueError):
-        verify_range(2, 10, 12, A, Q)
+    assert cli.main(["sweep", "--t-lo", "10", "--t-hi", "12", "--A", str(A),
+                     "--Q", str(Q)]) == cli.EXIT_USAGE
+    assert "must be >= 1" in capsys.readouterr().err
     with pytest.raises(ValueError):
         reduce_single(2, 10, A, Q)
 
 
-def test_verify_range_deterministic_across_workers():
-    r1 = list(verify_range(2, 10, 30))
-    r4 = list(verify_range(2, 10, 30, workers=4))
-    assert _jsonl(r1) == _jsonl(r4)
-    assert _digest(r1) == _digest(r4)
-    assert _all_success(r1)
+def test_verify_range_deterministic_across_workers(tmp_path):
+    runs = [_sweep(tmp_path, "w" + workers, "--workers", workers, t_hi=30)
+            for workers in ("1", "4")]
+    (ck1, out1), (ck4, out4) = runs
+    assert out1.read_bytes() == out4.read_bytes()
+    assert ck1.read_bytes() == ck4.read_bytes()
 
 
-def test_verify_range_extra_ts_sorted_dedup():
-    outcomes = verify_range(2, 10, 12, extra_ts=[11, 500])
-    assert [o.t for o in outcomes] == [10, 11, 12, 500]
+def test_verify_range_extra_ts_sorted_dedup(monkeypatch):
+    # a sample inside the range is reduced once, in its place
+    monkeypatch.setattr(cli, "_sample_ts", lambda seed, count, lo, hi: [11, 500])
+    assert [r["t"] for r in _sweep_records(10, 12, samples=2)] == [10, 11, 12, 500]
 
 
 def test_verify_range_streams_the_sorted_deduplicated_ts(monkeypatch):
     """The sweep's jobs are a stream, not a list, in the order of the
-    sorted set of the range and the extras, less those a resumed run
-    wrote: with extras below, inside, next to and above the range, and
-    repeated, on a range and an empty one, resumed from each side."""
+    sorted set of the range and the samples, less those a resumed run
+    wrote: with samples below, inside, next to and above the range, on a
+    range and an empty one, resumed from each side."""
     streams = []
-    monkeypatch.setattr(reduction, "parallel_map",
-                        lambda fn, jobs, workers: streams.append(jobs) or iter(()))
-    extra = [40, 25, 12, 20, 31, 25, 19, 30, 12, 5000]
+    monkeypatch.setattr(cli, "parallel_map",
+                        lambda fn, jobs, workers: streams.append(jobs) or (o for o in ()))
+    extra = [12, 19, 20, 25, 30, 31, 40, 5000]
+    monkeypatch.setattr(cli, "_sample_ts", lambda seed, count, lo, hi: extra)
     for lo, hi in ((20, 30), (30, 20)):
         for after in (None, 5, 12, 19, 20, 24, 25, 30, 31, 35, 45, 5000):
-            verify_range(2, lo, hi, extra_ts=extra, after=after)
+            _sweep_records(lo, hi, [] if after is None else [{"t": after}], len(extra))
             jobs = streams.pop()
             old = sorted(set(list(range(lo, hi + 1)) + extra))
             old = [t for t in old if after is None or t > after]
@@ -406,25 +428,25 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _sweep(tmp_path, name, *extra):
-    """`cubicthue sweep` over [10, 20] with a checkpoint; the paths of
+def _sweep(tmp_path, name, *extra, t_hi=20):
+    """`cubicthue sweep` over [10, t_hi] with a checkpoint; the paths of
     its checkpoint and output."""
     ck, out = tmp_path / (name + ".json"), tmp_path / (name + ".jsonl")
-    assert cli.main(["sweep", "--t-lo", "10", "--t-hi", "20", "--checkpoint", str(ck),
+    assert cli.main(["sweep", "--t-lo", "10", "--t-hi", str(t_hi), "--checkpoint", str(ck),
                      "--output", str(out), *extra]) == 0
     return ck, out
 
 
 def test_verify_range_checkpoint_resume(tmp_path):
     ck, _ = _sweep(tmp_path, "ck")
-    full = list(verify_range(2, 10, 20))
+    full = _reduced(10, 20)
     state = _read_json(ck)
     assert state["last_t"] == 20
     assert state["hash"] == _digest(full)
     # resuming after the checkpoint's last t does no further work
-    again = list(verify_range(2, 10, 20, after=state["last_t"]))
-    assert again == []
-    assert [o.t for o in verify_range(2, 10, 20, after=17)] == [18, 19, 20]
+    records = [o.to_json() for o in full]
+    assert _sweep_records(10, 20, records) == []
+    assert [r["t"] for r in _sweep_records(10, 20, records[:8])] == [18, 19, 20]
     # a checkpoint for different parameters is refused and left alone
     before = ck.read_bytes()
     with pytest.raises(ValueError, match="checkpoint"):
@@ -451,7 +473,7 @@ def test_verify_range_checkpoints_every_interval(monkeypatch, tmp_path):
     states = [json.loads(b) for b in runs[1][1]]
     # every fourth outcome, then the last
     assert [s["last_t"] for s in states] == [13, 17, 20]
-    outcomes = list(verify_range(2, 10, 20))
+    outcomes = _reduced(10, 20)
     assert "".join(json.dumps(o.to_json(), sort_keys=True) + "\n"
                    for o in outcomes) == jsonl
     for state, n in zip(states, (4, 8, 11)):
@@ -475,16 +497,18 @@ def test_verify_range_checkpoints_only_taken_outcomes(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_write_checkpoint", checking)
     assert cli.main(["sweep", "--t-lo", "10", "--t-hi", "20", "--workers", "2",
                      "--checkpoint", str(ck), "--output", str(out)]) == 0
-    taken = list(verify_range(2, 10, 13))
+    taken = _reduced(10, 13)
     config = {"which": 2, "A": str(reduction.DEFAULT_A), "Q": str(reduction.DEFAULT_Q),
               "t_range": [10, 20], "extra_ts": [],
               "precision": reduction.reduction_precision(reduction.DEFAULT_Q)}
     assert seen[0] == {"config": config, "last_t": 13, "hash": _digest(taken)}
     assert [s["last_t"] for s in seen] == [13, 17, 20]
-    # an iterator closed early shuts its pool down
-    outcomes = verify_range(2, 10, 20, workers=2)
-    next(outcomes)
-    outcomes.close()
+    # a sweep closed early shuts its pool down
+    stage = cli._cmd_sweep(None, 2, cli.DEFAULT_SEED, 10, 20, 2, reduction.DEFAULT_Q,
+                           reduction.DEFAULT_A, 0, False)
+    next(stage)
+    stage.send(())
+    stage.close()
     assert multiprocessing.active_children() == []
 
 
