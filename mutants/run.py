@@ -1,8 +1,10 @@
 """Mutation gate: each row of table.json names a file, an exact old text
 that occurs once in it, the new text that breaks the code, and the tests
-that must fail on the result.  This script copies the repository
-(without `.git` and caches) into a temporary directory, and for each
-row applies it there, runs its tests and restores the file.  A row
+that must fail on the result.  A mutant edited at several places gives
+`old` and `new` as lists of one length: each old text occurs once in the
+file and is replaced by its new text.  This script copies the
+repository (without `.git` and caches) into a temporary directory, and
+for each row applies it there, runs its tests and restores the file.  A row
 whose tests all fail is killed; one whose tests all pass survived; one
 with only some failing is reported with the tests that passed.  The
 listed tests are first run once on the unchanged copy, where every one
@@ -46,6 +48,13 @@ def _failed(workdir, ids):
     return {i for i in ids if failed.get(i, True)}
 
 
+def edits(row):
+    """The row's (old, new) text pairs: one, or one per list entry."""
+    if isinstance(row["old"], str):
+        return [(row["old"], row["new"])]
+    return list(zip(row["old"], row["new"], strict=True))
+
+
 def main():
     with open(TABLE) as fh:
         rows = json.load(fh)
@@ -61,13 +70,17 @@ def main():
             path = os.path.join(work, row["file"])
             with open(path) as fh:
                 text = fh.read()
-            if text.count(row["old"]) != 1:
-                print("NOT APPLIED  %s: the old text occurs %d times in %s"
-                      % (row["name"], text.count(row["old"]), row["file"]))
+            counts = [text.count(old) for old, _ in edits(row)]
+            if counts != [1] * len(counts):
+                print("NOT APPLIED  %s: the old texts occur %s times in %s"
+                      % (row["name"], counts, row["file"]))
                 bad += 1
                 continue
+            mutated = text
+            for old, new in edits(row):
+                mutated = mutated.replace(old, new)
             with open(path, "w") as fh:
-                fh.write(text.replace(row["old"], row["new"]))
+                fh.write(mutated)
             survivors = set(row["kills"]) - _failed(work, row["kills"])
             with open(path, "w") as fh:
                 fh.write(text)

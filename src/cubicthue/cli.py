@@ -381,6 +381,23 @@ def _cmd_kappas(precision, workers, t_lo, t_hi, extra_t):
             EXIT_INCONCLUSIVE if inconclusive else EXIT_OK)
 
 
+# a kappa row's JSON line as `json.dumps(record, sort_keys=True)` writes it:
+# the keys in sorted order, an int by str, a bool as true or false, and a
+# float (each endpoint, and in the target text) by float.__repr__
+_KAPPA_LINE = ('{"kappa": %d, "lower": %r, "pass": %s, "schema": 1, "t": %d, '
+               '"target": %s, "upper": %r}\n')
+
+
+def _target_text(target) -> str:
+    return "[%r, %r]" % (float(target[0]), float(target[1]))
+
+
+# each claim's target with its text, built once: a row whose target is
+# another object (a test's moved target) has its text built for it
+_KAPPA_TARGETS = {j: (claim.target, _target_text(claim.target))
+                  for j, claim in roots.KAPPA_CLAIMS.items()}
+
+
 def _kappa_report_row(t, precision, cap):
     """The rows of one t as their JSON lines, or why its enclosures cannot
     be formed at `precision`, capped here by `cap`, in the process that
@@ -389,8 +406,14 @@ def _kappa_report_row(t, precision, cap):
         rep = roots.verify_kappas(t, _precision_cap(precision, roots.default_precision(t), cap))
     except (IndeterminateSignError, PrecisionInsufficientError) as exc:
         return "", t, False, str(exc)
-    text = "".join(json.dumps(r.to_json(t), sort_keys=True) + "\n" for r in rep.rows)
-    return text, t, rep.all_pass, None
+    lines = []
+    for j, enclosure, target, passed in rep.rows:
+        known, text = _KAPPA_TARGETS[j]
+        lo, hi = enclosure._ival
+        lines.append(_KAPPA_LINE % (j, realnum._float(lo), "true" if passed else "false", t,
+                                    text if target is known else _target_text(target),
+                                    realnum._float(hi)))
+    return "".join(lines), t, rep.all_pass, None
 
 
 def _cmd_exponents(t):

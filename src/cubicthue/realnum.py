@@ -149,8 +149,8 @@ def _rational_ival(r: Rational, prec: int) -> Tuple[Endpoint, Endpoint]:
 # stands when the two agree, since rounding is monotone.  Otherwise w
 # grows by 64 bits and the bracket is recomputed.  ln x is irrational for
 # every dyadic x != 1, so it lies on no rounding boundary and the loop
-# ends; x = 1 returns 0 before it.  w is always a multiple of 64, and a
-# table value is kept at the largest w it was asked for.
+# ends; x = 1 returns 0 before it.  A table value is kept at the largest
+# w it was asked for, rounded up to a multiple of 64.
 
 _R, _S = 8, 16
 _GRID, _FINE = 1 << _R, 1 << _S
@@ -203,7 +203,8 @@ def _ln_dyadic(j: int, bits: int, w: int) -> int:
     """C with C <= 2^w ln(j/2^bits) < C + 2, for j/2^bits in [1/2, 2]:
     the bracket of `_twice_atanh` at _CONST_GUARD more bits, whose width
     is far below 2^_CONST_GUARD, floored to w bits.  Each value is kept
-    at the largest w asked for, W, and shifted down for a smaller w:
+    at W, the largest w asked for rounded up to a multiple of 64, so that
+    a few sizes serve every w, and shifted down for a smaller w:
     C_W >> d, with C_W = 2^d (C_W >> d) + r and r < 2^d, keeps
     C <= 2^w v < (C_W + 2)/2^d <= C + 1 + 1/2^d.  The rounding test
     accepts only the one correct rounding, so which W served a bracket
@@ -211,7 +212,8 @@ def _ln_dyadic(j: int, bits: int, w: int) -> int:
     W, c = _LN.get((j, bits), (-1, 0))
     if W < w:
         one = 1 << bits
-        W, c = w, _twice_atanh(j - one, j + one, w + _CONST_GUARD)[0] >> _CONST_GUARD
+        W = -(-w // 64) * 64
+        c = _twice_atanh(j - one, j + one, W + _CONST_GUARD)[0] >> _CONST_GUARD
         _LN[j, bits] = W, c
     return c >> (W - w)
 
@@ -221,12 +223,12 @@ def _log_ival(a: Endpoint, b: Endpoint, prec: int) -> Tuple[Endpoint, Endpoint]:
 
     a = m 2^e is reduced to a = 2^E (j/2^R) (i/2^S) e^(2 atanh z) with
     z = N/D, D > 0.  The bracket starts at w = prec plus the fraction
-    bits it needs before its rounding can succeed, up to a multiple of
-    64: -log2 |ln a| (when c1 != 1 or E != 0, y stays 2^-(R+1) from the
-    grid points 1 and 2 and |ln a| > 2^-(R+2); when only c2 != 1,
-    |ln a| > 2^-(S+2); else |ln a| >= |2z| >= 2^(bits(N) - bits(D))),
-    the 2|E| ulps of error of E ln 2, and 20 for the series and the
-    rounding test.
+    bits it needs before its rounding can succeed, and no more, since
+    each spare bit lengthens the series: -log2 |ln a| (when c1 != 1 or
+    E != 0, y stays 2^-(R+1) from the grid points 1 and 2 and
+    |ln a| > 2^-(R+2); when only c2 != 1, |ln a| > 2^-(S+2); else
+    |ln a| >= |2z| >= 2^(bits(N) - bits(D))), the 2|E| ulps of error of
+    E ln 2, and 20 for the series and the rounding test.
 
     ln b is ln a + 2 atanh((b - a)/(b + a)) when that argument is below
     2^-(S+1): for the narrow enclosures the engine forms, its series
@@ -255,7 +257,7 @@ def _log_ival(a: Endpoint, b: Endpoint, prec: int) -> Tuple[Endpoint, Endpoint]:
         mag = _R + 2
     else:
         mag = _S + 2 if i != _FINE else D.bit_length() - N.bit_length()
-    w = -(-(prec + mag + E.bit_length() + 20) // 64) * 64
+    w = prec + mag + E.bit_length() + 20
     while lo is None or hi is None:
         # L <= 2^w ln a <= H
         L, H = _twice_atanh(N, D, w)

@@ -12,6 +12,7 @@ splitting of the full range.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .forms import BinaryCubicForm, discriminant, family_form, monic_cubic
-from .realnum import CertifiedReal, _float, _quotient_side, endpoint_cmp
+from .realnum import CertifiedReal, _quotient_side, endpoint_cmp
 
 def default_precision(t: int) -> int:
     """Scales with t so that kappa extraction (which multiplies root
@@ -261,11 +262,6 @@ class RootTriple:
         return (self.theta1, self.theta2, self.theta3)
 
 
-def _reduced(num: int, den: int) -> Tuple[int, int]:
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
 def _series_starts(t: int) -> List[Tuple[int, int]]:
     """theta1, theta2, theta3 truncated in u = 1/t, each as (p, q) for
     p/q: -u^5 - 2u^8 - 3u^11 - 3u^14, t + u^5 + 3u^8 + 8u^11 + 22u^14
@@ -280,8 +276,8 @@ def _series_starts(t: int) -> List[Tuple[int, int]]:
 def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
     """The three certified real roots theta1 < theta2 < theta3 of
     F_{3,t}(x,1); requires positive discriminant (t not in {0,1}).
-    Each bracket end is held as a reduced integer pair (num, den), and
-    its enclosure endpoint is rounded from that pair, with the bits
+    Each bracket end N/M is reduced by one gcd, and its enclosure
+    endpoint is rounded from the reduced pair, with the bits
     `CertifiedReal.from_endpoints` gives the same rational."""
     if t in (0, 1):
         raise ValueError("discriminant is non-positive for t in {0,1}")
@@ -304,14 +300,23 @@ def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
         if len(brackets) != 3:
             raise PrecisionInsufficientError(
                 "expected 3 separated real roots for t=%d, found %d" % (t, len(brackets)))
-    ends = [(_reduced(N0, M), _reduced(N1, M)) for N0, N1, M in brackets]
-    for (_, (b, bd)), ((c, cd), _) in zip(ends, ends[1:]):
+    for (_, b, bd), (c, _, cd) in zip(brackets, brackets[1:]):
         if not b * cd < c * bd:
             raise PrecisionInsufficientError("root enclosures overlap at t=%d" % t)
-    enc = [CertifiedReal((_quotient_side(*lo, precision, False),
-                          _quotient_side(*hi, precision, True)), precision)
-           for lo, hi in ends]
+    enc = []
+    for N0, N1, M in brackets:
+        g, h = math.gcd(N0, M), math.gcd(N1, M)
+        enc.append(CertifiedReal((_quotient_side(N0 // g, M // g, precision, False),
+                                  _quotient_side(N1 // h, M // h, precision, True)), precision))
     return RootTriple(enc[0], enc[1], enc[2], t, precision)
+
+
+@functools.lru_cache(maxsize=16)
+def _kappa_fractions(prec: int) -> Tuple[CertifiedReal, CertifiedReal]:
+    """The enclosures of 5/2 and 25/3 at prec bits, formed once per
+    precision: kappa_14's terms divide them by t^6 and t^9."""
+    return (CertifiedReal.from_rational(Fraction(5, 2), prec),
+            CertifiedReal.from_rational(Fraction(25, 3), prec))
 
 
 class _KappaTerms:
@@ -330,8 +335,9 @@ class _KappaTerms:
         lnt = T.log()
         self.c_lnt = {c: c * lnt for c in (3, 6, 9)}                  # c ln t
         self.c_T3 = {c: c / self.T3 for c in (1, 2, 3, 4, 6)}         # c / t^3
-        self.c_T6 = Fraction(5, 2) / self.T6                          # 5/2 / t^6
-        self.c_T9 = Fraction(25, 3) / self.T9                         # 25/3 / t^9
+        five_halves, twenty_five_thirds = _kappa_fractions(self.prec)
+        self.c_T6 = five_halves / self.T6                             # 5/2 / t^6
+        self.c_T9 = twenty_five_thirds / self.T9                      # 25/3 / t^9
         self.th2_T, self.th3_T, self.T_th1, self.abs_th1 = th2 - T, th3 - T, T - th1, abs(th1)
         self.ratio31 = self.th3_T / self.T_th1      # (theta3 - T) / (T - theta1)
         self.th3_th1 = th3 / self.abs_th1           # theta3 / |theta1|
@@ -374,13 +380,9 @@ KAPPA_CLAIMS: Dict[int, _KappaClaim] = {
 }
 
 T_ONLY_KAPPAS = tuple(j for j, claim in KAPPA_CLAIMS.items() if claim.which is None)
-
-
-def _kappa(j: int, k: _KappaTerms, q: Optional[CertifiedReal] = None) -> CertifiedReal:
-    """Enclosure of kappa_j from the terms k, and for an envelope kappa
-    from the enclosure q of its ratio."""
-    expr = KAPPA_CLAIMS[j].expr
-    return expr(k) if q is None else expr(k, q)
+# the envelope kappas of each interval I_which
+_ENVELOPE_KAPPAS = {which: tuple(j for j, claim in KAPPA_CLAIMS.items() if claim.which == which)
+                    for which in (1, 2, 3)}
 
 
 def kappa_t_only(j: int, t: int, roots: RootTriple) -> CertifiedReal:
@@ -388,7 +390,7 @@ def kappa_t_only(j: int, t: int, roots: RootTriple) -> CertifiedReal:
     by inverting the defining series identity."""
     if j not in T_ONLY_KAPPAS:
         raise ValueError("kappa_%d depends on the solution interval" % j)
-    return _kappa(j, _KappaTerms(t, roots))
+    return KAPPA_CLAIMS[j].expr(_KappaTerms(t, roots))
 
 
 def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fraction]:
@@ -416,8 +418,8 @@ def _ratio_hull(which: int, k: _KappaTerms) -> CertifiedReal:
     hull.  Raises IndeterminateSignError when the enclosure meets it."""
     lo, hi = solution_interval(which, k.t)
     pole_lo, pole_hi = (k.th1 if which == 2 else k.th2)._ival
-    if not (endpoint_cmp(pole_hi, *lo.as_integer_ratio()) < 0
-            or endpoint_cmp(pole_lo, *hi.as_integer_ratio()) > 0):
+    if not (endpoint_cmp(pole_hi, lo.numerator, lo.denominator) < 0
+            or endpoint_cmp(pole_lo, hi.numerator, hi.denominator) > 0):
         raise IndeterminateSignError("the pole of the I_%d ratio meets I_%d" % (which, which))
     rs = [CertifiedReal.from_rational(r, k.prec) for r in (lo, hi)]
     if which == 1:
@@ -437,21 +439,15 @@ def kappa_envelope(j: int, t: int, roots: RootTriple) -> CertifiedReal:
     if j not in KAPPA_CLAIMS or j in T_ONLY_KAPPAS:
         raise ValueError("kappa_%d is determined by t alone" % j)
     k = _KappaTerms(t, roots)
-    return _kappa(j, k, _ratio_hull(KAPPA_CLAIMS[j].which, k))
+    claim = KAPPA_CLAIMS[j]
+    return claim.expr(k, _ratio_hull(claim.which, k))
 
 
-@dataclass(frozen=True)
-class KappaRow:
+class KappaRow(NamedTuple):
     j: int
     enclosure: CertifiedReal
     target: Tuple[Fraction, Fraction]
     passed: bool
-
-    def to_json(self, t: int) -> dict:
-        lo, hi = self.enclosure._ival
-        return {"schema": 1, "t": t, "kappa": self.j, "lower": _float(lo), "upper": _float(hi),
-                "target": [float(self.target[0]), float(self.target[1])],
-                "pass": self.passed}
 
 
 @dataclass(frozen=True)
@@ -481,21 +477,23 @@ def verify_kappas(t: int, precision: Optional[int] = None) -> KappaReport:
     the same RootTriple; one `_KappaTerms` serves all sixteen, and each
     kappa of one interval is evaluated once, on its shared `_ratio_hull`."""
     k = _KappaTerms(t, isolate_roots(t, precision))
-    encs = {j: _kappa(j, k) for j in T_ONLY_KAPPAS}
-    for which in (1, 2, 3):
+    encs = {j: KAPPA_CLAIMS[j].expr(k) for j in T_ONLY_KAPPAS}
+    for which, js in _ENVELOPE_KAPPAS.items():
         q = _ratio_hull(which, k)
-        encs.update((j, _kappa(j, k, q))
-                    for j, claim in KAPPA_CLAIMS.items() if claim.which == which)
+        for j in js:
+            encs[j] = KAPPA_CLAIMS[j].expr(k, q)
     rows = []
     for j, claim in KAPPA_CLAIMS.items():
-        (a, b), (lo, hi) = encs[j]._ival, (e.as_integer_ratio() for e in claim.target)
-        above_lo = endpoint_cmp(a, *lo) > 0
-        passed = above_lo and endpoint_cmp(b, *hi) < 0
+        enc, target = encs[j], claim.target
+        (a, b), (lo, hi) = enc._ival, target
+        # the target's ends as integer pairs, read from its one stored copy
+        lo_num, lo_den, hi_num, hi_den = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        above_lo = endpoint_cmp(a, lo_num, lo_den) > 0
+        passed = above_lo and endpoint_cmp(b, hi_num, hi_den) < 0
         # neither inside the open target nor outside it: it holds an end
-        if not passed and endpoint_cmp(b, *lo) > 0 and endpoint_cmp(a, *hi) < 0:
+        if not passed and endpoint_cmp(b, lo_num, lo_den) > 0 and endpoint_cmp(a, hi_num, hi_den) < 0:
             raise IndeterminateSignError(
                 "kappa_%d's enclosure [%.6g, %.6g] at t=%d holds its target's end %g"
-                " (%d bits)" % (j, encs[j].lower, encs[j].upper, t,
-                                claim.target[above_lo], k.prec))
-        rows.append(KappaRow(j, encs[j], claim.target, passed))
+                " (%d bits)" % (j, enc.lower, enc.upper, t, target[above_lo], k.prec))
+        rows.append(KappaRow(j, enc, target, passed))
     return KappaReport(t, tuple(rows))

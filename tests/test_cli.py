@@ -226,7 +226,7 @@ def _records(path):
 
 def test_kappas_with_a_failed_row_exits_one(monkeypatch, tmp_path, capsys):
     rep = roots.verify_kappas(10)
-    failed = dataclasses.replace(rep, rows=(dataclasses.replace(rep.rows[0], passed=False),)
+    failed = dataclasses.replace(rep, rows=(rep.rows[0]._replace(passed=False),)
                                  + rep.rows[1:])
     monkeypatch.setattr(roots, "verify_kappas", lambda t, precision=None: failed)
     path = tmp_path / "k.jsonl"

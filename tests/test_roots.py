@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicthue import exponents, roots, search
+from cubicthue import cli, exponents, roots, search
 from cubicthue.forms import BinaryCubicForm, discriminant, family_form, known_solutions
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import CertifiedReal
@@ -183,12 +183,35 @@ def test_kappa_asymptotic_midpoints():
             assert narrow < wide
 
 
-def test_kappa_report_serialization():
-    rep = verify_kappas(10)
-    lines = [json.dumps(r.to_json(rep.t)) for r in rep.rows]
-    assert len(lines) == 16
-    rec = json.loads(lines[0])
-    assert rec["schema"] == 1 and rec["t"] == 10 and rec["pass"] is True
+def _assert_kappa_lines(t, precision):
+    """The kappa worker's lines at t: one per row, each the text
+    json.dumps(record, sort_keys=True) gives, with the row's j,
+    endpoints, target and verdict."""
+    rep = verify_kappas(t, precision)
+    text, t_out, all_pass, error = cli._kappa_report_row(t, precision, None)
+    assert (t_out, all_pass, error) == (t, rep.all_pass, None)
+    lines = text.splitlines()
+    assert len(lines) == 16 and text.endswith("\n")
+    for line, row in zip(lines, rep.rows):
+        rec = json.loads(line)
+        assert line == json.dumps(rec, sort_keys=True)
+        assert rec == {"schema": 1, "t": t, "kappa": row.j,
+                       "lower": float(row.enclosure.lower), "upper": float(row.enclosure.upper),
+                       "target": [float(row.target[0]), float(row.target[1])],
+                       "pass": row.passed}
+    return rep
+
+
+def test_kappa_report_serialization(monkeypatch):
+    for t, precision in [(t, None) for t in (10, 11, 2000, 2001, 576241, 10 ** 6)] + [(10, 64)]:
+        assert _assert_kappa_lines(t, precision).all_pass
+    # a target moved above the enclosure, as the strict-verdict test moves
+    # it, fails its row, and the line carries the moved target
+    row = verify_kappas(11).rows[4]
+    hi = row.enclosure.upper
+    monkeypatch.setitem(KAPPA_CLAIMS, row.j, KAPPA_CLAIMS[row.j]._replace(target=(hi, hi + 1)))
+    rep = _assert_kappa_lines(11, None)
+    assert [r.passed for r in rep.rows] == [r.j != row.j for r in rep.rows]
 
 
 def test_intervals_disjoint_sampled():
