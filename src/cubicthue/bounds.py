@@ -19,7 +19,7 @@ from typing import Tuple
 from .errors import (HeightBoundViolatedError, IndeterminateSignError,
                      VerificationFailedError)
 from .realnum import CertifiedReal, certified_below, dyadic_numerators
-from .roots import RootTriple
+from .roots import T_MIN, RootTriple
 
 # decay rates of |Lambda_which| in the exponent size
 LAMBDA_DECAY = {1: Fraction(77, 10), 2: Fraction(79, 10), 3: Fraction(89, 10)}
@@ -135,12 +135,11 @@ def matveev_for_family(roots: RootTriple) -> FamilyMatveevResult:
     (t-independent) coefficient of ln^3 t * ln(35 n), and whether it is
     in MATVEEV_WINDOW."""
     t = roots.t
-    if t < 10:
-        raise ValueError("family parameterization assumes t >= 10")
+    if t < T_MIN:
+        raise ValueError("family parameterization assumes t >= %d" % T_MIN)
     checks = check_height_bounds(roots)
     if not all(checks):
-        raise HeightBoundViolatedError(
-            "height inequality failed at t=%d: %s" % (t, checks))
+        raise HeightBoundViolatedError("height inequality failed at t=%d: %s" % (t, checks))
     if not certified_below(w0_prefactor(), W0_PREFACTOR_CAP,
                            "W0 prefactor cap undecided at %d bits" % LOG_PRECISION):
         raise HeightBoundViolatedError("W0 prefactor exceeds %d" % W0_PREFACTOR_CAP)
@@ -168,17 +167,18 @@ def derive_t_max() -> Tuple[int, float]:
     certified to be at least K / 7.9, so it can only widen t_max.
 
     The bisection needs h(t) = (g / ln 35g) / ln^2 t, g = 3.5 t^3 ln t,
-    increasing for t >= 10.  As g'/g >= 3/t and g grows, its
-    log-derivative is at least (1/t)(3(1 - 1/ln 35g) - 2/ln t), and so,
-    by the certified premise ln(35 g(10)) > 3, (1/t)(2 - 2/ln 10) > 0."""
+    increasing for t >= T_MIN.  As g'/g >= 3/t and g grows, its
+    log-derivative is at least (1/t)(3(1 - 1/ln 35g) - 2/ln t), and so, by
+    the certified premise ln(35 g(T_MIN)) > 3, (1/t)(2 - 2/ln T_MIN) > 0."""
     if not certified_below(matveev_family_coefficient() / LAMBDA_DECAY[2], EXPONENT_CAP,
                            "K / 7.9 against EXPONENT_CAP undecided at %d bits" % LOG_PRECISION):
         raise VerificationFailedError("EXPONENT_CAP %d is below K / 7.9" % EXPONENT_CAP)
     c, p = GROWTH[2]
-    if not certified_below(3, (35 * c * 10 ** p * _ln(10)).log(),
-                           "ln(35 g(10)) > 3 undecided at %d bits" % LOG_PRECISION):
-        raise VerificationFailedError("ln(35 g(10)) <= 3: the bisection may not be monotone")
-    lo, hi = 10, 10 ** 7
+    if not certified_below(3, (35 * c * T_MIN ** p * _ln(T_MIN)).log(),
+                           "ln(35 g(%d)) > 3 undecided at %d bits" % (T_MIN, LOG_PRECISION)):
+        raise VerificationFailedError(
+            "ln(35 g(%d)) <= 3: the bisection may not be monotone" % T_MIN)
+    lo, hi = T_MIN, 10 ** 7
     if not _growth_feasible(lo) or _growth_feasible(hi):
         raise AssertionError("feasibility predicate lost its bracket")
     while hi - lo > 1:

@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         if t:
             p.add_argument("--t", type=int, required=True)
         if trange:
-            p.add_argument("--t-lo", type=int, default=10)
+            p.add_argument("--t-lo", type=int, default=roots.T_MIN)
             p.add_argument("--t-hi", type=int, default=SWEEP_SLICE_HI)
         if which:
             p.add_argument("--which", type=int, default=2, choices=(1, 2, 3))
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matveev", help="Matveev constant reproduction")
     common(p, "precision")
-    p.add_argument("--t", type=int, default=10)
+    p.add_argument("--t", type=int, default=roots.T_MIN)
 
     p = sub.add_parser("tmax", help="absolute bound on t")
     common(p)
@@ -359,9 +359,9 @@ def _cmd_kappas(precision, workers, t_lo, t_hi, extra_t):
     # 576241 ahead of 10^6 and change its output
     span = range(t_lo, t_hi + 1)
     extra = tuple(t for t in dict.fromkeys(extra_t) if t not in span)
-    if any(t < 10 for t in (*span[:1], *extra)):
-        # refused before the first record, not at the first t below 10
-        raise ValueError("kappa claims are certified for t >= 10 only")
+    if any(t < roots.T_MIN for t in (*span[:1], *extra)):
+        # refused before the first record, not at the first t below T_MIN
+        raise ValueError("kappa claims are certified for t >= %d only" % roots.T_MIN)
     workers = _env_workers(workers)
     failures = inconclusive = 0
     ts = Jobs(span, extra)
@@ -420,7 +420,7 @@ def _cmd_exponents(t):
     solutions = forms.known_solutions(t).solutions
     for (x, y) in solutions:
         pair = exponents.recover_exponents(t, x, y)
-        sol_type = (exponents.classify(t, x, y).value if t >= 10 else "n/a")
+        sol_type = (exponents.classify(t, x, y).value if t >= roots.T_MIN else "n/a")
         yield {"t": t, "x": x, "y": y, "delta": pair.delta, "n": pair.n, "m": pair.m,
                "type": sol_type, "residual_upper": float(pair.residual.upper)}
     print("t=%d: exponents recovered for all %d known solutions" % (t, len(solutions)))
@@ -484,8 +484,8 @@ def _cmd_sweep(precision, workers, seed, t_lo, t_hi, which, Q, A, samples, full)
     after = None
     for rec in judged((yield _Checkpointed(config))):
         after = rec["t"]
-    if t_lo <= t_hi and t_lo < 10:
-        raise ValueError("sweep range starts at t >= 10")
+    if t_lo <= t_hi and t_lo < roots.T_MIN:
+        raise ValueError("sweep range starts at t >= %d" % roots.T_MIN)
     # the ts past `after`, the last one resumed, in order: the range, with
     # the samples outside it (sorted and distinct) on either side
     span = range(t_lo if after is None else max(t_lo, after + 1), t_hi + 1)
@@ -550,7 +550,7 @@ def _cmd_certify_all(precision, workers, seed, t_lo, t_hi, Q, A, y_bound, full):
     absolute bound, reduction sweep slice, bounded search."""
     return [_cmd_kappas(precision=precision, workers=workers, t_lo=t_lo, t_hi=min(t_hi, 2000),
                         extra_t=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 576241]),
-            _cmd_matveev(precision=precision, t=10),
+            _cmd_matveev(precision=precision, t=roots.T_MIN),
             _cmd_tmax(),
             _cmd_sweep(precision=precision, workers=workers, seed=seed, t_lo=t_lo, t_hi=t_hi,
                        which=2, Q=Q, A=A, samples=0 if full else SWEEP_SAMPLE_COUNT, full=full),

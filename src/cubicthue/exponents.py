@@ -19,7 +19,7 @@ from .errors import (IndeterminateSignError, PrecisionInsufficientError,
                      VerificationFailedError)
 from .forms import evaluate, family_form
 from .realnum import CertifiedReal, dyadic_numerators, endpoint_cmp
-from .roots import isolate_roots, solution_interval
+from .roots import T_MIN, isolate_roots, solution_interval
 
 ROUNDING_TOLERANCE = Fraction(1, 100)
 # recovery starts at RECOVERY_PRECISION bits and doubles them at most
@@ -43,8 +43,8 @@ _WHICH = {SolutionType.TYPE_I: 1, SolutionType.TYPE_II: 2, SolutionType.TYPE_III
 def classify(t: int, x: int, y: int) -> SolutionType:
     """Membership of x/y in I_1/I_2/I_3 (endpoints depend on |y|),
     decided by exact rational comparison; |y| <= 1 is Small."""
-    if t < 10:
-        raise ValueError("classification intervals are defined for t >= 10")
+    if t < T_MIN:
+        raise ValueError("classification intervals are defined for t >= %d" % T_MIN)
     if abs(y) <= 1:
         return SolutionType.SMALL
     r = Fraction(x, y)
@@ -116,10 +116,8 @@ def _solve_at_precision(t: int, x: int, y: int, prec: int):
     roots, (u1, u2), (v1, v2), det, known = _unit_logs(t, prec)
     factors = (abs(x - th * y) for th in roots.thetas[:2])
     l1, l2 = (known[f._ival] if f._ival in known else f.log() for f in factors)
-    n_enc = (l2 * v1 - l1 * v2) / det
-    m_enc = (l2 * u1 - l1 * u2) / det
-    n = _round_mid(n_enc)
-    m = _round_mid(m_enc)
+    n_enc, m_enc = (l2 * v1 - l1 * v2) / det, (l2 * u1 - l1 * u2) / det
+    n, m = _round_mid(n_enc), _round_mid(m_enc)
     residual = CertifiedReal.hull([abs(n_enc - n), abs(m_enc - m)])
     if endpoint_cmp(residual._ival[1], *ROUNDING_TOLERANCE.as_integer_ratio()) >= 0:
         raise PrecisionInsufficientError(

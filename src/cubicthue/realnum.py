@@ -16,7 +16,6 @@ raises and the caller escalates precision.
 from __future__ import annotations
 
 import decimal
-import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
@@ -32,9 +31,8 @@ _ONE: Endpoint = (1, 0)
 
 def reduction_precision(Q: int) -> int:
     """Working bits for Baker-Davenport work at denominator bound Q:
-    ~40 guard digits beyond Q^2."""
-    digits10 = len(str(Q))
-    return math.ceil(3.33 * (2 * digits10 + 40))
+    ~40 guard digits beyond Q^2, at 3.33 bits a digit, rounded up."""
+    return -(-333 * (2 * len(str(Q)) + 40) // 100)
 
 
 # -- endpoints --------------------------------------------------------------

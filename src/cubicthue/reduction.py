@@ -1,5 +1,5 @@
 """Baker-Davenport reduction (Mignotte's variant) applied at one t; the
-`sweep` command runs it at every t from 10 to 576241 to finish the
+`sweep` command runs it at every t from T_MIN to 576241 to finish the
 verification.
 
 For each t the linear form is decomposed as Lambda = mu*alpha + nu*beta
@@ -20,10 +20,10 @@ from .bounds import (CONTRADICTION_COEFF, LN2, contradiction_threshold,
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .realnum import (CertifiedReal, Endpoint, _normal, _ratio, dyadic_numerators,
                       lockstep_expansion, reduction_precision)
-from .roots import isolate_roots, series_cell_halvings
+from .roots import T_MIN, isolate_roots, series_cell_halvings
 
 DEFAULT_A = 3 * 10 ** 18
-# the scan accepts a q below 10^30 at all but 345 t in [10, 576241]; those
+# the scan accepts a q below 10^30 at all but 345 t in [T_MIN, 576241]; those
 # take the ladder's last rung.  Q = 10 ** 60 gives the paper's parameters.
 DEFAULT_Q = 10 ** 30
 MAX_PRECISION_ESCALATIONS = 3
@@ -70,13 +70,13 @@ def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
                    precision: Optional[int] = None) -> ReductionInstance:
     """alpha, beta, delta per the Lambda_which decomposition, with the
     lemma's hypotheses checked here, each before the work it would waste:
-    t >= 10 and A, Q >= 1 first; then, for which = 2, a precision at which
+    t >= T_MIN and A, Q >= 1 first; then, for which = 2, a precision at which
     `gamma1_width_floor` reaches 1/(100 Q^2) is refused before any root
     is isolated; then gamma1's width against 1/(100 Q^2) before
     delta = log a3 is taken, and gamma2's against 1/Q^2.  A refused
     precision raises PrecisionInsufficientError."""
-    if t < 10:
-        raise ValueError("reduction applies for t >= 10")
+    if t < T_MIN:
+        raise ValueError("reduction applies for t >= %d" % T_MIN)
     check_bounds(A, Q)
     if precision is None:
         precision = reduction_precision(Q)
@@ -98,20 +98,20 @@ def build_instance(which: int, t: int, A: int = DEFAULT_A, Q: int = DEFAULT_Q,
 def gamma1_width_floor(t: int, precision: int) -> Tuple[int, int]:
     """A lower bound num/den (den > 0) on the width of the gamma1
     enclosure that `build_instance(2, t, precision=precision)` forms
-    (t >= 10), from t and the precision alone.
+    (t >= T_MIN), from t and the precision alone.
 
     With K = `series_cell_halvings(t, precision)`, `isolate_roots`
     brackets theta1 in a grid cell [x_l, x_h] of exact width
-    c1 = 2/(t^5 2^K) inside the window [-2/t^5, 0].  No grid point is a
-    root: a rational root of the monic P with constant term 1 is +-1,
-    and P(+-1) != 0.  theta1's enclosure holds both ends of the cell and
-    theta3's holds y = theta3, in (t^4 - 2t - 2/t^8, t^4 - 2t).  gamma1
-    is formed by outward-rounded interval operations, so it contains
+    c1 = 2/(t^5 2^K) inside theta1's window (`roots.ROOT_ROWS`).  No grid
+    point is a root: a rational root of the monic P with constant term 1
+    is +-1, and P(+-1) != 0.  theta1's enclosure holds both ends of the
+    cell and theta3's holds y = theta3, in theta3's window.  gamma1 is
+    formed by outward-rounded interval operations, so it contains
     g(x) = ln|y/x| / ln|(t - x)/(t - y)| = -N(x)/D(x) at both ends x,
     with N(x) = ln(y/|x|) and D(x) = ln((y - t)/(t - x)), and its width
     is at least N(x_h)/D(x_h) - N(x_l)/D(x_l)
     = (N(x_h) - N(x_l))/D(x_h) - N(x_l) (D(x_h) - D(x_l))/(D(x_h) D(x_l)).
-    On the windows, for t >= 10:
+    On the rows' windows, for t >= T_MIN:
     - N(x_h) - N(x_l) = ln(1 + c1/|x_h|) >= ln(1 + 2^-K) >= 1/(2^K + 1),
       as |x_h| <= 2/t^5;
     - 2 ln t < D(x) < 3 ln t, as t^2 < (y - t)/(t - x) < t^3;

@@ -5,9 +5,9 @@ Root enclosures are the brackets that exact-rational sign bisection of
 an isolating window ends in, found in exact integer arithmetic: Newton's
 method locates the bracket on the bisection grid and two exact sign
 evaluations of P at its endpoints certify it, so the sign changes are
-unconditional.  For t >= 10 the series expansions of the roots hand us
-isolating windows for free; smaller t falls back to critical-point
-splitting of the full range.
+unconditional.  For t >= T_MIN the series expansions of the roots
+(ROOT_ROWS) hand us isolating windows for free; smaller t falls back to
+critical-point splitting of the full range.
 """
 
 from __future__ import annotations
@@ -21,6 +21,28 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 from .forms import BinaryCubicForm, discriminant, family_form, monic_cubic
 from .realnum import CertifiedReal, _quotient_side, endpoint_cmp
+
+T_MIN = 10      # the least t of the root series, the I_i, the kappas and the reduction
+# One row (c, k, s, a) per root theta1 < theta2 < theta3 of F_{3,t}(x, 1),
+# t >= T_MIN: theta = c(t) + s (a_0 + a_1/x + ...)/t^k, x = t^3, to within
+# 300/t^20 (c's integer coefficients highest power first):
+#   theta1 ~ -u^5 - 2u^8 - 3u^11 - 3u^14   (u = 1/t),
+#   theta2 ~ t + u^5 + 3u^8 + 8u^11 + 22u^14 + 65u^17,
+#   theta3 ~ t^4 - 2t - u^8 - 5u^11 - 19u^14 - 65u^17.
+# theta_i's window is c + s [0, 2/t^k]; x/y of a type-i solution lies in
+# I_i, from c + s (1 - 1/|y|^3)/t^k to c + s 113/(100 t^k).
+ROOT_ROWS = (((0,), 5, -1, (1, 2, 3, 3)),
+             ((1, 0), 5, 1, (1, 3, 8, 22, 65)),
+             ((1, 0, 0, -2, 0), 8, -1, (1, 5, 19, 65)))
+
+
+def _horner(coeffs: Tuple[int, ...], x: int) -> int:
+    """The polynomial with these coefficients, highest power first, at x."""
+    p = 0
+    for a in coeffs:
+        p = p * x + a
+    return p
+
 
 def default_precision(t: int) -> int:
     """Scales with t so that kappa extraction (which multiplies root
@@ -55,10 +77,9 @@ def bracket_bits(precision: int) -> int:
 
 
 def series_cell_halvings(t: int, precision: int) -> int:
-    """K such that, for t >= 10, `isolate_roots(t, precision)` brackets
-    theta1 in a cell of exact width 2 / (t^5 2^K) of its series window
-    [-2/t^5, 0]: `_bracket`'s number of halvings of that window."""
-    return _halvings(2 << bracket_bits(precision), t ** 5)
+    """`_bracket`'s number K of halvings of theta1's window (ROOT_ROWS) in
+    `isolate_roots(t, precision)`, t >= T_MIN: to a cell 2/(t^k 2^K) wide."""
+    return _halvings(2 << bracket_bits(precision), t ** ROOT_ROWS[0][1])
 
 
 def _slope_sign(B: int, C: int, A: int, H: int, S: int) -> int:
@@ -162,7 +183,7 @@ def _bracket(B: int, C: int, D: int, A: int, delta: int, S: int,
     After K halvings the bracket is a cell [x_n, x_(n+1)] of the grid
     x_n = (A 2^K + n delta) / (S 2^K), whose values do not depend on how
     the window is written.  When P is strictly monotone on the window
-    (as on the series windows for t >= 10 and on the pieces of the
+    (as on the series windows for t >= T_MIN and on the pieces of the
     critical-point splitting that hold no critical point), the only cell
     with a strict sign change is the one bisection ends in, and the sign
     of P' tells which sign P has left of the root.  Newton's method then
@@ -262,17 +283,6 @@ class RootTriple:
         return (self.theta1, self.theta2, self.theta3)
 
 
-def _series_starts(t: int) -> List[Tuple[int, int]]:
-    """theta1, theta2, theta3 truncated in u = 1/t, each as (p, q) for
-    p/q: -u^5 - 2u^8 - 3u^11 - 3u^14, t + u^5 + 3u^8 + 8u^11 + 22u^14
-    + 65u^17 and t^4 - 2t - u^8 - 5u^11 - 19u^14 - 65u^17."""
-    x, t14 = t ** 3, t ** 14
-    t17 = t14 * x
-    return [(-(((x + 2) * x + 3) * x + 3), t14),
-            (((((x * x + 1) * x + 3) * x + 8) * x + 22) * x + 65, t17),
-            ((t ** 4 - 2 * t) * t17 - (((x + 5) * x + 19) * x + 65), t17)]
-
-
 def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
     """The three certified real roots theta1 < theta2 < theta3 of
     F_{3,t}(x,1); requires positive discriminant (t not in {0,1}).
@@ -285,16 +295,14 @@ def isolate_roots(t: int, precision: Optional[int] = None) -> RootTriple:
         precision = default_precision(t)
     _, B, C, D = family_form(3, t).coefficients
     w = bracket_bits(precision)
-    if t >= 10:
-        # the series windows [-2/t^5, 0], [t, t + 2/t^5] and
-        # [t^4 - 2t - 2/t^8, t^4 - 2t], each [A/S, (A + 2)/S]; Newton
-        # starts from the roots' series in u = 1/t, which are within
-        # 300 u^20 of them, so 33-285 bits into their windows
-        t5, t8 = t ** 5, t ** 8
-        brackets = [_bracket(B, C, D, A, 2, S, 1, 1 << w, start)
-                    for (A, S), start in zip(
-                        ((-2, t5), (t * t5, t5), ((t ** 4 - 2 * t) * t8 - 2, t8)),
-                        _series_starts(t))]
+    if t >= T_MIN:
+        # each row's window [A/S, (A + 2)/S], Newton starting from its series
+        x, brackets = t ** 3, []
+        for center, k, side, series in ROOT_ROWS:
+            c, p = _horner(center, t), _horner(series, x)
+            S, q = t ** k, t ** (k + 3 * len(series) - 3)
+            brackets.append(_bracket(B, C, D, c * S + side - 1, 2, S, 1, 1 << w,
+                                     (c * q + side * p, q)))
     else:
         brackets = isolate_real_roots_monic_cubic(B, C, D, 1, 1 << w)
         if len(brackets) != 3:
@@ -322,12 +330,11 @@ def _kappa_fractions(prec: int) -> Tuple[CertifiedReal, CertifiedReal]:
 class _KappaTerms:
     """The parts of the kappa expressions that depend on t alone, each
     computed once per RootTriple, by the same operations (and so with the
-    same roundings) wherever an expression uses it.  t below 10 is
-    refused with ValueError."""
+    same roundings) wherever an expression uses it."""
 
     def __init__(self, t: int, roots: RootTriple):
-        if t < 10:
-            raise ValueError("kappa claims are certified for t >= 10 only")
+        if t < T_MIN:
+            raise ValueError("kappa claims are certified for t >= %d only" % T_MIN)
         self.t, self.prec = t, roots.precision
         self.th1, self.th2, self.th3 = th1, th2, th3 = roots.thetas
         self.T = T = CertifiedReal.from_rational(t, self.prec)
@@ -395,18 +402,15 @@ def kappa_t_only(j: int, t: int, roots: RootTriple) -> CertifiedReal:
 
 def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fraction]:
     """The open interval I_which (1, 2 or 3) that x/y of a type-I/II/III
-    solution with the given |y| lies in.  The endpoint 1 - 1/|y|^3 is
+    solution with the given |y| lies in, each end c + s r/t^k of its row
+    of ROOT_ROWS one Fraction of integers.  r = 1 - 1/|y|^3 = (e - 1)/e is
     smallest at |y| = 2, so the default is the hull over all |y| >= 2."""
-    # each endpoint as one Fraction of integers: 1 - 1/|y|^3 = (c - 1)/c
-    c, t5 = y_abs ** 3, t ** 5
-    if which == 1:
-        return Fraction(-113, 100 * t5), Fraction(1 - c, c * t5)
-    if which == 2:
-        return Fraction(c * t5 * t + c - 1, c * t5), Fraction(100 * t5 * t + 113, 100 * t5)
-    if which == 3:
-        a, t8 = t ** 4 - 2 * t, t ** 8
-        return Fraction(100 * a * t8 - 113, 100 * t8), Fraction(c * a * t8 - c + 1, c * t8)
-    raise ValueError(which)
+    if which not in (1, 2, 3):
+        raise ValueError(which)
+    center, k, side, _ = ROOT_ROWS[which - 1]
+    S, e, c = t ** k, y_abs ** 3, _horner(center, t)
+    ends = Fraction(100 * c * S + 113 * side, 100 * S), Fraction(e * c * S + side * (e - 1), e * S)
+    return ends if side < 0 else ends[::-1]
 
 
 def _ratio_hull(which: int, k: _KappaTerms) -> CertifiedReal:

@@ -163,6 +163,20 @@ def test_reduction_precision_policy():
     assert reduction_precision(10 ** 10) > 100
 
 
+def test_reduction_precision_is_the_float_rule_in_integers(monkeypatch):
+    """reduction_precision's integer ceiling of 3.33 bits a digit equals
+    ceil(3.33 * (2 d + 40)), the float formula it replaced, for every
+    digit count d of Q from 1 to 200000.  It reads d as len(str(Q)); so
+    that a d-digit Q need not be formed (nor converted past Python's
+    4300-digit str limit), `str` is the identity in realnum here, and a
+    range of d items stands for Q."""
+    for Q in (1, 9, 10, 10 ** 30 - 1, 10 ** 30, 10 ** 60):
+        assert reduction_precision(Q) == math.ceil(3.33 * (2 * len(str(Q)) + 40))
+    monkeypatch.setattr(realnum, "str", lambda Q: Q, raising=False)
+    for d in range(1, 200001):
+        assert reduction_precision(range(d)) == math.ceil(3.33 * (2 * d + 40)), d
+
+
 def test_convergents_terminating_rational():
     x = CertifiedReal.from_rational(Fraction(45, 16), 128)
     convs = continued_fraction_convergents(x, 100)

@@ -366,6 +366,42 @@ def test_theta1_bracket_width_is_the_series_cell(monkeypatch):
             assert -2 * M <= N0 * t ** 5 and N1 <= 0
 
 
+# the ts at which each row's series is held to its remainder bound
+SERIES_START_TS = (*range(10, 60), 100, 10 ** 3, 2000, 10 ** 4, 10 ** 5, 576241, 10 ** 6,
+                   10 ** 9)
+
+
+def test_each_row_starts_newton_within_300_over_t20_of_its_root(monkeypatch):
+    """Each row of ROOT_ROWS, read here with Fractions, gives the window
+    and the Newton start that isolate_roots passes to `_bracket`; the
+    start lies inside the window and, as the rows' comment and the README
+    state, within 300/t^20 of its root: of both ends of the root's
+    certified enclosure, formed at 25 bits per bit of t (plus 64) so that
+    its width times t^20 is negligible."""
+    calls, bracket = [], roots._bracket
+    monkeypatch.setattr(roots, "_bracket",
+                        lambda *args: calls.append(args) or bracket(*args))
+    worst = [0, 0, 0]
+    for t in SERIES_START_TS:
+        calls.clear()
+        triple = isolate_roots(t, 25 * t.bit_length() + 64)
+        assert len(calls) == 3, t
+        for i, ((center, k, side, series), args, th) in enumerate(
+                zip(roots.ROOT_ROWS, calls, triple.thetas)):
+            A, delta, S, (p, q) = args[3], args[4], args[5], args[8]
+            c = sum(a * t ** j for j, a in enumerate(reversed(center)))
+            start = c + side * sum(Fraction(a, t ** (k + 3 * j)) for j, a in enumerate(series))
+            lo, hi = sorted((c, c + Fraction(2 * side, t ** k)))
+            assert (Fraction(A, S), Fraction(A + delta, S)) == (lo, hi), (t, i)
+            assert Fraction(p, q) == start and lo < start < hi, (t, i)
+            off = max(abs(start - th.lower), abs(start - th.upper)) * t ** 20
+            assert off <= 300, (t, i, float(off))
+            worst[i] = max(worst[i], off)
+    # the worst |start - theta| t^20, all at t = 10; a coefficient off by
+    # one moves a start by at least t^3 = 1000 in these units
+    assert [round(float(w), 1) for w in worst] == [9.0, 204.7, 213.7]
+
+
 # the most exact cubic evaluations (Newton's and the certificate's) one
 # series window of SERIES_TS needs at each of SERIES_PRECISIONS; a
 # level-by-level doubling schedule averages 12 at 540 bits
