@@ -47,22 +47,26 @@ E_BRACKET = ("2.718281828459045235", "2.718281828459045236")
 # the W0 prefactor must stay below this multiple of n for ln(35 n) to majorize W0
 W0_PREFACTOR_CAP = 35
 
+# h(alpha_i) < c_i ln t for Lambda_2's alpha1, alpha2, alpha3; Matveev's A_i = 6 c_i ln t
+HEIGHT_COEFF = (3, 3, 6)
+
 # the window the family's Matveev coefficient must fall in
 MATVEEV_WINDOW = (830 * 10 ** 13, 840 * 10 ** 13)
 
 
 def lambda_log_arguments(which: int, roots: RootTriple
                          ) -> Tuple[CertifiedReal, CertifiedReal, CertifiedReal]:
-    """(alpha1, alpha2, alpha3) with Lambda = m log a1 + n log a2 + log a3."""
-    th1, th2, th3 = roots.thetas
+    """(alpha1, alpha2, alpha3) = (|th_k/th_j|, |(t - th_j)/(t - th_k)|,
+    |(th_i - th_k)/(th_i - th_j)|), i = which, j < k the other two.  At
+    x - th y = +-th^-m (t - th)^n (both units), Lambda = m ln a1 + n ln a2 + ln a3
+    = ln|a3 (x - th_j y)/(x - th_k y)|, which Siegel's identity (th_i - th_j)(x - th_k y)
+    - (th_i - th_k)(x - th_j y) = (th_k - th_j)(x - th_i y) makes small at type i."""
+    if which not in (1, 2, 3):
+        raise ValueError("which must be 1, 2 or 3")
+    th = roots.thetas
+    thi, (thj, thk) = th[which - 1], th[:which - 1] + th[which:]
     T = CertifiedReal.from_rational(roots.t, roots.precision)
-    if which == 1:
-        return (th3 / th2, (T - th2) / (T - th3), (th1 - th3) / (th1 - th2))
-    if which == 2:
-        return (abs(th3 / th1), abs((T - th1) / (T - th3)), (th3 - th2) / (th2 - th1))
-    if which == 3:
-        return (abs(th2 / th1), abs((T - th1) / (T - th2)), (th3 - th2) / (th3 - th1))
-    raise ValueError("which must be 1, 2 or 3")
+    return abs(thk / thj), abs((T - thj) / (T - thk)), abs((thi - thk) / (thi - thj))
 
 
 def _ln(r) -> CertifiedReal:
@@ -82,13 +86,13 @@ def e_enclosure() -> CertifiedReal:
 def matveev_family_coefficient() -> CertifiedReal:
     """Coefficient K in ln|Lambda_2| > -K * ln^3 t * ln(35 n), from the
     family parameterization of three logarithms, D=6, chi=1,
-    A = (18, 18, 36) * ln t, B=n/2: K = C * C0 * D^2 * Omega with
+    A_i = D * HEIGHT_COEFF[i] * ln t, B=n/2: K = C * C0 * D^2 * Omega with
     Matveev's C = 16/3! e^3 (2*3+1+2) (3+2) (4*3+4)^4 (3e/2) and
     C0 = ln(e^(4.4*3+7) 3^5.5 D^2 ln(eD)) = 20.2 + 5.5 ln 3 + 2 ln 6 + ln(1 + ln 6)."""
     ln6 = _ln(6)
     C = Fraction(16, 6) * 9 * 5 * 16 ** 4 * Fraction(3, 2) * e_enclosure() ** 4
     C0 = Fraction(101, 5) + Fraction(11, 2) * _ln(3) + 2 * ln6 + (1 + ln6).log()
-    return C * C0 * 6 ** 2 * (18 * 18 * 36)
+    return C * C0 * 6 ** 2 * math.prod(6 * c for c in HEIGHT_COEFF)
 
 
 def w0_prefactor() -> CertifiedReal:
@@ -107,7 +111,7 @@ class FamilyMatveevResult:
 
 def check_height_bounds(roots: RootTriple) -> Tuple[bool, bool, bool]:
     """Certified checks of the three displayed height inequalities
-    against 6 ln t and 3 ln t.  Raises IndeterminateSignError when the
+    h < c ln t, c from HEIGHT_COEFF.  Raises IndeterminateSignError when the
     enclosures at this precision decide one of them neither way."""
     th1, th2, th3 = roots.thetas
     T = CertifiedReal.from_rational(roots.t, roots.precision)
@@ -115,10 +119,10 @@ def check_height_bounds(roots: RootTriple) -> Tuple[bool, bool, bool]:
     h_diff = Fraction(2, 3) * ((th3 - th2) * (th3 - th1) * (th2 - th1)).log()
     h_ratio = Fraction(1, 6) * ((th3 / th1) ** 2).log()
     h_unit = Fraction(1, 6) * (((T - th3) / (T - th2)) ** 2).log()
+    c1, c2, c3 = HEIGHT_COEFF
     checks = []
-    for name, h, bound in (("h_diff < 6 ln t", h_diff, 6 * lnt),
-                           ("h_ratio < 3 ln t", h_ratio, 3 * lnt),
-                           ("h_unit < 3 ln t", h_unit, 3 * lnt)):
+    for name, h, c in (("h_diff", h_diff, c3), ("h_ratio", h_ratio, c1), ("h_unit", h_unit, c2)):
+        name, bound = "%s < %d ln t" % (name, c), c * lnt
         try:
             checks.append(certified_below(h, bound, name))
         except IndeterminateSignError:

@@ -106,9 +106,9 @@ def gamma1_width_floor(t: int, precision: int) -> Tuple[int, int]:
     point is a root: a rational root of the monic P with constant term 1
     is +-1, and P(+-1) != 0.  theta1's enclosure holds both ends of the
     cell and theta3's holds y = theta3, in theta3's window.  gamma1 is
-    formed by outward-rounded interval operations, so it contains
-    g(x) = ln|y/x| / ln|(t - x)/(t - y)| = -N(x)/D(x) at both ends x,
-    with N(x) = ln(y/|x|) and D(x) = ln((y - t)/(t - x)), and its width
+    ln a1 / ln a2 of `lambda_log_arguments(2, .)` (j = 1, k = 3), formed
+    by outward-rounded interval operations, so it contains -N(x)/D(x) at
+    both ends x, N(x) = ln(y/|x|) and D(x) = ln((y - t)/(t - x)); its width
     is at least N(x_h)/D(x_h) - N(x_l)/D(x_l)
     = (N(x_h) - N(x_l))/D(x_h) - N(x_l) (D(x_h) - D(x_l))/(D(x_h) D(x_l)).
     On the rows' windows, for t >= T_MIN:

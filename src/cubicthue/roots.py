@@ -414,23 +414,19 @@ def solution_interval(which: int, t: int, y_abs: int = 2) -> Tuple[Fraction, Fra
 
 
 def _ratio_hull(which: int, k: _KappaTerms) -> CertifiedReal:
-    """The hull of the ratio through which r in I_which enters its kappas
-    at the two endpoints of I_which.  It is a Moebius map of r with its
-    pole at theta2 (I_1, I_3) or theta1 (I_2), so continuous and monotone
-    on an interval without the pole: once the root enclosure puts the pole
+    """The hull at the two ends of I_which of the ratio through which r in
+    I_which enters its kappas: (r - num)/(r - pole) from row `which`, with
+    num - r for r - num when neg.  A Moebius map of r is monotone on an
+    interval without its pole, so once the root enclosure puts the pole
     outside the closed interval, the ratio's image of I_which lies in the
     hull.  Raises IndeterminateSignError when the enclosure meets it."""
     lo, hi = solution_interval(which, k.t)
-    pole_lo, pole_hi = (k.th1 if which == 2 else k.th2)._ival
-    if not (endpoint_cmp(pole_hi, lo.numerator, lo.denominator) < 0
-            or endpoint_cmp(pole_lo, hi.numerator, hi.denominator) > 0):
+    num, pole, neg = ((k.th3, k.th2, 0), (k.th3, k.th1, 1), (k.th1, k.th2, 0))[which - 1]
+    if not (endpoint_cmp(pole._ival[1], lo.numerator, lo.denominator) < 0
+            or endpoint_cmp(pole._ival[0], hi.numerator, hi.denominator) > 0):
         raise IndeterminateSignError("the pole of the I_%d ratio meets I_%d" % (which, which))
     rs = [CertifiedReal.from_rational(r, k.prec) for r in (lo, hi)]
-    if which == 1:
-        return CertifiedReal.hull((r - k.th3) / (r - k.th2) for r in rs)
-    if which == 2:
-        return CertifiedReal.hull((k.th3 - r) / (r - k.th1) for r in rs)
-    return CertifiedReal.hull((r - k.th1) / (r - k.th2) for r in rs)
+    return CertifiedReal.hull((num - r if neg else r - num) / (r - pole) for r in rs)
 
 
 def kappa_envelope(j: int, t: int, roots: RootTriple) -> CertifiedReal:

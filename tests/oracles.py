@@ -1,17 +1,19 @@
 """Reference code the tests check the engine against, kept out of the
 engine because nothing there calls it: closed forms, identities,
 enclosure membership, one endpoint of a rational, the exact Euclidean
-continued fraction, the truncated decimal in Fractions and the
-contradiction decided on interval logarithms."""
+continued fraction, the truncated decimal in Fractions, the
+contradiction decided on interval logarithms, and the log arguments and
+interval ratios written out per solution type."""
 
 import math
 from fractions import Fraction
 from typing import List
 
 from cubicthue.bounds import CONTRADICTION_COEFF, LOG_PRECISION
+from cubicthue.errors import IndeterminateSignError
 from cubicthue.forms import BinaryCubicForm
 from cubicthue.realnum import (CertifiedReal, Convergent, Endpoint, _quotient_side,
-                               certified_below)
+                               certified_below, endpoint_cmp)
 from cubicthue.roots import RootTriple, solution_interval
 
 
@@ -63,6 +65,37 @@ def intervals_disjoint(t: int, y_abs: int = 2) -> bool:
     (_, sup1), (inf2, sup2), (inf3, _) = (solution_interval(w, t, y_abs)
                                           for w in (1, 2, 3))
     return sup1 < inf2 < sup2 < inf3
+
+
+def lambda_log_arguments_per_type(which: int, roots: RootTriple):
+    """`bounds.lambda_log_arguments` as one branch per solution type,
+    each read off Siegel's identity at its root by hand."""
+    th1, th2, th3 = roots.thetas
+    T = CertifiedReal.from_rational(roots.t, roots.precision)
+    if which == 1:
+        return (th3 / th2, (T - th2) / (T - th3), (th1 - th3) / (th1 - th2))
+    if which == 2:
+        return (abs(th3 / th1), abs((T - th1) / (T - th3)), (th3 - th2) / (th2 - th1))
+    if which == 3:
+        return (abs(th2 / th1), abs((T - th1) / (T - th2)), (th3 - th2) / (th3 - th1))
+    raise ValueError("which must be 1, 2 or 3")
+
+
+def ratio_hull_per_interval(which: int, k) -> CertifiedReal:
+    """`roots._ratio_hull` on the terms k as one branch per interval, the
+    pole picked apart from the ratio: theta2 for I_1 and I_3, theta1 for
+    I_2."""
+    lo, hi = solution_interval(which, k.t)
+    pole_lo, pole_hi = (k.th1 if which == 2 else k.th2)._ival
+    if not (endpoint_cmp(pole_hi, lo.numerator, lo.denominator) < 0
+            or endpoint_cmp(pole_lo, hi.numerator, hi.denominator) > 0):
+        raise IndeterminateSignError("the pole of the I_%d ratio meets I_%d" % (which, which))
+    rs = [CertifiedReal.from_rational(r, k.prec) for r in (lo, hi)]
+    if which == 1:
+        return CertifiedReal.hull((r - k.th3) / (r - k.th2) for r in rs)
+    if which == 2:
+        return CertifiedReal.hull((k.th3 - r) / (r - k.th1) for r in rs)
+    return CertifiedReal.hull((r - k.th1) / (r - k.th2) for r in rs)
 
 
 def convergents_of_fraction(x: Fraction, Q: int) -> List[Convergent]:

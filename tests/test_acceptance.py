@@ -39,13 +39,13 @@ def _kappa_ok(t):
     return roots.verify_kappas(t).all_pass
 
 
-def test_criterion_3_kappa_certification():
+def test_criterion_3_kappa_certification(hang_watchdog):
     ts = list(range(10, 2001)) + [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 576241]
     results = list(parallel_map(_kappa_ok, ts, WORKERS))
     _verdict("3 kappa-certification", all(results))
 
 
-def test_criterion_4_reduction_sweep_slice(tmp_path):
+def test_criterion_4_reduction_sweep_slice(tmp_path, hang_watchdog):
     # t in [10, 2000] and 100 seeded samples up to t_max
     out = tmp_path / "sweep.jsonl"
     rc = cli.main(["sweep", "--samples", "100", "--workers", str(WORKERS),
@@ -64,7 +64,7 @@ def _theorem_ok(t):
     return search.verify_theorem(t, 5000)
 
 
-def test_criterion_5_theorem_bounded_verification():
+def test_criterion_5_theorem_bounded_verification(hang_watchdog):
     ts = [t for t in range(-30, 31) if t not in (0, 1)]
     results = list(parallel_map(_theorem_ok, ts, WORKERS))
     rep = search.thue_solutions_bruteforce(forms.family_form(3, -1), 5000)
@@ -110,7 +110,7 @@ def _recover_ok(t):
     return True
 
 
-def test_criterion_8_exponent_recovery():
+def test_criterion_8_exponent_recovery(hang_watchdog):
     ts = list(range(2, 101))
     results = list(parallel_map(_recover_ok, ts, WORKERS))
     _verdict("8 exponent-recovery", all(results))

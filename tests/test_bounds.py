@@ -14,8 +14,8 @@ from cubicthue.bounds import (check_height_bounds, contradiction_threshold,
 from cubicthue.errors import (HeightBoundViolatedError, IndeterminateSignError,
                               VerificationFailedError)
 from cubicthue.realnum import CertifiedReal, certified_below
-from cubicthue.roots import isolate_roots
-from oracles import siegel_residual
+from cubicthue.roots import _KappaTerms, _ratio_hull, default_precision, isolate_roots
+from oracles import lambda_log_arguments_per_type, ratio_hull_per_interval, siegel_residual
 
 def _lambda(which, n, m, roots):
     """Lambda_which at integer exponents (n, m), from the log arguments
@@ -99,6 +99,46 @@ def test_lambda_log_of_one_plus_tau():
         lam_hi = max(abs(L2.lower), abs(L2.upper))
         assert abs(tau2).upper < Fraction(1, 2)
         assert lam_hi <= 2 * abs(tau2).upper
+
+
+def _outcome(f, *args):
+    """f(*args) as a tuple of enclosures, or its exception as text."""
+    try:
+        got = f(*args)
+    except IndeterminateSignError as exc:
+        return "IndeterminateSignError: %s" % exc
+    return got if isinstance(got, tuple) else (got,)
+
+
+def _bits(outcome):
+    return outcome if isinstance(outcome, str) else [(a._ival, a.precision) for a in outcome]
+
+
+def test_each_type_ratio_from_one_formula_has_the_per_type_bits():
+    # the log arguments from Siegel's identity at root `which` and the
+    # interval ratios from one row each give the per-type branches' bits
+    # or their exception; where the branches' alpha2 holds 0, abs makes
+    # it [0, y] instead, and the log of either raises
+    straddles = 0
+    for t in (*range(10, 61), 2001, 10 ** 5, 576241, 10 ** 6):
+        for precision in (113, 170, 340, 452, default_precision(t)):
+            roots = isolate_roots(t, precision)
+            k = _KappaTerms(t, roots)
+            for which in (1, 2, 3):
+                got = _outcome(lambda_log_arguments, which, roots)
+                want = _outcome(lambda_log_arguments_per_type, which, roots)
+                if not isinstance(want, str) and want[1].contains_zero():
+                    straddles += 1
+                    assert got[1].lower == 0 and got[1].upper >= want[1].upper
+                    for a2 in (got[1], want[1]):
+                        with pytest.raises(IndeterminateSignError):
+                            a2.log()
+                    got, want = (got[0], got[2]), (want[0], want[2])
+                assert _bits(got) == _bits(want), (which, t, precision)
+                assert _bits(_outcome(_ratio_hull, which, k)) == \
+                    _bits(_outcome(ratio_hull_per_interval, which, k)), (which, t, precision)
+    # measured: type I at 113 bits, t = 576241 and 10^6
+    assert straddles == 2
 
 
 def test_matveev_constants():

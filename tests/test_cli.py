@@ -180,7 +180,7 @@ def test_bad_bound_is_refused_before_the_first_record(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_kappas_below_the_needed_precision_is_inconclusive(workers, capsys):
+def test_kappas_below_the_needed_precision_is_inconclusive(workers, capsys, hang_watchdog):
     argv = ["kappas", "--t-lo", "1990", "--t-hi", "1991", "--extra-t", "10",
             "--precision", "64", "--workers", workers]
     assert run(argv) == cli.EXIT_INCONCLUSIVE
@@ -818,7 +818,7 @@ def test_byte_identical_output_for_identical_config(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_workers_env_override(monkeypatch, tmp_path):
+def test_workers_env_override(monkeypatch, tmp_path, hang_watchdog):
     monkeypatch.setenv("CUBICTHUE_WORKERS", "2")
     a = tmp_path / "a.jsonl"
     assert run(["kappas", "--t-lo", "10", "--t-hi", "11",

@@ -390,7 +390,7 @@ def test_bounds_below_one_are_refused(A, Q, capsys):
         reduce_single(2, 10, A, Q)
 
 
-def test_sweep_deterministic_across_workers(tmp_path):
+def test_sweep_deterministic_across_workers(tmp_path, hang_watchdog):
     runs = [_sweep(tmp_path, "w" + workers, "--workers", workers, t_hi=30)
             for workers in ("1", "4")]
     (ck1, out1), (ck4, out4) = runs
@@ -454,7 +454,7 @@ def test_verify_range_checkpoint_resume(tmp_path):
     assert ck.read_bytes() == before
 
 
-def test_sweep_checkpoints_every_interval(monkeypatch, tmp_path):
+def test_sweep_checkpoints_every_interval(monkeypatch, tmp_path, hang_watchdog):
     monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 4)
     write = cli._write_checkpoint
     runs = {}
@@ -480,7 +480,7 @@ def test_sweep_checkpoints_every_interval(monkeypatch, tmp_path):
         assert state["hash"] == _digest(outcomes[:n])
 
 
-def test_sweep_checkpoints_only_taken_outcomes(monkeypatch, tmp_path):
+def test_sweep_checkpoints_only_taken_outcomes(monkeypatch, tmp_path, hang_watchdog):
     monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 4)
     write = cli._write_checkpoint
     ck, out = tmp_path / "ck.json", tmp_path / "out.jsonl"

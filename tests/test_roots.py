@@ -498,6 +498,21 @@ def test_bisect_window_with_three_roots_replays_bisection():
             _reference_bisect(B, C, D, lo, hi, width)
 
 
+def test_bisect_decides_where_the_slope_vanishes_at_both_ends(monkeypatch):
+    # x^3 - 3x + 1, from x^3 - 3xy^2 + y^3: P' vanishes at both ends of the
+    # critical-point piece [-1, 1], so _slope_sign gives 0 there and the
+    # integer bisection alone brackets the root 0.347
+    reached, bisection_index = [], roots._bisection_index
+    monkeypatch.setattr(roots, "_bisection_index",
+                        lambda *args: reached.append(args) or bisection_index(*args))
+    for precision in BRACKET_PRECISIONS:
+        width = _width(precision)
+        reached.clear()
+        brackets = _monic_brackets(0, -3, 1, width)
+        assert len(brackets) == 3 and len(reached) == 1
+        assert brackets[1] == _reference_bisect(0, -3, 1, Fraction(-1), Fraction(1), width)
+
+
 def test_bisect_falls_back_when_newton_misses(monkeypatch):
     monkeypatch.setattr(roots, "_newton_index", lambda *args: 0)
     _, B, C, D = family_form(3, 137).coefficients
