@@ -356,14 +356,14 @@ def _sweep_records(lo, hi, resumed=(), samples=0):
     return records
 
 
-def test_verify_range_empty(tmp_path, capsys):
+def test_sweep_empty(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert cli.main(["sweep", "--t-lo", "30", "--t-hi", "20", "--output", str(out)]) == 0
     assert out.read_text() == "\n"
     assert capsys.readouterr().out == "sweep which=2: 0/0 success+contradiction\n"
 
 
-def test_verify_range_rejects_low_start(monkeypatch, tmp_path, capsys):
+def test_sweep_rejects_low_start(monkeypatch, tmp_path, capsys):
     # before any t is handed to the workers or any record is written
     streams = []
     monkeypatch.setattr(cli, "parallel_map",
@@ -398,13 +398,13 @@ def test_sweep_deterministic_across_workers(tmp_path, hang_watchdog):
     assert ck1.read_bytes() == ck4.read_bytes()
 
 
-def test_verify_range_extra_ts_sorted_dedup(monkeypatch):
+def test_sweep_extra_ts_sorted_dedup(monkeypatch):
     # a sample inside the range is reduced once, in its place
     monkeypatch.setattr(cli, "_sample_ts", lambda seed, count, lo, hi: [11, 500])
     assert [r["t"] for r in _sweep_records(10, 12, samples=2)] == [10, 11, 12, 500]
 
 
-def test_verify_range_streams_the_sorted_deduplicated_ts(monkeypatch):
+def test_sweep_streams_the_sorted_deduplicated_ts(monkeypatch):
     """The sweep's jobs are a stream, not a list, in the order of the
     sorted set of the range and the samples, less those a resumed run
     wrote: with samples below, inside, next to and above the range, on a
@@ -437,7 +437,7 @@ def _sweep(tmp_path, name, *extra, t_hi=20):
     return ck, out
 
 
-def test_verify_range_checkpoint_resume(tmp_path):
+def test_sweep_checkpoint_resume(tmp_path):
     ck, _ = _sweep(tmp_path, "ck")
     full = _reduced(10, 20)
     state = _read_json(ck)
@@ -517,7 +517,7 @@ def _stub_outcome(which, t, A, Q, precision):
                                       300.0, True, 0)
 
 
-def test_verify_range_serializes_each_record_once(monkeypatch, tmp_path):
+def test_sweep_serializes_each_record_once(monkeypatch, tmp_path):
     monkeypatch.setattr(reduction, "reduce_single", _stub_outcome)
     monkeypatch.setattr(cli, "CHECKPOINT_INTERVAL", 4)
     calls, dumps = [], []
