@@ -17,7 +17,7 @@ from typing import Tuple
 
 from .errors import (IndeterminateSignError, PrecisionInsufficientError,
                      VerificationFailedError)
-from .forms import evaluate, family_form
+from .forms import family_form
 from .realnum import CertifiedReal, dyadic_numerators, endpoint_cmp
 from .roots import T_MIN, isolate_roots, solution_interval
 
@@ -69,7 +69,7 @@ def recover_exponents(t: int, x: int, y: int) -> ExponentPair:
     Z[theta]."""
     if t < 2:
         raise ValueError("recovery requires t >= 2")
-    if evaluate(family_form(3, t), x, y) != 1:
+    if family_form(3, t)(x, y) != 1:
         raise ValueError("(%d, %d) is not a solution at t=%d" % (x, y, t))
     last_err: Exception = PrecisionInsufficientError("not attempted")
     for attempt in range(RECOVERY_ESCALATIONS + 1):

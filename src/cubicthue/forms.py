@@ -18,14 +18,16 @@ class BinaryCubicForm:
     d: int
 
     def __call__(self, x: int, y: int) -> int:
-        return evaluate(self, x, y)
+        return ((self.a * x + self.b * y) * x + self.c * y * y) * x + self.d * y ** 3
 
     @property
     def coefficients(self) -> Tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
     def discriminant(self) -> int:
-        return discriminant(self)
+        a, b, c, d = self.coefficients
+        return (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
+                - 4 * a * c ** 3 - 27 * a * a * d * d)
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
@@ -49,19 +51,9 @@ class SolutionSet:
         return len(self.solutions)
 
 
-def evaluate(F: BinaryCubicForm, x: int, y: int) -> int:
-    return ((F.a * x + F.b * y) * x + F.c * y * y) * x + F.d * y ** 3
-
-
 def monic_cubic(b: int, c: int, d: int, x: int) -> int:
     """x^3 + b x^2 + c x + d, exactly."""
     return ((x + b) * x + c) * x + d
-
-
-def discriminant(F: BinaryCubicForm) -> int:
-    a, b, c, d = F.coefficients
-    return (18 * a * b * c * d - 4 * b ** 3 * d + b * b * c * c
-            - 4 * a * c ** 3 - 27 * a * a * d * d)
 
 
 def family_form(index: int, t: int) -> BinaryCubicForm:
@@ -96,7 +88,7 @@ def known_solutions(t: int) -> SolutionSet:
     F = family_form(3, t)
     uniq = sorted(set(sols))
     for (x, y) in uniq:
-        if evaluate(F, x, y) != 1:
+        if F(x, y) != 1:
             raise VerificationFailedError(
                 "(%d, %d) is not a solution at t=%d" % (x, y, t))
     return SolutionSet(t, tuple(uniq))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import IndeterminateSignError, PrecisionInsufficientError
-from .forms import BinaryCubicForm, discriminant, family_form, monic_cubic
+from .forms import BinaryCubicForm, family_form, monic_cubic
 from .realnum import CertifiedReal, _quotient_side, endpoint_cmp
 
 T_MIN = 10      # the least t of the root series, the I_i, the kappas and the reduction
@@ -226,7 +226,7 @@ def isolate_real_roots_monic_cubic(B: int, C: int, D: int, wn: int, wd: int
     real roots) the bounds are tightened until the cut separates all
     three.  A double root is an integer critical point, and so a cut
     point at which P vanishes."""
-    three_real = discriminant(BinaryCubicForm(1, B, C, D)) > 0
+    three_real = BinaryCubicForm(1, B, C, D).discriminant() > 0
     k = 0
     while True:
         out = _split_and_bisect(B, C, D, wn, wd, k)

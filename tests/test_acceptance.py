@@ -88,7 +88,7 @@ def test_criterion_6_sporadic_tables():
 
 
 def test_criterion_7_discriminant_identity():
-    ok = all(forms.discriminant(forms.family_form(3, t))
+    ok = all(forms.family_form(3, t).discriminant()
              == family_discriminant_poly(t)
              for t in range(-100, 101))
     _verdict("7 discriminant-identity", ok)

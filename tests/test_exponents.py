@@ -7,7 +7,7 @@ from cubicthue import exponents
 from cubicthue.bounds import GROWTH
 from cubicthue.errors import VerificationFailedError
 from cubicthue.exponents import SolutionType, classify, recover_exponents
-from cubicthue.forms import evaluate, family_form, known_solutions
+from cubicthue.forms import family_form, known_solutions
 from cubicthue.realnum import CertifiedReal
 from cubicthue.roots import isolate_roots
 from oracles import contains
@@ -153,7 +153,7 @@ def test_special_solutions_evaluated_exactly():
     assert _special_solutions(5)[SolutionType.TYPE_III] == (615, 1)
     for t in (2, 9, 20):
         for pair in _special_solutions(t).values():
-            assert evaluate(family_form(3, t), *pair) == 1
+            assert family_form(3, t)(*pair) == 1
             assert pair in known_solutions(t)
 
 

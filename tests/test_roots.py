@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cubicthue import cli, exponents, roots, search
-from cubicthue.forms import BinaryCubicForm, discriminant, family_form, known_solutions
+from cubicthue.forms import BinaryCubicForm, family_form, known_solutions
 from cubicthue.errors import IndeterminateSignError, PrecisionInsufficientError
 from cubicthue.realnum import CertifiedReal
 from cubicthue.roots import (KAPPA_CLAIMS, isolate_real_roots_monic_cubic,
@@ -296,7 +296,7 @@ def test_isolation_finds_every_distinct_real_root():
                        -r[0] * r[1] * r[2] + rng.randrange(-3, 4))
         else:
             B, C, D = (rng.randrange(-60, 61) for _ in range(3))
-        disc = discriminant(BinaryCubicForm(1, B, C, D))
+        disc = BinaryCubicForm(1, B, C, D).discriminant()
         if disc < 0:
             expected = 1
         elif disc > 0:

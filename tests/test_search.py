@@ -7,7 +7,7 @@ import pytest
 
 from cubicthue import forms, roots, search
 from cubicthue.errors import PrecisionInsufficientError, VerificationFailedError
-from cubicthue.forms import BinaryCubicForm, evaluate, family_form, monic_cubic
+from cubicthue.forms import BinaryCubicForm, family_form, monic_cubic
 from cubicthue.realnum import (CertifiedReal, continued_fraction_convergents,
                                lockstep_expansion)
 from cubicthue.roots import isolate_real_roots_monic_cubic
@@ -21,7 +21,7 @@ def test_bruteforce_delone_nagell_example():
     rep = thue_solutions_bruteforce(BinaryCubicForm(1, 0, -1, 1), 100)
     assert rep.solutions == ((-1, 1), (0, 1), (1, 0), (1, 1), (4, -3))
     for (x, y) in rep.solutions:
-        assert evaluate(rep.form, x, y) == 1
+        assert rep.form(x, y) == 1
 
 
 def test_bruteforce_49_form_nine_solutions():
