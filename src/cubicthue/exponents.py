@@ -114,7 +114,8 @@ def _solve_at_precision(t: int, x: int, y: int, prec: int):
     system l_i = n*u_i - m*v_i on embeddings 1 and 2, and the residual
     that certifies them: both deviations below ROUNDING_TOLERANCE."""
     roots, (u1, u2), (v1, v2), det, known = _unit_logs(t, prec)
-    factors = (abs(x - th * y) for th in roots.thetas[:2])
+    # |th y - x| = |x - th y|, with no negation after the subtraction
+    factors = (abs(th * y - x) for th in roots.thetas[:2])
     l1, l2 = (known[f._ival] if f._ival in known else f.log() for f in factors)
     n_enc, m_enc = (l2 * v1 - l1 * v2) / det, (l2 * u1 - l1 * u2) / det
     n, m = _round_mid(n_enc), _round_mid(m_enc)

@@ -45,6 +45,13 @@ def reduction_precision(Q: int) -> int:
 # with more than prec significant bits drops its drop = bits(m) - prec
 # low bits, as m >> drop toward -inf (a lower endpoint) and as
 # -((-m) >> drop) toward +inf (an upper one), and adds drop to e.
+# Kernels stand where the workloads spend time: `-`, `*`, `/`, `r/`,
+# unary `-`, `**` and the log.  Per t, `verify_kappas` makes 47 `-`,
+# 22 `*`, 15 `/` and 10 logs to one `+` and one `abs`; `reduce_single`
+# no `+` and no reflected `-`; exponent recovery 12 reflected `-` and 24
+# `abs`, 16 of one-signed enclosures, which `abs` returns or negates.
+# So `+`, reflected `-` and `abs` are written with `-` and negation,
+# which is exact: each endpoint is still rounded once.
 
 def _normal(x: Endpoint) -> Endpoint:
     """x with an odd mantissa, or (0, 0)."""
@@ -216,6 +223,25 @@ def _ln_dyadic(j: int, bits: int, w: int) -> int:
     return c >> (W - w)
 
 
+def _ziv(L: int, H: int, prec: int, w: int, up: bool):
+    """Ziv's rounding test on a bracket L <= 2^w v <= H: L and H each
+    rounded to prec bits, up or down; the endpoint of v they agree on,
+    or None."""
+    du = L.bit_length() - prec
+    if du > 0:
+        L = -((-L) >> du) if up else L >> du
+    else:
+        du = 0
+    dv = H.bit_length() - prec
+    if dv > 0:
+        H = -((-H) >> dv) if up else H >> dv
+    else:
+        dv = 0
+    if (L << (du - dv) == H) if du >= dv else (L == H << (dv - du)):
+        return L, du - w
+    return None
+
+
 def _log_ival(a: Endpoint, b: Endpoint, prec: int) -> Tuple[Endpoint, Endpoint]:
     """[ln a rounded down, ln b rounded up] at prec bits, 0 < a <= b.
 
@@ -269,36 +295,12 @@ def _log_ival(a: Endpoint, b: Endpoint, prec: int) -> Tuple[Endpoint, Endpoint]:
             c = E * _ln_dyadic(2, 0, w)
             L, H = (L + c, H + c + 2 * E) if E > 0 else (L + c + 2 * E, H + c)
         if lo is None:
-            # the rounding test on L and H, each rounded down
-            u, du = L, L.bit_length() - prec
-            if du > 0:
-                u >>= du
-            else:
-                du = 0
-            v, dv = H, H.bit_length() - prec
-            if dv > 0:
-                v >>= dv
-            else:
-                dv = 0
-            if (u << (du - dv) == v) if du >= dv else (u == v << (dv - du)):
-                lo = u, du - w
+            lo = _ziv(L, H, prec, w, False)
         if hi is None:
             if gap:
                 c0, c1 = _twice_atanh(gap, total, w)
                 L, H = L + c0, H + c1
-            # the rounding test on the bracket of ln b, each end rounded up
-            u, du = L, L.bit_length() - prec
-            if du > 0:
-                u = -((-u) >> du)
-            else:
-                du = 0
-            v, dv = H, H.bit_length() - prec
-            if dv > 0:
-                v = -((-v) >> dv)
-            else:
-                dv = 0
-            if (u << (du - dv) == v) if du >= dv else (u == v << (dv - du)):
-                hi = u, du - w
+            hi = _ziv(L, H, prec, w, True)
         w += 64
     return lo, hi
 
@@ -306,7 +308,8 @@ def _log_ival(a: Endpoint, b: Endpoint, prec: int) -> Tuple[Endpoint, Endpoint]:
 class CertifiedReal:
     """An enclosure [lower, upper] of an exact real number, tagged with
     the working precision (bits) used to produce it.  `ival` is the pair
-    of endpoints ((m_lo, e_lo), (m_hi, e_hi))."""
+    of endpoints ((m_lo, e_lo), (m_hi, e_hi)), each of at most
+    `precision` significant bits, so that negating it is exact."""
 
     __slots__ = ("_ival", "precision")
 
@@ -377,33 +380,10 @@ class CertifiedReal:
     # Each operation runs at the larger of the operands' precisions; an
     # int or Fraction operand is enclosed at the precision of the
     # CertifiedReal it meets.  Both endpoints are formed exactly and
-    # rounded inline in the operation's frame, the lower toward -inf and
-    # the upper toward +inf.
+    # rounded once, the lower toward -inf and the upper toward +inf.
 
     def __add__(self, other):
-        p = self.precision
-        if other.__class__ is CertifiedReal:
-            (c, g), (d, h) = other._ival
-            if other.precision > p:
-                p = other.precision
-        else:
-            (c, g), (d, h) = _rational_ival(other, p)
-        (a, e), (b, f) = self._ival
-        if e >= g:
-            a, e = (a << (e - g)) + c, g
-        else:
-            a += c << (g - e)
-        drop = a.bit_length() - p
-        if drop > 0:
-            a, e = a >> drop, e + drop
-        if f >= h:
-            b, f = (b << (f - h)) + d, h
-        else:
-            b += d << (h - f)
-        drop = b.bit_length() - p
-        if drop > 0:
-            b, f = -((-b) >> drop), f + drop
-        return CertifiedReal(((a, e), (b, f)), p)
+        return self - (-other)
 
     __radd__ = __add__
 
@@ -434,25 +414,7 @@ class CertifiedReal:
         return CertifiedReal(((a, e), (b, f)), p)
 
     def __rsub__(self, other):
-        p = self.precision
-        (c, g), (d, h) = _rational_ival(other, p)
-        (a, e), (b, f) = self._ival
-        # [c - b, d - a]
-        if g >= f:
-            c, g = (c << (g - f)) - b, f
-        else:
-            c -= b << (f - g)
-        drop = c.bit_length() - p
-        if drop > 0:
-            c, g = c >> drop, g + drop
-        if h >= e:
-            d, h = (d << (h - e)) - a, e
-        else:
-            d -= a << (e - h)
-        drop = d.bit_length() - p
-        if drop > 0:
-            d, h = -((-d) >> drop), h + drop
-        return CertifiedReal(((c, g), (d, h)), p)
+        return -(self - other)
 
     def __mul__(self, other):
         p = self.precision
@@ -500,23 +462,13 @@ class CertifiedReal:
 
     def __abs__(self):
         (a, e), (b, f) = self._ival
-        p = self.precision
         if a >= 0:
-            pass
-        elif b <= 0:
-            a, e, b, f = -b, f, -a, e
-        else:
-            # [0, max(-a, b)]
-            if _cmp((-a, e), (b, f)) >= 0:
-                b, f = -a, e
-            a, e = 0, 0
-        drop = a.bit_length() - p
-        if drop > 0:
-            a, e = a >> drop, e + drop
-        drop = b.bit_length() - p
-        if drop > 0:
-            b, f = -((-b) >> drop), f + drop
-        return CertifiedReal(((a, e), (b, f)), p)
+            return self
+        if b <= 0:
+            return -self
+        # [0, max(-a, b)]: either end has at most precision significant bits
+        return CertifiedReal((_ZERO, (-a, e) if _cmp((-a, e), (b, f)) >= 0 else (b, f)),
+                             self.precision)
 
     def __pow__(self, k: int):
         """The exact powers of the endpoints, each rounded once."""

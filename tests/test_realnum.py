@@ -530,15 +530,31 @@ def _check_operations(x, X, px, y, Y, py, r):
     assert CertifiedReal.hull([x, y]).precision == p
 
 
+def _kernel_outputs(x, X, px, y, Y, py, carried=False):
+    """x - y and x * y with their iv references, whose endpoints keep
+    the trailing zeros of a rounded mantissa; `carried` adds
+    [2^px - 1, 2^px], formed as a difference whose upper end carried to
+    the (px + 1)-bit 2^px, and its negation."""
+    p = max(px, py)
+    out = [(x - y, _at(p, lambda: X - Y), p), (x * y, _at(p, lambda: X * Y), p)]
+    if carried:
+        c = CertifiedReal.from_rational((1 << px) - 1, px) - Fraction(-1, 2)
+        C = _at(px, lambda: mpmath.iv.mpf((1 << px) - 1) - mpmath.iv.mpf(-0.5))
+        out += [(c, C, px), (-c, _at(px, lambda: -C), px)]
+    return out
+
+
 def test_operations_match_mpmath_iv_bit_for_bit():
     rng = random.Random(16)
     precs = (20, 53, 64, 128, 300)
-    for _ in range(300):
+    for n in range(300):
         px, py = rng.choice(precs), rng.choice(precs)
         x, X = _rand_operand(rng, px)
         y, Y = _rand_operand(rng, py)
         r = rng.choice((rng.randrange(-10 ** 30, 10 ** 30), _rand_fraction(rng, 25)))
         _check_operations(x, X, px, y, Y, py, r)
+        for z, Z, pz in _kernel_outputs(x, X, px, y, Y, py) if n % 3 == 0 else ():
+            _check_operations(z, Z, pz, y, Y, py, r)
     # the engine's working precisions, and the cases the kernels branch
     # on: each operand shape against each, an int and a Fraction on either
     # side of - and /, operands at two precisions
@@ -552,6 +568,13 @@ def test_operations_match_mpmath_iv_bit_for_bit():
         y, Y = _rand_operand(rng, py, ky)
         r = rng.randrange(-10 ** 30, 10 ** 30) if i % 2 else _rand_fraction(rng, 25)
         _check_operations(x, X, px, y, Y, py, r)
+        for z, Z, pz in _kernel_outputs(x, X, px, y, Y, py, carried=i < 8):
+            _check_operations(z, Z, pz, y, Y, py, r)
+            (a, _), (b, _) = z._ival
+            if not (a & 1 and b & 1):
+                seen.add("unnormalized")
+            if b == 1 << pz:
+                seen.add("carried")
         seen.add(px)
         if px != py:
             seen.add("two precisions")
@@ -565,7 +588,8 @@ def test_operations_match_mpmath_iv_bit_for_bit():
             assert (s.lower, s.upper) == (x.lower + y.lower, x.upper + y.upper)
         if kx == "theta1":
             assert x.upper < 0
-    assert seen == {*engine, "two precisions", "both straddle zero", "int / x", "Fraction / x"}
+    assert seen == {*engine, "two precisions", "both straddle zero", "int / x", "Fraction / x",
+                    "unnormalized", "carried"}
 
 
 # -- the logarithm against a high-precision oracle --------------------------
