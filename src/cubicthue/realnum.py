@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import decimal
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import IndeterminateSignError, PrecisionInsufficientError
 
@@ -48,10 +48,10 @@ def reduction_precision(Q: int) -> int:
 # Kernels stand where the workloads spend time: `-`, `*`, `/`, `r/`,
 # unary `-`, `**` and the log.  Per t, `verify_kappas` makes 47 `-`,
 # 22 `*`, 15 `/` and 10 logs to one `+` and one `abs`; `reduce_single`
-# no `+` and no reflected `-`; exponent recovery 12 reflected `-` and 24
-# `abs`, 16 of one-signed enclosures, which `abs` returns or negates.
-# So `+`, reflected `-` and `abs` are written with `-` and negation,
-# which is exact: each endpoint is still rounded once.
+# no `+` and no reflected `-`; exponent recovery 2 reflected `-` and 24
+# `abs`, 16 of them of one-signed enclosures, which `abs` returns or
+# negates.  So `+`, reflected `-` and `abs` are written with `-` and
+# negation, which is exact: each endpoint is still rounded once.
 
 def _normal(x: Endpoint) -> Endpoint:
     """x with an odd mantissa, or (0, 0)."""
@@ -223,7 +223,7 @@ def _ln_dyadic(j: int, bits: int, w: int) -> int:
     return c >> (W - w)
 
 
-def _ziv(L: int, H: int, prec: int, w: int, up: bool):
+def _ziv(L: int, H: int, prec: int, w: int, up: bool) -> Optional[Endpoint]:
     """Ziv's rounding test on a bracket L <= 2^w v <= H: L and H each
     rounded to prec bits, up or down; the endpoint of v they agree on,
     or None."""
