@@ -5,9 +5,9 @@ an exit status, and `_run` writes the records.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 inconclusive
 (precision/Q exhausted, or a certified comparison the enclosures do not
 decide), 3 usage error or an --output or --checkpoint that cannot be
-written, 141 (128 + SIGPIPE) stdout closed by its reader.  A run that
-meets more than one reports the worst, in the order 3, 1, 2, 0: a failed
-claim outranks an undecided one.
+written, 141 (128 + SIGPIPE) stdout closed by its reader.  A usage error
+stops the run; otherwise it reports the worst status its stages return,
+in the order 1, 2, 0: a failed claim outranks an undecided one.
 """
 
 from __future__ import annotations
@@ -45,10 +45,11 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_BROKEN_PIPE = 141
 # the statuses stages return, from best to worst
-_SEVERITY = (EXIT_OK, EXIT_INCONCLUSIVE, EXIT_VERIFICATION_FAILED, EXIT_USAGE)
+_SEVERITY = (EXIT_OK, EXIT_INCONCLUSIVE, EXIT_VERIFICATION_FAILED)
 
 DEFAULT_SEED = 20140213
 SWEEP_SLICE_HI = 2000
+T_MAX_PUBLISHED = 576241    # the paper's bound on t, which `tmax` re-derives
 SWEEP_SAMPLE_COUNT = 100
 CHECKPOINT_INTERVAL = 10 ** 4
 
@@ -106,14 +107,15 @@ def _precision_cap(precision: Optional[int], default: int, cap: Optional[int]) -
 
 class _Output:
     """JSON-lines sink, to the --output file or to stdout: each record, or
-    each block of whole lines a stage yields as text (a t's kappa rows),
-    is written and flushed as it is emitted.  The file is opened at the
-    first write, so a run that ends before one leaves it as it was; a
-    finished run with no records writes a single newline."""
+    each block of whole lines a stage yields as text (a t's kappa rows), is
+    written and flushed as it is emitted.  The file is opened at the first
+    write, so a run that ends before one leaves it as it was; a finished run
+    with no records writes a single newline.  Only a `hashed` sink (for a
+    --checkpoint) keeps `digest`, the sha256 of its text less newlines."""
 
-    def __init__(self, path: Optional[str]):
-        self.path = path
-        self.fh = None
+    def __init__(self, path: Optional[str], hashed: bool = False):
+        self.path, self.fh = path, None
+        self.digest = sha256() if hashed else None
 
     def write(self, text: str):
         if self.fh is None and self.path is not None:
@@ -121,19 +123,19 @@ class _Output:
         fh = self.fh or sys.stdout
         fh.write(text)
         fh.flush()
+        if self.digest is not None:
+            self.digest.update(text.replace("\n", "").encode())
 
-    def emit(self, record: dict) -> str:
-        """Writes the record as one line and returns that line, without
-        its newline."""
-        record.setdefault("schema", 1)
-        line = json.dumps(record, sort_keys=True)
-        self.write(line + "\n")
-        return line
+    def emit(self, item):
+        """Writes a record (a dict) as one JSON line, or a str of whole lines as it is."""
+        if item.__class__ is not str:
+            item.setdefault("schema", 1)
+            item = json.dumps(item, sort_keys=True) + "\n"
+        self.write(item)
 
     def close(self, finished: bool = True):
-        if self.fh is None and self.path is not None and finished:
-            self.fh = open(self.path, "w")
-            self.fh.write("\n")
+        if finished and self.fh is None and self.path is not None:
+            self.write("\n")
         if self.fh is not None:
             self.fh.close()
 
@@ -176,9 +178,9 @@ def _write_checkpoint(path: str, config: dict, last_t: int, digest: str):
     os.replace(tmp, path)
 
 
-def _resume(out: _Output, ckpt: dict, digest):
+def _resume(out: _Output, ckpt: dict):
     """The records (dicts with a "t") of --output through the checkpoint's
-    last t, yielded as their lines are hashed into `digest`.  Then, if the
+    last t, yielded as their lines are hashed into `out.digest`.  Then, if the
     hash is the checkpoint's, the lines after them (a run stopped before
     its next checkpoint wrote them, the last perhaps cut mid-line) are cut
     off and --output is opened to append; if not, or with no output, it
@@ -193,11 +195,11 @@ def _resume(out: _Output, ckpt: dict, digest):
                     break
                 rec = json.loads(line)
                 last = rec["t"] == ckpt["last_t"]
-                digest.update(line[:-1])
+                out.digest.update(line[:-1])
                 end += len(line)
                 yield rec
                 if last:
-                    counted = digest.hexdigest() == ckpt["hash"]
+                    counted = out.digest.hexdigest() == ckpt["hash"]
                     break
     except (OSError, ValueError, LookupError, TypeError):
         pass    # a missing output or a line that is no record: not counted
@@ -227,7 +229,7 @@ def _run(stages, path: Optional[str], checkpoint: Optional[str]) -> int:
         # the stages share one --output, so a resumed stage cannot append to it
         raise ValueError("checkpoint %s already counts records; certify-all "
                          "does not resume" % checkpoint)
-    out, digest, rc, finished = _Output(path), sha256(), EXIT_OK, False
+    out, rc, finished = _Output(path, hashed=bool(checkpoint)), EXIT_OK, False
     try:
         for stage in stages:
             # closed on every exit: a failed write stops a sweep's workers
@@ -242,24 +244,19 @@ def _run(stages, path: Optional[str], checkpoint: Optional[str]) -> int:
                     if isinstance(item, _Checkpointed):
                         config = item.config
                         ckpt = _load_checkpoint(checkpoint, config)
-                        reply = _resume(out, ckpt, digest) if ckpt else ()
+                        reply = _resume(out, ckpt) if ckpt else ()
                         continue
-                    if item.__class__ is str:
-                        # a block of lines: the digest leaves out their newlines
-                        out.write(item)
-                        digest.update(item.replace("\n", "").encode())
-                    else:
-                        digest.update(out.emit(item).encode())
+                    out.emit(item)
                     n += 1
                     if checkpoint and config and n % CHECKPOINT_INTERVAL == 0:
-                        _write_checkpoint(checkpoint, config, item["t"], digest.hexdigest())
+                        _write_checkpoint(checkpoint, config, item["t"], out.digest.hexdigest())
                 if checkpoint and config and n % CHECKPOINT_INTERVAL:
-                    _write_checkpoint(checkpoint, config, item["t"], digest.hexdigest())
+                    _write_checkpoint(checkpoint, config, item["t"], out.digest.hexdigest())
         finished = True
     finally:
-        # a run refused (exit 3) or stopped before its first record leaves
+        # a run stopped before its first record (a usage error, say) leaves
         # --output as it was; a finished one without records gets a newline
-        out.close(finished=finished and rc != EXIT_USAGE)
+        out.close(finished=finished)
     return rc
 
 
@@ -333,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-tables", help="sporadic table verification")
     common(p)
-    p.add_argument("--y-bound", type=_int_from_sci, default=10 ** 4)
+    p.add_argument("--y-bound", type=_int_from_sci, default=search.SPORADIC_Y_BOUND)
 
     p = sub.add_parser("certify-all", help="full desk-scale certification chain")
     common(p, "precision", "workers", "seed", trange=True, qa=True)
@@ -443,7 +440,7 @@ def _cmd_tmax():
     t_max, n_max = bounds.derive_t_max()
     yield {"t_max": t_max, "n_max": n_max}
     print("t_max = %d  (n < %.4g)" % (t_max, n_max))
-    return EXIT_OK if t_max == 576241 else EXIT_VERIFICATION_FAILED
+    return EXIT_OK if t_max == T_MAX_PUBLISHED else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_reduce(precision, t, which, Q, A):
@@ -505,8 +502,7 @@ def _cmd_sweep(precision, workers, seed, t_lo, t_hi, which, Q, A, samples, full)
 
 def _cmd_search(t, coeffs, y_bound):
     if (t is None) == (coeffs is None):
-        print("search: give exactly one of --t or --coeffs", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("give exactly one of --t or --coeffs")
     F = forms.family_form(3, t) if t is not None else forms.BinaryCubicForm(*coeffs)
     rep = search.thue_solutions_bruteforce(F, y_bound)
     yield rep.to_json()
@@ -548,14 +544,15 @@ def _theorem_range(y_bound):
 def _cmd_certify_all(precision, workers, seed, t_lo, t_hi, Q, A, y_bound, full):
     """The stages in proof order: kappa certification, Matveev constant,
     absolute bound, reduction sweep slice, bounded search."""
-    return [_cmd_kappas(precision=precision, workers=workers, t_lo=t_lo, t_hi=min(t_hi, 2000),
-                        extra_t=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 576241]),
+    return [_cmd_kappas(precision=precision, workers=workers, t_lo=t_lo,
+                        t_hi=min(t_hi, SWEEP_SLICE_HI),
+                        extra_t=[10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, T_MAX_PUBLISHED]),
             _cmd_matveev(precision=precision, t=roots.T_MIN),
             _cmd_tmax(),
             _cmd_sweep(precision=precision, workers=workers, seed=seed, t_lo=t_lo, t_hi=t_hi,
                        which=2, Q=Q, A=A, samples=0 if full else SWEEP_SAMPLE_COUNT, full=full),
             _theorem_range(y_bound),
-            _cmd_verify_tables(y_bound=10 ** 4)]
+            _cmd_verify_tables(y_bound=search.SPORADIC_Y_BOUND)]
 
 
 _COMMANDS = {"roots": _cmd_roots, "kappas": _cmd_kappas, "exponents": _cmd_exponents,

@@ -42,6 +42,8 @@ from .forms import BinaryCubicForm, family_form, known_solutions, monic_cubic
 from .realnum import lockstep_expansion
 from .roots import isolate_real_roots_monic_cubic
 
+SPORADIC_Y_BOUND = 10 ** 4    # the |y| to which `verify_sporadic_tables` searches by default
+
 # (form, discriminant, published solution count) for the positive-
 # discriminant sporadic classes with N_F >= 6
 MANY_SOLUTIONS_TABLE: Tuple[Tuple[BinaryCubicForm, int, int], ...] = (
@@ -275,11 +277,10 @@ def verify_theorem(t: int, y_bound: int) -> bool:
     return found == expected
 
 
-def verify_sporadic_tables(y_bound: int = 10 ** 4) -> List[SearchReport]:
+def verify_sporadic_tables(y_bound: int = SPORADIC_Y_BOUND) -> List[SearchReport]:
     """One report per listed sporadic form, asserting at least the
     published N_F solutions are found within the bound."""
-    reports = []
-    seen = set()
+    reports, seen = [], set()
     for F, disc, n_f in MANY_SOLUTIONS_TABLE + SPORADIC_CLASSES_TABLE + DELONE_NAGELL_TABLE:
         if F.coefficients in seen:
             continue

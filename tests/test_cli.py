@@ -285,9 +285,12 @@ def test_sweep_exit_with_a_record_short_of_a_contradiction(changes, code, monkey
 
 def _stage_stub(ran, name, status=cli.EXIT_OK):
     """A stand-in for the stage `name`: a generator that notes in `ran`
-    that it ran, and returns `status` without a record."""
+    that it ran, and returns `status` without a record, or for EXIT_USAGE
+    raises ValueError, as a stage refusing its parameters does."""
     def stage(**options):
         ran.append(name)
+        if status == cli.EXIT_USAGE:
+            raise ValueError("refused")
         return status
         yield
     return stage
@@ -305,13 +308,16 @@ _CERTIFY_ALL_STAGES = ("_cmd_kappas", "_cmd_matveev", "_cmd_tmax", "_cmd_sweep",
     (cli.EXIT_INCONCLUSIVE, cli.EXIT_USAGE, cli.EXIT_USAGE),
 ])
 def test_certify_all_exits_with_its_worst_stage(kappas, sweep, want, monkeypatch, tmp_path):
-    # a failed claim outranks an undecided stage, and a usage error both
-    status = {"_cmd_kappas": kappas, "_cmd_sweep": sweep}
+    # a failed claim outranks an undecided stage; a usage error stops the
+    # run at its stage, before any record, and leaves --output unwritten
+    status, ran = {"_cmd_kappas": kappas, "_cmd_sweep": sweep}, []
     for name in _CERTIFY_ALL_STAGES:
-        monkeypatch.setattr(cli, name, _stage_stub([], name, status.get(name, cli.EXIT_OK)))
+        monkeypatch.setattr(cli, name, _stage_stub(ran, name, status.get(name, cli.EXIT_OK)))
     monkeypatch.setattr(search, "verify_theorem", lambda t, y_bound: True)
     path = tmp_path / "c.jsonl"
     assert run(["certify-all", "--y-bound", "50", "--output", str(path)]) == want
+    if want == cli.EXIT_USAGE:
+        assert status[ran[-1]] == cli.EXIT_USAGE and not path.exists()
 
 
 def test_certify_all_theorem_range_failure_exits_one(monkeypatch, tmp_path, capsys):
@@ -1081,6 +1087,24 @@ def test_certify_all_bytes_match_golden(workers, tmp_path):
     assert run(["certify-all", "--t-lo", "10", "--t-hi", "12", "--y-bound", "50",
                 "--Q", "1e60", "--workers", workers, "--output", str(path)]) == 0
     assert path.read_bytes() == (DATA / "certify_all_10_12.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["kappas", "--t-lo", "10", "--t-hi", "11"], "kappas_10_11.jsonl"),
+    (["sweep", "--t-lo", "10", "--t-hi", "14", "--Q", "1e60"], "sweep_10_14.jsonl"),
+    (["certify-all", "--t-lo", "10", "--t-hi", "12", "--y-bound", "50", "--Q", "1e60"],
+     "certify_all_10_12.jsonl"),
+])
+def test_a_run_without_a_checkpoint_hashes_nothing(argv, golden, monkeypatch, tmp_path):
+    """Only a --checkpoint reads the sha256 of --output, so a run without
+    one builds none: with the hash refused, each writes its golden bytes."""
+    def refused():
+        raise RuntimeError("hashed without a --checkpoint")
+
+    monkeypatch.setattr(cli, "sha256", refused)
+    path = tmp_path / golden
+    assert run(argv + ["--output", str(path)]) == cli.EXIT_OK
+    assert path.read_bytes() == (DATA / golden).read_bytes()
 
 
 def _sha256(path):
